@@ -27,7 +27,7 @@ CYCLES = 300_000
 
 def _build_idle_heavy():
     """4x4 mesh, four low-rate corner-to-corner channels: mostly idle,
-    fast-forward dominated — the long-simulation shape checkpointing
+    dominated by skipped spans — the long-simulation shape checkpointing
     is for."""
     net = MeshNetwork(4, 4)
     slot = net.params.slot_cycles

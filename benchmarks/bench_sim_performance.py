@@ -2,9 +2,9 @@
 
 Not a paper result — housekeeping numbers for users planning
 experiments: how fast the cycle-accurate chip and the slot-level model
-advance, idle and loaded, the speedup of the slot model, and the
-speedup of the engine's idle-cycle fast-forward path on an idle-heavy
-mesh workload.
+advance, idle and loaded, the speedup of the slot model, and the cost
+of installed-but-disabled tracing.  Absolute mesh throughput comes
+from the repo benchmark (``benchmarks/perf``).
 """
 
 import dataclasses
@@ -75,26 +75,6 @@ def test_slot_simulator_throughput(benchmark, report):
     ])
 
 
-def _idle_heavy_mesh(fast_forward, cycles):
-    """8x8 mesh, four low-rate time-constrained channels corner to
-    corner: the fabric is idle for most of every period."""
-    net = MeshNetwork(8, 8)
-    net.engine.fast_forward = fast_forward
-    slot = net.params.slot_cycles
-    endpoints = [((0, 0), (7, 7)), ((7, 0), (0, 7)),
-                 ((0, 7), (7, 0)), ((7, 7), (0, 0))]
-    for index, (source, destination) in enumerate(endpoints):
-        channel = net.establish_channel(
-            source, destination, TrafficSpec(i_min=256), deadline=45,
-            label=f"bench{index}",
-        )
-        net.attach_source(source, PeriodicSource(channel, period=256,
-                                                 slot_cycles=slot))
-    start = time.perf_counter()
-    net.run(cycles)
-    return net, time.perf_counter() - start
-
-
 def _delivery_digest(net):
     """Delivery records minus ``packet_id`` (a process-global counter,
     so two runs in one process draw different ids)."""
@@ -104,120 +84,10 @@ def _delivery_digest(net):
             for record in net.log.records]
 
 
-def test_fast_forward_idle_heavy_speedup(report):
-    """Acceptance gate: >= 3x on the idle-heavy workload, with a
-    byte-identical simulation (same delivery records, same cycles)."""
-    cycles = 20_000
-    legacy, legacy_seconds = _idle_heavy_mesh(False, cycles)
-    fast, fast_seconds = _idle_heavy_mesh(True, cycles)
-    speedup = legacy_seconds / fast_seconds
-
-    assert _delivery_digest(legacy) == _delivery_digest(fast)
-    assert len(fast.log.records) > 0
-    assert legacy.engine.cycle == fast.engine.cycle == cycles
-    assert legacy.log.deadline_misses == fast.log.deadline_misses == 0
-    assert fast.engine.cycles_fast_forwarded > cycles // 2
-    assert speedup >= 3.0, (
-        f"fast-forward speedup {speedup:.2f}x below the 3x floor "
-        f"(legacy {legacy_seconds:.2f}s, fast {fast_seconds:.2f}s)"
-    )
-
-    report("fast_forward_speedup", fmt_table(
-        ["engine", "seconds", "cycles stepped", "cycles skipped"], [
-            ["per-cycle loop", f"{legacy_seconds:.2f}",
-             legacy.engine.cycles_stepped,
-             legacy.engine.cycles_fast_forwarded],
-            ["fast-forward", f"{fast_seconds:.2f}",
-             fast.engine.cycles_stepped,
-             fast.engine.cycles_fast_forwarded],
-        ]) + [
-        "",
-        f"workload: 8x8 mesh, 4 corner-to-corner TC channels, "
-        f"period 256 ticks, {cycles} cycles",
-        f"speedup: {speedup:.2f}x  (delivery records byte-identical)",
-    ])
-
-
-def _timed_churn(engine):
-    """One timed 16x16 churn run under the given engine mode.
-
-    The workload is the event scheduler's headline case: channels
-    arrive, hold and depart across a large mesh, so *something* is
-    always in flight (the exact engine's whole-fabric quiescence gate
-    almost never opens) but activity is spatially sparse (most of the
-    512 components are idle on any given cycle).
-    """
-    from repro.service import ServiceRunConfig, ServiceSession
-
-    config = ServiceRunConfig(width=16, height=16, requests=16,
-                              arrival_period_ticks=64, hold_ticks=20,
-                              engine=engine)
-    session = ServiceSession(config)
-    start = time.perf_counter()
-    report = session.run()
-    return session, report, time.perf_counter() - start
-
-
-def test_event_engine_loaded_churn_speedup(report):
-    """Acceptance gate: the event scheduler is >= 5x faster than the
-    exact engine on loaded churn over a 16x16 mesh (target 10x), with
-    a byte-identical SLO report signature."""
-    rounds = 2
-    ratios = []
-    best = {"exact": None, "event": None}
-    reports = {}
-    engines = {}
-    for round_index in range(rounds):
-        order = ["exact", "event"]
-        if round_index % 2:
-            order.reverse()
-        seconds = {}
-        for mode in order:
-            session, slo_report, seconds[mode] = _timed_churn(mode)
-            reports[mode] = slo_report
-            engines[mode] = session.network.engine
-            if best[mode] is None or seconds[mode] < best[mode]:
-                best[mode] = seconds[mode]
-        ratios.append(seconds["exact"] / seconds["event"])
-    speedup = max(ratios)
-
-    # Byte-identical outcomes first, speed second.
-    assert reports["exact"].signature() == reports["event"].signature()
-    assert reports["event"].tc_delivered_total > 0
-    event_engine = engines["event"]
-    assert (event_engine.cycles_stepped
-            + event_engine.cycles_fast_forwarded == event_engine.cycle)
-    # The exact engine was genuinely load-bound: it executed the vast
-    # majority of cycles one by one...
-    exact_engine = engines["exact"]
-    assert exact_engine.cycles_stepped > exact_engine.cycle // 2
-    # ...and judged on paired rounds, the scheduler clears the floor.
-    assert speedup >= 5.0, (
-        f"event-engine speedup {speedup:.2f}x below the 5x floor on "
-        f"loaded churn (best exact {best['exact']:.2f}s, best event "
-        f"{best['event']:.2f}s)"
-    )
-
-    report("event_engine_speedup", fmt_table(
-        ["engine", "seconds (best)", "cycles stepped",
-         "cycles skipped"], [
-            ["exact (per-cycle loop)", f"{best['exact']:.2f}",
-             exact_engine.cycles_stepped,
-             exact_engine.cycles_fast_forwarded],
-            ["event (scheduler)", f"{best['event']:.2f}",
-             event_engine.cycles_stepped,
-             event_engine.cycles_fast_forwarded],
-        ]) + [
-        "",
-        "workload: 16x16 mesh, 16 churning channel requests "
-        "(arrival period 64 ticks, mean hold 20 ticks)",
-        f"speedup: {speedup:.2f}x best paired round "
-        "(gate: >= 5x; SLO report signatures byte-identical)",
-    ])
-
-
 def _timed_idle_heavy(cycles, prepare=None):
-    """One timed run of the idle-heavy mesh (fast-forward on)."""
+    """One timed run of an idle-heavy 8x8 mesh: four low-rate
+    time-constrained channels corner to corner, so the fabric is idle
+    for most of every period."""
     net = MeshNetwork(8, 8)
     slot = net.params.slot_cycles
     endpoints = [((0, 0), (7, 7)), ((7, 0), (0, 7)),
@@ -239,8 +109,8 @@ def _timed_idle_heavy(cycles, prepare=None):
 def test_disabled_tracer_overhead_within_bound(report):
     """Observability guard: with tracing installed-then-disabled (and
     the snapshotter removed), the hot path must stay within 5% of the
-    plain fast-forward baseline — disabled instrumentation is one
-    attribute test per emit site, nothing more."""
+    same run with tracing never installed — disabled instrumentation
+    is one attribute test per emit site, nothing more."""
     cycles = 20_000
 
     def installed_then_disabled(net):
@@ -285,7 +155,7 @@ def test_disabled_tracer_overhead_within_bound(report):
 
     report("tracing_overhead", fmt_table(
         ["configuration", "seconds (best of 4)"], [
-            ["fast-forward baseline", f"{baseline:.3f}"],
+            ["tracing never installed", f"{baseline:.3f}"],
             ["tracer installed, disabled", f"{disabled:.3f}"],
         ]) + [
         "",

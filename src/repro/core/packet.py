@@ -162,9 +162,9 @@ class TimeConstrainedPacket:
             )
         # Reuse the carried meta directly: constructing with the default
         # factory would burn a packet id from the process-global counter
-        # on every reassembly, which only the router's owner performs in
-        # sharded runs — the wasted draw would desynchronise id streams
-        # across shard workers.
+        # on every reassembly, so how many ids a run draws would depend
+        # on how often packets are reassembled rather than on how many
+        # are created.
         if meta is None:
             meta = PacketMeta()
         return cls(connection_id=data[0], header_deadline=data[1],

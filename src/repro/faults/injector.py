@@ -163,10 +163,10 @@ class FaultInjector:
             self._index += 1
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Engine fast-forward contract: the next scheduled fault.
+        """Event-scheduler contract: the next scheduled fault.
 
         Fault events fire on their exact planned cycles even across
-        fast-forwarded spans — the engine never skips past the cycle
+        skipped spans — the engine never skips past the cycle
         reported here.
         """
         if self._index >= len(self.plan.events):

@@ -242,7 +242,7 @@ class RecoveryController:
             self._check_be(cycle)
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Engine fast-forward contract (see ``docs/performance.md``).
+        """Event-scheduler contract (see ``docs/performance.md``).
 
         The controller's scheduled work is its retransmission timers.
         With no tracked traffic there is nothing to do; with unread

@@ -82,7 +82,7 @@ class LinkWatchdog:
                 ))
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Engine fast-forward contract (see ``docs/performance.md``).
+        """Event-scheduler contract (see ``docs/performance.md``).
 
         Miss counters only grow when a sender offers phits to a dead
         link — which requires an active router — so while the fabric is

@@ -1,5 +1,4 @@
-"""Synchronous cycle engine with quiescence fast-forward and an
-event-driven scheduling mode.
+"""Synchronous cycle engine: one event scheduler and its oracle.
 
 Everything in the fabric advances in lock step, one 20 ns cycle at a
 time: components (routers, hosts) run their ``step``, then wiring
@@ -7,38 +6,30 @@ functions copy each router's output signals to its neighbour's inputs
 for the next cycle — giving every link a one-cycle latency, like the
 registered chip-to-chip links of the original hardware.
 
-Large fabrics are mostly idle, so stepping every component and wiring
-lambda on every cycle wastes almost all of the interpreter time on
-provably-empty work.  Two optimised execution modes exist, both
-producing byte-identical simulations (``tests/integration/
-test_fast_forward_equivalence.py`` and ``tests/integration/
-test_event_engine_equivalence.py`` assert this; ``docs/performance.md``
-documents the contracts):
+That bare step-everything-then-wire loop is what the model *means*, and
+``mode="exact"`` runs exactly it: every component and every wiring
+function on every cycle, nothing skipped.  It exists as the reference
+the equivalence suites compare against.
 
-* **exact** (the default) — the per-cycle loop with *fast-forward*:
-  when every component reports (via ``next_event_cycle``) that it has
-  no work before some future cycle, and every wiring function reports
-  (via its ``idle_check``) that running it would be a no-op, the clock
-  jumps directly to the earliest future event instead of looping.  The
-  whole fabric must be quiescent for a jump, so a single busy router
-  pins everything to the per-cycle loop.
-
-* **event** — a true discrete-event core: a priority queue of
-  ``(cycle, registration order, component)`` entries, fed by the same
-  ``next_event_cycle`` contracts, advances the clock directly to the
-  next cycle on which *any* component has work and steps only the
-  components scheduled there — including under load, where only the
-  active corner of the mesh runs while the rest is skipped entirely.
-  Components scheduled on the same cycle fire in registration order
-  (the order ``add_component`` was called), which is also the exact
-  mode's step order, so the two modes are step-for-step identical.
+Large fabrics are mostly idle, so everything else runs on the
+**event** scheduler (the default): a priority queue of ``(cycle,
+registration order, component)`` entries, fed by the components'
+``next_event_cycle`` contracts, advances the clock directly to the next
+cycle on which *any* component has work and steps only the components
+scheduled there — including under load, where only the active corner
+of the mesh runs while the rest is skipped entirely.  Components
+scheduled on the same cycle fire in registration order (the order
+``add_component`` was called), which is also the oracle's step order,
+so the two are step-for-step identical and produce byte-identical
+simulations (``tests/integration/test_event_engine_equivalence.py``
+asserts this; ``docs/performance.md`` documents the contracts).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from typing import Callable, Iterable, Optional, Protocol
+from functools import partial
+from typing import Callable, Optional, Protocol
 
 #: Engine execution modes (see module docstring).
 ENGINE_MODES = ("exact", "event")
@@ -49,29 +40,24 @@ class Steppable(Protocol):
 
 
 class SynchronousEngine:
-    """Cycle engine with two byte-identical schedulers (exact/event).
+    """Cycle engine: the event scheduler, or the per-cycle oracle loop.
 
-    With ``fast_forward`` enabled (the default) the exact engine skips
-    spans of provably idle cycles in one jump.  Fast-forward only
-    engages when *every* registered component implements
-    ``next_event_cycle`` and *every* wiring function was registered
-    with an ``idle_check``; a single legacy component pins the engine
-    to the per-cycle loop, so existing harnesses keep their exact
-    semantics.
+    With ``mode="event"`` (the default) only components whose
+    ``next_event_cycle`` is due are stepped, and only wiring whose
+    declared ``source`` component stepped this cycle (plus source-less
+    wiring) runs.  A component without ``next_event_cycle`` is treated
+    as due on every cycle, so legacy components stay exact (at
+    per-cycle cost).  The scheduler queue is transient: it is rebuilt
+    from component state at every ``run``/``run_until`` entry, so
+    checkpoint restore and arbitrary between-run mutations need no
+    queue serialisation.
 
-    With ``mode="event"`` the engine runs the discrete-event scheduler
-    instead: only components whose ``next_event_cycle`` is due are
-    stepped, and only wiring whose declared ``source`` component
-    stepped this cycle (plus source-less wiring) runs.  A component
-    without ``next_event_cycle`` is treated as due on every cycle, so
-    legacy components stay exact (at per-cycle cost).  The scheduler
-    queue is transient: it is rebuilt from component state at every
-    ``run``/``run_until`` entry, so checkpoint restore and arbitrary
-    between-run mutations need no queue serialisation.
+    With ``mode="exact"`` the engine steps every component and runs
+    every wiring function on every cycle and never skips — the
+    reference behaviour the equivalence tests compare against.
     """
 
-    def __init__(self, *, fast_forward: bool = True,
-                 mode: str = "exact") -> None:
+    def __init__(self, *, mode: str = "event") -> None:
         if mode not in ENGINE_MODES:
             raise ValueError(
                 f"engine mode must be one of {ENGINE_MODES}, not {mode!r}"
@@ -81,28 +67,12 @@ class SynchronousEngine:
         self._wiring: list[Callable[[], None]] = []
         self._wiring_idle_checks: list[Optional[Callable[[], bool]]] = []
         self.cycle = 0
-        #: Master switch for the idle-span fast path of the exact mode.
-        #: Clearing it (or constructing with ``fast_forward=False``)
-        #: forces the legacy per-cycle loop — the reference behaviour
-        #: benchmarks and the equivalence tests compare against.  The
-        #: event mode always skips idle cycles and ignores this flag.
-        self.fast_forward = fast_forward
-        #: Cycles that ran the full step-components-then-wire loop.
+        #: Cycles that ran the step-components-then-wire loop.
         self.cycles_stepped = 0
-        #: Cycles skipped (no component stepped): fast-forward jumps in
-        #: exact mode, scheduler jumps in event mode.
+        #: Cycles the event scheduler skipped (no component stepped);
+        #: always zero on the oracle loop.
         self.cycles_fast_forwarded = 0
-        self._ff_capable = True
-        # Failed-jump backoff (exact mode): scanning every component
-        # each cycle to discover "someone is busy" costs more than the
-        # step itself, so after a failed attempt the engine waits
-        # exponentially longer (capped) before scanning again.  At
-        # worst the start of an idle span is detected
-        # ``_FF_BACKOFF_CAP`` cycles late — negligible against the
-        # spans worth skipping.
-        self._ff_retry_cycle = 0
-        self._ff_backoff = 1
-        # -- event-mode scheduler (all transient; rebuilt at run entry)
+        # -- event scheduler (all transient; rebuilt at run entry)
         #: component -> registration index (the same-cycle firing order).
         self._order: dict = {}
         self._order_counter = 0
@@ -130,25 +100,6 @@ class SynchronousEngine:
         self._heap: list = []
         self._push_seq = 0
         self._pending_wakes: set = set()
-        #: Components registered but deliberately never stepped (shard
-        #: replicas of routers owned by another worker; see
-        #: ``repro.shard``).  They keep their registration index — so
-        #: firing order stays identical across workers — but the
-        #: scheduler never queries or steps them.
-        self._inert: set = set()
-        #: Registration index of the component currently inside
-        #: ``step`` during ``_event_step_once`` (None outside component
-        #: steps).  Shard runtimes use it to tag trace emissions with
-        #: their origin for deterministic cross-worker merging.
-        self.stepping_order: Optional[int] = None
-        #: Optional hook run after the wiring loop of every executed
-        #: event-mode cycle, before the clock increments.  Receives the
-        #: executed cycle; may return an iterable of components to
-        #: requery (components it delivered inputs to).  Shard runtimes
-        #: use it as the boundary-exchange barrier.
-        self.post_wiring_hook: Optional[Callable] = None
-
-    _FF_BACKOFF_CAP = 64
 
     # ------------------------------------------------------------------
     # Registration
@@ -171,7 +122,6 @@ class SynchronousEngine:
         self._order_counter += 1
         if not local:
             self._watchers.add(component)
-        self._refresh_ff_capability()
 
     def bind_peers(self, first: Steppable, second: Steppable) -> None:
         """Declare two local components as mutual wake partners.
@@ -208,7 +158,6 @@ class SynchronousEngine:
         self._watchers.discard(component)
         self._sched.pop(component, None)
         self._pending_wakes.discard(component)
-        self._inert.discard(component)
         if self._heap:
             # Purge queued heap entries outright.  Lazy deletion (the
             # ``_sched`` match) is not enough here: a component removed
@@ -231,7 +180,6 @@ class SynchronousEngine:
                 self._wiring_sources[index] = None
                 self._sourceless_wirings.append(index)
             self._sourceless_wirings.sort()
-        self._refresh_ff_capability()
 
     def add_wiring(
         self,
@@ -241,21 +189,24 @@ class SynchronousEngine:
         source: Optional[Steppable] = None,
         sinks: object = None,
     ) -> None:
-        """Register a post-step signal copy (runs every stepped cycle).
+        """Register a post-step signal copy.
 
-        ``idle_check`` is the fast-forward contract for wiring: it must
+        The oracle loop runs every wiring on every cycle; the three
+        declarations tell the event scheduler when it may not.
+
+        ``source`` is the locality contract: it declares that
+        ``transfer`` is a provable no-op on any cycle the source
+        component did not step (a router that did not step has empty
+        link outputs).  The scheduler then runs the wiring only on
+        cycles its source stepped.  Wiring without a source runs on
+        every executed cycle.
+
+        ``idle_check`` gates jumps past *source-less* wiring: it must
         return True exactly when calling ``transfer`` right now would
         leave all simulation state unchanged (no signal to copy, no
-        pending side effect).  Wiring registered without one is treated
-        as always-active and disables fast-forward for the exact engine
-        (and pins the event engine to per-cycle execution).
-
-        ``source`` is the event-mode locality contract: it declares
-        that ``transfer`` is a provable no-op on any cycle the source
-        component did not step (a router that did not step has empty
-        link outputs).  The event scheduler then runs the wiring only
-        on cycles its source stepped.  Wiring without a source runs on
-        every executed cycle.
+        pending side effect).  Source-less wiring registered without
+        one is treated as always-active and pins the scheduler to
+        per-cycle execution.
 
         ``sinks`` names the components whose inputs ``transfer`` can
         write (a sequence, or a callable returning one for dynamic
@@ -271,7 +222,6 @@ class SynchronousEngine:
             self._sourceless_wirings.append(index)
         else:
             self._source_wirings.setdefault(source, []).append(index)
-        self._refresh_ff_capability()
 
     def wake(self, component: Steppable) -> None:
         """Ask the event scheduler to requery a component.
@@ -279,73 +229,12 @@ class SynchronousEngine:
         Call after mutating a component from *outside* its own step —
         queueing packets on a host, injecting into a router — so its
         ``next_event_cycle`` is re-read at the next cycle boundary.
-        Cheap and idempotent; a no-op in exact mode and for
-        unregistered components.
+        Cheap and idempotent; a no-op in exact mode (only the
+        scheduler ever consumes wakes) and for unregistered components.
         """
-        self._pending_wakes.add(component)
-
-    def set_inert(self, component: Steppable, inert: bool = True) -> None:
-        """Mark a registered component as never-stepped (or unmark it).
-
-        An inert component keeps its registration index — so the
-        firing order of everything else is unchanged — but the engine
-        neither steps nor queries it.  Shard workers mark the routers
-        owned by other workers inert: their state is maintained by the
-        boundary exchange instead of local stepping.
-        """
-        if component not in self._order:
-            raise ValueError(
-                f"component {component!r} is not registered with this engine"
-            )
-        if inert:
-            self._inert.add(component)
-            self._sched.pop(component, None)
-        else:
-            self._inert.discard(component)
-
-    def schedule_at(self, component: Steppable, when: int) -> None:
-        """Force a component onto the event queue for cycle ``when``.
-
-        Used by shard runtimes to pin their barrier component to the
-        window bound; over-scheduling is safe by the step contract.
-        """
-        if component not in self._order:
-            raise ValueError(
-                f"component {component!r} is not registered with this engine"
-            )
-        if self._sched.get(component) == when:
+        if self.mode == "exact":
             return
-        self._sched[component] = when
-        self._push_seq += 1
-        heapq.heappush(self._heap,
-                       (when, self._order[component], self._push_seq,
-                        component))
-
-    def event_bound(self) -> Optional[int]:
-        """This worker's local event horizon (event mode only).
-
-        Returns the current cycle when something is due right now (a
-        scheduled component or active source-less wiring), the earliest
-        scheduled future cycle otherwise, or ``None`` when nothing is
-        scheduled at all.  Shard runtimes all-reduce this across
-        workers to find the next globally executed cycle.
-        """
-        due = self._event_next_due()
-        if due is not None and due <= self.cycle:
-            return self.cycle
-        if not self._event_wirings_idle():
-            return self.cycle
-        return due
-
-    def _refresh_ff_capability(self) -> None:
-        self._ff_capable = (
-            all(hasattr(c, "next_event_cycle") for c in self._components)
-            and all(check is not None for check in self._wiring_idle_checks)
-        )
-        # A registration change can create a newly-idle configuration;
-        # forget any backoff so the next cycle re-evaluates fresh.
-        self._ff_retry_cycle = 0
-        self._ff_backoff = 1
+        self._pending_wakes.add(component)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -363,86 +252,32 @@ class SynchronousEngine:
             "cycle": self.cycle,
             "cycles_stepped": self.cycles_stepped,
             "cycles_fast_forwarded": self.cycles_fast_forwarded,
-            "ff_retry_cycle": self._ff_retry_cycle,
-            "ff_backoff": self._ff_backoff,
         }
 
     def load_state(self, state: dict) -> None:
         """Overlay checkpointed engine state.
 
-        Must run *after* every component and wiring registration —
-        registering resets the fast-forward backoff, which this
-        restores to its checkpointed value.
+        Documents written before the fast-forward path was removed
+        also carry ``ff_retry_cycle``/``ff_backoff``; they described
+        that path's retry timer only and are ignored.
         """
         self.cycle = int(state["cycle"])
         self.cycles_stepped = int(state["cycles_stepped"])
         self.cycles_fast_forwarded = int(state["cycles_fast_forwarded"])
-        self._ff_retry_cycle = int(state["ff_retry_cycle"])
-        self._ff_backoff = int(state["ff_backoff"])
 
     # ------------------------------------------------------------------
-    # The per-cycle loop and the exact-mode fast path
+    # The oracle: the bare per-cycle loop
     # ------------------------------------------------------------------
 
     def _step_once(self) -> None:
         # Snapshot so add/remove_component from inside a step cannot
         # skip or double-step a neighbour (mutation during iteration).
-        inert = self._inert
         for component in tuple(self._components):
-            if inert and component in inert:
-                continue
             component.step(self.cycle)
         for transfer in self._wiring:
             transfer()
         self.cycle += 1
         self.cycles_stepped += 1
-
-    def _next_event_bound(self) -> Optional[float]:
-        """Earliest future cycle at which anything can happen.
-
-        Returns ``None`` when some component or wiring has work *now*
-        (the engine must run the normal per-cycle loop), a cycle number
-        when every component is quiescent until then, or ``math.inf``
-        when the whole fabric is quiescent with no scheduled events at
-        all — pure time passage.
-        """
-        bound: Optional[float] = None
-        inert = self._inert
-        for component in self._components:
-            if inert and component in inert:
-                continue
-            nxt = component.next_event_cycle(self.cycle)
-            if nxt is None:
-                continue
-            if nxt <= self.cycle:
-                return None
-            if bound is None or nxt < bound:
-                bound = nxt
-        for check in self._wiring_idle_checks:
-            if not check():
-                return None
-        return bound if bound is not None else math.inf
-
-    def _try_fast_forward(self, limit: int) -> bool:
-        """Jump to the next event (capped at ``limit``) if provably idle."""
-        if not (self.fast_forward and self._ff_capable):
-            return False
-        if self.cycle < self._ff_retry_cycle:
-            return False
-        bound = self._next_event_bound()
-        if bound is None or bound <= self.cycle:
-            self._ff_retry_cycle = self.cycle + self._ff_backoff
-            self._ff_backoff = min(self._ff_backoff * 2,
-                                   self._FF_BACKOFF_CAP)
-            return False
-        jump = int(min(bound, limit))
-        if jump <= self.cycle:
-            return False
-        self._ff_backoff = 1
-        self._ff_retry_cycle = 0
-        self.cycles_fast_forwarded += jump - self.cycle
-        self.cycle = jump
-        return True
 
     # ------------------------------------------------------------------
     # The event-driven scheduler
@@ -458,8 +293,6 @@ class SynchronousEngine:
         """
         if component not in self._order:
             return  # removed since the wake/sink reference was taken
-        if component in self._inert:
-            return  # maintained by the shard boundary exchange
         probe = getattr(component, "next_event_cycle", None)
         nxt = probe(now) if probe is not None else now
         if nxt is None:
@@ -523,19 +356,16 @@ class SynchronousEngine:
         stepped: list = []
         while batch:
             order, component = heapq.heappop(batch)
-            self.stepping_order = order
             component.step(now)
-            self.stepping_order = None
             stepped.append(component)
             # In-cycle cascade: a step can hand work directly to a
             # peer *later* in the firing order (a host injecting into
-            # its router), which the exact engine — where everything
-            # steps every executed cycle — processes this same cycle.
+            # its router), which the oracle loop — where everything
+            # steps every cycle — processes this same cycle.
             # Peers earlier in the order have already had their exact
             # firing slot; they are requeried for the next cycle below.
             for partner in self._peers.get(component, ()):
-                if (partner in batched or partner not in self._order
-                        or partner in self._inert):
+                if partner in batched or partner not in self._order:
                     continue
                 partner_order = self._order[partner]
                 if partner_order <= order:
@@ -554,8 +384,6 @@ class SynchronousEngine:
         wiring = self._wiring
         for index in run_indices:
             wiring[index]()
-        hook = self.post_wiring_hook
-        hooked = hook(now) if hook is not None else ()
         self.cycle += 1
         self.cycles_stepped += 1
         # Requery everything this cycle could have affected.  A watcher
@@ -566,8 +394,6 @@ class SynchronousEngine:
             return
         now = self.cycle
         requery = set(stepped)
-        if hooked:
-            requery.update(hooked)
         for component in stepped:
             requery.update(self._peers.get(component, ()))
         for index in run_indices:
@@ -582,46 +408,18 @@ class SynchronousEngine:
         for component in self._watchers:
             self._event_requery(component, now)
 
-    def _event_advance(self, limit: int) -> bool:
-        """Jump to the next scheduled event (capped at ``limit``).
-
-        Returns True if the clock moved; False means something is due
-        right now and the caller must execute the current cycle.
-        """
+    def _event_advance(self, limit: int) -> None:
+        """Move the clock: jump to the next scheduled event (capped at
+        ``limit``), or execute the current cycle when something is due
+        right now."""
         due = self._event_next_due()
-        if due is not None and due <= self.cycle:
-            return False
-        if not self._event_wirings_idle():
-            return False
-        jump = limit if due is None else min(due, limit)
-        if jump <= self.cycle:
-            return False
-        self.cycles_fast_forwarded += jump - self.cycle
-        self.cycle = jump
-        return True
-
-    def _event_run(self, target: int) -> None:
-        self._event_full_requery()
-        while self.cycle < target:
-            if self._event_advance(target):
-                continue
-            self._event_step_once()
-
-    def _event_run_until(self, predicate: Callable[[], bool],
-                         deadline: int, max_cycles: int) -> int:
-        self._event_full_requery()
-        while True:
-            if self.cycle >= deadline:
-                raise TimeoutError(
-                    f"condition not reached within {max_cycles} cycles"
-                )
-            if self._event_advance(deadline):
-                if predicate():
-                    return self.cycle
-                continue
-            self._event_step_once()
-            if predicate():
-                return self.cycle
+        if due is None or due > self.cycle:
+            jump = limit if due is None else min(due, limit)
+            if jump > self.cycle and self._event_wirings_idle():
+                self.cycles_fast_forwarded += jump - self.cycle
+                self.cycle = jump
+                return
+        self._event_step_once()
 
     # ------------------------------------------------------------------
     # Running
@@ -632,56 +430,53 @@ class SynchronousEngine:
         if cycles < 0:
             raise ValueError("cannot run a negative number of cycles")
         target = self.cycle + cycles
-        if self.mode == "event":
-            self._event_run(target)
+        if self.mode == "exact":
+            while self.cycle < target:
+                self._step_once()
             return self.cycle
+        self._event_full_requery()
         while self.cycle < target:
-            if self._try_fast_forward(target):
-                continue
-            self._step_once()
+            self._event_advance(target)
         return self.cycle
 
     def run_until(self, predicate: Callable[[], bool],
                   max_cycles: int = 1_000_000) -> int:
         """Run until ``predicate()`` holds; raises on timeout.
 
-        Evaluation contract — identical in both engine modes: the
-        predicate is evaluated once *before* any stepping (so a
-        condition that already holds returns immediately, advancing
-        zero cycles) and then *after* every executed cycle — i.e.
-        post-step, with that cycle's component work and wiring applied
-        and ``self.cycle`` already incremented.  The returned cycle is
-        therefore the first cycle count at which the predicate was
-        observed true.
+        Evaluation contract: the predicate is evaluated once *before*
+        any stepping (so a condition that already holds returns
+        immediately, advancing zero cycles) and then *after* every
+        executed cycle — i.e. post-step, with that cycle's component
+        work and wiring applied and ``self.cycle`` already
+        incremented.  The returned cycle is therefore the first cycle
+        count at which the predicate was observed true.
 
-        Across a skipped span (a fast-forward jump in exact mode, a
-        scheduler jump in event mode) the predicate is evaluated at the
-        span's end only.  Component state is constant over such a span,
-        so any predicate that is a function of component/network state
-        sees no difference; a predicate that reads the raw cycle count
-        (e.g. ``lambda: engine.cycle >= n``) may be observed late — use
+        Across a span the scheduler skips, the predicate is evaluated
+        at the span's end only.  Component state is constant over such
+        a span, so any predicate that is a function of
+        component/network state sees no difference from the oracle
+        loop; a predicate that reads the raw cycle count (e.g.
+        ``lambda: engine.cycle >= n``) may be observed late — use
         :meth:`run` for fixed-duration waits instead.
 
         ``max_cycles`` bounds the *actual cycles advanced* (stepped
-        plus skipped) before :class:`TimeoutError` is raised — again
-        identically in both modes.
+        plus skipped) before :class:`TimeoutError` is raised.
         """
         if max_cycles < 0:
             raise ValueError("max_cycles must be non-negative")
         if predicate():
             return self.cycle
         deadline = self.cycle + max_cycles
-        if self.mode == "event":
-            return self._event_run_until(predicate, deadline, max_cycles)
+        if self.mode == "exact":
+            advance = self._step_once
+        else:
+            self._event_full_requery()
+            advance = partial(self._event_advance, deadline)
         while True:
             if self.cycle >= deadline:
                 raise TimeoutError(
                     f"condition not reached within {max_cycles} cycles"
                 )
-            if self._try_fast_forward(deadline):
-                if predicate():
-                    return self.cycle
-                continue
-            self._step_once()
+            advance()
             if predicate():
                 return self.cycle

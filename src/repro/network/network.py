@@ -72,33 +72,6 @@ class LinkMonitor:
     be_lost_uncompensated: int = 0
 
 
-class _ShardCapture:
-    """Wire-level capture points for sharded execution.
-
-    Created unconditionally (inactive) so the link-transfer closures
-    can reference it without indirection; a
-    :class:`repro.shard.runtime.ShardRuntime` activates it and drains
-    the per-cycle lists at its boundary barrier.  Inactive, each hook
-    costs one attribute test on the already-filtered paths.
-    """
-
-    __slots__ = ("active", "owned", "boundary_out", "writes", "touched",
-                 "ack_bumps")
-
-    def __init__(self) -> None:
-        self.active = False
-        #: nodes whose routers this worker steps.
-        self.owned: frozenset = frozenset()
-        #: owned links whose sink router lives on another worker.
-        self.boundary_out: frozenset = frozenset()
-        #: (link, phit, ack) — this cycle's writes onto boundary links.
-        self.writes: list = []
-        #: owned links whose monitor was touched this cycle.
-        self.touched: list = []
-        #: foreign-owned drain-ack keys bumped by this cycle's transfers.
-        self.ack_bumps: list = []
-
-
 class MeshNetwork:
     """A mesh of real-time routers with hosts and protocol software."""
 
@@ -114,7 +87,7 @@ class MeshNetwork:
         torus: bool = False,
         clock_skews: Optional[dict[Node, int]] = None,
         admission: Optional[AdmissionController] = None,
-        engine: str = "exact",
+        engine: str = "event",
     ) -> None:
         self.params = params or RouterParams()
         clock_skews = clock_skews or {}
@@ -158,11 +131,6 @@ class MeshNetwork:
         #: hooks receive ``(channel, packets, payload)``.
         self.tc_send_hooks: list[Callable] = []
         self.be_send_hooks: list[Callable[[BestEffortPacket], None]] = []
-        #: Sharded-execution hooks (see :mod:`repro.shard`): the wire
-        #: capture referenced by the transfer closures below, and the
-        #: installed runtime (None in single-process runs).
-        self._shard_capture = _ShardCapture()
-        self._shard = None
 
         for node in self.mesh.nodes():
             router = RealTimeRouter(
@@ -234,15 +202,9 @@ class MeshNetwork:
         served = (neighbor, into)
         monitor = self.link_monitors[link]
         miss_epoch = self.monitor_miss_epoch
-        cap = self._shard_capture
 
         def transfer() -> None:
             signal = source.link_out[direction]
-            if cap.active and signal.phit is not None:
-                # Every monitor mutation below happens under an
-                # offered phit; the touched list is barrier B's
-                # broadcast set.
-                cap.touched.append(link)
             if link in failed:
                 # Nothing crosses a dead link; account for what died.
                 if signal.phit is not None:
@@ -260,11 +222,6 @@ class MeshNetwork:
                     # delivered here; it can never be resent, so spoof
                     # it back or the neighbour's credits leak forever.
                     drain_acks[served] = drain_acks.get(served, 0) + 1
-                    if cap.active and neighbor not in cap.owned:
-                        # The served key belongs to another worker's
-                        # link; ship the bump so its owner (and every
-                        # replica) applies it authoritatively.
-                        cap.ack_bumps.append(served)
                 return
             phit = signal.phit
             if phit is not None:
@@ -286,14 +243,9 @@ class MeshNetwork:
                         monitor.bytes_corrupted += 1
                         phit = mangled
             sink.link_in[into] = LinkSignal(phit=phit, ack=signal.ack)
-            if cap.active and link in cap.boundary_out:
-                # Cross-cut write: the local assignment above only hit
-                # a replica; ship the signal (empty writes included —
-                # they clear a previous one) to the sink's owner.
-                cap.writes.append((link, phit, signal.ack))
 
         def idle_check() -> bool:
-            # Fast-forward contract: with no phit and no ack offered,
+            # Idle contract: with no phit and no ack offered,
             # the transfer would only overwrite an empty LinkSignal
             # with another empty LinkSignal — a no-op.
             signal = source.link_out[direction]
@@ -309,11 +261,6 @@ class MeshNetwork:
         arrived this cycle — both guards keep the flow-control
         invariant (acks never exceed bytes sent) intact.
         """
-        if self._shard_capture.active:
-            # Sharded: applied owned-filtered at the boundary barrier
-            # instead, after foreign link writes have landed (so the
-            # genuine-ack guard sees the converged inputs).
-            return
         for link, pending in self._drain_acks.items():
             if pending <= 0:
                 continue
@@ -328,31 +275,6 @@ class MeshNetwork:
                                                    ack=True)
             self._drain_acks[link] = pending - 1
 
-    def _apply_drain_acks_owned(self, owned: frozenset) -> list:
-        """:meth:`_apply_drain_acks` for one shard's owned links only.
-
-        Called by the shard runtime's boundary barrier; returns the
-        routers written so the event scheduler requeries them.
-        """
-        applied = []
-        for link, pending in self._drain_acks.items():
-            if pending <= 0:
-                continue
-            node, direction = link
-            if node not in owned:
-                continue
-            router = self.routers[node]
-            signal = router.link_in[direction]
-            if signal.ack:
-                continue
-            if router.output_credit_debt(direction) <= 0:
-                continue
-            router.link_in[direction] = LinkSignal(phit=signal.phit,
-                                                   ack=True)
-            self._drain_acks[link] = pending - 1
-            applied.append(router)
-        return applied
-
     def _drain_ack_sinks(self):
         """Event-scheduler sinks of :meth:`_apply_drain_acks`.
 
@@ -363,22 +285,14 @@ class MeshNetwork:
         return [self.routers[node] for node, _ in self._drain_acks]
 
     def _drain_acks_idle(self) -> bool:
-        """Fast-forward contract for :meth:`_apply_drain_acks`.
+        """Idle contract for :meth:`_apply_drain_acks`.
 
         A spoofed ack only applies when the owed link's sender has
         outstanding credit debt; debt can only change when that router
         transmits, so while all routers are quiescent this verdict is
         stable across the whole skipped span.
-
-        Sharded, only owned links gate this worker's local bound:
-        replica routers' debt and foreign pending counts are another
-        worker's business (and may be stale here by design).
         """
-        cap = self._shard_capture
-        owned = cap.owned if cap.active else None
         for (node, direction), pending in self._drain_acks.items():
-            if owned is not None and node not in owned:
-                continue
             if pending > 0 and \
                     self.routers[node].output_credit_debt(direction) > 0:
                 return False
@@ -543,8 +457,6 @@ class MeshNetwork:
 
     def run(self, cycles: int) -> int:
         """Advance the whole fabric by ``cycles`` chip cycles."""
-        if self._shard is not None:
-            return self._shard.run(cycles)
         return self.engine.run(cycles)
 
     def run_ticks(self, ticks: int) -> int:
@@ -553,11 +465,6 @@ class MeshNetwork:
 
     def drain(self, max_cycles: int = 1_000_000) -> int:
         """Run until every router is idle (all traffic delivered)."""
-        if self._shard is not None:
-            # Coordinated: each worker watches its owned routers; the
-            # AND-reduce makes the verdict global.
-            return self._shard.run_until(self._shard.owned_idle,
-                                         max_cycles=max_cycles)
         return self.engine.run_until(
             lambda: all(r.idle for r in self.routers.values()),
             max_cycles=max_cycles,
@@ -700,15 +607,10 @@ class MeshNetwork:
         )
         cycle = self.cycle if at_cycle is None else at_cycle
         packet.meta.injected_cycle = cycle
-        if self._shard is None or self._shard.owns(source):
-            # Sharded, only the source's owner injects: packet and
-            # meta construction above stay replicated (identical
-            # counter draws everywhere), but feeding a replica router
-            # that never steps would just accumulate memory.
-            self.routers[source].inject_be(packet)
-            # Same rationale as in send_message: the injection may come
-            # from outside the source router's own host step.
-            self.engine.wake(self.routers[source])
+        self.routers[source].inject_be(packet)
+        # Same rationale as in send_message: the injection may come
+        # from outside the source router's own host step.
+        self.engine.wake(self.routers[source])
         if self.tracer is not None:
             self.tracer.emit(cycle, ENQUEUE, meta=packet.meta,
                              node=source, traffic_class="BE")
@@ -848,7 +750,6 @@ class MeshNetwork:
             self.enable_tracing(capacity=state["tracer"]["capacity"])
             self.tracer.load_state(state["tracer"])
         load_packet_id_counter_state(state["packet_ids"])
-        # Last: registrations above reset the engine's backoff state.
         self.engine.load_state(state["engine"])
 
     # ------------------------------------------------------------------
@@ -916,12 +817,7 @@ class MeshNetwork:
         of ``capacity`` events; returns the tracer.  Idempotent per
         network: re-enabling replaces the previous tracer.
         """
-        if self._shard is not None:
-            # Buffers in-step emissions for the deterministic
-            # cross-worker merge at the cycle barrier.
-            tracer = self._shard.make_tracer(capacity)
-        else:
-            tracer = PacketTracer(capacity)
+        tracer = PacketTracer(capacity)
         self.tracer = tracer
         for router in self.routers.values():
             router.tracer = tracer
@@ -942,7 +838,7 @@ class MeshNetwork:
         """Record a metrics snapshot every ``period_cycles`` cycles.
 
         The emitter is registered as an engine component implementing
-        the fast-forward contract, so snapshots fire on their exact
+        ``next_event_cycle``, so snapshots fire on their exact
         scheduled cycles even across skipped idle spans (like the
         fault watchdog's detections do).
         """

@@ -116,11 +116,7 @@ class PacketTracer:
                        traffic_class, label, sequence, queue, info))
 
     def emit_raw(self, item: tuple) -> None:
-        """Record one pre-built event tuple (see :data:`EVENT_FIELDS`).
-
-        The extension point sharded execution overrides to defer
-        in-step emissions for its deterministic cross-worker merge.
-        """
+        """Record one pre-built event tuple (see :data:`EVENT_FIELDS`)."""
         slot = self._next
         if self._ring[slot] is not None:
             self.dropped += 1

@@ -148,7 +148,7 @@ def drive_worst_case(net, channels: Sequence[tuple[ChannelDemand, object]],
 
 def measure_tightness(topology: TopologySpec,
                       demands: Sequence[ChannelDemand], *,
-                      ticks: int, engine: str = "exact",
+                      ticks: int, engine: str = "event",
                       params: Optional[RouterParams] = None,
                       adaptive: bool = True):
     """Run the predict-then-measure loop; returns ``(net, report)``.
@@ -403,7 +403,7 @@ def drive_chaos(net, demands: Sequence[ChannelDemand],
 def measure_chaos_tightness(topology: TopologySpec,
                             demands: Sequence[ChannelDemand],
                             plan, *,
-                            ticks: int, engine: str = "exact",
+                            ticks: int, engine: str = "event",
                             params: Optional[RouterParams] = None,
                             adaptive: bool = True,
                             recovery=None):

@@ -68,14 +68,10 @@ class ServiceRunConfig:
     #: leaves at risk under this plan are rejected at intake (see
     #: :class:`~repro.service.controller.ServiceConfig`).
     fault_plan_json: Optional[str] = None
-    #: Engine scheduling mode ("exact" or "event"); both produce
-    #: byte-identical reports — "event" just skips idle work.
-    engine: str = "exact"
-    #: Worker processes the mesh is partitioned across (see
-    #: ``docs/sharding.md``); 1 runs single-process.  Sharded runs
-    #: produce byte-identical reports, so the count is excluded from
-    #: the checkpoint fingerprint like the engine mode.
-    shards: int = 1
+    #: Engine mode: "event" (the scheduler) or "exact" (the per-cycle
+    #: oracle loop tests compare against); both produce byte-identical
+    #: reports.
+    engine: str = "event"
 
     def validate(self) -> None:
         from repro.network.engine import ENGINE_MODES
@@ -84,8 +80,6 @@ class ServiceRunConfig:
             raise ValueError(
                 f"engine mode must be one of {ENGINE_MODES}, "
                 f"got {self.engine!r}")
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
         if self.width < 1 or self.height < 1:
             raise ValueError("mesh dimensions must be positive")
         if self.requests < 1:
@@ -132,7 +126,7 @@ class ServiceSession(_SessionBase):
     KIND = "service"
 
     def __init__(self, config: ServiceRunConfig, *,
-                 check_every: int = 0, shard_world=None,
+                 check_every: int = 0,
                  _restore: bool = False) -> None:
         config.validate()
         self.config = config
@@ -141,10 +135,6 @@ class ServiceSession(_SessionBase):
         self.network = MeshNetwork(config.width, config.height,
                                    on_memory_full="drop",
                                    engine=config.engine)
-        if shard_world is not None:
-            from repro.shard import install_shard_runtime
-
-            install_shard_runtime(self.network, shard_world)
         # Churn tears channels down while packets can still be in
         # flight (overload demotion is deliberately immediate); those
         # packets must be counted and dropped, not crash the router.
@@ -174,11 +164,8 @@ class ServiceSession(_SessionBase):
         # Both engine modes produce byte-identical runs, so the mode is
         # not behaviour-shaping: dropping it keeps fingerprints of
         # pre-existing checkpoints valid and lets a run checkpointed in
-        # one mode resume in the other.  The shard count is excluded
-        # for the same reason (sharded runs are byte-identical; see
-        # docs/sharding.md).
+        # one mode resume in the other.
         config_dict.pop("engine", None)
-        config_dict.pop("shards", None)
         # The pre-admission verdict *is* behaviour-shaping when on, but
         # its default-off value is dropped so fingerprints of every
         # pre-existing checkpoint stay valid.  Same for the fault-aware
@@ -232,7 +219,6 @@ class ServiceSession(_SessionBase):
             if self.check_every > 0:
                 self._check_invariants()
             self.phase = "done"
-        self._finalize_shard()
         return self.report()
 
     def _dispatch(self, flows, tick: int) -> None:
@@ -277,14 +263,10 @@ class ServiceSession(_SessionBase):
 
     @classmethod
     def restore(cls, config: ServiceRunConfig, state: dict, *,
-                check_every: int = 0,
-                shard_world=None) -> "ServiceSession":
-        session = cls(config, check_every=check_every,
-                      shard_world=shard_world, _restore=True)
+                check_every: int = 0) -> "ServiceSession":
+        session = cls(config, check_every=check_every, _restore=True)
         ctx = LoadContext(state["metas"])
         session.network.load_state(state["network"], ctx)
-        if session.network._shard is not None:
-            session.network._shard.resync()
         session.controller.load_state(state["controller"])
         session.phase = state["phase"]
         session.span_end = state["span_end"]
@@ -304,16 +286,8 @@ def run_service(config: ServiceRunConfig, *, store=None,
 
     Deterministic: the request stream, every control-plane decision and
     the simulation itself derive from ``config`` alone, so the same
-    configuration always yields the identical report signature —
-    including when ``config.shards`` partitions the run across worker
-    processes (see ``docs/sharding.md``).
+    configuration always yields the identical report signature.
     """
-    if config.shards > 1:
-        from repro.shard import run_service_sharded
-
-        return run_service_sharded(config, store=store,
-                                   interval=interval,
-                                   check_every=check_every)
     session = ServiceSession(config, check_every=check_every)
     return session.run(store=store,
                        interval=(DEFAULT_CHECKPOINT_INTERVAL

@@ -6,7 +6,7 @@ time-constrained sources speak in scheduler ticks (packet slot times)
 and fire on tick boundaries; best-effort sources may fire on any cycle.
 
 Sources may additionally implement ``next_fire_cycle(cycle)`` — the
-engine fast-forward contract (see ``docs/performance.md``): the
+event-scheduler contract (see ``docs/performance.md``): the
 earliest cycle at or after ``cycle`` on which calling the source could
 return sends or mutate its state, or ``None`` when it will never fire
 again.  Deterministic periodic sources implement it directly;
@@ -73,7 +73,7 @@ class PeriodicSource:
                      payload=self.payload)]
 
     def next_fire_cycle(self, cycle: int) -> Optional[int]:
-        """Next cycle this source fires (fast-forward contract)."""
+        """Next cycle this source fires (event-scheduler contract)."""
         if self.count is not None and self.sent >= self.count:
             return None
         tick = -(-cycle // self.slot_cycles)  # next tick boundary
@@ -124,7 +124,7 @@ class BurstySource:
                      payload=self.payload)] * n
 
     def next_fire_cycle(self, cycle: int) -> Optional[int]:
-        """Next cycle this source fires (fast-forward contract)."""
+        """Next cycle this source fires (event-scheduler contract)."""
         if self.count is not None and self.sent >= self.count:
             return None
         span = self.period * self.slot_cycles
@@ -152,7 +152,7 @@ class BackloggedSource:
         return []
 
     def next_fire_cycle(self, cycle: int) -> Optional[int]:
-        """Next cycle this source fires (fast-forward contract)."""
+        """Next cycle this source fires (event-scheduler contract)."""
         span = self.channel.spec.i_min * self.slot_cycles
         return -(-cycle // span) * span
 
@@ -235,15 +235,15 @@ class PoissonBestEffortSource:
             return []
         self._pending = None
         # Eagerly scan for the next arrival so the RNG position at any
-        # cycle boundary is identical in every engine mode (per-cycle,
-        # fast-forward, event) — checkpoints compare byte-for-byte.
+        # cycle boundary is identical on the per-cycle oracle and the
+        # event scheduler — checkpoints compare byte-for-byte.
         self._scan(self._anchor)
         payload = bytes(max(0, size - 4))
         return [Send(traffic_class="BE", destination=destination,
                      payload=payload)]
 
     def next_fire_cycle(self, cycle: int) -> Optional[int]:
-        """Next arrival cycle (fast-forward contract, RNG untouched
+        """Next arrival cycle (event-scheduler contract, RNG untouched
         beyond the pre-drawn buffer)."""
         if self.rate <= 0:
             return None
@@ -309,7 +309,7 @@ class BackloggedBestEffortSource:
                      payload=payload)]
 
     def next_fire_cycle(self, cycle: int) -> Optional[int]:
-        """Next cycle this source fires (fast-forward contract)."""
+        """Next cycle this source fires (event-scheduler contract)."""
         if self._router_probe is not None:
             # Backlog-probing mode watches live router state, which can
             # change on any cycle the router is active; poll every

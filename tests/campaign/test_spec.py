@@ -69,6 +69,15 @@ class TestRunConfig:
         assert (RunConfig(replica=0).content_hash()
                 != RunConfig(replica=1).content_hash())
 
+    def test_engine_mode_is_not_in_the_content_hash(self):
+        # The mode selects how the clock advances, never the outcome:
+        # cached results stay valid when it flips.
+        base = RunConfig(workload="chaos", seed=9)
+        assert base.engine == "event"
+        oracle = RunConfig(workload="chaos", seed=9, engine="exact")
+        assert oracle.content_hash() == base.content_hash()
+        assert "engine" not in oracle.to_dict()
+
     def test_canonical_dumps_is_sorted_and_compact(self):
         assert canonical_dumps({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
 
@@ -106,6 +115,26 @@ class TestExpansion:
         assert len({r.seed for r in runs}) == len(runs)
         assert [r.seed for r in grid_spec().expand()] == [
             r.seed for r in runs]
+
+    def test_engine_mode_does_not_reshuffle_derived_seeds(self):
+        # A spec that flips the engine mode must derive the same
+        # per-run seeds — otherwise the flip silently reshuffles
+        # seeds, misses the cache, and changes the campaign signature.
+        def expanded(extra):
+            spec = CampaignSpec(
+                name="inv", master_seed=3, mode="grid",
+                base=dict({"workload": "random", "width": 4,
+                           "height": 4, "channels": 3, "ticks": 60},
+                          **extra),
+                axes={"replica": [0, 1]})
+            return spec.expand()
+
+        plain = expanded({})
+        for mode in ("exact", "event"):
+            runs = expanded({"engine": mode})
+            assert [r.seed for r in runs] == [r.seed for r in plain]
+            assert ([r.content_hash() for r in runs]
+                    == [r.content_hash() for r in plain])
 
     def test_seed_changes_with_master(self):
         a = {r.replica: r.seed for r in grid_spec(master_seed=1).expand()}

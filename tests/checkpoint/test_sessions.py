@@ -70,6 +70,14 @@ class TestFingerprints:
         bumped = ChaosConfig(cycles=2000, settle_cycles=500, seed=99)
         assert base != ChaosSession.fingerprint_for(bumped)
 
+    def test_engine_mode_is_not_fingerprinted(self):
+        # A checkpoint written under one mode resumes under the other.
+        oracle = ChaosConfig(cycles=2000, settle_cycles=500,
+                             engine="exact")
+        assert CONFIG.engine == "event"
+        assert (ChaosSession.fingerprint_for(oracle)
+                == ChaosSession.fingerprint_for(CONFIG))
+
     def test_random_fingerprint_pins_every_knob(self):
         base = RandomWorkloadSession.fingerprint_for(3, 3, 4, 40, 9)
         assert base == RandomWorkloadSession.fingerprint_for(3, 3, 4, 40, 9)

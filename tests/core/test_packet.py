@@ -153,3 +153,30 @@ class TestMeta:
     def test_unique_ids(self):
         a, b = PacketMeta(), PacketMeta()
         assert a.packet_id != b.packet_id
+
+
+class TestPacketIdDiscipline:
+    """Packet reassembly must never draw from the process-global
+    packet-id counter: ``from_bytes`` reuses the carried meta, so the
+    ids a run draws depend only on how many packets it creates, never
+    on how often they are reassembled along the way.
+    """
+
+    def test_be_reassembly_draws_no_packet_id(self):
+        packet = BestEffortPacket(x_offset=1, y_offset=0, payload=b"xy")
+        before = PacketMeta().packet_id
+        rebuilt = BestEffortPacket.from_bytes(packet.to_bytes(),
+                                              meta=packet.meta)
+        assert rebuilt.meta is packet.meta
+        assert PacketMeta().packet_id == before + 1
+
+    def test_tc_reassembly_draws_no_packet_id(self):
+        params = PAPER_PARAMS
+        packet = TimeConstrainedPacket(
+            connection_id=3, header_deadline=7,
+            payload=bytes(params.tc_packet_bytes - 2))
+        before = PacketMeta().packet_id
+        rebuilt = TimeConstrainedPacket.from_bytes(
+            packet.to_bytes(params), params, meta=packet.meta)
+        assert rebuilt.meta is packet.meta
+        assert PacketMeta().packet_id == before + 1

@@ -1,10 +1,9 @@
-"""Fast-forward cycle accounting: stepped + skipped == advanced.
+"""Cycle accounting: stepped + skipped == advanced.
 
 ``cycles_stepped`` and ``cycles_fast_forwarded`` partition the cycles
-the engine advances; their sum must equal ``engine.cycle`` exactly, in
-every mode — including when a jump attempt fails and the engine backs
-off before scanning again, and in the event scheduler where whole
-spans are jumped even while parts of the fabric are loaded.
+the engine advances; their sum must equal ``engine.cycle`` exactly —
+on the event scheduler, where whole spans are jumped even while parts
+of the fabric are loaded, and on the oracle loop, which never skips.
 """
 
 import pytest
@@ -38,11 +37,7 @@ class _Periodic:
 
 
 class _BusyUntil:
-    """Claims work every cycle until ``until``, then goes idle.
-
-    While busy, every fast-forward attempt fails, exercising the
-    failed-jump backoff path; afterwards the engine can jump.
-    """
+    """Claims work every cycle until ``until``, then goes idle."""
 
     def __init__(self, until):
         self.until = until
@@ -60,6 +55,11 @@ def _check(engine):
 
 
 class TestAccounting:
+    """The default engine (the event scheduler) and the oracle loop."""
+
+    def test_default_mode_is_event(self):
+        assert SynchronousEngine().mode == "event"
+
     def test_pure_idle_run(self):
         engine = SynchronousEngine()
         engine.add_component(_Idle())
@@ -78,19 +78,6 @@ class TestAccounting:
         assert component.fired == 10  # cycles 0, 100, ..., 900
         assert engine.cycles_fast_forwarded > 0
 
-    def test_failed_jump_backoff_does_not_leak_cycles(self):
-        engine = SynchronousEngine()
-        engine.add_component(_BusyUntil(500))
-        engine.run(2_000)
-        _check(engine)
-        # The busy prefix was stepped; at most the backoff window of
-        # extra stepped cycles is tolerated before the jump engages.
-        assert engine.cycles_stepped >= 500
-        assert engine.cycles_stepped \
-            <= 500 + SynchronousEngine._FF_BACKOFF_CAP
-        assert engine.cycles_fast_forwarded \
-            == 2_000 - engine.cycles_stepped
-
     def test_alternating_busy_idle_phases(self):
         engine = SynchronousEngine()
         engine.add_component(_Periodic(7))
@@ -108,17 +95,18 @@ class TestAccounting:
         _check(engine)
 
     def test_component_churn_mid_run(self):
-        engine = SynchronousEngine()
+        # The oracle steps every cycle whatever is registered.
+        engine = SynchronousEngine(mode="exact")
         engine.add_component(_Idle())
-        busy = _BusyUntil(10**9)  # pins the per-cycle loop while present
+        busy = _BusyUntil(10**9)
         engine.add_component(busy)
         engine.run(100)
         assert engine.cycles_stepped == 100
         engine.remove_component(busy)
         engine.run(1_000)
         _check(engine)
-        assert engine.cycles_fast_forwarded >= 1_000 \
-            - SynchronousEngine._FF_BACKOFF_CAP
+        assert engine.cycles_stepped == 1_100
+        assert engine.cycles_fast_forwarded == 0
 
     def test_legacy_component_disables_fast_forward(self):
         class Legacy:  # no next_event_cycle
@@ -133,17 +121,31 @@ class TestAccounting:
         _check(engine)
 
     def test_fast_forward_disabled_engine(self):
-        engine = SynchronousEngine(fast_forward=False)
+        engine = SynchronousEngine(mode="exact")
         engine.add_component(_Idle())
         engine.run(500)
         assert engine.cycles_stepped == 500
         assert engine.cycles_fast_forwarded == 0
         _check(engine)
 
+    def test_wake_is_a_noop_on_the_oracle(self):
+        # Only the scheduler consumes wakes; the oracle loop must not
+        # accumulate them (it would grow without bound).
+        engine = SynchronousEngine(mode="exact")
+        component = _Idle()
+        engine.add_component(component)
+        for _ in range(3):
+            engine.wake(component)
+            engine.run(10)
+        assert not engine._pending_wakes
+        scheduler = SynchronousEngine(mode="event")
+        scheduler.add_component(component)
+        scheduler.wake(component)
+        assert scheduler._pending_wakes == {component}
+
 
 class TestEventModeAccounting:
-    """The same invariant holds for the event scheduler, whose jumps
-    do not need whole-fabric quiescence."""
+    """The scheduler's jumps do not need whole-fabric quiescence."""
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -165,14 +167,13 @@ class TestEventModeAccounting:
         engine.run(1_000)
         _check(engine)
         assert component.fired == 10  # cycles 0, 100, ..., 900
-        # Exactly the firing cycles were executed — no backoff slack.
+        # Exactly the firing cycles were executed.
         assert engine.cycles_stepped == 10
         assert engine.cycles_fast_forwarded == 990
 
     def test_jumps_despite_busy_component(self):
-        # The headline difference from exact mode: one busy component
-        # does not pin the scheduler to the per-cycle loop — only the
-        # busy component's cycles are executed.
+        # One busy component does not pin the scheduler to the
+        # per-cycle loop — only the busy component's cycles execute.
         engine = SynchronousEngine(mode="event")
         engine.add_component(_Periodic(3), local=True)
         engine.add_component(_Periodic(1_000), local=True)

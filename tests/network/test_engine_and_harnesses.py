@@ -65,7 +65,8 @@ class TestEngine:
 
 
 class Alarm:
-    """Fast-forward-capable component firing at fixed cycles."""
+    """Skippable component (has ``next_event_cycle``) firing at fixed
+    cycles."""
 
     def __init__(self, fire_cycles):
         self.fire_cycles = sorted(fire_cycles)
@@ -126,14 +127,14 @@ class TestRunUntilSemantics:
 
     def test_state_predicate_sees_same_cycle_with_fast_forward(self):
         """A state-based predicate observes its first-true cycle
-        identically under both execution modes."""
-        def first_true(ff):
-            engine = SynchronousEngine(fast_forward=ff)
+        identically on the oracle loop and across scheduler jumps."""
+        def first_true(mode):
+            engine = SynchronousEngine(mode=mode)
             alarm = Alarm([25])
             engine.add_component(alarm)
             return engine.run_until(lambda: bool(alarm.fired))
 
-        assert first_true(False) == first_true(True) == 26
+        assert first_true("exact") == first_true("event") == 26
 
 
 class RemoveDuringStep:
@@ -153,44 +154,53 @@ class RemoveDuringStep:
 
 
 class TestRemoveComponentDuringStep:
+    """Snapshot semantics, on the oracle loop and the scheduler alike."""
+
+    @staticmethod
+    def _engines():
+        return [SynchronousEngine(mode=mode) for mode in ("exact", "event")]
+
     def test_self_removal_does_not_skip_neighbours(self):
-        engine = SynchronousEngine()
-        before = Ticker()
-        remover = RemoveDuringStep(engine, remove_at=2, targets=())
-        remover.targets = (remover,)
-        after = Ticker()
-        engine.add_component(before)
-        engine.add_component(remover)
-        engine.add_component(after)
-        engine.run(5)
-        # The neighbour registered after the remover still stepped on
-        # the removal cycle, exactly once.
-        assert before.cycles == [0, 1, 2, 3, 4]
-        assert after.cycles == [0, 1, 2, 3, 4]
-        # The remover finished its own removal cycle and then stopped.
-        assert remover.cycles == [0, 1, 2]
+        for engine in self._engines():
+            before = Ticker()
+            remover = RemoveDuringStep(engine, remove_at=2, targets=())
+            remover.targets = (remover,)
+            after = Ticker()
+            engine.add_component(before)
+            engine.add_component(remover)
+            engine.add_component(after)
+            engine.run(5)
+            # The neighbour registered after the remover still stepped
+            # on the removal cycle, exactly once.
+            assert before.cycles == [0, 1, 2, 3, 4]
+            assert after.cycles == [0, 1, 2, 3, 4]
+            # The remover finished its own removal cycle, then stopped.
+            assert remover.cycles == [0, 1, 2]
 
     def test_removing_later_neighbour_still_steps_it_this_cycle(self):
-        engine = SynchronousEngine()
-        victim = Ticker()
-        remover = RemoveDuringStep(engine, remove_at=1, targets=(victim,))
-        engine.add_component(remover)
-        engine.add_component(victim)
-        engine.run(4)
-        # Snapshot semantics: the victim was already in this cycle's
-        # snapshot, so removal takes effect at the next cycle boundary.
-        assert victim.cycles == [0, 1]
-        assert remover.cycles == [0, 1, 2, 3]
+        for engine in self._engines():
+            victim = Ticker()
+            remover = RemoveDuringStep(engine, remove_at=1,
+                                       targets=(victim,))
+            engine.add_component(remover)
+            engine.add_component(victim)
+            engine.run(4)
+            # Snapshot semantics: the victim was already in this
+            # cycle's snapshot, so removal takes effect at the next
+            # cycle boundary.
+            assert victim.cycles == [0, 1]
+            assert remover.cycles == [0, 1, 2, 3]
 
     def test_removing_earlier_neighbour_never_double_steps(self):
-        engine = SynchronousEngine()
-        victim = Ticker()
-        remover = RemoveDuringStep(engine, remove_at=1, targets=(victim,))
-        engine.add_component(victim)
-        engine.add_component(remover)
-        engine.run(4)
-        assert victim.cycles == [0, 1]
-        assert remover.cycles == [0, 1, 2, 3]
+        for engine in self._engines():
+            victim = Ticker()
+            remover = RemoveDuringStep(engine, remove_at=1,
+                                       targets=(victim,))
+            engine.add_component(victim)
+            engine.add_component(remover)
+            engine.run(4)
+            assert victim.cycles == [0, 1]
+            assert remover.cycles == [0, 1, 2, 3]
 
 
 class TestFastForward:
@@ -205,14 +215,14 @@ class TestFastForward:
         assert engine.cycles_fast_forwarded > 90
 
     def test_equivalent_to_per_cycle_loop(self):
-        def run(ff):
-            engine = SynchronousEngine(fast_forward=ff)
+        def run(mode):
+            engine = SynchronousEngine(mode=mode)
             alarm = Alarm([3, 7, 64, 65, 900])
             engine.add_component(alarm)
             engine.run(1000)
             return alarm.fired, engine.cycle
 
-        assert run(False) == run(True)
+        assert run("exact") == run("event")
 
     def test_legacy_component_pins_per_cycle_loop(self):
         engine = SynchronousEngine()
@@ -254,7 +264,7 @@ class TestFastForward:
         assert len(runs) == engine.cycles_stepped
 
     def test_disabled_fast_forward_steps_every_cycle(self):
-        engine = SynchronousEngine(fast_forward=False)
+        engine = SynchronousEngine(mode="exact")
         engine.add_component(Alarm([]))
         engine.run(30)
         assert engine.cycles_stepped == 30

@@ -1,8 +1,8 @@
 """Deterministic same-cycle firing order in the event scheduler.
 
 When several components are due on the same cycle, the event scheduler
-must step them in *registration order* — exactly the order the exact
-engine's per-cycle loop uses.  That order must be reproducible across
+must step them in *registration order* — exactly the order the oracle's
+per-cycle loop uses.  That order must be reproducible across
 fresh runs, across a checkpoint/resume (the scheduler queue is rebuilt
 from component state, never serialized), and across interpreter
 processes (no set/dict iteration order or hash seed may leak into it).
@@ -16,6 +16,7 @@ import textwrap
 from pathlib import Path
 
 from repro.network.engine import SynchronousEngine
+from tests.oracle import assert_ran_as
 
 
 class _Recorder:
@@ -61,6 +62,7 @@ def _run_log(cycles, mode="event"):
     log = []
     engine, _ = _build(log, mode)
     engine.run(cycles)
+    assert_ran_as(engine, mode)
     return log
 
 
@@ -92,6 +94,7 @@ def _run_churn_log(mode):
     churner = _Churner(engine, recorders["delta"], trigger=13)
     engine.add_component(churner, local=True)
     engine.run(100)
+    assert_ran_as(engine, mode)
     return log
 
 
@@ -153,18 +156,17 @@ class TestFiringOrder:
         driver = tmp_path / "driver.py"
         driver.write_text(textwrap.dedent("""\
             import json, sys
-            sys.path.insert(0, sys.argv[1])
-            sys.path.insert(0, sys.argv[2])
-            from test_event_firing_order import _run_log
+            sys.path[:0] = sys.argv[1:]
+            from tests.network.test_event_firing_order import _run_log
             print(json.dumps(_run_log(500)))
         """))
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        here = str(Path(__file__).resolve().parent)
+        root = Path(__file__).resolve().parents[2]
         env = dict(os.environ, PYTHONHASHSEED="")
         logs = []
         for _ in range(2):
             output = subprocess.run(
-                [sys.executable, str(driver), src, here],
+                [sys.executable, str(driver), str(root / "src"),
+                 str(root)],
                 check=True, capture_output=True, text=True, env=env)
             logs.append(json.loads(output.stdout))
         local = [list(entry) for entry in _run_log(500)]

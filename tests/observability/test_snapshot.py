@@ -81,12 +81,12 @@ class TestEngineIntegration:
         assert engine.cycles_stepped + engine.cycles_fast_forwarded == 1000
 
     def test_cadence_identical_with_and_without_fast_forward(self):
-        def cycles(fast_forward):
-            engine = SynchronousEngine(fast_forward=fast_forward)
+        def cycles(mode):
+            engine = SynchronousEngine(mode=mode)
             engine.add_component(_IdleComponent())
             emitter = SnapshotEmitter(MetricsRegistry(), period=37)
             engine.add_component(emitter)
             engine.run(500)
             return [s["cycle"] for s in emitter.snapshots]
 
-        assert cycles(True) == cycles(False)
+        assert cycles("event") == cycles("exact")

@@ -19,6 +19,7 @@ from repro.schedulability import (
     measure_chaos_tightness,
     random_channel_demands,
 )
+from tests.oracle import assert_ran_as
 
 ENGINES = ["exact", "event"]
 
@@ -31,6 +32,7 @@ def test_cut_stays_inside_the_degraded_envelope(engine):
         FaultEvent(cycle=600, kind=CUT, node=(1, 1), direction=0)])
     net, report = measure_chaos_tightness(topology, demands, plan,
                                           ticks=120, engine=engine)
+    assert_ran_as(net.engine, engine)
     assert report.mismatches == []
     assert report.violations == []
     assert report.total_misses == 0
@@ -59,6 +61,7 @@ def test_mixed_plan_gates_every_non_at_risk_channel(engine):
                             drops=1, window=(200, 1800))
     net, report = measure_chaos_tightness(topology, demands, plan,
                                           ticks=120, engine=engine)
+    assert_ran_as(net.engine, engine)
     assert report.mismatches == []
     assert report.violations == []
     assert report.ok
@@ -77,8 +80,9 @@ def test_engines_agree_on_the_chaos_signature():
         FaultEvent(cycle=600, kind=CUT, node=(1, 1), direction=0)])
     signatures = set()
     for engine in ENGINES:
-        __, report = measure_chaos_tightness(topology, demands, plan,
-                                             ticks=120, engine=engine)
+        net, report = measure_chaos_tightness(topology, demands, plan,
+                                              ticks=120, engine=engine)
+        assert_ran_as(net.engine, engine)
         payload = report.as_dict()
         payload.pop("engine")
         from repro.campaign.spec import canonical_dumps

@@ -16,6 +16,7 @@ from repro.schedulability import (
     measure_tightness,
     random_channel_demands,
 )
+from tests.oracle import assert_oracle_ran, assert_ran_as
 
 MESHES = [(4, 4), (8, 8)]
 SEEDS = [0, 1, 2]
@@ -30,6 +31,7 @@ def test_random_sets_stay_under_their_bounds(width, height, seed,
     demands = random_channel_demands(width, height, 10, seed)
     net, report = measure_tightness(topology, demands, ticks=100,
                                     engine=engine)
+    assert_ran_as(net.engine, engine)
     assert report.mismatches == []
     assert report.violations == []
     assert report.total_misses == 0
@@ -51,6 +53,7 @@ def test_adversarial_sets_stay_under_their_bounds(seed, engine):
     demands = adversarial_channel_demands(4, 4, 8, seed)
     net, report = measure_tightness(topology, demands, ticks=120,
                                     engine=engine)
+    assert_ran_as(net.engine, engine)
     assert report.mismatches == []
     assert report.violations == []
     assert report.total_misses == 0
@@ -61,10 +64,12 @@ def test_adversarial_sets_stay_under_their_bounds(seed, engine):
 def test_engines_agree_on_the_observed_worst_case():
     topology = TopologySpec(4, 4)
     demands = random_channel_demands(4, 4, 8, seed=42)
-    _, exact = measure_tightness(topology, demands, ticks=100,
-                                 engine="exact")
-    _, event = measure_tightness(topology, demands, ticks=100,
-                                 engine="event")
+    oracle_net, exact = measure_tightness(topology, demands, ticks=100,
+                                          engine="exact")
+    event_net, event = measure_tightness(topology, demands, ticks=100,
+                                         engine="event")
+    assert_oracle_ran(oracle_net.engine)
+    assert event_net.engine.mode == "event"
     assert [entry.as_dict() for entry in exact.channels] == [
         entry.as_dict() for entry in event.channels]
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -80,25 +82,33 @@ class TestSimulate:
         assert "usage" in capsys.readouterr().err
 
 
-class TestShardedCli:
-    ARGS = ["--width", "4", "--height", "4", "--channels", "4",
-            "--ticks", "60", "--seed", "3"]
+class TestRemovedSelectors:
+    """``--engine``, ``--shards`` and the ``shards`` config field are
+    gone; inputs that still carry them fail cleanly with exit status 2
+    and never half-work."""
 
-    def test_simulate_sharded_matches_single(self, capsys):
-        assert main(["simulate", *self.ARGS]) == 0
-        single = capsys.readouterr().out
-        assert main(["simulate", *self.ARGS, "--shards", "2"]) == 0
-        sharded = capsys.readouterr().out
-        assert "(2 shards)" in sharded
-        # Identical stats table (the admitted/shards line aside).
-        tail = lambda out: out.splitlines()[1:]
-        assert tail(sharded) == tail(single)
-
-    def test_sharded_resume_from_rejected(self, capsys, tmp_path):
-        code = main(["simulate", *self.ARGS, "--shards", "2",
-                     "--resume-from", str(tmp_path / "ckpt.json")])
-        assert code == 2
-        assert "latest coordinated checkpoint" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--shards", "2"], "unrecognized arguments"),
+        (["simulate", "--engine", "exact"], "unrecognized arguments"),
+        (["chaos", "--shards", "2"], "unrecognized arguments"),
+        (["service", "--engine", "event"], "unrecognized arguments"),
+        (["analyze", "problem.json", "--engine", "exact"],
+         "unrecognized arguments"),
+        (["campaign", "SPEC"], "unknown RunConfig fields: ['shards']"),
+    ], ids=["simulate-shards", "simulate-engine", "chaos-shards",
+            "service-engine", "analyze-engine", "campaign-spec-shards"])
+    def test_old_inputs_exit_two(self, capsys, tmp_path, argv, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "old", "master_seed": 3, "mode": "grid",
+            "base": {"workload": "random", "width": 2, "height": 2,
+                     "channels": 2, "ticks": 10, "shards": 2},
+            "axes": {"replica": [0]}}))
+        argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestErrorHandling:
