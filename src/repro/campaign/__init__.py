@@ -61,7 +61,6 @@ from repro.campaign.worker import execute_run, run_and_store
 from repro.campaign.workloads import (
     WORKLOADS,
     build_random_workload,
-    drive_random_workload,
     register_workload,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "canonical_dumps",
     "delivery_table",
     "derive_seed",
-    "drive_random_workload",
     "execute_run",
     "fault_table",
     "fault_totals",

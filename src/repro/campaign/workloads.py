@@ -10,9 +10,10 @@ process.
 Five workloads ship by default:
 
 * ``random`` — the CLI's seeded random admitted workload (mixed
-  time-constrained and best-effort traffic on a mesh), shared with
-  ``repro-router simulate`` so the CLI and campaigns measure the same
-  thing.
+  time-constrained and best-effort traffic on a mesh), the same
+  :class:`~repro.checkpoint.RandomWorkloadSession` that
+  ``repro-router simulate`` runs, so the CLI and campaigns measure the
+  same thing.
 * ``adversarial`` — the schedulability tightness harness: analyse a
   stress-leaning demand set, then drive it with worst-case phasing and
   report predicted-vs-observed latency per channel
@@ -44,7 +45,6 @@ The stats schema shared by all workloads::
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Optional
 
 from repro.campaign.spec import RunConfig, derive_seed
@@ -109,77 +109,73 @@ def build_random_workload(width: int, height: int, channels: int,
     return net, admitted
 
 
-def drive_random_workload(net, admitted, ticks: int, seed: int) -> None:
-    """Run the admitted workload to completion (including drain).
+def _run_session(config: RunConfig, cls, *spec, **options):
+    """Open ``cls(*spec, **options)`` and run it; ``(session, report)``.
 
-    Best-effort background traffic draws from its own derived RNG
-    substream (``derive_seed(seed, "traffic")``).
+    Inside a checkpointing worker (see :mod:`repro.checkpoint.runtime`)
+    the run checkpoints into its own store and resumes from the store's
+    latest checkpoint; anywhere else the store is ``None`` and the same
+    call starts fresh and writes nothing.
     """
-    rng = random.Random(derive_seed(seed, "traffic"))
-    nodes = list(net.mesh.nodes())
-    for tick in range(0, ticks, 2):
-        for channel, i_min in admitted:
-            if tick % i_min == 0:
-                net.send_message(channel)
-        if rng.random() < 0.25:
-            src, dst = rng.sample(nodes, 2)
-            net.send_best_effort(src, dst,
-                                 payload=bytes(rng.randrange(8, 100)))
-        net.run_ticks(2)
-    net.drain(max_cycles=2_000_000)
-
-
-def _run_store_for(config: RunConfig, kind: str, fingerprint: str):
-    """This run's checkpoint store, or ``None`` outside a checkpointing
-    worker (see :mod:`repro.checkpoint.runtime`)."""
     import pathlib
 
     from repro.checkpoint import CheckpointStore, checkpoint_context
 
+    store = interval = None
     context = checkpoint_context()
-    if context is None:
-        return None, None
-    directory = pathlib.Path(context.directory) / config.content_hash()
-    return CheckpointStore(directory, kind, fingerprint), context.interval
+    if context is not None:
+        store = CheckpointStore(
+            pathlib.Path(context.directory) / config.content_hash(),
+            cls.KIND, cls.fingerprint_for(*spec))
+        interval = context.interval
+    session = cls.open(*spec, store=store, **options)
+    return session, session.run(store=store, interval=interval)
 
 
-def run_random(config: RunConfig) -> dict:
-    """Execute one ``random``-workload run and reduce it to stats."""
-    from repro.checkpoint import RandomWorkloadSession, open_random_session
-
-    store, interval = _run_store_for(
-        config, "random",
-        RandomWorkloadSession.fingerprint_for(
-            config.width, config.height, config.channels, config.ticks,
-            config.seed))
-    rejects: dict = {}
-    if store is None:
-        net, admitted = build_random_workload(
-            config.width, config.height, config.channels, config.seed,
-            rejects, engine=config.engine)
-        drive_random_workload(net, admitted, config.ticks, config.seed)
-    else:
-        session = open_random_session(
-            config.width, config.height, config.channels, config.ticks,
-            config.seed, store, engine=config.engine)
-        net = session.run(store=store, interval=interval)
-        admitted = session.admitted
-        rejects = session.admission_rejects
+def _network_stats(net) -> dict:
+    """The stats a workload reads straight off its drained network."""
     log = net.log
-    misses = log.deadline_misses
     return {
-        "workload": "random",
         "cycles": net.cycle,
-        "channels_established": len(admitted),
-        "admission_rejects": dict(sorted(rejects.items())),
         "classes": {cls: log.class_stats(cls) for cls in ("TC", "BE")},
         "latency": {cls: histogram.state() for cls, histogram
                     in log.latency_histograms.items()},
         "faults": net.fault_counters().as_dict(),
-        "degraded": [],
         "duplicates": log.duplicate_deliveries,
+    }
+
+
+def _report_classes(tc_delivered: int, tc_misses: int,
+                    be_delivered: int) -> dict:
+    """The ``classes`` block of a workload that reduces a report, not a
+    delivery log: counts only, with the empty latency summary."""
+    from repro.network.stats import LatencySummary
+
+    empty = LatencySummary.from_values([]).as_dict()
+    return {
+        "TC": {"delivered": tc_delivered, "deadline_misses": tc_misses,
+               "latency": empty},
+        "BE": {"delivered": be_delivered, "deadline_misses": 0,
+               "latency": empty},
+    }
+
+
+def run_random(config: RunConfig) -> dict:
+    """Execute one ``random``-workload run and reduce it to stats."""
+    from repro.checkpoint import RandomWorkloadSession
+
+    session, net = _run_session(
+        config, RandomWorkloadSession, config.width, config.height,
+        config.channels, config.ticks, config.seed, engine=config.engine)
+    return {
+        "workload": "random",
+        "channels_established": len(session.admitted),
+        "admission_rejects": dict(sorted(
+            session.admission_rejects.items())),
+        **_network_stats(net),
+        "degraded": [],
         "invariant_failures": 0,
-        "deadline_misses_undegraded": misses,
+        "deadline_misses_undegraded": net.log.deadline_misses,
         "faults_fired": 0,
         "signature": None,
     }
@@ -212,22 +208,16 @@ def run_adversarial(config: RunConfig) -> dict:
     net, tightness = measure_tightness(
         TopologySpec(config.width, config.height, torus=config.torus),
         demands, ticks=config.ticks, engine=config.engine)
-    log = net.log
     return {
         "workload": "adversarial",
-        "cycles": net.cycle,
         "channels_established": len(tightness.channels),
         "admission_rejects": dict(sorted(
             tightness.prediction.reject_reasons.items())),
-        "classes": {cls: log.class_stats(cls) for cls in ("TC", "BE")},
-        "latency": {cls: histogram.state() for cls, histogram
-                    in log.latency_histograms.items()},
-        "faults": net.fault_counters().as_dict(),
+        **_network_stats(net),
         "degraded": [],
-        "duplicates": log.duplicate_deliveries,
         "invariant_failures": (len(tightness.mismatches)
                                + len(tightness.violations)),
-        "deadline_misses_undegraded": log.deadline_misses,
+        "deadline_misses_undegraded": net.log.deadline_misses,
         "faults_fired": 0,
         "signature": tightness.signature(),
         "tightness": tightness.as_dict(),
@@ -287,21 +277,15 @@ def run_chaos_tightness(config: RunConfig) -> dict:
     net, report = measure_chaos_tightness(
         topology, demands, plan, ticks=config.ticks,
         engine=config.engine)
-    log = net.log
     prediction = report.prediction
     return {
         "workload": "chaos-tightness",
-        "cycles": net.cycle,
         "channels_established": len(report.channels),
         "admission_rejects": dict(sorted(
             prediction.base.reject_reasons.items())),
-        "classes": {cls: log.class_stats(cls) for cls in ("TC", "BE")},
-        "latency": {cls: histogram.state() for cls, histogram
-                    in log.latency_histograms.items()},
-        "faults": net.fault_counters().as_dict(),
+        **_network_stats(net),
         "degraded": [verdict.label for verdict in prediction.verdicts
                      if verdict.status == DEGRADED_GUARANTEED],
-        "duplicates": log.duplicate_deliveries,
         "invariant_failures": (len(report.mismatches)
                                + len(report.violations)),
         "deadline_misses_undegraded": report.total_misses,
@@ -317,9 +301,8 @@ def run_chaos_tightness(config: RunConfig) -> dict:
 
 def run_chaos(config: RunConfig) -> dict:
     """Execute one seeded fault-injection soak and reduce it to stats."""
-    from repro.checkpoint import ChaosSession, open_chaos_session
-    from repro.faults import ChaosConfig, run_chaos_soak
-    from repro.network.stats import LatencySummary
+    from repro.checkpoint import ChaosSession
+    from repro.faults import ChaosConfig
 
     chaos_config = ChaosConfig(
         seed=config.seed, width=config.width, height=config.height,
@@ -329,28 +312,16 @@ def run_chaos(config: RunConfig) -> dict:
         babblers=config.babblers, unicast_channels=config.channels,
         engine=config.engine,
     )
-    store, interval = _run_store_for(
-        config, "chaos", ChaosSession.fingerprint_for(chaos_config))
-    if store is None:
-        report = run_chaos_soak(chaos_config)
-    else:
-        session = open_chaos_session(chaos_config, store)
-        report = session.run(store=store, interval=interval)
-    empty = LatencySummary.from_values([]).as_dict()
+    _, report = _run_session(config, ChaosSession, chaos_config)
     return {
         "workload": "chaos",
         "cycles": report.cycles,
         "channels_established": report.channels_established,
         "admission_rejects": dict(sorted(
             report.admission_rejects.items())),
-        "classes": {
-            "TC": {"delivered": report.tc_delivered,
-                   "deadline_misses": report.deadline_misses_total,
-                   "latency": empty},
-            "BE": {"delivered": report.be_delivered,
-                   "deadline_misses": 0,
-                   "latency": empty},
-        },
+        "classes": _report_classes(report.tc_delivered,
+                                   report.deadline_misses_total,
+                                   report.be_delivered),
         "latency": dict(report.latency),
         "faults": dict(report.counters),
         "degraded": list(report.degraded_labels),
@@ -368,13 +339,7 @@ def run_chaos(config: RunConfig) -> dict:
 
 def run_churn(config: RunConfig) -> dict:
     """Execute one service churn run and reduce its SLOs to stats."""
-    from repro.network.stats import LatencySummary
-    from repro.service import (
-        ServiceRunConfig,
-        ServiceSession,
-        open_service_session,
-        run_service,
-    )
+    from repro.service import ServiceRunConfig, ServiceSession
 
     service_config = ServiceRunConfig(
         seed=config.seed, width=config.width, height=config.height,
@@ -387,29 +352,16 @@ def run_churn(config: RunConfig) -> dict:
         queue_limit=config.queue_limit,
         engine=config.engine,
     )
-    store, interval = _run_store_for(
-        config, "service",
-        ServiceSession.fingerprint_for(service_config))
-    if store is None:
-        report = run_service(service_config)
-    else:
-        session = open_service_session(service_config, store)
-        report = session.run(store=store, interval=interval)
-    empty = LatencySummary.from_values([]).as_dict()
+    _, report = _run_session(config, ServiceSession, service_config)
     slo = report.as_dict()
     return {
         "workload": "churn",
         "cycles": report.cycles,
         "channels_established": report.accepted_tc,
         "admission_rejects": dict(slo["admission_reject_reasons"]),
-        "classes": {
-            "TC": {"delivered": report.tc_delivered_total,
-                   "deadline_misses": report.tc_misses_total,
-                   "latency": empty},
-            "BE": {"delivered": report.be_delivered,
-                   "deadline_misses": 0,
-                   "latency": empty},
-        },
+        "classes": _report_classes(report.tc_delivered_total,
+                                   report.tc_misses_total,
+                                   report.be_delivered),
         "latency": {"TC": None, "BE": None},
         "faults": {},
         "degraded": list(slo["demoted_labels"]),

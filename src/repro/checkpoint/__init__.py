@@ -8,9 +8,11 @@ The subsystem has three layers (see ``docs/checkpointing.md``):
 * :mod:`repro.checkpoint.store` — atomic content-hashed checkpoint
   files (write-temp + fsync + rename): a reader sees a complete
   checkpoint or none, even under SIGKILL.
-* :mod:`repro.checkpoint.sessions` — checkpointable driving loops for
-  the chaos soak and the random admitted workload, with the
-  byte-identical-resume guarantee.
+* :mod:`repro.checkpoint.sessions` — :class:`Session`, the one
+  driver (run loop, ``state``/``restore``/``open``) with the
+  byte-identical-resume guarantee, and its chaos-soak and random
+  admitted workloads (the service workload lives in
+  :mod:`repro.service.session`).
 
 :mod:`repro.checkpoint.runtime` carries the process-local settings the
 campaign runner uses to checkpoint worker runs without perturbing
@@ -30,8 +32,7 @@ from repro.checkpoint.sessions import (
     DEFAULT_CHECKPOINT_INTERVAL,
     ChaosSession,
     RandomWorkloadSession,
-    open_chaos_session,
-    open_random_session,
+    Session,
 )
 from repro.checkpoint.store import (
     CHECKPOINT_FORMAT,
@@ -52,12 +53,11 @@ __all__ = [
     "LoadContext",
     "RandomWorkloadSession",
     "SaveContext",
+    "Session",
     "canonical_dumps",
     "checkpoint_context",
     "clear_checkpoint_context",
     "clear_checkpoints",
     "fingerprint_of",
-    "open_chaos_session",
-    "open_random_session",
     "set_checkpoint_context",
 ]

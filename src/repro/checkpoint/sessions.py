@@ -1,9 +1,12 @@
 """Checkpointable simulation sessions.
 
-A *session* owns everything a driving loop in :mod:`repro.faults.harness`
-or :mod:`repro.campaign.workloads` used to keep in local variables — the
-network, the workload RNG, the send/check schedules — so the whole run
-can be captured in one :meth:`state` call and resumed byte-identically.
+A *session* is the protocol software that drives the fabric: it owns
+the network, the workload RNG and the send/check schedules, issues
+sends, advances the engine one span, and can be captured in one
+:meth:`Session.state` call and resumed byte-identically.  There is one
+driver, :class:`Session`; a workload (chaos soak, random admitted
+traffic, service churn in :mod:`repro.service.session`) supplies only
+what differs.
 
 The segmentation rule
 ---------------------
@@ -11,21 +14,19 @@ The segmentation rule
 The engine guarantees that ``run(a); run(b)`` is cycle-for-cycle
 identical to ``run(a + b)`` (scheduler jumps clamp at the run
 target; see ``docs/performance.md``).  Sessions exploit exactly that:
-the driving loop's *natural* spans (one packet slot for the chaos soak,
-two ticks for the random workload) are split at checkpoint cycles, the
-state is saved between the two ``run`` calls, and nothing else changes.
-Workload conditions — sends, invariant checks — are only ever evaluated
-at natural span boundaries, so a session restored mid-span first
-finishes the span it was in (``span_end``) before re-entering the loop.
+the driving loop's *natural* spans (one packet slot for the chaos soak
+and the service run, two ticks for the random workload) are split at
+checkpoint cycles, the state is saved between the two ``run`` calls,
+and nothing else changes.  Workload conditions — sends, invariant
+checks — are only ever evaluated at natural span boundaries, so a
+session restored mid-span first finishes the span it was in
+(``span_end``) before re-entering the loop.
 
-What a checkpoint captures: router microarchitecture, engine clock and
-stepped/skipped counters, hosts and traffic sources, the channel software
-(manager, admission, regulators), fault injection/detection/recovery
-timers, the delivery log, metrics and the trace ring, and the workload
-loop variables.  What it does not: metrics *snapshot emitters* and
-custom :class:`~repro.network.service.ServiceTrace` hooks (re-enable
-after restore), and the final ``drain()`` of the random workload, which
-runs to quiescence and is cheap to redo.
+What a checkpoint captures is listed in ``docs/checkpointing.md``.
+What it does not: metrics *snapshot emitters* and custom
+:class:`~repro.network.service.ServiceTrace` hooks (re-enable after
+restore), and the final ``drain()`` of the random and service
+workloads, which runs to quiescence and is cheap to redo.
 """
 
 from __future__ import annotations
@@ -63,14 +64,47 @@ def default_chaos_plan(config):
     )
 
 
-class _SessionBase:
-    """Shared span-driving, checkpoint-firing and invariant plumbing."""
+class Session:
+    """The one session driver: run loop, checkpointing, restore, open.
 
-    network = None  # set by subclasses
-    span_end = 0
-    check_every = 0
+    A workload subclass supplies construction (ending in
+    :meth:`_begin`; a ``_restore=True`` construction builds the bare
+    mesh and draws nothing from the admission stream), ``KIND``,
+    ``fingerprint_for(*spec)``, ``report()`` and five hooks:
+
+    * ``_more()`` — does the main loop have another step?
+    * ``_issue()`` — issue this step's sends at the current cycle.
+    * ``_advance()`` — commit the loop variables to the *next* step and
+      return the cycle this step's span ends at.  It runs before the
+      span's first cycle, so a mid-span checkpoint records the next
+      step (and ``span_end``, which a restored session finishes first).
+    * ``_loop_state()`` / ``_load_loop_state(state)`` — the workload's
+      own checkpoint keys, beyond the shared ones :meth:`state` writes.
+
+    ``_finish()`` (drain to quiescence) may be overridden; checkpoint
+    documents record the phase it runs under as ``FINISH_PHASE``.
+    """
+
+    FINISH_PHASE = "drain"
+
     _store = None
     _interval = 0
+
+    def _begin(self, spec: tuple, check_every: int) -> None:
+        """Set the shared loop variables; ``spec`` is the positional
+        tuple behind ``cls(*spec)`` and ``cls.fingerprint_for(*spec)``."""
+        self._spec = spec
+        self.slot = self.network.params.slot_cycles
+        self.check_every = check_every
+        self.invariant_failures: list[str] = []
+        self.phase = "main"
+        self.span_end = 0
+        self.next_check = check_every
+
+    def fingerprint(self) -> str:
+        return self.fingerprint_for(*self._spec)
+
+    # -- driving ----------------------------------------------------------
 
     def attach_store(self, store, interval: int) -> None:
         """Write a checkpoint every ``interval`` cycles to ``store``."""
@@ -78,6 +112,33 @@ class _SessionBase:
             raise ValueError("checkpoint interval must be positive")
         self._store = store
         self._interval = interval if store is not None else 0
+
+    def run(self, *, store=None, interval: Optional[int] = None):
+        """Run (or finish running) the workload; returns its report.
+        ``interval`` defaults to :data:`DEFAULT_CHECKPOINT_INTERVAL`."""
+        self.attach_store(store, DEFAULT_CHECKPOINT_INTERVAL
+                          if interval is None else interval)
+        net = self.network
+        self._run_span(self.span_end)  # finish an interrupted span first
+        if self.phase == "main":
+            while self._more():
+                self._issue()
+                if self.check_every > 0 and net.cycle >= self.next_check:
+                    self._check_invariants()
+                    self.next_check += self.check_every
+                self._run_span(self._advance())
+            self.phase = self.FINISH_PHASE
+        if self.phase == self.FINISH_PHASE:
+            self._finish()
+            self.phase = "done"
+        return self.report()
+
+    def _finish(self) -> None:
+        """Drain to quiescence.  Not checkpoint-segmented: re-running
+        it after a crash redoes bounded work and cannot diverge."""
+        self.network.drain(max_cycles=2_000_000)
+        if self.check_every > 0:
+            self._check_invariants()
 
     def _run_span(self, target: int) -> None:
         """Advance the engine to ``target``, checkpointing on the way.
@@ -109,21 +170,89 @@ class _SessionBase:
                 self.invariant_failures.append(
                     f"cycle {net.cycle} {node}: {exc}")
 
-    def state(self) -> dict:  # pragma: no cover - interface
-        raise NotImplementedError
+    # -- checkpointing -----------------------------------------------------
+
+    def state(self) -> dict:
+        ctx = SaveContext()
+        state = {
+            "phase": self.phase,
+            "span_end": self.span_end,
+            "next_check": self.next_check,
+            "invariant_failures": list(self.invariant_failures),
+            "network": self.network.state(ctx),
+            **self._loop_state(),
+        }
+        # Saved last: the meta table only becomes complete once every
+        # component has registered its in-flight packets.
+        state["metas"] = ctx.metas_state()
+        return state
+
+    @classmethod
+    def restore(cls, *spec_then_state, **options):
+        """``restore(*spec, state, **options)``: rebuild
+        ``cls(*spec, **options)`` at a checkpoint document's state."""
+        *spec, state = spec_then_state
+        session = cls(*spec, _restore=True, **options)
+        session.network.load_state(state["network"],
+                                   LoadContext(state["metas"]))
+        session._load_loop_state(state)
+        session.phase = state["phase"]
+        session.span_end = state["span_end"]
+        session.next_check = state["next_check"]
+        session.invariant_failures = list(state["invariant_failures"])
+        if session.check_every > 0:
+            session._check_invariants()  # once after every restore
+        return session
+
+    @classmethod
+    def open(cls, *spec, store=None, resume_from=None, **options):
+        """Resume or start: the ``resume_from`` checkpoint file if
+        given, else the store's latest checkpoint, else a fresh
+        session.  A checkpoint of a different run configuration raises
+        :class:`CheckpointError`."""
+        path = resume_from
+        if path is None and store is not None:
+            path = store.latest()
+        if path is None:
+            return cls(*spec, **options)
+        if store is None:
+            raise ValueError("resume_from needs the run's checkpoint "
+                             "store to validate the file against")
+        return cls.restore(*spec, store.load(path)["state"], **options)
+
+    def _channels_by_label(self, labels) -> list:
+        """Re-bind channels from the restored manager (never re-admit)."""
+        channels = []
+        for label in labels:
+            channel = self.network.manager.find(label)
+            if channel is None:
+                raise CheckpointError(
+                    f"checkpoint references channel {label!r} that the "
+                    "restored manager does not know")
+            channels.append(channel)
+        return channels
 
 
-class ChaosSession(_SessionBase):
-    """The seeded chaos soak, restructured around checkpoints.
+def _rejects_state(rejects: dict) -> dict:
+    return dict(sorted(rejects.items()))
 
-    Construction reproduces :func:`repro.faults.harness.run_chaos_soak`
-    setup verbatim (same RNG draw order, same engine component
-    registration order); :meth:`run` reproduces its driving loop with
-    the spans split per the module rule.  ``run_chaos_soak`` itself
-    delegates here, so there is exactly one chaos code path.
+
+def _load_rejects(state: dict) -> dict:
+    return {str(reason): int(count) for reason, count
+            in state.get("admission_rejects", {}).items()}
+
+
+class ChaosSession(Session):
+    """The seeded chaos soak.
+
+    :func:`repro.faults.harness.run_chaos_soak` delegates here, so there
+    is exactly one chaos code path.  A step is one packet slot; the
+    finish is the settle window, which (unlike a drain) has a fixed
+    length and therefore *is* checkpoint-segmented.
     """
 
     KIND = "chaos"
+    FINISH_PHASE = "settle"
 
     def __init__(self, config, plan=None, *,
                  check_every: Optional[int] = None,
@@ -134,19 +263,22 @@ class ChaosSession(_SessionBase):
         from repro.network.network import MeshNetwork
 
         self.config = config
-        self.check_every = (config.invariant_check_every
-                            if check_every is None else check_every)
         self.rng = random.Random(config.seed)
         self.network = MeshNetwork(config.width, config.height,
                                    on_memory_full="drop",
                                    engine=config.engine)
         self.admission_rejects: dict[str, int] = {}
-        if _restore:
+        if _restore:  # both come from the checkpoint, as does the RNG
             self.channels: list = []
+            self.be_payloads: list[bytes] = []
         else:
             self.channels = _establish_workload(self.network, config,
                                                 self.rng,
                                                 self.admission_rejects)
+            self.be_payloads = [
+                bytes(self.rng.randrange(256) for __ in range(
+                    self.rng.randrange(6, 24))) for __ in range(8)
+            ]
         self.tolerance = install_fault_tolerance(self.network)
         if plan is None:
             plan = default_chaos_plan(config)
@@ -154,21 +286,11 @@ class ChaosSession(_SessionBase):
         self.injector = FaultInjector(self.network, plan)
         self.network.engine.add_component(self.injector)
         self.nodes = list(self.network.mesh.nodes())
-        if _restore:
-            self.be_payloads: list[bytes] = []
-        else:
-            self.be_payloads = [
-                bytes(self.rng.randrange(256) for __ in range(
-                    self.rng.randrange(6, 24))) for __ in range(8)
-            ]
-        self.slot = self.network.params.slot_cycles
-        self.period_cycles = config.message_period_ticks * self.slot
-        self.invariant_failures: list[str] = []
-        self.phase = "main"
-        self.span_end = 0
         self.next_message = 0
         self.next_be = config.be_period_cycles
-        self.next_check = self.check_every
+        self._begin((config, plan),
+                    config.invariant_check_every
+                    if check_every is None else check_every)
 
     @classmethod
     def fingerprint_for(cls, config, plan=None) -> str:
@@ -187,45 +309,35 @@ class ChaosSession(_SessionBase):
             "plan": plan.signature(),
         })
 
-    def fingerprint(self) -> str:
-        return self.fingerprint_for(self.config, self.plan)
-
     # -- driving ----------------------------------------------------------
 
-    def run(self, *, store=None,
-            interval: int = DEFAULT_CHECKPOINT_INTERVAL):
-        """Run (or finish running) the soak; returns the ChaosReport."""
-        self.attach_store(store, interval)
-        net, config = self.network, self.config
-        if net.cycle < self.span_end:
-            self._run_span(self.span_end)
-        if self.phase == "main":
-            while net.cycle < config.cycles:
-                if net.cycle >= self.next_message:
-                    for channel in self.channels:
-                        net.send_message(
-                            channel,
-                            payload=bytes([len(self.channels)]) * 4)
-                    self.next_message += self.period_cycles
-                if net.cycle >= self.next_be:
-                    src, dst = self.rng.sample(self.nodes, 2)
-                    net.send_best_effort(
-                        src, dst, payload=self.rng.choice(self.be_payloads))
-                    self.next_be += config.be_period_cycles
-                if self.check_every > 0 and net.cycle >= self.next_check:
-                    self._check_invariants()
-                    self.next_check += self.check_every
-                self._run_span(min(net.cycle + self.slot, config.cycles))
-            self.phase = "settle"
-        if self.phase == "settle":
-            # Settle: no new messages; let retransmissions and drains
-            # finish.
-            self._run_span(config.cycles + config.settle_cycles)
-            self._check_invariants()
-            self.injector.detach()
-            self.tolerance.detach()
-            self.phase = "done"
-        return self.report()
+    def _more(self) -> bool:
+        return self.network.cycle < self.config.cycles
+
+    def _issue(self) -> None:
+        net = self.network
+        if net.cycle >= self.next_message:
+            for channel in self.channels:
+                net.send_message(
+                    channel, payload=bytes([len(self.channels)]) * 4)
+            self.next_message += (self.config.message_period_ticks
+                                  * self.slot)
+        if net.cycle >= self.next_be:
+            src, dst = self.rng.sample(self.nodes, 2)
+            net.send_best_effort(
+                src, dst, payload=self.rng.choice(self.be_payloads))
+            self.next_be += self.config.be_period_cycles
+
+    def _advance(self) -> int:
+        return min(self.network.cycle + self.slot, self.config.cycles)
+
+    def _finish(self) -> None:
+        # Settle: no new messages; let retransmissions and drains
+        # finish.  Invariants are checked unconditionally here.
+        self._run_span(self.config.cycles + self.config.settle_cycles)
+        self._check_invariants()
+        self.injector.detach()
+        self.tolerance.detach()
 
     def report(self):
         from repro.faults.harness import ChaosReport
@@ -255,83 +367,46 @@ class ChaosSession(_SessionBase):
             faults_fired=len(self.injector.fired),
             latency={cls: histogram.state() for cls, histogram
                      in net.log.latency_histograms.items()},
-            admission_rejects=dict(sorted(
-                self.admission_rejects.items())),
+            admission_rejects=_rejects_state(self.admission_rejects),
         )
 
     # -- checkpointing -----------------------------------------------------
 
-    def state(self) -> dict:
-        ctx = SaveContext()
-        state = {
-            "phase": self.phase,
-            "span_end": self.span_end,
+    def _loop_state(self) -> dict:
+        return {
             "next_message": self.next_message,
             "next_be": self.next_be,
-            "next_check": self.next_check,
-            "invariant_failures": list(self.invariant_failures),
-            "admission_rejects": dict(sorted(
-                self.admission_rejects.items())),
+            "admission_rejects": _rejects_state(self.admission_rejects),
             "channel_labels": [channel.label
                                for channel in self.channels],
             "be_payloads": [payload.hex()
                             for payload in self.be_payloads],
             "rng": rng_state(self.rng),
-            "network": self.network.state(ctx),
             "injector": self.injector.state(),
             "watchdog": self.tolerance.watchdog.state(),
             "controller": self.tolerance.controller.state(),
         }
-        # Saved last: the meta table only becomes complete once every
-        # component has registered its in-flight packets.
-        state["metas"] = ctx.metas_state()
-        return state
 
-    @classmethod
-    def restore(cls, config, state: dict, plan=None, *,
-                check_every: Optional[int] = None) -> "ChaosSession":
-        session = cls(config, plan=plan, check_every=check_every,
-                      _restore=True)
-        ctx = LoadContext(state["metas"])
-        session.network.load_state(state["network"], ctx)
-        session.injector.load_state(state["injector"])
-        session.tolerance.watchdog.load_state(state["watchdog"])
-        session.tolerance.controller.load_state(state["controller"])
-        session.channels = []
-        for label in state["channel_labels"]:
-            channel = session.network.manager.find(label)
-            if channel is None:
-                raise CheckpointError(
-                    f"checkpoint references channel {label!r} that the "
-                    "restored manager does not know")
-            session.channels.append(channel)
-        session.be_payloads = [bytes.fromhex(payload)
-                               for payload in state["be_payloads"]]
-        load_rng(session.rng, state["rng"])
-        session.phase = state["phase"]
-        session.span_end = state["span_end"]
-        session.next_message = state["next_message"]
-        session.next_be = state["next_be"]
-        session.next_check = state["next_check"]
-        session.invariant_failures = list(state["invariant_failures"])
-        session.admission_rejects = {
-            str(reason): int(count) for reason, count
-            in state.get("admission_rejects", {}).items()
-        }
-        if session.check_every > 0:
-            session._check_invariants()  # once after every restore
-        return session
+    def _load_loop_state(self, state: dict) -> None:
+        self.injector.load_state(state["injector"])
+        self.tolerance.watchdog.load_state(state["watchdog"])
+        self.tolerance.controller.load_state(state["controller"])
+        self.channels = self._channels_by_label(state["channel_labels"])
+        self.be_payloads = [bytes.fromhex(payload)
+                            for payload in state["be_payloads"]]
+        load_rng(self.rng, state["rng"])
+        self.next_message = state["next_message"]
+        self.next_be = state["next_be"]
+        self.admission_rejects = _load_rejects(state)
 
 
-class RandomWorkloadSession(_SessionBase):
-    """The CLI/campaign random admitted workload, checkpointable.
+class RandomWorkloadSession(Session):
+    """The CLI/campaign random admitted workload.
 
-    Reproduces :func:`repro.campaign.workloads.build_random_workload`
-    followed by ``drive_random_workload`` — same derived RNG substreams,
-    same send schedule — with the two-tick spans split at checkpoint
-    cycles.  The final ``drain()`` is *not* checkpoint-segmented: it
-    runs to quiescence, so re-running it after a crash redoes bounded
-    work and cannot diverge.
+    Admission is :func:`repro.campaign.workloads.build_random_workload`
+    (its own derived RNG substream); a step is two ticks of periodic
+    channel sends plus seeded best-effort background traffic from the
+    ``derive_seed(seed, "traffic")`` substream.
     """
 
     KIND = "random"
@@ -348,26 +423,16 @@ class RandomWorkloadSession(_SessionBase):
         self.ticks = ticks
         self.seed = seed
         self.engine = engine
-        self.check_every = check_every
         self.admission_rejects: dict[str, int] = {}
-        if _restore:
-            from repro.network.network import build_mesh_network
-
-            self.network = build_mesh_network(width, height,
-                                              engine=engine)
-            self.admitted: list = []
-        else:
-            self.network, self.admitted = build_random_workload(
-                width, height, channels, seed, self.admission_rejects,
-                engine=engine)
+        # A restore admits nothing (a bare mesh, no draw): its channels
+        # are re-bound by label from the restored manager.
+        self.network, self.admitted = build_random_workload(
+            width, height, 0 if _restore else channels, seed,
+            self.admission_rejects, engine=engine)
         self.rng = random.Random(derive_seed(seed, "traffic"))
         self.nodes = list(self.network.mesh.nodes())
-        self.slot = self.network.params.slot_cycles
-        self.invariant_failures: list[str] = []
-        self.phase = "main"
-        self.span_end = 0
         self.next_tick = 0
-        self.next_check = check_every
+        self._begin((width, height, channels, ticks, seed), check_every)
 
     @classmethod
     def fingerprint_for(cls, width: int, height: int, channels: int,
@@ -379,119 +444,45 @@ class RandomWorkloadSession(_SessionBase):
             "seed": seed,
         })
 
-    def fingerprint(self) -> str:
-        return self.fingerprint_for(self.width, self.height,
-                                    self.channel_count, self.ticks,
-                                    self.seed)
-
     # -- driving ----------------------------------------------------------
 
-    def run(self, *, store=None,
-            interval: int = DEFAULT_CHECKPOINT_INTERVAL):
-        """Run (or finish running) the workload; returns the network."""
-        self.attach_store(store, interval)
+    def _more(self) -> bool:
+        return self.next_tick < self.ticks
+
+    def _issue(self) -> None:
         net = self.network
-        if net.cycle < self.span_end:
-            self._run_span(self.span_end)
-        if self.phase == "main":
-            while self.next_tick < self.ticks:
-                tick = self.next_tick
-                for channel, i_min in self.admitted:
-                    if tick % i_min == 0:
-                        net.send_message(channel)
-                if self.rng.random() < 0.25:
-                    src, dst = self.rng.sample(self.nodes, 2)
-                    net.send_best_effort(
-                        src, dst,
-                        payload=bytes(self.rng.randrange(8, 100)))
-                if self.check_every > 0 and net.cycle >= self.next_check:
-                    self._check_invariants()
-                    self.next_check += self.check_every
-                self.next_tick = tick + 2
-                self._run_span(net.cycle + 2 * self.slot)
-            self.phase = "drain"
-        if self.phase == "drain":
-            net.drain(max_cycles=2_000_000)
-            if self.check_every > 0:
-                self._check_invariants()
-            self.phase = "done"
-        return net
+        for channel, i_min in self.admitted:
+            if self.next_tick % i_min == 0:
+                net.send_message(channel)
+        if self.rng.random() < 0.25:
+            src, dst = self.rng.sample(self.nodes, 2)
+            net.send_best_effort(
+                src, dst, payload=bytes(self.rng.randrange(8, 100)))
+
+    def _advance(self) -> int:
+        self.next_tick += 2
+        return self.network.cycle + 2 * self.slot
+
+    def report(self):
+        """The drained network (callers reduce its log themselves)."""
+        return self.network
 
     # -- checkpointing -----------------------------------------------------
 
-    def state(self) -> dict:
-        ctx = SaveContext()
-        state = {
-            "phase": self.phase,
-            "span_end": self.span_end,
+    def _loop_state(self) -> dict:
+        return {
             "next_tick": self.next_tick,
-            "next_check": self.next_check,
-            "invariant_failures": list(self.invariant_failures),
-            "admission_rejects": dict(sorted(
-                self.admission_rejects.items())),
+            "admission_rejects": _rejects_state(self.admission_rejects),
             "admitted": [[channel.label, i_min]
                          for channel, i_min in self.admitted],
             "rng": rng_state(self.rng),
-            "network": self.network.state(ctx),
         }
-        state["metas"] = ctx.metas_state()
-        return state
 
-    @classmethod
-    def restore(cls, width: int, height: int, channels: int,
-                ticks: int, seed: int, state: dict, *,
-                check_every: int = 0,
-                engine: str = "event") -> "RandomWorkloadSession":
-        session = cls(width, height, channels, ticks, seed,
-                      check_every=check_every, engine=engine,
-                      _restore=True)
-        ctx = LoadContext(state["metas"])
-        session.network.load_state(state["network"], ctx)
-        session.admitted = []
-        for label, i_min in state["admitted"]:
-            channel = session.network.manager.find(label)
-            if channel is None:
-                raise CheckpointError(
-                    f"checkpoint references channel {label!r} that the "
-                    "restored manager does not know")
-            session.admitted.append((channel, i_min))
-        load_rng(session.rng, state["rng"])
-        session.phase = state["phase"]
-        session.span_end = state["span_end"]
-        session.next_tick = state["next_tick"]
-        session.next_check = state["next_check"]
-        session.invariant_failures = list(state["invariant_failures"])
-        session.admission_rejects = {
-            str(reason): int(count) for reason, count
-            in state.get("admission_rejects", {}).items()
-        }
-        if session.check_every > 0:
-            session._check_invariants()  # once after every restore
-        return session
-
-
-def open_chaos_session(config, store, *, plan=None,
-                       check_every: Optional[int] = None) -> ChaosSession:
-    """Resume from the store's latest checkpoint, or start fresh."""
-    latest = store.latest()
-    if latest is None:
-        return ChaosSession(config, plan=plan, check_every=check_every)
-    document = store.load(latest)
-    return ChaosSession.restore(config, document["state"], plan=plan,
-                                check_every=check_every)
-
-
-def open_random_session(width: int, height: int, channels: int,
-                        ticks: int, seed: int, store, *,
-                        check_every: int = 0,
-                        engine: str = "event") -> RandomWorkloadSession:
-    """Resume from the store's latest checkpoint, or start fresh."""
-    latest = store.latest()
-    if latest is None:
-        return RandomWorkloadSession(width, height, channels, ticks,
-                                     seed, check_every=check_every,
-                                     engine=engine)
-    document = store.load(latest)
-    return RandomWorkloadSession.restore(
-        width, height, channels, ticks, seed, document["state"],
-        check_every=check_every, engine=engine)
+    def _load_loop_state(self, state: dict) -> None:
+        channels = self._channels_by_label(
+            label for label, _ in state["admitted"])
+        self.admitted = [(channel, i_min) for channel, (_, i_min)
+                         in zip(channels, state["admitted"])]
+        load_rng(self.rng, state["rng"])
+        self.next_tick = state["next_tick"]
+        self.admission_rejects = _load_rejects(state)

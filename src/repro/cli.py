@@ -156,35 +156,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return _EXPERIMENTS[args.name]()
 
 
-def _build_random_workload(width: int, height: int, channels: int,
-                           seed: int):
-    """Admit a seeded random channel set on a fresh mesh.
+def _open_session(args: argparse.Namespace, cls, *spec, **options):
+    """Open the session the checkpoint flags imply; ``(session, store)``.
 
-    Thin wrapper over the campaign workload builder: the CLI and
-    campaign sweeps share one workload definition and one explicit
-    seed-derivation path (``derive_seed(seed, "admit")`` for
-    admission, ``derive_seed(seed, "traffic")`` for driving), so a
-    ``simulate`` invocation is reproducible from its ``--seed`` alone.
-    """
-    from repro.campaign.workloads import build_random_workload
-
-    return build_random_workload(width, height, channels, seed)
-
-
-def _drive_random_workload(net, admitted, ticks: int, seed: int) -> None:
-    """Run the admitted workload to completion (including drain)."""
-    from repro.campaign.workloads import drive_random_workload
-
-    drive_random_workload(net, admitted, ticks, seed)
-
-
-def _checkpoint_store(args: argparse.Namespace, kind: str,
-                      fingerprint: str):
-    """The checkpoint store implied by the CLI flags, or ``None``.
-
-    ``--checkpoint-dir`` names it explicitly; with only
-    ``--resume-from``, checkpointing continues into the resumed file's
-    directory.
+    ``--checkpoint-dir`` names the store; with only ``--resume-from``,
+    checkpointing continues into the resumed file's directory.  Which
+    checkpoint, if any, the session starts from is
+    :meth:`repro.checkpoint.Session.open`'s rule.
     """
     import pathlib
 
@@ -193,30 +171,50 @@ def _checkpoint_store(args: argparse.Namespace, kind: str,
     directory = args.checkpoint_dir
     if directory is None and args.resume_from:
         directory = str(pathlib.Path(args.resume_from).parent)
-    if directory is None:
-        return None
-    return CheckpointStore(directory, kind, fingerprint)
+    store = None
+    if directory is not None:
+        store = CheckpointStore(directory, cls.KIND,
+                                cls.fingerprint_for(*spec))
+    session = cls.open(*spec, store=store, resume_from=args.resume_from,
+                       **options)
+    if session.network.cycle:  # only a restored session is past cycle 0
+        print(f"resumed from checkpoint at cycle {session.network.cycle}")
+    return session, store
+
+
+def _random_session(args: argparse.Namespace):
+    """Build and announce the ``simulate`` workload (``trace``,
+    ``metrics``: no checkpoint flags, so no store)."""
+    from repro.checkpoint import RandomWorkloadSession
+
+    session = RandomWorkloadSession(args.width, args.height,
+                                    args.channels, args.ticks, args.seed)
+    print(f"admitted {len(session.admitted)} of {args.channels} channels")
+    return session
+
+
+def _config_from_flags(cls, args: argparse.Namespace, **extra):
+    """Build a run-config dataclass from the flags the user gave.
+
+    The config flags carry no parser default (``argparse.SUPPRESS``)
+    and use the field name as ``dest``, so a flag left out keeps the
+    dataclass's own default and the two cannot drift.
+    """
+    import dataclasses
+
+    given = {field.name: getattr(args, field.name)
+             for field in dataclasses.fields(cls)
+             if hasattr(args, field.name)}
+    return cls(**given, **extra)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.checkpoint import RandomWorkloadSession
 
-    check_every = args.check_invariants or 0
-    store = _checkpoint_store(
-        args, "random",
-        RandomWorkloadSession.fingerprint_for(
-            args.width, args.height, args.channels, args.ticks,
-            args.seed))
-    if args.resume_from:
-        document = store.load(args.resume_from)
-        session = RandomWorkloadSession.restore(
-            args.width, args.height, args.channels, args.ticks,
-            args.seed, document["state"], check_every=check_every)
-        print(f"resumed from checkpoint at cycle {document['cycle']}")
-    else:
-        session = RandomWorkloadSession(
-            args.width, args.height, args.channels, args.ticks,
-            args.seed, check_every=check_every)
+    session, store = _open_session(
+        args, RandomWorkloadSession, args.width, args.height,
+        args.channels, args.ticks, args.seed,
+        check_every=args.check_invariants or 0)
     print(f"admitted {len(session.admitted)} of {args.channels} channels")
     net = session.run(store=store, interval=args.checkpoint_interval)
     for failure in session.invariant_failures:
@@ -242,13 +240,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.reporting import write_snapshots_jsonl, write_trace_jsonl
 
-    net, channels = _build_random_workload(
-        args.width, args.height, args.channels, args.seed)
+    session = _random_session(args)
+    net = session.network
     net.enable_tracing(capacity=args.capacity)
     if args.snapshots:
         net.enable_snapshots(args.period)
-    print(f"admitted {len(channels)} of {args.channels} channels")
-    _drive_random_workload(net, channels, args.ticks, args.seed)
+    session.run()
     path = write_trace_jsonl(args.output, net.tracer.events())
     dropped = f" ({net.tracer.dropped} dropped)" if net.tracer.dropped else ""
     print(f"wrote {len(net.tracer)} events to {path}{dropped}")
@@ -261,12 +258,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    net, channels = _build_random_workload(
-        args.width, args.height, args.channels, args.seed)
+    session = _random_session(args)
+    net = session.network
     if args.json:
         net.enable_snapshots(args.period)
-    print(f"admitted {len(channels)} of {args.channels} channels")
-    _drive_random_workload(net, channels, args.ticks, args.seed)
+    session.run()
     print("\n".join(format_kv(net.metrics.rows())))
     if args.json:
         from repro.reporting import write_snapshots_jsonl
@@ -280,14 +276,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.checkpoint import ChaosSession
     from repro.faults import ChaosConfig, run_chaos_soak
 
-    config = ChaosConfig(
-        seed=args.seed, width=args.width, height=args.height,
-        cycles=args.cycles, cuts=args.cuts, flaps=args.flaps,
-        corruptions=args.corruptions, drops=args.drops,
-        babblers=args.babblers,
-    )
+    config = _config_from_flags(ChaosConfig, args)
     plan = None
     if args.plan_file:
         from repro.faults.plan import FaultPlan
@@ -295,32 +287,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         # Malformed plan files raise ValueError, which main() turns
         # into a message on stderr and exit status 2.
         plan = FaultPlan.from_file(args.plan_file)
-    try:
-        if args.resume_from or args.checkpoint_dir:
-            from repro.checkpoint import ChaosSession
-
-            store = _checkpoint_store(
-                args, "chaos",
-                ChaosSession.fingerprint_for(config, plan=plan))
-            if args.resume_from:
-                document = store.load(args.resume_from)
-                session = ChaosSession.restore(
-                    config, document["state"], plan=plan,
-                    check_every=args.check_invariants)
-                print(f"resumed from checkpoint at cycle "
-                      f"{document['cycle']}")
-            else:
-                session = ChaosSession(
-                    config, plan=plan,
-                    check_every=args.check_invariants)
-            report = session.run(store=store,
-                                 interval=args.checkpoint_interval)
-        else:
-            report = run_chaos_soak(config, plan,
-                                    check_every=args.check_invariants)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    session, store = _open_session(args, ChaosSession, config, plan,
+                                   check_every=args.check_invariants)
+    report = session.run(store=store, interval=args.checkpoint_interval)
     print(f"chaos soak: seed {report.seed}, {report.cycles} cycles, "
           f"{report.faults_fired} fault events, "
           f"{report.channels_established} channels")
@@ -341,60 +310,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_service(args: argparse.Namespace) -> int:
     from repro.campaign.spec import canonical_dumps
-    from repro.service import (
-        ServiceRunConfig,
-        ServiceSession,
-        open_service_session,
-        run_service,
-    )
+    from repro.service import ServiceRunConfig, ServiceSession, run_service
 
-    if args.workload != "churn":
-        print(f"error: unknown service workload {args.workload!r} "
-              f"(available: churn)", file=sys.stderr)
-        return 2
     fault_plan_json = None
     if args.fault_plan:
         import pathlib
 
-        # Parse eagerly: a malformed plan raises ValueError, which
-        # main() reports on stderr with exit status 2.
-        from repro.faults.plan import FaultPlan
-
-        text = pathlib.Path(args.fault_plan).read_text()
-        FaultPlan.from_json(text)
-        fault_plan_json = text
-    config = ServiceRunConfig(
-        seed=args.seed, width=args.width, height=args.height,
-        requests=args.requests,
-        arrival_period_ticks=args.arrival_period,
-        hold_ticks=args.hold_ticks,
-        be_fraction_pct=args.be_fraction,
-        util_threshold_pct=args.util_threshold,
-        buffer_watermark_pct=args.buffer_watermark,
-        queue_limit=args.queue_limit,
-        queue_timeout_ticks=args.queue_timeout,
-        max_retries=args.max_retries,
-        retry_backoff_ticks=args.retry_backoff,
-        analytic_preadmission=args.analytic_preadmission,
-        fault_plan_json=fault_plan_json,
-    )
-    config.validate()
-    check_every = args.check_invariants or 0
-    if args.resume_from or args.checkpoint_dir:
-        store = _checkpoint_store(
-            args, "service", ServiceSession.fingerprint_for(config))
-        if args.resume_from:
-            document = store.load(args.resume_from)
-            session = ServiceSession.restore(
-                config, document["state"], check_every=check_every)
-            print(f"resumed from checkpoint at cycle {document['cycle']}")
-        else:
-            session = open_service_session(config, store,
-                                           check_every=check_every)
-        report = session.run(store=store,
-                             interval=args.checkpoint_interval)
-    else:
-        report = run_service(config, check_every=check_every)
+        # A malformed plan raises ValueError when the session validates
+        # its config; main() reports it on stderr with exit status 2.
+        fault_plan_json = pathlib.Path(args.fault_plan).read_text()
+    config = _config_from_flags(ServiceRunConfig, args,
+                                fault_plan_json=fault_plan_json)
+    session, store = _open_session(
+        args, ServiceSession, config,
+        check_every=args.check_invariants or 0)
+    report = session.run(store=store, interval=args.checkpoint_interval)
     print(f"service run: seed {report.seed}, {report.cycles} cycles, "
           f"{report.requests_total} setup requests")
     print("\n".join(format_kv(report.summary_rows())))
@@ -569,15 +499,27 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0 if log.deadline_misses == 0 else 1
 
 
+def _add_mesh_workload_args(parser: argparse.ArgumentParser, *,
+                            channels: int) -> None:
+    """The seeded random-workload flags four subcommands share."""
+    parser.add_argument("--width", type=int, default=4)
+    parser.add_argument("--height", type=int, default=4)
+    parser.add_argument("--channels", type=int, default=channels)
+    parser.add_argument("--ticks", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
-    """Checkpoint/restore flags shared by ``simulate`` and ``chaos``."""
+    """Checkpoint/restore flags of ``simulate``, ``chaos``, ``service``."""
+    from repro.checkpoint import DEFAULT_CHECKPOINT_INTERVAL
+
     parser.add_argument("--checkpoint-dir", default=None,
                         help="write periodic crash-consistent "
                              "checkpoints to this directory")
     parser.add_argument("--checkpoint-interval", type=int,
-                        default=100_000, metavar="N",
-                        help="cycles between checkpoints "
-                             "(default 100000)")
+                        default=DEFAULT_CHECKPOINT_INTERVAL, metavar="N",
+                        help="cycles between checkpoints (default "
+                             f"{DEFAULT_CHECKPOINT_INTERVAL})")
     parser.add_argument("--resume-from", default=None, metavar="CKPT",
                         help="resume from this checkpoint file (the "
                              "run configuration must match the one "
@@ -609,26 +551,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = commands.add_parser(
         "simulate", help="run a random admitted workload on a mesh")
-    simulate.add_argument("--width", type=int, default=4)
-    simulate.add_argument("--height", type=int, default=4)
-    simulate.add_argument("--channels", type=int, default=8)
-    simulate.add_argument("--ticks", type=int, default=100)
-    simulate.add_argument("--seed", type=int, default=0)
+    _add_mesh_workload_args(simulate, channels=8)
     simulate.add_argument("--csv", default=None)
     _add_checkpoint_args(simulate)
     simulate.set_defaults(func=_cmd_simulate)
 
     chaos = commands.add_parser(
         "chaos", help="run a seeded fault-injection soak")
-    chaos.add_argument("--seed", type=int, default=1234)
-    chaos.add_argument("--width", type=int, default=4)
-    chaos.add_argument("--height", type=int, default=4)
-    chaos.add_argument("--cycles", type=int, default=6000)
-    chaos.add_argument("--cuts", type=int, default=2)
-    chaos.add_argument("--flaps", type=int, default=1)
-    chaos.add_argument("--corruptions", type=int, default=2)
-    chaos.add_argument("--drops", type=int, default=1)
-    chaos.add_argument("--babblers", type=int, default=1)
+    # Config flags: no parser default, dest = ChaosConfig field name
+    # (see _config_from_flags).
+    for flag in ("seed", "width", "height", "cycles", "cuts", "flaps",
+                 "corruptions", "drops", "babblers"):
+        chaos.add_argument(f"--{flag}", type=int,
+                           default=argparse.SUPPRESS)
     chaos.add_argument("--plan-file", default=None, metavar="PATH",
                        help="replay an explicit fault plan JSON instead "
                             "of deriving one from the seed")
@@ -641,38 +576,38 @@ def build_parser() -> argparse.ArgumentParser:
         "service", help="run the control-plane service layer under a "
                         "seeded churn workload (see docs/service.md)")
     service.add_argument("--workload", default="churn",
+                         choices=("churn",),
                          help="request-stream generator (default churn)")
-    service.add_argument("--seed", type=int, default=1234)
-    service.add_argument("--width", type=int, default=4)
-    service.add_argument("--height", type=int, default=4)
-    service.add_argument("--requests", type=int, default=200,
-                         help="channel setup requests to generate")
-    service.add_argument("--arrival-period", type=int, default=4,
-                         metavar="TICKS",
-                         help="mean inter-arrival time (default 4)")
-    service.add_argument("--hold-ticks", type=int, default=200,
-                         help="mean channel holding time (default 200)")
-    service.add_argument("--be-fraction", type=int, default=25,
-                         metavar="PCT",
-                         help="percent of requests that are best-effort")
-    service.add_argument("--util-threshold", type=int, default=90,
-                         metavar="PCT",
-                         help="link-utilisation admission headroom")
-    service.add_argument("--buffer-watermark", type=int, default=90,
-                         metavar="PCT",
-                         help="buffer-fill admission headroom")
-    service.add_argument("--queue-limit", type=int, default=16,
-                         help="setup queue depth bound")
-    service.add_argument("--queue-timeout", type=int, default=64,
-                         metavar="TICKS",
-                         help="queued-request deadline (default 64)")
-    service.add_argument("--max-retries", type=int, default=3,
-                         help="admission retries per queued request")
-    service.add_argument("--retry-backoff", type=int, default=4,
-                         metavar="TICKS",
-                         help="base retry backoff (doubles per attempt)")
+    # Config flags: no parser default, dest = ServiceRunConfig field
+    # name (see _config_from_flags).
+    for flag, field, metavar, text in (
+            ("--seed", "seed", None, None),
+            ("--width", "width", None, None),
+            ("--height", "height", None, None),
+            ("--requests", "requests", None,
+             "channel setup requests to generate"),
+            ("--arrival-period", "arrival_period_ticks", "TICKS",
+             "mean inter-arrival time (default 4)"),
+            ("--hold-ticks", "hold_ticks", None,
+             "mean channel holding time (default 200)"),
+            ("--be-fraction", "be_fraction_pct", "PCT",
+             "percent of requests that are best-effort"),
+            ("--util-threshold", "util_threshold_pct", "PCT",
+             "link-utilisation admission headroom"),
+            ("--buffer-watermark", "buffer_watermark_pct", "PCT",
+             "buffer-fill admission headroom"),
+            ("--queue-limit", "queue_limit", None,
+             "setup queue depth bound"),
+            ("--queue-timeout", "queue_timeout_ticks", "TICKS",
+             "queued-request deadline (default 64)"),
+            ("--max-retries", "max_retries", None,
+             "admission retries per queued request"),
+            ("--retry-backoff", "retry_backoff_ticks", "TICKS",
+             "base retry backoff (doubles per attempt)")):
+        service.add_argument(flag, dest=field, type=int, metavar=metavar,
+                             default=argparse.SUPPRESS, help=text)
     service.add_argument("--analytic-preadmission",
-                         action="store_true",
+                         action="store_true", default=argparse.SUPPRESS,
                          help="reject load-independent infeasible "
                               "requests immediately via the analytic "
                               "schedulability engine")
@@ -745,12 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
     generate = commands.add_parser(
         "generate-trace", help="write a seeded random workload trace")
     generate.add_argument("output")
-    generate.add_argument("--width", type=int, default=4)
-    generate.add_argument("--height", type=int, default=4)
-    generate.add_argument("--channels", type=int, default=4)
-    generate.add_argument("--ticks", type=int, default=100)
+    _add_mesh_workload_args(generate, channels=4)
     generate.add_argument("--datagram-rate", type=float, default=0.1)
-    generate.add_argument("--seed", type=int, default=0)
     generate.set_defaults(func=_cmd_generate_trace)
 
     replay = commands.add_parser(
@@ -764,11 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run the simulate workload with packet tracing "
                       "and export the events as JSONL")
     trace_cmd.add_argument("output", help="trace JSONL output path")
-    trace_cmd.add_argument("--width", type=int, default=4)
-    trace_cmd.add_argument("--height", type=int, default=4)
-    trace_cmd.add_argument("--channels", type=int, default=8)
-    trace_cmd.add_argument("--ticks", type=int, default=100)
-    trace_cmd.add_argument("--seed", type=int, default=0)
+    _add_mesh_workload_args(trace_cmd, channels=8)
     trace_cmd.add_argument("--capacity", type=int, default=65536,
                            help="trace ring-buffer capacity (events)")
     trace_cmd.add_argument("--snapshots", default=None,
@@ -781,11 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_cmd = commands.add_parser(
         "metrics", help="run the simulate workload and report the "
                         "metrics registry")
-    metrics_cmd.add_argument("--width", type=int, default=4)
-    metrics_cmd.add_argument("--height", type=int, default=4)
-    metrics_cmd.add_argument("--channels", type=int, default=8)
-    metrics_cmd.add_argument("--ticks", type=int, default=100)
-    metrics_cmd.add_argument("--seed", type=int, default=0)
+    _add_mesh_workload_args(metrics_cmd, channels=8)
     metrics_cmd.add_argument("--json", default=None,
                              help="write periodic + final snapshots to "
                                   "this JSONL path")
@@ -809,10 +732,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

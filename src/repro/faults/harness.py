@@ -175,12 +175,7 @@ def run_chaos_soak(config: ChaosConfig,
     every ``interval`` cycles without changing its outcome, and
     ``check_every`` overrides the config's invariant-check period.
     """
-    from repro.checkpoint.sessions import (
-        DEFAULT_CHECKPOINT_INTERVAL,
-        ChaosSession,
-    )
+    from repro.checkpoint.sessions import ChaosSession
 
     session = ChaosSession(config, plan=plan, check_every=check_every)
-    return session.run(store=store,
-                       interval=(DEFAULT_CHECKPOINT_INTERVAL
-                                 if interval is None else interval))
+    return session.run(store=store, interval=interval)

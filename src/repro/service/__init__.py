@@ -14,8 +14,10 @@ Entry points:
 
 * :func:`~repro.service.session.run_service` — run one configured
   service workload to completion.
-* :class:`~repro.service.session.ServiceSession` — the checkpointable
-  driving loop (``repro-router service --resume-from`` uses it).
+* :class:`~repro.service.session.ServiceSession` — the service run as
+  a workload of the one session driver
+  (:class:`repro.checkpoint.Session`); ``ServiceSession.open`` resumes
+  from a checkpoint store or starts fresh.
 * the ``churn`` campaign workload (:mod:`repro.campaign.workloads`) —
   threshold sweeps over grids of
   :class:`~repro.service.session.ServiceRunConfig` parameters.
@@ -32,7 +34,6 @@ from repro.service.overload import OverloadManager
 from repro.service.session import (
     ServiceRunConfig,
     ServiceSession,
-    open_service_session,
     run_service,
 )
 from repro.service.slo import SLOReport, build_slo_report
@@ -51,6 +52,5 @@ __all__ = [
     "ServiceRunConfig",
     "ServiceSession",
     "build_slo_report",
-    "open_service_session",
     "run_service",
 ]

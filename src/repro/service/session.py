@@ -1,12 +1,13 @@
-"""The checkpointable service-run driving loop.
+"""The service run as a workload of the one session driver.
 
 :class:`ServiceSession` is the serving counterpart of the chaos and
 random-workload sessions: it owns the network, the churn request
 stream, the :class:`~repro.service.controller.ServiceController` and
-the :class:`~repro.service.overload.OverloadManager`, and drives them
-tick by tick — submitting arrivals, running retries and expiries, and
-sending messages for every active flow — with the spans split at
-checkpoint cycles per the session segmentation rule.
+the :class:`~repro.service.overload.OverloadManager`, and tells
+:class:`~repro.checkpoint.sessions.Session` what one tick issues —
+submitting arrivals, running retries and expiries, and sending
+messages for every active flow.  The loop, checkpointing and resume
+are the driver's.
 
 Wall-clock control-plane time is accumulated separately
 (:attr:`ServiceSession.control_plane_seconds`) so the benchmark can
@@ -20,11 +21,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from repro.checkpoint.codec import LoadContext, SaveContext
-from repro.checkpoint.sessions import (
-    DEFAULT_CHECKPOINT_INTERVAL,
-    _SessionBase,
-)
+from repro.checkpoint.sessions import Session
 from repro.checkpoint.store import fingerprint_of
 from repro.network.network import MeshNetwork
 from repro.service.controller import ServiceConfig, ServiceController
@@ -73,7 +70,9 @@ class ServiceRunConfig:
     #: reports.
     engine: str = "event"
 
-    def validate(self) -> None:
+    def validate(self) -> ServiceConfig:
+        """Check every field; returns the validated controller config
+        so a caller that needs it builds (and parses a fault plan) once."""
         from repro.network.engine import ENGINE_MODES
 
         if self.engine not in ENGINE_MODES:
@@ -92,7 +91,9 @@ class ServiceRunConfig:
             raise ValueError("arrival period must be at least one tick")
         if self.hold_ticks < 1:
             raise ValueError("mean holding time must be positive")
-        self.service_config().validate()
+        service_config = self.service_config()
+        service_config.validate()
+        return service_config
 
     def service_config(self) -> ServiceConfig:
         fault_plan = None
@@ -120,17 +121,16 @@ class ServiceRunConfig:
         )
 
 
-class ServiceSession(_SessionBase):
-    """One control-plane service run under churn, checkpointable."""
+class ServiceSession(Session):
+    """One control-plane service run under churn; a step is one tick."""
 
     KIND = "service"
 
     def __init__(self, config: ServiceRunConfig, *,
                  check_every: int = 0,
                  _restore: bool = False) -> None:
-        config.validate()
+        service_config = config.validate()
         self.config = config
-        self.check_every = check_every
         self.workload = config.churn_workload()
         self.network = MeshNetwork(config.width, config.height,
                                    on_memory_full="drop",
@@ -140,22 +140,17 @@ class ServiceSession(_SessionBase):
         # packets must be counted and dropped, not crash the router.
         for router in self.network.routers.values():
             router.drop_unroutable = True
-        self.overload = OverloadManager(self.network,
-                                        config.service_config())
+        self.overload = OverloadManager(self.network, service_config)
         self.controller = ServiceController(
-            self.network, self.workload.requests,
-            config.service_config(), self.overload)
-        self.slot = self.network.params.slot_cycles
-        self.invariant_failures: list[str] = []
-        self.phase = "main"
-        self.span_end = 0
+            self.network, self.workload.requests, service_config,
+            self.overload)
         self.next_tick = 0
         self.next_request = 0
-        self.next_check = check_every
         #: Wall-clock seconds spent inside control-plane calls (submit,
         #: advance, send dispatch).  Diagnostic only — never part of
         #: the checkpointed state or the report signature.
         self.control_plane_seconds = 0.0
+        self._begin((config,), check_every)
 
     @classmethod
     def fingerprint_for(cls, config: ServiceRunConfig) -> str:
@@ -179,49 +174,32 @@ class ServiceSession(_SessionBase):
             "config": config_dict,
         })
 
-    def fingerprint(self) -> str:
-        return self.fingerprint_for(self.config)
-
     # -- driving ----------------------------------------------------------
 
-    def run(self, *, store=None,
-            interval: int = DEFAULT_CHECKPOINT_INTERVAL) -> SLOReport:
-        """Run (or finish running) the service; returns the SLOReport."""
-        self.attach_store(store, interval)
-        net = self.network
-        requests = self.workload.requests
-        if net.cycle < self.span_end:
-            self._run_span(self.span_end)
-        if self.phase == "main":
-            while (self.next_request < len(requests)
-                   or not self.controller.idle):
-                tick = self.next_tick
-                started = time.perf_counter()
-                while (self.next_request < len(requests)
-                       and requests[self.next_request].arrival_tick
-                       <= tick):
-                    self.controller.submit(
-                        requests[self.next_request], tick)
-                    self.next_request += 1
-                self.controller.advance(tick)
-                due = self.controller.due_sends(tick)
-                self.control_plane_seconds += (
-                    time.perf_counter() - started)
-                self._dispatch(due, tick)
-                if self.check_every > 0 and net.cycle >= self.next_check:
-                    self._check_invariants()
-                    self.next_check += self.check_every
-                self.next_tick = tick + 1
-                self._run_span(net.cycle + self.slot)
-            self.phase = "drain"
-        if self.phase == "drain":
-            net.drain(max_cycles=2_000_000)
-            if self.check_every > 0:
-                self._check_invariants()
-            self.phase = "done"
-        return self.report()
+    def _more(self) -> bool:
+        return (self.next_request < len(self.workload.requests)
+                or not self.controller.idle)
 
-    def _dispatch(self, flows, tick: int) -> None:
+    def _issue(self) -> None:
+        # Called through the controller every tick (never via bound
+        # methods cached at construction): profilers wrap these as
+        # class attributes.
+        tick, requests = self.next_tick, self.workload.requests
+        started = time.perf_counter()
+        while (self.next_request < len(requests)
+               and requests[self.next_request].arrival_tick <= tick):
+            self.controller.submit(requests[self.next_request], tick)
+            self.next_request += 1
+        self.controller.advance(tick)
+        due = self.controller.due_sends(tick)
+        self.control_plane_seconds += time.perf_counter() - started
+        self._dispatch(due)
+
+    def _advance(self) -> int:
+        self.next_tick += 1
+        return self.network.cycle + self.slot
+
+    def _dispatch(self, flows) -> None:
         """Send one message per due flow (data-plane hand-off)."""
         net = self.network
         for flow in flows:
@@ -246,37 +224,17 @@ class ServiceSession(_SessionBase):
 
     # -- checkpointing -----------------------------------------------------
 
-    def state(self) -> dict:
-        ctx = SaveContext()
-        state = {
-            "phase": self.phase,
-            "span_end": self.span_end,
+    def _loop_state(self) -> dict:
+        return {
             "next_tick": self.next_tick,
             "next_request": self.next_request,
-            "next_check": self.next_check,
-            "invariant_failures": list(self.invariant_failures),
             "controller": self.controller.state(),
-            "network": self.network.state(ctx),
         }
-        state["metas"] = ctx.metas_state()
-        return state
 
-    @classmethod
-    def restore(cls, config: ServiceRunConfig, state: dict, *,
-                check_every: int = 0) -> "ServiceSession":
-        session = cls(config, check_every=check_every, _restore=True)
-        ctx = LoadContext(state["metas"])
-        session.network.load_state(state["network"], ctx)
-        session.controller.load_state(state["controller"])
-        session.phase = state["phase"]
-        session.span_end = state["span_end"]
-        session.next_tick = state["next_tick"]
-        session.next_request = state["next_request"]
-        session.next_check = state["next_check"]
-        session.invariant_failures = list(state["invariant_failures"])
-        if session.check_every > 0:
-            session._check_invariants()  # once after every restore
-        return session
+    def _load_loop_state(self, state: dict) -> None:
+        self.controller.load_state(state["controller"])
+        self.next_tick = state["next_tick"]
+        self.next_request = state["next_request"]
 
 
 def run_service(config: ServiceRunConfig, *, store=None,
@@ -289,17 +247,4 @@ def run_service(config: ServiceRunConfig, *, store=None,
     configuration always yields the identical report signature.
     """
     session = ServiceSession(config, check_every=check_every)
-    return session.run(store=store,
-                       interval=(DEFAULT_CHECKPOINT_INTERVAL
-                                 if interval is None else interval))
-
-
-def open_service_session(config: ServiceRunConfig, store, *,
-                         check_every: int = 0) -> ServiceSession:
-    """Resume from the store's latest checkpoint, or start fresh."""
-    latest = store.latest()
-    if latest is None:
-        return ServiceSession(config, check_every=check_every)
-    document = store.load(latest)
-    return ServiceSession.restore(config, document["state"],
-                                  check_every=check_every)
+    return session.run(store=store, interval=interval)

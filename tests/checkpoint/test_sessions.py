@@ -14,8 +14,6 @@ from repro.checkpoint import (
     CheckpointError,
     CheckpointStore,
     RandomWorkloadSession,
-    open_chaos_session,
-    open_random_session,
 )
 from repro.faults import ChaosConfig
 
@@ -93,8 +91,8 @@ class TestFingerprints:
 
 class TestOpenOrResume:
     def test_open_random_fresh_when_empty(self, tmp_path):
-        session = open_random_session(3, 3, 4, 40, 9,
-                                      random_store(tmp_path))
+        session = RandomWorkloadSession.open(
+            3, 3, 4, 40, 9, store=random_store(tmp_path))
         assert session.network.cycle == 0
         assert session.phase == "main"
 
@@ -103,7 +101,7 @@ class TestOpenOrResume:
         RandomWorkloadSession(3, 3, 4, 40, 9).run(store=store,
                                                   interval=160)
         latest_cycle = store.load(store.latest())["cycle"]
-        session = open_random_session(3, 3, 4, 40, 9, store)
+        session = RandomWorkloadSession.open(3, 3, 4, 40, 9, store=store)
         assert session.network.cycle == latest_cycle
         # Finishing the resumed session completes the workload.
         net = session.run()
@@ -114,7 +112,7 @@ class TestOpenOrResume:
         store = chaos_store(tmp_path)
         ChaosSession(CONFIG).run(store=store, interval=400)
         latest_cycle = store.load(store.latest())["cycle"]
-        session = open_chaos_session(CONFIG, store)
+        session = ChaosSession.open(CONFIG, store=store)
         assert session.network.cycle == latest_cycle
         report = session.run()
         assert report.cycles == CONFIG.cycles + CONFIG.settle_cycles

@@ -283,8 +283,6 @@ class TestEventModeCheckpointResume:
         # A directory written by a (since removed) sharded run holds
         # per-rank slices under shards/ next to rank 0's ordinary
         # full-state documents; only the latter are ever read.
-        from repro.checkpoint import open_chaos_session
-
         reference = self._reference()
         store, mid, _ = self._mid_run_checkpoint(tmp_path / "mixed",
                                                  "event")
@@ -295,7 +293,7 @@ class TestEventModeCheckpointResume:
         parts.mkdir()
         (parts / "part-r1-000000009999.json").write_text("{}")
         assert store.latest() == mid
-        session = open_chaos_session(ChaosConfig(**self.CONFIG), store)
+        session = ChaosSession.open(ChaosConfig(**self.CONFIG), store=store)
         assert 0 < session.network.cycle < reference.cycles
         assert session.run().signature() == reference.signature()
 

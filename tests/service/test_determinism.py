@@ -20,7 +20,6 @@ from repro.checkpoint import CheckpointStore
 from repro.service import (
     ServiceRunConfig,
     ServiceSession,
-    open_service_session,
     run_service,
 )
 
@@ -77,7 +76,7 @@ class TestResumedRuns:
         store = CheckpointStore(tmp_path / "ckpts", "service",
                                 ServiceSession.fingerprint_for(CONFIG))
         run_service(CONFIG, store=store, interval=4000)
-        session = open_service_session(CONFIG, store)
+        session = ServiceSession.open(CONFIG, store=store)
         assert session.network.cycle > 0  # genuinely restored
         resumed = session.run()
         assert report_bytes(resumed) == report_bytes(reference)

@@ -142,8 +142,9 @@ class TestErrorHandling:
 
 class TestCheckpointCli:
     """Checkpoint/restore flags on ``simulate`` and ``chaos``: happy
-    path resumes, every bad ``--resume-from`` input exits non-zero with
-    a clear message, never a traceback."""
+    path resumes, a re-run into the same ``--checkpoint-dir`` resumes,
+    every bad ``--resume-from`` input exits non-zero with a clear
+    message, never a traceback."""
 
     SIM = ["simulate", "--width", "2", "--height", "2", "--channels",
            "2", "--ticks", "30", "--seed", "3"]
@@ -197,6 +198,43 @@ class TestCheckpointCli:
         assert "fingerprint" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,summary", [
+        (SIM, "deadline misses"),
+        (["chaos", "--seed", "7", "--cycles", "600"], "signature:"),
+    ], ids=["simulate", "chaos"])
+    def test_rerun_into_same_dir_resumes(self, capsys, tmp_path, argv,
+                                         summary):
+        """One ``--checkpoint-dir`` meaning: after a crash, re-run the
+        same command — it resumes from the directory's latest
+        checkpoint and reports what the first run reported."""
+        flags = ["--checkpoint-dir", str(tmp_path / "ckpts"),
+                 "--checkpoint-interval", "200"]
+        assert main([*argv, *flags]) == 0
+        first = capsys.readouterr().out
+        assert "resumed from checkpoint" not in first
+        assert main([*argv, *flags]) == 0
+        second = capsys.readouterr().out.splitlines()
+        assert second[0].startswith("resumed from checkpoint at cycle ")
+        assert summary in first
+        assert second[1:] == first.splitlines()
+
+    @pytest.mark.parametrize("argv", [
+        SIM, ["chaos", "--seed", "3", "--cycles", "600"],
+    ], ids=["simulate", "chaos"])
+    def test_other_run_into_same_dir_is_refused(self, capsys, tmp_path,
+                                                argv):
+        flags = ["--checkpoint-dir", str(tmp_path / "ckpts"),
+                 "--checkpoint-interval", "200"]
+        assert main([*argv, *flags]) == 0
+        before = sorted((tmp_path / "ckpts").iterdir())
+        capsys.readouterr()
+        other_seed = [arg if arg != "3" else "4" for arg in argv]
+        assert main([*other_seed, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "fingerprint" in err
+        assert "Traceback" not in err
+        assert sorted((tmp_path / "ckpts").iterdir()) == before
+
     def test_resume_wrong_workload_kind(self, capsys, tmp_path):
         ckpts = self._checkpointed_run(capsys, tmp_path)
         code = main(["chaos", "--resume-from", str(ckpts[0])])
@@ -246,7 +284,7 @@ class TestServiceCommand:
     def test_unknown_workload(self, capsys):
         assert main(["service", "--workload", "avalanche"]) == 2
         err = capsys.readouterr().err
-        assert "unknown service workload" in err
+        assert "invalid choice: 'avalanche'" in err
         assert "Traceback" not in err
 
     def test_invalid_threshold(self, capsys):
