@@ -52,7 +52,7 @@ def test_cycle_router_idle_throughput(benchmark):
     benchmark(run_chunk)
 
 
-def test_slot_simulator_throughput(benchmark, report):
+def test_slot_simulator_throughput(benchmark):
     def run_loaded():
         sim = SlotSimulator()
         sim.add_channel("a", ["L0", "L1"], [8, 8],
@@ -63,16 +63,6 @@ def test_slot_simulator_throughput(benchmark, report):
 
     sim = benchmark(run_loaded)
     assert sim.deadline_misses() == 0
-
-    report("sim_performance", fmt_table(["model", "granularity"], [
-        ["core.router (RealTimeRouter)", "1 step = 1 byte cycle (20 ns)"],
-        ["model.slotsim (SlotSimulator)", "1 step = 1 packet slot (400 ns)"],
-    ]) + [
-        "",
-        "(see the pytest-benchmark table for measured steps/second; the",
-        " slot model advances 20x more simulated time per step and does",
-        " less work per step — typical end-to-end speedups are 20-100x)",
-    ])
 
 
 def _delivery_digest(net):

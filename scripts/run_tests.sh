@@ -5,6 +5,7 @@
 #   scripts/run_tests.sh tier1
 #   scripts/run_tests.sh chaos
 #   scripts/run_tests.sh perf-smoke
+#   scripts/run_tests.sh perf-pair      # parent commit vs this tree
 #   scripts/run_tests.sh observability
 #   scripts/run_tests.sh campaign
 #   scripts/run_tests.sh checkpoint
@@ -32,6 +33,27 @@ run_chaos() {
 run_perf_smoke() {
     echo "== perf-smoke: the repo benchmark's own smoke tests (benchmarks/perf) =="
     python -m pytest -q -p no:cacheprovider benchmarks/perf
+}
+
+run_perf_pair() {
+    echo "== perf-pair: repo benchmark (smoke size), parent commit vs this tree =="
+    # The parent's committed files go into a temporary tree; each side
+    # runs its own copy of the harness.  Fails on a 'regressed' row
+    # (compare's exit status) or an exact block that is not 'equal'.
+    local tmp
+    tmp="$(mktemp -d)"
+    trap "rm -rf '$tmp'" EXIT
+    mkdir "$tmp/parent"
+    git archive HEAD~1 | tar -x -C "$tmp/parent"
+    (cd "$tmp/parent" && python3 benchmarks/perf/run.py --smoke --seed 2)
+    python3 benchmarks/perf/run.py --smoke --seed 2
+    python3 benchmarks/perf/run.py compare \
+        "$tmp/parent/benchmarks/perf/out/ledger.json" \
+        benchmarks/perf/out/ledger.json | tee "$tmp/compare.txt"
+    if grep "exact block" "$tmp/compare.txt" | grep -qv ": equal$"; then
+        echo "perf-pair: an exact block differs from the parent's" >&2
+        return 1
+    fi
 }
 
 run_observability() {
@@ -115,6 +137,7 @@ case "$job" in
     tier1) run_tier1 ;;
     chaos) run_chaos ;;
     perf-smoke) run_perf_smoke ;;
+    perf-pair) run_perf_pair ;;
     observability) run_observability ;;
     campaign) run_campaign ;;
     checkpoint) run_checkpoint ;;
@@ -122,7 +145,7 @@ case "$job" in
     event) run_event ;;
     schedulability) run_schedulability ;;
     schedulability-faults) run_schedulability_faults ;;
-    all)   run_tier1; run_chaos; run_perf_smoke; run_observability; run_campaign; run_checkpoint; run_service; run_event; run_schedulability; run_schedulability_faults ;;
-    *)     echo "unknown job '$job' (tier1|chaos|perf-smoke|observability|campaign|checkpoint|service|event|schedulability|schedulability-faults|all)" >&2
+    all)   run_tier1; run_chaos; run_perf_smoke; run_perf_pair; run_observability; run_campaign; run_checkpoint; run_service; run_event; run_schedulability; run_schedulability_faults ;;
+    *)     echo "unknown job '$job' (tier1|chaos|perf-smoke|perf-pair|observability|campaign|checkpoint|service|event|schedulability|schedulability-faults|all)" >&2
            exit 2 ;;
 esac

@@ -19,6 +19,7 @@ class InvariantViolation(AssertionError):
 
 def check_router_invariants(router: RealTimeRouter) -> None:
     """Raise :class:`InvariantViolation` on any inconsistency."""
+    _check_derived_state(router)  # first: the checks below read these
     _check_memory_leaves(router)
     _check_eligibility_counters(router)
     _check_readers(router)
@@ -111,6 +112,23 @@ def _check_streams(router: RealTimeRouter) -> None:
             _fail(f"stream on port {port} sent too many bytes")
         if stream.sent + len(stream.staging) > router.params.tc_packet_bytes:
             _fail(f"stream on port {port} staged beyond packet size")
+
+
+def _check_derived_state(router: RealTimeRouter) -> None:
+    """Maintained summaries equal a fresh scan of what they summarise."""
+    leaves = router.leaves
+    scan = [i for i in range(len(leaves)) if leaves[i].port_mask != 0]
+    kept = list(leaves.occupied_indices())
+    if kept != scan:
+        _fail(f"occupied leaf indices {kept} but the masks say {scan}")
+    bus = router.bus
+    queued = sum(bus.pending(port) for port in range(bus.ports))
+    if bus.pending() != queued:
+        _fail(f"bus pending count {bus.pending()} but {queued} are queued")
+    fresh = not router._pipeline_busy() and router.idle
+    if router._quiescent is not None and router._quiescent != fresh:
+        _fail(f"remembered quiescence {router._quiescent} but a fresh "
+              f"check says {fresh}")
 
 
 class CheckedRouter(RealTimeRouter):

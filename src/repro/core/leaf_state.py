@@ -9,6 +9,7 @@ means the leaf — and the matching memory slot — is free.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -37,6 +38,10 @@ class LeafArray:
     def __init__(self, params: RouterParams) -> None:
         self.params = params
         self._leaves = [Leaf() for _ in range(params.tc_packet_slots)]
+        # Indices with ``port_mask != 0``, ascending.  The hardware
+        # knows which slots it handed out; the model need not rescan.
+        # Derived from the masks, never serialised.
+        self._occupied: list[int] = []
 
     def __len__(self) -> int:
         return len(self._leaves)
@@ -56,6 +61,7 @@ class LeafArray:
         leaf.arrival = arrival & mask
         leaf.deadline = deadline & mask
         leaf.port_mask = port_mask
+        insort(self._occupied, index)
 
     def clear_port(self, index: int, port: int) -> bool:
         """Drop one port from a leaf's mask; True when the slot frees.
@@ -71,16 +77,22 @@ class LeafArray:
                 f"port {port} cleared on leaf {index} without holding it"
             )
         leaf.port_mask &= ~bit
-        return leaf.port_mask == 0
+        if leaf.port_mask:
+            return False
+        del self._occupied[bisect_left(self._occupied, index)]
+        return True
 
     def occupied_indices(self) -> Iterator[int]:
-        return (i for i, leaf in enumerate(self._leaves) if leaf.occupied)
+        """Occupied leaf indices in ascending order (the tournament's
+        left-biased tie-break depends on the order)."""
+        return iter(self._occupied)
 
     def state(self) -> dict:
         """Checkpoint state: only the occupied leaves, by index."""
+        leaves = self._leaves
         return {"leaves": [
-            [i, leaf.arrival, leaf.deadline, leaf.port_mask]
-            for i, leaf in enumerate(self._leaves) if leaf.occupied
+            [i, leaves[i].arrival, leaves[i].deadline, leaves[i].port_mask]
+            for i in self._occupied
         ]}
 
     def load_state(self, state: dict) -> None:
@@ -91,7 +103,10 @@ class LeafArray:
             leaf.arrival = arrival
             leaf.deadline = deadline
             leaf.port_mask = port_mask
+        self._occupied = [
+            i for i, leaf in enumerate(self._leaves) if leaf.occupied
+        ]
 
     @property
     def occupancy(self) -> int:
-        return sum(1 for leaf in self._leaves if leaf.occupied)
+        return len(self._occupied)

@@ -182,6 +182,7 @@ class ChunkBus:
             raise ValueError("bus needs at least one port")
         self.ports = ports
         self._queues: list[deque[BusRequest]] = [deque() for _ in range(ports)]
+        self._pending = 0  # requests queued over all ports (derived)
         self._next = 0
         self.grants = 0
         self.busy_cycles = 0
@@ -191,20 +192,24 @@ class ChunkBus:
         if not 0 <= req.port < self.ports:
             raise ValueError("bus port out of range")
         self._queues[req.port].append(req)
+        self._pending += 1
 
     def pending(self, port: Optional[int] = None) -> int:
         if port is not None:
             return len(self._queues[port])
-        return sum(len(q) for q in self._queues)
+        return self._pending
 
     def grant(self) -> Optional[BusRequest]:
         """Advance one cycle: grant and execute at most one request."""
         self.total_cycles += 1
+        if not self._pending:
+            return None
         for offset in range(self.ports):
             port = (self._next + offset) % self.ports
             queue = self._queues[port]
             if queue:
                 req = queue.popleft()
+                self._pending -= 1
                 self._next = (port + 1) % self.ports
                 req.action()
                 self.grants += 1
@@ -245,3 +250,4 @@ class ChunkBus:
         for queue, specs in zip(self._queues, state["queues"]):
             queue.clear()
             queue.extend(rebuild(tuple(spec)) for spec in specs)
+        self._pending = sum(len(queue) for queue in self._queues)

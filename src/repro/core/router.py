@@ -79,6 +79,14 @@ class LinkSignal:
     ack: bool = False
 
 
+def _links_quiet(signals: list[LinkSignal]) -> bool:
+    """No phit and no acknowledgement on any of the given links."""
+    for signal in signals:
+        if signal.phit is not None or signal.ack:
+            return False
+    return True
+
+
 @dataclass
 class _TCInput:
     """Receive-side state of the time-constrained path at one input."""
@@ -282,6 +290,11 @@ class RealTimeRouter:
         self._slot_readers = [0] * self.params.tc_packet_slots
         self._eligible_count = [0] * OUTPUT_PORTS
 
+        #: Remembered :attr:`quiescent` verdict; None = forgotten (by a
+        #: working ``step``, the host entry points and ``load_state``,
+        #: the only things that can change it — docs/performance.md).
+        self._quiescent: Optional[bool] = None
+
         self.cycle = 0
         self.tc_dropped = 0
         self.tc_received = 0
@@ -307,10 +320,12 @@ class RealTimeRouter:
     def inject_tc(self, packet: TimeConstrainedPacket) -> None:
         """Queue a time-constrained packet at the injection port."""
         self._tc_inject_queue.append(packet)
+        self._quiescent = None
 
     def inject_be(self, packet: BestEffortPacket) -> None:
         """Queue a best-effort packet at the injection port."""
         self._be_inject_queue.append(packet)
+        self._quiescent = None
 
     @property
     def tc_inject_backlog(self) -> int:
@@ -323,6 +338,7 @@ class RealTimeRouter:
     def take_delivered(self) -> list[object]:
         """Drain and return packets delivered to the local host."""
         out, self.delivered = self.delivered, []
+        self._quiescent = None
         return out
 
     def output_credit_debt(self, port: int) -> int:
@@ -356,13 +372,12 @@ class RealTimeRouter:
         # Fast path: a completely quiescent router (no input signals,
         # nothing buffered or in flight) has no visible work this
         # cycle.  Large meshes are mostly idle, so this matters.
-        if (not self._pipeline_busy()
-                and all(s.phit is None and not s.ack for s in self.link_in)
-                and self.idle):
+        if _links_quiet(self.link_in) and self.quiescent:
             for direction in range(MESH_LINKS):
                 self.link_out[direction] = LinkSignal()
             self.cycle += 1
             return
+        self._quiescent = None
         # The scheduler clock ticks once per packet transmission time.
         self.clock.set(self.cycle // self.params.slot_cycles
                        + self.clock_skew_ticks)
@@ -386,21 +401,32 @@ class RealTimeRouter:
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Engine fast-forward contract (see ``docs/performance.md``).
 
-        Returns ``cycle`` while anything is in flight — an input signal
+        Returns ``cycle`` while anything is in flight — a signal
         pending on a link, a scheduler tournament running, or any
-        buffered/staged packet (the :attr:`idle` predicate) — and
+        buffered/staged packet (not :attr:`quiescent`) — and
         ``None`` once the chip is fully quiescent.  A quiescent router
         has no self-scheduled future work: it only wakes when a
         neighbour's link signal or a host injection arrives, and both
         make *that* component report activity first.
         """
-        if any(s.phit is not None or s.ack for s in self.link_in):
-            return cycle
-        if any(s.phit is not None or s.ack for s in self.link_out):
-            return cycle
-        if self._pipeline_busy() or not self.idle:
-            return cycle
-        return None
+        if (_links_quiet(self.link_in) and _links_quiet(self.link_out)
+                and self.quiescent):
+            return None
+        return cycle
+
+    @property
+    def quiescent(self) -> bool:
+        """No tournament pending and no packet anywhere inside.
+
+        ``not _pipeline_busy() and idle``, remembered: O(1) for a
+        router nothing has touched since the last answer.  Link signals
+        are written from outside, so callers check those fresh.
+        """
+        verdict = self._quiescent
+        if verdict is None:
+            verdict = self._quiescent = (not self._pipeline_busy()
+                                         and self.idle)
+        return verdict
 
     def _pipeline_busy(self) -> bool:
         return (self.pipeline.busy
@@ -413,6 +439,8 @@ class RealTimeRouter:
     def _capture_link_inputs(self) -> None:
         for direction in range(MESH_LINKS):
             signal = self.link_in[direction]
+            if signal.phit is None and not signal.ack:
+                continue  # already the empty signal
             if signal.ack:
                 self._outputs[direction].credits.acknowledge()
             if signal.phit is not None:
@@ -644,15 +672,16 @@ class RealTimeRouter:
     # ------------------------------------------------------------------
 
     def _wormhole_route_and_bind(self) -> None:
-        requests: list[list[bool]] = [
-            [False] * (MESH_LINKS + 1) for _ in range(OUTPUT_PORTS)
-        ]
-        for port in range(MESH_LINKS + 1):
-            state = self._be_inputs[port]
-            self._update_worm_routing(state)
+        # Request vectors only for outputs some input asks for: an
+        # arbiter granting an empty vector changes nothing.
+        requests: dict[int, list[bool]] = {}
+        for port, state in enumerate(self._be_inputs):
+            if state.out_port is None and state.headers:
+                self._update_worm_routing(state)
             if state.out_port is not None and not state.bound:
-                requests[state.out_port][port] = True
-        for out_port in range(OUTPUT_PORTS):
+                requests.setdefault(
+                    state.out_port, [False] * (MESH_LINKS + 1))[port] = True
+        for out_port in sorted(requests):
             output = self._outputs[out_port]
             if output.bound_input is not None:
                 continue
@@ -672,13 +701,11 @@ class RealTimeRouter:
                         info={"input_port": winner})
 
     def _update_worm_routing(self, state: _BEInput) -> None:
-        """Derive the routing decision for the head worm, if possible.
+        """Derive the routing decision for the still-unrouted head worm.
 
         Header decode takes ``be_route_cycles`` cycles after the offset
         bytes become visible at the head of the flit buffer.
         """
-        if state.out_port is not None or not state.headers:
-            return
         header = state.headers[0]
         if len(header) < 2:
             return
@@ -822,10 +849,10 @@ class RealTimeRouter:
 
     def _issue_scheduler_requests(self) -> None:
         for port in range(OUTPUT_PORTS):
+            if self._eligible_count[port] <= 0:
+                continue
             output = self._outputs[port]
             if output.held is not None or self.pipeline.has_request(port):
-                continue
-            if self._eligible_count[port] <= 0:
                 continue
             stream = output.tc_stream
             if stream is not None:
@@ -842,19 +869,21 @@ class RealTimeRouter:
     # ------------------------------------------------------------------
 
     def _transmit_outputs(self) -> None:
-        for direction in range(MESH_LINKS):
-            self.link_out[direction] = LinkSignal()
-        # One acknowledgement per cycle per link for drained flits.
         for port in range(MESH_LINKS):
+            signal = self.link_out[port]
+            if signal.phit is not None or signal.ack:
+                signal = self.link_out[port] = LinkSignal()
+            # One acknowledgement per cycle per link for drained flits.
             state = self._be_inputs[port]
             if state.pending_acks > 0:
                 state.pending_acks -= 1
-                self.link_out[port].ack = True
-        for port in range(OUTPUT_PORTS):
-            self._transmit_one(port)
+                signal.ack = True
+        for port, output in enumerate(self._outputs):
+            if (output.held is not None or output.tc_stream is not None
+                    or output.be_staging):
+                self._transmit_one(port, output)
 
-    def _transmit_one(self, port: int) -> None:
-        output = self._outputs[port]
+    def _transmit_one(self, port: int, output: _Output) -> None:
         self._maybe_start_tc(port, output)
 
         # Priority 1: stream the active time-constrained packet.
@@ -1081,13 +1110,15 @@ class RealTimeRouter:
             return False
         if self._be_inject_queue or self._be_inject_phits:
             return False
-        if any(s.rx_bytes or s.cut_port is not None
-               for s in self._tc_inputs):
-            return False
-        if any(self._sync_queues):
-            return False
-        if any(s.buffer.occupancy or s.pending_acks for s in self._be_inputs):
-            return False
+        for tc_input in self._tc_inputs:
+            if tc_input.rx_bytes or tc_input.cut_port is not None:
+                return False
+        for queue in self._sync_queues:
+            if queue:
+                return False
+        for be_input in self._be_inputs:
+            if be_input.buffer.occupancy or be_input.pending_acks:
+                return False
         for output in self._outputs:
             if output.tc_stream or output.be_staging:
                 return False
@@ -1337,6 +1368,7 @@ class RealTimeRouter:
              else ctx.load_be_packet(p))
             for kind, p in state["delivered"]
         ]
+        self._quiescent = None
         self._slot_meta = [ctx.meta(m) for m in state["slot_meta"]]
         self._slot_readers = [int(n) for n in state["slot_readers"]]
         self._eligible_count = [int(n) for n in state["eligible_count"]]

@@ -308,13 +308,28 @@ class SynchronousEngine:
                         component))
 
     def _event_full_requery(self) -> None:
-        """Rebuild the queue from scratch (run entry; watcher stepped)."""
-        self._heap.clear()
-        self._sched.clear()
+        """Rebuild the queue from scratch (run entry; watcher stepped).
+
+        Entries are totally ordered, so one heapify pops in the same
+        order as pushing them one by one.
+        """
+        heap, sched, order = self._heap, self._sched, self._order
+        heap.clear()
+        sched.clear()
         self._pending_wakes.clear()
         now = self.cycle
+        seq = self._push_seq
         for component in self._components:
-            self._event_requery(component, now)
+            probe = getattr(component, "next_event_cycle", None)
+            nxt = probe(now) if probe is not None else now
+            if nxt is None:
+                continue
+            when = nxt if nxt > now else now
+            sched[component] = when
+            seq += 1
+            heap.append((when, order[component], seq, component))
+        self._push_seq = seq
+        heapq.heapify(heap)
 
     def _event_next_due(self) -> Optional[int]:
         """Earliest scheduled cycle, discarding stale heap entries."""

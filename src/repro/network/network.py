@@ -465,8 +465,10 @@ class MeshNetwork:
 
     def drain(self, max_cycles: int = 1_000_000) -> int:
         """Run until every router is idle (all traffic delivered)."""
+        # Quiescent implies idle, and is remembered by the router.
         return self.engine.run_until(
-            lambda: all(r.idle for r in self.routers.values()),
+            lambda: all(r.quiescent or r.idle
+                        for r in self.routers.values()),
             max_cycles=max_cycles,
         )
 

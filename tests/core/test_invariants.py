@@ -94,3 +94,24 @@ class TestViolationDetection:
         router._eligible_count[0] += 1
         with pytest.raises(InvariantViolation, match="memory slot is free"):
             check_router_invariants(router)
+
+    def test_detects_stale_occupied_indices(self):
+        router = checked_router()
+        router.leaves._occupied.append(4)  # the mask of leaf 4 is zero
+        with pytest.raises(InvariantViolation, match="occupied leaf"):
+            check_router_invariants(router)
+
+    def test_detects_miscounted_bus_backlog(self):
+        router = checked_router()
+        router.bus._pending = 1  # every queue is empty
+        with pytest.raises(InvariantViolation, match="bus pending"):
+            check_router_invariants(router)
+
+    def test_detects_stale_quiescence_verdict(self):
+        router = checked_router()
+        assert router.quiescent  # remembered from here on
+        router.delivered.append(object())  # behind the entry points
+        with pytest.raises(InvariantViolation, match="remembered"):
+            check_router_invariants(router)
+        router.take_delivered()
+        check_router_invariants(router)

@@ -58,3 +58,51 @@ class TestClearPort:
         assert sorted(leaves.occupied_indices()) == [0, 5]
         leaves.clear_port(0, 0)
         assert leaves.occupancy == 1
+
+
+class TestOccupiedIndexMaintenance:
+    """The maintained occupied-index list against a scan of the masks."""
+
+    @staticmethod
+    def _scan(leaves):
+        return [i for i in range(len(leaves)) if leaves[i].port_mask != 0]
+
+    def _check(self, leaves):
+        indices = list(leaves.occupied_indices())
+        assert indices == self._scan(leaves)  # same set, ascending
+        assert leaves.occupancy == len(indices)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_install_clear_load_sequence(self, seed):
+        import json
+        import random
+
+        rng = random.Random(seed)
+        params = RouterParams(tc_packet_slots=32)
+        leaves = LeafArray(params)
+        for _ in range(600):
+            roll = rng.random()
+            occupied = self._scan(leaves)
+            if roll < 0.5 and len(occupied) < len(leaves):
+                index = rng.choice(
+                    [i for i in range(len(leaves)) if i not in occupied])
+                leaves.install(index, rng.randrange(256),
+                               rng.randrange(256),
+                               port_mask=rng.randrange(1, 32))
+            elif roll < 0.95 and occupied:
+                index = rng.choice(occupied)
+                port = rng.choice([p for p in range(5)
+                                   if leaves[index].eligible_for(p)])
+                freed = leaves.clear_port(index, port)
+                assert freed == (leaves[index].port_mask == 0)
+            else:
+                # Checkpoint round-trip into a used array: the derived
+                # list is rebuilt from the document, not carried over.
+                document = json.loads(json.dumps(leaves.state()))
+                other = LeafArray(params)
+                other.install(rng.randrange(len(other)), 0, 1, port_mask=1)
+                other.load_state(document)
+                self._check(other)
+                assert other.state() == document
+                leaves = other
+            self._check(leaves)

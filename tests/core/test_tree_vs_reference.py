@@ -93,3 +93,31 @@ class TestEquivalence:
             packets.append((arrival, arrival + rng.randrange(1, 60)))
         assert drain_tree(packets, 4, ticks=600) == \
             drain_reference(packets, 4, ticks=600)
+
+
+class TestEqualKeyTieBreak:
+    """Equal keys resolve toward the lower leaf index (a left-biased
+    tree), whatever order the leaves were installed or freed in."""
+
+    def test_lowest_index_wins_among_equal_keys(self):
+        params = RouterParams()
+        leaves = LeafArray(params)
+        tree = ComparatorTree(params, leaves)
+        clock = RolloverClock(bits=8)
+        clock.set(10)
+        # Installed in descending order, with an ineligible leaf and a
+        # worse key mixed in below the eventual winner's index.
+        for index in (200, 9, 77, 30):
+            leaves.install(index, arrival=4, deadline=20, port_mask=1)
+        leaves.install(2, arrival=4, deadline=20, port_mask=2)
+        leaves.install(5, arrival=4, deadline=90, port_mask=1)
+        served = []
+        while (selection := tree.select_for_port(0, clock, 0)) is not None:
+            served.append(selection.leaf_index)
+            leaves.clear_port(selection.leaf_index, 0)
+        assert served == [9, 30, 77, 200, 5]
+        # A freed slot that is refilled with the same key goes back to
+        # its place in the order.
+        leaves.install(77, arrival=4, deadline=20, port_mask=1)
+        leaves.install(9, arrival=4, deadline=20, port_mask=1)
+        assert tree.select_for_port(0, clock, 0).leaf_index == 9

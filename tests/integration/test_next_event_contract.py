@@ -14,6 +14,11 @@ The audit repeats in the two historically bug-prone situations —
 immediately after a ``load_state`` resume (memoised answers surviving
 the overlay) and after ``remove_component`` churn (answers cached
 against departed peers).
+
+A router *remembers* its quiescence verdict between the entry points
+that can change it; the same audit asserts, on every router at every
+cycle and right after each of those entry points, that the remembered
+answer equals a fresh recomputation.
 """
 
 import json
@@ -88,6 +93,18 @@ def _snap(component):
                       sort_keys=True, default=repr)
 
 
+def _assert_remembered_quiescence(routers, where):
+    """Every router's remembered verdict equals a fresh recomputation.
+
+    Reading ``quiescent`` also (re)populates the memo, so a missing
+    invalidation between two calls shows up at the second one."""
+    for router in routers:
+        fresh = not router._pipeline_busy() and router.idle
+        assert router.quiescent == fresh, (
+            f"router {router.router_id} remembers quiescent="
+            f"{router.quiescent} {where} but recomputation says {fresh}")
+
+
 def _audited_cycle(net):
     """One cycle of the exact engine's loop, with the contract checked
     component by component.  Returns the number of quiescence claims
@@ -114,6 +131,8 @@ def _audited_cycle(net):
         transfer()
     engine.cycle += 1
     engine.cycles_stepped += 1
+    _assert_remembered_quiescence(net.routers.values(),
+                                  f"after cycle {cycle}")
     return audited
 
 
@@ -133,6 +152,8 @@ def _audit_span(net, channels, cycles, rng):
         elif roll < 0.04:
             net.send_message(rng.choice(channels), b"\xa5" * 4,
                              at_cycle=cycle)
+        _assert_remembered_quiescence(net.routers.values(),
+                                      f"after the sends of cycle {cycle}")
         audited += _audited_cycle(net)
     return audited
 
@@ -162,6 +183,8 @@ class TestNextEventContract:
         resumed.load_state(state["network"],
                            LoadContext(state["metas"]))
         assert resumed.engine.cycle == 1_500
+        _assert_remembered_quiescence(resumed.routers.values(),
+                                      "after load_state")
         audited = _audit_span(resumed, resumed_channels, 600,
                               random_module.Random(11))
         assert audited > 0
@@ -175,6 +198,8 @@ class TestNextEventContract:
         _audit_span(net, channels, 400, rng)
         tolerance.detach()
         net.disable_snapshots()
+        _assert_remembered_quiescence(net.routers.values(),
+                                      "after remove_component")
         audited = _audit_span(net, channels, 500, rng)
         assert audited > 0
         assert net.engine.cycle == 900
@@ -280,6 +305,55 @@ class TestPerImplementationAnswers:
             assert cycle < 400, "router never went quiescent"
         # ...and once drained, the claim settles on None.
         assert router.next_event_cycle(cycle) is None
+
+    def test_router_forgets_at_its_entry_points(self):
+        # Each call below can flip the verdict, and every check reads
+        # (so re-populates) the memo first: a missing invalidation
+        # leaves a stale answer for the next check to trip over.
+        from repro.core.packet import (BestEffortPacket,
+                                       TimeConstrainedPacket)
+        from repro.core.params import RouterParams
+        from repro.core.ports import RECEPTION, port_mask
+        from repro.core.router import RealTimeRouter
+
+        router = RealTimeRouter(RouterParams(), router_id="memo")
+        router.control.program_connection(
+            incoming_id=1, outgoing_id=1, delay=4,
+            port_mask=port_mask(RECEPTION))
+
+        def check(where, expected):
+            _assert_remembered_quiescence([router], where)
+            assert router.quiescent is expected, where
+
+        def snapshot():
+            ctx = SaveContext()
+            state = router.state(ctx)
+            return json.loads(json.dumps([state, ctx.metas_state()]))
+
+        def deliver_one():
+            for _ in range(400):
+                router.step()
+                _assert_remembered_quiescence([router], "mid-run")
+            assert len(router.delivered) == 1
+            check("with an undrained reception port", False)
+            router.take_delivered()
+            check("after take_delivered", True)
+
+        check("when fresh", True)
+        blank = snapshot()
+        router.inject_be(BestEffortPacket(x_offset=0, y_offset=0,
+                                          payload=b"zz"))
+        check("after inject_be", False)
+        busy = snapshot()
+        deliver_one()
+        router.inject_tc(TimeConstrainedPacket(connection_id=1,
+                                               header_deadline=0))
+        check("after inject_tc", False)
+        deliver_one()
+        # load_state over a populated memo, in both directions.
+        for (state, metas), expected in ((busy, False), (blank, True)):
+            router.load_state(state, LoadContext(metas))
+            check(f"after load_state (quiescent={expected})", expected)
 
     def test_recovery_controller_timer(self):
         net, tolerance, _, channels = _build()
