@@ -1,10 +1,8 @@
-"""Simulator performance: cycles/second of the two fidelity levels.
+"""The cost of installed-but-disabled tracing.
 
-Not a paper result — housekeeping numbers for users planning
-experiments: how fast the cycle-accurate chip and the slot-level model
-advance, idle and loaded, the speedup of the slot model, and the cost
-of installed-but-disabled tracing.  Absolute mesh throughput comes
-from the repo benchmark (``benchmarks/perf``).
+Not a paper result — the observability job's guard that disabled
+instrumentation stays free.  How fast the simulator runs is the repo
+benchmark's business (``benchmarks/perf``, ``BENCH_<pr>.json``).
 """
 
 import dataclasses
@@ -13,56 +11,8 @@ import time
 from conftest import fmt_table
 
 from repro.channels.spec import TrafficSpec
-from repro.core import RealTimeRouter, RouterParams, TimeConstrainedPacket, port_mask
-from repro.core.ports import RECEPTION
-from repro.model import SlotSimulator
 from repro.network.network import MeshNetwork
 from repro.traffic.generators import PeriodicSource
-
-
-def loaded_router():
-    router = RealTimeRouter(RouterParams())
-    router.control.program_connection(0, 0, delay=30,
-                                      port_mask=port_mask(RECEPTION))
-    return router
-
-
-def test_cycle_router_loaded_throughput(benchmark):
-    router = loaded_router()
-    state = {"next": 0}
-
-    def run_chunk():
-        # Keep a packet in flight while stepping 200 cycles.
-        if router.tc_inject_backlog == 0:
-            router.inject_tc(TimeConstrainedPacket(0, header_deadline=0))
-        for _ in range(200):
-            router.step()
-        router.take_delivered()
-
-    benchmark(run_chunk)
-
-
-def test_cycle_router_idle_throughput(benchmark):
-    router = RealTimeRouter(RouterParams())
-
-    def run_chunk():
-        for _ in range(200):
-            router.step()
-
-    benchmark(run_chunk)
-
-
-def test_slot_simulator_throughput(benchmark):
-    def run_loaded():
-        sim = SlotSimulator()
-        sim.add_channel("a", ["L0", "L1"], [8, 8],
-                        [k * 8 for k in range(50)])
-        sim.add_best_effort_backlog("L0")
-        sim.run(500)
-        return sim
-
-    sim = benchmark(run_loaded)
-    assert sim.deadline_misses() == 0
 
 
 def _delivery_digest(net):

@@ -169,6 +169,9 @@ class Session:
             except InvariantViolation as exc:
                 self.invariant_failures.append(
                     f"cycle {net.cycle} {node}: {exc}")
+        for stale in net.engine.audit_schedule():
+            self.invariant_failures.append(
+                f"cycle {net.cycle} schedule: {stale}")
 
     # -- checkpointing -----------------------------------------------------
 

@@ -526,8 +526,9 @@ def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
                              "that wrote it)")
     parser.add_argument("--check-invariants", type=int, default=None,
                         metavar="N",
-                        help="check router structural invariants every "
-                             "N cycles, and once after a resume")
+                        help="check router structural invariants and "
+                             "the kept scheduler queue every N cycles, "
+                             "and once after a resume")
 
 
 def build_parser() -> argparse.ArgumentParser:

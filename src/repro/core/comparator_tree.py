@@ -200,6 +200,17 @@ class SchedulerPipeline:
         self._inflight: deque[_PipelineJob] = deque()
         self._ports_waiting: set[int] = set()
         self._next_start_cycle = 0
+        #: Earliest cycle at which :meth:`step` can do anything (finish
+        #: or start a tournament); ``None`` while there is no request.
+        #: Derived from the queues, never serialised.
+        self.wake_cycle: Optional[int] = None
+
+    def _earliest_action(self) -> Optional[int]:
+        """What :attr:`wake_cycle` must read, from the queues."""
+        wake = self._inflight[0].ready_cycle if self._inflight else None
+        if self._queue and (wake is None or self._next_start_cycle < wake):
+            wake = self._next_start_cycle
+        return wake
 
     @property
     def busy(self) -> bool:
@@ -212,6 +223,7 @@ class SchedulerPipeline:
             return False
         self._ports_waiting.add(port)
         self._queue.append(_PipelineJob(port=port, ready_cycle=-1))
+        self.wake_cycle = self._earliest_action()
         return True
 
     def has_request(self, port: int) -> bool:
@@ -237,6 +249,7 @@ class SchedulerPipeline:
             job.ready_cycle = cycle + self.latency
             self._inflight.append(job)
             self._next_start_cycle = cycle + self.initiation_interval
+        self.wake_cycle = self._earliest_action()
         return completed
 
     # -- checkpointing ----------------------------------------------------
@@ -265,3 +278,4 @@ class SchedulerPipeline:
             job.port for job in self._inflight
         }
         self._next_start_cycle = int(state["next_start_cycle"])
+        self.wake_cycle = self._earliest_action()

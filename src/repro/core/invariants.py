@@ -125,6 +125,19 @@ def _check_derived_state(router: RealTimeRouter) -> None:
     queued = sum(bus.pending(port) for port in range(bus.ports))
     if bus.pending() != queued:
         _fail(f"bus pending count {bus.pending()} but {queued} are queued")
+    in_sync = sum(len(queue) for queue in router._sync_queues)
+    if router._sync_count != in_sync:
+        _fail(f"synchroniser count {router._sync_count} but {in_sync} "
+              "bytes are queued")
+    full_frame = any(len(tc_input.rx_bytes) >= router.params.tc_packet_bytes
+                     for tc_input in router._tc_inputs)
+    if router._tc_frame_ready != full_frame:
+        _fail(f"frame-ready flag {router._tc_frame_ready} but a full "
+              f"packet waiting is {full_frame}")
+    pipeline = router.pipeline
+    if pipeline.wake_cycle != pipeline._earliest_action():
+        _fail(f"pipeline wake cycle {pipeline.wake_cycle} but its queues "
+              f"say {pipeline._earliest_action()}")
     fresh = not router._pipeline_busy() and router.idle
     if router._quiescent is not None and router._quiescent != fresh:
         _fail(f"remembered quiescence {router._quiescent} but a fresh "

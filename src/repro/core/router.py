@@ -156,6 +156,12 @@ class _TCStream:
     staging: deque[int] = field(default_factory=deque)
     sent: int = 0
     meta: Optional[PacketMeta] = None
+    #: The stand-in every wire phit of this packet carries.
+    carrier: Optional["_MetaCarrier"] = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        if self.meta:
+            self.carrier = _MetaCarrier(self.meta)
 
 
 @dataclass
@@ -262,8 +268,11 @@ class RealTimeRouter:
         self._sync_queues: list[deque[tuple[int, Phit]]] = [
             deque() for _ in range(MESH_LINKS + 1)
         ]
+        self._sync_count = 0  # bytes in all synchronisers (derived)
 
         self._tc_inputs = [_TCInput() for _ in range(MESH_LINKS + 1)]
+        #: Some input holds a whole packet awaiting admission (derived).
+        self._tc_frame_ready = False
         self._be_inputs = [_BEInput(self.params.flit_buffer_bytes)
                            for _ in range(MESH_LINKS + 1)]
         self._outputs = [
@@ -290,9 +299,10 @@ class RealTimeRouter:
         self._slot_readers = [0] * self.params.tc_packet_slots
         self._eligible_count = [0] * OUTPUT_PORTS
 
-        #: Remembered :attr:`quiescent` verdict; None = forgotten (by a
-        #: working ``step``, the host entry points and ``load_state``,
-        #: the only things that can change it — docs/performance.md).
+        #: Remembered :attr:`quiescent` verdict; None = forgotten (by
+        #: the host entry points, ``load_state`` and a working ``step``
+        #: that cannot tell cheaply — the only things that can change
+        #: it; docs/performance.md).
         self._quiescent: Optional[bool] = None
 
         self.cycle = 0
@@ -365,16 +375,21 @@ class RealTimeRouter:
         injection ports, finish time-constrained packet reception, make
         wormhole routing/binding decisions and bus-transfer requests,
         advance the scheduler pipeline, grant one internal-bus chunk
-        access, and finally let every output port drive one byte.
+        access, and finally let every output port drive one byte.  A
+        phase whose inputs are all empty is a no-op and is not entered.
         """
         if cycle is not None:
             self.cycle = cycle
+        links_quiet = _links_quiet(self.link_in)
         # Fast path: a completely quiescent router (no input signals,
         # nothing buffered or in flight) has no visible work this
         # cycle.  Large meshes are mostly idle, so this matters.
-        if _links_quiet(self.link_in) and self.quiescent:
+        if links_quiet and self.quiescent:
+            link_out = self.link_out
             for direction in range(MESH_LINKS):
-                self.link_out[direction] = LinkSignal()
+                signal = link_out[direction]
+                if signal.phit is not None or signal.ack:
+                    link_out[direction] = LinkSignal()
             self.cycle += 1
             return
         self._quiescent = None
@@ -382,16 +397,29 @@ class RealTimeRouter:
         self.clock.set(self.cycle // self.params.slot_cycles
                        + self.clock_skew_ticks)
 
-        self._capture_link_inputs()
-        self._feed_injection_ports()
-        self._complete_tc_receptions()
-        self._wormhole_route_and_bind()
-        self._wormhole_bus_requests()
-        self._scheduler_decisions()
-        self.bus.grant()
+        if not links_quiet or self._sync_count:
+            self._capture_link_inputs()
+        if (self._tc_inject_phits or self._tc_inject_queue
+                or self._be_inject_phits or self._be_inject_queue):
+            self._feed_injection_ports()
+        if self._tc_frame_ready:
+            self._complete_tc_receptions()
+        for state in self._be_inputs:
+            if state.headers:  # a worm to route, bind or move
+                self._wormhole_route_and_bind()
+                self._wormhole_bus_requests()
+                break
+        wake = self.pipeline.wake_cycle
+        if wake is not None and wake <= self.cycle:
+            self._scheduler_decisions()
+        self.bus.grant()  # every working cycle: it counts them
         self._transmit_outputs()
-        self._issue_scheduler_requests()
+        if self.leaves.occupancy:
+            self._issue_scheduler_requests()
         self.cycle += 1
+        if (self._sync_count or self.bus.pending()
+                or self.pipeline.wake_cycle is not None):
+            self._quiescent = False  # provably busy: remember it
 
     def run(self, cycles: int) -> None:
         """Step the router ``cycles`` times (standalone use)."""
@@ -409,6 +437,8 @@ class RealTimeRouter:
         neighbour's link signal or a host injection arrives, and both
         make *that* component report activity first.
         """
+        if self._quiescent is False:
+            return cycle
         if (_links_quiet(self.link_in) and _links_quiet(self.link_out)
                 and self.quiescent):
             return None
@@ -448,12 +478,14 @@ class RealTimeRouter:
                     (self.cycle + self.params.input_sync_cycles,
                      signal.phit)
                 )
+                self._sync_count += 1
             # Consume the signal; the engine rewrites it next cycle.
             self.link_in[direction] = LinkSignal()
         for port in range(MESH_LINKS + 1):
             queue = self._sync_queues[port]
             while queue and queue[0][0] <= self.cycle:
                 __, phit = queue.popleft()
+                self._sync_count -= 1
                 self._accept_phit(port, phit)
 
     def _accept_phit(self, port: int, phit: Phit) -> None:
@@ -491,6 +523,8 @@ class RealTimeRouter:
         if not state.rx_bytes and phit.packet is not None:
             state.rx_meta = getattr(phit.packet, "meta", None)
         state.rx_bytes.append(phit.byte)
+        if len(state.rx_bytes) >= self.params.tc_packet_bytes:
+            self._tc_frame_ready = True
         if self.cut_through and len(state.rx_bytes) == TC_HEADER_BYTES:
             self._try_cut_through(state)
 
@@ -573,6 +607,7 @@ class RealTimeRouter:
                 > pending_sync):
             sync.append((self.cycle + self.params.input_sync_cycles,
                          self._be_inject_phits.popleft()))
+            self._sync_count += 1
 
     # ------------------------------------------------------------------
     # Phase 3: time-constrained packet reception
@@ -587,6 +622,7 @@ class RealTimeRouter:
             del state.rx_bytes[:self.params.tc_packet_bytes]
             meta, state.rx_meta = state.rx_meta, None
             self._admit_tc_packet(port, raw, meta)
+        self._tc_frame_ready = False
 
     def _admit_tc_packet(self, port: int, raw: bytes,
                          meta: Optional[PacketMeta]) -> None:
@@ -869,16 +905,17 @@ class RealTimeRouter:
     # ------------------------------------------------------------------
 
     def _transmit_outputs(self) -> None:
-        for port in range(MESH_LINKS):
-            signal = self.link_out[port]
-            if signal.phit is not None or signal.ack:
-                signal = self.link_out[port] = LinkSignal()
-            # One acknowledgement per cycle per link for drained flits.
-            state = self._be_inputs[port]
-            if state.pending_acks > 0:
-                state.pending_acks -= 1
-                signal.ack = True
+        link_out = self.link_out
         for port, output in enumerate(self._outputs):
+            if port < MESH_LINKS:
+                signal = link_out[port]
+                if signal.phit is not None or signal.ack:
+                    signal = link_out[port] = LinkSignal()
+                # One ack per cycle per link for drained flits.
+                state = self._be_inputs[port]
+                if state.pending_acks > 0:
+                    state.pending_acks -= 1
+                    signal.ack = True
             if (output.held is not None or output.tc_stream is not None
                     or output.be_staging):
                 self._transmit_one(port, output)
@@ -893,8 +930,8 @@ class RealTimeRouter:
             index = stream.sent
             stream.sent += 1
             last = stream.sent == self.params.tc_packet_bytes
-            carrier = _MetaCarrier(stream.meta) if stream.meta else None
-            self._drive_byte(port, Phit(vc="TC", byte=byte, packet=carrier,
+            self._drive_byte(port, Phit(vc="TC", byte=byte,
+                                        packet=stream.carrier,
                                         index=index, last=last))
             output.tc_bytes += 1
             if self.service_hook is not None:
@@ -1312,10 +1349,14 @@ class RealTimeRouter:
             deque((ready, ctx.load_phit(phit)) for ready, phit in queue)
             for queue in state["sync_queues"]
         ]
+        self._sync_count = sum(len(queue) for queue in self._sync_queues)
         for tc_input, s in zip(self._tc_inputs, state["tc_inputs"]):
             tc_input.rx_bytes = list(s["rx_bytes"])
             tc_input.rx_meta = ctx.meta(s["rx_meta"])
             tc_input.cut_port = s["cut_port"]
+        self._tc_frame_ready = any(
+            len(tc_input.rx_bytes) >= self.params.tc_packet_bytes
+            for tc_input in self._tc_inputs)
         for be_input, s in zip(self._be_inputs, state["be_inputs"]):
             be_input.buffer.load_state(s["buffer"], ctx)
             be_input.headers = deque(list(h) for h in s["headers"])

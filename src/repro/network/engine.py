@@ -28,8 +28,9 @@ asserts this; ``docs/performance.md`` documents the contracts).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from functools import partial
-from typing import Callable, Optional, Protocol
+from typing import Callable, Iterable, Optional, Protocol
 
 #: Engine execution modes (see module docstring).
 ENGINE_MODES = ("exact", "event")
@@ -47,10 +48,11 @@ class SynchronousEngine:
     declared ``source`` component stepped this cycle (plus source-less
     wiring) runs.  A component without ``next_event_cycle`` is treated
     as due on every cycle, so legacy components stay exact (at
-    per-cycle cost).  The scheduler queue is transient: it is rebuilt
-    from component state at every ``run``/``run_until`` entry, so
-    checkpoint restore and arbitrary between-run mutations need no
-    queue serialisation.
+    per-cycle cost).  The scheduler queue is kept between runs and
+    never serialised: ``add_component`` and ``load_state`` invalidate
+    it, and the next ``run``/``run_until`` entry then rebuilds it from
+    component state; anything else that changes a local component from
+    outside its own step must :meth:`wake` it.
 
     With ``mode="exact"`` the engine steps every component and runs
     every wiring function on every cycle and never skips — the
@@ -64,7 +66,7 @@ class SynchronousEngine:
             )
         self.mode = mode
         self._components: list[Steppable] = []
-        self._wiring: list[Callable[[], None]] = []
+        self._wiring: list[Callable[[], Optional[Iterable[Steppable]]]] = []
         self._wiring_idle_checks: list[Optional[Callable[[], bool]]] = []
         self.cycle = 0
         #: Cycles that ran the step-components-then-wire loop.
@@ -72,7 +74,7 @@ class SynchronousEngine:
         #: Cycles the event scheduler skipped (no component stepped);
         #: always zero on the oracle loop.
         self.cycles_fast_forwarded = 0
-        # -- event scheduler (all transient; rebuilt at run entry)
+        # -- event scheduler (derived state, never serialised)
         #: component -> registration index (the same-cycle firing order).
         self._order: dict = {}
         self._order_counter = 0
@@ -87,19 +89,23 @@ class SynchronousEngine:
         self._peers: dict = {}
         #: Per wiring: the declared source component (or None).
         self._wiring_sources: list = []
-        #: Per wiring: declared sink components — a sequence, a callable
-        #: returning one, or None.
-        self._wiring_sinks: list = []
         #: source component -> indices of the wirings it drives.
         self._source_wirings: dict = {}
         #: Indices of wirings with no declared source (always run).
         self._sourceless_wirings: list[int] = []
         #: component -> currently valid scheduled cycle (lazy deletion:
-        #: a popped heap entry is live only if it matches this map).
+        #: a queued entry is live only if it matches this map).
         self._sched: dict = {}
+        #: Components that answered "now" (scheduled for ``self.cycle``).
+        self._due: list = []
+        #: ``(cycle, order, push sequence, component)`` entries for
+        #: strictly later wake-ups.
         self._heap: list = []
         self._push_seq = 0
         self._pending_wakes: set = set()
+        #: Whether the queue reflects every registered component; False
+        #: until the first run entry and after an invalidation.
+        self._queue_valid = False
 
     # ------------------------------------------------------------------
     # Registration
@@ -122,6 +128,7 @@ class SynchronousEngine:
         self._order_counter += 1
         if not local:
             self._watchers.add(component)
+        self._queue_valid = False  # nobody has asked the newcomer yet
 
     def bind_peers(self, first: Steppable, second: Steppable) -> None:
         """Declare two local components as mutual wake partners.
@@ -158,16 +165,17 @@ class SynchronousEngine:
         self._watchers.discard(component)
         self._sched.pop(component, None)
         self._pending_wakes.discard(component)
-        if self._heap:
-            # Purge queued heap entries outright.  Lazy deletion (the
-            # ``_sched`` match) is not enough here: a component removed
-            # and later re-added gets a fresh registration index, and a
-            # surviving stale entry carrying the *old* index could
-            # match the re-added component's ``_sched`` cycle and fire
-            # it at its old position in the order.
-            self._heap = [entry for entry in self._heap
-                          if entry[3] is not component]
-            heapq.heapify(self._heap)
+        # Purge queued entries outright.  Lazy deletion (the ``_sched``
+        # match) is not enough here: a component removed and later
+        # re-added gets a fresh registration index, and a surviving
+        # stale entry carrying the *old* index could match the re-added
+        # component's ``_sched`` cycle and fire it at its old position.
+        # In place: the running cycle may hold these lists by alias.
+        self._due[:] = [queued for queued in self._due
+                        if queued is not component]
+        self._heap[:] = [entry for entry in self._heap
+                         if entry[3] is not component]
+        heapq.heapify(self._heap)
         for partner in self._peers.pop(component, ()):
             partners = self._peers.get(partner)
             if partners and component in partners:
@@ -183,16 +191,18 @@ class SynchronousEngine:
 
     def add_wiring(
         self,
-        transfer: Callable[[], None],
+        transfer: Callable[[], Optional[Iterable[Steppable]]],
         *,
         idle_check: Optional[Callable[[], bool]] = None,
         source: Optional[Steppable] = None,
-        sinks: object = None,
     ) -> None:
         """Register a post-step signal copy.
 
-        The oracle loop runs every wiring on every cycle; the three
-        declarations tell the event scheduler when it may not.
+        ``transfer`` returns the components whose inputs it wrote this
+        time (``None`` or empty: none); the event scheduler requeries
+        exactly those, so a delivered signal schedules its consumer for
+        the next cycle.  The oracle loop runs every wiring on every
+        cycle; the two declarations tell the scheduler when it may not.
 
         ``source`` is the locality contract: it declares that
         ``transfer`` is a provable no-op on any cycle the source
@@ -207,17 +217,11 @@ class SynchronousEngine:
         pending side effect).  Source-less wiring registered without
         one is treated as always-active and pins the scheduler to
         per-cycle execution.
-
-        ``sinks`` names the components whose inputs ``transfer`` can
-        write (a sequence, or a callable returning one for dynamic
-        sets); they are requeried after every cycle the wiring ran, so
-        a delivered signal schedules its consumer for the next cycle.
         """
         self._wiring.append(transfer)
         self._wiring_idle_checks.append(idle_check)
         index = len(self._wiring) - 1
         self._wiring_sources.append(source)
-        self._wiring_sinks.append(sinks)
         if source is None:
             self._sourceless_wirings.append(index)
         else:
@@ -228,9 +232,11 @@ class SynchronousEngine:
 
         Call after mutating a component from *outside* its own step —
         queueing packets on a host, injecting into a router — so its
-        ``next_event_cycle`` is re-read at the next cycle boundary.
-        Cheap and idempotent; a no-op in exact mode (only the
-        scheduler ever consumes wakes) and for unregistered components.
+        ``next_event_cycle`` is re-read at the next cycle boundary or
+        run entry.  The queue is kept between runs, so a mutation
+        nobody wakes for is never seen.  Cheap and idempotent; a no-op
+        in exact mode (only the scheduler ever consumes wakes) and for
+        unregistered components.
         """
         if self.mode == "exact":
             return
@@ -244,9 +250,9 @@ class SynchronousEngine:
         """Checkpoint state (see ``docs/checkpointing.md``).
 
         The event scheduler's queue is deliberately absent: it is a
-        pure function of component state and is rebuilt from
-        ``next_event_cycle`` at every run entry, so a restored session
-        re-seeds it for free.
+        pure function of component state, and :meth:`load_state`
+        invalidates it, so the first run entry after a restore rebuilds
+        it from ``next_event_cycle``.
         """
         return {
             "cycle": self.cycle,
@@ -264,6 +270,7 @@ class SynchronousEngine:
         self.cycle = int(state["cycle"])
         self.cycles_stepped = int(state["cycles_stepped"])
         self.cycles_fast_forwarded = int(state["cycles_fast_forwarded"])
+        self._queue_valid = False  # every component was just overlaid
 
     # ------------------------------------------------------------------
     # The oracle: the bare per-cycle loop
@@ -283,60 +290,93 @@ class SynchronousEngine:
     # The event-driven scheduler
     # ------------------------------------------------------------------
 
-    def _event_requery(self, component, now: int) -> None:
-        """Re-read one component's ``next_event_cycle`` and (re)schedule.
+    def _event_requery(self, components, now: int) -> None:
+        """Re-read ``next_event_cycle`` of each component, (re)schedule.
 
-        ``None`` unschedules; an answer at or before ``now`` schedules
-        for ``now``.  Over-scheduling is always safe (stepping a
-        quiescent component is a no-op by the contract), so staleness
-        handling only ever errs toward extra steps, never missed ones.
+        ``None`` unschedules; an answer at or before ``now`` puts the
+        component on the due-list, a later one on the heap.
+        Over-scheduling is always safe (stepping a quiescent component
+        is a no-op by the contract), so staleness handling only ever
+        errs toward extra steps, never missed ones.
         """
-        if component not in self._order:
-            return  # removed since the wake/sink reference was taken
-        probe = getattr(component, "next_event_cycle", None)
-        nxt = probe(now) if probe is not None else now
-        if nxt is None:
-            self._sched.pop(component, None)
-            return
-        when = nxt if nxt > now else now
-        if self._sched.get(component) == when:
-            return  # already queued for that cycle
-        self._sched[component] = when
-        self._push_seq += 1
-        heapq.heappush(self._heap,
-                       (when, self._order[component], self._push_seq,
-                        component))
-
-    def _event_full_requery(self) -> None:
-        """Rebuild the queue from scratch (run entry; watcher stepped).
-
-        Entries are totally ordered, so one heapify pops in the same
-        order as pushing them one by one.
-        """
-        heap, sched, order = self._heap, self._sched, self._order
-        heap.clear()
-        sched.clear()
-        self._pending_wakes.clear()
-        now = self.cycle
+        sched, order, due, heap = (self._sched, self._order, self._due,
+                                   self._heap)
         seq = self._push_seq
-        for component in self._components:
+        for component in components:
+            index = order.get(component)
+            if index is None:
+                continue  # removed since the wake/sink reference was taken
             probe = getattr(component, "next_event_cycle", None)
             nxt = probe(now) if probe is not None else now
             if nxt is None:
-                continue
-            when = nxt if nxt > now else now
-            sched[component] = when
-            seq += 1
-            heap.append((when, order[component], seq, component))
+                sched.pop(component, None)
+            elif nxt <= now:
+                if sched.get(component) != now:
+                    sched[component] = now
+                    due.append(component)
+            elif sched.get(component) != nxt:
+                sched[component] = nxt
+                seq += 1
+                heapq.heappush(heap, (nxt, index, seq, component))
         self._push_seq = seq
-        heapq.heapify(heap)
+
+    def _event_full_requery(self) -> None:
+        """Rebuild the queue from scratch (unknown queue; watcher stepped)."""
+        self._sched.clear()
+        self._due.clear()
+        self._heap.clear()
+        self._pending_wakes.clear()
+        self._event_requery(self._components, self.cycle)
+        self._queue_valid = True
+
+    def _event_enter(self) -> None:
+        """Run entry: a valid queue is stale only where somebody said
+        so (:meth:`wake`) and for the watchers."""
+        if not self._queue_valid:
+            self._event_full_requery()
+            return
+        self._event_requery([*self._pending_wakes, *self._watchers],
+                            self.cycle)
+        self._pending_wakes.clear()
+
+    def audit_schedule(self) -> list[str]:
+        """Where the kept queue disagrees with a full requery.
+
+        Empty when every registered component is queued exactly as a
+        rebuild would queue it — or when there is no kept queue to
+        audit (the oracle; not built yet; invalidated).  Components
+        with a wake pending and watchers are exempt: the next run
+        entry re-reads them anyway.
+        """
+        if self.mode == "exact" or not self._queue_valid:
+            return []
+        now = self.cycle
+        stale = []
+        for component in self._components:
+            if (component in self._pending_wakes
+                    or component in self._watchers):
+                continue
+            probe = getattr(component, "next_event_cycle", None)
+            nxt = probe(now) if probe is not None else now
+            fresh = None if nxt is None else max(nxt, now)
+            kept = self._sched.get(component)
+            if kept != fresh:
+                stale.append(f"{type(component).__name__} "
+                             f"#{self._order[component]}: scheduled for "
+                             f"{kept}, a requery says {fresh}")
+        return stale
 
     def _event_next_due(self) -> Optional[int]:
-        """Earliest scheduled cycle, discarding stale heap entries."""
-        heap = self._heap
+        """Earliest scheduled cycle, discarding stale queue entries."""
+        sched, due, heap = self._sched, self._due, self._heap
+        now = self.cycle
+        while due:
+            if sched.get(due[-1]) == now:
+                return now
+            due.pop()
         while heap:
             when, _, _, component = heap[0]
-            if self._sched.get(component) == when:
+            if sched.get(component) == when:
                 return when
             heapq.heappop(heap)
         return None
@@ -357,71 +397,74 @@ class SynchronousEngine:
     def _event_step_once(self) -> None:
         """Execute one cycle: due components, their wiring, requeries."""
         now = self.cycle
-        heap = self._heap
-        batch: list = []  # (order, component) min-heap: firing order
-        batched: set = set()
+        sched, order, heap = self._sched, self._order, self._heap
+        # The batch: everything due now, in registration order — the
+        # due-list plus heap entries whose cycle has come.
+        batch: list = []
+        for component in self._due:
+            if sched.get(component) == now:
+                del sched[component]
+                batch.append((order[component], component))
+        self._due.clear()
         while heap and heap[0][0] <= now:
-            when, order, _, component = heapq.heappop(heap)
-            if self._sched.get(component) != when:
-                continue  # superseded by a later requery
-            del self._sched[component]
-            if component not in batched:
-                batched.add(component)
-                heapq.heappush(batch, (order, component))
-        stepped: list = []
-        while batch:
-            order, component = heapq.heappop(batch)
+            when, index, _, component = heapq.heappop(heap)
+            if sched.get(component) == when:  # else superseded
+                del sched[component]
+                batch.append((index, component))
+        batch.sort()
+        peers = self._peers
+        position = 0
+        while position < len(batch):
+            own, component = batch[position]
+            position += 1
             component.step(now)
-            stepped.append(component)
             # In-cycle cascade: a step can hand work directly to a
             # peer *later* in the firing order (a host injecting into
             # its router), which the oracle loop — where everything
             # steps every cycle — processes this same cycle.
             # Peers earlier in the order have already had their exact
             # firing slot; they are requeried for the next cycle below.
-            for partner in self._peers.get(component, ()):
-                if partner in batched or partner not in self._order:
+            for partner in peers.get(component, ()):
+                index = order.get(partner, -1)
+                if index < own:
                     continue
-                partner_order = self._order[partner]
-                if partner_order <= order:
-                    continue
+                slot = bisect_left(batch, (index,), position)
+                if slot < len(batch) and batch[slot][0] == index:
+                    continue  # already in this cycle's batch
                 probe = getattr(partner, "next_event_cycle", None)
                 nxt = probe(now) if probe is not None else now
                 if nxt is not None and nxt <= now:
-                    batched.add(partner)
-                    heapq.heappush(batch, (partner_order, partner))
+                    batch.insert(slot, (index, partner))
+        stepped = [component for _, component in batch]
         run_indices = list(self._sourceless_wirings)
         for component in stepped:
             indices = self._source_wirings.get(component)
             if indices:
                 run_indices.extend(indices)
         run_indices.sort()  # wiring order == registration order
+        # Requery everything this cycle could have affected: what
+        # stepped, its peers, and whatever the wiring wrote.
+        requery = set(stepped)
         wiring = self._wiring
         for index in run_indices:
-            wiring[index]()
-        self.cycle += 1
+            wrote = wiring[index]()
+            if wrote:
+                requery.update(wrote)
+        self.cycle = now = now + 1
         self.cycles_stepped += 1
-        # Requery everything this cycle could have affected.  A watcher
-        # step may mutate arbitrary components (fault injection,
-        # retransmission), so it escalates to a full rebuild.
-        if any(component in self._watchers for component in stepped):
+        watchers = self._watchers
+        if not watchers.isdisjoint(stepped):
+            # A watcher step may mutate arbitrary components (fault
+            # injection, retransmission): rebuild everything.
             self._event_full_requery()
             return
-        now = self.cycle
-        requery = set(stepped)
         for component in stepped:
-            requery.update(self._peers.get(component, ()))
-        for index in run_indices:
-            sinks = self._wiring_sinks[index]
-            if sinks is None:
-                continue
-            requery.update(sinks() if callable(sinks) else sinks)
-        requery.update(self._pending_wakes)
+            partners = peers.get(component)
+            if partners:
+                requery.update(partners)
+        requery.update(self._pending_wakes, watchers)
         self._pending_wakes.clear()
-        for component in requery:
-            self._event_requery(component, now)
-        for component in self._watchers:
-            self._event_requery(component, now)
+        self._event_requery(requery, now)
 
     def _event_advance(self, limit: int) -> None:
         """Move the clock: jump to the next scheduled event (capped at
@@ -434,7 +477,13 @@ class SynchronousEngine:
                 self.cycles_fast_forwarded += jump - self.cycle
                 self.cycle = jump
                 return
-        self._event_step_once()
+        try:
+            self._event_step_once()
+        except BaseException:
+            # The cycle's batch was already taken off the queue: the
+            # next run entry must ask everybody again.
+            self._queue_valid = False
+            raise
 
     # ------------------------------------------------------------------
     # Running
@@ -449,7 +498,7 @@ class SynchronousEngine:
             while self.cycle < target:
                 self._step_once()
             return self.cycle
-        self._event_full_requery()
+        self._event_enter()
         while self.cycle < target:
             self._event_advance(target)
         return self.cycle
@@ -485,7 +534,7 @@ class SynchronousEngine:
         if self.mode == "exact":
             advance = self._step_once
         else:
-            self._event_full_requery()
+            self._event_enter()
             advance = partial(self._event_advance, deadline)
         while True:
             if self.cycle >= deadline:

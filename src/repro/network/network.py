@@ -150,24 +150,19 @@ class MeshNetwork:
             self.engine.bind_peers(host, router)
 
         # Wire every link: a router's output signal this cycle becomes
-        # its neighbour's input signal next cycle.  The source/sink
-        # declarations are the event-scheduler locality contract: a
-        # router that did not step has empty link outputs, so its
-        # outgoing transfers are provable no-ops.
-        for node, direction, neighbor in self.mesh.links():
-            self.link_monitors[(node, direction)] = LinkMonitor()
-            transfer, idle_check = self._make_link_transfer(
-                node, direction, neighbor
-            )
+        # its neighbour's input signal next cycle.  One wiring per
+        # router, sourced at it — the event-scheduler locality
+        # contract: a router that did not step has empty link outputs,
+        # so carrying them is a provable no-op.
+        for node in self.mesh.nodes():
+            transfer, idle_check = self._make_link_transfer(node)
             self.engine.add_wiring(transfer, idle_check=idle_check,
-                                   source=self.routers[node],
-                                   sinks=(self.routers[neighbor],))
+                                   source=self.routers[node])
         # After every link transfer, so spoofed acknowledgements land
         # on top of (never underneath) the genuine reverse-link signal.
         # No source: it owes acks independently of router activity.
         self.engine.add_wiring(self._apply_drain_acks,
-                               idle_check=self._drain_acks_idle,
-                               sinks=self._drain_ack_sinks)
+                               idle_check=self._drain_acks_idle)
 
         self.admission = admission or AdmissionController(self.params)
         self.manager = ChannelManager(self.routers, self.admission,
@@ -186,81 +181,101 @@ class MeshNetwork:
         self.metrics = MetricsRegistry()
         self._register_default_metrics()
 
-    def _make_link_transfer(self, node: Node, direction: int,
-                            neighbor: Node):
+    def _make_link_transfer(self, node: Node):
+        """Monitors for one router's outgoing links, and the wiring that
+        carries its outputs to its neighbours."""
         source = self.routers[node]
-        sink = self.routers[neighbor]
-        into = OPPOSITE[direction]
         failed = self._failed_links
         draining = self._draining_links
         corruptors = self._link_corruptors
         drain_acks = self._drain_acks
-        link = (node, direction)
-        #: The link whose sender this link's ack bits serve: acks
-        #: crossing ``(node, direction)`` acknowledge bytes the
-        #: neighbour sent on its opposite-facing output.
-        served = (neighbor, into)
-        monitor = self.link_monitors[link]
         miss_epoch = self.monitor_miss_epoch
+        # Per link: direction, key, sink, sink port, the link whose
+        # sender its ack bits serve (they acknowledge bytes the neighbour
+        # sent on its opposite-facing output), monitor.
+        links = []
+        for direction in range(MESH_LINKS):
+            neighbor = self.mesh.neighbor(node, direction)
+            if neighbor is None:
+                continue
+            link, into = (node, direction), OPPOSITE[direction]
+            monitor = self.link_monitors[link] = LinkMonitor()
+            links.append((direction, link, self.routers[neighbor], into,
+                          (neighbor, into), monitor))
 
-        def transfer() -> None:
-            signal = source.link_out[direction]
-            if link in failed:
-                # Nothing crosses a dead link; account for what died.
-                if signal.phit is not None:
-                    monitor.missed_transfers += 1
-                    miss_epoch[0] += 1
-                    monitor.bytes_lost += 1
-                    if signal.phit.vc == "BE":
-                        if link in draining:
-                            monitor.bytes_drained += 1
-                            drain_acks[link] = drain_acks.get(link, 0) + 1
-                        else:
-                            monitor.be_lost_uncompensated += 1
-                if signal.ack:
-                    # The ack acknowledged a byte the neighbour really
-                    # delivered here; it can never be resent, so spoof
-                    # it back or the neighbour's credits leak forever.
-                    drain_acks[served] = drain_acks.get(served, 0) + 1
-                return
-            phit = signal.phit
-            if phit is not None:
-                # The line acknowledged a transfer (healthy link), so
-                # the watchdog's miss counter resets — even if injected
-                # corruption mangles the payload below.
-                monitor.missed_transfers = 0
-                corruptor = corruptors.get(link)
-                if corruptor is not None:
-                    mangled = corruptor(phit)
-                    if mangled is None:
-                        monitor.packets_dropped += phit.last
+        def transfer() -> list:
+            # Returns the sinks written.  An empty output is skipped on
+            # a live and on a dead link alike: the sink emptied its
+            # input when it consumed it, so an empty signal copied over
+            # it changes nothing (the ``idle_check`` argument, per link).
+            wrote = []
+            link_out = source.link_out  # load_state rebinds the list
+            for direction, link, sink, into, served, monitor in links:
+                signal = link_out[direction]
+                phit = signal.phit
+                if phit is None and not signal.ack:
+                    continue
+                if link in failed:
+                    # Nothing crosses a dead link; account for what died.
+                    if phit is not None:
+                        monitor.missed_transfers += 1
+                        miss_epoch[0] += 1
+                        monitor.bytes_lost += 1
                         if phit.vc == "BE":
-                            # The sender spent a credit on this byte and
-                            # the sink will never buffer (or ack) it.
-                            drain_acks[link] = drain_acks.get(link, 0) + 1
-                        phit = None
-                    elif mangled is not phit:
-                        monitor.bytes_corrupted += 1
-                        phit = mangled
-            sink.link_in[into] = LinkSignal(phit=phit, ack=signal.ack)
+                            if link in draining:
+                                monitor.bytes_drained += 1
+                                drain_acks[link] = drain_acks.get(link, 0) + 1
+                            else:
+                                monitor.be_lost_uncompensated += 1
+                    if signal.ack:
+                        # The ack acknowledged a byte the neighbour
+                        # really delivered here; it can never be resent,
+                        # so spoof it back or the neighbour's credits
+                        # leak forever.
+                        drain_acks[served] = drain_acks.get(served, 0) + 1
+                    continue
+                if phit is not None:
+                    # The line acknowledged a transfer (healthy link),
+                    # so the watchdog's miss counter resets — even if
+                    # injected corruption mangles the payload below.
+                    monitor.missed_transfers = 0
+                    corruptor = corruptors.get(link)
+                    if corruptor is not None:
+                        mangled = corruptor(phit)
+                        if mangled is None:
+                            monitor.packets_dropped += phit.last
+                            if phit.vc == "BE":
+                                # The sender spent a credit on this byte
+                                # and the sink will never buffer (or
+                                # ack) it.
+                                drain_acks[link] = drain_acks.get(link, 0) + 1
+                            phit = None
+                        elif mangled is not phit:
+                            monitor.bytes_corrupted += 1
+                            phit = mangled
+                sink.link_in[into] = LinkSignal(phit=phit, ack=signal.ack)
+                wrote.append(sink)
+            return wrote
 
         def idle_check() -> bool:
-            # Idle contract: with no phit and no ack offered,
-            # the transfer would only overwrite an empty LinkSignal
-            # with another empty LinkSignal — a no-op.
-            signal = source.link_out[direction]
-            return signal.phit is None and not signal.ack
+            # Idle contract: with no phit and no ack offered anywhere,
+            # the transfer copies nothing.
+            link_out = source.link_out
+            return all(link_out[link[0]].phit is None
+                       and not link_out[link[0]].ack for link in links)
 
         return transfer, idle_check
 
-    def _apply_drain_acks(self) -> None:
+    def _apply_drain_acks(self) -> list:
         """Deliver owed spoofed acknowledgements, one per link per cycle.
 
         Runs after all link transfers.  A spoofed ack is only applied
         when the sender actually has credit debt and no genuine ack
         arrived this cycle — both guards keep the flow-control
-        invariant (acks never exceed bytes sent) intact.
+        invariant (acks never exceed bytes sent) intact.  Returns the
+        routers it wrote (the wiring-return contract).
         """
+        wrote = []
         for link, pending in self._drain_acks.items():
             if pending <= 0:
                 continue
@@ -274,15 +289,8 @@ class MeshNetwork:
             router.link_in[direction] = LinkSignal(phit=signal.phit,
                                                    ack=True)
             self._drain_acks[link] = pending - 1
-
-    def _drain_ack_sinks(self):
-        """Event-scheduler sinks of :meth:`_apply_drain_acks`.
-
-        Every router owed spoofed acks — including one whose pending
-        count just reached zero this cycle (entries persist at zero),
-        so the router that consumed the final ack is still requeried.
-        """
-        return [self.routers[node] for node, _ in self._drain_acks]
+            wrote.append(router)
+        return wrote
 
     def _drain_acks_idle(self) -> bool:
         """Idle contract for :meth:`_apply_drain_acks`.
@@ -521,9 +529,6 @@ class MeshNetwork:
             return self._send_degraded(current, payload, cycle, now_tick)
         packets, arrival, release = current.make_message(payload, now_tick)
         self.hosts[current.source].queue_tc(packets, release)
-        # The host gained self-scheduled work from outside its own step
-        # (a controller, a recovery retransmit, another host's source).
-        self.engine.wake(self.hosts[current.source])
         if self.tracer is not None:
             for packet in packets:
                 self.tracer.emit(
@@ -610,8 +615,8 @@ class MeshNetwork:
         cycle = self.cycle if at_cycle is None else at_cycle
         packet.meta.injected_cycle = cycle
         self.routers[source].inject_be(packet)
-        # Same rationale as in send_message: the injection may come
-        # from outside the source router's own host step.
+        # The injection may come from outside the source router's own
+        # host step (a controller, a relay plan, another host's source).
         self.engine.wake(self.routers[source])
         if self.tracer is not None:
             self.tracer.emit(cycle, ENQUEUE, meta=packet.meta,

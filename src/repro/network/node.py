@@ -55,8 +55,16 @@ class HostNode:
         #: None keeps the hot path allocation-free.
         self.tracer = None
 
+    def _wake(self, component) -> None:
+        """Tell the scheduler ``component`` changed outside its step
+        (the three mutators below run between cycles and runs)."""
+        engine = getattr(self.network, "engine", None)
+        if engine is not None:
+            engine.wake(component)
+
     def attach_source(self, source: SourceFn) -> None:
         self.sources.append(source)
+        self._wake(self)
 
     def queue_tc(self, packets: list[TimeConstrainedPacket],
                  release_tick: int) -> None:
@@ -67,11 +75,13 @@ class HostNode:
                 self._release_heap,
                 (release_cycle, next(self._tiebreak), packet),
             )
+        self._wake(self)
 
     def send_be(self, packet: BestEffortPacket, cycle: int) -> None:
         packet.meta.injected_cycle = cycle
         packet.meta.source = self.node
         self.router.inject_be(packet)
+        self._wake(self.router)
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Event-scheduler contract (see ``docs/performance.md``).

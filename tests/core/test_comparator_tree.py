@@ -166,3 +166,35 @@ class TestSchedulerPipeline:
             for port in range(OUTPUT_PORTS):
                 pipeline.request(port)
         assert len(done) >= OUTPUT_PORTS
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), stages=st.integers(1, 3))
+    def test_wake_cycle_says_exactly_when_step_can_act(self, seed, stages):
+        """``wake_cycle`` against brute force: a ``step`` at ``cycle``
+        does something iff ``wake_cycle <= cycle``, over random request
+        sequences, skipped spans and a ``load_state`` round trip."""
+        import random
+
+        rng = random.Random(seed)
+        pipeline, leaves = self.make(stages=stages)
+        clock = RolloverClock(bits=8)
+        leaves.install(0, 0, 5, port_mask=0b11111)
+        horizons = [0] * OUTPUT_PORTS
+        cycle = 0
+        for _ in range(120):
+            if rng.random() < 0.4:
+                pipeline.request(rng.randrange(OUTPUT_PORTS))
+            if rng.random() < 0.1:
+                restored, __ = self.make(stages=stages)
+                restored.tree = pipeline.tree
+                restored.load_state(pipeline.state())
+                assert restored.wake_cycle == pipeline.wake_cycle
+                pipeline = restored
+            before = pipeline.state()
+            wake = pipeline.wake_cycle
+            assert (wake is None) == (not pipeline.busy)
+            completed = pipeline.step(cycle, clock, horizons)
+            acted = bool(completed) or pipeline.state() != before
+            assert acted == (wake is not None and wake <= cycle), (
+                f"cycle {cycle}: wake_cycle {wake}, step acted: {acted}")
+            cycle += rng.choice((1, 1, 1, 2, 5))

@@ -107,6 +107,31 @@ class TestViolationDetection:
         with pytest.raises(InvariantViolation, match="bus pending"):
             check_router_invariants(router)
 
+    def test_detects_miscounted_synchroniser(self):
+        router = checked_router()
+        router._sync_count = 1  # every synchroniser is empty
+        with pytest.raises(InvariantViolation, match="synchroniser count"):
+            check_router_invariants(router)
+
+    def test_detects_stale_frame_flag(self):
+        router = checked_router()
+        router._tc_frame_ready = True  # no input holds a packet
+        with pytest.raises(InvariantViolation, match="frame-ready"):
+            check_router_invariants(router)
+
+    def test_detects_stale_pipeline_wake_cycle(self):
+        router = checked_router()
+        router.pipeline.request(0)
+        router.pipeline.wake_cycle = None  # a request is queued
+        with pytest.raises(InvariantViolation, match="wake cycle"):
+            check_router_invariants(router)
+
+    def test_detects_stale_remembered_busy_verdict(self):
+        router = checked_router()
+        router._quiescent = False  # nothing is inside
+        with pytest.raises(InvariantViolation, match="remembered"):
+            check_router_invariants(router)
+
     def test_detects_stale_quiescence_verdict(self):
         router = checked_router()
         assert router.quiescent  # remembered from here on

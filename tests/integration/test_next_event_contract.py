@@ -19,6 +19,12 @@ A router *remembers* its quiescence verdict between the entry points
 that can change it; the same audit asserts, on every router at every
 cycle and right after each of those entry points, that the remembered
 answer equals a fresh recomputation.
+
+The scheduler *keeps* its queue between runs; ``TestKeptSchedule``
+drives loaded runs as many short ``run`` calls with mutations through
+every public path in between, and at every run entry asserts
+``audit_schedule()`` — the kept queue is exactly what a full requery
+would build.
 """
 
 import json
@@ -38,11 +44,11 @@ from repro.traffic.generators import (
 import random as random_module
 
 
-def _build():
+def _build(engine="event"):
     """A loaded 4x4 mesh with every component kind registered: hosts,
     routers, watchdog, recovery controller, fault injector and the
     periodic snapshot emitter."""
-    net = MeshNetwork(4, 4)
+    net = MeshNetwork(4, 4, engine=engine)
     slot = net.params.slot_cycles
     c0 = net.establish_channel((0, 0), (3, 3), TrafficSpec(i_min=64),
                                deadline=24, label="contract-c0")
@@ -203,6 +209,203 @@ class TestNextEventContract:
         audited = _audit_span(net, channels, 500, rng)
         assert audited > 0
         assert net.engine.cycle == 900
+
+
+def _enter(net, cycles):
+    """One audited run entry."""
+    stale = net.engine.audit_schedule()
+    assert stale == [], f"cycle {net.cycle}: {stale}"
+    net.run(cycles)
+
+
+def _final(net):
+    """What a run left behind: every delivery plus engine accounting."""
+    engine = net.engine
+    return ([(r.traffic_class, r.connection_label, r.sequence, r.source,
+              r.injected_cycle, r.delivered_cycle, r.delivered_node)
+             for r in net.log.records],
+            engine.cycle, engine.cycles_stepped,
+            engine.cycles_fast_forwarded)
+
+
+class _LocalAlarm:
+    """A *local* component with one self-scheduled firing."""
+
+    def __init__(self, when):
+        self.when = when
+        self.fired_at = None
+
+    def step(self, cycle):
+        if cycle == self.when:
+            self.fired_at = cycle
+
+    def next_event_cycle(self, cycle):
+        return self.when if cycle <= self.when else None
+
+
+class TestKeptSchedule:
+    def test_public_mutations_between_runs(self):
+        # The full stack, run as ~200 short spans; every public way of
+        # touching the fabric is used between two of them at least once.
+        def script(engine):
+            net, _, injector, channels = _build(engine)
+            rng = random_module.Random(17)
+            nodes = list(net.mesh.nodes())
+            alarm = None
+            span = 0
+            while net.cycle < 2_400:
+                roll = rng.random()
+                if roll < 0.15:
+                    source, destination = rng.sample(nodes, 2)
+                    net.send_best_effort(source, destination,
+                                         bytes([rng.randrange(256)]) * 8)
+                elif roll < 0.3:
+                    net.send_message(rng.choice(channels), b"\xa5" * 4)
+                span += 1
+                if span == 5:
+                    net.attach_source((0, 3), PoissonBestEffortSource(
+                        destinations=[(2, 1)], rate=0.02, seed=5))
+                elif span == 10:
+                    channels.append(net.establish_channel(
+                        (0, 1), (3, 2), TrafficSpec(i_min=16), deadline=32,
+                        label="contract-extra"))
+                elif span == 15:
+                    net.disable_snapshots()
+                elif span == 20:
+                    net.enable_snapshots(300)
+                elif span == 25:
+                    alarm = _LocalAlarm(net.cycle + 40)
+                    net.engine.add_component(alarm, local=True)
+                elif span == 30:
+                    net.fail_link((3, 1), NORTH)  # announced: c0's path
+                elif span == 60:
+                    net.repair_link((3, 1), NORTH)
+                elif span == 150:
+                    net.teardown_channel(channels.pop())
+                _enter(net, rng.randrange(1, 25))
+            assert span > 150
+            assert alarm.fired_at == alarm.when
+            assert [event.cycle for event in injector.fired] == [
+                300, 900, 1_700]
+            return net
+
+        net, oracle = script("event"), script("exact")
+        labels = {record.connection_label for record in net.log.records}
+        assert {"contract-c0", "contract-c1", "contract-extra"} <= labels
+        assert any(record.source == (0, 3) for record in net.log.records)
+        faults = net.fault_stats  # the announced failure was acted on
+        assert faults.channels_rerouted + faults.channels_degraded >= 1
+        assert _final(net)[:2] == _final(oracle)[:2]
+
+    def test_manual_recovery_between_runs(self):
+        # No fault-tolerance stack: the test is the recovery software,
+        # calling the link and channel API between runs.
+        def script(engine):
+            net = MeshNetwork(4, 4, engine=engine)
+            net.establish_channel((0, 0), (3, 0), TrafficSpec(i_min=8),
+                                  deadline=24, label="manual")
+            for router in net.routers.values():
+                router.drop_unroutable = True
+            rng = random_module.Random(23)
+            for step in range(120):
+                if step % 4 == 0:
+                    net.send_message(net.manager.find("manual"))
+                if step % 3 == 0:
+                    net.send_best_effort((0, 0), (3, 0), b"be" * 20)
+                if step == 30:
+                    net.fail_link((1, 0), EAST, announce=False)
+                elif step == 40:
+                    net.set_link_draining((1, 0), EAST)
+                    net.recover_channel(net.manager.find("manual"))
+                elif step == 80:
+                    net.repair_link((1, 0), EAST)
+                _enter(net, rng.randrange(5, 30))
+            _enter(net, 2_000)
+            return net
+
+        net, oracle = script("event"), script("exact")
+        assert net.engine.audit_schedule() == []
+        assert net.link_monitors[((1, 0), EAST)].bytes_drained > 0
+        labels = [r.connection_label for r in net.log.records]
+        assert labels.count("manual") > 10 and labels.count(None) > 4
+        assert _final(net)[:2] == _final(oracle)[:2]
+
+    def test_source_attached_after_the_first_run_fires(self):
+        # The hole the run-entry rebuild used to hide: nothing woke the
+        # host, so with a kept queue the source never fired.
+        def run(engine):
+            net = MeshNetwork(3, 3, engine=engine)
+            net.run(10)
+            net.attach_source((0, 0), PoissonBestEffortSource(
+                destinations=[(2, 2)], rate=0.05, seed=3))
+            net.run(2_000)
+            return net
+
+        net, oracle = run("event"), run("exact")
+        assert net.log.be_delivered > 0
+        assert _final(net)[:2] == _final(oracle)[:2]
+
+    def test_host_entry_points_wake_between_runs(self):
+        from repro.core.packet import BestEffortPacket
+
+        net = MeshNetwork(3, 3)
+        channel = net.establish_channel((0, 0), (2, 1), TrafficSpec(i_min=8),
+                                        deadline=16, label="direct")
+        net.run(50)
+        host = net.hosts[(0, 0)]
+        packets, _, release = channel.make_message(b"tc", net.current_tick)
+        host.queue_tc(packets, release)
+        x_offset, y_offset = net.mesh.offsets((0, 0), (1, 2))
+        host.send_be(BestEffortPacket(x_offset=x_offset, y_offset=y_offset,
+                                      payload=b"be"), net.cycle)
+        _enter(net, 1_000)
+        assert (net.log.tc_delivered, net.log.be_delivered) == (1, 1)
+
+    def test_restore_onto_a_network_that_already_ran(self):
+        # load_state must throw the kept queue away: this engine's is
+        # valid, and describes a different moment of a different run.
+        reference, _, _, _ = _build()
+        reference.run(1_500)
+        ctx = SaveContext()
+        state = {"network": reference.state(ctx),
+                 "metas": ctx.metas_state()}
+        state = json.loads(json.dumps(state))
+        reference.run(600)
+
+        resumed, _, _, _ = _build()
+        resumed.run(700)
+        resumed.load_state(state["network"], LoadContext(state["metas"]))
+        for _ in range(6):
+            _enter(resumed, 100)
+        assert _final(resumed) == _final(reference)
+
+    def test_bare_injection_without_a_wake_is_reported(self):
+        from repro.core.packet import BestEffortPacket
+
+        net = MeshNetwork(3, 3)
+        net.run(10)
+        router = net.routers[(1, 1)]
+        router.inject_be(BestEffortPacket(x_offset=1, y_offset=0,
+                                          payload=b"zz"))
+        stale = net.engine.audit_schedule()
+        assert len(stale) == 1 and "RealTimeRouter" in stale[0]
+        # ...and that is what direct writers must do about it.
+        net.engine.wake(router)
+        _enter(net, 500)
+        assert net.log.be_delivered == 1
+
+    def test_session_cadence_audits_the_schedule(self):
+        from repro.checkpoint import RandomWorkloadSession
+        from repro.core.packet import BestEffortPacket
+
+        session = RandomWorkloadSession(3, 3, 2, 6, 1, check_every=50)
+        session.run()
+        assert session.invariant_failures == []
+        session.network.routers[(0, 0)].inject_be(
+            BestEffortPacket(x_offset=1, y_offset=0, payload=b"zz"))
+        session._check_invariants()
+        assert len(session.invariant_failures) == 1
+        assert "schedule: RealTimeRouter" in session.invariant_failures[0]
 
 
 class TestPerImplementationAnswers:
