@@ -2,11 +2,22 @@
 
 The chip deliberately leaves admission control, route selection and
 table programming to software (paper section 4.1).  The
-:class:`ChannelManager` is that software: given the routers of a
-fabric, it selects routes, runs admission control, allocates
-connection identifiers, decomposes deadlines, and drives each router's
-four-write control interface.  The returned :class:`RealTimeChannel`
-is the application-facing handle used to stamp and send messages.
+:class:`ChannelManager` is that software, and the only module that
+knows establishment: given the control interfaces of a fabric, it
+selects routes (by construction on a mesh, by search on a torus and
+around failed links), runs admission control, allocates connection
+identifiers, decomposes deadlines, drives each router's four-write
+control interface, and re-establishes a channel on a detour after a
+fault (:meth:`ChannelManager.recover`).  The returned
+:class:`RealTimeChannel` is the application-facing handle used to
+stamp and send messages.
+
+The manager touches a chip only through its
+:class:`~repro.core.connection_table.ControlInterface`, so it runs the
+same with or without a data path behind the tables: a
+:class:`~repro.network.network.MeshNetwork` hands it its routers'
+interfaces, the analytic engine (:mod:`repro.schedulability.engine`)
+hands it bare ones.
 """
 
 from __future__ import annotations
@@ -28,15 +39,18 @@ from repro.channels.policing import SourceRegulator
 from repro.channels.routing import (
     Hop,
     Node,
+    RouteError,
     dimension_ordered_route,
     least_loaded_route,
     multicast_tree,
+    multicast_tree_avoiding,
+    shortest_route_avoiding,
     tree_parents,
 )
 from repro.channels.spec import FlowRequirements, TrafficSpec
+from repro.core.connection_table import ControlInterface
 from repro.core.packet import PacketMeta, TimeConstrainedPacket
 from repro.core.params import TC_PAYLOAD_BYTES, RouterParams
-from repro.core.ports import RECEPTION
 
 _channel_labels = itertools.count()
 
@@ -137,19 +151,32 @@ class RealTimeChannel:
 
 
 class ChannelManager:
-    """Connection establishment over a fabric of real-time routers."""
+    """Connection establishment over a fabric of real-time routers.
+
+    ``controls`` maps every node to its chip's control interface.
+    ``width``/``height``/``torus`` describe the mesh the nodes form;
+    only the routes picked by search need them (torus establishment,
+    :meth:`recover`).
+    """
 
     def __init__(
         self,
-        routers: Mapping[Node, object],
+        controls: Mapping[Node, ControlInterface],
         admission: Optional[AdmissionController] = None,
         params: Optional[RouterParams] = None,
+        *,
+        width: Optional[int] = None,
+        height: Optional[int] = None,
+        torus: bool = False,
     ) -> None:
-        self.routers = routers
+        if torus and (width is None or height is None):
+            raise ValueError("a torus manager needs the mesh dimensions")
+        self.controls = controls
         self.params = params or RouterParams()
         self.admission = admission or AdmissionController(self.params)
+        self.width, self.height, self.torus = width, height, torus
         self._used_ids: dict[Node, set[int]] = {
-            node: set() for node in routers
+            node: set() for node in controls
         }
         self.channels: list[RealTimeChannel] = []
         #: Channels demoted to best-effort after failing re-admission,
@@ -193,13 +220,14 @@ class ChannelManager:
         route: Optional[list[Hop]] = None,
         label: Optional[str] = None,
         adaptive: bool = True,
+        failed: Optional[set[Hop]] = None,
     ) -> RealTimeChannel:
         """Create a real-time channel or raise :class:`AdmissionError`.
 
         ``destination`` may be a single node or a sequence of nodes
         (multicast).  ``route`` overrides route selection for unicast
-        channels; by default the least-loaded of the two dimension
-        orders is chosen (``adaptive=False`` forces dimension order).
+        channels; see :meth:`unicast_hops` for the default choice and
+        for what ``adaptive`` and ``failed`` mean to it.
         """
         requirements = FlowRequirements(deadline=deadline)
         if label is None:
@@ -212,7 +240,7 @@ class ChannelManager:
         if len(destinations) == 1:
             return self._establish_unicast(
                 source, destinations[0], spec, requirements,
-                route=route, label=label, adaptive=adaptive,
+                route=route, label=label, adaptive=adaptive, failed=failed,
             )
         if route is not None:
             raise ValueError("explicit routes only apply to unicast")
@@ -220,30 +248,44 @@ class ChannelManager:
             source, destinations, spec, requirements, label=label,
         )
 
-    def _hop_descriptors(self, route: list[Hop]) -> list[HopDescriptor]:
-        hops = []
-        for node, port in route:
-            router = self.routers[node]
-            horizon = router.control.horizons[port]
-            hops.append(HopDescriptor(node=node, out_port=port,
-                                      horizon=horizon))
-        return hops
+    def unicast_hops(
+        self, source: Node, destination: Node, *,
+        route: Optional[list[Hop]] = None, adaptive: bool = True,
+        failed: Optional[set[Hop]] = None,
+    ) -> list[HopDescriptor]:
+        """The hops a unicast establishment asks admission for.
 
-    def _establish_unicast(
-        self, source: Node, destination: Node, spec: TrafficSpec,
-        requirements: FlowRequirements, *, route: Optional[list[Hop]],
-        label: str, adaptive: bool,
-    ) -> RealTimeChannel:
+        Without an explicit ``route``: on a mesh the least-loaded of
+        the two dimension orders (``adaptive=False`` forces x-then-y);
+        on a torus the shortest path by breadth-first search, because
+        it may cross a wrap link that dimension-ordered construction
+        never uses.  Only that search consults ``failed``, the links to
+        keep off (default none).
+        """
         if route is None:
-            if adaptive:
+            if self.torus:
+                route = shortest_route_avoiding(
+                    self.width, self.height, source, destination,
+                    failed=failed or set(), torus=True)
+            elif adaptive:
                 route = least_loaded_route(self.admission, source,
                                            destination)
             else:
                 route = dimension_ordered_route(source, destination)
         for node, __ in route:
-            if node not in self.routers:
+            if node not in self.controls:
                 raise ValueError(f"route visits unknown node {node!r}")
-        hops = self._hop_descriptors(route)
+        return [HopDescriptor(node=node, out_port=port,
+                              horizon=self.controls[node].horizons[port])
+                for node, port in route]
+
+    def _establish_unicast(
+        self, source: Node, destination: Node, spec: TrafficSpec,
+        requirements: FlowRequirements, *, route: Optional[list[Hop]],
+        label: str, adaptive: bool, failed: Optional[set[Hop]] = None,
+    ) -> RealTimeChannel:
+        hops = self.unicast_hops(source, destination, route=route,
+                                 adaptive=adaptive, failed=failed)
         reservation = self.admission.admit(hops, spec, requirements)
         delays = reservation.local_delays
 
@@ -251,7 +293,7 @@ class ChannelManager:
         # already committed, so an id shortage must roll it (and any
         # partially allocated ids) back before propagating — otherwise
         # every failed establishment would leak link load and buffers.
-        nodes = [node for node, __ in route]
+        nodes = [hop.node for hop in hops]
         ids: list[int] = []
         try:
             for node in nodes:
@@ -262,13 +304,13 @@ class ChannelManager:
             self.admission.release(reservation)
             raise
         entries: list[tuple[Node, int]] = []
-        for index, (node, port) in enumerate(route):
+        for index, hop in enumerate(hops):
             outgoing = ids[index + 1] if index + 1 < len(ids) else 0
-            self.routers[node].control.program_connection(
+            self.controls[hop.node].program_connection(
                 incoming_id=ids[index], outgoing_id=outgoing,
-                delay=delays[index], port_mask=1 << port,
+                delay=delays[index], port_mask=1 << hop.out_port,
             )
-            entries.append((node, ids[index]))
+            entries.append((hop.node, ids[index]))
         channel = RealTimeChannel(
             label=label, source=source, destinations=(destination,),
             spec=spec, requirements=requirements,
@@ -290,7 +332,7 @@ class ChannelManager:
         else:
             ports_by_node, order = multicast_tree(source, list(destinations))
         for node in order:
-            if node not in self.routers:
+            if node not in self.controls:
                 raise ValueError(f"tree visits unknown node {node!r}")
         parents_map = tree_parents(ports_by_node, order)
 
@@ -301,10 +343,9 @@ class ChannelManager:
         node_first_hop: dict[Node, int] = {}
         for node in order:
             for port in sorted(ports_by_node[node]):
-                router = self.routers[node]
                 descriptor = HopDescriptor(
                     node=node, out_port=port,
-                    horizon=router.control.horizons[port],
+                    horizon=self.controls[node].horizons[port],
                 )
                 parent_node = parents_map[node]
                 parent_index = (
@@ -342,7 +383,7 @@ class ChannelManager:
             mask = 0
             for port in ports_by_node[node]:
                 mask |= 1 << port
-            self.routers[node].control.program_connection(
+            self.controls[node].program_connection(
                 incoming_id=common_id, outgoing_id=common_id,
                 delay=uniform, port_mask=mask,
             )
@@ -385,8 +426,8 @@ class ChannelManager:
         downstream hop, and releases the difference.  Returns the
         number of packet buffers freed.
         """
-        router = self.routers[node]
-        current = router.control.horizons[port]
+        control = self.controls[node]
+        current = control.horizons[port]
         if horizon > current:
             raise ValueError(
                 "reduce_horizon only lowers a horizon; raising one "
@@ -394,7 +435,7 @@ class ChannelManager:
             )
         if horizon == current:
             return 0
-        router.control.write_horizon(1 << port, horizon)
+        control.write_horizon(1 << port, horizon)
 
         freed = 0
         from repro.channels.admission import buffer_bound
@@ -432,55 +473,58 @@ class ChannelManager:
 
     # -- fault recovery -----------------------------------------------------------
 
-    def reroute(self, channel: RealTimeChannel, route: list[Hop],
-                ) -> RealTimeChannel:
-        """Re-establish a channel on an explicit replacement route.
+    def recover(self, channel: RealTimeChannel,
+                failed: set[Hop]) -> RealTimeChannel:
+        """Re-establish a channel on a detour around ``failed`` links.
 
-        Fault recovery after a link failure: the old reservations and
-        table entries are torn down, the channel is admitted on the new
-        route, and a fresh handle (same label, spec, requirements, and
-        regulator state so logical arrival times stay monotone) is
-        returned.  If the new route cannot be admitted the old channel
-        is left intact and the AdmissionError propagates.
+        Fault recovery after a link failure: the shortest surviving
+        path — for multicast, a shortest-path tree — is chosen by
+        breadth-first search, admitted and programmed *before* the old
+        reservations and table entries are torn down, and a fresh
+        handle (same label, spec and requirements; regulator state and
+        sequence numbers carried over, so logical arrival times stay
+        monotone and delivery accounting continuous) is returned.
+        Raises :class:`~repro.channels.routing.RouteError` naming the
+        channel when no surviving path exists and
+        :class:`AdmissionError` when the detour fails admission; the
+        old channel is left intact in both cases.
         """
         if channel not in self.channels:
             raise ValueError("channel is not managed by this manager")
-        if len(channel.destinations) != 1:
-            raise ValueError("rerouting is supported for unicast channels")
-        replacement = self._establish_unicast(
-            channel.source, channel.destinations[0], channel.spec,
-            channel.requirements, route=route,
-            label=channel.label, adaptive=False,
-        )
-        # Only after the replacement is safely admitted, retire the old
-        # path — and carry the regulator so spacing guarantees persist.
-        replacement.regulator = channel.regulator
-        replacement._sequence = channel._sequence
-        self.teardown(channel)
-        return replacement
-
-    def reroute_multicast(
-        self, channel: RealTimeChannel,
-        ports_by_node: dict[Node, set[int]], order: list[Node],
-    ) -> RealTimeChannel:
-        """Re-establish a multicast channel on an explicit replacement tree.
-
-        The counterpart of :meth:`reroute` for multicast: the new tree
-        (typically from
-        :func:`~repro.channels.routing.multicast_tree_avoiding`) is
-        admitted and programmed first; only then is the old tree torn
-        down.  Regulator state and sequence numbers carry over so the
-        spacing guarantees and delivery accounting stay continuous.
-        """
-        if channel not in self.channels:
-            raise ValueError("channel is not managed by this manager")
-        if len(channel.destinations) == 1:
-            raise ValueError("use reroute for unicast channels")
-        replacement = self._establish_multicast(
-            channel.source, channel.destinations, channel.spec,
-            channel.requirements, label=channel.label,
-            tree=(ports_by_node, order),
-        )
+        if self.width is None or self.height is None:
+            raise ValueError(
+                "recover searches the mesh for a detour; build the "
+                "manager with its width and height")
+        if len(channel.destinations) > 1:
+            try:
+                tree = multicast_tree_avoiding(
+                    self.width, self.height, channel.source,
+                    list(channel.destinations), failed=failed,
+                    torus=self.torus)
+            except RouteError as exc:
+                raise RouteError(
+                    f"cannot recover multicast channel {channel.label!r}: "
+                    f"{exc}"
+                ) from exc
+            replacement = self._establish_multicast(
+                channel.source, channel.destinations, channel.spec,
+                channel.requirements, label=channel.label, tree=tree)
+        else:
+            try:
+                route = shortest_route_avoiding(
+                    self.width, self.height, channel.source,
+                    channel.destinations[0], failed=failed,
+                    torus=self.torus)
+            except RouteError as exc:
+                raise RouteError(
+                    f"cannot recover channel {channel.label!r}: no "
+                    f"surviving path from {channel.source!r} to "
+                    f"{channel.destinations[0]!r}"
+                ) from exc
+            replacement = self._establish_unicast(
+                channel.source, channel.destinations[0], channel.spec,
+                channel.requirements, route=route, label=channel.label,
+                adaptive=False)
         replacement.regulator = channel.regulator
         replacement._sequence = channel._sequence
         self.teardown(channel)
@@ -624,7 +668,7 @@ class ChannelManager:
         if channel not in self.channels:
             raise ValueError("channel is not managed by this manager")
         for node, cid in channel.table_entries:
-            self.routers[node].control.table.invalidate(cid)
+            self.controls[node].table.invalidate(cid)
             self._used_ids[node].discard(cid)
         self.admission.release(channel.reservation)
         self.channels.remove(channel)

@@ -115,26 +115,7 @@ def multicast_tree(
         for node, port in route:
             ports_by_node.setdefault(node, set()).add(port)
 
-    # Breadth-first order from the source along tree edges.
-    from repro.core.ports import DISPLACEMENT
-
-    order: list[Node] = []
-    frontier = [src]
-    seen = {src}
-    while frontier:
-        node = frontier.pop(0)
-        order.append(node)
-        for port in sorted(ports_by_node.get(node, ())):
-            if port == RECEPTION:
-                continue
-            dx, dy = DISPLACEMENT[port]
-            child = (node[0] + dx, node[1] + dy)
-            if child not in seen and child in ports_by_node:
-                seen.add(child)
-                frontier.append(child)
-    if set(order) != set(ports_by_node):
-        raise RuntimeError("multicast tree is not connected")
-    return ports_by_node, order
+    return ports_by_node, _tree_order(src, ports_by_node)
 
 
 def _tree_order(

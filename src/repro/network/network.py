@@ -165,8 +165,11 @@ class MeshNetwork:
                                idle_check=self._drain_acks_idle)
 
         self.admission = admission or AdmissionController(self.params)
-        self.manager = ChannelManager(self.routers, self.admission,
-                                      self.params)
+        self.manager = ChannelManager(
+            {node: router.control
+             for node, router in self.routers.items()},
+            self.admission, self.params,
+            width=width, height=height, torus=torus)
 
         #: Packet-lifecycle tracer; ``None`` until
         #: :meth:`enable_tracing` — the disabled hot path is a single
@@ -407,49 +410,17 @@ class MeshNetwork:
                         ) -> RealTimeChannel:
         """Reroute a channel (unicast or multicast) around failed links.
 
-        Chooses the shortest surviving path — or, for multicast, a
-        shortest-path tree — avoiding ``failed`` (default: all links
-        currently known failed), re-runs admission on the detour, and
-        re-establishes the channel; returns the replacement handle.
-        Raises :class:`~repro.channels.routing.RouteError` with the
-        channel's identity when no surviving path exists, and
+        Delegates to :meth:`ChannelManager.recover
+        <repro.channels.manager.ChannelManager.recover>`, avoiding
+        ``failed`` (default: all links currently known failed);
+        returns the replacement handle.  Raises
+        :class:`~repro.channels.routing.RouteError` when no surviving
+        path exists and
         :class:`~repro.channels.admission.AdmissionError` when the
         detour fails admission (the old channel is left intact).
         """
-        from repro.channels.routing import (
-            RouteError,
-            multicast_tree_avoiding,
-            shortest_route_avoiding,
-        )
-
-        avoid = set(self._failed_links if failed is None else failed)
-        if len(channel.destinations) > 1:
-            try:
-                ports_by_node, order = multicast_tree_avoiding(
-                    self.mesh.width, self.mesh.height,
-                    channel.source, list(channel.destinations),
-                    failed=avoid, torus=self.mesh.torus,
-                )
-            except RouteError as exc:
-                raise RouteError(
-                    f"cannot recover multicast channel {channel.label!r}: "
-                    f"{exc}"
-                ) from exc
-            return self.manager.reroute_multicast(channel, ports_by_node,
-                                                  order)
-        try:
-            route = shortest_route_avoiding(
-                self.mesh.width, self.mesh.height,
-                channel.source, channel.destinations[0],
-                failed=avoid, torus=self.mesh.torus,
-            )
-        except RouteError as exc:
-            raise RouteError(
-                f"cannot recover channel {channel.label!r}: no surviving "
-                f"path from {channel.source!r} to "
-                f"{channel.destinations[0]!r}"
-            ) from exc
-        return self.manager.reroute(channel, route)
+        return self.manager.recover(
+            channel, self._failed_links if failed is None else failed)
 
     # ------------------------------------------------------------------
     # Time
@@ -492,19 +463,10 @@ class MeshNetwork:
         deadline: int,
         **kwargs: object,
     ) -> RealTimeChannel:
-        """Establish a real-time channel (see ChannelManager.establish)."""
-        is_unicast = (isinstance(destination, tuple)
-                      and len(destination) == 2
-                      and all(isinstance(c, int) for c in destination))
-        if self.mesh.torus and "route" not in kwargs and is_unicast:
-            # On a torus the shortest path may cross a wrap link, which
-            # dimension-ordered construction never uses; route by BFS.
-            from repro.channels.routing import shortest_route_avoiding
-
-            kwargs["route"] = shortest_route_avoiding(
-                self.mesh.width, self.mesh.height, source, destination,
-                failed=self._failed_links, torus=True,
-            )
+        """Establish a real-time channel (see ChannelManager.establish);
+        a route the manager picks by search keeps off the links that
+        are failed right now."""
+        kwargs.setdefault("failed", self._failed_links)
         return self.manager.establish(source, destination, spec, deadline,
                                       **kwargs)
 

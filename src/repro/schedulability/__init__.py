@@ -45,22 +45,22 @@ from repro.schedulability.validate import (ChannelTightness,
 
 __all__ = [
     "AT_RISK",
+    "ChannelDemand",
+    "ChannelTightness",
+    "ChannelVerdict",
+    "ChaosChannelTightness",
+    "ChaosTightnessReport",
     "DEGRADED_GUARANTEED",
+    "FaultAwareReport",
+    "FaultVerdict",
     "GUARANTEED",
     "I_MIN_CHOICES",
     "LOAD_INDEPENDENT_REASONS",
     "NO_REROUTE_CAPACITY",
     "NO_REROUTE_PATH",
     "PREFILTERS",
-    "RETRY_BUDGET_EXHAUSTED",
-    "ChannelDemand",
-    "ChannelTightness",
-    "ChannelVerdict",
-    "ChaosChannelTightness",
-    "ChaosTightnessReport",
-    "FaultAwareReport",
-    "FaultVerdict",
     "Problem",
+    "RETRY_BUDGET_EXHAUSTED",
     "RecoveryModel",
     "ScheduleReport",
     "TightnessReport",

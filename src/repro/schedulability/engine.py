@@ -1,22 +1,26 @@
 """The analytic schedulability engine: verdicts without simulation.
 
-:func:`analyze` replays a channel demand list against a fresh
-:class:`~repro.channels.admission.AdmissionController`, mirroring the
-:class:`~repro.channels.manager.ChannelManager` establishment path
-step for step — route selection, deadline decomposition, the per-link
-EDF demand-bound test, buffer reservation and connection-id allocation
-— but never instantiates a router or runs a cycle.  The result is a
+:func:`analyze` establishes a channel demand list with the real
+protocol software — one :class:`~repro.channels.manager.ChannelManager`
+over a fresh :class:`~repro.core.connection_table.ControlInterface` per
+node of the topology, connection tables with no data path behind them
+— and reads the verdicts off what establishment returns.  Route
+selection, deadline decomposition, the per-link EDF demand-bound test,
+buffer reservation and connection-id allocation are the manager's and
+the admission controller's; nothing of them is written down here, and
+no router is instantiated or cycle run.  The result is a
 :class:`ScheduleReport`: per-channel feasibility with a structured
 rejection, the predicted end-to-end worst-case bound (the sum of the
 per-hop ``d_j`` along the deepest path), the slack against the
 requested deadline, per-hop buffer demand, and the network-wide
 bottleneck-link utilisation.
 
-Because the mirror is exact, the engine's verdict on a demand list
-equals the simulator's admission outcome for the same list established
-in the same order — the agreement the validation harness
-(:mod:`repro.schedulability.validate`) asserts before measuring
-tightness.
+The engine's verdict on a demand list therefore *is* the simulator's
+admission outcome for the same list established in the same order on
+an untouched fabric.  The validation harness
+(:mod:`repro.schedulability.validate`) still compares the two before
+measuring tightness, because the analysis and the network hold
+separate tables, horizons and failed-link sets.
 
 :func:`predict_admission` is the *live* variant: a dry-run (admit,
 then immediately release) against an existing controller, used by the
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.netcalc import channel_delay_bound
 from repro.campaign.spec import canonical_dumps
@@ -35,20 +39,16 @@ from repro.channels.admission import (
     AdmissionController,
     AdmissionError,
     ConnectionLoad,
-    HopDescriptor,
     LinkSchedule,
-    Reservation,
 )
-from repro.channels.routing import (
-    dimension_ordered_route,
-    least_loaded_route,
-    multicast_tree,
-    shortest_route_avoiding,
-    tree_parents,
-)
+from repro.channels.manager import ChannelManager, RealTimeChannel
 from repro.channels.spec import FlowRequirements, TrafficSpec
+from repro.core.connection_table import ControlInterface
 from repro.core.params import RouterParams
 from repro.schedulability.spec import ChannelDemand, TopologySpec
+
+if TYPE_CHECKING:
+    from repro.channels.admission import HopDescriptor
 
 #: Rejection reasons that no amount of already-admitted load explains:
 #: they follow from the request's own parameters against the router
@@ -220,40 +220,6 @@ class ScheduleReport:
         return rows
 
 
-class _IdAllocator:
-    """Mirror of the manager's per-node connection-id allocation."""
-
-    def __init__(self, connections: int) -> None:
-        self.connections = connections
-        self.used: dict[tuple[int, int], set[int]] = {}
-
-    def allocate(self, node: tuple[int, int]) -> int:
-        used = self.used.setdefault(node, set())
-        for cid in range(self.connections):
-            if cid not in used:
-                used.add(cid)
-                return cid
-        raise AdmissionError(
-            f"router {node!r} has no free connection ids",
-            reason="connection-ids", node=node, demanded=1, available=0)
-
-    def allocate_common(self, nodes: Sequence[tuple[int, int]]) -> int:
-        for cid in range(self.connections):
-            if all(cid not in self.used.setdefault(node, set())
-                   for node in nodes):
-                for node in nodes:
-                    self.used[node].add(cid)
-                return cid
-        raise AdmissionError(
-            "no connection id free at every tree node",
-            reason="connection-ids", demanded=1, available=0)
-
-    def rollback(self, allocations: list[tuple[tuple[int, int], int]]
-                 ) -> None:
-        for node, cid in allocations:
-            self.used[node].discard(cid)
-
-
 def edf_response_bound(loads: Sequence[ConnectionLoad],
                        deadline: int) -> int:
     """Worst-case EDF completion of a packet, relative to its release.
@@ -294,46 +260,26 @@ def edf_response_bound(loads: Sequence[ConnectionLoad],
     return max(1, min(deadline, worst))
 
 
-def _refine_bounds(verdicts: Sequence["ChannelVerdict"],
-                   admission: AdmissionController,
-                   reservations: dict) -> None:
-    """Fill ``refined_bound`` on every admitted verdict.
+def _refined_bound(admission: AdmissionController,
+                   channel: RealTimeChannel, raw: int) -> int:
+    """The holding-time-aware refinement of a channel's ``raw`` bound.
 
-    Must run after the whole demand list is replayed: the last hop's
-    response depends on every load sharing the reception link.  Only
-    unicast channels refine — a multicast tree's deepest leaf already
-    uses a uniform decomposition and its reception links are leaves of
-    the same analysis, so the refinement is left as the plain bound.
+    The last hop's ``d_j`` is replaced by its EDF response under the
+    loads the reception link carries *now* (never larger), so this must
+    run after the whole demand list is established.  Only unicast
+    channels refine — a multicast tree's deepest leaf already uses a
+    uniform decomposition and its reception links are leaves of the
+    same analysis, so its refinement is the plain bound.
     """
-    for verdict in verdicts:
-        if not verdict.feasible:
-            continue
-        reservation = reservations.get(verdict.label)
-        if reservation is None or len(verdict.destinations) != 1:
-            verdict.refined_bound = verdict.predicted_bound
-            continue
-        last_hop = reservation.hops[-1]
-        own = reservation.loads[-1]
-        schedule = admission.link(last_hop.node, last_hop.out_port)
-        response = edf_response_bound(schedule.loads, own.deadline)
-        refined = (verdict.predicted_bound
-                   - reservation.local_delays[-1]
-                   + admission.hop_overhead + response)
-        verdict.refined_bound = min(verdict.predicted_bound, refined)
-
-
-def _unicast_route(topology: TopologySpec, admission: AdmissionController,
-                   source, destination, *, adaptive: bool):
-    if topology.torus:
-        # Mirrors MeshNetwork.establish_channel: on a torus the
-        # shortest path may cross a wrap link, which dimension-ordered
-        # construction never uses, so the network routes by BFS.
-        return shortest_route_avoiding(
-            topology.width, topology.height, source, destination,
-            failed=set(), torus=True)
-    if adaptive:
-        return least_loaded_route(admission, source, destination)
-    return dimension_ordered_route(source, destination)
+    if len(channel.destinations) != 1:
+        return raw
+    reservation = channel.reservation
+    last_hop = reservation.hops[-1]
+    own = reservation.loads[-1]
+    schedule = admission.link(last_hop.node, last_hop.out_port)
+    response = edf_response_bound(schedule.loads, own.deadline)
+    return min(raw, raw - reservation.local_delays[-1]
+               + admission.hop_overhead + response)
 
 
 def _rejected(demand: ChannelDemand,
@@ -347,139 +293,61 @@ def _rejected(demand: ChannelDemand,
     )
 
 
-def _admit_unicast(demand: ChannelDemand, topology: TopologySpec,
-                   admission: AdmissionController, ids: _IdAllocator,
-                   *, adaptive: bool
-                   ) -> tuple[ChannelVerdict, Reservation]:
-    route = _unicast_route(topology, admission, demand.source,
-                           demand.destinations[0], adaptive=adaptive)
-    horizon = admission.params.default_horizon
-    hops = [HopDescriptor(node=node, out_port=port, horizon=horizon)
-            for node, port in route]
-    reservation = admission.admit(hops, demand.spec(),
-                                  demand.requirements())
-    allocations: list[tuple[tuple[int, int], int]] = []
-    try:
-        for node, __ in route:
-            allocations.append((node, ids.allocate(node)))
-    except AdmissionError:
-        ids.rollback(allocations)
-        admission.release(reservation)
-        raise
-    delays = reservation.local_delays
-    bound = sum(delays)
-    return reservation, ChannelVerdict(
+def _admitted(demand: ChannelDemand,
+              channel: RealTimeChannel) -> ChannelVerdict:
+    """The verdict the established channel and its reservation spell."""
+    reservation = channel.reservation
+    return ChannelVerdict(
         label=demand.label, source=demand.source,
         destinations=demand.destinations, i_min=demand.i_min,
         s_max=demand.s_max, b_max=demand.b_max,
         deadline=demand.deadline, feasible=True,
-        hops=list(route), local_delays=list(delays),
-        predicted_bound=bound,
-        netcalc_bound=channel_delay_bound(demand.spec(), list(delays)),
-        slack=demand.deadline - bound,
+        hops=[(hop.node, hop.out_port) for hop in reservation.hops],
+        local_delays=list(reservation.local_delays),
+        predicted_bound=channel.deadline,
+        netcalc_bound=channel_delay_bound(channel.spec,
+                                          channel.local_delays),
+        slack=demand.deadline - channel.deadline,
         buffers=list(reservation.buffers),
     )
-
-
-def _admit_multicast(demand: ChannelDemand,
-                     admission: AdmissionController,
-                     ids: _IdAllocator
-                     ) -> tuple[ChannelVerdict, Reservation]:
-    ports_by_node, order = multicast_tree(demand.source,
-                                          list(demand.destinations))
-    parents_map = tree_parents(ports_by_node, order)
-
-    hops: list[HopDescriptor] = []
-    hop_parent: list[int] = []
-    node_first_hop: dict[tuple[int, int], int] = {}
-    horizon = admission.params.default_horizon
-    for node in order:
-        for port in sorted(ports_by_node[node]):
-            parent_node = parents_map[node]
-            parent_index = (node_first_hop[parent_node]
-                            if parent_node is not None else -1)
-            node_first_hop.setdefault(node, len(hops))
-            hops.append(HopDescriptor(node=node, out_port=port,
-                                      horizon=horizon))
-            hop_parent.append(parent_index)
-
-    depth: dict[tuple[int, int], int] = {}
-    for node in order:
-        parent = parents_map[node]
-        depth[node] = 1 if parent is None else depth[parent] + 1
-    tree_depth = max(depth.values()) if depth else 1
-
-    d_min = admission.hop_overhead + 1
-    d_cap = min(demand.i_min, admission.params.half_range - 1)
-    uniform = min(d_cap, demand.deadline // tree_depth)
-    if uniform < d_min:
-        raise AdmissionError(
-            f"deadline {demand.deadline} too tight for a "
-            f"depth-{tree_depth} multicast tree",
-            reason="deadline-too-tight",
-            demanded=d_min * tree_depth, available=demand.deadline)
-    reservation = admission.admit(
-        hops, demand.spec(), demand.requirements(),
-        local_delays=[uniform] * len(hops), parents=hop_parent)
-    try:
-        ids.allocate_common(order)
-    except AdmissionError:
-        admission.release(reservation)
-        raise
-    bound = uniform * tree_depth
-    return reservation, ChannelVerdict(
-        label=demand.label, source=demand.source,
-        destinations=demand.destinations, i_min=demand.i_min,
-        s_max=demand.s_max, b_max=demand.b_max,
-        deadline=demand.deadline, feasible=True,
-        hops=[(hop.node, hop.out_port) for hop in hops],
-        local_delays=[uniform] * len(hops),
-        predicted_bound=bound,
-        netcalc_bound=channel_delay_bound(
-            demand.spec(), [uniform] * tree_depth),
-        slack=demand.deadline - bound,
-        buffers=list(reservation.buffers),
-    )
-
-
-@dataclass
-class _AnalysisState:
-    """The live mirror behind a report (internal; fault model input).
-
-    ``analyze`` discards this; :mod:`repro.schedulability.faultmodel`
-    keeps it to replay fault-recovery re-admissions (detour routes,
-    connection-id churn) against exactly the state the fault-free
-    verdicts left behind.
-    """
-
-    admission: AdmissionController
-    ids: _IdAllocator
-    reservations: dict[str, Reservation]
 
 
 def _analyze_live(topology: TopologySpec,
                   demands: Sequence[ChannelDemand], *,
                   params: Optional[RouterParams] = None,
                   adaptive: bool = True
-                  ) -> tuple[ScheduleReport, _AnalysisState]:
-    """`analyze`, but also returning the live admission mirror."""
-    admission = AdmissionController(params or RouterParams())
-    ids = _IdAllocator(admission.params.connections)
+                  ) -> tuple[ScheduleReport, ChannelManager]:
+    """`analyze`, but also returning the manager that did the work.
+
+    ``analyze`` discards it; :mod:`repro.schedulability.faultmodel`
+    keeps it to recover the channels a plan cuts against exactly the
+    tables, reservations and connection ids the fault-free
+    establishment left behind.
+    """
+    topology.check_endpoints(demands)
+    params = params or RouterParams()
+    manager = ChannelManager(
+        {(x, y): ControlInterface(params)
+         for y in range(topology.height) for x in range(topology.width)},
+        params=params, width=topology.width, height=topology.height,
+        torus=topology.torus)
+    admission = manager.admission
     verdicts: list[ChannelVerdict] = []
-    reservations: dict[str, Reservation] = {}
+    admitted: list[tuple[ChannelVerdict, RealTimeChannel]] = []
     for demand in demands:
         try:
-            if len(demand.destinations) == 1:
-                reservation, verdict = _admit_unicast(
-                    demand, topology, admission, ids, adaptive=adaptive)
-            else:
-                reservation, verdict = _admit_multicast(
-                    demand, admission, ids)
-            reservations[demand.label] = reservation
-            verdicts.append(verdict)
+            channel = manager.establish(
+                demand.source, demand.destinations, demand.spec(),
+                demand.deadline, label=demand.label, adaptive=adaptive)
         except AdmissionError as exc:
             verdicts.append(_rejected(demand, exc))
-    _refine_bounds(verdicts, admission, reservations)
+        else:
+            verdict = _admitted(demand, channel)
+            verdicts.append(verdict)
+            admitted.append((verdict, channel))
+    for verdict, channel in admitted:
+        verdict.refined_bound = _refined_bound(
+            admission, channel, verdict.predicted_bound)
 
     bottleneck = None
     for (node, port), schedule in sorted(admission._links.items()):
@@ -497,8 +365,7 @@ def _analyze_live(topology: TopologySpec,
         occupancy=admission.occupancy(), bottleneck=bottleneck,
         node_buffers=node_buffers,
     )
-    return report, _AnalysisState(admission=admission, ids=ids,
-                                  reservations=reservations)
+    return report, manager
 
 
 def analyze(topology: TopologySpec,
@@ -507,12 +374,13 @@ def analyze(topology: TopologySpec,
             adaptive: bool = True) -> ScheduleReport:
     """Predict admission outcomes and worst-case bounds for a problem.
 
-    Demands are replayed in list order against a fresh controller —
-    order matters exactly as it does for real establishment (earlier
-    channels consume link budget and buffers the later ones see).
-    ``adaptive`` mirrors the manager's default least-loaded route
-    selection; ``False`` forces dimension order (the service layer's
-    setting).
+    Demands are established in list order on fresh tables — order
+    matters exactly as it does on a network (earlier channels consume
+    link budget, buffers and connection ids the later ones see).
+    ``adaptive`` is the manager's: least-loaded route selection by
+    default, ``False`` forces dimension order (the service layer's
+    setting).  Raises ``ValueError`` for a demand with an endpoint
+    outside the topology.
     """
     report, __ = _analyze_live(topology, demands, params=params,
                                adaptive=adaptive)

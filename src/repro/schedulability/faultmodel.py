@@ -6,7 +6,14 @@ module composes the fault-tolerance subsystem's recovery model — the
 watchdog's detection latency, the reroute path's re-admission cost and
 the retransmission layer's deadline-based exponential backoff
 (:mod:`repro.faults`) — into that analysis, so a ``(Problem,
-FaultPlan)`` pair yields one of three per-channel verdicts:
+FaultPlan)`` pair yields one of three per-channel verdicts.  The
+reroute itself is not modelled: each cut channel is recovered by
+:meth:`ChannelManager.recover
+<repro.channels.manager.ChannelManager.recover>` — the method the
+recovery controller reaches through ``MeshNetwork.recover_channel`` —
+on the very manager the fault-free analysis established it with, so
+detour, re-admission and connection-id churn are the real ones.  The
+verdicts:
 
 ``guaranteed``
     The requested deadline holds even through the worst case the plan
@@ -66,13 +73,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.campaign.spec import canonical_dumps
-from repro.channels.admission import AdmissionError, HopDescriptor
-from repro.channels.routing import (
-    RouteError,
-    multicast_tree_avoiding,
-    shortest_route_avoiding,
-    tree_parents,
-)
+from repro.channels.admission import AdmissionError
+from repro.channels.routing import RouteError
 from repro.core.params import RouterParams
 from repro.core.ports import RECEPTION
 from repro.faults.plan import CORRUPT, CUT, DROP, FaultPlan
@@ -81,7 +83,7 @@ from repro.schedulability.engine import (
     ChannelVerdict,
     ScheduleReport,
     _analyze_live,
-    edf_response_bound,
+    _refined_bound,
 )
 from repro.schedulability.spec import ChannelDemand, Problem, TopologySpec
 
@@ -389,97 +391,6 @@ def _at_risk(verdict: ChannelVerdict, demand: ChannelDemand, *,
     )
 
 
-def _admit_detour_unicast(demand: ChannelDemand, state, avoid: set,
-                          topology: TopologySpec):
-    """Mirror of the recovery layer's unicast reroute.
-
-    ``Network.recover_channel`` picks the shortest surviving path by
-    BFS and ``ChannelManager.reroute`` admits the replacement *before*
-    tearing the old path down (new connection ids are allocated while
-    the old ones are still held).  The mirror does the same against
-    the analysis state: admit the detour, allocate its ids, then
-    release the original reservation.  Raises ``RouteError`` when no
-    surviving path exists and ``AdmissionError`` when the detour fails
-    re-admission (state is rolled back in both cases).
-    """
-    route = shortest_route_avoiding(
-        topology.width, topology.height, demand.source,
-        demand.destinations[0], failed=avoid, torus=topology.torus)
-    admission = state.admission
-    horizon = admission.params.default_horizon
-    hops = [HopDescriptor(node=node, out_port=port, horizon=horizon)
-            for node, port in route]
-    reservation = admission.admit(hops, demand.spec(),
-                                  demand.requirements())
-    allocations: list[tuple[tuple[int, int], int]] = []
-    try:
-        for node, __ in route:
-            allocations.append((node, state.ids.allocate(node)))
-    except AdmissionError:
-        state.ids.rollback(allocations)
-        admission.release(reservation)
-        raise
-    old = state.reservations[demand.label]
-    admission.release(old)
-    # The old path's connection ids are deliberately *not* freed: the
-    # allocator does not track them per channel, and holding them is
-    # conservative (a detour can only be refused sooner, never admitted
-    # where the real manager would refuse).
-    state.reservations[demand.label] = reservation
-    return route, reservation
-
-
-def _admit_detour_multicast(demand: ChannelDemand, state, avoid: set,
-                            topology: TopologySpec):
-    """Mirror of ``ChannelManager.reroute_multicast`` (tree detour)."""
-    ports_by_node, order = multicast_tree_avoiding(
-        topology.width, topology.height, demand.source,
-        list(demand.destinations), failed=avoid, torus=topology.torus)
-    parents_map = tree_parents(ports_by_node, order)
-    admission = state.admission
-    horizon = admission.params.default_horizon
-
-    hops: list[HopDescriptor] = []
-    hop_parent: list[int] = []
-    node_first_hop: dict[tuple[int, int], int] = {}
-    for node in order:
-        for port in sorted(ports_by_node[node]):
-            parent_node = parents_map[node]
-            parent_index = (node_first_hop[parent_node]
-                            if parent_node is not None else -1)
-            node_first_hop.setdefault(node, len(hops))
-            hops.append(HopDescriptor(node=node, out_port=port,
-                                      horizon=horizon))
-            hop_parent.append(parent_index)
-
-    depth: dict[tuple[int, int], int] = {}
-    for node in order:
-        parent = parents_map[node]
-        depth[node] = 1 if parent is None else depth[parent] + 1
-    tree_depth = max(depth.values()) if depth else 1
-
-    d_min = admission.hop_overhead + 1
-    d_cap = min(demand.i_min, admission.params.half_range - 1)
-    uniform = min(d_cap, demand.deadline // tree_depth)
-    if uniform < d_min:
-        raise AdmissionError(
-            f"deadline {demand.deadline} too tight for a depth-"
-            f"{tree_depth} detour tree", reason="deadline-too-tight",
-            demanded=d_min * tree_depth, available=demand.deadline)
-    reservation = admission.admit(
-        hops, demand.spec(), demand.requirements(),
-        local_delays=[uniform] * len(hops), parents=hop_parent)
-    try:
-        state.ids.allocate_common(order)
-    except AdmissionError:
-        admission.release(reservation)
-        raise
-    admission.release(state.reservations[demand.label])
-    state.reservations[demand.label] = reservation
-    route = [(hop.node, hop.out_port) for hop in hops]
-    return route, reservation, uniform * tree_depth
-
-
 def analyze_with_faults(topology: TopologySpec,
                         demands: Sequence[ChannelDemand],
                         plan: FaultPlan, *,
@@ -490,11 +401,15 @@ def analyze_with_faults(topology: TopologySpec,
     """Degraded-but-guaranteed verdicts for a problem under a plan.
 
     Runs the fault-free analysis first, then replays the plan's worst
-    case against the live admission mirror: every channel whose route
-    crosses a cut link is re-admitted on its shortest surviving detour
-    (in admission order — exactly the order the recovery controller
-    walks the channel list), corruption budgets are charged as failed
-    attempts, and the recovery envelope decides the verdict.  After all
+    case on the manager that analysis established the channels with:
+    every channel whose route crosses a cut link is rerouted by
+    :meth:`ChannelManager.recover
+    <repro.channels.manager.ChannelManager.recover>` — the method the
+    recovery controller calls on a network — in admission order
+    (exactly the order the controller walks the channel list),
+    corruption budgets are charged as failed attempts, and the
+    recovery envelope decides the verdict.  A channel whose detour is
+    refused stays on its old path, as ``recover`` leaves it.  After all
     detours land, unaffected channels' refined bounds are re-checked
     against the *post-fault* load (a detour may share their reception
     link) so the guarantee covers the whole run, not just the pre-cut
@@ -502,8 +417,8 @@ def analyze_with_faults(topology: TopologySpec,
     """
     params = params or RouterParams()
     recovery = recovery or RecoveryModel.derive(params)
-    base, state = _analyze_live(topology, demands, params=params,
-                                adaptive=adaptive)
+    base, manager = _analyze_live(topology, demands, params=params,
+                                  adaptive=adaptive)
     avoid = plan.cut_links
     budgets = _corrupt_budgets(plan)
     cut_waves = len({event.cycle for event in plan.events
@@ -534,13 +449,7 @@ def analyze_with_faults(topology: TopologySpec,
 
         if hit_by_cut:
             try:
-                if len(demand.destinations) == 1:
-                    route, reservation = _admit_detour_unicast(
-                        demand, state, avoid, topology)
-                    d_detour = sum(reservation.local_delays)
-                else:
-                    route, reservation, d_detour = _admit_detour_multicast(
-                        demand, state, avoid, topology)
+                detour = manager.recover(manager.find(demand.label), avoid)
             except RouteError:
                 verdicts.append(_at_risk(
                     verdict, demand, reason=NO_REROUTE_PATH,
@@ -554,6 +463,9 @@ def analyze_with_faults(topology: TopologySpec,
                     detail={"rejection": exc.details(),
                             "consequence": "graceful-degradation"}))
                 continue
+            route = [(hop.node, hop.out_port)
+                     for hop in detour.reservation.hops]
+            d_detour = detour.deadline
             detour_links = _route_links(route)
             corrupt_retries = _corrupt_attempts(
                 route_links | detour_links, budgets, packets)
@@ -617,17 +529,9 @@ def analyze_with_faults(topology: TopologySpec,
     for fault_verdict in verdicts:
         if fault_verdict.affected or fault_verdict.status == AT_RISK:
             continue
-        demand = demand_for[fault_verdict.label]
-        if len(demand.destinations) != 1:
-            continue
-        reservation = state.reservations[fault_verdict.label]
-        last_hop = reservation.hops[-1]
-        own = reservation.loads[-1]
-        schedule = state.admission.link(last_hop.node, last_hop.out_port)
-        response = edf_response_bound(schedule.loads, own.deadline)
-        raw = base.verdict_for(fault_verdict.label).predicted_bound
-        refined_post = min(raw, raw - reservation.local_delays[-1]
-                           + state.admission.hop_overhead + response)
+        refined_post = _refined_bound(
+            manager.admission, manager.find(fault_verdict.label),
+            base.verdict_for(fault_verdict.label).predicted_bound)
         bound = max(fault_verdict.fault_free_bound, refined_post)
         fault_verdict.fault_free_bound = bound
         fault_verdict.degraded_bound = bound

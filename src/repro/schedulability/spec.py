@@ -55,6 +55,18 @@ class TopologySpec:
         _require(isinstance(self.torus, bool),
                  "torus must be a boolean")
 
+    def check_endpoints(self, demands: Sequence["ChannelDemand"]) -> None:
+        """Raise ``ValueError`` for the first demand whose source or
+        any destination is not a node of this topology."""
+        for demand in demands:
+            for node in (demand.source, *demand.destinations):
+                if not (0 <= node[0] < self.width
+                        and 0 <= node[1] < self.height):
+                    raise ValueError(
+                        f"channel {demand.label!r}: node {node!r} is "
+                        f"outside the {self.width}x{self.height} "
+                        f"{'torus' if self.torus else 'mesh'}")
+
     def to_dict(self) -> dict:
         return {"width": self.width, "height": self.height,
                 "torus": self.torus}
@@ -160,6 +172,9 @@ class Problem:
 
     topology: TopologySpec
     channels: tuple[ChannelDemand, ...]
+
+    def __post_init__(self) -> None:
+        self.topology.check_endpoints(self.channels)
 
     def to_dict(self) -> dict:
         return {

@@ -124,6 +124,51 @@ class TightnessReport:
         return rows
 
 
+def _establish_and_compare(net, demands: Sequence[ChannelDemand],
+                           prediction: ScheduleReport, *, adaptive: bool
+                           ) -> tuple[list[tuple], list[str]]:
+    """Establish ``demands`` in order on ``net`` against ``prediction``.
+
+    Returns a ``(demand, channel, verdict)`` triple for every demand
+    both sides admitted, and every disagreement between them.  Engine and network run the same
+    establishment code, but over separate tables, horizons and
+    failed-link sets — a mismatch means those differ (the network is
+    not fresh, a horizon was reduced, a link is already down), not that
+    two implementations drifted.
+    """
+    mismatches: list[str] = []
+    admitted: list[tuple] = []
+    for demand, verdict in zip(demands, prediction.channels):
+        try:
+            channel = net.establish_channel(
+                demand.source, demand.destinations, demand.spec(),
+                deadline=demand.deadline, label=demand.label,
+                adaptive=adaptive)
+        except AdmissionError as exc:
+            if verdict.feasible:
+                mismatches.append(
+                    f"{demand.label}: engine admitted but simulator "
+                    f"rejected ({exc.reason})")
+            elif exc.reason != verdict.reason:
+                mismatches.append(
+                    f"{demand.label}: rejection reason diverged "
+                    f"(engine {verdict.reason!r}, "
+                    f"simulator {exc.reason!r})")
+            continue
+        if not verdict.feasible:
+            mismatches.append(
+                f"{demand.label}: engine rejected ({verdict.reason}) "
+                f"but simulator admitted")
+            continue
+        if channel.deadline != verdict.predicted_bound:
+            mismatches.append(
+                f"{demand.label}: bound diverged (engine "
+                f"{verdict.predicted_bound}, simulator "
+                f"{channel.deadline})")
+        admitted.append((demand, channel, verdict))
+    return admitted, mismatches
+
+
 def drive_worst_case(net, channels: Sequence[tuple[ChannelDemand, object]],
                      ticks: int) -> None:
     """Adversarial driving: aligned phases, bursts up front.
@@ -162,41 +207,10 @@ def measure_tightness(topology: TopologySpec,
                          adaptive=adaptive)
     net = MeshNetwork(topology.width, topology.height, params=params,
                       torus=topology.torus, engine=engine)
-    mismatches: list[str] = []
-    established: list[tuple[ChannelDemand, object]] = []
-    verdicts: dict[str, object] = {}
-    for demand, verdict in zip(demands, prediction.channels):
-        destinations = (demand.destinations[0]
-                        if len(demand.destinations) == 1
-                        else demand.destinations)
-        try:
-            channel = net.establish_channel(
-                demand.source, destinations, demand.spec(),
-                deadline=demand.deadline, label=demand.label,
-                adaptive=adaptive)
-        except AdmissionError as exc:
-            if verdict.feasible:
-                mismatches.append(
-                    f"{demand.label}: engine admitted but simulator "
-                    f"rejected ({exc.reason})")
-            elif exc.reason != verdict.reason:
-                mismatches.append(
-                    f"{demand.label}: rejection reason diverged "
-                    f"(engine {verdict.reason!r}, "
-                    f"simulator {exc.reason!r})")
-            continue
-        if not verdict.feasible:
-            mismatches.append(
-                f"{demand.label}: engine rejected ({verdict.reason}) "
-                f"but simulator admitted")
-            continue
-        if channel.deadline != verdict.predicted_bound:
-            mismatches.append(
-                f"{demand.label}: bound diverged (engine "
-                f"{verdict.predicted_bound}, simulator "
-                f"{channel.deadline})")
-        established.append((demand, channel))
-        verdicts[demand.label] = verdict
+    admitted, mismatches = _establish_and_compare(
+        net, demands, prediction, adaptive=adaptive)
+    established = [(demand, channel) for demand, channel, __ in admitted]
+    verdicts = {demand.label: verdict for demand, __, verdict in admitted}
 
     drive_worst_case(net, established, ticks)
 
@@ -429,7 +443,6 @@ def measure_chaos_tightness(topology: TopologySpec,
     prediction = analyze_with_faults(topology, demands, plan,
                                      params=params, adaptive=adaptive,
                                      recovery=recovery)
-    base = prediction.base
     net = MeshNetwork(topology.width, topology.height, params=params,
                       torus=topology.torus, engine=engine)
     tolerance = install_fault_tolerance(net)
@@ -459,39 +472,9 @@ def measure_chaos_tightness(topology: TopologySpec,
 
     net.tc_send_hooks.append(_record_sends)
 
-    mismatches: list[str] = []
-    established: list[ChannelDemand] = []
-    for demand, verdict in zip(demands, base.channels):
-        destinations = (demand.destinations[0]
-                        if len(demand.destinations) == 1
-                        else demand.destinations)
-        try:
-            channel = net.establish_channel(
-                demand.source, destinations, demand.spec(),
-                deadline=demand.deadline, label=demand.label,
-                adaptive=adaptive)
-        except AdmissionError as exc:
-            if verdict.feasible:
-                mismatches.append(
-                    f"{demand.label}: engine admitted but simulator "
-                    f"rejected ({exc.reason})")
-            elif exc.reason != verdict.reason:
-                mismatches.append(
-                    f"{demand.label}: rejection reason diverged "
-                    f"(engine {verdict.reason!r}, "
-                    f"simulator {exc.reason!r})")
-            continue
-        if not verdict.feasible:
-            mismatches.append(
-                f"{demand.label}: engine rejected ({verdict.reason}) "
-                f"but simulator admitted")
-            continue
-        if channel.deadline != verdict.predicted_bound:
-            mismatches.append(
-                f"{demand.label}: bound diverged (engine "
-                f"{verdict.predicted_bound}, simulator "
-                f"{channel.deadline})")
-        established.append(demand)
+    admitted, mismatches = _establish_and_compare(
+        net, demands, prediction.base, adaptive=adaptive)
+    established = [demand for demand, __, __ in admitted]
 
     injector = FaultInjector(net, plan)
     net.engine.add_component(injector)

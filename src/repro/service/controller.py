@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.channels.admission import AdmissionError
-from repro.channels.routing import dimension_ordered_route
 from repro.channels.spec import TrafficSpec
 from repro.observability.trace import (
     CHANNEL_TEARDOWN,
@@ -256,11 +255,9 @@ class ServiceController:
             from repro.channels.spec import FlowRequirements
             from repro.schedulability.engine import predict_admission
 
-            manager = self.network.manager
-            route = dimension_ordered_route(request.source,
-                                            request.destination)
             verdict = predict_admission(
-                manager.admission, manager._hop_descriptors(route),
+                self.network.manager.admission,
+                self._establishment_hops(request),
                 TrafficSpec(i_min=request.i_min),
                 FlowRequirements(deadline=request.deadline_ticks))
             if not verdict["feasible"] and verdict["load_independent"]:
@@ -304,19 +301,23 @@ class ServiceController:
                 else None)
         return self._fault_screen[key]
 
+    def _establishment_hops(self, request: ChannelRequest) -> list:
+        """The hops :meth:`_try_establish` would ask admission for."""
+        return self.network.manager.unicast_hops(
+            request.source, request.destination, adaptive=False,
+            failed=self.network.failed_links)
+
     def _headroom_ok(self, request: ChannelRequest) -> bool:
         """Preventive check: would this setup breach the thresholds?"""
         spec = TrafficSpec(i_min=request.i_min)
         candidate_util = spec.packets_per_message / spec.i_min
         admission = self.network.manager.admission
         capacity = admission.params.tc_packet_slots
-        route = dimension_ordered_route(request.source,
-                                        request.destination)
-        for node, port in route:
-            current = admission.link_utilisation(node, port)
+        for hop in self._establishment_hops(request):
+            current = admission.link_utilisation(hop.node, hop.out_port)
             if current + candidate_util > self.config.util_threshold:
                 return False
-            fill = admission.node_buffer_usage(node) / capacity
+            fill = admission.node_buffer_usage(hop.node) / capacity
             if fill > self.config.buffer_watermark:
                 return False
         return True

@@ -4,8 +4,10 @@ import pytest
 
 from repro.channels import AdmissionError, ChannelManager, TrafficSpec
 from repro.channels.admission import AdmissionController
+from repro.channels.routing import RouteError
 from repro.core import RealTimeRouter, RouterParams
-from repro.core.ports import EAST, RECEPTION
+from repro.core.connection_table import ControlInterface
+from repro.core.ports import EAST, NORTH, RECEPTION, WEST
 
 
 def make_fabric(width=2, height=2, params=None):
@@ -14,8 +16,32 @@ def make_fabric(width=2, height=2, params=None):
         (x, y): RealTimeRouter(params, router_id=(x, y))
         for x in range(width) for y in range(height)
     }
-    return routers, ChannelManager(routers, AdmissionController(params),
+    controls = {node: router.control for node, router in routers.items()}
+    return routers, ChannelManager(controls, AdmissionController(params),
                                    params)
+
+
+def bare_manager(width, height, *, torus=False, dimensions=True):
+    """A manager over connection tables with no data path behind them."""
+    params = RouterParams()
+    controls = {(x, y): ControlInterface(params)
+                for x in range(width) for y in range(height)}
+    mesh = (dict(width=width, height=height, torus=torus)
+            if dimensions else {})
+    return controls, ChannelManager(controls, params=params, **mesh)
+
+
+def everything(controls, manager):
+    """All state establishment and recovery can touch (a refused
+    admission may leave an empty, lazily created link schedule)."""
+    admission = manager.admission.state()
+    admission["links"] = [link for link in admission["links"] if link[2]]
+    return (manager.state(), admission,
+            {node: control.state() for node, control in controls.items()})
+
+
+def hops_of(channel):
+    return [(hop.node, hop.out_port) for hop in channel.reservation.hops]
 
 
 class TestUnicastEstablishment:
@@ -162,3 +188,98 @@ class TestTeardown:
         manager.teardown(channel)
         with pytest.raises(ValueError):
             manager.teardown(channel)
+
+
+class TestRouteSearch:
+    """Routes the manager picks by search, with no network to help."""
+
+    def test_torus_establishment_crosses_a_wrap_link(self):
+        controls, manager = bare_manager(4, 4, torus=True)
+        channel = manager.establish((0, 0), (3, 0), TrafficSpec(i_min=10),
+                                    deadline=40)
+        assert hops_of(channel) == [((0, 0), WEST), ((3, 0), RECEPTION)]
+        entry = controls[(0, 0)].table.lookup(channel.source_connection_id)
+        assert entry.ports() == [WEST]
+
+    def test_torus_search_keeps_off_failed_links(self):
+        __, manager = bare_manager(4, 4, torus=True)
+        channel = manager.establish((0, 0), (3, 0), TrafficSpec(i_min=10),
+                                    deadline=60, failed={((0, 0), WEST)})
+        assert ((0, 0), WEST) not in hops_of(channel)
+        assert hops_of(channel)[-1] == ((3, 0), RECEPTION)
+
+    def test_torus_manager_needs_the_dimensions(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            ChannelManager({(0, 0): ControlInterface(RouterParams())},
+                           torus=True)
+
+    def test_unicast_hops_is_what_establishment_admits(self):
+        __, manager = bare_manager(3, 3)
+        hops = manager.unicast_hops((0, 0), (2, 1), adaptive=False)
+        channel = manager.establish((0, 0), (2, 1), TrafficSpec(i_min=10),
+                                    deadline=60, adaptive=False)
+        assert channel.reservation.hops == hops
+
+
+class TestRecover:
+    SPEC = TrafficSpec(i_min=4)
+
+    def victim_and_saturators(self):
+        # The only detour of (0,0)->(1,0) around its cut east link runs
+        # over (0,1) east, which two saturators fill completely.
+        controls, manager = bare_manager(2, 2)
+        victim = manager.establish((0, 0), (1, 0), self.SPEC, deadline=120,
+                                   label="victim")
+        for k in range(2):
+            manager.establish((0, 1), (1, 1), self.SPEC, deadline=80,
+                              label=f"sat-{k}")
+        return controls, manager, victim
+
+    def test_detour_replaces_the_old_path(self):
+        controls, manager = bare_manager(2, 2)
+        channel = manager.establish((0, 0), (1, 0), self.SPEC, deadline=120,
+                                    label="victim")
+        channel.make_message(b"", now_tick=0)
+        replacement = manager.recover(channel, {((0, 0), EAST)})
+        assert hops_of(replacement)[0] == ((0, 0), NORTH)
+        assert ((0, 0), EAST) not in hops_of(replacement)
+        assert replacement.label == "victim"
+        assert replacement.regulator is channel.regulator
+        assert replacement._sequence == channel._sequence == 1
+        assert manager.channels == [replacement]
+        # The old path's entries are gone and its ids free again.
+        for node, control in controls.items():
+            mine = [cid for entry_node, cid in replacement.table_entries
+                    if entry_node == node]
+            assert control.table.programmed_ids() == mine
+            assert manager._used_ids[node] == set(mine)
+
+    def test_needs_the_mesh_dimensions(self):
+        __, manager = bare_manager(2, 2, dimensions=False)
+        channel = manager.establish((0, 0), (1, 0), self.SPEC, deadline=120)
+        with pytest.raises(ValueError, match="width and height"):
+            manager.recover(channel, {((0, 0), EAST)})
+        assert manager.channels == [channel]
+
+    def test_old_channel_intact_on_admission_error(self):
+        controls, manager, victim = self.victim_and_saturators()
+        before = everything(controls, manager)
+        with pytest.raises(AdmissionError):
+            manager.recover(victim, {((0, 0), EAST)})
+        assert everything(controls, manager) == before
+        assert manager.find("victim") is victim
+
+    def test_old_channel_intact_on_route_error(self):
+        controls, manager, victim = self.victim_and_saturators()
+        before = everything(controls, manager)
+        with pytest.raises(RouteError, match="'victim'"):
+            manager.recover(victim, {((0, 0), EAST), ((0, 0), NORTH)})
+        assert everything(controls, manager) == before
+        assert manager.find("victim") is victim
+
+    def test_foreign_channel_rejected(self):
+        __, manager = bare_manager(2, 2)
+        __, other = bare_manager(2, 2)
+        channel = other.establish((0, 0), (1, 0), self.SPEC, deadline=120)
+        with pytest.raises(ValueError, match="not managed"):
+            manager.recover(channel, set())

@@ -23,7 +23,8 @@ def make_fabric(width=3, height=3, params=None):
         (x, y): RealTimeRouter(params, router_id=(x, y))
         for x in range(width) for y in range(height)
     }
-    return routers, ChannelManager(routers, AdmissionController(params),
+    controls = {node: router.control for node, router in routers.items()}
+    return routers, ChannelManager(controls, AdmissionController(params),
                                    params)
 
 

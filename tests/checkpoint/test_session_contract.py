@@ -15,6 +15,7 @@ in ``test_resume_equivalence.py``.
 """
 
 import dataclasses
+import importlib
 import json
 
 import pytest
@@ -221,6 +222,24 @@ class TestOneDriver:
                 return super().restore(*args, **options)
 
         assert self.regrown(Regrown) == ["run", "restore"]
+
+
+class TestOneEstablishmentPath:
+    """The analytic engine and the fault model establish and reroute
+    through ``ChannelManager``; a regrown mirror of it would have to
+    import the pieces establishment is made of."""
+
+    ESTABLISHMENT_OWNED = (
+        "HopDescriptor", "multicast_tree", "multicast_tree_avoiding",
+        "tree_parents", "shortest_route_avoiding", "least_loaded_route",
+        "dimension_ordered_route")
+
+    @pytest.mark.parametrize("module", ["engine", "faultmodel"])
+    def test_analysis_imports_no_piece_of_establishment(self, module):
+        namespace = vars(importlib.import_module(
+            f"repro.schedulability.{module}"))
+        assert [name for name in self.ESTABLISHMENT_OWNED
+                if name in namespace] == []
 
 
 class TestOneRandomWorkload:

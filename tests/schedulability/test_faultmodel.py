@@ -183,6 +183,47 @@ class TestVerdictTaxonomy:
         assert verdict.detail["rejection"]["reason"]
         assert not report.ok
 
+    def test_reroute_frees_the_old_paths_connection_ids(self, monkeypatch):
+        # Three ids per router, two channels over the cut link: the
+        # second reroute needs the id the first one's old path held at
+        # (0, 0).  The fault model keeps the ids a real network keeps.
+        from repro.core import RouterParams
+        from repro.schedulability import faultmodel
+
+        params = RouterParams(connections=3)
+        topology = TopologySpec(3, 3)
+        demands = [ChannelDemand(label=f"c{k}", source=(0, 0),
+                                 destinations=((2, 0),), i_min=16,
+                                 deadline=400) for k in range(2)]
+        plan = one_cut_plan(node=(0, 0), direction=0, cycle=100)
+        managers = []
+        establish = faultmodel._analyze_live
+
+        def keep_manager(*args, **kwargs):
+            report, manager = establish(*args, **kwargs)
+            managers.append(manager)
+            return report, manager
+
+        monkeypatch.setattr(faultmodel, "_analyze_live", keep_manager)
+        report = analyze_with_faults(topology, demands, plan,
+                                     params=params)
+        assert not report.at_risk
+        assert {v.status for v in report.verdicts} <= {
+            GUARANTEED, DEGRADED_GUARANTEED}
+        assert all(v.detour_hops for v in report.verdicts)
+
+        net = MeshNetwork(3, 3, params=params)
+        for demand in demands:
+            net.establish_channel(demand.source, demand.destinations,
+                                  demand.spec(), deadline=demand.deadline,
+                                  label=demand.label)
+        net.fail_link((0, 0), 0)
+        for demand in demands:
+            net.recover_channel(net.manager.find(demand.label))
+        [manager] = managers
+        assert manager._used_ids == net.manager._used_ids
+        assert any(len(ids) == 2 for ids in manager._used_ids.values())
+
     def test_retry_budget_exhausted(self):
         topology = TopologySpec(2, 2)
         demands = [ChannelDemand(label="c", source=(0, 0),

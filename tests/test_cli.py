@@ -481,6 +481,25 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(bad)]) == 2
         assert "unknown problem fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("torus", [False, True])
+    def test_endpoint_outside_the_mesh_is_an_error(self, capsys, tmp_path,
+                                                   torus):
+        # Never a verdict: at the parent this printed "feasible yes".
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "topology": {"width": 4, "height": 4, "torus": torus},
+            "channels": [{"label": "stray", "source": [0, 0],
+                          "destinations": [[9, 9]], "i_min": 16,
+                          "deadline": 400}]}))
+        assert main(["analyze", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "'stray'" in captured.err and "(9, 9)" in captured.err
+        assert "Traceback" not in captured.err
+        assert "feasible" not in captured.out
+        assert "stray" not in captured.out
+
+
 class TestAnalyzeFaultPlan:
     """``analyze --fault-plan``: verdicts, chaos gating, exit codes."""
 
