@@ -9,8 +9,15 @@ checkout.  The reduced record lands at the repo root so the perf
 trajectory is read from committed numbers: per workload and end-to-end
 metric the median, quartiles, minimum and sample count of both sides
 (exact simulated metrics: both values), ``attempted``/``failed``,
-whether the ``exact`` block (``sim_signature`` and counters) is equal,
-and the hosts and commits that produced them.
+which keys of the ``exact`` block (``sim_signature`` and counters)
+differ, with both values, and the hosts and commits that produced them.
+
+    python3 scripts/bench_record.py A/ledger.json B/ledger.json --gate
+
+writes nothing: it fails unless every ``exact`` block differs only in
+simulator effort, and in the cheaper direction (``perf-pair`` runs it
+next to ``scripts/behaviour_digest.py``, which compares what was
+simulated).
 """
 
 from __future__ import annotations
@@ -22,6 +29,49 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+
+#: The ``exact`` counters that measure what the simulator executed, not
+#: what it simulated, and the direction that is cheaper.
+EFFORT = {
+    "network.engine.cycles_stepped": "lower",
+    "network.engine.cycles_fast_forwarded": "higher",
+    "network.engine.executed_share": "lower",
+    "core.comparator_tree.keys_computed": "lower",
+}
+#: Effort too, but gated as key lookups (computed + reused): a change
+#: that runs fewer tournaments reuses fewer keys, which is not a worse
+#: cache, whatever direction BENCHMARK.json calls better.
+KEYS_REUSED = "core.comparator_tree.keys_reused"
+
+
+def exact_differs(parent: dict, change: dict) -> dict:
+    """The keys of two ``exact`` blocks that differ, with both values."""
+    return {key: dict(zip(SIDES, (parent.get(key), change.get(key))))
+            for key in sorted(set(parent) | set(change))
+            if parent.get(key) != change.get(key)}
+
+
+def effort_gate(parent: dict, change: dict) -> list[str]:
+    """Why two ``exact`` blocks are not "same behaviour, no more
+    effort" (empty: they are).  ``sim_signature`` hashes the engine's
+    cycle split, so it moves whenever the effort does."""
+    problems = []
+    for key, values in exact_differs(parent, change).items():
+        if key in ("sim_signature", KEYS_REUSED):
+            continue
+        better = EFFORT.get(key)
+        if better is None:
+            problems.append(f"{key} is behaviour and moved: "
+                            f"{values['parent']} -> {values['change']}")
+        elif (values["change"] > values["parent"]) == (better == "lower"):
+            problems.append(f"{key} got worse ({better} is better): "
+                            f"{values['parent']} -> {values['change']}")
+    lookups = [side.get("core.comparator_tree.keys_computed", 0)
+               + side.get(KEYS_REUSED, 0) for side in (parent, change)]
+    if lookups[1] > lookups[0]:
+        problems.append(f"sorting-key lookups rose: {lookups[0]} -> "
+                        f"{lookups[1]}")
+    return problems
 
 
 def _reduce_metric(entries: list[dict]) -> dict:
@@ -60,6 +110,7 @@ def reduce_pair(parent: dict, change: dict, pr: int) -> dict:
             "attempted": dict(zip(SIDES, (a["attempted"], b["attempted"]))),
             "failed": dict(zip(SIDES, (a["failed"], b["failed"]))),
             "exact_equal": a["exact"] == b["exact"],
+            "exact_differs": exact_differs(a["exact"], b["exact"]),
             "end_to_end": {
                 metric: _reduce_metric([entry, b["end_to_end"][metric]])
                 for metric, entry in a["end_to_end"].items()},
@@ -81,11 +132,25 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="A/ledger.json")
     parser.add_argument("change", type=Path, help="B/ledger.json")
-    parser.add_argument("--pr", type=int, required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pr", type=int)
+    mode.add_argument("--gate", action="store_true",
+                      help="write nothing; fail unless the exact blocks "
+                           "differ only in simulator effort, for the better")
     args = parser.parse_args(argv)
     try:
-        record = reduce_pair(json.loads(args.parent.read_text()),
-                             json.loads(args.change.read_text()), args.pr)
+        parent = json.loads(args.parent.read_text())
+        change = json.loads(args.change.read_text())
+        if args.gate:
+            problems = [
+                f"{name}: {problem}"
+                for name, a in parent["workloads"].items()
+                for problem in effort_gate(
+                    a["exact"], change["workloads"][name]["exact"])]
+            print("\n".join(problems) or "exact blocks: behaviour equal, "
+                  "effort no worse")
+            return 1 if problems else 0
+        record = reduce_pair(parent, change, args.pr)
     except (OSError, ValueError, KeyError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 2

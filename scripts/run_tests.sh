@@ -39,7 +39,9 @@ run_perf_pair() {
     echo "== perf-pair: repo benchmark (smoke size), parent commit vs this tree =="
     # The parent's committed files go into a temporary tree; each side
     # runs its own copy of the harness.  Fails on a 'regressed' row
-    # (compare's exit status) or an exact block that is not 'equal'.
+    # (compare's exit status), on a behaviour digest that differs, or on
+    # an exact block that differs in anything but simulator effort
+    # spent, or differs there for the worse.
     local tmp
     tmp="$(mktemp -d)"
     trap "rm -rf '$tmp'" EXIT
@@ -49,9 +51,17 @@ run_perf_pair() {
     python3 benchmarks/perf/run.py --smoke --seed 2
     python3 benchmarks/perf/run.py compare \
         "$tmp/parent/benchmarks/perf/out/ledger.json" \
-        benchmarks/perf/out/ledger.json | tee "$tmp/compare.txt"
-    if grep "exact block" "$tmp/compare.txt" | grep -qv ": equal$"; then
-        echo "perf-pair: an exact block differs from the parent's" >&2
+        benchmarks/perf/out/ledger.json
+    python3 scripts/bench_record.py --gate \
+        "$tmp/parent/benchmarks/perf/out/ledger.json" \
+        benchmarks/perf/out/ledger.json
+    python3 scripts/behaviour_digest.py --smoke --seed 2 \
+        --root "$tmp/parent" > "$tmp/digest-parent.txt"
+    python3 scripts/behaviour_digest.py --smoke --seed 2 \
+        | tee "$tmp/digest-change.txt"
+    if ! cmp -s "$tmp/digest-parent.txt" "$tmp/digest-change.txt"; then
+        echo "perf-pair: the workloads simulated something else than at the parent" >&2
+        diff "$tmp/digest-parent.txt" "$tmp/digest-change.txt" >&2 || true
         return 1
     fi
 }

@@ -169,7 +169,6 @@ class ComparatorTree:
 class _PipelineJob:
     port: int
     ready_cycle: int
-    result: Optional[Selection] = None
 
 
 class SchedulerPipeline:
@@ -229,6 +228,25 @@ class SchedulerPipeline:
     def has_request(self, port: int) -> bool:
         return port in self._ports_waiting
 
+    def _advance(self, cycle: int) -> list[int]:
+        """One cycle of queue bookkeeping, the tree not consulted.
+
+        Returns the ports whose tournament completes now, in completion
+        order, and starts the next one when the initiation interval
+        allows.
+        """
+        done = []
+        while self._inflight and self._inflight[0].ready_cycle <= cycle:
+            port = self._inflight.popleft().port
+            self._ports_waiting.discard(port)
+            done.append(port)
+        if self._queue and cycle >= self._next_start_cycle:
+            job = self._queue.popleft()
+            job.ready_cycle = cycle + self.latency
+            self._inflight.append(job)
+            self._next_start_cycle = cycle + self.initiation_interval
+        return done
+
     def step(self, cycle: int, clock: RolloverClock,
              horizons: list[int]) -> list[tuple[int, Optional[Selection]]]:
         """Advance one router cycle; return completed (port, selection).
@@ -236,19 +254,37 @@ class SchedulerPipeline:
         Starts a new tournament when the initiation interval allows,
         and completes tournaments whose latency has elapsed.
         """
-        completed: list[tuple[int, Optional[Selection]]] = []
-        while self._inflight and self._inflight[0].ready_cycle <= cycle:
-            job = self._inflight.popleft()
-            job.result = self.tree.select_for_port(
-                job.port, clock, horizons[job.port]
-            )
-            self._ports_waiting.discard(job.port)
-            completed.append((job.port, job.result))
-        if self._queue and cycle >= self._next_start_cycle:
-            job = self._queue.popleft()
-            job.ready_cycle = cycle + self.latency
-            self._inflight.append(job)
-            self._next_start_cycle = cycle + self.initiation_interval
+        completed = [
+            (port, self.tree.select_for_port(port, clock, horizons[port]))
+            for port in self._advance(cycle)
+        ]
+        self.wake_cycle = self._earliest_action()
+        return completed
+
+    def replay(self, start: int, end: int,
+               ports: list[int]) -> list[tuple[int, int]]:
+        """Advance over cycles ``[start, end)`` in which nothing commits.
+
+        Leaves the queues exactly as one :meth:`step` per cycle would
+        have, given that every tournament of the span defers and its
+        port — one of ``ports``, ascending, each with a request
+        outstanding at ``start`` — asks again in the cycle it completes
+        (so that request starts no earlier than the next cycle and
+        ``_next_start_cycle``).  Moves from event to event and never
+        consults the tree; returns the completions as (cycle, port).
+        """
+        completed = []
+        cycle = start - 1
+        while True:
+            wake = self._earliest_action()
+            if wake is None:
+                break
+            cycle = max(wake, cycle + 1)
+            if cycle >= end:
+                break
+            completed.extend((cycle, port) for port in self._advance(cycle))
+            for port in ports:
+                self.request(port)
         self.wake_cycle = self._earliest_action()
         return completed
 

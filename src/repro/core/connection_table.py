@@ -16,7 +16,7 @@ exercise partially-programmed entries and interleaved updates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.params import OUTPUT_PORTS, RouterParams
 
@@ -118,6 +118,9 @@ class ControlInterface:
         self.params = params
         self.table = ConnectionTable(params)
         self.horizons = [params.default_horizon] * OUTPUT_PORTS
+        #: Called after every :meth:`write_horizon` (the owning router's
+        #: dormancy deadline depends on the registers); None: nobody to tell.
+        self.on_horizon_write: Optional[Callable[[], None]] = None
         self._pending_id: Optional[int] = None
         self._pending_outgoing: Optional[int] = None
         self._pending_delay: Optional[int] = None
@@ -177,6 +180,8 @@ class ControlInterface:
         for port in range(OUTPUT_PORTS):
             if port_mask & (1 << port):
                 self.horizons[port] = horizon
+        if self.on_horizon_write is not None:
+            self.on_horizon_write()
 
     # -- checkpointing ----------------------------------------------------
 

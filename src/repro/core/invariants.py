@@ -9,6 +9,7 @@ not for the inner loop of big simulations.
 
 from __future__ import annotations
 
+from repro.core.clock import RolloverClock
 from repro.core.params import MESH_LINKS, OUTPUT_PORTS
 from repro.core.router import RealTimeRouter
 
@@ -142,6 +143,37 @@ def _check_derived_state(router: RealTimeRouter) -> None:
     if router._quiescent is not None and router._quiescent != fresh:
         _fail(f"remembered quiescence {router._quiescent} but a fresh "
               f"check says {fresh}")
+    _check_dormancy(router)
+
+
+def _check_dormancy(router: RealTimeRouter) -> None:
+    """A remembered dormancy deadline equals a fresh computation and no
+    buffered packet may be committed before it; only a router that
+    holds packets lets its pipeline lag."""
+    leaves = router.leaves
+    if router._pipeline_lag is not None and not leaves.occupancy:
+        _fail(f"pipeline lagging since cycle {router._pipeline_lag} "
+              "with an empty leaf array")
+    until = router._dormant_until
+    if router._quiescent is not False or not until or until <= router.cycle:
+        return  # forgotten, not dormant, or the deadline has come
+    fresh = router._dormancy_deadline()
+    if fresh != until:
+        _fail(f"remembered dormancy until cycle {until} but a fresh "
+              f"computation says {fresh}")
+    slot_cycles = router.params.slot_cycles
+    for tick in range(router.cycle // slot_cycles, until // slot_cycles):
+        clock = RolloverClock(bits=router.params.clock_bits,
+                              now=tick + router.clock_skew_ticks)
+        for index in leaves.occupied_indices():
+            leaf = leaves[index]
+            if clock.is_past(leaf.arrival) or any(
+                    clock.remaining_until(leaf.arrival)
+                    <= router.control.horizons[port]
+                    for port in range(OUTPUT_PORTS)
+                    if leaf.eligible_for(port)):
+                _fail(f"dormant until cycle {until} but leaf {index} may "
+                      f"be committed in tick {tick}")
 
 
 class CheckedRouter(RealTimeRouter):

@@ -180,6 +180,7 @@ class _Output:
 
     tc_stream: Optional[_TCStream] = None
     held: Optional[Selection] = None     # freshest scheduler decision
+    deferred: Optional[int] = None       # slot whose deferral was traced
     be_staging: deque[_StagedByte] = field(default_factory=deque)
     bound_input: Optional[int] = None
     credits: Optional[CreditCounter] = None  # None at the reception port
@@ -304,6 +305,17 @@ class RealTimeRouter:
         #: that cannot tell cheaply — the only things that can change
         #: it; docs/performance.md).
         self._quiescent: Optional[bool] = None
+        #: Remembered dormancy, decided with ``_quiescent`` and
+        #: forgotten with it: the first cycle at which a router holding
+        #: nothing but early packets may commit one; 0 = not dormant.
+        self._dormant_until: Optional[int] = None
+        #: First cycle the scheduler pipeline was not advanced over;
+        #: the next working step replays it from here.  Real state
+        #: (serialised), not derived.
+        self._pipeline_lag: Optional[int] = None
+        #: The scheduler's ``wake``, called on a horizon register write.
+        self.wake_hook: Optional[Callable[["RealTimeRouter"], None]] = None
+        self.control.on_horizon_write = self._horizon_written
 
         self.cycle = 0
         self.tc_dropped = 0
@@ -326,6 +338,12 @@ class RealTimeRouter:
     # ------------------------------------------------------------------
     # Host interface
     # ------------------------------------------------------------------
+
+    def _horizon_written(self) -> None:
+        # Raising a horizon can bring the dormancy deadline forward.
+        self._quiescent = None
+        if self.wake_hook is not None:
+            self.wake_hook(self)
 
     def inject_tc(self, packet: TimeConstrainedPacket) -> None:
         """Queue a time-constrained packet at the injection port."""
@@ -383,8 +401,10 @@ class RealTimeRouter:
         links_quiet = _links_quiet(self.link_in)
         # Fast path: a completely quiescent router (no input signals,
         # nothing buffered or in flight) has no visible work this
-        # cycle.  Large meshes are mostly idle, so this matters.
-        if links_quiet and self.quiescent:
+        # cycle, and neither has a dormant one before its deadline.
+        # Large meshes are mostly idle, so this matters.
+        if links_quiet and (self.quiescent
+                            or self.cycle < self._dormancy()):
             link_out = self.link_out
             for direction in range(MESH_LINKS):
                 signal = link_out[direction]
@@ -392,6 +412,8 @@ class RealTimeRouter:
                     link_out[direction] = LinkSignal()
             self.cycle += 1
             return
+        if self._pipeline_lag is not None:
+            self._replay_dormant_span()
         self._quiescent = None
         # The scheduler clock ticks once per packet transmission time.
         self.clock.set(self.cycle // self.params.slot_cycles
@@ -417,9 +439,13 @@ class RealTimeRouter:
         if self.leaves.occupancy:
             self._issue_scheduler_requests()
         self.cycle += 1
-        if (self._sync_count or self.bus.pending()
-                or self.pipeline.wake_cycle is not None):
+        if self._sync_count or self.bus.pending():
             self._quiescent = False  # provably busy: remember it
+            self._dormant_until = 0
+        elif self.pipeline.wake_cycle is not None:
+            self._quiescent = False  # a tournament pending: not quiescent,
+            self._dormant_until = None  # but waiting may be all it does
+            self._dormancy(self.cycle - 1)
 
     def run(self, cycles: int) -> None:
         """Step the router ``cycles`` times (standalone use)."""
@@ -430,18 +456,23 @@ class RealTimeRouter:
         """Engine fast-forward contract (see ``docs/performance.md``).
 
         Returns ``cycle`` while anything is in flight — a signal
-        pending on a link, a scheduler tournament running, or any
-        buffered/staged packet (not :attr:`quiescent`) — and
-        ``None`` once the chip is fully quiescent.  A quiescent router
-        has no self-scheduled future work: it only wakes when a
-        neighbour's link signal or a host injection arrives, and both
-        make *that* component report activity first.
+        pending on a link, a byte, flit or stream anywhere inside, a
+        buffered packet that is on time or within a horizon; the
+        dormancy deadline D while the router holds nothing but early
+        packets none of which may leave before D (Queue 3's hold: its
+        only future work is scheduled, and an arriving signal or
+        injection makes another component report first); and ``None``
+        once the chip is fully :attr:`quiescent`, which has no
+        self-scheduled future work at all.
         """
-        if self._quiescent is False:
+        if self._quiescent is False and self._dormant_until == 0:
             return cycle
-        if (_links_quiet(self.link_in) and _links_quiet(self.link_out)
-                and self.quiescent):
-            return None
+        if _links_quiet(self.link_in) and _links_quiet(self.link_out):
+            if self.quiescent:
+                return None
+            until = self._dormancy()
+            if until > cycle:
+                return until
         return cycle
 
     @property
@@ -450,13 +481,102 @@ class RealTimeRouter:
 
         ``not _pipeline_busy() and idle``, remembered: O(1) for a
         router nothing has touched since the last answer.  Link signals
-        are written from outside, so callers check those fresh.
+        are written from outside, so callers check those fresh.  A
+        dormant router is *not* quiescent — it holds packets — it only
+        steps like one until its deadline.
         """
         verdict = self._quiescent
         if verdict is None:
             verdict = self._quiescent = (not self._pipeline_busy()
                                          and self.idle)
+            self._dormant_until = None
         return verdict
+
+    def _dormancy(self, now: Optional[int] = None) -> int:
+        """The remembered :meth:`_dormancy_deadline` of a router that
+        is not quiescent; entering dormancy records where the pipeline
+        stops being advanced and traces what each port now waits on
+        (under cycle ``now``: a step deciding it has moved on by one)."""
+        until = self._dormant_until
+        if until is None:
+            until = self._dormant_until = self._dormancy_deadline()
+            if until:
+                if self._pipeline_lag is None:
+                    self._pipeline_lag = self.cycle
+                if self.tracer is not None:
+                    self._trace_dormant_deferrals(
+                        self.cycle if now is None else now)
+        return until
+
+    def _dormancy_deadline(self) -> int:
+        """First cycle at which a buffered packet may be committed, or
+        0 when the router is not dormant.
+
+        Dormant: nothing inside but buffered packets, each early and
+        beyond the horizon of every port in its mask.  The scheduler
+        clock ticks once per packet slot, so until the first cycle of
+        the tick that brings one of them within a horizon every
+        tournament defers (paper Table 1, Queue 3).  Erring early is
+        safe: the step at the deadline is an ordinary one.
+        """
+        leaves = self.leaves
+        if (not leaves.occupancy or self._in_transit()
+                or any(o.held for o in self._outputs)):
+            return 0
+        slot_cycles = self.params.slot_cycles
+        tick = self.cycle // slot_cycles
+        clock = RolloverClock(bits=self.params.clock_bits,
+                              now=tick + self.clock_skew_ticks)
+        horizons = self.control.horizons
+        wait = clock.half_range
+        for index in leaves.occupied_indices():
+            leaf = leaves[index]
+            if clock.is_past(leaf.arrival):
+                return 0
+            reach = max(horizons[port] for port in range(OUTPUT_PORTS)
+                        if leaf.port_mask >> port & 1)
+            wait = min(wait, clock.remaining_until(leaf.arrival) - reach)
+        return (tick + wait) * slot_cycles if wait > 0 else 0
+
+    def _trace_dormant_deferrals(self, now: int) -> None:
+        """Going dormant decides every tournament until the deadline:
+        each port defers the earliest arrival among its (all early)
+        leaves, lowest slot on a tie — reported now, once."""
+        clock = RolloverClock(bits=self.params.clock_bits,
+                              now=self.cycle // self.params.slot_cycles
+                              + self.clock_skew_ticks)
+        leaves = self.leaves
+        for port in self._eligible_ports():
+            remaining, slot = min(
+                (clock.remaining_until(leaves[index].arrival), index)
+                for index in leaves.occupied_indices()
+                if leaves[index].eligible_for(port))
+            self._trace_deferral(now, port, slot, remaining)
+
+    def _eligible_ports(self) -> list[int]:
+        return [port for port in range(OUTPUT_PORTS)
+                if self._eligible_count[port] > 0]
+
+    def _replay_dormant_span(self) -> None:
+        """Settle what lagged while dormant, up to the current cycle:
+        the pipeline's queues, the tournaments it completed and the
+        cycles the chunk bus counted."""
+        start, self._pipeline_lag = self._pipeline_lag, None
+        self.tree.evaluations += len(self.pipeline.replay(
+            start, self.cycle, self._eligible_ports()))
+        self.bus.total_cycles += self.cycle - start
+
+    def lagging(self, cycle: int) -> tuple[int, int]:
+        """What a reader at ``cycle`` adds to ``tree.evaluations`` and
+        ``bus.total_cycles``: both stand still while dormant, until the
+        next working step replays the wait (here: on a scratch copy)."""
+        if self._pipeline_lag is None:
+            return 0, 0
+        scratch = SchedulerPipeline(self.params, self.tree)
+        scratch.load_state(self.pipeline.state())
+        tournaments = scratch.replay(self._pipeline_lag, cycle,
+                                     self._eligible_ports())
+        return len(tournaments), cycle - self._pipeline_lag
 
     def _pipeline_busy(self) -> bool:
         return (self.pipeline.busy
@@ -966,16 +1086,25 @@ class RealTimeRouter:
             # idle: transmit ahead of the logical arrival time.
             self._commit_tc(port, selection)
         elif self.tracer is not None:
-            self.tracer.emit(
-                self.cycle, HORIZON_DEFER,
-                meta=self._slot_meta[selection.leaf_index],
-                node=self.router_id, port=port, traffic_class="TC",
-                info={"remaining_ticks": remaining,
-                      "horizon": self.control.horizons[port]})
+            self._trace_deferral(self.cycle, port, selection.leaf_index,
+                                 remaining)
         # Early decisions that cannot start are dropped so the next
         # tournament sees fresh state (the hardware pipeline similarly
         # re-evaluates continuously).
         output.held = None
+
+    def _trace_deferral(self, cycle: int, port: int, slot: int,
+                        remaining: int) -> None:
+        """One ``horizon_defer`` per deferral: when this port starts
+        waiting on this slot, not for every tournament that repeats it."""
+        output = self._outputs[port]
+        if output.deferred != slot:
+            output.deferred = slot
+            self.tracer.emit(
+                cycle, HORIZON_DEFER, meta=self._slot_meta[slot],
+                node=self.router_id, port=port, traffic_class="TC",
+                info={"remaining_ticks": remaining,
+                      "horizon": self.control.horizons[port]})
 
     def _be_waiting(self, port: int) -> bool:
         """Whether any best-effort flit could use this output now."""
@@ -1019,6 +1148,7 @@ class RealTimeRouter:
         self._eligible_count[port] -= 1
         self._slot_readers[slot] += 1
         output = self._outputs[port]
+        output.deferred = None
         output.tc_stream = _TCStream(slot=slot, meta=self._slot_meta[slot])
         if self.tracer is not None:
             early = not self.clock.is_past(self.leaves[slot].arrival)
@@ -1139,29 +1269,33 @@ class RealTimeRouter:
     @property
     def idle(self) -> bool:
         """True when no packet is anywhere inside the router."""
-        if self.memory.occupancy or self.bus.pending():
-            return False
-        if self.delivered:
-            return False  # the host has not collected these yet
-        if self._tc_inject_queue or self._tc_inject_phits:
-            return False
-        if self._be_inject_queue or self._be_inject_phits:
-            return False
-        for tc_input in self._tc_inputs:
-            if tc_input.rx_bytes or tc_input.cut_port is not None:
-                return False
-        for queue in self._sync_queues:
-            if queue:
-                return False
-        for be_input in self._be_inputs:
-            if be_input.buffer.occupancy or be_input.pending_acks:
-                return False
+        return not (self.memory.occupancy or self._in_transit())
+
+    def _in_transit(self) -> bool:
+        """Anything inside the router other than a buffered packet."""
         for output in self._outputs:
             if output.tc_stream or output.be_staging:
-                return False
+                return True
             if output.tc_rx or output.be_rx:
-                return False
-        return True
+                return True
+        if self.bus.pending():
+            return True
+        if self.delivered:
+            return True  # the host has not collected these yet
+        if self._tc_inject_queue or self._tc_inject_phits:
+            return True
+        if self._be_inject_queue or self._be_inject_phits:
+            return True
+        for tc_input in self._tc_inputs:
+            if tc_input.rx_bytes or tc_input.cut_port is not None:
+                return True
+        for queue in self._sync_queues:
+            if queue:
+                return True
+        for be_input in self._be_inputs:
+            if be_input.buffer.occupancy or be_input.pending_acks:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Checkpointing (see docs/checkpointing.md)
@@ -1247,6 +1381,7 @@ class RealTimeRouter:
                     "meta": ctx.save_meta(stream.meta),
                 },
                 "held": self._save_selection(output.held),
+                "deferred": output.deferred,
                 "be_staging": [
                     [s.byte, s.index, s.is_tail, ctx.save_meta(s.meta)]
                     for s in output.be_staging
@@ -1313,6 +1448,7 @@ class RealTimeRouter:
             "slot_meta": [ctx.save_meta(m) for m in self._slot_meta],
             "slot_readers": list(self._slot_readers),
             "eligible_count": list(self._eligible_count),
+            "pipeline_lag": self._pipeline_lag,
             "counters": {
                 "cycle": self.cycle,
                 "tc_dropped": self.tc_dropped,
@@ -1380,6 +1516,7 @@ class RealTimeRouter:
                     meta=ctx.meta(stream_state["meta"]),
                 )
             output.held = self._load_selection(s["held"])
+            output.deferred = s.get("deferred")
             output.be_staging = deque(
                 _StagedByte(byte=byte, index=index, is_tail=bool(tail),
                             meta=ctx.meta(meta))
@@ -1410,6 +1547,8 @@ class RealTimeRouter:
             for kind, p in state["delivered"]
         ]
         self._quiescent = None
+        # Absent from documents written before routers went dormant.
+        self._pipeline_lag = state.get("pipeline_lag")
         self._slot_meta = [ctx.meta(m) for m in state["slot_meta"]]
         self._slot_readers = [int(n) for n in state["slot_readers"]]
         self._eligible_count = [int(n) for n in state["eligible_count"]]

@@ -78,6 +78,9 @@ class SynchronousEngine:
         #: component -> registration index (the same-cycle firing order).
         self._order: dict = {}
         self._order_counter = 0
+        #: component -> its ``next_event_cycle`` (None: due every cycle),
+        #: looked up once at registration.
+        self._probes: dict = {}
         #: Components registered without ``local=True``: their
         #: ``next_event_cycle`` may depend on *global* state (watchdogs
         #: scanning link monitors, recovery controllers watching the
@@ -126,6 +129,8 @@ class SynchronousEngine:
         self._components.append(component)
         self._order[component] = self._order_counter
         self._order_counter += 1
+        self._probes[component] = getattr(component, "next_event_cycle",
+                                          None)
         if not local:
             self._watchers.add(component)
         self._queue_valid = False  # nobody has asked the newcomer yet
@@ -162,6 +167,7 @@ class SynchronousEngine:
                 f"component {component!r} is not registered with this engine"
             ) from None
         self._order.pop(component, None)
+        self._probes.pop(component, None)
         self._watchers.discard(component)
         self._sched.pop(component, None)
         self._pending_wakes.discard(component)
@@ -301,12 +307,13 @@ class SynchronousEngine:
         """
         sched, order, due, heap = (self._sched, self._order, self._due,
                                    self._heap)
+        probes = self._probes
         seq = self._push_seq
         for component in components:
             index = order.get(component)
             if index is None:
                 continue  # removed since the wake/sink reference was taken
-            probe = getattr(component, "next_event_cycle", None)
+            probe = probes[component]
             nxt = probe(now) if probe is not None else now
             if nxt is None:
                 sched.pop(component, None)
@@ -356,7 +363,7 @@ class SynchronousEngine:
             if (component in self._pending_wakes
                     or component in self._watchers):
                 continue
-            probe = getattr(component, "next_event_cycle", None)
+            probe = self._probes[component]
             nxt = probe(now) if probe is not None else now
             fresh = None if nxt is None else max(nxt, now)
             kept = self._sched.get(component)
@@ -431,7 +438,7 @@ class SynchronousEngine:
                 slot = bisect_left(batch, (index,), position)
                 if slot < len(batch) and batch[slot][0] == index:
                     continue  # already in this cycle's batch
-                probe = getattr(partner, "next_event_cycle", None)
+                probe = self._probes[partner]
                 nxt = probe(now) if probe is not None else now
                 if nxt is not None and nxt <= now:
                     batch.insert(slot, (index, partner))

@@ -148,6 +148,9 @@ class MeshNetwork:
             self.engine.add_component(host, local=True)
             self.engine.add_component(router, local=True)
             self.engine.bind_peers(host, router)
+            # A raised horizon can bring a dormant router's deadline
+            # forward: the scheduler must ask it again.
+            router.wake_hook = self.engine.wake
 
         # Wire every link: a router's output signal this cycle becomes
         # its neighbour's input signal next cycle.  One wiring per
@@ -753,7 +756,13 @@ class MeshNetwork:
             return lambda: sum(getattr(r.tree, attr)
                                for r in routers.values())
 
-        for attr in ("evaluations", "keys_computed", "keys_reused"):
+        # A dormant router's own counter stands still until it works
+        # again; a snapshot in between adds what its replay will.
+        metrics.register_probe(
+            "scheduler.evaluations",
+            lambda: sum(r.tree.evaluations + r.lagging(engine.cycle)[0]
+                        for r in routers.values()))
+        for attr in ("keys_computed", "keys_reused"):
             metrics.register_probe(f"scheduler.{attr}", tree_summed(attr))
 
         log = self.log

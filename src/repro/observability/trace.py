@@ -12,7 +12,8 @@ event                     emitted when
                           time-constrained, 2 for a routed best-effort worm)
 ``promote``               a model-level scheduler moves it from queue 3 to 1
 ``horizon_defer``         an early winner is held back by the link horizon
-                          (or by waiting best-effort flits)
+                          (or by waiting best-effort flits); once per
+                          deferral, not once per tournament
 ``link_win``              the comparator tree's winner starts transmitting
 ``retransmit``            the recovery layer re-sends it
 ``corrupt_drop``          a checksum mismatch drops it

@@ -140,3 +140,46 @@ class TestViolationDetection:
             check_router_invariants(router)
         router.take_delivered()
         check_router_invariants(router)
+
+    @staticmethod
+    def _dormant_router():
+        """One early packet (logical arrival tick 30) bound for EAST."""
+        router = checked_router()
+        router.inject_tc(TimeConstrainedPacket(1, header_deadline=30))
+        for _ in range(60):
+            router.step()
+        until = router.next_event_cycle(router.cycle)
+        assert until == 30 * router.params.slot_cycles
+        assert router._pipeline_lag is not None
+        check_router_invariants(router)
+        return router
+
+    def test_detects_a_late_dormancy_deadline(self):
+        router = self._dormant_router()
+        router._dormant_until += router.params.slot_cycles  # one tick late
+        with pytest.raises(InvariantViolation, match="fresh computation"):
+            check_router_invariants(router)
+
+    def test_detects_a_deadline_a_raised_horizon_passed_by(self):
+        router = self._dormant_router()
+        router.control.horizons[EAST] = 10  # behind write_horizon's back
+        with pytest.raises(InvariantViolation, match="fresh computation"):
+            check_router_invariants(router)
+        router.control.write_horizon(port_mask(EAST), 10)
+        check_router_invariants(router)
+        assert router.next_event_cycle(router.cycle) == 20 * 20
+
+    def test_detects_a_packet_committable_before_the_deadline(self):
+        router = self._dormant_router()
+        # Both the remembered and the recomputed deadline trust the
+        # leaf's arrival field; the per-tick check reads the clock.
+        router._dormancy_deadline = lambda: router._dormant_until
+        router.leaves[0].arrival = 10
+        with pytest.raises(InvariantViolation, match="may be committed"):
+            check_router_invariants(router)
+
+    def test_detects_a_lag_without_buffered_packets(self):
+        router = checked_router()
+        router._pipeline_lag = 0  # nothing is held: nothing may lag
+        with pytest.raises(InvariantViolation, match="lagging"):
+            check_router_invariants(router)

@@ -5,7 +5,12 @@ phase has input.  The reference below runs every phase on every working
 cycle, in the documented order, with no remembered-busy verdict; fed the
 same seeded mixed time-constrained and best-effort traffic, the two
 routers' complete state documents must be equal after every cycle, and
-so must their ``next_event_cycle`` answers.
+so must their ``next_event_cycle`` answers.  Which cycles are working
+cycles is not what is compared here — the reference takes the fast path
+and replays a dormant span exactly when the shipped router does
+(``tests/core/test_dormancy.py`` checks that decision) — so the dense
+script, under which the router never sleeps, is joined by a sparse one
+under which it mostly does.
 """
 
 import copy
@@ -35,11 +40,14 @@ class _AllPhasesRouter(RealTimeRouter):
     def step(self, cycle=None):
         if cycle is not None:
             self.cycle = cycle
-        if _links_quiet(self.link_in) and self.quiescent:
+        if _links_quiet(self.link_in) and (
+                self.quiescent or self.cycle < self._dormancy()):
             for direction in range(MESH_LINKS):
                 self.link_out[direction] = LinkSignal()
             self.cycle += 1
             return
+        if self._pipeline_lag is not None:
+            self._replay_dormant_span()
         self._quiescent = None
         self.clock.set(self.cycle // self.params.slot_cycles
                        + self.clock_skew_ticks)
@@ -53,6 +61,11 @@ class _AllPhasesRouter(RealTimeRouter):
         self._transmit_outputs()
         self._issue_scheduler_requests()
         self.cycle += 1
+        # Whether a wait starts here is decided at once (it is state:
+        # the lag field), from scratch.
+        if not self.quiescent:
+            self._dormancy()
+        self._quiescent = None
 
 
 def _program(router):
@@ -76,6 +89,10 @@ class _Upstream:
     whole packets per link (best-effort ones under credit flow
     control), acknowledgements for best-effort bytes the router sent,
     and host injections — one seeded script, played to both routers."""
+
+    #: Per cycle: a packet starts on a link, the host injects one, an
+    #: owed acknowledgement is returned.
+    LINK_RATE, INJECT_RATE, ACK_RATE = 0.03, 0.03, 0.8
 
     def __init__(self, seed, params):
         self.rng = random.Random(seed)
@@ -105,7 +122,7 @@ class _Upstream:
         rng = self.rng
         signals, injections = [], []
         for link in range(MESH_LINKS):
-            if busy and rng.random() < 0.03:
+            if busy and rng.random() < self.LINK_RATE:
                 packet, twin = self._packet()
                 queue = (self.tc if isinstance(
                     packet, TimeConstrainedPacket) else self.be)[link]
@@ -117,11 +134,11 @@ class _Upstream:
             elif self.be[link] and self.credits[link] > 0:
                 phit = self.be[link].popleft()
                 self.credits[link] -= 1
-            ack = self.owed_acks[link] > 0 and rng.random() < 0.8
+            ack = self.owed_acks[link] > 0 and rng.random() < self.ACK_RATE
             if ack:
                 self.owed_acks[link] -= 1
             signals.append((phit, ack))
-        if busy and rng.random() < 0.03:
+        if busy and rng.random() < self.INJECT_RATE:
             injections.append(self._packet())
         return signals, injections, rng.random() < 0.3
 
@@ -132,6 +149,37 @@ class _Upstream:
                 self.credits[link] += 1
             if out.phit is not None and out.phit.vc == "BE":
                 self.owed_acks[link] += 1
+
+
+class _SparseUpstream(_Upstream):
+    """The same upstream made sparse: bursts of whole packets on the
+    links (best-effort under credit flow control, acks trickling back
+    late), host injections, and long silences in which only early
+    time-constrained packets are left inside."""
+
+    LINK_RATE, INJECT_RATE, ACK_RATE = 0.0015, 0.002, 0.25
+
+    def __init__(self, seed, params, skew=0):
+        super().__init__(seed, params)
+        self.skew = self.tick = skew
+
+    def _packet(self):
+        rng = self.rng
+        if rng.random() < 0.7:
+            # Logical arrival around the router's own idea of now,
+            # mostly ahead of it: early packets, held in Queue 3.
+            packet = TimeConstrainedPacket(
+                rng.choice([0, 1, 1, 2, 3]),
+                header_deadline=(self.tick + rng.randrange(-4, 30)) % 256)
+        else:
+            packet = BestEffortPacket(rng.choice([-1, 0, 0, 1]),
+                                      rng.choice([-1, 0, 1]),
+                                      payload=bytes(rng.randrange(0, 30)))
+        return packet, copy.deepcopy(packet)
+
+    def offer(self, cycle):
+        self.tick = cycle // self.params.slot_cycles + self.skew
+        return super().offer(True)
 
 
 def _apply(router, twin, signals, injections, collect):
@@ -175,3 +223,35 @@ def test_guarded_step_equals_all_phases_every_cycle(seed):
         upstream.observe(guarded)
     assert guarded.tc_transmitted > 20 and guarded.be_worms_routed > 20
     assert guarded.quiescent and reference.quiescent
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_guarded_step_equals_all_phases_around_dormant_spans(seed):
+    # The working steps that end in dormancy, the replay that opens the
+    # next one and the lag field in between, document for document.
+    params = RouterParams()
+    guarded = RealTimeRouter(params, router_id="dut",
+                             on_memory_full="drop")
+    reference = _AllPhasesRouter(params, router_id="dut",
+                                 on_memory_full="drop")
+    for router in (guarded, reference):
+        _program(router)
+    upstream = _SparseUpstream(seed, params)
+    asleep = replays = 0
+    for cycle in range(6_000):
+        signals, injections, collect = upstream.offer(cycle)
+        _apply(guarded, 0, signals, injections, collect)
+        _apply(reference, 1, signals, injections, collect)
+        claim = guarded.next_event_cycle(cycle)
+        assert claim == reference.next_event_cycle(cycle), f"cycle {cycle}"
+        asleep += claim is not None and claim > cycle
+        lagged = guarded._pipeline_lag is not None
+        guarded.step()
+        reference.step()
+        replays += lagged and guarded._pipeline_lag is None
+        assert _document(guarded) == _document(reference), (
+            f"state diverged after cycle {cycle}")
+        check_router_invariants(guarded)
+        upstream.observe(guarded)
+    assert asleep > 1_500 and replays > 10
+    assert guarded.tc_transmitted > 10 and guarded.be_worms_routed > 3

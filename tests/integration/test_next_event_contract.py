@@ -330,6 +330,59 @@ class TestKeptSchedule:
         assert labels.count("manual") > 10 and labels.count(None) > 4
         assert _final(net)[:2] == _final(oracle)[:2]
 
+    def test_raised_horizon_wakes_a_dormant_router(self):
+        # A router's answer depends on its horizon registers once it
+        # can be dormant: raising one brings the deadline forward, so
+        # write_horizon forgets the verdict and the mesh wakes the
+        # router — between runs, and from a component's step mid-run.
+        from repro.core.ports import RECEPTION, port_mask
+
+        class RaiseAt:
+            """A local component that reprograms a router mid-run."""
+
+            def __init__(self, when, control):
+                self.when, self.control = when, control
+
+            def step(self, cycle):
+                if cycle == self.when:
+                    self.control.write_horizon(port_mask(EAST), 30)
+
+            def next_event_cycle(self, cycle):
+                return self.when if cycle <= self.when else None
+
+        def script(engine):
+            # Four hops with 30 ticks of slack each and horizon 0: the
+            # packet would sit at (1, 0) until cycle 600 and at (2, 0)
+            # until 1,200.  The last hop delivers on arrival.
+            net = MeshNetwork(4, 1, engine=engine)
+            channel = net.establish_channel(
+                (0, 0), (3, 0), TrafficSpec(i_min=200), deadline=120,
+                label="held")
+            net.routers[(3, 0)].control.write_horizon(
+                port_mask(RECEPTION), 100)
+            net.send_message(channel)
+            second, third = net.routers[(1, 0)], net.routers[(2, 0)]
+            _enter(net, 200)
+            assert second.next_event_cycle(net.cycle) == 600
+            second.control.write_horizon(port_mask(EAST), 10)
+            assert second.next_event_cycle(net.cycle) == 400
+            _enter(net, 300)
+            assert second.quiescent
+            assert third.next_event_cycle(net.cycle) == 1_200
+            net.engine.add_component(
+                RaiseAt(net.cycle + 60, third.control), local=True)
+            for _ in range(10):
+                _enter(net, 100)
+            return net
+
+        net, oracle = script("event"), script("exact")
+        assert net.engine.audit_schedule() == []
+        assert net.log.tc_delivered == 1
+        assert _final(net)[:2] == _final(oracle)[:2]
+        # Had either write gone unnoticed it would have arrived after
+        # cycle 1,200 (or 800).
+        assert net.log.records[0].delivered_cycle < 700
+
     def test_source_attached_after_the_first_run_fires(self):
         # The hole the run-entry rebuild used to hide: nothing woke the
         # host, so with a kept queue the source never fired.

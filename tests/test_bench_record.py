@@ -63,3 +63,56 @@ def test_refuses_ledgers_of_different_runs():
     other_seed["seed"] = 2
     with pytest.raises(ValueError, match="seed"):
         reduce_pair(parent, other_seed, 3)
+
+
+_module = runpy.run_path("scripts/bench_record.py")
+exact_differs, effort_gate = _module["exact_differs"], _module["effort_gate"]
+
+_EXACT = {
+    "sim_signature": "abc",
+    "network.engine.cycles_stepped": 4_823,
+    "network.engine.cycles_fast_forwarded": 177,
+    "network.engine.executed_share": 0.9646,
+    "core.comparator_tree.keys_computed": 19_621,
+    "core.comparator_tree.keys_reused": 14_938,
+    "core.comparator_tree.evaluations": 20_575,
+    "network.stats.tc_delivered": 477,
+}
+
+
+def test_names_the_exact_keys_that_differ():
+    change = dict(_EXACT, sim_signature="def",
+                  **{"network.engine.cycles_stepped": 1_943})
+    assert exact_differs(_EXACT, _EXACT) == {}
+    assert exact_differs(_EXACT, change) == {
+        "network.engine.cycles_stepped": {"parent": 4_823, "change": 1_943},
+        "sim_signature": {"parent": "abc", "change": "def"}}
+    record = reduce_pair(_ledger("aaa", [8.0]),
+                         _ledger("bbb", [9.0], signature="different"), 3)
+    assert record["workloads"]["sparse_churn"]["exact_differs"] == {
+        "sim_signature": {"parent": "abc", "change": "different"}}
+
+
+def test_gate_passes_less_effort_and_nothing_else():
+    cheaper = dict(_EXACT, sim_signature="def", **{
+        "network.engine.cycles_stepped": 1_943,
+        "network.engine.cycles_fast_forwarded": 3_057,
+        "network.engine.executed_share": 0.3886,
+        "core.comparator_tree.keys_computed": 12_694,
+        # Fewer tournaments reuse fewer keys: not a worse cache.
+        "core.comparator_tree.keys_reused": 4_820})
+    assert effort_gate(_EXACT, _EXACT) == []
+    assert effort_gate(_EXACT, cheaper) == []
+
+
+@pytest.mark.parametrize("key,value,complaint", [
+    ("core.comparator_tree.evaluations", 20_000, "is behaviour"),
+    ("network.stats.tc_delivered", 476, "is behaviour"),
+    ("network.engine.cycles_stepped", 4_900, "got worse"),
+    ("network.engine.cycles_fast_forwarded", 100, "got worse"),
+    ("core.comparator_tree.keys_computed", 19_700, "got worse"),
+    ("core.comparator_tree.keys_reused", 16_000, "lookups rose"),
+])
+def test_gate_names_what_moved_the_wrong_way(key, value, complaint):
+    problems = effort_gate(_EXACT, dict(_EXACT, **{key: value}))
+    assert any(complaint in problem for problem in problems)
