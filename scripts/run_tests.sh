@@ -6,6 +6,7 @@
 #   scripts/run_tests.sh chaos
 #   scripts/run_tests.sh perf-smoke
 #   scripts/run_tests.sh perf-pair      # parent commit vs this tree
+#   scripts/run_tests.sh experiments    # the paper's figures and tables
 #   scripts/run_tests.sh observability
 #   scripts/run_tests.sh campaign
 #   scripts/run_tests.sh checkpoint
@@ -64,6 +65,13 @@ run_perf_pair() {
         diff "$tmp/digest-parent.txt" "$tmp/digest-change.txt" >&2 || true
         return 1
     fi
+}
+
+run_experiments() {
+    echo "== experiments: paper figures/tables regenerate with no diff =="
+    python -m pytest -q -p no:cacheprovider --benchmark-disable \
+        benchmarks/bench_[tfeam][0-9]*.py
+    git diff --exit-code benchmarks/results
 }
 
 run_observability() {
@@ -148,6 +156,7 @@ case "$job" in
     chaos) run_chaos ;;
     perf-smoke) run_perf_smoke ;;
     perf-pair) run_perf_pair ;;
+    experiments) run_experiments ;;
     observability) run_observability ;;
     campaign) run_campaign ;;
     checkpoint) run_checkpoint ;;
@@ -155,7 +164,7 @@ case "$job" in
     event) run_event ;;
     schedulability) run_schedulability ;;
     schedulability-faults) run_schedulability_faults ;;
-    all)   run_tier1; run_chaos; run_perf_smoke; run_perf_pair; run_observability; run_campaign; run_checkpoint; run_service; run_event; run_schedulability; run_schedulability_faults ;;
-    *)     echo "unknown job '$job' (tier1|chaos|perf-smoke|perf-pair|observability|campaign|checkpoint|service|event|schedulability|schedulability-faults|all)" >&2
+    all)   run_tier1; run_chaos; run_perf_smoke; run_perf_pair; run_experiments; run_observability; run_campaign; run_checkpoint; run_service; run_event; run_schedulability; run_schedulability_faults ;;
+    *)     echo "unknown job '$job' (tier1|chaos|perf-smoke|perf-pair|experiments|observability|campaign|checkpoint|service|event|schedulability|schedulability-faults|all)" >&2
            exit 2 ;;
 esac

@@ -41,7 +41,15 @@ class ResultCache:
 
     def __init__(self, root: str | pathlib.Path) -> None:
         self.root = pathlib.Path(root)
+
+    def _temp_file(self, config_hash: str) -> pathlib.Path:
+        # The first write creates the directory, so a campaign that is
+        # refused at intake leaves none behind.
         self.root.mkdir(parents=True, exist_ok=True)
+        handle, tmp_name = tempfile.mkstemp(
+            dir=self.root, prefix=f".{config_hash[:16]}-", suffix=".tmp")
+        os.close(handle)
+        return pathlib.Path(tmp_name)
 
     # -- paths -------------------------------------------------------------
 
@@ -62,10 +70,7 @@ class ResultCache:
             {"hash": config_hash, "kind": "result", "stats": stats},
         ]
         final = self.shard_path(config_hash)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f".{config_hash[:16]}-", suffix=".tmp")
-        os.close(handle)
-        tmp = pathlib.Path(tmp_name)
+        tmp = self._temp_file(config_hash)
         try:
             write_jsonl(tmp, records, canonical=True)
             os.replace(tmp, final)
@@ -131,10 +136,7 @@ class ResultCache:
 
     def store_error(self, config_hash: str, info: dict) -> pathlib.Path:
         path = self.error_path(config_hash)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f".{config_hash[:16]}-", suffix=".tmp")
-        os.close(handle)
-        tmp = pathlib.Path(tmp_name)
+        tmp = self._temp_file(config_hash)
         try:
             tmp.write_text(canonical_dumps(info) + "\n")
             os.replace(tmp, path)

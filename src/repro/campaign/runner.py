@@ -34,13 +34,15 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro.campaign import aggregate
 from repro.campaign.cache import ResultCache
 from repro.campaign.spec import CampaignSpec, RunConfig
-from repro.campaign.worker import Executor, execute_run, subprocess_entry
+from repro.campaign.worker import execute_run, subprocess_entry
+from repro.campaign.workloads import Executor, workload_for
+from repro.checkpoint import Execution
 from repro.observability import MetricsRegistry
 
 #: Seconds between poll sweeps over the active worker set.
@@ -148,7 +150,8 @@ class CampaignRunner:
         backoff_base: float = 0.5,
         reuse_cache: bool = True,
         prefilter: bool = True,
-        executor: Optional[Executor] = None,
+        executor: Executor = execute_run,
+        execution: Execution = Execution(),
         start_method: Optional[str] = None,
         progress: Optional[Callable[[str], None]] = None,
     ) -> None:
@@ -156,6 +159,10 @@ class CampaignRunner:
             raise ValueError("workers must be positive")
         if max_attempts < 1:
             raise ValueError("max_attempts must be positive")
+        if execution.resume_from is not None:
+            raise ValueError("a campaign cannot resume_from one file: "
+                             "each run resumes from its own checkpoints")
+        self.execution = execution
         self.spec = spec
         self.cache = cache
         self.workers = workers
@@ -164,7 +171,7 @@ class CampaignRunner:
         self.backoff_base = backoff_base
         self.reuse_cache = reuse_cache
         self.prefilter = prefilter
-        self.executor = executor if executor is not None else execute_run
+        self.executor = executor
         if start_method is None:
             available = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in available else "spawn"
@@ -184,10 +191,14 @@ class CampaignRunner:
             self._progress(f"[{done}/{total}] {config_hash[:8]} {message}")
 
     def _launch(self, task: _Task) -> _Active:
+        # Every run is executed as ``self.execution`` says, but
+        # checkpoints under the cache, into a directory of its own, so
+        # a killed worker's retry resumes mid-run instead of restarting.
         process = self._ctx.Process(
             target=subprocess_entry,
-            args=(None if self.executor is execute_run else self.executor,
-                  task.config.to_dict(), str(self.cache.root)),
+            args=(self.executor, task.config, str(self.cache.root),
+                  replace(self.execution, checkpoint_dir=str(
+                      self.cache.root / "checkpoints" / task.config_hash))),
             daemon=True,
         )
         task.attempts += 1
@@ -239,6 +250,9 @@ class CampaignRunner:
         """
         started = time.monotonic()
         grid = self.spec.expand()
+        if self.executor is execute_run:
+            for config in grid:  # refused before any worker starts
+                workload_for(config)
         self._counters["runs_total"].inc(len(grid))
         configs = {config.content_hash(): config.to_dict()
                    for config in grid}

@@ -98,20 +98,16 @@ class RunConfig:
     util_threshold_pct: int = 90
     buffer_watermark_pct: int = 90
     queue_limit: int = 16
-    #: Engine mode: "event" (the scheduler) or "exact" (the per-cycle
-    #: oracle loop).  Both produce byte-identical results, so the mode
-    #: is *not* part of the content hash (see :meth:`to_dict`) —
-    #: cached results stay valid across mode switches.
-    engine: str = "event"
 
     def __post_init__(self) -> None:
-        if not self.workload or not isinstance(self.workload, str):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # Exact types: an int field takes no str, float or bool
+            # (f.type is the annotation's text: "int", "str", "bool").
+            if type(value).__name__ != f.type:
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        if not self.workload:
             raise ValueError("workload must be a non-empty string")
-        from repro.network.engine import ENGINE_MODES
-
-        if self.engine not in ENGINE_MODES:
-            raise ValueError(f"engine mode must be one of {ENGINE_MODES}, "
-                             f"not {self.engine!r}")
         if self.width < 1 or self.height < 1:
             raise ValueError("mesh dimensions must be positive")
         for name in ("channels", "ticks", "replica", "settle_cycles",
@@ -120,6 +116,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.cycles < 1:
             raise ValueError("cycles must be positive")
+        if self.torus and self.babblers:
+            raise ValueError("babblers need a mesh: best-effort offset "
+                             "routing is not defined on a torus")
         for name in ("requests", "arrival_period_ticks", "hold_ticks",
                      "queue_limit"):
             if getattr(self, name) < 1:
@@ -130,12 +129,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be within [0, 100]")
 
     def to_dict(self) -> dict:
-        """Canonical encoding: the engine mode is dropped — it cannot
-        change a run's outcome, so configs differing only in it share
-        one content hash (and one cached result)."""
-        data = dataclasses.asdict(self)
-        del data["engine"]
-        return data
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RunConfig":
@@ -153,19 +147,10 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-#: Raw-run fields that never participate in seed derivation: the seed
-#: itself, and the engine mode, which is likewise dropped from the
-#: content hash (see :meth:`RunConfig.to_dict`) — a spec that flips
-#: the mode must derive the same seeds, hit the same cache entries,
-#: and report the same signature.
-_FINGERPRINT_EXCLUDED = ("seed", "engine")
-
-
 def _fingerprint(fields: Mapping[str, object]) -> str:
-    """Canonical JSON of a run's fields with the seed and the engine
-    mode removed."""
+    """Canonical JSON of a run's fields with the seed removed."""
     return canonical_dumps({k: v for k, v in fields.items()
-                            if k not in _FINGERPRINT_EXCLUDED})
+                            if k != "seed"})
 
 
 @dataclass
@@ -191,12 +176,26 @@ class CampaignSpec:
             raise ValueError("list mode takes runs, not axes")
         if self.mode in ("grid", "zip") and self.runs:
             raise ValueError(f"{self.mode} mode takes axes, not runs")
+        if type(self.master_seed) is not int:
+            raise ValueError(
+                f"master_seed must be an integer, got {self.master_seed!r}")
+        if not (isinstance(self.base, dict) and isinstance(self.axes, dict)
+                and isinstance(self.runs, list)
+                and all(isinstance(run, dict) for run in self.runs)):
+            raise ValueError("base, axes and every runs entry must be "
+                             "objects, runs a list")
+        for name, values in self.axes.items():
+            if not isinstance(values, list) or not values:
+                raise ValueError(f"axes[{name!r}] must be a non-empty list")
         if self.mode == "zip" and self.axes:
             lengths = {len(values) for values in self.axes.values()}
             if len(lengths) > 1:
                 raise ValueError(
                     f"zip axes must have equal lengths, got {sorted(lengths)}"
                 )
+        # Every cell must make a RunConfig: an unknown, mistyped or
+        # out-of-range field is refused here, by name, not in a worker.
+        self.expand()
 
     # -- expansion ---------------------------------------------------------
 
@@ -235,14 +234,7 @@ class CampaignSpec:
     # -- (de)serialisation -------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "master_seed": self.master_seed,
-            "mode": self.mode,
-            "base": dict(self.base),
-            "axes": dict(self.axes),
-            "runs": list(self.runs),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CampaignSpec":

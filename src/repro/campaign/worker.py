@@ -15,82 +15,58 @@ exception.
 
 from __future__ import annotations
 
-import hashlib
 import sys
 import traceback
-from typing import Callable, Optional
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.spec import RunConfig, canonical_dumps
-from repro.campaign.workloads import workload_for
-
-#: An executor maps a config to its canonical stats dict.
-Executor = Callable[[RunConfig], dict]
+from repro.campaign.spec import RunConfig
+from repro.campaign.workloads import Executor, workload_for
+from repro.checkpoint import Execution, clear_checkpoints
 
 
-def execute_run(config: RunConfig) -> dict:
+def execute_run(config: RunConfig,
+                execution: Execution = Execution()) -> dict:
     """Run one config with its registered workload; returns stats.
 
     Deterministic: the same config yields the same stats dict in any
     process (pinned by ``tests/campaign/test_determinism.py``).
     """
-    stats = workload_for(config)(config)
+    stats = workload_for(config)(config, execution)
     stats["config_hash"] = config.content_hash()
     return stats
 
 
 def run_and_store(config: RunConfig, cache: ResultCache,
-                  executor: Optional[Executor] = None) -> dict:
+                  executor: Executor = execute_run,
+                  execution: Execution = Execution()) -> dict:
     """Execute one run and atomically persist its shard.
 
     A checkpointed run's checkpoint files are deleted only *after* the
     result shard is safely on disk — a crash in between leaves the
     checkpoints behind, so the retry resumes instead of restarting.
     """
-    from repro.checkpoint import checkpoint_context, clear_checkpoints
-
-    stats = (executor or execute_run)(config)
+    stats = executor(config, execution)
     cache.store(config, stats)
-    context = checkpoint_context()
-    if context is not None:
-        import pathlib
-
-        clear_checkpoints(
-            pathlib.Path(context.directory) / config.content_hash())
+    if execution.checkpoint_dir is not None:
+        clear_checkpoints(execution.checkpoint_dir)
     return stats
 
 
-def subprocess_entry(executor: Optional[Executor], config_dict: dict,
-                     cache_root: str) -> None:
+def subprocess_entry(executor: Executor, config: RunConfig,
+                     cache_root: str, execution: Execution) -> None:
     """Worker-process entry point (one process per run).
 
-    On success the shard is on disk and the process exits 0.  On any
-    exception the failure (message + traceback) lands in the cache's
-    error sidecar and the process exits 1.
+    ``config`` is the very object the parent hashed.  On success the
+    shard is on disk and the process exits 0.  On any exception the
+    failure (message + traceback) lands in the cache's error sidecar
+    and the process exits 1.
     """
-    import os
-
-    from repro.checkpoint import set_checkpoint_context
-
     cache = ResultCache(cache_root)
-    # Long runs checkpoint under the cache so a killed worker's retry
-    # resumes mid-run instead of restarting (interval overridable via
-    # REPRO_CHECKPOINT_INTERVAL).
-    set_checkpoint_context(os.path.join(cache_root, "checkpoints"))
-    config: Optional[RunConfig] = None
     try:
-        config = RunConfig.from_dict(config_dict)
-        run_and_store(config, cache, executor)
+        run_and_store(config, cache, executor, execution)
     except BaseException as exc:  # noqa: BLE001 — report, then exit(1)
-        if config is not None:
-            config_hash = config.content_hash()
-        else:
-            # from_dict itself failed; hash the raw dict (it matches
-            # what the parent computed for a well-formed config).
-            config_hash = hashlib.sha256(
-                canonical_dumps(config_dict).encode()).hexdigest()
         try:
-            cache.store_error(config_hash, {
+            cache.store_error(config.content_hash(), {
                 "error": f"{type(exc).__name__}: {exc}",
                 "traceback": traceback.format_exc(),
             })

@@ -1,8 +1,9 @@
 """Executable workloads behind campaign runs.
 
-A workload is a pure function ``RunConfig -> stats dict``: it builds a
-fresh simulation from the config, runs it to completion, and reduces
-the outcome to a canonical, JSON-serialisable stats dictionary.  Purity
+A workload is a pure function ``(RunConfig, Execution) -> stats dict``:
+it builds a fresh simulation from the config, runs it to completion the
+way the :class:`~repro.checkpoint.Execution` says, and reduces the
+outcome to a canonical, JSON-serialisable stats dictionary.  Purity
 is the load-bearing property — the result cache and the determinism
 tests rely on the same config producing byte-identical stats in any
 process.
@@ -48,18 +49,21 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.campaign.spec import RunConfig, derive_seed
+from repro.checkpoint.sessions import Execution
+
+#: An executor maps a config, and how to run it, to its stats dict.
+Executor = Callable[[RunConfig, Execution], dict]
 
 #: Registered workload executors, keyed by ``RunConfig.workload``.
-WORKLOADS: dict[str, Callable[[RunConfig], dict]] = {}
+WORKLOADS: dict[str, Executor] = {}
 
 
-def register_workload(name: str,
-                      fn: Callable[[RunConfig], dict]) -> None:
+def register_workload(name: str, fn: Executor) -> None:
     """Register (or replace) a workload executor under ``name``."""
     WORKLOADS[name] = fn
 
 
-def workload_for(config: RunConfig) -> Callable[[RunConfig], dict]:
+def workload_for(config: RunConfig) -> Executor:
     try:
         return WORKLOADS[config.workload]
     except KeyError:
@@ -109,29 +113,6 @@ def build_random_workload(width: int, height: int, channels: int,
     return net, admitted
 
 
-def _run_session(config: RunConfig, cls, *spec, **options):
-    """Open ``cls(*spec, **options)`` and run it; ``(session, report)``.
-
-    Inside a checkpointing worker (see :mod:`repro.checkpoint.runtime`)
-    the run checkpoints into its own store and resumes from the store's
-    latest checkpoint; anywhere else the store is ``None`` and the same
-    call starts fresh and writes nothing.
-    """
-    import pathlib
-
-    from repro.checkpoint import CheckpointStore, checkpoint_context
-
-    store = interval = None
-    context = checkpoint_context()
-    if context is not None:
-        store = CheckpointStore(
-            pathlib.Path(context.directory) / config.content_hash(),
-            cls.KIND, cls.fingerprint_for(*spec))
-        interval = context.interval
-    session = cls.open(*spec, store=store, **options)
-    return session, session.run(store=store, interval=interval)
-
-
 def _network_stats(net) -> dict:
     """The stats a workload reads straight off its drained network."""
     log = net.log
@@ -160,13 +141,14 @@ def _report_classes(tc_delivered: int, tc_misses: int,
     }
 
 
-def run_random(config: RunConfig) -> dict:
+def run_random(config: RunConfig, execution: Execution) -> dict:
     """Execute one ``random``-workload run and reduce it to stats."""
     from repro.checkpoint import RandomWorkloadSession
 
-    session, net = _run_session(
-        config, RandomWorkloadSession, config.width, config.height,
-        config.channels, config.ticks, config.seed, engine=config.engine)
+    session = RandomWorkloadSession.open(
+        config.width, config.height, config.channels, config.ticks,
+        config.seed, execution=execution)
+    net = session.run()
     return {
         "workload": "random",
         "channels_established": len(session.admitted),
@@ -185,7 +167,7 @@ def run_random(config: RunConfig) -> dict:
 # The adversarial tightness workload (predict, then measure)
 # ---------------------------------------------------------------------------
 
-def run_adversarial(config: RunConfig) -> dict:
+def run_adversarial(config: RunConfig, execution: Execution) -> dict:
     """Predict-then-measure one adversarial channel set.
 
     Analyses the seeded adversarial demand list, establishes it on a
@@ -207,7 +189,7 @@ def run_adversarial(config: RunConfig) -> dict:
         torus=config.torus)
     net, tightness = measure_tightness(
         TopologySpec(config.width, config.height, torus=config.torus),
-        demands, ticks=config.ticks, engine=config.engine)
+        demands, ticks=config.ticks, engine=execution.engine)
     return {
         "workload": "adversarial",
         "channels_established": len(tightness.channels),
@@ -257,7 +239,7 @@ def chaos_tightness_inputs(config: RunConfig):
     return topology, demands, plan
 
 
-def run_chaos_tightness(config: RunConfig) -> dict:
+def run_chaos_tightness(config: RunConfig, execution: Execution) -> dict:
     """Predict fault-aware verdicts, then validate them by injection.
 
     Derives degraded-but-guaranteed bounds for the seeded channel set
@@ -276,7 +258,7 @@ def run_chaos_tightness(config: RunConfig) -> dict:
     topology, demands, plan = chaos_tightness_inputs(config)
     net, report = measure_chaos_tightness(
         topology, demands, plan, ticks=config.ticks,
-        engine=config.engine)
+        engine=execution.engine)
     prediction = report.prediction
     return {
         "workload": "chaos-tightness",
@@ -299,20 +281,17 @@ def run_chaos_tightness(config: RunConfig) -> dict:
 # The chaos soak workload
 # ---------------------------------------------------------------------------
 
-def run_chaos(config: RunConfig) -> dict:
+def run_chaos(config: RunConfig, execution: Execution) -> dict:
     """Execute one seeded fault-injection soak and reduce it to stats."""
-    from repro.checkpoint import ChaosSession
-    from repro.faults import ChaosConfig
+    from repro.faults import ChaosConfig, run_chaos_soak
 
-    chaos_config = ChaosConfig(
+    report = run_chaos_soak(ChaosConfig(
         seed=config.seed, width=config.width, height=config.height,
         cycles=config.cycles, settle_cycles=config.settle_cycles,
         cuts=config.cuts, flaps=config.flaps,
         corruptions=config.corruptions, drops=config.drops,
         babblers=config.babblers, unicast_channels=config.channels,
-        engine=config.engine,
-    )
-    _, report = _run_session(config, ChaosSession, chaos_config)
+    ), execution=execution)
     return {
         "workload": "chaos",
         "cycles": report.cycles,
@@ -337,11 +316,11 @@ def run_chaos(config: RunConfig) -> dict:
 # The control-plane churn workload (service layer under load)
 # ---------------------------------------------------------------------------
 
-def run_churn(config: RunConfig) -> dict:
+def run_churn(config: RunConfig, execution: Execution) -> dict:
     """Execute one service churn run and reduce its SLOs to stats."""
-    from repro.service import ServiceRunConfig, ServiceSession
+    from repro.service import ServiceRunConfig, run_service
 
-    service_config = ServiceRunConfig(
+    report = run_service(ServiceRunConfig(
         seed=config.seed, width=config.width, height=config.height,
         requests=config.requests,
         arrival_period_ticks=config.arrival_period_ticks,
@@ -350,9 +329,7 @@ def run_churn(config: RunConfig) -> dict:
         util_threshold_pct=config.util_threshold_pct,
         buffer_watermark_pct=config.buffer_watermark_pct,
         queue_limit=config.queue_limit,
-        engine=config.engine,
-    )
-    _, report = _run_session(config, ServiceSession, service_config)
+    ), execution=execution)
     slo = report.as_dict()
     return {
         "workload": "churn",

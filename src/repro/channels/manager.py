@@ -334,7 +334,9 @@ class ChannelManager:
         for node in order:
             if node not in self.controls:
                 raise ValueError(f"tree visits unknown node {node!r}")
-        parents_map = tree_parents(ports_by_node, order)
+        parents_map = tree_parents(
+            ports_by_node, order,
+            (self.width, self.height) if self.torus else None)
 
         # One hop per (node, out port); all hops at a node share the
         # node's delay bound (hardware stores a single d per entry).

@@ -22,10 +22,19 @@ from __future__ import annotations
 from typing import Hashable, Optional
 
 from repro.channels.admission import AdmissionController
-from repro.core.ports import EAST, NORTH, RECEPTION, SOUTH, WEST
+from repro.core.ports import DISPLACEMENT, EAST, NORTH, RECEPTION, SOUTH, WEST
 
 Node = tuple[int, int]
 Hop = tuple[Node, int]
+#: ``(width, height)`` of a torus, whose links wrap; ``None`` on a mesh.
+Wrap = Optional[tuple[int, int]]
+
+
+def _neighbour(node: Node, port: int, wrap: Wrap) -> Node:
+    """The node the link ``port`` of ``node`` leads to."""
+    dx, dy = DISPLACEMENT[port]
+    x, y = node[0] + dx, node[1] + dy
+    return (x % wrap[0], y % wrap[1]) if wrap else (x, y)
 
 
 def _x_steps(src: Node, dst: Node) -> list[Hop]:
@@ -119,11 +128,9 @@ def multicast_tree(
 
 
 def _tree_order(
-    src: Node, ports_by_node: dict[Node, set[int]],
+    src: Node, ports_by_node: dict[Node, set[int]], wrap: Wrap = None,
 ) -> list[Node]:
     """Breadth-first programming order of a multicast tree (source out)."""
-    from repro.core.ports import DISPLACEMENT
-
     order: list[Node] = []
     frontier = [src]
     seen = {src}
@@ -133,8 +140,7 @@ def _tree_order(
         for port in sorted(ports_by_node.get(node, ())):
             if port == RECEPTION:
                 continue
-            dx, dy = DISPLACEMENT[port]
-            child = (node[0] + dx, node[1] + dy)
+            child = _neighbour(node, port, wrap)
             if child not in seen and child in ports_by_node:
                 seen.add(child)
                 frontier.append(child)
@@ -157,8 +163,6 @@ def multicast_tree_avoiding(
     :class:`RouteError` if any destination is unreachable.
     """
     from collections import deque as _deque
-
-    from repro.core.ports import DISPLACEMENT
 
     if not destinations:
         raise ValueError("multicast needs at least one destination")
@@ -195,7 +199,8 @@ def multicast_tree_avoiding(
             up_node, up_port = parents[node]
             ports_by_node.setdefault(up_node, set()).add(up_port)
             node = up_node
-    return ports_by_node, _tree_order(src, ports_by_node)
+    return ports_by_node, _tree_order(
+        src, ports_by_node, (width, height) if torus else None)
 
 
 def best_effort_relay(
@@ -214,7 +219,6 @@ def best_effort_relay(
     the destination; ``[dst]`` means a direct send is safe.
     """
     path = shortest_route_avoiding(width, height, src, dst, avoid)
-    from repro.core.ports import DISPLACEMENT
 
     # Node sequence along the path (link hops only).
     nodes = [src]
@@ -245,17 +249,15 @@ def best_effort_relay(
 
 def tree_parents(
     ports_by_node: dict[Node, set[int]], order: list[Node],
+    wrap: Wrap = None,
 ) -> dict[Node, Optional[Node]]:
     """Parent of each tree node (None at the source)."""
-    from repro.core.ports import DISPLACEMENT
-
     parents: dict[Node, Optional[Node]] = {order[0]: None}
     for node in order:
         for port in ports_by_node.get(node, ()):
             if port == RECEPTION:
                 continue
-            dx, dy = DISPLACEMENT[port]
-            child = (node[0] + dx, node[1] + dy)
+            child = _neighbour(node, port, wrap)
             if child in ports_by_node and child not in parents:
                 parents[child] = node
     return parents
@@ -286,8 +288,6 @@ def shortest_route_avoiding(
     when the destination is unreachable.
     """
     from collections import deque as _deque
-
-    from repro.core.ports import DISPLACEMENT
 
     if (dst, RECEPTION) in failed:
         raise RouteError(f"reception port at {dst!r} is failed")

@@ -10,27 +10,20 @@ The subsystem has three layers (see ``docs/checkpointing.md``):
   checkpoint or none, even under SIGKILL.
 * :mod:`repro.checkpoint.sessions` — :class:`Session`, the one
   driver (run loop, ``state``/``restore``/``open``) with the
-  byte-identical-resume guarantee, and its chaos-soak and random
-  admitted workloads (the service workload lives in
+  byte-identical-resume guarantee, :class:`Execution`, the one record
+  of how a run is executed (engine mode, invariant cadence, where and
+  how often to checkpoint, what to resume), and the chaos-soak and
+  random admitted workloads (the service workload lives in
   :mod:`repro.service.session`).
-
-:mod:`repro.checkpoint.runtime` carries the process-local settings the
-campaign runner uses to checkpoint worker runs without perturbing
-result-cache hashes.
 """
 
 from __future__ import annotations
 
 from repro.checkpoint.codec import LoadContext, SaveContext
-from repro.checkpoint.runtime import (
-    CheckpointContext,
-    checkpoint_context,
-    clear_checkpoint_context,
-    set_checkpoint_context,
-)
 from repro.checkpoint.sessions import (
     DEFAULT_CHECKPOINT_INTERVAL,
     ChaosSession,
+    Execution,
     RandomWorkloadSession,
     Session,
 )
@@ -46,18 +39,15 @@ from repro.checkpoint.store import (
 __all__ = [
     "CHECKPOINT_FORMAT",
     "ChaosSession",
-    "CheckpointContext",
     "CheckpointError",
     "CheckpointStore",
     "DEFAULT_CHECKPOINT_INTERVAL",
+    "Execution",
     "LoadContext",
     "RandomWorkloadSession",
     "SaveContext",
     "Session",
     "canonical_dumps",
-    "checkpoint_context",
-    "clear_checkpoint_context",
     "clear_checkpoints",
     "fingerprint_of",
-    "set_checkpoint_context",
 ]

@@ -31,8 +31,9 @@ workloads, which runs to quiescence and is cheap to redo.
 
 from __future__ import annotations
 
+import pathlib
 import random
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.checkpoint.codec import (
@@ -41,13 +42,39 @@ from repro.checkpoint.codec import (
     load_rng,
     rng_state,
 )
-from repro.checkpoint.store import CheckpointError, fingerprint_of
+from repro.checkpoint.store import (
+    CheckpointError,
+    CheckpointStore,
+    fingerprint_of,
+)
 from repro.core.invariants import InvariantViolation, check_router_invariants
 
 #: Default cycles between checkpoints (chosen so checkpointing costs
 #: well under 5% on the benchmark workloads; see
 #: ``benchmarks/bench_checkpoint.py``).
 DEFAULT_CHECKPOINT_INTERVAL = 100_000
+
+
+@dataclass(frozen=True)
+class Execution:
+    """How a run is executed; never what it runs.
+
+    Nothing here can change a run's records, so nothing here is ever
+    hashed, fingerprinted or signed.  It is the one way any layer —
+    session, harness, campaign worker, CLI — says how to run.
+    """
+
+    #: ``"event"`` (the scheduler) or ``"exact"`` (the per-cycle oracle
+    #: loop tests compare against); validated by the engine it selects.
+    engine: str = "event"
+    #: Cycles between invariant checks (0: never); ``None`` leaves it to
+    #: the workload (``ChaosConfig.invariant_check_every``, else 0).
+    check_every: Optional[int] = None
+    #: Where, how often and from which file :meth:`Session.open`
+    #: checkpoints and resumes.
+    checkpoint_dir: Optional[str] = None
+    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
+    resume_from: Optional[str] = None
 
 
 def default_chaos_plan(config):
@@ -67,9 +94,10 @@ def default_chaos_plan(config):
 class Session:
     """The one session driver: run loop, checkpointing, restore, open.
 
-    A workload subclass supplies construction (ending in
-    :meth:`_begin`; a ``_restore=True`` construction builds the bare
-    mesh and draws nothing from the admission stream), ``KIND``,
+    A workload subclass supplies construction (``cls(*spec,
+    execution=Execution())``, ending in :meth:`_begin`; a
+    ``_restore=True`` construction builds the bare mesh and draws
+    nothing from the admission stream), ``KIND``,
     ``fingerprint_for(*spec)``, ``report()`` and five hooks:
 
     * ``_more()`` — does the main loop have another step?
@@ -90,16 +118,20 @@ class Session:
     _store = None
     _interval = 0
 
-    def _begin(self, spec: tuple, check_every: int) -> None:
+    def _begin(self, spec: tuple, own_cadence: int) -> None:
         """Set the shared loop variables; ``spec`` is the positional
-        tuple behind ``cls(*spec)`` and ``cls.fingerprint_for(*spec)``."""
+        tuple behind ``cls(*spec)`` and ``cls.fingerprint_for(*spec)``,
+        ``own_cadence`` the invariant-check period the workload itself
+        asks for when ``self.execution`` names none."""
         self._spec = spec
         self.slot = self.network.params.slot_cycles
-        self.check_every = check_every
+        self.check_every = self.execution.check_every
+        if self.check_every is None:
+            self.check_every = own_cadence
         self.invariant_failures: list[str] = []
         self.phase = "main"
         self.span_end = 0
-        self.next_check = check_every
+        self.next_check = self.check_every
 
     def fingerprint(self) -> str:
         return self.fingerprint_for(*self._spec)
@@ -113,11 +145,8 @@ class Session:
         self._store = store
         self._interval = interval if store is not None else 0
 
-    def run(self, *, store=None, interval: Optional[int] = None):
-        """Run (or finish running) the workload; returns its report.
-        ``interval`` defaults to :data:`DEFAULT_CHECKPOINT_INTERVAL`."""
-        self.attach_store(store, DEFAULT_CHECKPOINT_INTERVAL
-                          if interval is None else interval)
+    def run(self):
+        """Run (or finish running) the workload; returns its report."""
         net = self.network
         self._run_span(self.span_end)  # finish an interrupted span first
         if self.phase == "main":
@@ -191,11 +220,11 @@ class Session:
         return state
 
     @classmethod
-    def restore(cls, *spec_then_state, **options):
-        """``restore(*spec, state, **options)``: rebuild
-        ``cls(*spec, **options)`` at a checkpoint document's state."""
+    def restore(cls, *spec_then_state, execution=Execution()):
+        """``restore(*spec, state)``: rebuild ``cls(*spec)`` at a
+        checkpoint document's state, to run as ``execution`` says."""
         *spec, state = spec_then_state
-        session = cls(*spec, _restore=True, **options)
+        session = cls(*spec, execution=execution, _restore=True)
         session.network.load_state(state["network"],
                                    LoadContext(state["metas"]))
         session._load_loop_state(state)
@@ -208,20 +237,34 @@ class Session:
         return session
 
     @classmethod
-    def open(cls, *spec, store=None, resume_from=None, **options):
-        """Resume or start: the ``resume_from`` checkpoint file if
-        given, else the store's latest checkpoint, else a fresh
-        session.  A checkpoint of a different run configuration raises
-        :class:`CheckpointError`."""
-        path = resume_from
-        if path is None and store is not None:
+    def open(cls, *spec, execution=Execution()):
+        """Resume or start, as ``execution`` says.
+
+        The checkpoint store is ``execution.checkpoint_dir``, else the
+        directory of ``execution.resume_from``, else none (a fresh
+        session that writes nothing).  With a store the session starts
+        from ``resume_from`` if given, else the store's latest
+        checkpoint, else fresh, and checkpoints into the store every
+        ``checkpoint_interval`` cycles.  A checkpoint of a different
+        run configuration raises :class:`CheckpointError`.
+        """
+        directory = execution.checkpoint_dir
+        path = execution.resume_from
+        if directory is None and path is not None:
+            directory = pathlib.Path(path).parent
+        if directory is None:
+            return cls(*spec, execution=execution)
+        store = CheckpointStore(directory, cls.KIND,
+                                cls.fingerprint_for(*spec))
+        if path is None:
             path = store.latest()
         if path is None:
-            return cls(*spec, **options)
-        if store is None:
-            raise ValueError("resume_from needs the run's checkpoint "
-                             "store to validate the file against")
-        return cls.restore(*spec, store.load(path)["state"], **options)
+            session = cls(*spec, execution=execution)
+        else:
+            session = cls.restore(*spec, store.load(path)["state"],
+                                  execution=execution)
+        session.attach_store(store, execution.checkpoint_interval)
+        return session
 
     def _channels_by_label(self, labels) -> list:
         """Re-bind channels from the restored manager (never re-admit)."""
@@ -258,7 +301,7 @@ class ChaosSession(Session):
     FINISH_PHASE = "settle"
 
     def __init__(self, config, plan=None, *,
-                 check_every: Optional[int] = None,
+                 execution: Execution = Execution(),
                  _restore: bool = False) -> None:
         from repro.faults import install_fault_tolerance
         from repro.faults.harness import _establish_workload
@@ -266,10 +309,11 @@ class ChaosSession(Session):
         from repro.network.network import MeshNetwork
 
         self.config = config
+        self.execution = execution
         self.rng = random.Random(config.seed)
         self.network = MeshNetwork(config.width, config.height,
                                    on_memory_full="drop",
-                                   engine=config.engine)
+                                   engine=execution.engine)
         self.admission_rejects: dict[str, int] = {}
         if _restore:  # both come from the checkpoint, as does the RNG
             self.channels: list = []
@@ -291,24 +335,16 @@ class ChaosSession(Session):
         self.nodes = list(self.network.mesh.nodes())
         self.next_message = 0
         self.next_be = config.be_period_cycles
-        self._begin((config, plan),
-                    config.invariant_check_every
-                    if check_every is None else check_every)
+        self._begin((config, plan), config.invariant_check_every)
 
     @classmethod
     def fingerprint_for(cls, config, plan=None) -> str:
         """Pin of every input that shapes a chaos run's behaviour."""
         if plan is None:
             plan = default_chaos_plan(config)
-        config_dict = asdict(config)
-        # Both engine modes produce byte-identical runs, so the mode is
-        # not behaviour-shaping: dropping it keeps fingerprints of
-        # pre-existing checkpoints valid and lets a run checkpointed in
-        # one mode resume in the other.
-        config_dict.pop("engine", None)
         return fingerprint_of({
             "workload": cls.KIND,
-            "config": config_dict,
+            "config": asdict(config),
             "plan": plan.signature(),
         })
 
@@ -415,8 +451,9 @@ class RandomWorkloadSession(Session):
     KIND = "random"
 
     def __init__(self, width: int, height: int, channels: int,
-                 ticks: int, seed: int, *, check_every: int = 0,
-                 engine: str = "event", _restore: bool = False) -> None:
+                 ticks: int, seed: int, *,
+                 execution: Execution = Execution(),
+                 _restore: bool = False) -> None:
         from repro.campaign.spec import derive_seed
         from repro.campaign.workloads import build_random_workload
 
@@ -425,17 +462,17 @@ class RandomWorkloadSession(Session):
         self.channel_count = channels
         self.ticks = ticks
         self.seed = seed
-        self.engine = engine
+        self.execution = execution
         self.admission_rejects: dict[str, int] = {}
         # A restore admits nothing (a bare mesh, no draw): its channels
         # are re-bound by label from the restored manager.
         self.network, self.admitted = build_random_workload(
             width, height, 0 if _restore else channels, seed,
-            self.admission_rejects, engine=engine)
+            self.admission_rejects, engine=execution.engine)
         self.rng = random.Random(derive_seed(seed, "traffic"))
         self.nodes = list(self.network.mesh.nodes())
         self.next_tick = 0
-        self._begin((width, height, channels, ticks, seed), check_every)
+        self._begin((width, height, channels, ticks, seed), 0)
 
     @classmethod
     def fingerprint_for(cls, width: int, height: int, channels: int,

@@ -156,30 +156,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return _EXPERIMENTS[args.name]()
 
 
-def _open_session(args: argparse.Namespace, cls, *spec, **options):
-    """Open the session the checkpoint flags imply; ``(session, store)``.
+def _open_session(args: argparse.Namespace, cls, *spec):
+    """Open the session the checkpoint flags (the fields of one
+    ``Execution``) describe; which checkpoint, if any, it starts from
+    is :meth:`repro.checkpoint.Session.open`'s rule."""
+    from repro.checkpoint import Execution
 
-    ``--checkpoint-dir`` names the store; with only ``--resume-from``,
-    checkpointing continues into the resumed file's directory.  Which
-    checkpoint, if any, the session starts from is
-    :meth:`repro.checkpoint.Session.open`'s rule.
-    """
-    import pathlib
-
-    from repro.checkpoint import CheckpointStore
-
-    directory = args.checkpoint_dir
-    if directory is None and args.resume_from:
-        directory = str(pathlib.Path(args.resume_from).parent)
-    store = None
-    if directory is not None:
-        store = CheckpointStore(directory, cls.KIND,
-                                cls.fingerprint_for(*spec))
-    session = cls.open(*spec, store=store, resume_from=args.resume_from,
-                       **options)
+    session = cls.open(*spec,
+                       execution=_config_from_flags(Execution, args))
     if session.network.cycle:  # only a restored session is past cycle 0
         print(f"resumed from checkpoint at cycle {session.network.cycle}")
-    return session, store
+    return session
 
 
 def _random_session(args: argparse.Namespace):
@@ -211,12 +198,11 @@ def _config_from_flags(cls, args: argparse.Namespace, **extra):
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.checkpoint import RandomWorkloadSession
 
-    session, store = _open_session(
+    session = _open_session(
         args, RandomWorkloadSession, args.width, args.height,
-        args.channels, args.ticks, args.seed,
-        check_every=args.check_invariants or 0)
+        args.channels, args.ticks, args.seed)
     print(f"admitted {len(session.admitted)} of {args.channels} channels")
-    net = session.run(store=store, interval=args.checkpoint_interval)
+    net = session.run()
     for failure in session.invariant_failures:
         print(f"INVARIANT VIOLATION: {failure}")
     tc = net.log.latency_summary("TC")
@@ -287,9 +273,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         # Malformed plan files raise ValueError, which main() turns
         # into a message on stderr and exit status 2.
         plan = FaultPlan.from_file(args.plan_file)
-    session, store = _open_session(args, ChaosSession, config, plan,
-                                   check_every=args.check_invariants)
-    report = session.run(store=store, interval=args.checkpoint_interval)
+    report = _open_session(args, ChaosSession, config, plan).run()
     print(f"chaos soak: seed {report.seed}, {report.cycles} cycles, "
           f"{report.faults_fired} fault events, "
           f"{report.channels_established} channels")
@@ -321,10 +305,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
         fault_plan_json = pathlib.Path(args.fault_plan).read_text()
     config = _config_from_flags(ServiceRunConfig, args,
                                 fault_plan_json=fault_plan_json)
-    session, store = _open_session(
-        args, ServiceSession, config,
-        check_every=args.check_invariants or 0)
-    report = session.run(store=store, interval=args.checkpoint_interval)
+    report = _open_session(args, ServiceSession, config).run()
     print(f"service run: seed {report.seed}, {report.cycles} cycles, "
           f"{report.requests_total} setup requests")
     print("\n".join(format_kv(report.summary_rows())))
@@ -510,22 +491,23 @@ def _add_mesh_workload_args(parser: argparse.ArgumentParser, *,
 
 
 def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
-    """Checkpoint/restore flags of ``simulate``, ``chaos``, ``service``."""
+    """Checkpoint flags: dest = ``Execution`` field, no parser default."""
     from repro.checkpoint import DEFAULT_CHECKPOINT_INTERVAL
 
-    parser.add_argument("--checkpoint-dir", default=None,
+    parser.add_argument("--checkpoint-dir", default=argparse.SUPPRESS,
                         help="write periodic crash-consistent "
                              "checkpoints to this directory")
-    parser.add_argument("--checkpoint-interval", type=int,
-                        default=DEFAULT_CHECKPOINT_INTERVAL, metavar="N",
+    parser.add_argument("--checkpoint-interval", type=int, metavar="N",
+                        default=argparse.SUPPRESS,
                         help="cycles between checkpoints (default "
                              f"{DEFAULT_CHECKPOINT_INTERVAL})")
-    parser.add_argument("--resume-from", default=None, metavar="CKPT",
+    parser.add_argument("--resume-from", metavar="CKPT",
+                        default=argparse.SUPPRESS,
                         help="resume from this checkpoint file (the "
                              "run configuration must match the one "
                              "that wrote it)")
-    parser.add_argument("--check-invariants", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--check-invariants", type=int, metavar="N",
+                        dest="check_every", default=argparse.SUPPRESS,
                         help="check router structural invariants and "
                              "the kept scheduler queue every N cycles, "
                              "and once after a resume")

@@ -20,6 +20,7 @@ from typing import Optional
 
 from repro.channels.admission import AdmissionError
 from repro.channels.spec import TrafficSpec
+from repro.checkpoint.sessions import ChaosSession, Execution
 from repro.faults.plan import FaultPlan
 from repro.network.network import MeshNetwork
 
@@ -46,10 +47,6 @@ class ChaosConfig:
     deadline_ticks: int = 64
     be_period_cycles: int = 160
     invariant_check_every: int = 500
-    #: Engine mode: "event" (the scheduler) or "exact" (the per-cycle
-    #: oracle loop tests compare against); both produce byte-identical
-    #: reports.
-    engine: str = "event"
 
 
 @dataclass
@@ -160,22 +157,15 @@ def _establish_workload(network: MeshNetwork, config: ChaosConfig,
 
 def run_chaos_soak(config: ChaosConfig,
                    plan: Optional[FaultPlan] = None, *,
-                   check_every: Optional[int] = None,
-                   store=None, interval: Optional[int] = None,
-                   ) -> ChaosReport:
+                   execution: Execution = Execution()) -> ChaosReport:
     """Run one seeded chaos soak and report what happened.
 
     Deterministic: the workload schedule, the fault plan, and the
     simulation itself are all driven from ``config.seed``, so the same
-    configuration always yields the identical report signature.
+    configuration always yields the identical report signature, however
+    ``execution`` (default: event scheduler, no checkpoints) runs it.
 
     The driving loop lives in
-    :class:`repro.checkpoint.sessions.ChaosSession`; passing ``store``
-    (a :class:`~repro.checkpoint.CheckpointStore`) checkpoints the run
-    every ``interval`` cycles without changing its outcome, and
-    ``check_every`` overrides the config's invariant-check period.
+    :class:`repro.checkpoint.sessions.ChaosSession`.
     """
-    from repro.checkpoint.sessions import ChaosSession
-
-    session = ChaosSession(config, plan=plan, check_every=check_every)
-    return session.run(store=store, interval=interval)
+    return ChaosSession.open(config, plan, execution=execution).run()

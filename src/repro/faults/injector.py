@@ -146,6 +146,7 @@ class FaultInjector:
     """Engine component that replays a fault plan against a network."""
 
     def __init__(self, network, plan: FaultPlan) -> None:
+        plan.require_topology(network.mesh.torus)
         self.network = network
         self.plan = plan
         self.fired: list[FaultEvent] = []

@@ -142,6 +142,13 @@ class FaultPlan:
                     if e.kind == REPAIR}
         return self.cut_links - repaired
 
+    def require_topology(self, torus: bool) -> None:
+        """Refuse a babbler on a torus: a babble is a best-effort
+        packet, and best-effort offset routing is mesh-only."""
+        if torus and any(e.kind == BABBLE for e in self.events):
+            raise ValueError("fault plan babbles on a torus, but "
+                             "best-effort offset routing is mesh-only")
+
     def signature(self) -> str:
         """Stable digest of the schedule (determinism checks)."""
         digest = hashlib.sha256()

@@ -415,6 +415,7 @@ def analyze_with_faults(topology: TopologySpec,
     link) so the guarantee covers the whole run, not just the pre-cut
     phase.
     """
+    plan.require_topology(topology.torus)
     params = params or RouterParams()
     recovery = recovery or RecoveryModel.derive(params)
     base, manager = _analyze_live(topology, demands, params=params,

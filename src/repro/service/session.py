@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from repro.checkpoint.sessions import Session
+from repro.checkpoint.sessions import Execution, Session
 from repro.checkpoint.store import fingerprint_of
 from repro.network.network import MeshNetwork
 from repro.service.controller import ServiceConfig, ServiceController
@@ -65,20 +65,20 @@ class ServiceRunConfig:
     #: leaves at risk under this plan are rejected at intake (see
     #: :class:`~repro.service.controller.ServiceConfig`).
     fault_plan_json: Optional[str] = None
-    #: Engine mode: "event" (the scheduler) or "exact" (the per-cycle
-    #: oracle loop tests compare against); both produce byte-identical
-    #: reports.
+    #: Vestigial, one legal value: how a run is executed is
+    #: :class:`~repro.checkpoint.Execution`'s to say.  Declared only
+    #: because the frozen benchmark's subclass passes it; goes when
+    #: ``benchmarks/perf/workloads.py`` is ported.
     engine: str = "event"
 
     def validate(self) -> ServiceConfig:
         """Check every field; returns the validated controller config
         so a caller that needs it builds (and parses a fault plan) once."""
-        from repro.network.engine import ENGINE_MODES
-
-        if self.engine not in ENGINE_MODES:
+        if self.engine != "event":
             raise ValueError(
-                f"engine mode must be one of {ENGINE_MODES}, "
-                f"got {self.engine!r}")
+                f"ServiceRunConfig.engine is vestigial and must stay "
+                f"'event', got {self.engine!r}; select the engine with "
+                "Execution(engine=...)")
         if self.width < 1 or self.height < 1:
             raise ValueError("mesh dimensions must be positive")
         if self.requests < 1:
@@ -127,14 +127,15 @@ class ServiceSession(Session):
     KIND = "service"
 
     def __init__(self, config: ServiceRunConfig, *,
-                 check_every: int = 0,
+                 execution: Execution = Execution(),
                  _restore: bool = False) -> None:
         service_config = config.validate()
         self.config = config
+        self.execution = execution
         self.workload = config.churn_workload()
         self.network = MeshNetwork(config.width, config.height,
                                    on_memory_full="drop",
-                                   engine=config.engine)
+                                   engine=execution.engine)
         # Churn tears channels down while packets can still be in
         # flight (overload demotion is deliberately immediate); those
         # packets must be counted and dropped, not crash the router.
@@ -150,17 +151,15 @@ class ServiceSession(Session):
         #: advance, send dispatch).  Diagnostic only — never part of
         #: the checkpointed state or the report signature.
         self.control_plane_seconds = 0.0
-        self._begin((config,), check_every)
+        self._begin((config,), 0)
 
     @classmethod
     def fingerprint_for(cls, config: ServiceRunConfig) -> str:
         """Pin of every input that shapes a service run's behaviour."""
         config_dict = asdict(config)
-        # Both engine modes produce byte-identical runs, so the mode is
-        # not behaviour-shaping: dropping it keeps fingerprints of
-        # pre-existing checkpoints valid and lets a run checkpointed in
-        # one mode resume in the other.
-        config_dict.pop("engine", None)
+        # The vestigial field was never fingerprinted; leaving it out
+        # keeps every pre-existing checkpoint's fingerprint valid.
+        config_dict.pop("engine")
         # The pre-admission verdict *is* behaviour-shaping when on, but
         # its default-off value is dropped so fingerprints of every
         # pre-existing checkpoint stay valid.  Same for the fault-aware
@@ -237,14 +236,13 @@ class ServiceSession(Session):
         self.next_request = state["next_request"]
 
 
-def run_service(config: ServiceRunConfig, *, store=None,
-                interval: Optional[int] = None,
-                check_every: int = 0) -> SLOReport:
+def run_service(config: ServiceRunConfig, *,
+                execution: Execution = Execution()) -> SLOReport:
     """Run one service churn workload and report its SLOs.
 
     Deterministic: the request stream, every control-plane decision and
     the simulation itself derive from ``config`` alone, so the same
-    configuration always yields the identical report signature.
+    configuration always yields the identical report signature, however
+    ``execution`` says to run it.
     """
-    session = ServiceSession(config, check_every=check_every)
-    return session.run(store=store, interval=interval)
+    return ServiceSession.open(config, execution=execution).run()

@@ -10,6 +10,7 @@ in the campaign report with the at-risk labels, never silent.
 from repro.campaign import CampaignRunner, CampaignSpec, ResultCache
 from repro.campaign.spec import RunConfig
 from repro.campaign.workloads import run_chaos_tightness
+from repro.checkpoint import Execution
 from repro.schedulability import prefilter_verdict
 
 #: With seed 1 on a 4x4 mesh (5 channels, 100 ticks): one cut leaves
@@ -48,8 +49,8 @@ class TestPrefilter:
 
 class TestWorkload:
     def test_gate_holds_and_stats_are_deterministic(self):
-        first = run_chaos_tightness(config(BOUNDED_CUTS))
-        second = run_chaos_tightness(config(BOUNDED_CUTS))
+        first = run_chaos_tightness(config(BOUNDED_CUTS), Execution())
+        second = run_chaos_tightness(config(BOUNDED_CUTS), Execution())
         assert first == second
         assert first["workload"] == "chaos-tightness"
         assert first["channels_established"] == 5

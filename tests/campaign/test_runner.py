@@ -34,10 +34,10 @@ class CrashOnReplica:
     def __init__(self, replica):
         self.replica = replica
 
-    def __call__(self, config):
+    def __call__(self, config, execution):
         if config.replica == self.replica:
             raise RuntimeError("poisoned config")
-        return execute_run(config)
+        return execute_run(config, execution)
 
 
 class DieHardOnReplica:
@@ -46,10 +46,10 @@ class DieHardOnReplica:
     def __init__(self, replica):
         self.replica = replica
 
-    def __call__(self, config):
+    def __call__(self, config, execution):
         if config.replica == self.replica:
             os._exit(3)
-        return execute_run(config)
+        return execute_run(config, execution)
 
 
 class FlakyFirstAttempt:
@@ -59,18 +59,18 @@ class FlakyFirstAttempt:
     def __init__(self, marker_dir):
         self.marker_dir = str(marker_dir)
 
-    def __call__(self, config):
+    def __call__(self, config, execution):
         marker = pathlib.Path(self.marker_dir) / config.content_hash()
         if not marker.exists():
             marker.write_text("seen")
             raise RuntimeError("flaky first attempt")
-        return execute_run(config)
+        return execute_run(config, execution)
 
 
 class SleepForever:
-    def __call__(self, config):
+    def __call__(self, config, execution):
         time.sleep(60)
-        return execute_run(config)
+        return execute_run(config, execution)
 
 
 def run_campaign(tmp_path, spec=None, **kwargs):

@@ -1,8 +1,11 @@
 """Tests for campaign specs: expansion, hashing, seed derivation."""
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignSpec,
@@ -69,15 +72,6 @@ class TestRunConfig:
         assert (RunConfig(replica=0).content_hash()
                 != RunConfig(replica=1).content_hash())
 
-    def test_engine_mode_is_not_in_the_content_hash(self):
-        # The mode selects how the clock advances, never the outcome:
-        # cached results stay valid when it flips.
-        base = RunConfig(workload="chaos", seed=9)
-        assert base.engine == "event"
-        oracle = RunConfig(workload="chaos", seed=9, engine="exact")
-        assert oracle.content_hash() == base.content_hash()
-        assert "engine" not in oracle.to_dict()
-
     def test_canonical_dumps_is_sorted_and_compact(self):
         assert canonical_dumps({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
 
@@ -115,26 +109,6 @@ class TestExpansion:
         assert len({r.seed for r in runs}) == len(runs)
         assert [r.seed for r in grid_spec().expand()] == [
             r.seed for r in runs]
-
-    def test_engine_mode_does_not_reshuffle_derived_seeds(self):
-        # A spec that flips the engine mode must derive the same
-        # per-run seeds — otherwise the flip silently reshuffles
-        # seeds, misses the cache, and changes the campaign signature.
-        def expanded(extra):
-            spec = CampaignSpec(
-                name="inv", master_seed=3, mode="grid",
-                base=dict({"workload": "random", "width": 4,
-                           "height": 4, "channels": 3, "ticks": 60},
-                          **extra),
-                axes={"replica": [0, 1]})
-            return spec.expand()
-
-        plain = expanded({})
-        for mode in ("exact", "event"):
-            runs = expanded({"engine": mode})
-            assert [r.seed for r in runs] == [r.seed for r in plain]
-            assert ([r.content_hash() for r in runs]
-                    == [r.content_hash() for r in plain])
 
     def test_seed_changes_with_master(self):
         a = {r.replica: r.seed for r in grid_spec(master_seed=1).expand()}
@@ -188,3 +162,69 @@ class TestSpecSerialisation:
         with pytest.raises(ValueError, match="unknown"):
             CampaignSpec.from_dict({"name": "x", "master_seed": 1,
                                     "mode": "grid", "surprise": True})
+
+
+class TestIntake:
+    """A spec file is refused at load, by name, before a worker starts:
+    exit 2 and ``error:`` on stderr, never a traceback, a quarantine or
+    a silently ignored key."""
+
+    VALID = {"name": "ok", "master_seed": 3, "mode": "grid",
+             "base": {"workload": "random", "width": 2, "height": 2,
+                      "channels": 1, "ticks": 4},
+             "axes": {"replica": [0, 1]}, "runs": []}
+
+    @staticmethod
+    def campaign(tmp_path, spec):
+        from repro.cli import main
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        return main(["campaign", str(path), "--quiet", "--retries", "1",
+                     "--timeout", "60", "--cache", str(tmp_path / "cache")])
+
+    @pytest.mark.parametrize("change, message", [
+        ({"base": {"width": "4"}}, "width must be int, got '4'"),
+        ({"axes": {"width": 4}}, r"axes\['width'\] must be a non-empty"),
+        ({"base": {"workload": "nope"}}, "unknown workload 'nope'"),
+        ({"base": {"engine": "exact"}},
+         r"unknown RunConfig fields: \['engine'\]"),
+        ({"base": {"torus": 1}}, "torus must be bool, got 1"),
+        ({"axes": {"ticks": [4, 4.5]}}, "ticks must be int, got 4.5"),
+        ({"axes": {"replica": []}}, r"axes\['replica'\] must be a non-"),
+        ({"master_seed": "7"}, "master_seed must be an integer"),
+        ({"mode": "list", "axes": {}, "runs": [{"width": True}]},
+         "width must be int, got True"),
+        ({"base": {"workload": "chaos-tightness", "torus": True,
+                   "babblers": 1}}, "babblers need a mesh"),
+    ], ids=["str-for-int", "scalar-axis", "unknown-workload", "engine",
+            "int-for-bool", "float-in-axis", "empty-axis", "master-seed",
+            "bool-in-runs", "torus-babbler"])
+    def test_refused_by_name_with_exit_2(self, tmp_path, capsys, change,
+                                         message):
+        assert self.campaign(tmp_path, {**self.VALID, **change}) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert re.search(message, captured.err), captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "cache").exists()
+
+    NASTY = [None, True, False, "4", "", 4.5, -1, 0, 3, [], {}, [1],
+             ["a"], {"a": 1}, [[2]], "grid", "list", "random"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(target=st.sampled_from(
+               ["name", "master_seed", "mode", "base", "axes", "runs",
+                "base.workload", "base.width", "base.ticks", "base.torus",
+                "base.surprise", "axes.replica", "axes.seed", "surprise"]),
+           value=st.sampled_from(NASTY))
+    def test_a_mutated_spec_never_raises(self, tmp_path_factory, target,
+                                         value):
+        spec = json.loads(json.dumps(self.VALID))
+        *parents, key = target.split(".")
+        holder = spec
+        for parent in parents:
+            holder = holder[parent]
+        holder[key] = value
+        code = self.campaign(tmp_path_factory.mktemp("mutated"), spec)
+        assert code in (0, 1, 2)

@@ -7,7 +7,7 @@ from repro.channels.admission import AdmissionController
 from repro.channels.routing import RouteError
 from repro.core import RealTimeRouter, RouterParams
 from repro.core.connection_table import ControlInterface
-from repro.core.ports import EAST, NORTH, RECEPTION, WEST
+from repro.core.ports import EAST, NORTH, RECEPTION, SOUTH, WEST
 
 
 def make_fabric(width=2, height=2, params=None):
@@ -253,6 +253,24 @@ class TestRecover:
                     if entry_node == node]
             assert control.table.programmed_ids() == mine
             assert manager._used_ids[node] == set(mine)
+
+    def test_torus_multicast_detour_crosses_wrap_links(self):
+        # Establishment merges mesh routes (three hops a branch); with
+        # the first east link cut, the detour tree takes the two wrap
+        # links and is programmed parents before children.
+        controls, manager = bare_manager(4, 4, torus=True)
+        channel = manager.establish((0, 0), [(3, 0), (0, 3)],
+                                    TrafficSpec(i_min=10), deadline=60)
+        replacement = manager.recover(channel, {((0, 0), EAST)})
+        assert hops_of(replacement) == [
+            ((0, 0), WEST), ((0, 0), SOUTH),
+            ((3, 0), RECEPTION), ((0, 3), RECEPTION)]
+        nodes = [node for node, __ in replacement.table_entries]
+        assert nodes[0] == (0, 0) and set(nodes[1:]) == {(3, 0), (0, 3)}
+        cid = replacement.source_connection_id
+        assert controls[(0, 0)].table.lookup(cid).ports() == [WEST, SOUTH]
+        assert controls[(3, 0)].table.lookup(cid).ports() == [RECEPTION]
+        assert manager.channels == [replacement]
 
     def test_needs_the_mesh_dimensions(self):
         __, manager = bare_manager(2, 2, dimensions=False)

@@ -8,6 +8,7 @@ from repro.channels.routing import (
     least_loaded_route,
     minimal_routes,
     multicast_tree,
+    multicast_tree_avoiding,
     route_length,
     tree_parents,
     y_first_route,
@@ -95,6 +96,16 @@ class TestMulticastTree:
         ports, __ = multicast_tree((0, 0), [(1, 0), (2, 0)])
         assert RECEPTION in ports[(1, 0)]
         assert EAST in ports[(1, 0)]
+
+    def test_a_torus_tree_may_cross_wrap_links(self):
+        # Both destinations are one wrap link from the source.
+        ports, order = multicast_tree_avoiding(
+            4, 4, (0, 0), [(3, 0), (0, 3)], set(), torus=True)
+        assert ports == {(0, 0): {WEST, SOUTH}, (3, 0): {RECEPTION},
+                         (0, 3): {RECEPTION}}
+        assert order[0] == (0, 0) and set(order) == set(ports)
+        assert tree_parents(ports, order, (4, 4)) == {
+            (0, 0): None, (3, 0): (0, 0), (0, 3): (0, 0)}
 
     def test_rejects_empty_destinations(self):
         with pytest.raises(ValueError):

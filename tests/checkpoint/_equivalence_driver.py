@@ -128,24 +128,24 @@ def run_idle(mode, ckpt_dir, out_dir, interval):
 # -- chaos soak with active faults -----------------------------------------
 
 def run_chaos(mode, ckpt_dir, out_dir, interval):
-    from repro.checkpoint import ChaosSession, CheckpointStore
+    from repro.checkpoint import ChaosSession, CheckpointStore, Execution
     from repro.faults import ChaosConfig
 
     config = ChaosConfig(**CHAOS_KW)
-    store = CheckpointStore(ckpt_dir, "chaos",
-                            ChaosSession.fingerprint_for(config))
     if mode == "resume":
         # Crash mid-soak, inside the fault window: faults have fired
         # before the checkpoint and more fire after the resume.
-        document = store.load(middle_checkpoint(store,
-                                                config.cycles // 2))
-        session = ChaosSession.restore(config, document["state"])
-        report = session.run()
+        store = CheckpointStore(ckpt_dir, "chaos",
+                                ChaosSession.fingerprint_for(config))
+        session = ChaosSession.open(config, execution=Execution(
+            resume_from=str(middle_checkpoint(store, config.cycles // 2)),
+            checkpoint_interval=interval))
     else:
-        session = ChaosSession(config)
+        session = ChaosSession.open(config, execution=Execution(
+            checkpoint_dir=ckpt_dir if mode == "checkpoint" else None,
+            checkpoint_interval=interval))
         session.network.enable_tracing()
-        report = session.run(store=store if mode == "checkpoint" else None,
-                             interval=interval)
+    report = session.run()
     dump(session.network, out_dir, extra={
         "signature": report.signature(),
         "counters": dict(sorted(report.counters.items())),

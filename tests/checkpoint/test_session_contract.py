@@ -25,6 +25,7 @@ from repro.checkpoint import (
     ChaosSession,
     CheckpointError,
     CheckpointStore,
+    Execution,
     RandomWorkloadSession,
     Session,
 )
@@ -59,8 +60,6 @@ class Case:
     cls: type
     spec: tuple
     foreign: tuple          # same shape, different fingerprint
-    exact: tuple            # same run on the per-cycle oracle ...
-    exact_options: dict     # ... selected by spec or by option
     interval: int
     keys: frozenset         # the checkpoint document's state keys
     finish_phase: str
@@ -72,21 +71,18 @@ SERVICE = dict(width=3, height=3, requests=30, arrival_period_ticks=3,
                hold_ticks=60, seed=17)
 CASES = [
     Case(ChaosSession, (ChaosConfig(**CHAOS),),
-         (ChaosConfig(**{**CHAOS, "seed": 12}),),
-         (ChaosConfig(**CHAOS, engine="exact"),), {}, 400,
+         (ChaosConfig(**{**CHAOS, "seed": 12}),), 400,
          frozenset(SHARED_KEYS | {
              "next_message", "next_be", "admission_rejects",
              "channel_labels", "be_payloads", "rng", "injector",
              "watchdog", "controller"}),
          "settle", chaos_bytes),
-    Case(RandomWorkloadSession, (3, 3, 4, 60, 9), (3, 3, 4, 60, 10),
-         (3, 3, 4, 60, 9), {"engine": "exact"}, 300,
+    Case(RandomWorkloadSession, (3, 3, 4, 60, 9), (3, 3, 4, 60, 10), 300,
          frozenset(SHARED_KEYS | {
              "next_tick", "admission_rejects", "admitted", "rng"}),
          "drain", record_bytes),
     Case(ServiceSession, (ServiceRunConfig(**SERVICE),),
-         (ServiceRunConfig(**{**SERVICE, "seed": 18}),),
-         (ServiceRunConfig(**SERVICE, engine="exact"),), {}, 1000,
+         (ServiceRunConfig(**{**SERVICE, "seed": 18}),), 1000,
          frozenset(SHARED_KEYS | {
              "next_tick", "next_request", "controller"}),
          "drain", slo_bytes),
@@ -104,8 +100,13 @@ def store_for(case, directory, spec=None):
         case.cls.fingerprint_for(*(case.spec if spec is None else spec)))
 
 
-def run_bytes(case, session, **run_options):
-    return case.report_bytes(session, session.run(**run_options))
+def checkpointing(case, directory, **how):
+    return Execution(checkpoint_dir=str(directory),
+                     checkpoint_interval=case.interval, **how)
+
+
+def run_bytes(case, session):
+    return case.report_bytes(session, session.run())
 
 
 def checkpoints(store):
@@ -115,7 +116,7 @@ def checkpoints(store):
 
 class TestSameBytesHoweverInterrupted:
     def test_plain_checkpointing_and_every_restore(self, case, tmp_path):
-        oracle = case.cls(*case.exact, **case.exact_options)
+        oracle = case.cls(*case.spec, execution=Execution(engine="exact"))
         reference = run_bytes(case, oracle)
         assert_oracle_ran(oracle.network.engine)
 
@@ -124,8 +125,9 @@ class TestSameBytesHoweverInterrupted:
         assert_ran_as(plain.network.engine, "event")
 
         store = store_for(case, tmp_path / "ckpts")
-        assert run_bytes(case, case.cls(*case.spec), store=store,
-                         interval=case.interval) == reference
+        assert run_bytes(case, case.cls.open(
+            *case.spec, execution=checkpointing(case, store.directory))
+        ) == reference
         written = checkpoints(store)
         assert len(written) >= 3, "run too short to test resume"
         for path in written:
@@ -160,42 +162,44 @@ class TestDocumentSchema:
 
 class TestOpen:
     def test_fresh_on_an_empty_store(self, case, tmp_path):
-        session = case.cls.open(*case.spec,
-                                store=store_for(case, tmp_path / "none"))
+        session = case.cls.open(
+            *case.spec, execution=checkpointing(case, tmp_path / "none"))
         assert session.network.cycle == 0
         assert session.phase == "main"
         assert case.cls.open(*case.spec).network.cycle == 0
 
     def test_resumes_latest_and_honours_resume_from(self, case, tmp_path):
         store = store_for(case, tmp_path / "ckpts")
-        reference = run_bytes(case, case.cls(*case.spec), store=store,
-                              interval=case.interval)
+        how = checkpointing(case, store.directory)
+        reference = run_bytes(case, case.cls.open(*case.spec, execution=how))
         written = checkpoints(store)
         assert store.latest() == written[-1]
-        latest = case.cls.open(*case.spec, store=store)
+        latest = case.cls.open(*case.spec, execution=how)
         assert latest.network.cycle == int(written[-1].name.split("-")[1])
-        first = case.cls.open(*case.spec, store=store,
-                              resume_from=written[0])
+        # With only a file, checkpointing continues beside it.
+        first = case.cls.open(*case.spec, execution=Execution(
+            resume_from=str(written[0]), checkpoint_interval=case.interval))
         assert first.network.cycle == int(written[0].name.split("-")[1])
         assert first.fingerprint() == store.fingerprint
         assert run_bytes(case, first) == reference
 
     def test_foreign_fingerprint_is_refused(self, case, tmp_path):
         directory = tmp_path / "ckpts"
-        case.cls(*case.foreign).run(
-            store=store_for(case, directory, case.foreign),
-            interval=case.interval)
-        store = store_for(case, directory)
+        how = checkpointing(case, directory)
+        case.cls.open(*case.foreign, execution=how).run()
         with pytest.raises(CheckpointError, match="fingerprint"):
-            case.cls.open(*case.spec, store=store)
+            case.cls.open(*case.spec, execution=how)
+        latest = store_for(case, directory).latest()
         with pytest.raises(CheckpointError, match="fingerprint"):
-            case.cls.open(*case.spec, store=store,
-                          resume_from=store.latest())
+            case.cls.open(*case.spec, execution=checkpointing(
+                case, directory, resume_from=str(latest)))
 
     def test_resume_from_needs_a_store(self, case, tmp_path):
-        with pytest.raises(ValueError, match="store"):
-            case.cls.open(*case.spec,
-                          resume_from=tmp_path / "ckpt-1-abc.json")
+        # ... and always has one: the file's own directory.  What is
+        # left to refuse is a file that is not there.
+        with pytest.raises(CheckpointError, match="not found"):
+            case.cls.open(*case.spec, execution=Execution(
+                resume_from=str(tmp_path / "ckpt-1-abc.json")))
 
 
 class TestOneDriver:
@@ -214,8 +218,8 @@ class TestOneDriver:
 
     def test_the_pin_catches_a_regrown_method(self):
         class Regrown(RandomWorkloadSession):
-            def run(self, **options):
-                return super().run(**options)
+            def run(self):
+                return super().run()
 
             @classmethod
             def restore(cls, *args, **options):

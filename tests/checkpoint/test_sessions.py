@@ -13,6 +13,7 @@ from repro.checkpoint import (
     ChaosSession,
     CheckpointError,
     CheckpointStore,
+    Execution,
     RandomWorkloadSession,
 )
 from repro.faults import ChaosConfig
@@ -31,10 +32,15 @@ def random_store(tmp_path, seed=9):
         RandomWorkloadSession.fingerprint_for(3, 3, 4, 40, seed))
 
 
+def into(store, interval):
+    return Execution(checkpoint_dir=str(store.directory),
+                     checkpoint_interval=interval)
+
+
 class TestCheckpointCadence:
     def test_chaos_checkpoints_on_interval_multiples(self, tmp_path):
         store = chaos_store(tmp_path)
-        ChaosSession(CONFIG).run(store=store, interval=400)
+        ChaosSession.open(CONFIG, execution=into(store, 400)).run()
         cycles = sorted(int(p.name.split("-")[1])
                         for p in store.directory.glob("ckpt-*.json"))
         assert cycles
@@ -44,8 +50,8 @@ class TestCheckpointCadence:
 
     def test_random_checkpoints_on_interval_multiples(self, tmp_path):
         store = random_store(tmp_path)
-        RandomWorkloadSession(3, 3, 4, 40, 9).run(store=store,
-                                                  interval=160)
+        RandomWorkloadSession.open(3, 3, 4, 40, 9,
+                                   execution=into(store, 160)).run()
         cycles = sorted(int(p.name.split("-")[1])
                         for p in store.directory.glob("ckpt-*.json"))
         assert cycles
@@ -56,9 +62,9 @@ class TestCheckpointCadence:
         assert not list(tmp_path.rglob("ckpt-*.json"))
 
     def test_interval_must_be_positive(self, tmp_path):
-        session = RandomWorkloadSession(3, 3, 4, 20, 9)
         with pytest.raises(ValueError, match="interval"):
-            session.run(store=random_store(tmp_path), interval=0)
+            RandomWorkloadSession.open(
+                3, 3, 4, 20, 9, execution=into(random_store(tmp_path), 0))
 
 
 class TestFingerprints:
@@ -67,14 +73,6 @@ class TestFingerprints:
         assert base == ChaosSession.fingerprint_for(CONFIG)
         bumped = ChaosConfig(cycles=2000, settle_cycles=500, seed=99)
         assert base != ChaosSession.fingerprint_for(bumped)
-
-    def test_engine_mode_is_not_fingerprinted(self):
-        # A checkpoint written under one mode resumes under the other.
-        oracle = ChaosConfig(cycles=2000, settle_cycles=500,
-                             engine="exact")
-        assert CONFIG.engine == "event"
-        assert (ChaosSession.fingerprint_for(oracle)
-                == ChaosSession.fingerprint_for(CONFIG))
 
     def test_random_fingerprint_pins_every_knob(self):
         base = RandomWorkloadSession.fingerprint_for(3, 3, 4, 40, 9)
@@ -92,16 +90,17 @@ class TestFingerprints:
 class TestOpenOrResume:
     def test_open_random_fresh_when_empty(self, tmp_path):
         session = RandomWorkloadSession.open(
-            3, 3, 4, 40, 9, store=random_store(tmp_path))
+            3, 3, 4, 40, 9, execution=into(random_store(tmp_path), 160))
         assert session.network.cycle == 0
         assert session.phase == "main"
 
     def test_open_random_resumes_latest(self, tmp_path):
         store = random_store(tmp_path)
-        RandomWorkloadSession(3, 3, 4, 40, 9).run(store=store,
-                                                  interval=160)
+        RandomWorkloadSession.open(3, 3, 4, 40, 9,
+                                   execution=into(store, 160)).run()
         latest_cycle = store.load(store.latest())["cycle"]
-        session = RandomWorkloadSession.open(3, 3, 4, 40, 9, store=store)
+        session = RandomWorkloadSession.open(3, 3, 4, 40, 9,
+                                             execution=into(store, 160))
         assert session.network.cycle == latest_cycle
         # Finishing the resumed session completes the workload.
         net = session.run()
@@ -110,16 +109,16 @@ class TestOpenOrResume:
 
     def test_open_chaos_resumes_latest(self, tmp_path):
         store = chaos_store(tmp_path)
-        ChaosSession(CONFIG).run(store=store, interval=400)
+        ChaosSession.open(CONFIG, execution=into(store, 400)).run()
         latest_cycle = store.load(store.latest())["cycle"]
-        session = ChaosSession.open(CONFIG, store=store)
+        session = ChaosSession.open(CONFIG, execution=into(store, 400))
         assert session.network.cycle == latest_cycle
         report = session.run()
         assert report.cycles == CONFIG.cycles + CONFIG.settle_cycles
 
     def test_restore_rejects_unknown_channel_label(self, tmp_path):
         store = chaos_store(tmp_path)
-        ChaosSession(CONFIG).run(store=store, interval=400)
+        ChaosSession.open(CONFIG, execution=into(store, 400)).run()
         document = store.load(store.latest())
         document["state"]["channel_labels"].append("no-such-channel")
         with pytest.raises(CheckpointError, match="no-such-channel"):
@@ -128,21 +127,23 @@ class TestOpenOrResume:
 
 class TestInvariantPlumbing:
     def test_healthy_run_reports_no_failures(self):
-        session = RandomWorkloadSession(3, 3, 4, 40, 9, check_every=50)
+        session = RandomWorkloadSession(
+            3, 3, 4, 40, 9, execution=Execution(check_every=50))
         session.run()
         assert session.invariant_failures == []
 
     def test_restore_checks_once(self, tmp_path, monkeypatch):
         store = random_store(tmp_path)
-        RandomWorkloadSession(3, 3, 4, 40, 9).run(store=store,
-                                                  interval=160)
+        RandomWorkloadSession.open(3, 3, 4, 40, 9,
+                                   execution=into(store, 160)).run()
         document = store.load(store.latest())
         calls = []
         monkeypatch.setattr(
             RandomWorkloadSession, "_check_invariants",
             lambda self: calls.append(self.network.cycle))
-        RandomWorkloadSession.restore(3, 3, 4, 40, 9,
-                                      document["state"], check_every=50)
+        RandomWorkloadSession.restore(
+            3, 3, 4, 40, 9, document["state"],
+            execution=Execution(check_every=50))
         assert len(calls) == 1
         # Without the flag, no check runs on restore.
         calls.clear()
@@ -150,7 +151,8 @@ class TestInvariantPlumbing:
         assert calls == []
 
     def test_chaos_report_carries_failures(self, tmp_path, monkeypatch):
-        session = ChaosSession(CONFIG, check_every=500)
+        session = ChaosSession(CONFIG,
+                               execution=Execution(check_every=500))
         session.invariant_failures.append("cycle 0 (0, 0): planted")
         report = session.run()
         assert "cycle 0 (0, 0): planted" in report.invariant_failures

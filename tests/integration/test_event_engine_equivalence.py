@@ -24,7 +24,7 @@ by design (``engine.cycle`` itself must match).
 import dataclasses
 
 from repro import TrafficSpec
-from repro.checkpoint import ChaosSession, CheckpointStore
+from repro.checkpoint import ChaosSession, CheckpointStore, Execution
 from repro.core.ports import EAST, NORTH
 from repro.faults import ChaosConfig, FaultInjector, install_fault_tolerance
 from repro.faults.plan import CUT, REPAIR, FaultEvent, FaultPlan
@@ -109,24 +109,23 @@ def build_and_run(engine, *, cycles=12_000, trace=False,
     return net, tolerance, injector
 
 
-def run_chaos(config):
+def run_chaos(config, engine):
     """``run_chaos_soak`` keeping the session, so the engine is visible."""
-    session = ChaosSession(config)
+    session = ChaosSession(config, execution=Execution(engine=engine))
     return session.run(), session.network.engine
 
 
-def run_churn(config):
-    session = ServiceSession(config)
+def run_churn(config, engine):
+    session = ServiceSession(config, execution=Execution(engine=engine))
     return session.run(), session.network.engine
 
 
 def test_every_layer_defaults_to_the_scheduler():
-    from repro.campaign import RunConfig
-
     assert MeshNetwork(2, 2).engine.mode == "event"
-    assert ChaosConfig().engine == "event"
-    assert ServiceRunConfig().engine == "event"
-    assert RunConfig().engine == "event"
+    assert Execution().engine == "event"
+    assert ChaosSession(ChaosConfig()).network.engine.mode == "event"
+    assert ServiceSession(
+        ServiceRunConfig()).network.engine.mode == "event"
 
 
 class TestEventEngineEquivalence:
@@ -178,9 +177,8 @@ class TestEventEngineEquivalence:
         config = dict(seed=77, cycles=4_000, settle_cycles=2_000,
                       cuts=2, flaps=1, corruptions=1, drops=1,
                       babblers=1)
-        exact, oracle = run_chaos(ChaosConfig(**config, engine="exact"))
-        event, scheduler = run_chaos(ChaosConfig(**config,
-                                                 engine="event"))
+        exact, oracle = run_chaos(ChaosConfig(**config), "exact")
+        event, scheduler = run_chaos(ChaosConfig(**config), "event")
         assert_oracle_ran(oracle)
         assert_scheduler_skipped(scheduler)
         assert exact.signature() == event.signature()
@@ -189,10 +187,9 @@ class TestEventEngineEquivalence:
         assert exact.tc_delivered == event.tc_delivered > 0
 
     def test_churn_slo_signature_identical(self):
-        exact, oracle = run_churn(ServiceRunConfig(requests=60,
-                                                   engine="exact"))
-        event, scheduler = run_churn(ServiceRunConfig(requests=60,
-                                                      engine="event"))
+        exact, oracle = run_churn(ServiceRunConfig(requests=60), "exact")
+        event, scheduler = run_churn(ServiceRunConfig(requests=60),
+                                     "event")
         assert_oracle_ran(oracle)
         assert_scheduler_skipped(scheduler)
         assert exact.signature() == event.signature()
@@ -209,17 +206,18 @@ class TestEventModeCheckpointResume:
                   cuts=2, flaps=1, corruptions=1, drops=1, babblers=1)
 
     def _reference(self):
-        report, oracle = run_chaos(ChaosConfig(**self.CONFIG,
-                                               engine="exact"))
+        report, oracle = run_chaos(ChaosConfig(**self.CONFIG), "exact")
         assert_oracle_ran(oracle)
         return report
 
     def _mid_run_checkpoint(self, store_dir, engine):
-        config = ChaosConfig(**self.CONFIG, engine=engine)
-        session = ChaosSession(config)
+        session = ChaosSession.open(
+            ChaosConfig(**self.CONFIG), execution=Execution(
+                engine=engine, checkpoint_dir=str(store_dir),
+                checkpoint_interval=500))
         store = CheckpointStore(store_dir, "chaos",
                                 session.fingerprint())
-        report = session.run(store=store, interval=500)
+        report = session.run()
         if engine == "exact":
             assert_oracle_ran(session.network.engine)
         else:
@@ -234,9 +232,10 @@ class TestEventModeCheckpointResume:
         return store, paths[mid[len(mid) // 2]], report
 
     def _resume(self, store, path, engine):
-        config = ChaosConfig(**self.CONFIG, engine=engine)
         document = store.load(path)
-        session = ChaosSession.restore(config, document["state"])
+        session = ChaosSession.restore(
+            ChaosConfig(**self.CONFIG), document["state"],
+            execution=Execution(engine=engine))
         report = session.run()
         # A resumed engine inherits the writer's stepped/skipped
         # counters, so only the mode identifies which loop finished.
@@ -254,7 +253,7 @@ class TestEventModeCheckpointResume:
     def test_cross_mode_resume(self, tmp_path):
         # A checkpoint written by the oracle loop resumes under the
         # event scheduler (and vice versa) with identical outcomes:
-        # the fingerprint deliberately excludes the mode.
+        # a fingerprint has no mode in it to differ by.
         reference = self._reference()
         store, mid, _ = self._mid_run_checkpoint(
             tmp_path / "exact", "exact")
@@ -293,7 +292,9 @@ class TestEventModeCheckpointResume:
         parts.mkdir()
         (parts / "part-r1-000000009999.json").write_text("{}")
         assert store.latest() == mid
-        session = ChaosSession.open(ChaosConfig(**self.CONFIG), store=store)
+        session = ChaosSession.open(
+            ChaosConfig(**self.CONFIG),
+            execution=Execution(checkpoint_dir=str(store.directory)))
         assert 0 < session.network.cycle < reference.cycles
         assert session.run().signature() == reference.signature()
 

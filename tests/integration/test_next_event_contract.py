@@ -448,10 +448,11 @@ class TestKeptSchedule:
         assert net.log.be_delivered == 1
 
     def test_session_cadence_audits_the_schedule(self):
-        from repro.checkpoint import RandomWorkloadSession
+        from repro.checkpoint import Execution, RandomWorkloadSession
         from repro.core.packet import BestEffortPacket
 
-        session = RandomWorkloadSession(3, 3, 2, 6, 1, check_every=50)
+        session = RandomWorkloadSession(
+            3, 3, 2, 6, 1, execution=Execution(check_every=50))
         session.run()
         assert session.invariant_failures == []
         session.network.routers[(0, 0)].inject_be(

@@ -111,6 +111,33 @@ class TestVerdictTaxonomy:
         assert report.ok
         assert report.counts()[GUARANTEED] == 4
 
+    BABBLE_PLAN = FaultPlan(events=[FaultEvent(
+        cycle=100, kind=BABBLE, node=(0, 0), target=(2, 2), amount=8)])
+
+    def test_a_babbler_on_a_torus_is_refused_where_the_plan_lands(self):
+        # A babble is a best-effort packet and offset routing is
+        # mesh-only: it used to die mid-run with NotImplementedError.
+        from repro.faults import FaultInjector
+
+        with pytest.raises(ValueError, match="mesh-only"):
+            analyze_with_faults(TopologySpec(3, 3, torus=True), [],
+                                self.BABBLE_PLAN)
+        with pytest.raises(ValueError, match="mesh-only"):
+            FaultInjector(MeshNetwork(3, 3, torus=True), self.BABBLE_PLAN)
+        FaultInjector(MeshNetwork(3, 3), self.BABBLE_PLAN)  # a mesh: fine
+
+    def test_torus_multicast_detour_crosses_wrap_links(self):
+        demand = ChannelDemand(label="mc", source=(0, 0),
+                               destinations=((3, 0), (0, 3)), i_min=10,
+                               deadline=60)
+        (verdict,) = analyze_with_faults(
+            TopologySpec(4, 4, torus=True), [demand],
+            one_cut_plan(node=(0, 0), direction=0)).verdicts
+        assert verdict.status == DEGRADED_GUARANTEED
+        assert verdict.detour_hops == [((0, 0), 1), ((0, 0), 3),
+                                       ((3, 0), 4), ((0, 3), 4)]
+        assert verdict.detour_bound < verdict.fault_free_bound
+
     def test_cut_degrades_crossed_channels_only(self):
         topology = TopologySpec(4, 4)
         demands = random_channel_demands(4, 4, 4, 1)

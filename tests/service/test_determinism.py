@@ -16,7 +16,7 @@ import sys
 
 from repro.campaign import ResultCache, RunConfig, run_and_store
 from repro.campaign.spec import canonical_dumps
-from repro.checkpoint import CheckpointStore
+from repro.checkpoint import Execution
 from repro.service import (
     ServiceRunConfig,
     ServiceSession,
@@ -54,11 +54,14 @@ class TestFreshRuns:
 
 
 class TestResumedRuns:
+    @staticmethod
+    def how(tmp_path):
+        return Execution(checkpoint_dir=str(tmp_path / "ckpts"),
+                         checkpoint_interval=4000)
+
     def test_resume_from_mid_run_checkpoint_is_identical(self, tmp_path):
         reference = run_service(CONFIG)
-        store = CheckpointStore(tmp_path / "ckpts", "service",
-                                ServiceSession.fingerprint_for(CONFIG))
-        checkpointed = run_service(CONFIG, store=store, interval=4000)
+        checkpointed = run_service(CONFIG, execution=self.how(tmp_path))
         assert report_bytes(checkpointed) == report_bytes(reference)
 
         checkpoints = sorted(
@@ -73,10 +76,8 @@ class TestResumedRuns:
 
     def test_open_session_resumes_from_latest(self, tmp_path):
         reference = run_service(CONFIG)
-        store = CheckpointStore(tmp_path / "ckpts", "service",
-                                ServiceSession.fingerprint_for(CONFIG))
-        run_service(CONFIG, store=store, interval=4000)
-        session = ServiceSession.open(CONFIG, store=store)
+        run_service(CONFIG, execution=self.how(tmp_path))
+        session = ServiceSession.open(CONFIG, execution=self.how(tmp_path))
         assert session.network.cycle > 0  # genuinely restored
         resumed = session.run()
         assert report_bytes(resumed) == report_bytes(reference)

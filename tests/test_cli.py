@@ -566,6 +566,18 @@ class TestAnalyzeFaultPlan:
         assert "invalid fault plan JSON" in err
         assert "Traceback" not in err
 
+    def test_babbler_on_a_torus_exits_two(self, capsys, tmp_path):
+        from repro.faults.plan import BABBLE, FaultEvent
+        from repro.schedulability import TopologySpec
+
+        problem = self._problem_path(tmp_path, TopologySpec(4, 4, torus=True))
+        plan = self._plan_path(tmp_path, [FaultEvent(
+            cycle=100, kind=BABBLE, node=(0, 0), target=(2, 2), amount=8)])
+        assert main(["analyze", str(problem), "--fault-plan", str(plan),
+                     "--validate"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "mesh-only" in err
+
     def test_missing_plan_exits_two(self, capsys, tmp_path):
         problem = self._problem_path(tmp_path)
         assert main(["analyze", str(problem), "--fault-plan",
