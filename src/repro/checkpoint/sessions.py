@@ -47,7 +47,11 @@ from repro.checkpoint.store import (
     CheckpointStore,
     fingerprint_of,
 )
-from repro.core.invariants import InvariantViolation, check_router_invariants
+from repro.core.invariants import (
+    InvariantViolation,
+    check_no_shared_wires,
+    check_router_invariants,
+)
 
 #: Default cycles between checkpoints (chosen so checkpointing costs
 #: well under 5% on the benchmark workloads; see
@@ -192,12 +196,15 @@ class Session:
 
     def _check_invariants(self) -> None:
         net = self.network
-        for node, router in net.routers.items():
+        checks = [(f" {node}", check_router_invariants, router)
+                  for node, router in net.routers.items()]
+        checks.append(("", check_no_shared_wires, net.routers.values()))
+        for where, check, subject in checks:
             try:
-                check_router_invariants(router)
+                check(subject)
             except InvariantViolation as exc:
                 self.invariant_failures.append(
-                    f"cycle {net.cycle} {node}: {exc}")
+                    f"cycle {net.cycle}{where}: {exc}")
         for stale in net.engine.audit_schedule():
             self.invariant_failures.append(
                 f"cycle {net.cycle} schedule: {stale}")

@@ -9,9 +9,11 @@ not for the inner loop of big simulations.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.core.clock import RolloverClock
 from repro.core.params import MESH_LINKS, OUTPUT_PORTS
-from repro.core.router import RealTimeRouter
+from repro.core.router import RealTimeRouter, _links_quiet
 
 
 class InvariantViolation(AssertionError):
@@ -27,6 +29,21 @@ def check_router_invariants(router: RealTimeRouter) -> None:
     _check_credits(router)
     _check_flit_buffers(router)
     _check_streams(router)
+    check_no_shared_wires([router])
+
+
+def check_no_shared_wires(routers: Iterable[RealTimeRouter]) -> None:
+    """No link signal sits in two slots, of one router or of two:
+    signals are written and emptied in place, so a shared one carries
+    each byte to two places and loses whichever is emptied first."""
+    seen: dict[int, str] = {}
+    for router in routers:
+        for name in ("link_in", "link_out"):
+            for direction, signal in enumerate(getattr(router, name)):
+                here = f"{router.router_id} {name}[{direction}]"
+                if seen.setdefault(id(signal), here) is not here:
+                    _fail("one link signal in two slots: "
+                          f"{seen[id(signal)]} and {here}")
 
 
 def _fail(message: str) -> None:
@@ -102,6 +119,9 @@ def _check_flit_buffers(router: RealTimeRouter) -> None:
             _fail(f"input {port} transferred byte count negative")
         if state.bound and state.out_port is None:
             _fail(f"input {port} bound without a routing decision")
+        if state.out_port is not None and not state.headers:
+            _fail(f"input {port} routed to port {state.out_port} "
+                  "without a header")  # a step skips headerless inputs
 
 
 def _check_streams(router: RealTimeRouter) -> None:
@@ -139,6 +159,9 @@ def _check_derived_state(router: RealTimeRouter) -> None:
     if pipeline.wake_cycle != pipeline._earliest_action():
         _fail(f"pipeline wake cycle {pipeline.wake_cycle} but its queues "
               f"say {pipeline._earliest_action()}")
+    if router._slot_cycles != router.params.slot_cycles:
+        _fail(f"slot length read as {router._slot_cycles} cycles but "
+              f"the parameters say {router.params.slot_cycles}")
     fresh = not router._pipeline_busy() and router.idle
     if router._quiescent is not None and router._quiescent != fresh:
         _fail(f"remembered quiescence {router._quiescent} but a fresh "
@@ -185,4 +208,6 @@ class CheckedRouter(RealTimeRouter):
 
     def step(self, cycle=None) -> None:  # type: ignore[override]
         super().step(cycle)
+        if not _links_quiet(self.link_in):
+            _fail("a step left an input signal unconsumed")
         check_router_invariants(self)

@@ -163,8 +163,16 @@ class BusRequest:
 
     port: int
     action: Callable[[], None]
-    label: str = ""
     spec: Optional[tuple] = None
+
+    @property
+    def label(self) -> str:
+        """The spec in words: ``be-xfer in3``, ``tc-write s5 c1``."""
+        if self.spec is None:
+            return ""
+        if self.spec[0] == "be-xfer":
+            return f"be-xfer in{self.spec[1]}"
+        return f"{self.spec[0]} s{self.spec[2]} c{self.spec[3]}"
 
 
 class ChunkBus:
@@ -198,6 +206,10 @@ class ChunkBus:
         if port is not None:
             return len(self._queues[port])
         return self._pending
+
+    def idle_cycles(self, count: int = 1) -> None:
+        """Advance ``count`` cycles in which no port asked for the bus."""
+        self.total_cycles += count
 
     def grant(self) -> Optional[BusRequest]:
         """Advance one cycle: grant and execute at most one request."""

@@ -71,9 +71,12 @@ class BufferOverflowError(RuntimeError):
     """The shared packet memory overflowed — reservations were violated."""
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkSignal:
-    """What one link direction carries in one cycle."""
+    """What one link direction carries in one cycle.
+
+    Emptied in place by its slot's router, written or replaced by the
+    link's driver; never one object in two slots."""
 
     phit: Optional[Phit] = None
     ack: bool = False
@@ -122,12 +125,14 @@ class _BEInput:
 
     def push(self, phit: Phit) -> None:
         self.buffer.push(phit)
-        if phit.index == 0:
-            self.headers.append([])
-            self.metas.append(None)
-        if self.headers and phit.index < BE_HEADER_BYTES:
-            self.headers[-1].append(phit.byte)
-        if self.metas and phit.packet is not None:
+        index = phit.index
+        if index < BE_HEADER_BYTES:
+            if index == 0:
+                self.headers.append([])
+                self.metas.append(None)
+            if self.headers:
+                self.headers[-1].append(phit.byte)
+        if phit.packet is not None and self.metas:
             meta = getattr(phit.packet, "meta", None)
             if meta is not None:
                 self.metas[-1] = meta
@@ -165,23 +170,14 @@ class _TCStream:
 
 
 @dataclass
-class _StagedByte:
-    """One best-effort byte staged at an output port."""
-
-    byte: int
-    index: int
-    is_tail: bool
-    meta: Optional[PacketMeta] = None
-
-
-@dataclass
 class _Output:
     """Per-output-port transmit state."""
 
     tc_stream: Optional[_TCStream] = None
     held: Optional[Selection] = None     # freshest scheduler decision
     deferred: Optional[int] = None       # slot whose deferral was traced
-    be_staging: deque[_StagedByte] = field(default_factory=deque)
+    #: Best-effort phits that crossed the bus, as they go on the wire.
+    be_staging: deque[Phit] = field(default_factory=deque)
     bound_input: Optional[int] = None
     credits: Optional[CreditCounter] = None  # None at the reception port
     # Reception-side reassembly (only used at the reception port).
@@ -245,6 +241,8 @@ class RealTimeRouter:
                 "the cycle-accurate router model is byte-serial; wider "
                 "links are supported by the analytical models only"
             )
+        #: ``params.slot_cycles`` (a property that divides), read once.
+        self._slot_cycles = self.params.slot_cycles
         self.router_id = router_id
         self.on_memory_full = on_memory_full
         self.service_hook = service_hook
@@ -316,6 +314,8 @@ class RealTimeRouter:
         #: The scheduler's ``wake``, called on a horizon register write.
         self.wake_hook: Optional[Callable[["RealTimeRouter"], None]] = None
         self.control.on_horizon_write = self._horizon_written
+        #: Called on an append to :attr:`delivered` (wakes the host).
+        self.delivery_hook: Optional[Callable[[], None]] = None
 
         self.cycle = 0
         self.tc_dropped = 0
@@ -405,18 +405,16 @@ class RealTimeRouter:
         # Large meshes are mostly idle, so this matters.
         if links_quiet and (self.quiescent
                             or self.cycle < self._dormancy()):
-            link_out = self.link_out
-            for direction in range(MESH_LINKS):
-                signal = link_out[direction]
-                if signal.phit is not None or signal.ack:
-                    link_out[direction] = LinkSignal()
+            for signal in self.link_out:
+                signal.phit = None
+                signal.ack = False
             self.cycle += 1
             return
         if self._pipeline_lag is not None:
             self._replay_dormant_span()
         self._quiescent = None
         # The scheduler clock ticks once per packet transmission time.
-        self.clock.set(self.cycle // self.params.slot_cycles
+        self.clock.set(self.cycle // self._slot_cycles
                        + self.clock_skew_ticks)
 
         if not links_quiet or self._sync_count:
@@ -426,20 +424,32 @@ class RealTimeRouter:
             self._feed_injection_ports()
         if self._tc_frame_ready:
             self._complete_tc_receptions()
+        # A worm to route and bind, or a bound one (binding makes one)
+        # with no transfer outstanding: nothing else enters these two.
+        unbound = movable = False
         for state in self._be_inputs:
-            if state.headers:  # a worm to route, bind or move
-                self._wormhole_route_and_bind()
-                self._wormhole_bus_requests()
-                break
+            if state.headers:
+                if not state.bound:
+                    unbound = True
+                elif not state.xfer_pending:
+                    movable = True
+        if unbound:
+            self._wormhole_route_and_bind()
+        if unbound or movable:
+            self._wormhole_bus_requests()
         wake = self.pipeline.wake_cycle
         if wake is not None and wake <= self.cycle:
             self._scheduler_decisions()
-        self.bus.grant()  # every working cycle: it counts them
+        bus = self.bus  # counts every working cycle, grants on request
+        if bus.pending():
+            bus.grant()
+        else:
+            bus.idle_cycles()
         self._transmit_outputs()
         if self.leaves.occupancy:
             self._issue_scheduler_requests()
         self.cycle += 1
-        if self._sync_count or self.bus.pending():
+        if self._sync_count or bus.pending():
             self._quiescent = False  # provably busy: remember it
             self._dormant_until = 0
         elif self.pipeline.wake_cycle is not None:
@@ -523,7 +533,7 @@ class RealTimeRouter:
         if (not leaves.occupancy or self._in_transit()
                 or any(o.held for o in self._outputs)):
             return 0
-        slot_cycles = self.params.slot_cycles
+        slot_cycles = self._slot_cycles
         tick = self.cycle // slot_cycles
         clock = RolloverClock(bits=self.params.clock_bits,
                               now=tick + self.clock_skew_ticks)
@@ -543,7 +553,7 @@ class RealTimeRouter:
         each port defers the earliest arrival among its (all early)
         leaves, lowest slot on a tie — reported now, once."""
         clock = RolloverClock(bits=self.params.clock_bits,
-                              now=self.cycle // self.params.slot_cycles
+                              now=self.cycle // self._slot_cycles
                               + self.clock_skew_ticks)
         leaves = self.leaves
         for port in self._eligible_ports():
@@ -564,7 +574,7 @@ class RealTimeRouter:
         start, self._pipeline_lag = self._pipeline_lag, None
         self.tree.evaluations += len(self.pipeline.replay(
             start, self.cycle, self._eligible_ports()))
-        self.bus.total_cycles += self.cycle - start
+        self.bus.idle_cycles(self.cycle - start)
 
     def lagging(self, cycle: int) -> tuple[int, int]:
         """What a reader at ``cycle`` adds to ``tree.evaluations`` and
@@ -587,41 +597,38 @@ class RealTimeRouter:
     # ------------------------------------------------------------------
 
     def _capture_link_inputs(self) -> None:
-        for direction in range(MESH_LINKS):
-            signal = self.link_in[direction]
-            if signal.phit is None and not signal.ack:
-                continue  # already the empty signal
+        cycle = self.cycle
+        queues = self._sync_queues
+        for direction, signal in enumerate(self.link_in):
+            # Consume the signal; whoever drives the link rewrites it.
             if signal.ack:
                 self._outputs[direction].credits.acknowledge()
-            if signal.phit is not None:
-                self._sync_queues[direction].append(
-                    (self.cycle + self.params.input_sync_cycles,
-                     signal.phit)
-                )
+                signal.ack = False
+            phit = signal.phit
+            if phit is not None:
+                queues[direction].append(
+                    (cycle + self.params.input_sync_cycles, phit))
                 self._sync_count += 1
-            # Consume the signal; the engine rewrites it next cycle.
-            self.link_in[direction] = LinkSignal()
-        for port in range(MESH_LINKS + 1):
-            queue = self._sync_queues[port]
-            while queue and queue[0][0] <= self.cycle:
-                __, phit = queue.popleft()
+                signal.phit = None
+        if not self._sync_count:
+            return
+        for port, queue in enumerate(queues):
+            while queue and queue[0][0] <= cycle:
+                phit = queue.popleft()[1]
                 self._sync_count -= 1
-                self._accept_phit(port, phit)
-
-    def _accept_phit(self, port: int, phit: Phit) -> None:
-        if phit.vc == "TC":
-            self._accept_tc_byte(port, phit)
-        else:
-            state = self._be_inputs[port]
-            if not state.headers and phit.index != 0:
+                if phit.vc == "TC":
+                    self._accept_tc_byte(port, phit)
+                    continue
+                state = self._be_inputs[port]
+                if state.headers or phit.index == 0:
+                    state.push(phit)
+                    continue
                 # An orphan flit: its worm's head was lost upstream (a
                 # link flap mid-worm).  Buffering it would desynchronise
                 # the wormhole state machine, so drop it at the door.
                 self.be_orphan_drops += 1
                 if port < MESH_LINKS:
                     state.pending_acks += 1  # keep credits conserved
-                return
-            state.push(phit)
 
     def _accept_tc_byte(self, port: int, phit: Phit) -> None:
         state = self._tc_inputs[port]
@@ -805,7 +812,6 @@ class RealTimeRouter:
                     slot, chunk, rewritten[start:end], arrival, deadline,
                     entry.port_mask, install=(chunk == chunks - 1),
                 ),
-                label=f"tc-write s{slot} c{chunk}",
                 spec=("tc-write", port, slot, chunk,
                       rewritten[start:end].hex(), arrival, deadline,
                       entry.port_mask, chunk == chunks - 1),
@@ -832,11 +838,14 @@ class RealTimeRouter:
         # arbiter granting an empty vector changes nothing.
         requests: dict[int, list[bool]] = {}
         for port, state in enumerate(self._be_inputs):
-            if state.out_port is None and state.headers:
+            if state.bound or not state.headers:
+                continue
+            if state.out_port is None:
                 self._update_worm_routing(state)
-            if state.out_port is not None and not state.bound:
-                requests.setdefault(
-                    state.out_port, [False] * (MESH_LINKS + 1))[port] = True
+                if state.out_port is None:
+                    continue
+            requests.setdefault(
+                state.out_port, [False] * (MESH_LINKS + 1))[port] = True
         for out_port in sorted(requests):
             output = self._outputs[out_port]
             if output.bound_input is not None:
@@ -921,9 +930,8 @@ class RealTimeRouter:
     # ------------------------------------------------------------------
 
     def _wormhole_bus_requests(self) -> None:
-        for port in range(MESH_LINKS + 1):
-            state = self._be_inputs[port]
-            if not state.bound or state.out_port is None or state.xfer_pending:
+        for port, state in enumerate(self._be_inputs):
+            if not state.bound or state.xfer_pending:
                 continue
             output = self._outputs[state.out_port]
             # Keep the output staging shallow: at most two chunks deep.
@@ -948,7 +956,6 @@ class RealTimeRouter:
             self.bus.request(BusRequest(
                 port=port,
                 action=self._make_be_transfer(port, count),
-                label=f"be-xfer in{port}",
                 spec=("be-xfer", port, count),
             ))
 
@@ -956,39 +963,44 @@ class RealTimeRouter:
         def action() -> None:
             state = self._be_inputs[port]
             state.xfer_pending = False
-            output = self._outputs[state.out_port]
-            meta = state.active_meta()
+            out_port = state.out_port
+            staging = self._outputs[out_port].be_staging
             tail_index = state.total_bytes - 1
+            pop = state.buffer.pop
             finished = False
             for _ in range(count):
-                phit = state.buffer.pop()
-                if port < MESH_LINKS:
-                    # Link inputs return one ack per drained byte; the
-                    # injection port is host-local and needs none.
-                    state.pending_acks += 1
-                state.transferred += 1
-                byte = self._rewrite_be_byte(state.out_port, phit)
-                is_tail = phit.index == tail_index
-                output.be_staging.append(_StagedByte(
-                    byte=byte, index=phit.index, is_tail=is_tail,
-                    meta=meta if is_tail else None,
-                ))
-                finished = finished or is_tail
+                phit = pop()
+                index = phit.index
+                is_tail = index == tail_index
+                # The phit received is the phit sent, but for what the
+                # hop changes: the offset it consumes and the tail, the
+                # one wire phit with metadata (first hop: all carry it).
+                if (index < 2 or is_tail or phit.last
+                        or phit.packet is not None):
+                    meta = state.active_meta() if is_tail else None
+                    phit = Phit(
+                        vc="BE", byte=self._rewrite_be_byte(out_port, phit),
+                        packet=_MetaCarrier(meta) if meta else None,
+                        index=index, last=is_tail)
+                    finished = finished or is_tail
+                staging.append(phit)
+            if port < MESH_LINKS:
+                # Link inputs return one ack per drained byte; the
+                # injection port is host-local and needs none.
+                state.pending_acks += count
+            state.transferred += count
             if finished:
                 state.release_worm()
         return action
 
     @staticmethod
     def _rewrite_be_byte(out_port: int, phit: Phit) -> int:
-        """Decrement the routing offset consumed by this hop."""
-        if phit.index == 0 and out_port in (0, 1):
-            x = phit.byte - 256 if phit.byte >= 128 else phit.byte
-            x -= 1 if x > 0 else -1
-            return x & 0xFF
-        if phit.index == 1 and out_port in (2, 3):
-            y = phit.byte - 256 if phit.byte >= 128 else phit.byte
-            y -= 1 if y > 0 else -1
-            return y & 0xFF
+        """Decrement the routing offset consumed by this hop: byte 0
+        on an x link, byte 1 on a y link."""
+        if out_port < MESH_LINKS and phit.index == out_port >> 1:
+            offset = phit.byte - 256 if phit.byte >= 128 else phit.byte
+            offset -= 1 if offset > 0 else -1
+            return offset & 0xFF
         return phit.byte
 
     # ------------------------------------------------------------------
@@ -1025,20 +1037,21 @@ class RealTimeRouter:
     # ------------------------------------------------------------------
 
     def _transmit_outputs(self) -> None:
-        link_out = self.link_out
         for port, output in enumerate(self._outputs):
             if port < MESH_LINKS:
-                signal = link_out[port]
-                if signal.phit is not None or signal.ack:
-                    signal = link_out[port] = LinkSignal()
+                signal = self.link_out[port]
+                signal.phit = None
                 # One ack per cycle per link for drained flits.
                 state = self._be_inputs[port]
                 if state.pending_acks > 0:
                     state.pending_acks -= 1
                     signal.ack = True
-            if (output.held is not None or output.tc_stream is not None
-                    or output.be_staging):
+                else:
+                    signal.ack = False
+            if output.held is not None or output.tc_stream is not None:
                 self._transmit_one(port, output)
+            elif output.be_staging:
+                self._send_be_byte(port, output)
 
     def _transmit_one(self, port: int, output: _Output) -> None:
         self._maybe_start_tc(port, output)
@@ -1063,7 +1076,8 @@ class RealTimeRouter:
         # (bus latency) leaves the link free for best-effort bytes.
 
         # Priority 2: best-effort flits.
-        self._send_be_byte(port)
+        if output.be_staging:
+            self._send_be_byte(port, output)
 
     def _maybe_start_tc(self, port: int, output: _Output) -> None:
         """Commit the held scheduler decision if it may transmit now."""
@@ -1120,25 +1134,20 @@ class RealTimeRouter:
                 return True
         return False
 
-    def _send_be_byte(self, port: int) -> bool:
-        output = self._outputs[port]
-        if not output.be_staging:
-            return False
+    def _send_be_byte(self, port: int, output: _Output) -> None:
+        """Drive the oldest staged flit, credits permitting."""
         if port < MESH_LINKS and not output.credits.can_send:
-            return False
-        staged = output.be_staging.popleft()
+            return
+        phit = output.be_staging.popleft()
         if port < MESH_LINKS:
             output.credits.consume()
-        carrier = _MetaCarrier(staged.meta) if staged.meta else None
-        self._drive_byte(port, Phit(vc="BE", byte=staged.byte,
-                                    packet=carrier, index=staged.index,
-                                    last=staged.is_tail))
+        self._drive_byte(port, phit)
         output.be_bytes += 1
         if self.service_hook is not None:
-            self.service_hook(self.cycle, port, "BE", staged.meta)
-        if staged.is_tail:
+            self.service_hook(self.cycle, port, "BE",
+                              getattr(phit.packet, "meta", None))
+        if phit.last:
             output.bound_input = None
-        return True
 
     # -- time-constrained transmit helpers --------------------------------
 
@@ -1161,7 +1170,6 @@ class RealTimeRouter:
             self.bus.request(BusRequest(
                 port=OUTPUT_PORTS + port,
                 action=self._make_tc_read(port, slot, chunk),
-                label=f"tc-read s{slot} c{chunk}",
                 spec=("tc-read", port, slot, chunk),
             ))
 
@@ -1223,8 +1231,7 @@ class RealTimeRouter:
                 packet = TimeConstrainedPacket.from_bytes(
                     raw, self.params, meta=meta,
                 )
-                packet.meta.delivered_cycle = self.cycle
-                self.delivered.append(packet)
+                self._deliver(packet)
         else:
             output.be_rx.append(phit.byte)
             if phit.packet is not None:
@@ -1254,8 +1261,14 @@ class RealTimeRouter:
                                          traffic_class="BE",
                                          info={"where": "reception"})
                     return
-                packet.meta.delivered_cycle = self.cycle
-                self.delivered.append(packet)
+                self._deliver(packet)
+
+    def _deliver(self, packet) -> None:
+        """Hand a reassembled packet to the host side."""
+        packet.meta.delivered_cycle = self.cycle
+        self.delivered.append(packet)
+        if self.delivery_hook is not None:
+            self.delivery_hook()
 
     # ------------------------------------------------------------------
     # Introspection helpers (tests, stats)
@@ -1306,32 +1319,19 @@ class RealTimeRouter:
         kind = spec[0]
         if kind == "tc-write":
             _, port, slot, chunk, data, arrival, deadline, mask, install = spec
-            return BusRequest(
-                port=port,
-                action=self._make_tc_write(
-                    slot, chunk, bytes.fromhex(data), arrival, deadline,
-                    mask, install=bool(install),
-                ),
-                label=f"tc-write s{slot} c{chunk}",
-                spec=spec,
-            )
-        if kind == "be-xfer":
+            action = self._make_tc_write(
+                slot, chunk, bytes.fromhex(data), arrival, deadline, mask,
+                install=bool(install))
+        elif kind == "be-xfer":
             _, port, count = spec
-            return BusRequest(
-                port=port,
-                action=self._make_be_transfer(port, count),
-                label=f"be-xfer in{port}",
-                spec=spec,
-            )
-        if kind == "tc-read":
-            _, port, slot, chunk = spec
-            return BusRequest(
-                port=OUTPUT_PORTS + port,
-                action=self._make_tc_read(port, slot, chunk),
-                label=f"tc-read s{slot} c{chunk}",
-                spec=spec,
-            )
-        raise ValueError(f"unknown bus request spec {spec!r}")
+            action = self._make_be_transfer(port, count)
+        elif kind == "tc-read":
+            _, out_port, slot, chunk = spec
+            action = self._make_tc_read(out_port, slot, chunk)
+            port = OUTPUT_PORTS + out_port
+        else:
+            raise ValueError(f"unknown bus request spec {spec!r}")
+        return BusRequest(port=port, action=action, spec=spec)
 
     @staticmethod
     def _save_signal(signal: LinkSignal, ctx) -> list:
@@ -1383,8 +1383,9 @@ class RealTimeRouter:
                 "held": self._save_selection(output.held),
                 "deferred": output.deferred,
                 "be_staging": [
-                    [s.byte, s.index, s.is_tail, ctx.save_meta(s.meta)]
-                    for s in output.be_staging
+                    [phit.byte, phit.index, phit.last,
+                     ctx.save_meta(getattr(phit.packet, "meta", None))]
+                    for phit in output.be_staging
                 ],
                 "bound_input": output.bound_input,
                 "credits": (None if output.credits is None
@@ -1518,8 +1519,9 @@ class RealTimeRouter:
             output.held = self._load_selection(s["held"])
             output.deferred = s.get("deferred")
             output.be_staging = deque(
-                _StagedByte(byte=byte, index=index, is_tail=bool(tail),
-                            meta=ctx.meta(meta))
+                Phit(vc="BE", byte=byte, index=index, last=bool(tail),
+                     packet=(None if meta is None
+                             else _MetaCarrier(ctx.meta(meta))))
                 for byte, index, tail, meta in s["be_staging"]
             )
             output.bound_input = s["bound_input"]

@@ -88,7 +88,7 @@ class SynchronousEngine:
         #: cycle — and a step by one of them triggers a full requery.
         self._watchers: set = set()
         #: component -> components to requery whenever it steps
-        #: (host <-> router pairs: one injects into / drains the other).
+        #: (a host injects into and drains its router).
         self._peers: dict = {}
         #: Per wiring: the declared source component (or None).
         self._wiring_sources: list = []
@@ -135,16 +135,16 @@ class SynchronousEngine:
             self._watchers.add(component)
         self._queue_valid = False  # nobody has asked the newcomer yet
 
-    def bind_peers(self, first: Steppable, second: Steppable) -> None:
-        """Declare two local components as mutual wake partners.
+    def bind_peers(self, feeder: Steppable, fed: Steppable) -> None:
+        """Declare that ``feeder``'s step may hand work to ``fed``.
 
-        Whenever one of them steps, the event scheduler requeries the
-        other — the contract for pairs that feed each other directly
-        (a host injecting into its router; a router delivering to its
-        host) without going through a declared wiring.
+        Whenever ``feeder`` steps, the scheduler requeries ``fed`` —
+        for a local component that writes another on most of its steps
+        without a declared wiring (a host injecting into and draining
+        its router).  One that does so rarely calls :meth:`wake` when
+        it happens (a router delivering to its host).
         """
-        self._peers.setdefault(first, []).append(second)
-        self._peers.setdefault(second, []).append(first)
+        self._peers.setdefault(feeder, []).append(fed)
 
     def remove_component(self, component: Steppable) -> None:
         """Detach a component (fault injectors, watchdogs, controllers).
@@ -182,10 +182,10 @@ class SynchronousEngine:
         self._heap[:] = [entry for entry in self._heap
                          if entry[3] is not component]
         heapq.heapify(self._heap)
-        for partner in self._peers.pop(component, ()):
-            partners = self._peers.get(partner)
-            if partners and component in partners:
-                partners.remove(component)
+        self._peers.pop(component, None)
+        for fed in self._peers.values():
+            if component in fed:
+                fed.remove(component)
         if component in self._source_wirings:
             # Wiring whose source vanished falls back to source-less
             # semantics: run every executed cycle, gate jumps on its

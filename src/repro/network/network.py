@@ -12,6 +12,7 @@ attach traffic sources, run, and inspect statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.channels.admission import AdmissionController
@@ -26,7 +27,7 @@ from repro.core.packet import (
 )
 from repro.core.params import MESH_LINKS, RouterParams
 from repro.core.ports import OPPOSITE
-from repro.core.router import LinkSignal, RealTimeRouter
+from repro.core.router import RealTimeRouter
 from repro.network.engine import SynchronousEngine
 from repro.network.events import (
     LINK_FAILED,
@@ -147,9 +148,11 @@ class MeshNetwork:
             # an explicit wake from the send APIs below.
             self.engine.add_component(host, local=True)
             self.engine.add_component(router, local=True)
+            # The host's step injects into and drains the router; the
+            # router says when it put something at the reception port,
             self.engine.bind_peers(host, router)
-            # A raised horizon can bring a dormant router's deadline
-            # forward: the scheduler must ask it again.
+            router.delivery_hook = partial(self.engine.wake, host)
+            # and when a raised horizon may have moved its dormancy deadline.
             router.wake_hook = self.engine.wake
 
         # Wire every link: a router's output signal this cycle becomes
@@ -259,7 +262,9 @@ class MeshNetwork:
                         elif mangled is not phit:
                             monitor.bytes_corrupted += 1
                             phit = mangled
-                sink.link_in[into] = LinkSignal(phit=phit, ack=signal.ack)
+                wire = sink.link_in[into]  # the sink's own, written in place
+                wire.phit = phit
+                wire.ack = signal.ack
                 wrote.append(sink)
             return wrote
 
@@ -292,8 +297,7 @@ class MeshNetwork:
                 continue  # a genuine ack already occupies this cycle
             if router.output_credit_debt(direction) <= 0:
                 continue
-            router.link_in[direction] = LinkSignal(phit=signal.phit,
-                                                   ack=True)
+            signal.ack = True
             self._drain_acks[link] = pending - 1
             wrote.append(router)
         return wrote

@@ -14,8 +14,10 @@ from repro.core import (
 from repro.core.invariants import (
     CheckedRouter,
     InvariantViolation,
+    check_no_shared_wires,
     check_router_invariants,
 )
+from repro.core.packet import phits_of
 from repro.core.ports import EAST, NORTH, RECEPTION
 from repro.core.router import LinkSignal
 
@@ -183,3 +185,82 @@ class TestViolationDetection:
         router._pipeline_lag = 0  # nothing is held: nothing may lag
         with pytest.raises(InvariantViolation, match="lagging"):
             check_router_invariants(router)
+
+
+class TestWires:
+    """Link signals are written and emptied in place: every slot needs
+    a signal of its own, and a step must leave its inputs consumed."""
+
+    @staticmethod
+    def _worm():
+        return phits_of(BestEffortPacket(x_offset=0, y_offset=0,
+                                         payload=b"wire"), RouterParams())
+
+    def test_detects_one_signal_in_two_slots_of_a_router(self):
+        router = checked_router()
+        router.link_in[NORTH] = router.link_out[EAST]
+        with pytest.raises(InvariantViolation, match="two slots"):
+            check_router_invariants(router)
+
+    def test_detects_one_signal_shared_by_two_routers(self):
+        west, east = checked_router(router_id="w"), checked_router(
+            router_id="e")
+        check_no_shared_wires([west, east])
+        east.link_in[EAST] = west.link_out[EAST]  # "wiring" by alias
+        for router in (west, east):
+            check_router_invariants(router)  # each alone looks fine
+        with pytest.raises(InvariantViolation,
+                           match=r"w link_out\[0\] and e link_in\[0\]"):
+            check_no_shared_wires([west, east])
+
+    def test_an_aliased_wire_is_cross_talk(self):
+        # Why the check exists: the alias delivers the byte, and then
+        # the sink's in-place clear wipes the source's output.
+        west, east = checked_router(), checked_router()
+        east.link_in[EAST] = west.link_out[EAST]
+        west.link_out[EAST].phit = self._worm()[0]
+        east.step()
+        assert west.link_out[EAST].phit is None
+
+    @pytest.mark.parametrize("write", ["in place", "fresh signal"])
+    def test_a_signal_is_consumed_once_however_it_was_written(self, write):
+        # Drop the in-place clear from the capture phase and the head
+        # byte is captured again on every following step (the checked
+        # step itself refuses to leave an input signal standing).
+        router = checked_router()
+        head = self._worm()[0]
+        if write == "in place":
+            router.link_in[NORTH].phit = head
+        else:
+            router.link_in[NORTH] = LinkSignal(phit=head)
+        for _ in range(6):
+            router.step()
+        assert router._be_inputs[NORTH].buffer.occupancy == 1
+        assert router._sync_count == 0
+
+    def test_an_output_is_emptied_before_it_is_driven_again(self):
+        # One staged flit, six steps: it is on the wire for one cycle.
+        router = checked_router()
+        router.inject_be(BestEffortPacket(x_offset=1, y_offset=0,
+                                          payload=b""))
+        seen = []
+        for _ in range(40):
+            router.step()
+            seen.append(router.link_out[EAST].phit)
+        sent = [phit for phit in seen if phit is not None]
+        assert [phit.index for phit in sent] == [0, 1, 2, 3]
+        assert sent[0].byte == 0 and sent[-1].last
+
+    def test_a_running_mesh_shares_no_wires(self):
+        # The wiring writes into the sink's signal; putting the
+        # source's own signal into the sink's slot instead would pass
+        # every byte and fail here.
+        from repro.network.network import MeshNetwork
+
+        net = MeshNetwork(3, 2)
+        net.send_best_effort((0, 0), (2, 1), bytes(40))
+        net.send_best_effort((2, 1), (0, 0), bytes(40))
+        for _ in range(30):
+            net.run(10)
+            check_no_shared_wires(net.routers.values())
+        assert net.log.be_delivered == 2

@@ -432,6 +432,33 @@ class TestKeptSchedule:
             _enter(resumed, 100)
         assert _final(resumed) == _final(reference)
 
+    def test_deliveries_wake_their_hosts_under_best_effort_load(self):
+        # Routers are not asked-after peers of their hosts: the only
+        # thing that gets a delivery logged is the router's own wake.
+        # Worms converge on two hosts while short spans audit the queue.
+        def script(engine):
+            net = MeshNetwork(4, 4, engine=engine)
+            rng = random_module.Random(29)
+            nodes = list(net.mesh.nodes())
+            sent = 0
+            while net.cycle < 4_000:
+                if net.cycle < 900:
+                    for target in ((1, 2), (3, 0)):
+                        source = rng.choice(nodes)
+                        if source != target:
+                            net.send_best_effort(
+                                source, target,
+                                bytes([sent & 0xFF]) * rng.randrange(4, 70))
+                            sent += 1
+                _enter(net, rng.randrange(1, 40))
+            assert sent > 40
+            assert net.log.be_delivered == sent
+            return net
+
+        net, oracle = script("event"), script("exact")
+        assert net.engine.audit_schedule() == []
+        assert _final(net)[:2] == _final(oracle)[:2]
+
     def test_bare_injection_without_a_wake_is_reported(self):
         from repro.core.packet import BestEffortPacket
 

@@ -11,6 +11,7 @@ components it wrote, and only those are requeried.
 import pytest
 
 from repro.network.engine import SynchronousEngine
+from repro.network.network import MeshNetwork
 from tests.oracle import assert_oracle_ran, assert_scheduler_skipped
 
 
@@ -318,3 +319,72 @@ class TestWiringReturnContract:
         for nothing in ([], None):
             log = self._build(lambda left, right: nothing)
             assert log == [(5, "source")]
+
+
+class TestDeliveryWake:
+    """A router that puts a packet at its host's reception port tells
+    the scheduler so (``delivery_hook``); nobody asks the host after
+    router steps that delivered nothing."""
+
+    @staticmethod
+    def _storm(engine="event"):
+        net = MeshNetwork(4, 4, engine=engine)
+        nodes = list(net.mesh.nodes())
+        for index in range(24):
+            source = nodes[(5 * index) % 16]
+            destination = nodes[(5 * index + 3 + index % 7) % 16]
+            if source != destination:
+                net.send_best_effort(source, destination,
+                                     bytes([index]) * (9 + 13 * (index % 5)))
+        return net
+
+    def test_a_delivery_wakes_the_host_in_the_cycle_it_happens(self):
+        event, oracle = MeshNetwork(3, 1), MeshNetwork(3, 1, engine="exact")
+        for net in (event, oracle):
+            net.send_best_effort((0, 0), (2, 0), b"wake me")
+        router, host = event.routers[(2, 0)], event.hosts[(2, 0)]
+        asked = []
+        probe = event.engine._probes[host]
+        event.engine._probes[host] = lambda cycle: (
+            asked.append(cycle), probe(cycle))[1]
+        while not router.delivered:
+            event.run(1)
+            oracle.run(1)
+        # The packet landed in the cycle that just ended: the host was
+        # asked at this boundary (and only now: it was never a peer of
+        # the router's steps), is due, and drains it next cycle.
+        assert router.delivered[0].meta.delivered_cycle == event.cycle - 1
+        assert asked == [0, event.cycle]
+        assert event.engine.audit_schedule() == []
+        assert event.log.be_delivered == oracle.log.be_delivered == 0
+        event.run(1)
+        oracle.run(1)
+        assert event.log.be_delivered == oracle.log.be_delivered == 1
+        assert router.delivered == []
+        assert_oracle_ran(oracle.engine)
+
+    def test_the_schedule_stays_exact_under_best_effort_load(self):
+        event, oracle = self._storm(), self._storm("exact")
+        while event.cycle < 1_500:
+            assert event.engine.audit_schedule() == []
+            event.run(13)
+            oracle.run(13)
+        assert event.log.be_delivered == oracle.log.be_delivered >= 20
+        assert ([(r.source, r.destination, r.delivered_cycle)
+                 for r in event.log.records]
+                == [(r.source, r.destination, r.delivered_cycle)
+                    for r in oracle.log.records])
+        assert_scheduler_skipped(event.engine)
+
+    def test_without_the_wake_a_delivery_goes_unnoticed(self):
+        # The mutation: a router that delivers silently.  The audit
+        # names the host, and the packet is never logged.
+        net = MeshNetwork(3, 1)
+        for router in net.routers.values():
+            router.delivery_hook = None
+        net.send_best_effort((0, 0), (2, 0), b"lost on the doorstep")
+        net.run(400)
+        assert len(net.routers[(2, 0)].delivered) == 1
+        assert net.log.be_delivered == 0
+        stale = net.engine.audit_schedule()
+        assert len(stale) == 1 and "HostNode" in stale[0]
