@@ -45,7 +45,7 @@ def run_matrix() -> list[list[str]]:
     # Row 3 — link arbitration: deadline-driven for TC (EDF order),
     # round-robin across inputs for BE (exercised in unit tests; here
     # we confirm the arbiter grants rotate).
-    grants = router._be_arbiters[EAST].grants
+    grants = router.inputs.be_arbiters[EAST].grants
     rows.append(["Link arbitration", "deadline-driven / round-robin",
                  f"BE grants so far {sum(grants)}"])
 
@@ -74,8 +74,8 @@ def run_matrix() -> list[list[str]]:
     router3.inject_be(BestEffortPacket(1, 0, payload=bytes(200)))
     for _ in range(200):
         router3.step()  # no acks: the worm stalls
-    flits = router3._be_inputs[4].buffer.occupancy
-    staged = len(router3._outputs[EAST].be_staging)
+    flits = router3.inputs.ports[4].buffer.occupancy
+    staged = len(router3.outputs.ports[EAST].be_staging)
     rows.append(["Buffers", "BE stalls in flit buffers",
                  f"{flits} buffered + {staged} staged"])
     assert router3.memory.occupancy == 0

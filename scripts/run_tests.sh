@@ -40,9 +40,10 @@ run_perf_pair() {
     echo "== perf-pair: repo benchmark (smoke size), parent commit vs this tree =="
     # The parent's committed files go into a temporary tree; each side
     # runs its own copy of the harness.  Fails on a 'regressed' row
-    # (compare's exit status), on a behaviour digest that differs, or on
-    # an exact block that differs in anything but simulator effort
-    # spent, or differs there for the worse.
+    # (compare's exit status), on a behaviour digest or a hash of the
+    # router documents (--documents) that differs, or on an exact block
+    # that differs in anything but simulator effort spent, or differs
+    # there for the worse.
     local tmp
     tmp="$(mktemp -d)"
     trap "rm -rf '$tmp'" EXIT
@@ -56,16 +57,16 @@ run_perf_pair() {
     python3 scripts/bench_record.py --gate \
         "$tmp/parent/benchmarks/perf/out/ledger.json" \
         benchmarks/perf/out/ledger.json
-    python3 scripts/behaviour_digest.py --smoke --seed 2 \
+    python3 scripts/behaviour_digest.py --smoke --seed 2 --documents \
         --root "$tmp/parent" > "$tmp/digest-parent.txt"
-    python3 scripts/behaviour_digest.py --smoke --seed 2 \
+    python3 scripts/behaviour_digest.py --smoke --seed 2 --documents \
         | tee "$tmp/digest-change.txt"
     # The smoke wormhole instance is 4x4 with 30 datagrams: too few for
     # sustained contention on one output, so that one also at bench size.
     python3 scripts/behaviour_digest.py --workload wormhole_be --seed 2 \
-        --root "$tmp/parent" >> "$tmp/digest-parent.txt"
+        --documents --root "$tmp/parent" >> "$tmp/digest-parent.txt"
     python3 scripts/behaviour_digest.py --workload wormhole_be --seed 2 \
-        | tee -a "$tmp/digest-change.txt"
+        --documents | tee -a "$tmp/digest-change.txt"
     if ! cmp -s "$tmp/digest-parent.txt" "$tmp/digest-change.txt"; then
         echo "perf-pair: the workloads simulated something else than at the parent" >&2
         diff "$tmp/digest-parent.txt" "$tmp/digest-change.txt" >&2 || true

@@ -28,6 +28,7 @@ from typing import Optional
 
 from repro.core.packet import (
     BestEffortPacket,
+    MetaCarrier,
     PacketMeta,
     Phit,
     TimeConstrainedPacket,
@@ -62,15 +63,6 @@ def _tupleize(value):
     if isinstance(value, list):
         return tuple(_tupleize(v) for v in value)
     return value
-
-
-class _MetaCarrier:
-    """Minimal stand-in for a phit's owning packet after a restore."""
-
-    __slots__ = ("meta",)
-
-    def __init__(self, meta: PacketMeta) -> None:
-        self.meta = meta
 
 
 class SaveContext:
@@ -162,7 +154,7 @@ class LoadContext:
         meta = self.meta(meta_index)
         return Phit(
             vc=vc, byte=byte,
-            packet=None if meta is None else _MetaCarrier(meta),
+            packet=None if meta is None else MetaCarrier(meta),
             index=index, last=bool(last),
         )
 

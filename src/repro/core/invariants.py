@@ -13,7 +13,7 @@ from typing import Iterable
 
 from repro.core.clock import RolloverClock
 from repro.core.params import MESH_LINKS, OUTPUT_PORTS
-from repro.core.router import RealTimeRouter, _links_quiet
+from repro.core.router import NEVER, NOW, RealTimeRouter, _links_quiet
 
 
 class InvariantViolation(AssertionError):
@@ -63,7 +63,7 @@ def _check_memory_leaves(router: RealTimeRouter) -> None:
             continue
         if router.leaves[slot].occupied:
             continue
-        if router._slot_readers[slot] > 0 or writes_pending:
+        if router.slot_readers[slot] > 0 or writes_pending:
             continue
         _fail(f"memory slot {slot} allocated but unreachable")
 
@@ -75,10 +75,10 @@ def _check_eligibility_counters(router: RealTimeRouter) -> None:
             1 for index in router.leaves.occupied_indices()
             if router.leaves[index].eligible_for(port)
         )
-        if actual != router._eligible_count[port]:
+        if actual != router.eligible_count[port]:
             _fail(
                 f"eligible_count[{port}] = "
-                f"{router._eligible_count[port]} but {actual} leaves "
+                f"{router.eligible_count[port]} but {actual} leaves "
                 "are eligible"
             )
 
@@ -86,24 +86,24 @@ def _check_eligibility_counters(router: RealTimeRouter) -> None:
 def _check_readers(router: RealTimeRouter) -> None:
     """Reader refcounts equal the in-flight streams per slot."""
     streams: dict[int, int] = {}
-    for output in router._outputs:
+    for output in router.outputs.ports:
         stream = output.tc_stream
         if stream is not None and stream.slot >= 0:
             streams[stream.slot] = streams.get(stream.slot, 0) + 1
     for slot in range(router.params.tc_packet_slots):
         expected = streams.get(slot, 0)
-        if router._slot_readers[slot] != expected:
+        if router.slot_readers[slot] != expected:
             _fail(
-                f"slot {slot} readers = {router._slot_readers[slot]}, "
+                f"slot {slot} readers = {router.slot_readers[slot]}, "
                 f"but {expected} active streams reference it"
             )
-        if router._slot_readers[slot] < 0:
+        if router.slot_readers[slot] < 0:
             _fail(f"slot {slot} has negative readers")
 
 
 def _check_credits(router: RealTimeRouter) -> None:
     for direction in range(MESH_LINKS):
-        credits = router._outputs[direction].credits
+        credits = router.outputs.ports[direction].credits
         if not 0 <= credits.credits <= credits.capacity:
             _fail(
                 f"credits on link {direction} out of range: "
@@ -112,7 +112,7 @@ def _check_credits(router: RealTimeRouter) -> None:
 
 
 def _check_flit_buffers(router: RealTimeRouter) -> None:
-    for port, state in enumerate(router._be_inputs):
+    for port, state in enumerate(router.inputs.ports):
         if state.buffer.occupancy > state.buffer.capacity:
             _fail(f"flit buffer {port} over capacity")
         if state.transferred < 0:
@@ -125,7 +125,7 @@ def _check_flit_buffers(router: RealTimeRouter) -> None:
 
 
 def _check_streams(router: RealTimeRouter) -> None:
-    for port, output in enumerate(router._outputs):
+    for port, output in enumerate(router.outputs.ports):
         stream = output.tc_stream
         if stream is None:
             continue
@@ -146,14 +146,15 @@ def _check_derived_state(router: RealTimeRouter) -> None:
     queued = sum(bus.pending(port) for port in range(bus.ports))
     if bus.pending() != queued:
         _fail(f"bus pending count {bus.pending()} but {queued} are queued")
-    in_sync = sum(len(queue) for queue in router._sync_queues)
-    if router._sync_count != in_sync:
-        _fail(f"synchroniser count {router._sync_count} but {in_sync} "
+    inputs = router.inputs
+    in_sync = sum(len(port.sync) for port in inputs.ports)
+    if inputs.sync_count != in_sync:
+        _fail(f"synchroniser count {inputs.sync_count} but {in_sync} "
               "bytes are queued")
-    full_frame = any(len(tc_input.rx_bytes) >= router.params.tc_packet_bytes
-                     for tc_input in router._tc_inputs)
-    if router._tc_frame_ready != full_frame:
-        _fail(f"frame-ready flag {router._tc_frame_ready} but a full "
+    full_frame = any(len(port.rx_bytes) >= router.params.tc_packet_bytes
+                     for port in inputs.ports)
+    if inputs.frame_ready != full_frame:
+        _fail(f"frame-ready flag {inputs.frame_ready} but a full "
               f"packet waiting is {full_frame}")
     pipeline = router.pipeline
     if pipeline.wake_cycle != pipeline._earliest_action():
@@ -162,30 +163,29 @@ def _check_derived_state(router: RealTimeRouter) -> None:
     if router._slot_cycles != router.params.slot_cycles:
         _fail(f"slot length read as {router._slot_cycles} cycles but "
               f"the parameters say {router.params.slot_cycles}")
-    fresh = not router._pipeline_busy() and router.idle
-    if router._quiescent is not None and router._quiescent != fresh:
-        _fail(f"remembered quiescence {router._quiescent} but a fresh "
-              f"check says {fresh}")
-    _check_dormancy(router)
+    _check_activity(router)
 
 
-def _check_dormancy(router: RealTimeRouter) -> None:
-    """A remembered dormancy deadline equals a fresh computation and no
-    buffered packet may be committed before it; only a router that
-    holds packets lets its pipeline lag."""
+def _check_activity(router: RealTimeRouter) -> None:
+    """The remembered activity answer equals a fresh one (a deadline
+    that has come is due, not stale) and no buffered packet may be
+    committed before it; only a router that holds packets lags."""
     leaves = router.leaves
     if router._pipeline_lag is not None and not leaves.occupancy:
         _fail(f"pipeline lagging since cycle {router._pipeline_lag} "
               "with an empty leaf array")
-    until = router._dormant_until
-    if router._quiescent is not False or not until or until <= router.cycle:
-        return  # forgotten, not dormant, or the deadline has come
-    fresh = router._dormancy_deadline()
-    if fresh != until:
-        _fail(f"remembered dormancy until cycle {until} but a fresh "
+    at = router._work_at
+    if at is None or NOW < at <= router.cycle:
+        return
+    fresh = (NEVER if router._holds_nothing()
+             else router._dormancy_deadline())
+    if fresh != at:
+        _fail(f"remembered next work at cycle {at} but a fresh "
               f"computation says {fresh}")
+    if at in (NOW, NEVER):
+        return
     slot_cycles = router.params.slot_cycles
-    for tick in range(router.cycle // slot_cycles, until // slot_cycles):
+    for tick in range(router.cycle // slot_cycles, at // slot_cycles):
         clock = RolloverClock(bits=router.params.clock_bits,
                               now=tick + router.clock_skew_ticks)
         for index in leaves.occupied_indices():
@@ -195,7 +195,7 @@ def _check_dormancy(router: RealTimeRouter) -> None:
                     <= router.control.horizons[port]
                     for port in range(OUTPUT_PORTS)
                     if leaf.eligible_for(port)):
-                _fail(f"dormant until cycle {until} but leaf {index} may "
+                _fail(f"dormant until cycle {at} but leaf {index} may "
                       f"be committed in tick {tick}")
 
 

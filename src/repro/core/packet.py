@@ -256,6 +256,15 @@ class Phit:
             raise ValueError("phit payload must be one byte")
 
 
+class MetaCarrier:
+    """Minimal packet stand-in that carries metadata on wire phits."""
+
+    __slots__ = ("meta",)
+
+    def __init__(self, meta: PacketMeta) -> None:
+        self.meta = meta
+
+
 def phits_of(packet, params: RouterParams) -> list[Phit]:
     """Explode a packet into its wire phits (stamping the checksum)."""
     if isinstance(packet, TimeConstrainedPacket):

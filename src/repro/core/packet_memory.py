@@ -20,7 +20,7 @@ output ports (paper section 3.4).  Three pieces cooperate:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.params import MEMORY_CHUNK_BYTES, RouterParams
@@ -152,43 +152,64 @@ class PacketMemory:
         self.peak_occupancy = int(state["peak_occupancy"])
 
 
-@dataclass
-class BusRequest:
-    """One queued chunk access: executed when the bus grants it.
+#: What a granted request does (the first field of its document entry).
+TC_WRITE, TC_READ, BE_XFER = "tc-write", "tc-read", "be-xfer"
 
-    ``spec`` is the request's declarative description — enough for a
-    checkpoint restore to re-create ``action`` (a closure, which cannot
-    be serialised) through the router's request factories.
+
+@dataclass(slots=True)
+class BusRequest:
+    """One queued chunk access, as data; the chip executes it on grant.
+
+    ``args`` are the remaining fields of its document entry, in order:
+    ``tc-write`` input port, slot, chunk, bytes, the leaf's arrival,
+    deadline and port mask, and whether this chunk installs it;
+    ``tc-read`` output port, slot, chunk; ``be-xfer`` input port, count.
     """
 
-    port: int
-    action: Callable[[], None]
-    spec: Optional[tuple] = None
+    port: int   # the bus requester: input ports, then output ports
+    kind: str
+    args: tuple
 
     @property
     def label(self) -> str:
-        """The spec in words: ``be-xfer in3``, ``tc-write s5 c1``."""
-        if self.spec is None:
-            return ""
-        if self.spec[0] == "be-xfer":
-            return f"be-xfer in{self.spec[1]}"
-        return f"{self.spec[0]} s{self.spec[2]} c{self.spec[3]}"
+        """The request in words: ``be-xfer in3``, ``tc-write s5 c1``."""
+        if self.kind == BE_XFER:
+            return f"be-xfer in{self.args[0]}"
+        return f"{self.kind} s{self.args[1]} c{self.args[2]}"
+
+    def entry(self) -> list:
+        """The document's spelling: the chunk's bytes as a hex string."""
+        args = list(self.args)
+        if self.kind == TC_WRITE:
+            args[3] = args[3].hex()
+        return [self.kind, *args]
+
+    @classmethod
+    def from_entry(cls, port: int, entry: list) -> "BusRequest":
+        kind, *args = entry
+        if kind not in (TC_WRITE, TC_READ, BE_XFER):
+            raise ValueError(f"unknown bus request {entry!r}")
+        if kind == TC_WRITE:
+            args[3] = bytes.fromhex(args[3])
+        return cls(port, kind, tuple(args))
 
 
 class ChunkBus:
     """Single-ported memory bus: one chunk access granted per cycle.
 
-    Ports enqueue :class:`BusRequest` objects; :meth:`grant` executes at
-    most one per cycle, scanning ports round-robin from just past the
-    last winner (demand-driven round-robin, paper section 3.4).  Each
-    port's requests stay FIFO relative to each other, preserving chunk
-    ordering within a packet.
+    Ports enqueue :class:`BusRequest` objects; :meth:`grant` hands at
+    most one per cycle to ``execute`` (the chip), scanning ports
+    round-robin from just past the last winner (demand-driven
+    round-robin, paper section 3.4).  Each port's requests stay FIFO
+    relative to each other, preserving chunk ordering within a packet.
     """
 
-    def __init__(self, ports: int) -> None:
+    def __init__(self, ports: int,
+                 execute: Callable[[BusRequest], None]) -> None:
         if ports < 1:
             raise ValueError("bus needs at least one port")
         self.ports = ports
+        self._execute = execute
         self._queues: list[deque[BusRequest]] = [deque() for _ in range(ports)]
         self._pending = 0  # requests queued over all ports (derived)
         self._next = 0
@@ -223,7 +244,7 @@ class ChunkBus:
                 req = queue.popleft()
                 self._pending -= 1
                 self._next = (port + 1) % self.ports
-                req.action()
+                self._execute(req)
                 self.grants += 1
                 self.busy_cycles += 1
                 return req
@@ -236,30 +257,21 @@ class ChunkBus:
         return self.busy_cycles / self.total_cycles
 
     def state(self) -> dict:
-        """Checkpoint state.  Queued request actions are closures, so
-        each request is captured through its declarative ``spec``."""
-        queues = []
-        for queue in self._queues:
-            specs = []
-            for req in queue:
-                if req.spec is None:
-                    raise ValueError(
-                        f"bus request {req.label!r} has no spec — "
-                        "cannot checkpoint"
-                    )
-                specs.append(list(req.spec))
-            queues.append(specs)
+        """Checkpoint state; the one place a request is spelt as text."""
         return {"next": self._next, "grants": self.grants,
                 "busy_cycles": self.busy_cycles,
-                "total_cycles": self.total_cycles, "queues": queues}
+                "total_cycles": self.total_cycles,
+                "queues": [[req.entry() for req in queue]
+                           for queue in self._queues]}
 
-    def load_state(self, state: dict, rebuild) -> None:
-        """Restore; ``rebuild(spec)`` re-creates one :class:`BusRequest`."""
+    def load_state(self, state: dict) -> None:
         self._next = int(state["next"])
         self.grants = int(state["grants"])
         self.busy_cycles = int(state["busy_cycles"])
         self.total_cycles = int(state["total_cycles"])
-        for queue, specs in zip(self._queues, state["queues"]):
+        for port, (queue, entries) in enumerate(
+                zip(self._queues, state["queues"])):
             queue.clear()
-            queue.extend(rebuild(tuple(spec)) for spec in specs)
+            queue.extend(BusRequest.from_entry(port, entry)
+                         for entry in entries)
         self._pending = sum(len(queue) for queue in self._queues)

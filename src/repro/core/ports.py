@@ -17,6 +17,8 @@ time-constrained and best-effort classes, paper Figure 2).
 
 from __future__ import annotations
 
+from typing import Callable
+
 EAST = 0
 WEST = 1
 NORTH = 2
@@ -59,3 +61,23 @@ def dimension_ordered_port(x_offset: int, y_offset: int) -> int:
     if y_offset < 0:
         return SOUTH
     return RECEPTION
+
+
+def west_first_port(x_offset: int, y_offset: int,
+                    pressure: Callable[[int], tuple]) -> int:
+    """Minimal adaptive routing under the west-first turn model."""
+    if x_offset < 0:
+        return WEST  # all westward hops first (no turns into west)
+    candidates = []
+    if x_offset > 0:
+        candidates.append(EAST)
+    if y_offset > 0:
+        candidates.append(NORTH)
+    elif y_offset < 0:
+        candidates.append(SOUTH)
+    if not candidates:
+        return RECEPTION
+    if len(candidates) == 1:
+        return candidates[0]
+    # Free choice: pick the less-loaded productive direction.
+    return min(candidates, key=pressure)

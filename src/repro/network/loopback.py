@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.packet import BestEffortPacket, PacketMeta, TimeConstrainedPacket
+from repro.core.packet import BE_HEADER_BYTES, BestEffortPacket, PacketMeta
 from repro.core.params import RouterParams
 from repro.core.ports import EAST, NORTH, SOUTH, WEST
 from repro.core.router import LinkSignal, RealTimeRouter
@@ -56,8 +56,6 @@ class LoopbackHarness:
         ``size_bytes`` is the total packet length on the wire (header
         plus payload), matching the paper's "b byte wormhole packet".
         """
-        from repro.core.packet import BE_HEADER_BYTES
-
         if size_bytes <= BE_HEADER_BYTES:
             raise ValueError(
                 f"packet must exceed the {BE_HEADER_BYTES}-byte header"

@@ -66,12 +66,12 @@ class TestAdaptiveChoice:
         blocker = BestEffortPacket(2, 0, payload=bytes(60))
         phits = phits_of(blocker, router.params)
         for _ in range(200):
-            if phits and router._be_inputs[WEST].buffer.free_space > 2:
+            if phits and router.inputs.ports[WEST].buffer.free_space > 2:
                 router.link_in[WEST] = LinkSignal(phit=phits.pop(0))
             router.step()
-            if router._outputs[EAST].bound_input is not None:
+            if router.outputs.ports[EAST].bound_input is not None:
                 break
-        assert router._outputs[EAST].bound_input == WEST
+        assert router.outputs.ports[EAST].bound_input == WEST
         # Let the blocker exhaust its credits so EAST goes silent and
         # any byte observed afterwards belongs to the probe.
         for _ in range(60):

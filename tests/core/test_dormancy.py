@@ -86,7 +86,7 @@ def _replayed_copy(router, cycle):
     completed = pipeline.replay(
         router._pipeline_lag, cycle,
         [port for port in range(OUTPUT_PORTS)
-         if router._eligible_count[port] > 0])
+         if router.eligible_count[port] > 0])
     return pipeline, len(completed)
 
 

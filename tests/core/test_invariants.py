@@ -19,7 +19,7 @@ from repro.core.invariants import (
 )
 from repro.core.packet import phits_of
 from repro.core.ports import EAST, NORTH, RECEPTION
-from repro.core.router import LinkSignal
+from repro.core.router import NOW, LinkSignal
 
 
 def checked_router(**kwargs) -> CheckedRouter:
@@ -80,20 +80,20 @@ class TestCheckedRuns:
 class TestViolationDetection:
     def test_detects_corrupted_eligibility(self):
         router = checked_router()
-        router._eligible_count[0] = 5  # corrupt deliberately
+        router.eligible_count[0] = 5  # corrupt deliberately
         with pytest.raises(InvariantViolation, match="eligible_count"):
             check_router_invariants(router)
 
     def test_detects_leaked_reader(self):
         router = checked_router()
-        router._slot_readers[3] = 1
+        router.slot_readers[3] = 1
         with pytest.raises(InvariantViolation, match="streams"):
             check_router_invariants(router)
 
     def test_detects_orphan_leaf(self):
         router = checked_router()
         router.leaves.install(7, 0, 5, port_mask=1)
-        router._eligible_count[0] += 1
+        router.eligible_count[0] += 1
         with pytest.raises(InvariantViolation, match="memory slot is free"):
             check_router_invariants(router)
 
@@ -111,13 +111,13 @@ class TestViolationDetection:
 
     def test_detects_miscounted_synchroniser(self):
         router = checked_router()
-        router._sync_count = 1  # every synchroniser is empty
+        router.inputs.sync_count = 1  # every synchroniser is empty
         with pytest.raises(InvariantViolation, match="synchroniser count"):
             check_router_invariants(router)
 
     def test_detects_stale_frame_flag(self):
         router = checked_router()
-        router._tc_frame_ready = True  # no input holds a packet
+        router.inputs.frame_ready = True  # no input holds a packet
         with pytest.raises(InvariantViolation, match="frame-ready"):
             check_router_invariants(router)
 
@@ -130,7 +130,7 @@ class TestViolationDetection:
 
     def test_detects_stale_remembered_busy_verdict(self):
         router = checked_router()
-        router._quiescent = False  # nothing is inside
+        router._work_at = NOW  # nothing is inside
         with pytest.raises(InvariantViolation, match="remembered"):
             check_router_invariants(router)
 
@@ -158,7 +158,7 @@ class TestViolationDetection:
 
     def test_detects_a_late_dormancy_deadline(self):
         router = self._dormant_router()
-        router._dormant_until += router.params.slot_cycles  # one tick late
+        router._work_at += router.params.slot_cycles  # one tick late
         with pytest.raises(InvariantViolation, match="fresh computation"):
             check_router_invariants(router)
 
@@ -175,7 +175,7 @@ class TestViolationDetection:
         router = self._dormant_router()
         # Both the remembered and the recomputed deadline trust the
         # leaf's arrival field; the per-tick check reads the clock.
-        router._dormancy_deadline = lambda: router._dormant_until
+        router._dormancy_deadline = lambda: router._work_at
         router.leaves[0].arrival = 10
         with pytest.raises(InvariantViolation, match="may be committed"):
             check_router_invariants(router)
@@ -235,8 +235,8 @@ class TestWires:
             router.link_in[NORTH] = LinkSignal(phit=head)
         for _ in range(6):
             router.step()
-        assert router._be_inputs[NORTH].buffer.occupancy == 1
-        assert router._sync_count == 0
+        assert router.inputs.ports[NORTH].buffer.occupancy == 1
+        assert router.inputs.sync_count == 0
 
     def test_an_output_is_emptied_before_it_is_driven_again(self):
         # One staged flit, six steps: it is on the wire for one cycle.

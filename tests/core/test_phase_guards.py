@@ -40,32 +40,32 @@ class _AllPhasesRouter(RealTimeRouter):
     def step(self, cycle=None):
         if cycle is not None:
             self.cycle = cycle
-        if _links_quiet(self.link_in) and (
-                self.quiescent or self.cycle < self._dormancy()):
+        cycle = self.cycle
+        if _links_quiet(self.link_in) and cycle < self._next_work():
             for direction in range(MESH_LINKS):
                 self.link_out[direction] = LinkSignal()
             self.cycle += 1
             return
         if self._pipeline_lag is not None:
             self._replay_dormant_span()
-        self._quiescent = None
-        self.clock.set(self.cycle // self.params.slot_cycles
+        self._forget()
+        self.clock.set(cycle // self.params.slot_cycles
                        + self.clock_skew_ticks)
-        self._capture_link_inputs()
-        self._feed_injection_ports()
-        self._complete_tc_receptions()
-        self._wormhole_route_and_bind()
-        self._wormhole_bus_requests()
-        self._scheduler_decisions()
+        inputs, outputs = self.inputs, self.outputs
+        inputs.capture(self.link_in, cycle)
+        inputs.feed_injection(cycle)
+        inputs.complete_receptions(cycle)
+        inputs.route_and_bind(cycle)
+        inputs.request_transfers()
+        outputs.latch_decisions(cycle)
         self.bus.grant()
-        self._transmit_outputs()
-        self._issue_scheduler_requests()
+        outputs.transmit(self.link_out, cycle)
+        outputs.request_decisions()
         self.cycle += 1
         # Whether a wait starts here is decided at once (it is state:
-        # the lag field), from scratch.
-        if not self.quiescent:
-            self._dormancy()
-        self._quiescent = None
+        # the lag field), from scratch, and nothing is remembered.
+        self._next_work(cycle)
+        self._forget()
 
 
 def _program(router):

@@ -35,7 +35,7 @@ class _WormFeeder:
             # Respect flow control: the upstream may only send when the
             # credit view says space exists; we approximate by feeding
             # whenever the buffer reports room.
-            state = self.router._be_inputs[self.direction]
+            state = self.router.inputs.ports[self.direction]
             if state.buffer.free_space > 2:
                 phit = self._phits.pop(0)
                 self.router.link_in[self.direction] = LinkSignal(phit=phit)
@@ -63,7 +63,7 @@ class TestRoundRobinAcrossInputs:
         # Interleaving: neither input got two worms ahead of the other.
         sources = [p.meta for p in delivered]
         # Count deliveries; both inputs contributed.
-        grants = router._be_arbiters[RECEPTION].grants
+        grants = router.inputs.be_arbiters[RECEPTION].grants
         assert grants[WEST] >= 2
         assert grants[SOUTH] >= 2
         assert abs(grants[WEST] - grants[SOUTH]) <= 1

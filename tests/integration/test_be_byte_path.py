@@ -188,14 +188,14 @@ def zero_credits(net):
 def two_worms_in_a_buffer(net):
     return any(len(state.headers) >= 2 and state.buffer.occupancy
                for router in net.routers.values()
-               for state in router._be_inputs)
+               for state in router.inputs.ports)
 
 
 def unbound_worm_waiting(net):
     """Some routed worm waits for an output another worm holds."""
     return any(state.out_port is not None and not state.bound
                for router in net.routers.values()
-               for state in router._be_inputs)
+               for state in router.inputs.ports)
 
 
 WATCH = {

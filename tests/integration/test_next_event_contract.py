@@ -105,7 +105,7 @@ def _assert_remembered_quiescence(routers, where):
     Reading ``quiescent`` also (re)populates the memo, so a missing
     invalidation between two calls shows up at the second one."""
     for router in routers:
-        fresh = not router._pipeline_busy() and router.idle
+        fresh = router._holds_nothing()
         assert router.quiescent == fresh, (
             f"router {router.router_id} remembers quiescent="
             f"{router.quiescent} {where} but recomputation says {fresh}")
