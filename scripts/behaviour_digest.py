@@ -89,7 +89,7 @@ def probed_networks(horizon: int, canonical_dumps):
     def construct_probed(net, *args, **kwargs):
         construct(net, *args, **kwargs)
         probes.append(DocumentProbe(net, horizon, canonical_dumps))
-        net.engine.add_component(probes[-1], local=True)
+        net.engine.add_component(probes[-1])
 
     MeshNetwork.__init__ = construct_probed
     try:

@@ -61,12 +61,18 @@ run_perf_pair() {
         --root "$tmp/parent" > "$tmp/digest-parent.txt"
     python3 scripts/behaviour_digest.py --smoke --seed 2 --documents \
         | tee "$tmp/digest-change.txt"
-    # The smoke wormhole instance is 4x4 with 30 datagrams: too few for
-    # sustained contention on one output, so that one also at bench size.
-    python3 scripts/behaviour_digest.py --workload wormhole_be --seed 2 \
-        --documents --root "$tmp/parent" >> "$tmp/digest-parent.txt"
-    python3 scripts/behaviour_digest.py --workload wormhole_be --seed 2 \
-        --documents | tee -a "$tmp/digest-change.txt"
+    # The smoke wormhole instance is 4x4 with 30 datagrams (too few for
+    # sustained contention on one output) and the smoke chaos instance
+    # 4x4 for 12 ticks (too short for detection and recovery to run
+    # their course), so those two also at bench size.
+    local workload
+    for workload in wormhole_be chaos_faults; do
+        python3 scripts/behaviour_digest.py --workload "$workload" \
+            --seed 2 --documents --root "$tmp/parent" \
+            >> "$tmp/digest-parent.txt"
+        python3 scripts/behaviour_digest.py --workload "$workload" \
+            --seed 2 --documents | tee -a "$tmp/digest-change.txt"
+    done
     if ! cmp -s "$tmp/digest-parent.txt" "$tmp/digest-change.txt"; then
         echo "perf-pair: the workloads simulated something else than at the parent" >&2
         diff "$tmp/digest-parent.txt" "$tmp/digest-change.txt" >&2 || true

@@ -17,7 +17,6 @@ The subsystem has four layers (see ``docs/fault_tolerance.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.faults.harness import ChaosConfig, ChaosReport, run_chaos_soak
 from repro.faults.injector import (
@@ -59,13 +58,7 @@ class FaultTolerance:
         self.watchdog.detach()
 
 
-def install_fault_tolerance(
-    network,
-    *,
-    miss_threshold: Optional[int] = None,
-    retransmit_limit: int = 4,
-    retransmit_buffer: int = 128,
-) -> FaultTolerance:
+def install_fault_tolerance(network) -> FaultTolerance:
     """Wire watchdog + recovery controller into a network's engine.
 
     Also switches the routers to *drop and count* packets whose
@@ -75,11 +68,8 @@ def install_fault_tolerance(
     """
     for router in network.routers.values():
         router.drop_unroutable = True
-    watchdog = LinkWatchdog(network, miss_threshold=miss_threshold)
-    controller = RecoveryController(
-        network, retransmit_limit=retransmit_limit,
-        retransmit_buffer=retransmit_buffer,
-    )
+    watchdog = LinkWatchdog(network)
+    controller = RecoveryController(network)
     network.engine.add_component(watchdog)
     network.engine.add_component(controller)
     return FaultTolerance(watchdog=watchdog, controller=controller)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.channels.admission import AdmissionError
@@ -35,6 +36,18 @@ from repro.observability.trace import RETRANSMIT
 
 Node = tuple[int, int]
 Link = tuple[Node, int]
+
+#: Retries before a time-constrained message is abandoned.
+RETRANSMIT_LIMIT = 4
+#: Entries the source-side buffer keeps (time-constrained messages and,
+#: separately, best-effort packets); the oldest is evicted beyond it.
+RETRANSMIT_BUFFER = 128
+#: Retransmission-check margin past a message's deadline, ticks.
+TC_MARGIN_TICKS = 8
+#: Best-effort delivery timeout, packet slots.
+BE_TIMEOUT_SLOTS = 40
+#: Retries before a best-effort packet is given up.
+BE_RETRY_LIMIT = 3
 
 
 @dataclass
@@ -75,26 +88,10 @@ def _route_links(route) -> set[Link]:
 class RecoveryController:
     """Subscribes to link events and keeps traffic flowing around them."""
 
-    def __init__(
-        self,
-        network,
-        *,
-        retransmit_limit: int = 4,
-        retransmit_buffer: int = 128,
-        tc_margin_ticks: int = 8,
-        be_timeout_cycles: Optional[int] = None,
-        be_retry_limit: int = 3,
-    ) -> None:
+    def __init__(self, network) -> None:
         self.network = network
         self.manager = network.manager
-        self.retransmit_limit = retransmit_limit
-        self.retransmit_buffer = retransmit_buffer
-        self.tc_margin_ticks = tc_margin_ticks
-        self.be_timeout_cycles = (
-            be_timeout_cycles if be_timeout_cycles is not None
-            else 40 * network.params.slot_cycles
-        )
-        self.be_retry_limit = be_retry_limit
+        self.be_timeout_cycles = BE_TIMEOUT_SLOTS * network.params.slot_cycles
         #: Links software knows are dead (announced or detected).
         #: Kept in lock-step with ``network.routing_avoid``.
         self.dead_links: set[Link] = set(network.routing_avoid)
@@ -112,14 +109,11 @@ class RecoveryController:
         #: fresh one (which would retry the retry).
         self._resending_tc: Optional[_TrackedMessage] = None
         self._resending_be = False
-        #: Memoized earliest ``next_check_cycle`` over all tracked
-        #: entries.  Timers only change inside :meth:`step` and the
-        #: send hooks, which set the dirty flag; the event scheduler
-        #: requeries watchers every executed cycle, so the recompute
-        #: must not be O(pending) each time.
-        self._timer_bound: Optional[int] = None
-        self._timer_dirty = True
+        #: Our answer changes on a delivery record or a send: both wake
+        #: us (the rest changes only inside :meth:`step`).
+        self._wake = partial(network.engine.wake, self)
 
+        network.log.wake_reader = self._wake
         network.events.subscribe(self._on_event)
         network.tc_send_hooks.append(self._on_tc_send)
         network.be_send_hooks.append(self._on_be_send)
@@ -160,7 +154,7 @@ class RecoveryController:
     # -- send tracking ------------------------------------------------------
 
     def _on_tc_send(self, channel, packets, payload: bytes) -> None:
-        self._timer_dirty = True
+        self._wake()
         seqs = {p.meta.sequence for p in packets}
         slot = self.network.params.slot_cycles
         if self._resending_tc is not None:
@@ -181,7 +175,7 @@ class RecoveryController:
             if resend_deadlines:
                 entry.next_check_cycle = max(
                     entry.next_check_cycle,
-                    (max(resend_deadlines) + self.tc_margin_ticks) * slot,
+                    (max(resend_deadlines) + TC_MARGIN_TICKS) * slot,
                 )
             return
         # Judge lateness against the message's *absolute* deadline: the
@@ -192,24 +186,24 @@ class RecoveryController:
         deadlines = [p.meta.absolute_deadline for p in packets
                      if p.meta.absolute_deadline is not None]
         if deadlines:
-            check = (max(deadlines) + self.tc_margin_ticks) * slot
+            check = (max(deadlines) + TC_MARGIN_TICKS) * slot
         else:
             check = self.network.cycle \
-                + (channel.deadline + self.tc_margin_ticks) * slot
+                + (channel.deadline + TC_MARGIN_TICKS) * slot
         self._messages.append(_TrackedMessage(
             label=channel.label, payload=payload, attempts_seqs=[seqs],
             destinations=tuple(channel.destinations),
             next_check_cycle=max(check, self.network.cycle + slot),
         ))
-        while len(self._messages) > self.retransmit_buffer:
+        while len(self._messages) > RETRANSMIT_BUFFER:
             self._messages.popleft()  # bounded source-side buffer
 
     def _on_be_send(self, packet) -> None:
-        self._timer_dirty = True
         meta = packet.meta
         if (meta.connection_label == BABBLE_LABEL or self._resending_be
                 or self._resending_tc is not None):
             return
+        self._wake()
         width, height = self.network.mesh.width, self.network.mesh.height
         first_hop = ((meta.source[0] + packet.x_offset) % width,
                      (meta.source[1] + packet.y_offset) % height)
@@ -227,14 +221,12 @@ class RecoveryController:
             path_links=path_links,
             next_check_cycle=self.network.cycle + self.be_timeout_cycles,
         ))
-        while len(self._be_packets) > self.retransmit_buffer:
+        while len(self._be_packets) > RETRANSMIT_BUFFER:
             self._be_packets.popleft()
 
     # -- per-cycle work -----------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        # Stepping can retire entries or push their timers out.
-        self._timer_dirty = True
         self._ingest_log()
         if self._messages:
             self._check_tc(cycle)
@@ -248,25 +240,17 @@ class RecoveryController:
         With no tracked traffic there is nothing to do; with unread
         delivery records it must run now (a confirmation could retire a
         pending entry this cycle, exactly as in the per-cycle loop);
-        otherwise it sleeps until the earliest timeout check.  New
-        deliveries only appear on cycles where a router is active, so
-        this verdict is stable across a quiescent span.  The timer
-        minimum is memoized: timers only change inside :meth:`step`,
-        the send hooks and :meth:`load_state`, all of which set the
-        dirty flag, so the event scheduler's per-cycle watcher requery
-        stays O(1).
+        otherwise it sleeps until the earliest timeout check.  A
+        delivery record and a send wake the controller; the timers
+        change only inside :meth:`step`.
         """
         if not self._messages and not self._be_packets:
             return None
         if len(self.network.log.records) > self._log_index:
             return cycle
-        if self._timer_dirty:
-            self._timer_bound = min(
-                entry.next_check_cycle
-                for entry in (*self._messages, *self._be_packets)
-            )
-            self._timer_dirty = False
-        return max(cycle, self._timer_bound)
+        return max(cycle, min(
+            entry.next_check_cycle
+            for entry in (*self._messages, *self._be_packets)))
 
     def _ingest_log(self) -> None:
         records = self.network.log.records
@@ -300,7 +284,7 @@ class RecoveryController:
                 continue
             if cycle < entry.next_check_cycle:
                 continue
-            if entry.retries >= self.retransmit_limit:
+            if entry.retries >= RETRANSMIT_LIMIT:
                 stats.retransmit_abandoned += 1
                 self._messages.remove(entry)
                 continue
@@ -323,9 +307,9 @@ class RecoveryController:
             # Exponential backoff: double the wait per retry.  The send
             # hook raises this further if the re-sent copy's absolute
             # deadline lands later (backlogged regulator).
-            timeout = (channel.deadline + self.tc_margin_ticks
+            timeout = (channel.deadline + TC_MARGIN_TICKS
                        if not channel.degraded
-                       else self.tc_margin_ticks * 4) \
+                       else TC_MARGIN_TICKS * 4) \
                 * self.network.params.slot_cycles
             entry.next_check_cycle = cycle + timeout * (2 ** entry.retries)
             self._resending_tc = entry
@@ -354,7 +338,7 @@ class RecoveryController:
                 # Check again later without burning a retry.
                 entry.next_check_cycle = cycle + self.be_timeout_cycles
                 continue
-            if entry.retries >= self.be_retry_limit:
+            if entry.retries >= BE_RETRY_LIMIT:
                 self._be_packets.remove(entry)
                 continue
             entry.retries += 1
@@ -410,6 +394,7 @@ class RecoveryController:
         return len(self._be_packets)
 
     def detach(self) -> None:
+        self.network.log.wake_reader = None
         self.network.events.unsubscribe(self._on_event)
         self.network.tc_send_hooks.remove(self._on_tc_send)
         self.network.be_send_hooks.remove(self._on_be_send)
@@ -510,4 +495,3 @@ class RecoveryController:
         self._log_index = int(state["log_index"])
         self._resending_tc = None
         self._resending_be = False
-        self._timer_dirty = True

@@ -5,9 +5,9 @@ is clocked across and (for best-effort traffic) acknowledged.  The
 :class:`~repro.network.network.LinkMonitor` in the wiring layer counts
 consecutive phits that were *offered but never made it* — the hardware
 symptom of a dead line.  The watchdog declares a link dead once that
-count crosses a threshold (default: one full time-constrained packet's
-worth of transfers) and publishes a ``link-dead`` event for the
-recovery controller.
+count crosses a threshold (one full time-constrained packet's worth of
+transfers), flushes the partial frame the cut left downstream and
+publishes a ``link-dead`` event for the recovery controller.
 
 A link with no traffic offered is indistinguishable from a healthy
 idle link — exactly like real hardware, silent cuts are only detected
@@ -31,42 +31,30 @@ Link = tuple[tuple[int, int], int]
 class LinkWatchdog:
     """Engine component that turns missed-transfer counts into events."""
 
-    def __init__(self, network, miss_threshold: Optional[int] = None) -> None:
+    def __init__(self, network) -> None:
         self.network = network
-        #: Missed transfers before a link is declared dead.  One lost
-        #: time-constrained packet (20 consecutive missed phits) is the
-        #: default — short enough to catch failures within a packet
-        #: time, long enough that a single glitch does not kill a link.
-        self.miss_threshold = (miss_threshold if miss_threshold is not None
-                               else network.params.tc_packet_bytes)
-        if self.miss_threshold < 1:
-            raise ValueError("miss threshold must be positive")
+        #: Missed transfers before a link is declared dead: one lost
+        #: time-constrained packet (20 consecutive missed phits) —
+        #: short enough to catch failures within a packet time, long
+        #: enough that a single glitch does not kill a link.
+        self.miss_threshold = network.params.tc_packet_bytes
         #: Links currently considered dead -> cycle of the declaration
         #: (or of the administrative announcement).
         self.dead: dict[Link, int] = {}
-        #: Bumped whenever ``dead`` changes; half of the verdict-cache
-        #: key below.
-        self._dead_version = 0
-        #: Cached scan verdict keyed on ``(monitor_miss_epoch,
-        #: dead_version)``: miss counters only *grow* through the
-        #: wiring layer (which bumps the network's epoch), so an
-        #: unchanged key means no link can have newly crossed the
-        #: threshold and the cached verdict is still safe.  Counter
-        #: *resets* (healthy transfer, repair) do not bump the epoch —
-        #: they can only turn a fire-now verdict into a spurious no-op
-        #: step, never suppress a detection.
-        self._verdict_cache: Optional[tuple[int, int, bool]] = None
+        # The wiring reports us whenever it counts a missed transfer.
+        network.monitor_reader = self
         network.events.subscribe(self._on_event)
 
     def _on_event(self, event: LinkEvent) -> None:
         if event.kind == LINK_REPAIRED:
             self.dead.pop(event.link, None)
-            self._dead_version += 1
         elif event.kind == LINK_FAILED:
             # Administrative failures are already known network-wide;
             # remember them so we do not re-announce the same link.
             self.dead.setdefault(event.link, event.cycle)
-            self._dead_version += 1
+        else:
+            return
+        self.network.engine.wake(self)  # ``dead`` is half our answer
 
     def step(self, cycle: int) -> None:
         for link, monitor in self.network.link_monitors.items():
@@ -74,8 +62,8 @@ class LinkWatchdog:
                 continue
             if monitor.missed_transfers >= self.miss_threshold:
                 self.dead[link] = cycle
-                self._dead_version += 1
                 self.network.fault_stats.links_detected += 1
+                self.network.flush_dead_link(*link)
                 self.network.events.emit(LinkEvent(
                     kind=LINK_DEAD, node=link[0], direction=link[1],
                     cycle=cycle,
@@ -84,31 +72,24 @@ class LinkWatchdog:
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Event-scheduler contract (see ``docs/performance.md``).
 
-        Miss counters only grow when a sender offers phits to a dead
-        link — which requires an active router — so while the fabric is
-        quiescent the verdict is stable: the watchdog needs a step
-        *now* if some live link has already crossed the threshold
-        (detection must fire on this cycle, exactly as in the per-cycle
-        loop), and otherwise has nothing scheduled.  The event
-        scheduler requeries watchers after every executed cycle, so
-        the full-scan verdict is cached behind the miss-epoch /
-        dead-set key (O(1) on the hot path).
+        The watchdog needs a step *now* if some live link has crossed
+        the threshold (detection must fire on this cycle, exactly as in
+        the per-cycle loop), and otherwise has nothing scheduled.  Its
+        inputs are the miss counters, which only grow through the
+        wiring (which then reports the watchdog as written), and the
+        dead set, which changes in its own step and on link events
+        (which wake it).
         """
-        epoch = self.network.monitor_miss_epoch[0]
-        cache = self._verdict_cache
-        if cache is not None and cache[0] == epoch \
-                and cache[1] == self._dead_version:
-            return cycle if cache[2] else None
         fire_now = any(
             monitor.missed_transfers >= self.miss_threshold
             for link, monitor in self.network.link_monitors.items()
             if link not in self.dead
         )
-        self._verdict_cache = (epoch, self._dead_version, fire_now)
         return cycle if fire_now else None
 
     def detach(self) -> None:
         self.network.events.unsubscribe(self._on_event)
+        self.network.monitor_reader = None
         self.network.engine.remove_component(self)
 
     # -- checkpointing -----------------------------------------------------
@@ -122,6 +103,3 @@ class LinkWatchdog:
         self.dead.clear()
         for node, direction, cycle in state["dead"]:
             self.dead[(tuple(node), direction)] = cycle
-        # Resume rebuilds the monitors too: any cached verdict is stale.
-        self._dead_version += 1
-        self._verdict_cache = None

@@ -51,7 +51,7 @@ class SynchronousEngine:
     per-cycle cost).  The scheduler queue is kept between runs and
     never serialised: ``add_component`` and ``load_state`` invalidate
     it, and the next ``run``/``run_until`` entry then rebuilds it from
-    component state; anything else that changes a local component from
+    component state; anything else that changes a component from
     outside its own step must :meth:`wake` it.
 
     With ``mode="exact"`` the engine steps every component and runs
@@ -81,12 +81,6 @@ class SynchronousEngine:
         #: component -> its ``next_event_cycle`` (None: due every cycle),
         #: looked up once at registration.
         self._probes: dict = {}
-        #: Components registered without ``local=True``: their
-        #: ``next_event_cycle`` may depend on *global* state (watchdogs
-        #: scanning link monitors, recovery controllers watching the
-        #: delivery log), so they are requeried after every executed
-        #: cycle — and a step by one of them triggers a full requery.
-        self._watchers: set = set()
         #: component -> components to requery whenever it steps
         #: (a host injects into and drains its router).
         self._peers: dict = {}
@@ -114,32 +108,28 @@ class SynchronousEngine:
     # Registration
     # ------------------------------------------------------------------
 
-    def add_component(self, component: Steppable, *,
-                      local: bool = False) -> None:
+    def add_component(self, component: Steppable) -> None:
         """Register a component; it steps each cycle in this order.
 
-        ``local=True`` declares that the component's
-        ``next_event_cycle`` depends only on its *own* state plus
-        inputs delivered to it by wiring, peers (:meth:`bind_peers`)
-        and explicit :meth:`wake` calls — the event scheduler then
-        requeries it only on those occasions.  The default (a
-        *watcher*) is requeried after every executed cycle and safe
-        for components that observe arbitrary global state.
+        The event scheduler requeries a component's
+        ``next_event_cycle`` only when it steps, when a feeder steps
+        (:meth:`bind_peers`), when a wiring reports that it wrote the
+        component, and when somebody calls :meth:`wake` on it — so its
+        answer may depend only on its own state and on inputs that
+        arrive on one of those four occasions.
         """
         self._components.append(component)
         self._order[component] = self._order_counter
         self._order_counter += 1
         self._probes[component] = getattr(component, "next_event_cycle",
                                           None)
-        if not local:
-            self._watchers.add(component)
         self._queue_valid = False  # nobody has asked the newcomer yet
 
     def bind_peers(self, feeder: Steppable, fed: Steppable) -> None:
         """Declare that ``feeder``'s step may hand work to ``fed``.
 
         Whenever ``feeder`` steps, the scheduler requeries ``fed`` —
-        for a local component that writes another on most of its steps
+        for a component that writes another on most of its steps
         without a declared wiring (a host injecting into and draining
         its router).  One that does so rarely calls :meth:`wake` when
         it happens (a router delivering to its host).
@@ -168,7 +158,6 @@ class SynchronousEngine:
             ) from None
         self._order.pop(component, None)
         self._probes.pop(component, None)
-        self._watchers.discard(component)
         self._sched.pop(component, None)
         self._pending_wakes.discard(component)
         # Purge queued entries outright.  Lazy deletion (the ``_sched``
@@ -328,7 +317,7 @@ class SynchronousEngine:
         self._push_seq = seq
 
     def _event_full_requery(self) -> None:
-        """Rebuild the queue from scratch (unknown queue; watcher stepped)."""
+        """Rebuild the queue from scratch (not built yet; invalidated)."""
         self._sched.clear()
         self._due.clear()
         self._heap.clear()
@@ -338,12 +327,11 @@ class SynchronousEngine:
 
     def _event_enter(self) -> None:
         """Run entry: a valid queue is stale only where somebody said
-        so (:meth:`wake`) and for the watchers."""
+        so (:meth:`wake`)."""
         if not self._queue_valid:
             self._event_full_requery()
             return
-        self._event_requery([*self._pending_wakes, *self._watchers],
-                            self.cycle)
+        self._event_requery(list(self._pending_wakes), self.cycle)
         self._pending_wakes.clear()
 
     def audit_schedule(self) -> list[str]:
@@ -352,16 +340,15 @@ class SynchronousEngine:
         Empty when every registered component is queued exactly as a
         rebuild would queue it — or when there is no kept queue to
         audit (the oracle; not built yet; invalidated).  Components
-        with a wake pending and watchers are exempt: the next run
-        entry re-reads them anyway.
+        with a wake pending are exempt: the next run entry re-reads
+        them anyway.
         """
         if self.mode == "exact" or not self._queue_valid:
             return []
         now = self.cycle
         stale = []
         for component in self._components:
-            if (component in self._pending_wakes
-                    or component in self._watchers):
+            if component in self._pending_wakes:
                 continue
             probe = self._probes[component]
             nxt = probe(now) if probe is not None else now
@@ -459,17 +446,11 @@ class SynchronousEngine:
                 requery.update(wrote)
         self.cycle = now = now + 1
         self.cycles_stepped += 1
-        watchers = self._watchers
-        if not watchers.isdisjoint(stepped):
-            # A watcher step may mutate arbitrary components (fault
-            # injection, retransmission): rebuild everything.
-            self._event_full_requery()
-            return
         for component in stepped:
             partners = peers.get(component)
             if partners:
                 requery.update(partners)
-        requery.update(self._pending_wakes, watchers)
+        requery.update(self._pending_wakes)
         self._pending_wakes.clear()
         self._event_requery(requery, now)
 

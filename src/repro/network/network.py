@@ -99,11 +99,10 @@ class MeshNetwork:
         self.mesh = Mesh(width, height, torus=torus)
         self.log = DeliveryLog(self.params.slot_cycles)
         self.engine = SynchronousEngine(mode=engine)
-        #: Monotone counter bumped whenever any link monitor's
-        #: ``missed_transfers`` grows; the watchdog keys its O(1)
-        #: verdict cache on it (a one-element list so the wiring
-        #: closures can bump it without attribute lookups on self).
-        self.monitor_miss_epoch = [0]
+        #: The engine component that reads ``missed_transfers`` (the
+        #: link watchdog, which installs itself): a wiring that counts a
+        #: missed transfer reports it as written.
+        self.monitor_reader = None
         self.routers: dict[Node, RealTimeRouter] = {}
         self.hosts: dict[Node, HostNode] = {}
         self._traces: list[ServiceTrace] = []
@@ -143,11 +142,11 @@ class MeshNetwork:
             host.network = self
             self.routers[node] = router
             self.hosts[node] = host
-            # Hosts and routers are *local* components: all of their
-            # inputs arrive through the declared wiring, their peer, or
-            # an explicit wake from the send APIs below.
-            self.engine.add_component(host, local=True)
-            self.engine.add_component(router, local=True)
+            # All of a host's and a router's inputs arrive through the
+            # declared wiring, their peer, or an explicit wake from the
+            # send APIs below.
+            self.engine.add_component(host)
+            self.engine.add_component(router)
             # The host's step injects into and drains the router; the
             # router says when it put something at the reception port,
             self.engine.bind_peers(host, router)
@@ -198,7 +197,6 @@ class MeshNetwork:
         draining = self._draining_links
         corruptors = self._link_corruptors
         drain_acks = self._drain_acks
-        miss_epoch = self.monitor_miss_epoch
         # Per link: direction, key, sink, sink port, the link whose
         # sender its ack bits serve (they acknowledge bytes the neighbour
         # sent on its opposite-facing output), monitor.
@@ -228,7 +226,8 @@ class MeshNetwork:
                     # Nothing crosses a dead link; account for what died.
                     if phit is not None:
                         monitor.missed_transfers += 1
-                        miss_epoch[0] += 1
+                        if self.monitor_reader is not None:
+                            wrote.append(self.monitor_reader)
                         monitor.bytes_lost += 1
                         if phit.vc == "BE":
                             if link in draining:
@@ -346,9 +345,33 @@ class MeshNetwork:
         # it upgrades the failure from physical to known.
         if announce and link not in self.routing_avoid:
             self.routing_avoid.add(link)
+            self.flush_dead_link(node, direction)
             self.events.emit(LinkEvent(kind=LINK_FAILED, node=node,
                                        direction=direction,
                                        cycle=self.cycle))
+
+    def flush_dead_link(self, node: Node, direction: int) -> None:
+        """Software has learned that a link is dead: drop the partial
+        time-constrained frame the cut left downstream.
+
+        The router behind the link discards a partial frame only when a
+        later byte arrives with the wrong index, and on a dead link none
+        does — without the flush it would hold the bytes, and stay
+        busy, forever.  Bytes still in its synchroniser are discarded by
+        that same rule when they surface.
+        """
+        router = self.routers[self.mesh.neighbor(node, direction)]
+        port = router.inputs.ports[OPPOSITE[direction]]
+        partial = len(port.rx_bytes) % self.params.tc_packet_bytes
+        if not partial:
+            return
+        router.tc_resync_drops += 1
+        del port.rx_bytes[len(port.rx_bytes) - partial:]
+        if not port.rx_bytes:
+            port.rx_meta = None
+        # Changed from outside its own step: forget the answer, wake it.
+        router._forget()
+        self.engine.wake(router)
 
     def repair_link(self, node: Node, direction: int) -> None:
         """Bring a cut link back; publishes a ``link-repaired`` event.

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.core.packet import BestEffortPacket, PacketMeta, TimeConstrainedPacket
 
@@ -77,6 +77,9 @@ class DeliveryLog:
         #: :mod:`repro.observability.registry`); wired by MeshNetwork.
         #: Duplicates are not observed.
         self.latency_histograms: dict[str, object] = {}
+        #: Called on every :meth:`add` — wakes the engine component that
+        #: reads the log (the recovery controller, which installs it).
+        self.wake_reader: Optional[Callable[[], None]] = None
 
     def add(self, packet: object,
             delivered_node: Optional[tuple[int, int]] = None,
@@ -123,6 +126,8 @@ class DeliveryLog:
             duplicate=duplicate,
         )
         self.records.append(record)
+        if self.wake_reader is not None:
+            self.wake_reader()
         if not duplicate and self.latency_histograms:
             latency = record.latency_cycles
             if latency is not None:

@@ -43,8 +43,8 @@ a cut is::
 where ``r`` is the number of failed send attempts before one succeeds
 (retry ``r`` fires ``(D + margin) * (2**r - 1)`` ticks after a
 message's logical arrival — the retransmission layer's backoff,
-derived from :class:`~repro.faults.recovery.RecoveryController`
-parameters, never hard-coded), ``D_eff = max(D, D_detour)`` covers
+read from the constants of :mod:`repro.faults.recovery`, never
+hard-coded), ``D_eff = max(D, D_detour)`` covers
 the timeout switching to the detour's bound mid-backoff, the
 ``b_max * i_min`` term covers regulator backlog pushing the resend's
 logical arrival out, ``D_detour`` is the detour's admitted bound and
@@ -67,7 +67,6 @@ Approximations (all conservative, all validated by the chaos gate in
 from __future__ import annotations
 
 import hashlib
-import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -78,7 +77,7 @@ from repro.channels.routing import RouteError
 from repro.core.params import RouterParams
 from repro.core.ports import RECEPTION
 from repro.faults.plan import CORRUPT, CUT, DROP, FaultPlan
-from repro.faults.recovery import RecoveryController
+from repro.faults.recovery import RETRANSMIT_LIMIT, TC_MARGIN_TICKS
 from repro.schedulability.engine import (
     ChannelVerdict,
     ScheduleReport,
@@ -98,23 +97,15 @@ NO_REROUTE_CAPACITY = "no-reroute-capacity"
 RETRY_BUDGET_EXHAUSTED = "retry-budget-exhausted"
 
 
-def _signature_default(callable_, name: str):
-    parameter = inspect.signature(callable_).parameters[name]
-    if parameter.default is inspect.Parameter.empty:
-        raise ValueError(f"{callable_!r} has no default for {name!r}")
-    return parameter.default
-
-
 @dataclass(frozen=True)
 class RecoveryModel:
     """The recovery subsystem's timing constants, as the bound uses them.
 
-    Built by :meth:`derive` from the *actual* defaults of
-    :class:`~repro.faults.recovery.RecoveryController` and the
-    watchdog's threshold convention (``miss_threshold`` defaults to
-    ``params.tc_packet_bytes`` missed byte-transfers), so the analytic
-    envelope can never silently drift from the implementation — a test
-    compares this model against a live installed instance.
+    Built by :meth:`derive` from the constants
+    :class:`~repro.faults.recovery.RecoveryController` itself reads and
+    the watchdog's threshold (``params.tc_packet_bytes`` missed
+    byte-transfers), so the analytic envelope is computed on the
+    implementation's own numbers.
     """
 
     #: Missed byte-transfers before the watchdog declares a link dead.
@@ -130,42 +121,14 @@ class RecoveryModel:
     slot_cycles: int
 
     @classmethod
-    def derive(cls, params: Optional[RouterParams] = None, *,
-               miss_threshold: Optional[int] = None,
-               tc_margin_ticks: Optional[int] = None,
-               retransmit_limit: Optional[int] = None) -> "RecoveryModel":
-        """The model for a default :func:`install_fault_tolerance`.
-
-        Every constant not overridden is read off the implementation:
-        the controller's signature defaults and the watchdog's
-        ``tc_packet_bytes`` threshold convention.
-        """
+    def derive(cls, params: Optional[RouterParams] = None) -> "RecoveryModel":
+        """The model of :func:`install_fault_tolerance` on ``params``."""
         params = params or RouterParams()
-        if miss_threshold is None:
-            # LinkWatchdog(miss_threshold=None) resolves to this.
-            miss_threshold = params.tc_packet_bytes
-        if tc_margin_ticks is None:
-            tc_margin_ticks = _signature_default(
-                RecoveryController.__init__, "tc_margin_ticks")
-        if retransmit_limit is None:
-            retransmit_limit = _signature_default(
-                RecoveryController.__init__, "retransmit_limit")
         return cls(
-            miss_threshold=miss_threshold,
-            tc_margin_ticks=tc_margin_ticks,
-            retransmit_limit=retransmit_limit,
-            link_bytes_per_cycle=params.link_bytes_per_cycle,
-            slot_cycles=params.slot_cycles,
-        )
-
-    @classmethod
-    def for_installed(cls, watchdog, controller) -> "RecoveryModel":
-        """The model matching a live watchdog/controller pair."""
-        params = watchdog.network.params
-        return cls(
-            miss_threshold=watchdog.miss_threshold,
-            tc_margin_ticks=controller.tc_margin_ticks,
-            retransmit_limit=controller.retransmit_limit,
+            # The watchdog's threshold: one packet's worth of misses.
+            miss_threshold=params.tc_packet_bytes,
+            tc_margin_ticks=TC_MARGIN_TICKS,
+            retransmit_limit=RETRANSMIT_LIMIT,
             link_bytes_per_cycle=params.link_bytes_per_cycle,
             slot_cycles=params.slot_cycles,
         )
@@ -396,7 +359,6 @@ def analyze_with_faults(topology: TopologySpec,
                         plan: FaultPlan, *,
                         params: Optional[RouterParams] = None,
                         adaptive: bool = True,
-                        recovery: Optional[RecoveryModel] = None,
                         ) -> FaultAwareReport:
     """Degraded-but-guaranteed verdicts for a problem under a plan.
 
@@ -417,7 +379,7 @@ def analyze_with_faults(topology: TopologySpec,
     """
     plan.require_topology(topology.torus)
     params = params or RouterParams()
-    recovery = recovery or RecoveryModel.derive(params)
+    recovery = RecoveryModel.derive(params)
     base, manager = _analyze_live(topology, demands, params=params,
                                   adaptive=adaptive)
     avoid = plan.cut_links
@@ -546,9 +508,7 @@ def analyze_with_faults(topology: TopologySpec,
 def analyze_problem_with_faults(problem: Problem, plan: FaultPlan, *,
                                 params: Optional[RouterParams] = None,
                                 adaptive: bool = True,
-                                recovery: Optional[RecoveryModel] = None,
                                 ) -> FaultAwareReport:
     """:func:`analyze_with_faults` over a :class:`Problem`."""
     return analyze_with_faults(problem.topology, problem.channels, plan,
-                               params=params, adaptive=adaptive,
-                               recovery=recovery)
+                               params=params, adaptive=adaptive)

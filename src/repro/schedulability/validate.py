@@ -419,8 +419,7 @@ def measure_chaos_tightness(topology: TopologySpec,
                             plan, *,
                             ticks: int, engine: str = "event",
                             params: Optional[RouterParams] = None,
-                            adaptive: bool = True,
-                            recovery=None):
+                            adaptive: bool = True):
     """Fault-aware predict-then-measure; returns ``(net, report)``.
 
     Analyses the demands under ``plan`` with
@@ -441,8 +440,7 @@ def measure_chaos_tightness(topology: TopologySpec,
     from repro.schedulability.faultmodel import AT_RISK, analyze_with_faults
 
     prediction = analyze_with_faults(topology, demands, plan,
-                                     params=params, adaptive=adaptive,
-                                     recovery=recovery)
+                                     params=params, adaptive=adaptive)
     net = MeshNetwork(topology.width, topology.height, params=params,
                       torus=topology.torus, engine=engine)
     tolerance = install_fault_tolerance(net)

@@ -4,6 +4,7 @@ from repro import TrafficSpec, build_mesh_network
 from repro.core.ports import EAST
 from repro.faults import BABBLE_LABEL, PacketDropCorruptor, \
     install_fault_tolerance
+from repro.faults.recovery import RETRANSMIT_BUFFER
 
 
 def _route_links(channel):
@@ -147,10 +148,10 @@ class TestRetransmission:
         channel = net.establish_channel((0, 0), (1, 0),
                                         TrafficSpec(i_min=10),
                                         deadline=30, adaptive=False)
-        tolerance = install_fault_tolerance(net, retransmit_buffer=4)
-        for _ in range(10):
+        tolerance = install_fault_tolerance(net)
+        for _ in range(RETRANSMIT_BUFFER + 6):
             net.send_message(channel)
-        assert tolerance.controller.pending_retransmits == 4
+        assert tolerance.controller.pending_retransmits == RETRANSMIT_BUFFER
 
 
 class TestBestEffortRetry:

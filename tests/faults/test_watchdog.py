@@ -1,7 +1,5 @@
 """Link watchdog: missed-transfer counting and dead-link declaration."""
 
-import pytest
-
 from repro import TrafficSpec, build_mesh_network
 from repro.core.ports import EAST
 from repro.faults import LinkWatchdog, PacketDropCorruptor
@@ -21,7 +19,7 @@ class TestDetection:
         channel = net.establish_channel((0, 0), (1, 0),
                                         TrafficSpec(i_min=10),
                                         deadline=60, adaptive=False)
-        watchdog = LinkWatchdog(net, miss_threshold=10)
+        watchdog = LinkWatchdog(net)
         net.engine.add_component(watchdog)
         dead_events = _collect(net, {LINK_DEAD})
 
@@ -40,7 +38,7 @@ class TestDetection:
         channel = net.establish_channel((0, 0), (1, 0),
                                         TrafficSpec(i_min=10),
                                         deadline=60, adaptive=False)
-        watchdog = LinkWatchdog(net, miss_threshold=10)
+        watchdog = LinkWatchdog(net)
         net.engine.add_component(watchdog)
 
         net.fail_link((0, 0), EAST, announce=False)
@@ -49,7 +47,7 @@ class TestDetection:
         net.run_ticks(30)
 
         declared = watchdog.dead[((0, 0), EAST)]
-        # 10 consecutive missed phits, plus the scheduler's lead time
+        # 20 consecutive missed phits, plus the scheduler's lead time
         # to start offering the packet: well under a packet time.
         assert declared - cut_cycle < 30 * net.params.slot_cycles
 
@@ -58,7 +56,7 @@ class TestDetection:
         channel = net.establish_channel((0, 0), (1, 0),
                                         TrafficSpec(i_min=10),
                                         deadline=60, adaptive=False)
-        watchdog = LinkWatchdog(net, miss_threshold=5)
+        watchdog = LinkWatchdog(net)
         net.engine.add_component(watchdog)
         net.fail_link((0, 0), EAST, announce=False)
         for _ in range(6):
@@ -72,7 +70,7 @@ class TestNoFalsePositives:
         # No traffic offered -> no missed transfers -> no declaration,
         # exactly like real hardware.
         net = build_mesh_network(2, 1)
-        watchdog = LinkWatchdog(net, miss_threshold=5)
+        watchdog = LinkWatchdog(net)
         net.engine.add_component(watchdog)
         net.fail_link((0, 0), EAST, announce=False)
         net.run(2000)
@@ -84,7 +82,7 @@ class TestNoFalsePositives:
         channel = net.establish_channel((0, 0), (1, 0),
                                         TrafficSpec(i_min=10),
                                         deadline=60, adaptive=False)
-        watchdog = LinkWatchdog(net, miss_threshold=5)
+        watchdog = LinkWatchdog(net)
         net.engine.add_component(watchdog)
         for _ in range(8):
             net.send_message(channel)
@@ -95,7 +93,7 @@ class TestNoFalsePositives:
         # A drop corruptor suppresses phits on an alive link; the
         # monitor must treat those as transfers, not misses.
         net = build_mesh_network(2, 1)
-        watchdog = LinkWatchdog(net, miss_threshold=5)
+        watchdog = LinkWatchdog(net)
         net.engine.add_component(watchdog)
         net.set_link_corruptor((0, 0), EAST,
                                PacketDropCorruptor(packets=3, vc="BE"))
@@ -112,7 +110,7 @@ class TestAdministrativeFailures:
         channel = net.establish_channel((0, 0), (1, 0),
                                         TrafficSpec(i_min=10),
                                         deadline=60, adaptive=False)
-        watchdog = LinkWatchdog(net, miss_threshold=5)
+        watchdog = LinkWatchdog(net)
         net.engine.add_component(watchdog)
         failed_events = _collect(net, {LINK_FAILED})
 
@@ -127,16 +125,9 @@ class TestAdministrativeFailures:
 
     def test_repair_clears_dead_state(self):
         net = build_mesh_network(2, 1)
-        watchdog = LinkWatchdog(net, miss_threshold=5)
+        watchdog = LinkWatchdog(net)
         net.engine.add_component(watchdog)
         net.fail_link((0, 0), EAST)
         assert ((0, 0), EAST) in watchdog.dead
         net.repair_link((0, 0), EAST)
         assert ((0, 0), EAST) not in watchdog.dead
-
-
-class TestValidation:
-    def test_nonpositive_threshold_rejected(self):
-        net = build_mesh_network(2, 1)
-        with pytest.raises(ValueError):
-            LinkWatchdog(net, miss_threshold=0)

@@ -228,8 +228,8 @@ def _final(net):
             engine.cycles_fast_forwarded)
 
 
-class _LocalAlarm:
-    """A *local* component with one self-scheduled firing."""
+class _Alarm:
+    """A component with one self-scheduled firing."""
 
     def __init__(self, when):
         self.when = when
@@ -274,8 +274,8 @@ class TestKeptSchedule:
                 elif span == 20:
                     net.enable_snapshots(300)
                 elif span == 25:
-                    alarm = _LocalAlarm(net.cycle + 40)
-                    net.engine.add_component(alarm, local=True)
+                    alarm = _Alarm(net.cycle + 40)
+                    net.engine.add_component(alarm)
                 elif span == 30:
                     net.fail_link((3, 1), NORTH)  # announced: c0's path
                 elif span == 60:
@@ -338,7 +338,7 @@ class TestKeptSchedule:
         from repro.core.ports import RECEPTION, port_mask
 
         class RaiseAt:
-            """A local component that reprograms a router mid-run."""
+            """A component that reprograms a router mid-run."""
 
             def __init__(self, when, control):
                 self.when, self.control = when, control
@@ -370,7 +370,7 @@ class TestKeptSchedule:
             assert second.quiescent
             assert third.next_event_cycle(net.cycle) == 1_200
             net.engine.add_component(
-                RaiseAt(net.cycle + 60, third.control), local=True)
+                RaiseAt(net.cycle + 60, third.control))
             for _ in range(10):
                 _enter(net, 100)
             return net

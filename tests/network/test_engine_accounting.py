@@ -175,8 +175,8 @@ class TestEventModeAccounting:
         # One busy component does not pin the scheduler to the
         # per-cycle loop — only the busy component's cycles execute.
         engine = SynchronousEngine(mode="event")
-        engine.add_component(_Periodic(3), local=True)
-        engine.add_component(_Periodic(1_000), local=True)
+        engine.add_component(_Periodic(3))
+        engine.add_component(_Periodic(1_000))
         engine.run(3_000)
         _check(engine)
         assert engine.cycles_fast_forwarded > 0

@@ -53,7 +53,7 @@ def _build(log, mode="event"):
     recorders = {}
     for name in NAMES:
         recorder = _Recorder(name, 10, log)
-        engine.add_component(recorder, local=True)
+        engine.add_component(recorder)
         recorders[name] = recorder
     return engine, recorders
 
@@ -79,7 +79,7 @@ class _Churner:
         if not self.done and cycle >= self.trigger:
             self.done = True
             self.engine.remove_component(self.target)
-            self.engine.add_component(self.target, local=True)
+            self.engine.add_component(self.target)
             self.engine.wake(self.target)
 
     def next_event_cycle(self, cycle):
@@ -92,7 +92,7 @@ def _run_churn_log(mode):
     log = []
     engine, recorders = _build(log, mode)
     churner = _Churner(engine, recorders["delta"], trigger=13)
-    engine.add_component(churner, local=True)
+    engine.add_component(churner)
     engine.run(100)
     assert_ran_as(engine, mode)
     return log
@@ -136,8 +136,7 @@ class TestFiringOrder:
 
     def test_removed_then_readded_component_fires_at_new_order(self):
         # "delta" is removed and immediately re-registered at cycle 13
-        # — inside the run, by a *local* component, so the scheduler
-        # queue is never rebuilt.  Its old heap entry (queued for cycle
+        # — inside the run, so the scheduler queue is never rebuilt.  Its old heap entry (queued for cycle
         # 20 under the old registration index) must not survive: a
         # stale entry matching the re-scheduled cycle would fire delta
         # first instead of last.

@@ -1,8 +1,8 @@
 """The event scheduler's kept queue, due-list and wiring-return contract.
 
 The queue survives from one ``run`` to the next; a run entry re-reads
-only woken components and watchers, and a full rebuild happens only
-after ``add_component`` / ``load_state``.  Components that answer
+only woken components, and a full rebuild happens only after
+``add_component`` / ``load_state``.  Components that answer
 "now" sit on a due-list, later wake-ups on the heap; the two merge
 into one registration-ordered batch.  A wiring may return the
 components it wrote, and only those are requeried.
@@ -16,7 +16,7 @@ from tests.oracle import assert_oracle_ran, assert_scheduler_skipped
 
 
 class _Timer:
-    """Fires (logs) on every cycle in ``fire_at``; local contract."""
+    """Fires (logs) on every cycle in ``fire_at``."""
 
     def __init__(self, name, fire_at, log):
         self.name = name
@@ -58,7 +58,7 @@ class TestKeptQueue:
     def test_run_entry_does_not_requery_untouched_components(self):
         engine = SynchronousEngine()
         idle = _Inbox("idle", [])
-        engine.add_component(idle, local=True)
+        engine.add_component(idle)
         engine.run(10)
         asked = idle.queries
         for _ in range(50):
@@ -69,7 +69,7 @@ class TestKeptQueue:
         log = []
         engine = SynchronousEngine()
         inbox = _Inbox("inbox", log)
-        engine.add_component(inbox, local=True)
+        engine.add_component(inbox)
         engine.run(10)
         inbox.pending = 1
         engine.wake(inbox)
@@ -80,7 +80,7 @@ class TestKeptQueue:
     def test_unwoken_mutation_is_reported_stale(self):
         engine = SynchronousEngine()
         inbox = _Inbox("inbox", [])
-        engine.add_component(inbox, local=True)
+        engine.add_component(inbox)
         engine.run(10)
         inbox.pending = 1  # behind the scheduler's back
         stale = engine.audit_schedule()
@@ -92,22 +92,22 @@ class TestKeptQueue:
         for engine in (oracle, unbuilt):
             inbox = _Inbox("inbox", [])
             inbox.pending = 1
-            engine.add_component(inbox, local=True)
+            engine.add_component(inbox)
             assert engine.audit_schedule() == []
 
     def test_local_component_added_between_runs_is_asked(self):
         log = []
         engine = SynchronousEngine()
-        engine.add_component(_Timer("first", [5], log), local=True)
+        engine.add_component(_Timer("first", [5], log))
         engine.run(10)
-        engine.add_component(_Timer("late", [15], log), local=True)
+        engine.add_component(_Timer("late", [15], log))
         engine.run(10)
         assert log == [(5, "first"), (15, "late")]
 
     def test_load_state_invalidates_the_queue(self):
         log = []
         engine = SynchronousEngine()
-        engine.add_component(_Timer("timer", [5, 12], log), local=True)
+        engine.add_component(_Timer("timer", [5, 12], log))
         engine.run(8)  # queued for 12 now
         engine.load_state({"cycle": 0, "cycles_stepped": 0,
                            "cycles_fast_forwarded": 0})
@@ -115,26 +115,13 @@ class TestKeptQueue:
         engine.run(8)
         assert log == [(5, "timer"), (5, "timer")]
 
-    def test_watchers_are_reread_at_every_entry(self):
-        # A watcher's answer may depend on state nobody wakes it for.
-        log = []
-        engine = SynchronousEngine()
-        watcher = _Inbox("watcher", log)
-        engine.add_component(watcher)  # not local
-        engine.run(10)
-        watcher.pending = 1
-        assert engine.audit_schedule() == []  # exempt: re-read anyway
-        engine.run(10)
-        assert log == [(10, "watcher")]
-
     def test_thousand_single_cycle_entries_equal_one_run(self):
         def build(mode):
             log = []
             engine = SynchronousEngine(mode=mode)
-            engine.add_component(_Timer("a", range(0, 1000, 7), log),
-                                 local=True)
+            engine.add_component(_Timer("a", range(0, 1000, 7), log))
             engine.add_component(_Timer("b", range(3, 1000, 90), log))
-            engine.add_component(_Timer("c", [0, 999], log), local=True)
+            engine.add_component(_Timer("c", [0, 999], log))
             return engine, log
 
         split, split_log = build("event")
@@ -177,9 +164,9 @@ class TestFailedCycle:
         # raises must not take its batch-mates' schedule with it.
         log = []
         engine = SynchronousEngine()
-        engine.add_component(_Timer("before", [10, 11], log), local=True)
-        engine.add_component(_RaisesOnce(10), local=True)
-        engine.add_component(_Timer("after", [10, 30], log), local=True)
+        engine.add_component(_Timer("before", [10, 11], log))
+        engine.add_component(_RaisesOnce(10))
+        engine.add_component(_Timer("after", [10, 30], log))
         engine.run(5)  # the queue is built and kept
         with pytest.raises(RuntimeError, match="boom"):
             engine.run(20)
@@ -215,9 +202,9 @@ class TestDueListAndHeap:
         # has come), "due" answered "now" at the end of cycle 19.
         log = []
         engine = SynchronousEngine()
-        engine.add_component(_Timer("due", [19, 20], log), local=True)
-        engine.add_component(_Timer("heap", [20], log), local=True)
-        engine.add_component(_Timer("due-too", [19, 20], log), local=True)
+        engine.add_component(_Timer("due", [19, 20], log))
+        engine.add_component(_Timer("heap", [20], log))
+        engine.add_component(_Timer("due-too", [19, 20], log))
         engine.run(30)
         assert [name for cycle, name in log if cycle == 20] == [
             "due", "heap", "due-too"]
@@ -230,10 +217,10 @@ class TestDueListAndHeap:
         engine = SynchronousEngine()
         inbox = _Inbox("peer", log)
         feeder = _Feeder("feeder", 10, [inbox], log)
-        engine.add_component(feeder, local=True)
-        engine.add_component(_Timer("between", [10], log), local=True)
-        engine.add_component(inbox, local=True)
-        engine.add_component(_Timer("after", [10], log), local=True)
+        engine.add_component(feeder)
+        engine.add_component(_Timer("between", [10], log))
+        engine.add_component(inbox)
+        engine.add_component(_Timer("after", [10], log))
         engine.bind_peers(feeder, inbox)
         engine.run(20)
         assert log == [(10, "feeder"), (10, "between"), (10, "peer"),
@@ -246,9 +233,9 @@ class TestDueListAndHeap:
             early = _Inbox("early-peer", log)
             late = _Inbox("late-peer", log)
             feeder = _Feeder("feeder", 10, [early, late], log)
-            engine.add_component(early, local=True)
-            engine.add_component(feeder, local=True)
-            engine.add_component(late, local=True)
+            engine.add_component(early)
+            engine.add_component(feeder)
+            engine.add_component(late)
             engine.bind_peers(feeder, early)
             engine.bind_peers(feeder, late)
             engine.run(20)
@@ -266,7 +253,7 @@ class TestDueListAndHeap:
         log = []
         engine = SynchronousEngine()
         timer = _Timer("timer", [50], log)
-        engine.add_component(timer, local=True)
+        engine.add_component(timer)
         engine.run(10)
         timer.fire_at = [10, 50]
         engine.wake(timer)
@@ -279,8 +266,8 @@ class TestDueListAndHeap:
         engine = SynchronousEngine()
         inbox = _Inbox("peer", log)
         feeder = _Feeder("feeder", 10, [inbox], log)
-        engine.add_component(feeder, local=True)
-        engine.add_component(inbox, local=True)
+        engine.add_component(feeder)
+        engine.add_component(inbox)
         engine.bind_peers(feeder, inbox)
         engine.remove_component(inbox)
         engine.run(20)
@@ -294,7 +281,7 @@ class TestWiringReturnContract:
         source = _Timer("source", [5], log)
         left, right = _Inbox("left", log), _Inbox("right", log)
         for component in (source, left, right):
-            engine.add_component(component, local=True)
+            engine.add_component(component)
 
         def transfer():
             if engine.cycle == 5:

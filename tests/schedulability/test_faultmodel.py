@@ -2,15 +2,17 @@
 
 Covers the verdict taxonomy (guaranteed / degraded-guaranteed /
 at-risk with structured reasons), the recovery envelope's composition,
-and — critically — that every analytic constant is *derived* from the
-fault-tolerance implementation (watchdog threshold, controller backoff
-margin, retry limit), never hard-coded: a model built from signature
-defaults must match one read off a live installed stack.
+and — critically — that every analytic constant is the one the
+fault-tolerance implementation runs on (watchdog threshold, controller
+backoff margin, retry limit), never a copy.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.faults import install_fault_tolerance
+from repro.faults.recovery import RETRANSMIT_LIMIT, TC_MARGIN_TICKS
 from repro.faults.plan import (
     BABBLE,
     CORRUPT,
@@ -49,24 +51,15 @@ class TestRecoveryModel:
         net = MeshNetwork(2, 2)
         tolerance = install_fault_tolerance(net)
         derived = RecoveryModel.derive(net.params)
-        installed = RecoveryModel.for_installed(
-            tolerance.watchdog, tolerance.controller)
-        assert derived == installed
-
-    def test_for_installed_tracks_overrides(self):
-        net = MeshNetwork(2, 2)
-        tolerance = install_fault_tolerance(
-            net, miss_threshold=64, retransmit_limit=7)
-        installed = RecoveryModel.for_installed(
-            tolerance.watchdog, tolerance.controller)
-        assert installed.miss_threshold == 64
-        assert installed.retransmit_limit == 7
-        assert installed != RecoveryModel.derive(net.params)
+        assert derived.miss_threshold == tolerance.watchdog.miss_threshold
+        assert derived.tc_margin_ticks == TC_MARGIN_TICKS
+        assert derived.retransmit_limit == RETRANSMIT_LIMIT
+        assert derived.slot_cycles == net.params.slot_cycles
 
     def test_detection_latency_follows_threshold(self):
         base = RecoveryModel.derive()
-        slower = RecoveryModel.derive(
-            miss_threshold=base.miss_threshold * 10)
+        slower = dataclasses.replace(
+            base, miss_threshold=base.miss_threshold * 10)
         assert base.detection_ticks >= 1
         assert slower.detection_ticks > base.detection_ticks
 
