@@ -62,11 +62,13 @@ run_perf_pair() {
     python3 scripts/behaviour_digest.py --smoke --seed 2 --documents \
         | tee "$tmp/digest-change.txt"
     # The smoke wormhole instance is 4x4 with 30 datagrams (too few for
-    # sustained contention on one output) and the smoke chaos instance
+    # sustained contention on one output), the smoke chaos instance
     # 4x4 for 12 ticks (too short for detection and recovery to run
-    # their course), so those two also at bench size.
+    # their course) and the smoke dense instance 8 ticks (too short for
+    # a periodic send after the burst on most channels), so those three
+    # also at bench size.
     local workload
-    for workload in wormhole_be chaos_faults; do
+    for workload in wormhole_be chaos_faults dense_tc; do
         python3 scripts/behaviour_digest.py --workload "$workload" \
             --seed 2 --documents --root "$tmp/parent" \
             >> "$tmp/digest-parent.txt"

@@ -340,23 +340,20 @@ class ChannelManager:
 
         # One hop per (node, out port); all hops at a node share the
         # node's delay bound (hardware stores a single d per entry).
+        # A hop's parent is the hop whose link feeds its node.
         hops: list[HopDescriptor] = []
         hop_parent: list[int] = []
-        node_first_hop: dict[Node, int] = {}
+        hop_index: dict[Hop, int] = {}
         for node in order:
+            feeder = parents_map[node]
             for port in sorted(ports_by_node[node]):
-                descriptor = HopDescriptor(
+                hop_index[(node, port)] = len(hops)
+                hops.append(HopDescriptor(
                     node=node, out_port=port,
                     horizon=self.controls[node].horizons[port],
-                )
-                parent_node = parents_map[node]
-                parent_index = (
-                    node_first_hop[parent_node]
-                    if parent_node is not None else -1
-                )
-                node_first_hop.setdefault(node, len(hops))
-                hops.append(descriptor)
-                hop_parent.append(parent_index)
+                ))
+                hop_parent.append(-1 if feeder is None
+                                  else hop_index[feeder])
 
         depth = self._tree_depth(order, parents_map)
         d_min = self.admission.hop_overhead + 1
@@ -403,11 +400,11 @@ class ChannelManager:
 
     @staticmethod
     def _tree_depth(order: list[Node],
-                    parents_map: dict[Node, Optional[Node]]) -> int:
+                    parents_map: dict[Node, Optional[Hop]]) -> int:
         depth: dict[Node, int] = {}
         for node in order:
-            parent = parents_map[node]
-            depth[node] = 1 if parent is None else depth[parent] + 1
+            feeder = parents_map[node]
+            depth[node] = 1 if feeder is None else depth[feeder[0]] + 1
         # A packet is delayed once per node on its path (by the link
         # port at interior nodes, by the reception port at leaves), so
         # the deepest delay chain equals the deepest node depth.

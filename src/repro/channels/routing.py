@@ -250,16 +250,20 @@ def best_effort_relay(
 def tree_parents(
     ports_by_node: dict[Node, set[int]], order: list[Node],
     wrap: Wrap = None,
-) -> dict[Node, Optional[Node]]:
-    """Parent of each tree node (None at the source)."""
-    parents: dict[Node, Optional[Node]] = {order[0]: None}
+) -> dict[Node, Optional[Hop]]:
+    """The hop feeding each tree node (None at the source).
+
+    A feeding hop is ``(parent node, out port)``: the port whose link
+    reaches the child, wrap links included on a torus.
+    """
+    parents: dict[Node, Optional[Hop]] = {order[0]: None}
     for node in order:
         for port in ports_by_node.get(node, ()):
             if port == RECEPTION:
                 continue
             child = _neighbour(node, port, wrap)
             if child in ports_by_node and child not in parents:
-                parents[child] = node
+                parents[child] = (node, port)
     return parents
 
 

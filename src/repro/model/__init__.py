@@ -1,6 +1,5 @@
 """Fast packet-slot-level simulation of the link discipline."""
 
-from repro.model.mesh_workload import MeshWorkload, MeshWorkloadResult
 from repro.model.slotsim import (
     ServiceEvent,
     SlotChannel,
@@ -9,8 +8,6 @@ from repro.model.slotsim import (
 )
 
 __all__ = [
-    "MeshWorkload",
-    "MeshWorkloadResult",
     "ServiceEvent",
     "SlotChannel",
     "SlotPacket",

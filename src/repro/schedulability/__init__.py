@@ -4,7 +4,8 @@ The subsystem answers "will this channel set be admitted, and what is
 each channel's worst-case latency?" without running a simulated cycle
 (:func:`analyze`), and backs every bound with a predict-then-measure
 harness that drives the simulator adversarially and reports the
-tightness gap (:func:`measure_tightness`).  A fault-aware layer
+tightness gap (:func:`measure_tightness`); :func:`slot_model` runs the
+same admitted set on the slot-level model.  A fault-aware layer
 (:func:`analyze_with_faults`) re-derives each admitted channel's
 verdict under an explicit :class:`~repro.faults.plan.FaultPlan` —
 guaranteed, degraded-guaranteed with a quantified recovery envelope,
@@ -41,7 +42,9 @@ from repro.schedulability.validate import (ChannelTightness,
                                            drive_chaos,
                                            drive_worst_case,
                                            measure_chaos_tightness,
-                                           measure_tightness)
+                                           measure_tightness, slot_model,
+                                           worst_case_arrivals,
+                                           worst_case_sends)
 
 __all__ = [
     "AT_RISK",
@@ -79,4 +82,7 @@ __all__ = [
     "prefilter_verdict",
     "random_channel_demands",
     "register_prefilter",
+    "slot_model",
+    "worst_case_arrivals",
+    "worst_case_sends",
 ]

@@ -87,6 +87,9 @@ class ChannelVerdict:
     hops: list = field(default_factory=list)
     #: Per-hop delay decomposition d_j (one entry per hop).
     local_delays: list = field(default_factory=list)
+    #: A multicast tree's hop graph: the index of the hop feeding each
+    #: hop (``-1`` at the source).  ``None`` for a chain.
+    parents: Optional[list] = None
     #: Predicted end-to-end worst-case latency bound in ticks: the sum
     #: of d_j along the deepest source-to-destination path.
     predicted_bound: Optional[int] = None
@@ -104,7 +107,7 @@ class ChannelVerdict:
     buffers: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
+        document = {
             "label": self.label,
             "source": list(self.source),
             "destinations": [list(node) for node in self.destinations],
@@ -124,6 +127,9 @@ class ChannelVerdict:
             "buffers": [[list(node), port, packets]
                         for node, port, packets in self.buffers],
         }
+        if self.parents is not None:
+            document["parents"] = list(self.parents)
+        return document
 
 
 @dataclass
@@ -304,6 +310,8 @@ def _admitted(demand: ChannelDemand,
         deadline=demand.deadline, feasible=True,
         hops=[(hop.node, hop.out_port) for hop in reservation.hops],
         local_delays=list(reservation.local_delays),
+        parents=(list(reservation.parents)
+                 if len(demand.destinations) > 1 else None),
         predicted_bound=channel.deadline,
         netcalc_bound=channel_delay_bound(channel.spec,
                                           channel.local_delays),

@@ -6,10 +6,13 @@ ever observes a latency above the predicted bound.
 :func:`measure_tightness` checks both: it analyses a demand list, then
 establishes the same demands in the same order on a real
 :class:`~repro.network.network.MeshNetwork` and drives every admitted
-channel with its worst case — all sources phase-aligned at tick zero,
-the full ``B_max`` burst up front, then strictly periodic sends at
-``I_min`` — and reduces the delivery log to per-channel observed
-worst-case latency.
+channel adversarially (:func:`worst_case_sends`: all sources
+phase-aligned at tick zero, the full ``B_max`` burst up front, then
+strictly periodic sends at ``I_min``) and reduces the delivery log to
+per-channel observed worst-case latency.  :func:`slot_model` builds the
+slot-level model of the same admitted set, so the analysis, the slot
+model and the chip can be run on one problem and one arrival pattern
+(:func:`worst_case_arrivals`).
 
 The observed latency of a delivery is measured against its *logical*
 arrival time (the deadline clock of the model): ``delivered_tick -
@@ -23,11 +26,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.campaign.spec import canonical_dumps
 from repro.channels.admission import AdmissionError
+from repro.channels.arrival import LogicalArrivalClock
 from repro.core.params import RouterParams
+from repro.model.slotsim import SlotSimulator
 from repro.schedulability.engine import ScheduleReport, analyze
 from repro.schedulability.spec import ChannelDemand, TopologySpec
 
@@ -169,24 +174,86 @@ def _establish_and_compare(net, demands: Sequence[ChannelDemand],
     return admitted, mismatches
 
 
+def worst_case_sends(demand, ticks: int) -> list[int]:
+    """The ticks a channel sends at under the adversarial pattern.
+
+    The whole ``B_max`` burst at tick zero, then one send every
+    ``I_min`` ticks, inside a window of ``ticks`` ticks.  ``demand`` is
+    anything with ``i_min`` and ``b_max`` (a :class:`ChannelDemand` or
+    a :class:`~repro.schedulability.engine.ChannelVerdict`).
+    """
+    if ticks < 1:
+        return []
+    return [0] * demand.b_max + list(range(demand.i_min, ticks,
+                                           demand.i_min))
+
+
+def _sends_by_tick(targets: Sequence[tuple[ChannelDemand, object]],
+                   ticks: int) -> list[list]:
+    """Per tick, the target of every send due then, in channel order."""
+    due: list[list] = [[] for __ in range(ticks)]
+    for demand, target in targets:
+        for tick in worst_case_sends(demand, ticks):
+            due[tick].append(target)
+    return due
+
+
+def worst_case_arrivals(report: ScheduleReport,
+                        ticks: int) -> dict[str, list[int]]:
+    """Logical arrivals of :func:`worst_case_sends`, per admitted label.
+
+    Each send is stamped by the channel's own
+    :class:`~repro.channels.arrival.LogicalArrivalClock`, as the chip's
+    source regulator stamps it, so a burst's messages arrive ``I_min``
+    apart.  One arrival per send: :func:`drive_worst_case` sends empty
+    messages, which are one packet each.
+    """
+    arrivals: dict[str, list[int]] = {}
+    for verdict in report.channels:
+        if verdict.feasible:
+            clock = LogicalArrivalClock(verdict.i_min)
+            arrivals[verdict.label] = [
+                clock.stamp(tick)
+                for tick in worst_case_sends(verdict, ticks)]
+    return arrivals
+
+
+def slot_model(report: ScheduleReport,
+               arrivals: Mapping[str, Sequence[int]]) -> SlotSimulator:
+    """The slot-level model of an analysed problem, ready to run.
+
+    One :class:`~repro.model.slotsim.SlotChannel` per admitted verdict,
+    over exactly the hops, per-hop delays ``d_j`` and (for a multicast
+    tree) hop graph the analysis admitted; every ``(node, out_port)``
+    hop, the reception port included, is one EDF-scheduled link.
+    ``arrivals`` maps each admitted label to its source logical arrival
+    times (:func:`worst_case_arrivals` gives the adversarial ones).
+    """
+    sim = SlotSimulator()
+    for verdict in report.channels:
+        if verdict.feasible:
+            sim.add_channel(verdict.label, verdict.hops,
+                            verdict.local_delays, arrivals[verdict.label],
+                            parents=verdict.parents)
+    return sim
+
+
 def drive_worst_case(net, channels: Sequence[tuple[ChannelDemand, object]],
                      ticks: int) -> None:
     """Adversarial driving: aligned phases, bursts up front.
 
-    Every channel sends at tick zero (maximal contention: the i_min
-    draw set shares that phase), fires its whole ``B_max`` allowance
-    there, and then sends strictly periodically.  Rate-based source
-    flow control shapes the burst's injection (horizon zero holds a
-    packet until its logical arrival), which is precisely the model's
-    worst admissible behaviour — faster sources only push their own
-    deadlines out.
+    Every channel sends on :func:`worst_case_sends`: at tick zero
+    (maximal contention: the i_min draw set shares that phase) its
+    whole ``B_max`` allowance, then strictly periodically.  Rate-based
+    source flow control shapes the burst's injection (horizon zero
+    holds a packet until its logical arrival).  This is one admissible
+    pattern, not the worst one: on a multi-hop route, upstream flows
+    whose phases are staggered so that they meet at a shared
+    downstream link can do worse than aligned ones.
     """
-    for tick in range(ticks):
-        for demand, channel in channels:
-            if tick % demand.i_min == 0:
-                sends = demand.b_max if tick == 0 else 1
-                for __ in range(sends):
-                    net.send_message(channel)
+    for due in _sends_by_tick(channels, ticks):
+        for channel in due:
+            net.send_message(channel)
         net.run_ticks(1)
     net.drain(max_cycles=2_000_000)
 
@@ -376,11 +443,11 @@ def drive_chaos(net, demands: Sequence[ChannelDemand],
                 settle_ticks: int = 8192) -> None:
     """Worst-case driving that survives reroutes.
 
-    Same adversarial pattern as :func:`drive_worst_case` — aligned
-    phases, the full burst up front, strictly periodic after — but the
-    channel handle is resolved by label *every tick*: a reroute replaces
-    the handle, and a degraded channel keeps sending over its
-    best-effort fallback, exactly as an application would.
+    Same adversarial pattern as :func:`drive_worst_case`
+    (:func:`worst_case_sends`) — but the channel handle is resolved by
+    label at *every send*: a reroute replaces the handle, and a degraded
+    channel keeps sending over its best-effort fallback, exactly as an
+    application would.
 
     After the driving window the run *settles*: retransmission timers
     fire long after the last send (exponential backoff doubles past the
@@ -392,15 +459,12 @@ def drive_chaos(net, demands: Sequence[ChannelDemand],
     shows up as undelivered messages.
     """
     manager = net.manager
-    for tick in range(ticks):
-        for demand in demands:
-            if tick % demand.i_min == 0:
-                channel = manager.find(demand.label)
-                if channel is None:
-                    continue
-                sends = demand.b_max if tick == 0 else 1
-                for __ in range(sends):
-                    net.send_message(channel)
+    for due in _sends_by_tick([(demand, demand.label)
+                               for demand in demands], ticks):
+        for label in due:
+            channel = manager.find(label)
+            if channel is not None:
+                net.send_message(channel)
         net.run_ticks(1)
     remaining = settle_ticks
     while (controller is not None and remaining > 0

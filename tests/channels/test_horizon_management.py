@@ -3,8 +3,9 @@
 import pytest
 
 from repro.channels import AdmissionError, TrafficSpec
-from repro.core.ports import EAST, port_mask
-from tests.channels.test_manager import make_fabric
+from repro.channels.admission import buffer_bound
+from repro.core.ports import EAST, NORTH, port_mask
+from tests.channels.test_manager import bare_manager, make_fabric
 
 
 def fabric_with_horizon(h=20):
@@ -12,6 +13,37 @@ def fabric_with_horizon(h=20):
     for router in routers.values():
         router.control.write_horizon(port_mask(0, 1, 2, 3, 4), h)
     return routers, manager
+
+
+TREE_SPEC = TrafficSpec(i_min=10)
+
+
+def tree_fabric(horizons):
+    """A 4x4 manager with ``(0,0)``'s port horizons set, holding the
+    tree (0,0) -> {(3,0), (0,3)}: four levels deep, so d = 10 per hop."""
+    controls, manager = bare_manager(4, 4)
+    for port, horizon in horizons.items():
+        controls[(0, 0)].write_horizon(port_mask(port), horizon)
+    manager.establish((0, 0), [(3, 0), (0, 3)], TREE_SPEC, deadline=40)
+    return controls, manager
+
+
+def tree_buffers(manager):
+    """Buffers the tree reserves at the two children of its source."""
+    channel, = manager.channels
+    return {node: packets for node, __, packets
+            in channel.reservation.buffers if node in {(1, 0), (0, 1)}}
+
+
+class TestMulticastBuffers:
+    def test_child_buffer_uses_its_feeding_port(self):
+        __, manager = tree_fabric({NORTH: 8})
+        # (0,1) is fed over +y (horizon 8): 3 buffers, where the +x
+        # horizon (0) would give 2.
+        assert tree_buffers(manager) == {
+            (1, 0): buffer_bound(TREE_SPEC, 0, 10, 10),
+            (0, 1): buffer_bound(TREE_SPEC, 8, 10, 10),
+        } == {(1, 0): 2, (0, 1): 3}
 
 
 class TestReduceHorizon:
@@ -61,6 +93,15 @@ class TestReduceHorizon:
         manager.establish((0, 0), (1, 0), TrafficSpec(i_min=5),
                           deadline=20, adaptive=False)
         assert manager.reduce_horizon((0, 0), EAST, 5) == 0
+
+    def test_multicast_branch_keeps_its_own_feeder(self):
+        """(0,0) feeds (1,0) over +x and (0,1) over +y: reducing the +x
+        horizon frees at (1,0) only, never the buffer (0,1) still needs
+        for the +y horizon."""
+        controls, manager = tree_fabric({EAST: 8, NORTH: 8})
+        freed = manager.reduce_horizon((0, 0), EAST, 0)
+        assert tree_buffers(manager) == {(1, 0): 2, (0, 1): 3}
+        assert freed == 1
 
     def test_unrelated_channels_untouched(self):
         routers, manager = make_fabric(2, 2)

@@ -88,8 +88,8 @@ class TestMulticastTree:
         parents = tree_parents(ports, order)
         seen = set()
         for node in order:
-            parent = parents[node]
-            assert parent is None or parent in seen
+            feeder = parents[node]
+            assert feeder is None or feeder[0] in seen
             seen.add(node)
 
     def test_destination_on_path_gets_reception(self):
@@ -105,7 +105,7 @@ class TestMulticastTree:
                          (0, 3): {RECEPTION}}
         assert order[0] == (0, 0) and set(order) == set(ports)
         assert tree_parents(ports, order, (4, 4)) == {
-            (0, 0): None, (3, 0): (0, 0), (0, 3): (0, 0)}
+            (0, 0): None, (3, 0): ((0, 0), WEST), (0, 3): ((0, 0), SOUTH)}
 
     def test_rejects_empty_destinations(self):
         with pytest.raises(ValueError):

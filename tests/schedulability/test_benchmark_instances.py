@@ -1,0 +1,70 @@
+"""The repo benchmark's own instances, checked against the guarantee.
+
+The demand placements and the fault plan come read-only from
+``benchmarks/perf/workloads.py`` (the frozen benchmark definition), so
+these tests run exactly what the benchmark runs.  Two of them pin the
+benchmark's known failures as strict xfails: the fix for each has to
+flip its test.
+"""
+
+import pathlib
+import runpy
+
+import pytest
+
+from repro.schedulability import (
+    TopologySpec,
+    analyze,
+    measure_chaos_tightness,
+    measure_tightness,
+    slot_model,
+    worst_case_arrivals,
+)
+
+WORKLOADS = runpy.run_path(str(
+    pathlib.Path(__file__).resolve().parents[2]
+    / "benchmarks" / "perf" / "workloads.py"))
+SIZES = WORKLOADS["SIZES"]
+placed_demands = WORKLOADS["placed_demands"]
+targeted_plan = WORKLOADS["targeted_plan"]
+
+
+def instance(name, seed):
+    size = SIZES[name]["bench"]
+    demands = placed_demands(name, seed, size["width"], size["height"],
+                             size["offered"])
+    return TopologySpec(size["width"], size["height"]), demands, size
+
+
+def test_slot_model_meets_every_deadline_on_dense_tc():
+    """Admission is right for the slot model: every admitted set of
+    ``dense_tc`` meets every deadline there under the adversarial
+    arrivals the chip is driven with."""
+    for seed in range(1, 21):
+        topology, demands, size = instance("dense_tc", seed)
+        report = analyze(topology, demands)
+        sim = slot_model(report, worst_case_arrivals(report, size["ticks"]))
+        sim.run_until_drained()
+        assert len(sim.channels) == report.admitted > 0
+        assert sim.deadline_misses() == 0, f"seed {seed}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the host injection port is a shared serial resource admission "
+    "does not charge: rand-155 misses 4 deadlines"))
+def test_dense_tc_chip_meets_every_deadline():
+    topology, demands, size = instance("dense_tc", 1)
+    __, report = measure_tightness(topology, demands, ticks=size["ticks"])
+    assert report.total_misses == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the network-wide retransmit buffer evicts unconfirmed messages: "
+    "7 are never delivered"))
+def test_chaos_faults_delivers_everything():
+    topology, demands, size = instance("chaos_faults", 1)
+    plan = targeted_plan(1, topology, demands)
+    __, report = measure_chaos_tightness(topology, demands, plan,
+                                         ticks=size["ticks"])
+    assert sum(entry.undelivered for entry in report.channels
+               if entry.gated) == 0
