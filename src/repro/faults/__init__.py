@@ -8,7 +8,7 @@ The subsystem has four layers (see ``docs/fault_tolerance.md``):
 * :mod:`repro.faults.watchdog` — link-death detection from missed
   line-level acknowledgements.
 * :mod:`repro.faults.recovery` — automatic rerouting (unicast and
-  multicast), bounded-buffer retransmission with exponential backoff,
+  multicast), retransmission until confirmed with exponential backoff,
   best-effort drain-and-retry, and graceful degradation.
 * :mod:`repro.faults.harness` — the seeded chaos soak used by tests,
   ``scripts/chaos_soak.py`` and the ``chaos`` CLI subcommand.

@@ -9,9 +9,10 @@ detection events into repair actions:
   admission control re-run on the detour.  A channel whose detour
   fails admission — or that has no surviving path — is *degraded*:
   demoted to best-effort delivery with its ``degraded`` flag set.
-* **Retransmit** — time-constrained messages are remembered in a
-  bounded source-side buffer keyed by ``(label, sequence)``; a message
-  none of whose copies was delivered by its deadline (plus margin) is
+* **Retransmit** — every time-constrained message stays in a
+  source-side ledger until the delivery records that confirm it are
+  written; the ledger has no size and never drops a message.  One none
+  of whose copies was delivered by its deadline (plus margin) is
   re-sent with exponential backoff, up to a retry limit.
 * **Drain and retry** — best-effort packets are tracked by packet id;
   a packet overdue whose planned path crosses a known-dead link is
@@ -22,8 +23,7 @@ detection events into repair actions:
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -39,9 +39,6 @@ Link = tuple[Node, int]
 
 #: Retries before a time-constrained message is abandoned.
 RETRANSMIT_LIMIT = 4
-#: Entries the source-side buffer keeps (time-constrained messages and,
-#: separately, best-effort packets); the oldest is evicted beyond it.
-RETRANSMIT_BUFFER = 128
 #: Retransmission-check margin past a message's deadline, ticks.
 TC_MARGIN_TICKS = 8
 #: Best-effort delivery timeout, packet slots.
@@ -50,7 +47,7 @@ BE_TIMEOUT_SLOTS = 40
 BE_RETRY_LIMIT = 3
 
 
-@dataclass
+@dataclass(eq=False)
 class _TrackedMessage:
     """One time-constrained message awaiting delivery confirmation."""
 
@@ -64,9 +61,19 @@ class _TrackedMessage:
     destinations: tuple[Node, ...]
     next_check_cycle: int
     retries: int = 0
+    #: ``(wire sequence, node)`` of every fragment delivered so far.
+    received: set[tuple[int, Node]] = field(default_factory=set)
+
+    def confirmed(self) -> bool:
+        # Attempts may cover different subscribers: the original
+        # reached one, a retransmission the other.
+        return all(
+            any(all((seq, node) in self.received for seq in seqs)
+                for seqs in self.attempts_seqs)
+            for node in self.destinations)
 
 
-@dataclass
+@dataclass(eq=False)
 class _TrackedBestEffort:
     """One best-effort packet awaiting delivery confirmation."""
 
@@ -81,8 +88,21 @@ class _TrackedBestEffort:
     retries: int = 0
 
 
-def _route_links(route) -> set[Link]:
-    return {(node, port) for node, port in route if port != RECEPTION}
+def _planned_links(packet, mesh) -> set[Link]:
+    """The links a best-effort packet's dimension-ordered legs cross:
+    source to first hop, then waypoint to waypoint along its relays."""
+    meta = packet.meta
+    first_hop = ((meta.source[0] + packet.x_offset) % mesh.width,
+                 (meta.source[1] + packet.y_offset) % mesh.height)
+    links: set[Link] = set()
+    leg_start = meta.source
+    for waypoint in (first_hop, *meta.relay_path):
+        links.update(
+            (node, port)
+            for node, port in dimension_ordered_route(leg_start, waypoint)
+            if port != RECEPTION)
+        leg_start = waypoint
+    return links
 
 
 class RecoveryController:
@@ -96,24 +116,23 @@ class RecoveryController:
         #: Kept in lock-step with ``network.routing_avoid``.
         self.dead_links: set[Link] = set(network.routing_avoid)
 
-        self._messages: deque[_TrackedMessage] = deque()
-        self._be_packets: deque[_TrackedBestEffort] = deque()
-        #: (label, sequence, delivered_node) triples — per-node, so a
-        #: multicast message is only confirmed at subscribers that
-        #: actually received it.
-        self._delivered_tc: set[tuple[str, int, object]] = set()
-        self._delivered_be_ids: set[int] = set()
-        self._log_index = 0
+        self._messages: list[_TrackedMessage] = []
+        self._be_packets: list[_TrackedBestEffort] = []
+        #: Which entry sent what a delivery record names: a message by
+        #: ``(label, wire sequence)`` of any of its attempts, a
+        #: best-effort packet by the id of any of its copies.
+        self._message_of: dict[tuple[str, int], _TrackedMessage] = {}
+        self._be_packet_of: dict[int, _TrackedBestEffort] = {}
         #: Set while the controller itself re-sends, so the send hooks
         #: append to the existing ledger entry instead of opening a
         #: fresh one (which would retry the retry).
         self._resending_tc: Optional[_TrackedMessage] = None
         self._resending_be = False
-        #: Our answer changes on a delivery record or a send: both wake
-        #: us (the rest changes only inside :meth:`step`).
+        #: Our answer changes on a release or a send: both wake us (the
+        #: rest changes only inside :meth:`step`).
         self._wake = partial(network.engine.wake, self)
 
-        network.log.wake_reader = self._wake
+        network.log.reader = self._read
         network.events.subscribe(self._on_event)
         network.tc_send_hooks.append(self._on_tc_send)
         network.be_send_hooks.append(self._on_be_send)
@@ -151,6 +170,49 @@ class RecoveryController:
         return any((hop.node, hop.out_port) in self.dead_links
                    for hop in channel.reservation.hops)
 
+    # -- the ledger ---------------------------------------------------------
+
+    def _add_attempt(self, entry: _TrackedMessage, seqs: set[int]) -> None:
+        entry.attempts_seqs.append(seqs)
+        for seq in seqs:
+            self._message_of[(entry.label, seq)] = entry
+
+    def _add_copy(self, entry: _TrackedBestEffort, packet) -> None:
+        entry.packet_ids.append(packet.meta.packet_id)
+        self._be_packet_of[packet.meta.packet_id] = entry
+        entry.path_links = _planned_links(packet, self.network.mesh)
+
+    def _release_message(self, entry: _TrackedMessage) -> None:
+        self._messages.remove(entry)
+        for seqs in entry.attempts_seqs:
+            for seq in seqs:
+                # A label reused after a teardown starts again at
+                # sequence 0: keep a key a newer message took over.
+                if self._message_of.get((entry.label, seq)) is entry:
+                    del self._message_of[(entry.label, seq)]
+
+    def _release_be(self, entry: _TrackedBestEffort) -> None:
+        self._be_packets.remove(entry)
+        for packet_id in entry.packet_ids:
+            del self._be_packet_of[packet_id]
+
+    def _read(self, record) -> None:
+        """The delivery log's reader: confirm what ``record`` delivered
+        and release its entry once nothing more is owed."""
+        message = self._message_of.get(
+            (record.connection_label, record.sequence))
+        if message is not None:
+            message.received.add((record.sequence, record.delivered_node))
+            if message.confirmed():
+                if message.retries:
+                    self.network.fault_stats.retransmit_recovered += 1
+                self._release_message(message)
+                self._wake()
+        packet = self._be_packet_of.get(record.packet_id)
+        if packet is not None:
+            self._release_be(packet)
+            self._wake()
+
     # -- send tracking ------------------------------------------------------
 
     def _on_tc_send(self, channel, packets, payload: bytes) -> None:
@@ -169,7 +231,7 @@ class RecoveryController:
             resent = sorted(packets, key=lambda p: p.meta.sequence)
             for packet, orig_seq in zip(resent, original):
                 packet.meta.retransmit_of = orig_seq
-            entry.attempts_seqs.append(seqs)
+            self._add_attempt(entry, seqs)
             resend_deadlines = [p.meta.absolute_deadline for p in packets
                                 if p.meta.absolute_deadline is not None]
             if resend_deadlines:
@@ -190,13 +252,13 @@ class RecoveryController:
         else:
             check = self.network.cycle \
                 + (channel.deadline + TC_MARGIN_TICKS) * slot
-        self._messages.append(_TrackedMessage(
-            label=channel.label, payload=payload, attempts_seqs=[seqs],
+        entry = _TrackedMessage(
+            label=channel.label, payload=payload, attempts_seqs=[],
             destinations=tuple(channel.destinations),
             next_check_cycle=max(check, self.network.cycle + slot),
-        ))
-        while len(self._messages) > RETRANSMIT_BUFFER:
-            self._messages.popleft()  # bounded source-side buffer
+        )
+        self._add_attempt(entry, seqs)
+        self._messages.append(entry)
 
     def _on_be_send(self, packet) -> None:
         meta = packet.meta
@@ -204,93 +266,47 @@ class RecoveryController:
                 or self._resending_tc is not None):
             return
         self._wake()
-        width, height = self.network.mesh.width, self.network.mesh.height
-        first_hop = ((meta.source[0] + packet.x_offset) % width,
-                     (meta.source[1] + packet.y_offset) % height)
-        waypoints = [first_hop, *meta.relay_path]
-        path_links: set[Link] = set()
-        leg_start = meta.source
-        for waypoint in waypoints:
-            path_links |= _route_links(
-                dimension_ordered_route(leg_start, waypoint))
-            leg_start = waypoint
-        self._be_packets.append(_TrackedBestEffort(
+        entry = _TrackedBestEffort(
             source=meta.source, destination=meta.destination,
             payload=packet.payload, label=meta.connection_label,
-            sequence=meta.sequence, packet_ids=[meta.packet_id],
-            path_links=path_links,
+            sequence=meta.sequence, packet_ids=[], path_links=set(),
             next_check_cycle=self.network.cycle + self.be_timeout_cycles,
-        ))
-        while len(self._be_packets) > RETRANSMIT_BUFFER:
-            self._be_packets.popleft()
+        )
+        self._add_copy(entry, packet)
+        self._be_packets.append(entry)
 
     # -- per-cycle work -----------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        self._ingest_log()
-        if self._messages:
-            self._check_tc(cycle)
-        if self._be_packets:
-            self._check_be(cycle)
+        self._check_tc(cycle)
+        self._check_be(cycle)
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Event-scheduler contract (see ``docs/performance.md``).
 
-        The controller's scheduled work is its retransmission timers.
-        With no tracked traffic there is nothing to do; with unread
-        delivery records it must run now (a confirmation could retire a
-        pending entry this cycle, exactly as in the per-cycle loop);
-        otherwise it sleeps until the earliest timeout check.  A
-        delivery record and a send wake the controller; the timers
-        change only inside :meth:`step`.
+        The controller's only scheduled work is its retransmission
+        timers: with no tracked traffic there is nothing to do,
+        otherwise it sleeps until the earliest one.  A delivery record
+        that releases an entry and a send wake the controller; the
+        timers change only inside :meth:`step`.
         """
         if not self._messages and not self._be_packets:
             return None
-        if len(self.network.log.records) > self._log_index:
-            return cycle
         return max(cycle, min(
             entry.next_check_cycle
             for entry in (*self._messages, *self._be_packets)))
 
-    def _ingest_log(self) -> None:
-        records = self.network.log.records
-        while self._log_index < len(records):
-            record = records[self._log_index]
-            self._log_index += 1
-            if record.packet_id is not None:
-                self._delivered_be_ids.add(record.packet_id)
-            if (record.connection_label is not None
-                    and record.sequence is not None):
-                self._delivered_tc.add(
-                    (record.connection_label, record.sequence,
-                     record.delivered_node))
-
     def _check_tc(self, cycle: int) -> None:
         stats = self.network.fault_stats
-        for entry in list(self._messages):
-            # Every destination must hold all fragments of some attempt
-            # (attempts may cover different subscribers: the original
-            # reached one, a retransmission the other).
-            confirmed = all(
-                any(all((entry.label, seq, node) in self._delivered_tc
-                        for seq in seqs)
-                    for seqs in entry.attempts_seqs)
-                for node in entry.destinations
-            )
-            if confirmed:
-                if entry.retries:
-                    stats.retransmit_recovered += 1
-                self._messages.remove(entry)
-                continue
-            if cycle < entry.next_check_cycle:
-                continue
+        for entry in [entry for entry in self._messages
+                      if entry.next_check_cycle <= cycle]:
             if entry.retries >= RETRANSMIT_LIMIT:
                 stats.retransmit_abandoned += 1
-                self._messages.remove(entry)
+                self._release_message(entry)
                 continue
             channel = self.manager.find(entry.label)
             if channel is None:
-                self._messages.remove(entry)  # torn down; nothing to do
+                self._release_message(entry)  # torn down; nothing to do
                 continue
             entry.retries += 1
             stats.tc_retransmitted += 1
@@ -303,7 +319,7 @@ class RecoveryController:
                 )
             if channel.degraded:
                 # The degraded fallback stamps one sequence per message.
-                entry.attempts_seqs.append({channel._sequence})
+                self._add_attempt(entry, {channel._sequence})
             # Exponential backoff: double the wait per retry.  The send
             # hook raises this further if the re-sent copy's absolute
             # deadline lands later (backlogged regulator).
@@ -319,27 +335,22 @@ class RecoveryController:
                 # Payload no longer fits the (re-admitted) channel spec;
                 # give up rather than loop.
                 stats.retransmit_abandoned += 1
-                self._messages.remove(entry)
+                self._release_message(entry)
                 continue
             finally:
                 self._resending_tc = None
 
     def _check_be(self, cycle: int) -> None:
         stats = self.network.fault_stats
-        for entry in list(self._be_packets):
-            if any(pid in self._delivered_be_ids
-                   for pid in entry.packet_ids):
-                self._be_packets.remove(entry)
-                continue
-            if cycle < entry.next_check_cycle:
-                continue
+        for entry in [entry for entry in self._be_packets
+                      if entry.next_check_cycle <= cycle]:
             if not (entry.path_links & self.dead_links):
                 # Overdue but its path is intact: congestion, not loss.
                 # Check again later without burning a retry.
                 entry.next_check_cycle = cycle + self.be_timeout_cycles
                 continue
             if entry.retries >= BE_RETRY_LIMIT:
-                self._be_packets.remove(entry)
+                self._release_be(entry)
                 continue
             entry.retries += 1
             stats.be_packets_lost += 1
@@ -361,25 +372,11 @@ class RecoveryController:
                     sequence=entry.sequence,
                 )
             except RouteError:
-                self._be_packets.remove(entry)
+                self._release_be(entry)
                 continue
             finally:
                 self._resending_be = False
-            entry.packet_ids.append(packet.meta.packet_id)
-            waypoints = [
-                ((entry.source[0] + packet.x_offset)
-                 % self.network.mesh.width,
-                 (entry.source[1] + packet.y_offset)
-                 % self.network.mesh.height),
-                *packet.meta.relay_path,
-            ]
-            path_links: set[Link] = set()
-            leg_start = entry.source
-            for waypoint in waypoints:
-                path_links |= _route_links(
-                    dimension_ordered_route(leg_start, waypoint))
-                leg_start = waypoint
-            entry.path_links = path_links
+            self._add_copy(entry, packet)
             entry.next_check_cycle = (
                 cycle + self.be_timeout_cycles * (2 ** entry.retries))
 
@@ -394,7 +391,7 @@ class RecoveryController:
         return len(self._be_packets)
 
     def detach(self) -> None:
-        self.network.log.wake_reader = None
+        self.network.log.reader = None
         self.network.events.unsubscribe(self._on_event)
         self.network.tc_send_hooks.remove(self._on_tc_send)
         self.network.be_send_hooks.remove(self._on_be_send)
@@ -403,14 +400,14 @@ class RecoveryController:
     # -- checkpointing ------------------------------------------------------
 
     def state(self) -> dict:
-        """Checkpoint state: every pending retransmission timer.
+        """Checkpoint state: every unconfirmed entry and its timer.
 
-        The tracked-message deques keep their insertion order (the
-        bounded-buffer eviction pops the oldest entry); the confirmation
-        sets are membership-only and are sorted for a stable document.
-        The ``_resending_*`` flags are only ever set inside a single
-        ``step`` call, so at a checkpoint boundary they are always
-        clear and need no saving.
+        The ledgers keep their send order (timers that fall due in the
+        same cycle re-send in it); ``received`` is membership-only and
+        sorted for a stable document.  The lookup tables are rebuilt
+        from the entries on load.  The ``_resending_*`` flags are only
+        ever set inside a single ``step`` call, so at a checkpoint
+        boundary they are always clear and need no saving.
         """
         return {
             "dead_links": sorted([list(node), direction]
@@ -425,6 +422,9 @@ class RecoveryController:
                                      for node in entry.destinations],
                     "next_check_cycle": entry.next_check_cycle,
                     "retries": entry.retries,
+                    "received": sorted(
+                        [seq, None if node is None else list(node)]
+                        for seq, node in entry.received),
                 }
                 for entry in self._messages
             ],
@@ -444,14 +444,6 @@ class RecoveryController:
                 }
                 for entry in self._be_packets
             ],
-            "delivered_tc": sorted(
-                ([label, sequence,
-                  list(node) if isinstance(node, tuple) else node]
-                 for label, sequence, node in self._delivered_tc),
-                key=repr,
-            ),
-            "delivered_be_ids": sorted(self._delivered_be_ids),
-            "log_index": self._log_index,
         }
 
     def load_state(self, state: dict) -> None:
@@ -461,37 +453,39 @@ class RecoveryController:
         self.dead_links.update((tuple(node), direction)
                                for node, direction in state["dead_links"])
         self._messages.clear()
-        for entry in state["messages"]:
-            self._messages.append(_TrackedMessage(
-                label=entry["label"],
-                payload=bytes.fromhex(entry["payload"]),
-                attempts_seqs=[set(seqs)
-                               for seqs in entry["attempts_seqs"]],
+        self._message_of.clear()
+        for saved in state["messages"]:
+            entry = _TrackedMessage(
+                label=saved["label"],
+                payload=bytes.fromhex(saved["payload"]),
+                attempts_seqs=[],
                 destinations=tuple(tuple(node)
-                                   for node in entry["destinations"]),
-                next_check_cycle=entry["next_check_cycle"],
-                retries=entry["retries"],
-            ))
+                                   for node in saved["destinations"]),
+                next_check_cycle=saved["next_check_cycle"],
+                retries=saved["retries"],
+                received={(seq, None if node is None else tuple(node))
+                          for seq, node in saved["received"]},
+            )
+            for seqs in saved["attempts_seqs"]:
+                self._add_attempt(entry, set(seqs))
+            self._messages.append(entry)
         self._be_packets.clear()
-        for entry in state["be_packets"]:
-            self._be_packets.append(_TrackedBestEffort(
-                source=tuple(entry["source"]),
-                destination=tuple(entry["destination"]),
-                payload=bytes.fromhex(entry["payload"]),
-                label=entry["label"],
-                sequence=entry["sequence"],
-                packet_ids=list(entry["packet_ids"]),
+        self._be_packet_of.clear()
+        for saved in state["be_packets"]:
+            entry = _TrackedBestEffort(
+                source=tuple(saved["source"]),
+                destination=tuple(saved["destination"]),
+                payload=bytes.fromhex(saved["payload"]),
+                label=saved["label"],
+                sequence=saved["sequence"],
+                packet_ids=list(saved["packet_ids"]),
                 path_links={(tuple(node), port)
-                            for node, port in entry["path_links"]},
-                next_check_cycle=entry["next_check_cycle"],
-                retries=entry["retries"],
-            ))
-        self._delivered_tc = {
-            (label, sequence,
-             tuple(node) if isinstance(node, list) else node)
-            for label, sequence, node in state["delivered_tc"]
-        }
-        self._delivered_be_ids = set(state["delivered_be_ids"])
-        self._log_index = int(state["log_index"])
+                            for node, port in saved["path_links"]},
+                next_check_cycle=saved["next_check_cycle"],
+                retries=saved["retries"],
+            )
+            for packet_id in entry.packet_ids:
+                self._be_packet_of[packet_id] = entry
+            self._be_packets.append(entry)
         self._resending_tc = None
         self._resending_be = False

@@ -77,9 +77,9 @@ class DeliveryLog:
         #: :mod:`repro.observability.registry`); wired by MeshNetwork.
         #: Duplicates are not observed.
         self.latency_histograms: dict[str, object] = {}
-        #: Called on every :meth:`add` — wakes the engine component that
-        #: reads the log (the recovery controller, which installs it).
-        self.wake_reader: Optional[Callable[[], None]] = None
+        #: Handed every record :meth:`add` writes, as it is written (the
+        #: recovery controller installs it to confirm its ledger).
+        self.reader: Optional[Callable[[DeliveryRecord], None]] = None
 
     def add(self, packet: object,
             delivered_node: Optional[tuple[int, int]] = None,
@@ -126,8 +126,8 @@ class DeliveryLog:
             duplicate=duplicate,
         )
         self.records.append(record)
-        if self.wake_reader is not None:
-            self.wake_reader()
+        if self.reader is not None:
+            self.reader(record)
         if not duplicate and self.latency_histograms:
             latency = record.latency_cycles
             if latency is not None:

@@ -26,7 +26,8 @@ verdicts:
     retransmission carries a fresh deadline it does meet — so the
     channel sees zero recorded deadline misses while its observed
     latency, measured from the original logical arrival, is covered by
-    the envelope.
+    the envelope.  Every message in its ``lost`` term is re-sent: the
+    recovery ledger never drops an unconfirmed message.
 ``at-risk``
     The analysis cannot bound delivery.  Structured reasons:
     ``no-reroute-path`` (every surviving route is cut — recovery

@@ -4,10 +4,10 @@ Every engine component is requeried only when it steps, a feeder steps,
 a wiring reports that it wrote it, or somebody wakes it.  The watchdog
 and the recovery controller state their inputs that way: a missed
 transfer is reported by the link wiring (without that report
-``tests/faults/test_watchdog.py``'s detection tests fail), a link event
-and a delivery record or send wake them.  Each test below fails without
-its wake; the randomized run audits the whole kept schedule, fault
-components included, at every run entry.
+``tests/faults/test_watchdog.py``'s detection tests fail), and a link
+event, a delivery record that releases an entry, or a send wakes them.
+Each test below fails without its wake; the randomized run audits the
+whole kept schedule, fault components included, at every run entry.
 """
 
 import random
@@ -60,16 +60,18 @@ class TestWatchdogWakes:
 
 class TestControllerWakes:
     def test_a_delivery_record_wakes_the_controller(self):
+        # The record releases its entry in the cycle it is logged; the
+        # release takes the controller's last timer away.
         net, channel = _one_hop()
         controller = install_fault_tolerance(net).controller
         net.send_message(channel)
+        assert controller.next_event_cycle(net.cycle) is not None
         while not net.log.records:
             net.run(1)
             assert net.engine.audit_schedule() == []
-        # Logged in the cycle that just ended: read in the next one.
-        assert controller.next_event_cycle(net.cycle) == net.cycle
-        net.run(1)
         assert controller.pending_retransmits == 0
+        assert controller.next_event_cycle(net.cycle) is None
+        assert net.engine.audit_schedule() == []
 
     def test_a_send_wakes_the_controller(self):
         net, channel = _one_hop()

@@ -1,10 +1,11 @@
 """RecoveryController: reroute, degrade, retransmit, retry."""
 
+import json
+
 from repro import TrafficSpec, build_mesh_network
 from repro.core.ports import EAST
 from repro.faults import BABBLE_LABEL, PacketDropCorruptor, \
     install_fault_tolerance
-from repro.faults.recovery import RETRANSMIT_BUFFER
 
 
 def _route_links(channel):
@@ -143,15 +144,43 @@ class TestRetransmission:
         assert net.log.tc_delivered == 3
         assert net.fault_stats.tc_retransmitted == 0
 
-    def test_source_buffer_is_bounded(self):
+    def test_an_eaten_message_outlives_two_hundred_confirmed_ones(self):
+        # The ledger never drops an unconfirmed message to make room: a
+        # network-wide cap of 128 used to evict the oldest, which is the
+        # one a fault ate.
         net = build_mesh_network(2, 1)
         channel = net.establish_channel((0, 0), (1, 0),
                                         TrafficSpec(i_min=10),
                                         deadline=30, adaptive=False)
         tolerance = install_fault_tolerance(net)
-        for _ in range(RETRANSMIT_BUFFER + 6):
-            net.send_message(channel)
-        assert tolerance.controller.pending_retransmits == RETRANSMIT_BUFFER
+        net.set_link_corruptor((0, 0), EAST,
+                               PacketDropCorruptor(packets=1, vc="TC"))
+        for payload in [b"precious"] + [b"later"] * 200:
+            net.send_message(channel, payload=payload)
+        net.run_ticks(2_500)
+
+        assert net.fault_stats.tc_retransmitted == 1
+        assert net.fault_stats.retransmit_recovered == 1
+        assert net.log.tc_delivered == 201
+        # The re-sent copy (wire sequence 201) queued behind the 200.
+        assert [r.sequence for r in net.log.records][-1] == 201
+        assert tolerance.controller.pending_retransmits == 0
+
+    def test_the_ledger_keeps_no_delivery_history(self):
+        lengths = []
+        for messages in (10, 1_000):
+            net = build_mesh_network(2, 1)
+            channel = net.establish_channel((0, 0), (1, 0),
+                                            TrafficSpec(i_min=10),
+                                            deadline=30, adaptive=False)
+            controller = install_fault_tolerance(net).controller
+            for _ in range(messages):
+                net.send_message(channel)
+                net.run_ticks(10)
+            net.run_ticks(100)
+            assert net.log.tc_delivered == messages
+            lengths.append(len(json.dumps(controller.state())))
+        assert lengths[0] == lengths[1]
 
 
 class TestBestEffortRetry:
@@ -178,6 +207,24 @@ class TestBestEffortRetry:
         assert net.fault_stats.be_retried >= 1
         assert net.log.be_delivered == 1
         assert tolerance.controller.pending_be_retries == 0
+
+    def test_packet_eaten_on_an_intact_link_is_only_rechecked(self):
+        # Today's policy: with no dead link on its path an overdue
+        # packet is presumed congested, so it stays tracked and is
+        # looked at again every BE_TIMEOUT_SLOTS, never re-sent.
+        net = build_mesh_network(2, 1)
+        controller = install_fault_tolerance(net).controller
+        net.set_link_corruptor((0, 0), EAST,
+                               PacketDropCorruptor(packets=1, vc="BE"))
+        net.send_best_effort((0, 0), (1, 0), payload=b"eaten")
+        due = net.cycle + controller.be_timeout_cycles
+        for _ in range(3):
+            assert controller.next_event_cycle(net.cycle) == due
+            net.run(due + 1 - net.cycle)
+            due += controller.be_timeout_cycles
+        assert controller.pending_be_retries == 1
+        assert net.fault_stats.be_retried == 0
+        assert net.log.be_delivered == 0
 
 
 class TestDetach:

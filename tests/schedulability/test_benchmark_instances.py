@@ -2,9 +2,8 @@
 
 The demand placements and the fault plan come read-only from
 ``benchmarks/perf/workloads.py`` (the frozen benchmark definition), so
-these tests run exactly what the benchmark runs.  Two of them pin the
-benchmark's known failures as strict xfails: the fix for each has to
-flip its test.
+these tests run exactly what the benchmark runs.  One pins the
+benchmark's known failure as a strict xfail: the fix has to flip it.
 """
 
 import pathlib
@@ -12,6 +11,8 @@ import runpy
 
 import pytest
 
+import repro.faults
+from repro.faults import install_fault_tolerance
 from repro.schedulability import (
     TopologySpec,
     analyze,
@@ -58,13 +59,24 @@ def test_dense_tc_chip_meets_every_deadline():
     assert report.total_misses == 0
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the network-wide retransmit buffer evicts unconfirmed messages: "
-    "7 are never delivered"))
-def test_chaos_faults_delivers_everything():
-    topology, demands, size = instance("chaos_faults", 1)
-    plan = targeted_plan(1, topology, demands)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chaos_faults_delivers_everything(seed, monkeypatch):
+    """Every message sent is delivered, and nothing is still owed.
+    Lateness is not asserted: whether a degraded delivery is judged
+    against the envelope or the fault-free deadline is still open."""
+    installed = []
+
+    def install(net):
+        installed.append(install_fault_tolerance(net))
+        return installed[-1]
+
+    monkeypatch.setattr(repro.faults, "install_fault_tolerance", install)
+    topology, demands, size = instance("chaos_faults", seed)
+    plan = targeted_plan(seed, topology, demands)
     __, report = measure_chaos_tightness(topology, demands, plan,
                                          ticks=size["ticks"])
     assert sum(entry.undelivered for entry in report.channels
                if entry.gated) == 0
+    (tolerance,) = installed
+    assert tolerance.controller.pending_retransmits == 0
+    assert tolerance.controller.pending_be_retries == 0
