@@ -145,9 +145,8 @@ class TestRetransmission:
         assert net.fault_stats.tc_retransmitted == 0
 
     def test_an_eaten_message_outlives_two_hundred_confirmed_ones(self):
-        # The ledger never drops an unconfirmed message to make room: a
-        # network-wide cap of 128 used to evict the oldest, which is the
-        # one a fault ate.
+        # The ledger never drops an unconfirmed message to make room,
+        # however many later ones are sent and confirmed meanwhile.
         net = build_mesh_network(2, 1)
         channel = net.establish_channel((0, 0), (1, 0),
                                         TrafficSpec(i_min=10),
