@@ -4,14 +4,17 @@
     python3 scripts/profile_workload.py <workload> [--seed N]
                                         [--root CHECKOUT] [--top K]
 
-Runs two bench-size instances of one ``benchmarks/perf/workloads.py``
+Runs three bench-size instances of one ``benchmarks/perf/workloads.py``
 workload.  The first warms the interpreter up and, through counting
 shims on a few class attributes, yields the per-instance *unit counts*
 an optimisation is costed against (working router steps, byte-hops,
 objects built per byte, bus requests against ``grant`` calls,
-``next_event_cycle`` probes against deliveries).  The second runs under
-``cProfile`` with no shim installed and prints the top-K functions by
-self time.  ``cProfile`` taxes every Python call, so read its table for
+``next_event_cycle`` probes against deliveries).  The second stops
+where its build ends and yields the *build-phase units*: the memory the
+built instance holds (``tracemalloc``) and the gc-tracked objects it
+made, per router.  The third runs under ``cProfile`` with no shim
+installed and prints the top-K functions by self time.  ``cProfile``
+taxes every Python call and sees no allocation, so read its table for
 *shares*, and take speeds from ``benchmarks/perf/run.py``.
 
 ``--root`` profiles another checkout's ``src`` and unmodified
@@ -23,9 +26,11 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -98,6 +103,32 @@ def unit_counts(run, counts: dict) -> dict:
     return counts
 
 
+class _BuildDone(Exception):
+    """Stops the build-phase instance at its first simulated cycle."""
+
+
+def build_units(execute, seed: int, size: dict) -> tuple[float, int]:
+    """MiB held (``tracemalloc``) and gc-tracked objects made by one
+    instance when its build ends; its drive is not run."""
+    held: dict = {}
+    gc.collect()
+    before = len(gc.get_objects())
+
+    def end_of_build() -> None:
+        held["MiB"] = tracemalloc.get_traced_memory()[0] / 2**20
+        held["objects"] = len(gc.get_objects()) - before
+        raise _BuildDone
+
+    tracemalloc.start()
+    try:
+        execute(seed, size, end_of_build)
+    except _BuildDone:
+        pass
+    finally:
+        tracemalloc.stop()
+    return held["MiB"], held["objects"]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("workload")
@@ -130,6 +161,13 @@ def main(argv: list[str]) -> int:
         built = counts["Phit built"] + counts["LinkSignal built"]
         print(f"  {built / hops:>10.2f}  Phit + LinkSignal objects built "
               "per byte-hop")
+
+    mib, objects = build_units(execute, args.seed, size)
+    routers = len(run.net.routers)
+    print("\nbuild phase of one more instance (stopped at its first cycle):")
+    print(f"  {mib:>10.2f}  MiB held (tracemalloc)")
+    print(f"  {objects / routers:>10.1f}  gc-tracked objects per router "
+          f"({objects:,} made, {routers} routers)")
 
     marks: list[float] = []
     profile = cProfile.Profile()

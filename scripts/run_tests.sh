@@ -64,11 +64,12 @@ run_perf_pair() {
     # The smoke wormhole instance is 4x4 with 30 datagrams (too few for
     # sustained contention on one output), the smoke chaos instance
     # 4x4 for 12 ticks (too short for detection and recovery to run
-    # their course) and the smoke dense instance 8 ticks (too short for
-    # a periodic send after the burst on most channels), so those three
-    # also at bench size.
+    # their course), the smoke dense instance 8 ticks (too short for
+    # a periodic send after the burst on most channels) and the smoke
+    # churn instance 6x6 (only the bench one has the 16x16 mesh's 256
+    # router documents, and it is cheap), so all four also at bench size.
     local workload
-    for workload in wormhole_be chaos_faults dense_tc; do
+    for workload in wormhole_be chaos_faults dense_tc sparse_churn; do
         python3 scripts/behaviour_digest.py --workload "$workload" \
             --seed 2 --documents --root "$tmp/parent" \
             >> "$tmp/digest-parent.txt"

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.clock import RolloverClock
+from repro.core.leaf_state import EMPTY_LEAF
 from repro.core.params import MESH_LINKS, OUTPUT_PORTS
 from repro.core.router import NEVER, NOW, RealTimeRouter, _links_quiet
 
@@ -142,6 +143,10 @@ def _check_derived_state(router: RealTimeRouter) -> None:
     kept = list(leaves.occupied_indices())
     if kept != scan:
         _fail(f"occupied leaf indices {kept} but the masks say {scan}")
+    held = [i for i in range(len(leaves)) if leaves[i] is not EMPTY_LEAF]
+    if held != scan:
+        _fail(f"free leaf slots {sorted(set(held) - set(scan))} hold a "
+              "value other than EMPTY_LEAF")
     bus = router.bus
     queued = sum(bus.pending(port) for port in range(bus.ports))
     if bus.pending() != queued:

@@ -3,21 +3,21 @@
 Each leaf corresponds to one packet-memory slot and stores the small
 amount of state the scheduler needs: the packet's logical arrival time
 ``l(m)``, its local deadline ``l(m) + d``, and a bit mask of the output
-ports it must still be transmitted on (paper Figure 5).  A mask of zero
-means the leaf — and the matching memory slot — is free.
+ports it must still be transmitted on (paper Figure 5).  A leaf is a
+value: installing a packet or dropping a port stores a new one, and
+every free slot holds the one :data:`EMPTY_LEAF`, so a free slot costs
+a list entry and nothing else.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple
 
 from repro.core.params import OUTPUT_PORTS, RouterParams
 
 
-@dataclass
-class Leaf:
+class Leaf(NamedTuple):
     """One comparator-tree leaf (all times are wrapped clock values)."""
 
     arrival: int = 0        # logical arrival time l(m)
@@ -32,12 +32,16 @@ class Leaf:
         return bool(self.port_mask & (1 << port))
 
 
+#: What every free slot holds: one shared value, never a copy.
+EMPTY_LEAF = Leaf()
+
+
 class LeafArray:
     """The array of leaves, indexed by packet-memory slot address."""
 
     def __init__(self, params: RouterParams) -> None:
         self.params = params
-        self._leaves = [Leaf() for _ in range(params.tc_packet_slots)]
+        self._leaves = [EMPTY_LEAF] * params.tc_packet_slots
         # Indices with ``port_mask != 0``, ascending.  The hardware
         # knows which slots it handed out; the model need not rescan.
         # Derived from the masks, never serialised.
@@ -52,15 +56,12 @@ class LeafArray:
     def install(self, index: int, arrival: int, deadline: int,
                 port_mask: int) -> None:
         """Fill a leaf when a packet lands in the matching memory slot."""
-        leaf = self._leaves[index]
-        if leaf.occupied:
+        if self._leaves[index] is not EMPTY_LEAF:
             raise RuntimeError(f"leaf {index} installed while occupied")
         if not 0 < port_mask < (1 << OUTPUT_PORTS):
             raise ValueError("leaf port mask must select at least one port")
         mask = self.params.clock_range - 1
-        leaf.arrival = arrival & mask
-        leaf.deadline = deadline & mask
-        leaf.port_mask = port_mask
+        self._leaves[index] = Leaf(arrival & mask, deadline & mask, port_mask)
         insort(self._occupied, index)
 
     def clear_port(self, index: int, port: int) -> bool:
@@ -76,9 +77,11 @@ class LeafArray:
             raise RuntimeError(
                 f"port {port} cleared on leaf {index} without holding it"
             )
-        leaf.port_mask &= ~bit
-        if leaf.port_mask:
+        remaining = leaf.port_mask & ~bit
+        if remaining:
+            self._leaves[index] = Leaf(leaf.arrival, leaf.deadline, remaining)
             return False
+        self._leaves[index] = EMPTY_LEAF
         del self._occupied[bisect_left(self._occupied, index)]
         return True
 
@@ -90,22 +93,13 @@ class LeafArray:
     def state(self) -> dict:
         """Checkpoint state: only the occupied leaves, by index."""
         leaves = self._leaves
-        return {"leaves": [
-            [i, leaves[i].arrival, leaves[i].deadline, leaves[i].port_mask]
-            for i in self._occupied
-        ]}
+        return {"leaves": [[i, *leaves[i]] for i in self._occupied]}
 
     def load_state(self, state: dict) -> None:
-        for leaf in self._leaves:
-            leaf.arrival = leaf.deadline = leaf.port_mask = 0
+        self._leaves = [EMPTY_LEAF] * len(self._leaves)
         for index, arrival, deadline, port_mask in state["leaves"]:
-            leaf = self._leaves[index]
-            leaf.arrival = arrival
-            leaf.deadline = deadline
-            leaf.port_mask = port_mask
-        self._occupied = [
-            i for i, leaf in enumerate(self._leaves) if leaf.occupied
-        ]
+            self._leaves[index] = Leaf(arrival, deadline, port_mask)
+        self._occupied = sorted(entry[0] for entry in state["leaves"])
 
     @property
     def occupancy(self) -> int:

@@ -351,6 +351,7 @@ class OutputSide:
     def _commit_tc(self, port: int, output: _Output, slot: int,
                    cycle: int) -> None:
         chip = self.chip
+        leaf = chip.leaves[slot]  # a value: clear_port may free the slot
         chip.leaves.clear_port(slot, port)
         chip.eligible_count[port] -= 1
         chip.slot_readers[slot] += 1
@@ -358,7 +359,7 @@ class OutputSide:
         meta = chip.slot_meta[slot]
         output.tc_stream = _TCStream(slot, meta)
         if chip.tracer is not None:
-            early = not chip.clock.is_past(chip.leaves[slot].arrival)
+            early = not chip.clock.is_past(leaf.arrival)
             chip.tracer.emit(cycle, LINK_WIN, meta=meta,
                              node=chip.router_id, port=port,
                              traffic_class="TC",

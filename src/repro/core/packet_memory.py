@@ -7,9 +7,10 @@ output ports (paper section 3.4).  Three pieces cooperate:
 * :class:`IdleAddressFifo` — hands unused slot addresses to arriving
   packets and reclaims them on departure, exactly like the
   shared-memory switches the paper cites.
-* :class:`PacketMemory` — the slot array itself, accessed in 10-byte
-  chunks, with allocation-state checking so tests can prove the memory
-  never double-allocates or leaks.
+* :class:`PacketMemory` — the SRAM itself, one byte array holding
+  every slot, accessed in 10-byte chunks, with allocation-state
+  checking so tests can prove the memory never double-allocates or
+  leaks.
 * :class:`ChunkBus` — the single memory port.  It serves **one chunk
   access per cycle** with demand-driven round-robin arbitration among
   the ports, which exactly matches the aggregate bandwidth of the ten
@@ -78,15 +79,13 @@ class IdleAddressFifo:
 
 
 class PacketMemory:
-    """The shared slot array, addressed by (slot, chunk)."""
+    """The shared SRAM, addressed by (slot, chunk): one byte array in
+    which slot ``s`` starts at ``s * tc_packet_bytes``."""
 
     def __init__(self, params: RouterParams) -> None:
         self.params = params
         self.idle_fifo = IdleAddressFifo(params.tc_packet_slots)
-        self._slots: list[bytearray] = [
-            bytearray(params.tc_packet_bytes)
-            for _ in range(params.tc_packet_slots)
-        ]
+        self._sram = bytearray(params.memory_bytes)
         #: Peak concurrent occupancy, for buffer-bound experiments.
         self.peak_occupancy = 0
 
@@ -105,50 +104,59 @@ class PacketMemory:
     def occupancy(self) -> int:
         return self.idle_fifo.allocated_count
 
-    def _check(self, address: int, chunk: int) -> None:
+    def _span(self, address: int, chunk: int) -> tuple[int, int]:
+        """Where one chunk of an allocated slot lies in the array."""
         if not 0 <= address < self.params.tc_packet_slots:
             raise MemoryError_(f"slot address {address} out of range")
         if not 0 <= chunk < self.params.chunks_per_packet:
             raise MemoryError_(f"chunk index {chunk} out of range")
         if not self.idle_fifo.is_allocated(address):
             raise MemoryError_(f"access to unallocated slot {address}")
+        size = self.params.tc_packet_bytes
+        start = address * size + chunk * MEMORY_CHUNK_BYTES
+        return start, min(start + MEMORY_CHUNK_BYTES, (address + 1) * size)
 
     def write_chunk(self, address: int, chunk: int, data: bytes) -> None:
-        self._check(address, chunk)
-        start = chunk * MEMORY_CHUNK_BYTES
-        end = min(start + MEMORY_CHUNK_BYTES, self.params.tc_packet_bytes)
+        start, end = self._span(address, chunk)
         if len(data) != end - start:
             raise MemoryError_(
                 f"chunk write of {len(data)} bytes, expected {end - start}"
             )
-        self._slots[address][start:end] = data
+        self._sram[start:end] = data
 
     def read_chunk(self, address: int, chunk: int) -> bytes:
-        self._check(address, chunk)
-        start = chunk * MEMORY_CHUNK_BYTES
-        end = min(start + MEMORY_CHUNK_BYTES, self.params.tc_packet_bytes)
-        return bytes(self._slots[address][start:end])
+        start, end = self._span(address, chunk)
+        return bytes(self._sram[start:end])
 
     def read_packet(self, address: int) -> bytes:
         """Whole-packet read (convenience for models and tests)."""
-        self._check(address, 0)
-        return bytes(self._slots[address])
+        start, _ = self._span(address, 0)
+        return bytes(self._sram[start:start + self.params.tc_packet_bytes])
 
     def state(self) -> dict:
         """Checkpoint state: the idle FIFO plus allocated slot bytes."""
+        size = self.params.tc_packet_bytes
+        sram = self._sram
         return {
             "idle_fifo": self.idle_fifo.state(),
-            "slots": [[address, self._slots[address].hex()]
+            "slots": [[address,
+                       sram[address * size:(address + 1) * size].hex()]
                       for address in sorted(self.idle_fifo._allocated)],
             "peak_occupancy": self.peak_occupancy,
         }
 
     def load_state(self, state: dict) -> None:
+        size = self.params.tc_packet_bytes
         self.idle_fifo.load_state(state["idle_fifo"])
-        for slot in self._slots:
-            slot[:] = bytes(len(slot))
+        self._sram = bytearray(self.params.memory_bytes)
         for address, data in state["slots"]:
-            self._slots[address][:] = bytes.fromhex(data)
+            raw = bytes.fromhex(data)
+            # A slice assignment out of range or of another length
+            # would resize the array instead of failing.
+            if not 0 <= address < self.params.tc_packet_slots \
+                    or len(raw) != size:
+                raise MemoryError_(f"bad slot entry for slot {address}")
+            self._sram[address * size:(address + 1) * size] = raw
         self.peak_occupancy = int(state["peak_occupancy"])
 
 

@@ -26,7 +26,7 @@ from repro.core.packet import (
     packet_id_counter_state,
 )
 from repro.core.params import MESH_LINKS, RouterParams
-from repro.core.ports import OPPOSITE
+from repro.core.ports import OPPOSITE, RECEPTION
 from repro.core.router import RealTimeRouter
 from repro.network.engine import SynchronousEngine
 from repro.network.events import (
@@ -358,20 +358,76 @@ class MeshNetwork:
         later byte arrives with the wrong index, and on a dead link none
         does — without the flush it would hold the bytes, and stay
         busy, forever.  Bytes still in its synchroniser are discarded by
-        that same rule when they surface.
+        that same rule when they surface.  A frame that router was
+        cutting through (``cut_port``) has partly gone on: its stream is
+        released and the frame is flushed one link further on by the
+        same rule, or dropped from the reception port's reassembly.
         """
-        router = self.routers[self.mesh.neighbor(node, direction)]
-        port = router.inputs.ports[OPPOSITE[direction]]
-        partial = len(port.rx_bytes) % self.params.tc_packet_bytes
-        if not partial:
+        self._flush_frame(self.mesh.neighbor(node, direction),
+                          OPPOSITE[direction])
+
+    def _flush_frame(self, node: Node, into: int, *,
+                     in_flight: bool = False) -> None:
+        """Drop the unfinished time-constrained frame entering ``node``
+        at input ``into``.  ``in_flight``: its sender abandoned it on a
+        live link, so its bytes on the wire and in the synchroniser go
+        too."""
+        router = self.routers[node]
+        port = router.inputs.ports[into]
+        dropped, head_inside = (self._drop_in_flight(router, into)
+                                if in_flight else (False, True))
+        out = port.cut_port if head_inside else None
+        if out is not None:
+            port.cut_port = port.rx_meta = None
+            output = router.outputs.ports[out]
+            output.tc_stream = None
+            if out == RECEPTION:
+                output.tc_rx.clear()
+                output.tc_rx_meta = None
+            dropped = True
+        elif head_inside:
+            partial = len(port.rx_bytes) % self.params.tc_packet_bytes
+            if partial:
+                del port.rx_bytes[len(port.rx_bytes) - partial:]
+                if not port.rx_bytes:
+                    port.rx_meta = None
+                dropped = True
+        if not dropped:
             return
         router.tc_resync_drops += 1
-        del port.rx_bytes[len(port.rx_bytes) - partial:]
-        if not port.rx_bytes:
-            port.rx_meta = None
         # Changed from outside its own step: forget the answer, wake it.
         router._forget()
         self.engine.wake(router)
+        if out is not None and out != RECEPTION:
+            self._flush_frame(self.mesh.neighbor(node, out), OPPOSITE[out],
+                              in_flight=True)
+
+    def _drop_in_flight(self, router: RealTimeRouter,
+                        into: int) -> tuple[bool, bool]:
+        """Drop the time-constrained bytes on their way into input
+        ``into`` (on the wire, in the synchroniser) that come after the
+        last frame end among them.  Returns whether any went, and
+        whether none is a frame end: then what the input has framed, if
+        anything, is the head of the same frame."""
+        port = router.inputs.ports[into]
+        wire = router.link_in[into]
+        queued = [phit for _, phit in port.sync] + [wire.phit]
+        end = self.params.tc_packet_bytes - 1
+        first = 1 + max((i for i, phit in enumerate(queued)
+                         if phit is not None and phit.vc == "TC"
+                         and phit.index == end), default=-1)
+        kept = [entry for i, entry in enumerate(port.sync)
+                if i < first or entry[1].vc != "TC"]
+        dropped = len(port.sync) - len(kept)
+        if dropped:
+            port.sync.clear()
+            port.sync.extend(kept)
+            router.inputs.sync_count -= dropped
+        if (wire.phit is not None and wire.phit.vc == "TC"
+                and len(queued) - 1 >= first):
+            wire.phit = None
+            dropped += 1
+        return dropped > 0, first == 0
 
     def repair_link(self, node: Node, direction: int) -> None:
         """Bring a cut link back; publishes a ``link-repaired`` event.

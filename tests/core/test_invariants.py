@@ -17,6 +17,7 @@ from repro.core.invariants import (
     check_no_shared_wires,
     check_router_invariants,
 )
+from repro.core.leaf_state import Leaf
 from repro.core.packet import phits_of
 from repro.core.ports import EAST, NORTH, RECEPTION
 from repro.core.router import NOW, LinkSignal
@@ -103,6 +104,12 @@ class TestViolationDetection:
         with pytest.raises(InvariantViolation, match="occupied leaf"):
             check_router_invariants(router)
 
+    def test_detects_a_free_slot_holding_its_own_empty_value(self):
+        router = checked_router()
+        router.leaves._leaves[4] = Leaf()  # equal to EMPTY_LEAF, not it
+        with pytest.raises(InvariantViolation, match="EMPTY_LEAF"):
+            check_router_invariants(router)
+
     def test_detects_miscounted_bus_backlog(self):
         router = checked_router()
         router.bus._pending = 1  # every queue is empty
@@ -176,7 +183,8 @@ class TestViolationDetection:
         # Both the remembered and the recomputed deadline trust the
         # leaf's arrival field; the per-tick check reads the clock.
         router._dormancy_deadline = lambda: router._work_at
-        router.leaves[0].arrival = 10
+        leaf = router.leaves[0]
+        router.leaves._leaves[0] = leaf._replace(arrival=10)
         with pytest.raises(InvariantViolation, match="may be committed"):
             check_router_invariants(router)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.leaf_state import LeafArray
+from repro.core.leaf_state import EMPTY_LEAF, LeafArray
 from repro.core.params import RouterParams
 from repro.core.ports import EAST, NORTH, RECEPTION, port_mask
 
@@ -45,6 +45,16 @@ class TestClearPort:
         assert leaves[2].occupied
         assert leaves.clear_port(2, RECEPTION) is True
         assert not leaves[2].occupied
+
+    def test_leaves_are_values_and_a_freed_slot_holds_the_empty_one(
+            self, leaves):
+        leaves.install(2, 7, 9, port_mask=port_mask(EAST, RECEPTION))
+        held = leaves[2]
+        leaves.clear_port(2, EAST)
+        assert leaves[2] == (7, 9, port_mask(RECEPTION))
+        leaves.clear_port(2, RECEPTION)
+        assert leaves[2] is EMPTY_LEAF
+        assert held == (7, 9, port_mask(EAST, RECEPTION))  # unchanged
 
     def test_clear_unheld_port_rejected(self, leaves):
         leaves.install(2, 0, 5, port_mask=port_mask(EAST))

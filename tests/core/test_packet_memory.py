@@ -101,6 +101,21 @@ class TestPacketMemory:
             assert memory.allocate() is not None
         assert memory.allocate() is None
 
+    def test_state_round_trip_and_strict_slot_entries(self, memory):
+        memory.allocate()
+        slot = memory.allocate()
+        memory.write_chunk(slot, 0, bytes(range(10)))
+        memory.write_chunk(slot, 1, bytes(range(10, 20)))
+        state = memory.state()
+        assert state["slots"][1] == [slot, bytes(range(20)).hex()]
+        other = PacketMemory(RouterParams(tc_packet_slots=4))
+        other.load_state(state)
+        assert other.read_packet(slot) == bytes(range(20))
+        assert other.state() == state
+        for bad in ([4, "00" * 20], [slot, "00" * 19]):
+            with pytest.raises(MemoryError_, match="bad slot entry"):
+                other.load_state(dict(state, slots=[bad]))
+
 
 def tagged(port, tag=None):
     """A request the recording buses below identify by ``tag``."""

@@ -11,6 +11,8 @@ from repro.core import (
     port_mask,
 )
 from repro.core.ports import EAST, NORTH, RECEPTION
+from repro.observability import PacketTracer
+from repro.observability.trace import LINK_WIN
 
 
 def make_router(**kwargs) -> RealTimeRouter:
@@ -25,6 +27,30 @@ def run_until_delivered(router, count=1, max_cycles=5000):
         if len(delivered) >= count:
             return delivered
     raise TimeoutError(f"only {len(delivered)}/{count} packets delivered")
+
+
+class TestLinkWinTrace:
+    """A ``link_win`` event says whether the packet left early; the
+    commit that frees the slot must not change the answer."""
+
+    @staticmethod
+    def _early_flags(header_deadline, horizon):
+        router = make_router()
+        router.tracer = PacketTracer(capacity=64)
+        router.control.program_connection(0, 0, delay=10,
+                                          port_mask=port_mask(RECEPTION))
+        router.control.write_horizon(port_mask(RECEPTION), horizon)
+        router.inject_tc(TimeConstrainedPacket(
+            0, header_deadline=header_deadline))
+        run_until_delivered(router)
+        return [event["info"]["early"] for event in router.tracer.events()
+                if event["event"] == LINK_WIN]
+
+    def test_an_early_packet_committed_inside_its_horizon_is_early(self):
+        assert self._early_flags(header_deadline=15, horizon=20) == [True]
+
+    def test_an_on_time_packet_is_not(self):
+        assert self._early_flags(header_deadline=0, horizon=0) == [False]
 
 
 class TestLocalDelivery:
