@@ -20,9 +20,10 @@ from repro.checkpoint import (
     fingerprint_of,
 )
 from repro.network.network import MeshNetwork
-from repro.traffic.generators import PeriodicSource
 
 CYCLES = 300_000
+#: Every channel sends once per this many ticks.
+PERIOD_TICKS = 256
 
 
 def _build_idle_heavy():
@@ -30,29 +31,38 @@ def _build_idle_heavy():
     dominated by skipped spans — the long-simulation shape checkpointing
     is for."""
     net = MeshNetwork(4, 4)
-    slot = net.params.slot_cycles
     endpoints = [((0, 0), (3, 3)), ((3, 0), (0, 3)),
                  ((0, 3), (3, 0)), ((3, 3), (0, 0))]
-    for index, (source, destination) in enumerate(endpoints):
-        channel = net.establish_channel(
-            source, destination, TrafficSpec(i_min=256), deadline=45,
-            label=f"bench{index}",
-        )
-        net.attach_source(source, PeriodicSource(channel, period=256,
-                                                 slot_cycles=slot))
-    return net
+    channels = [
+        net.establish_channel(source, destination,
+                              TrafficSpec(i_min=PERIOD_TICKS), deadline=45,
+                              label=f"bench{index}")
+        for index, (source, destination) in enumerate(endpoints)]
+    return net, channels
+
+
+def _run_to(net, channels, target):
+    """Run to cycle ``target``, every channel sending at the top of
+    each period."""
+    period = PERIOD_TICKS * net.params.slot_cycles
+    while net.cycle < target:
+        if net.cycle % period == 0:
+            for channel in channels:
+                net.send_message(channel)
+        net.run(min(target, (net.cycle // period + 1) * period)
+                - net.cycle)
 
 
 def _timed_run(store=None, interval=DEFAULT_CHECKPOINT_INTERVAL):
-    net = _build_idle_heavy()
+    net, channels = _build_idle_heavy()
     saves = 0
     start = time.perf_counter()
     if store is None:
-        net.run(CYCLES)
+        _run_to(net, channels, CYCLES)
     else:
         while net.cycle < CYCLES:
             boundary = (net.cycle // interval + 1) * interval
-            net.run(min(CYCLES, boundary) - net.cycle)
+            _run_to(net, channels, min(CYCLES, boundary))
             if net.cycle % interval == 0:
                 ctx = SaveContext()
                 state = {"network": net.state(ctx)}

@@ -12,7 +12,9 @@ from conftest import fmt_table
 
 from repro.channels.spec import TrafficSpec
 from repro.network.network import MeshNetwork
-from repro.traffic.generators import PeriodicSource
+
+#: Every channel sends once per this many ticks.
+PERIOD_TICKS = 256
 
 
 def _delivery_digest(net):
@@ -27,22 +29,24 @@ def _delivery_digest(net):
 def _timed_idle_heavy(cycles, prepare=None):
     """One timed run of an idle-heavy 8x8 mesh: four low-rate
     time-constrained channels corner to corner, so the fabric is idle
-    for most of every period."""
+    for most of every period.  The channels' sends are pushed inside
+    the timed loop, at the top of each period."""
     net = MeshNetwork(8, 8)
-    slot = net.params.slot_cycles
     endpoints = [((0, 0), (7, 7)), ((7, 0), (0, 7)),
                  ((0, 7), (7, 0)), ((7, 7), (0, 0))]
-    for index, (source, destination) in enumerate(endpoints):
-        channel = net.establish_channel(
-            source, destination, TrafficSpec(i_min=256), deadline=45,
-            label=f"bench{index}",
-        )
-        net.attach_source(source, PeriodicSource(channel, period=256,
-                                                 slot_cycles=slot))
+    channels = [
+        net.establish_channel(source, destination,
+                              TrafficSpec(i_min=PERIOD_TICKS), deadline=45,
+                              label=f"bench{index}")
+        for index, (source, destination) in enumerate(endpoints)]
     if prepare is not None:
         prepare(net)
+    period = PERIOD_TICKS * net.params.slot_cycles
     start = time.perf_counter()
-    net.run(cycles)
+    while net.cycle < cycles:
+        for channel in channels:
+            net.send_message(channel)
+        net.run(min(period, cycles - net.cycle))
     return net, time.perf_counter() - start
 
 

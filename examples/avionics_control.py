@@ -15,11 +15,13 @@ Run:  python examples/avionics_control.py
 """
 
 from repro import TrafficSpec, build_mesh_network
-from repro.traffic import PeriodicSource
 
 FLIGHT_COMPUTER = (1, 1)
 SENSORS = [(0, 0), (3, 0), (0, 3), (3, 3)]
 SURFACES = [(2, 0), (0, 2), (3, 2)]
+PERIOD = 20        # control period, ticks
+PERIODS = 100
+MAINTENANCE_EVERY, MAINTENANCE_AT, MAINTENANCE_COUNT = 640, 37, 60
 
 
 def main() -> None:
@@ -30,44 +32,39 @@ def main() -> None:
     for index, sensor in enumerate(SENSORS):
         channel = net.establish_channel(
             sensor, FLIGHT_COMPUTER,
-            TrafficSpec(i_min=20, s_max=18),
+            TrafficSpec(i_min=PERIOD, s_max=18),
             deadline=40,
             label=f"sensor-{index}",
         )
         sensor_channels.append(channel)
-        net.attach_source(sensor, PeriodicSource(
-            channel=channel, period=20, payload=b"attitude+airspeed:",
-            count=100,
-        ))
 
     # Actuator multicast: one command fans out to all three surfaces.
     command = net.establish_channel(
         FLIGHT_COMPUTER, SURFACES,
-        TrafficSpec(i_min=20, s_max=18),
+        TrafficSpec(i_min=PERIOD, s_max=18),
         deadline=60,
         label="surface-cmd",
     )
-    net.attach_source(FLIGHT_COMPUTER, PeriodicSource(
-        channel=command, period=20, payload=b"elevon=+2.5deg....",
-        count=100,
-    ))
+    loops = [(channel, b"attitude+airspeed:") for channel in sensor_channels]
+    loops.append((command, b"elevon=+2.5deg...."))
 
-    # Maintenance traffic: large best-effort transfers between corner
-    # nodes, crossing the control channels' links.
-    sent = [0]
-
-    def maintenance(cycle: int):
-        from repro.network.node import Send
-        if cycle % 640 == 37 and sent[0] < 60:
-            sent[0] += 1
-            return [Send(traffic_class="BE", destination=(3, 3),
-                         payload=bytes(256))]
-        return []
-
-    net.attach_source((0, 0), maintenance)
-
-    # Fly for 100 control periods.
-    net.run_ticks(20 * 100)
+    # Fly for 100 control periods, one tick at a time: every loop sends
+    # at the top of its period, and a large best-effort maintenance
+    # transfer between corner nodes, crossing the control channels'
+    # links, leaves every 640 cycles.
+    slot = net.params.slot_cycles
+    maintenance = 0
+    for tick in range(PERIOD * PERIODS):
+        if tick % PERIOD == 0:
+            for channel, payload in loops:
+                net.send_message(channel, payload)
+        end = net.cycle + slot
+        due = net.cycle + (MAINTENANCE_AT - net.cycle) % MAINTENANCE_EVERY
+        if due < end and maintenance < MAINTENANCE_COUNT:
+            net.run(due - net.cycle)
+            net.send_best_effort((0, 0), (3, 3), bytes(256))
+            maintenance += 1
+        net.run(end - net.cycle)
     net.drain(max_cycles=200_000)
 
     print("channel               delivered  misses  mean-latency(ticks)")

@@ -14,9 +14,10 @@ Run:  python examples/factory_cell.py
 from repro import TrafficSpec, build_mesh_network
 from repro.channels import AdmissionError
 from repro.core.ports import port_mask
-from repro.traffic import BurstySource
 
 CONTROLLER = (1, 1)
+PERIOD, BURST, BURSTS = 25, 2, 15     # ticks, messages, bursts
+FRAME_EVERY, FRAME_AT, FRAMES = 500, 123, 20
 
 
 def main() -> None:
@@ -34,7 +35,7 @@ def main() -> None:
         try:
             channel = net.establish_channel(
                 station, CONTROLLER,
-                TrafficSpec(i_min=25, s_max=36, b_max=2),
+                TrafficSpec(i_min=PERIOD, s_max=36, b_max=BURST),
                 deadline=125,
                 label=f"station-{station[0]}{station[1]}",
             )
@@ -42,27 +43,24 @@ def main() -> None:
             print(f"admission stopped at station {index}: {error}")
             break
         channels.append(channel)
-        net.attach_source(station, BurstySource(
-            channel=channel, period=25, burst=2, payload=b"temp=182C",
-            count=30,
-        ))
     print(f"admitted {len(channels)} of {len(stations)} station channels "
           f"into the hotspot at {CONTROLLER}")
 
-    # The vision system streams frames diagonally as best effort.
-    frames = [0]
-
-    def vision(cycle: int):
-        from repro.network.node import Send
-        if cycle % 500 == 123 and frames[0] < 20:
-            frames[0] += 1
-            return [Send(traffic_class="BE", destination=(3, 3),
-                         payload=bytes(400))]
-        return []
-
-    net.attach_source((0, 0), vision)
-
-    net.run_ticks(25 * 18)
+    # Tick by tick: every station sends a burst of status messages at
+    # the top of its period, and the vision system streams a frame
+    # diagonally as best effort every 500 cycles, 20 in all.
+    slot = net.params.slot_cycles
+    for tick in range(FRAME_EVERY * FRAMES // slot):
+        if tick % PERIOD == 0 and tick < PERIOD * BURSTS:
+            for channel in channels:
+                for _ in range(BURST):
+                    net.send_message(channel, b"temp=182C")
+        end = net.cycle + slot
+        due = net.cycle + (FRAME_AT - net.cycle) % FRAME_EVERY
+        if due < end:
+            net.run(due - net.cycle)
+            net.send_best_effort((0, 0), (3, 3), bytes(400))
+        net.run(end - net.cycle)
     net.drain(max_cycles=400_000)
 
     print(f"\nstatus messages delivered: {net.log.tc_delivered}")

@@ -129,7 +129,7 @@ run_event() {
         tests/network/test_event_firing_order.py \
         tests/integration/test_event_engine_equivalence.py \
         tests/integration/test_next_event_contract.py \
-        tests/traffic/test_generators.py
+        tests/traffic/test_patterns.py
 }
 
 run_service() {

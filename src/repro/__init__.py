@@ -14,7 +14,7 @@ end to end:
   routers together cycle by cycle.
 * :mod:`repro.model` — a fast packet-slot-level simulator of the same
   link discipline for large parameter sweeps.
-* :mod:`repro.traffic` — workload generators and spatial patterns.
+* :mod:`repro.traffic` — spatial patterns and recorded traffic traces.
 * :mod:`repro.baselines` — comparison routers (FIFO, priority
   forwarding, virtual-channel priorities, software EDF cost model).
 * :mod:`repro.extensions` — the paper's future-work directions

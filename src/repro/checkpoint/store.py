@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 #: On-disk format version; bump on incompatible layout changes.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 class CheckpointError(ValueError):

@@ -9,7 +9,7 @@ measurements the evaluation section reports.
 from repro.network.engine import SynchronousEngine
 from repro.network.loopback import LoopbackHarness
 from repro.network.network import MeshNetwork, build_mesh_network
-from repro.network.node import HostNode, Send
+from repro.network.node import HostNode
 from repro.network.single_link import LinkConnection, SingleLinkHarness
 from repro.network.stats import (
     DeliveryLog,
@@ -28,7 +28,6 @@ __all__ = [
     "LoopbackHarness",
     "Mesh",
     "MeshNetwork",
-    "Send",
     "ServiceTrace",
     "SingleLinkHarness",
     "SynchronousEngine",

@@ -6,7 +6,7 @@ through the synchronous engine (one-cycle link latency), runs a
 :class:`~repro.channels.manager.ChannelManager` as the protocol
 software, and exposes the operations the examples and experiments use:
 establish channels, send messages on them, fire best-effort packets,
-attach traffic sources, run, and inspect statistics.
+run, and inspect statistics.
 """
 
 from __future__ import annotations
@@ -529,11 +529,14 @@ class MeshNetwork:
         return self.run(ticks * self.params.slot_cycles)
 
     def drain(self, max_cycles: int = 1_000_000) -> int:
-        """Run until every router is idle (all traffic delivered)."""
+        """Run until every router is idle and no host holds a message
+        back (all traffic delivered)."""
         # Quiescent implies idle, and is remembered by the router.
         return self.engine.run_until(
             lambda: all(r.quiescent or r.idle
-                        for r in self.routers.values()),
+                        for r in self.routers.values())
+            and all(h.next_event_cycle(self.cycle) is None
+                    for h in self.hosts.values()),
             max_cycles=max_cycles,
         )
 
@@ -559,8 +562,8 @@ class MeshNetwork:
     def teardown_channel(self, channel: RealTimeChannel) -> None:
         self.manager.teardown(channel)
 
-    def send_message(self, channel: RealTimeChannel, payload: bytes = b"",
-                     at_cycle: Optional[int] = None) -> int:
+    def send_message(self, channel: RealTimeChannel,
+                     payload: bytes = b"") -> int:
         """Send one message on a channel; returns its logical arrival.
 
         The message is stamped at the current tick, fragmented into
@@ -571,10 +574,10 @@ class MeshNetwork:
         (unguaranteed) wormhole delivery.
         """
         current = self.manager.find(channel.label) or channel
-        cycle = self.cycle if at_cycle is None else at_cycle
+        cycle = self.cycle
         now_tick = cycle // self.params.slot_cycles
         if current.degraded:
-            return self._send_degraded(current, payload, cycle, now_tick)
+            return self._send_degraded(current, payload, now_tick)
         packets, arrival, release = current.make_message(payload, now_tick)
         self.hosts[current.source].queue_tc(packets, release)
         if self.tracer is not None:
@@ -590,7 +593,7 @@ class MeshNetwork:
         return arrival
 
     def _send_degraded(self, channel: RealTimeChannel, payload: bytes,
-                       cycle: int, now_tick: int) -> int:
+                       now_tick: int) -> int:
         """Best-effort fallback delivery for a degraded channel.
 
         The message keeps its label and a monotone sequence number so
@@ -608,7 +611,6 @@ class MeshNetwork:
             try:
                 self.send_best_effort(
                     channel.source, destination, payload,
-                    at_cycle=cycle,
                     avoid=self.routing_avoid,
                     connection_label=channel.label,
                     sequence=sequence,
@@ -625,9 +627,7 @@ class MeshNetwork:
     # ------------------------------------------------------------------
 
     def send_best_effort(self, source: Node, destination: Node,
-                         payload: bytes = b"",
-                         at_cycle: Optional[int] = None,
-                         *,
+                         payload: bytes = b"", *,
                          avoid: Optional[set[tuple[Node, int]]] = None,
                          relay: Optional[list[Node]] = None,
                          connection_label: Optional[str] = None,
@@ -660,14 +660,13 @@ class MeshNetwork:
                 relay_path=tuple(relay[1:]) if relay else (),
             ),
         )
-        cycle = self.cycle if at_cycle is None else at_cycle
-        packet.meta.injected_cycle = cycle
+        packet.meta.injected_cycle = self.cycle
         self.routers[source].inject_be(packet)
-        # The injection may come from outside the source router's own
-        # host step (a controller, a relay plan, another host's source).
+        # The injection comes from outside the source router's own host
+        # step (the application between runs, a controller, a relay plan).
         self.engine.wake(self.routers[source])
         if self.tracer is not None:
-            self.tracer.emit(cycle, ENQUEUE, meta=packet.meta,
+            self.tracer.emit(self.cycle, ENQUEUE, meta=packet.meta,
                              node=source, traffic_class="BE")
         for hook in self.be_send_hooks:
             hook(packet)
@@ -918,12 +917,8 @@ class MeshNetwork:
             self.snapshotter = None
 
     # ------------------------------------------------------------------
-    # Sources and instrumentation
+    # Instrumentation
     # ------------------------------------------------------------------
-
-    def attach_source(self, node: Node, source) -> None:
-        """Attach a traffic source (see repro.traffic) to a host."""
-        self.hosts[node].attach_source(source)
 
     def trace_service(self, node: Node, port: int) -> ServiceTrace:
         """Record cumulative per-connection service on one output port."""

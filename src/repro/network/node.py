@@ -3,39 +3,19 @@
 The host runs the application side of the system: it holds back
 time-constrained messages until their release ticks (the source
 regulator's rate-based flow control), feeds the router's two injection
-ports, drains the shared reception port into the delivery log, and
-polls any attached traffic sources.
+ports and drains the shared reception port into the delivery log.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.packet import BestEffortPacket, TimeConstrainedPacket
 from repro.core.router import RealTimeRouter
 from repro.network.stats import DeliveryLog
 from repro.observability.trace import DELIVER, RELEASE
-
-#: A traffic source: called once per cycle, returns send requests.
-SourceFn = Callable[[int], list["Send"]]
-
-
-@dataclass(frozen=True)
-class Send:
-    """One send request produced by a traffic source.
-
-    For time-constrained sends set ``channel`` (established handle) and
-    optionally ``payload``; for best-effort sends set ``destination``
-    and ``payload``.
-    """
-
-    traffic_class: str                      # "TC" or "BE"
-    channel: object = None
-    destination: Optional[tuple[int, int]] = None
-    payload: bytes = b""
 
 
 class HostNode:
@@ -49,22 +29,17 @@ class HostNode:
         self.slot_cycles = slot_cycles
         self._release_heap: list[tuple[int, int, TimeConstrainedPacket]] = []
         self._tiebreak = itertools.count()
-        self.sources: list[SourceFn] = []
-        self.network = None  # set by MeshNetwork for source sends
+        self.network = None  # set by MeshNetwork
         #: Packet-lifecycle tracer (set by MeshNetwork.enable_tracing);
         #: None keeps the hot path allocation-free.
         self.tracer = None
 
     def _wake(self, component) -> None:
         """Tell the scheduler ``component`` changed outside its step
-        (the three mutators below run between cycles and runs)."""
+        (the mutators below run between cycles and runs)."""
         engine = getattr(self.network, "engine", None)
         if engine is not None:
             engine.wake(component)
-
-    def attach_source(self, source: SourceFn) -> None:
-        self.sources.append(source)
-        self._wake(self)
 
     def queue_tc(self, packets: list[TimeConstrainedPacket],
                  release_tick: int) -> None:
@@ -84,42 +59,16 @@ class HostNode:
         self._wake(self.router)
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Event-scheduler contract (see ``docs/performance.md``).
-
-        The host's self-scheduled work is the release heap and its
-        traffic sources.  Sources advertise their next firing through
-        ``next_fire_cycle``; a source without that method (or one that
-        must observe every cycle, like a per-cycle random process)
-        keeps the host stepping every cycle, which preserves exact
-        legacy behaviour.
-        """
+        """Event-scheduler contract (see ``docs/performance.md``): an
+        undrained delivery is due now, else the release heap's head."""
         if self.router.delivered:
             return cycle  # reception port waiting to be drained
-        bound: Optional[int] = None
-        for source in self.sources:
-            probe = getattr(source, "next_fire_cycle", None)
-            if probe is None:
-                return cycle  # legacy source: poll every cycle
-            nxt = probe(cycle)
-            if nxt is None:
-                continue  # exhausted: never fires again
-            if nxt <= cycle:
-                return cycle
-            if bound is None or nxt < bound:
-                bound = nxt
         if self._release_heap:
-            head = self._release_heap[0][0]
-            if head <= cycle:
-                return cycle
-            if bound is None or head < bound:
-                bound = head
-        return bound
+            return max(cycle, self._release_heap[0][0])
+        return None
 
     def step(self, cycle: int) -> None:
-        """Run the host for one cycle (sources, releases, deliveries)."""
-        for source in self.sources:
-            for send in source(cycle):
-                self._dispatch(send, cycle)
+        """Run the host for one cycle (releases, deliveries)."""
         while self._release_heap and self._release_heap[0][0] <= cycle:
             __, __, packet = heapq.heappop(self._release_heap)
             packet.meta.injected_cycle = cycle
@@ -173,7 +122,7 @@ class HostNode:
     # -- checkpointing (see docs/checkpointing.md) ------------------------
 
     def state(self, ctx) -> dict:
-        """Host state: the release heap, tiebreak counter and sources."""
+        """Host state: the release heap and the tiebreak counter."""
         value = next(self._tiebreak)
         self._tiebreak = itertools.count(value)
         return {
@@ -182,39 +131,13 @@ class HostNode:
                 for release_cycle, tiebreak, packet in self._release_heap
             ],
             "tiebreak": value,
-            "sources": [
-                source.state() if hasattr(source, "state") else None
-                for source in self.sources
-            ],
         }
 
     def load_state(self, state: dict, ctx) -> None:
-        """Overlay host state; sources must be re-attached in the same
-        order as the checkpointed run before calling this."""
+        """Overlay host state."""
         # The saved list is already a valid heap (saved in heap order).
         self._release_heap = [
             (release_cycle, tiebreak, ctx.load_tc_packet(packet))
             for release_cycle, tiebreak, packet in state["release_heap"]
         ]
         self._tiebreak = itertools.count(int(state["tiebreak"]))
-        if len(state["sources"]) != len(self.sources):
-            raise ValueError(
-                f"host {self.node}: checkpoint has "
-                f"{len(state['sources'])} sources, run has "
-                f"{len(self.sources)}"
-            )
-        for source, source_state in zip(self.sources, state["sources"]):
-            if source_state is not None:
-                source.load_state(source_state)
-
-    def _dispatch(self, send: Send, cycle: int) -> None:
-        if self.network is None:
-            raise RuntimeError("host is not attached to a network")
-        if send.traffic_class == "TC":
-            self.network.send_message(send.channel, send.payload,
-                                      at_cycle=cycle)
-        elif send.traffic_class == "BE":
-            self.network.send_best_effort(self.node, send.destination,
-                                          send.payload, at_cycle=cycle)
-        else:
-            raise ValueError(f"unknown traffic class {send.traffic_class!r}")

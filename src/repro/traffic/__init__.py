@@ -1,12 +1,5 @@
-"""Workload generators and spatial traffic patterns."""
+"""Spatial traffic patterns and recorded traffic traces."""
 
-from repro.traffic.generators import (
-    BackloggedBestEffortSource,
-    BackloggedSource,
-    BurstySource,
-    PeriodicSource,
-    PoissonBestEffortSource,
-)
 from repro.traffic.patterns import (
     all_pairs,
     bit_complement,
@@ -23,12 +16,7 @@ from repro.traffic.trace import (
 )
 
 __all__ = [
-    "BackloggedBestEffortSource",
-    "BackloggedSource",
-    "BurstySource",
     "ChannelDef",
-    "PeriodicSource",
-    "PoissonBestEffortSource",
     "TraceEvent",
     "TrafficTrace",
     "all_pairs",

@@ -68,21 +68,29 @@ def middle_checkpoint(store, target):
 def build_idle():
     from repro.channels.spec import TrafficSpec
     from repro.network.network import MeshNetwork
-    from repro.traffic.generators import PeriodicSource
 
     net = MeshNetwork(8, 8)
-    slot = net.params.slot_cycles
     endpoints = [((0, 0), (7, 7)), ((7, 0), (0, 7)),
                  ((0, 7), (7, 0)), ((7, 7), (0, 0))]
-    for index, (source, destination) in enumerate(endpoints):
-        channel = net.establish_channel(
-            source, destination, TrafficSpec(i_min=256), deadline=45,
-            label=f"idle{index}",
-        )
-        net.attach_source(source, PeriodicSource(channel, period=256,
-                                                 slot_cycles=slot))
+    channels = [
+        net.establish_channel(source, destination, TrafficSpec(i_min=256),
+                              deadline=45, label=f"idle{index}")
+        for index, (source, destination) in enumerate(endpoints)]
     net.enable_tracing()
-    return net
+    return net, channels
+
+
+def run_idle_to(net, channels, target):
+    """Run to cycle ``target``, every channel sending once per 256
+    ticks.  The schedule is a function of the cycle alone, so a resumed
+    run continues it from ``net.cycle``."""
+    period = 256 * net.params.slot_cycles
+    while net.cycle < target:
+        if net.cycle % period == 0:
+            for channel in channels:
+                net.send_message(channel)
+        net.run(min(target, (net.cycle // period + 1) * period)
+                - net.cycle)
 
 
 def idle_store(ckpt_dir):
@@ -106,13 +114,13 @@ def run_idle(mode, ckpt_dir, out_dir, interval):
     from repro.checkpoint import LoadContext
 
     store = idle_store(ckpt_dir)
-    net = build_idle()
+    net, channels = build_idle()
     if mode == "reference":
-        net.run(IDLE_CYCLES)
+        run_idle_to(net, channels, IDLE_CYCLES)
     elif mode == "checkpoint":
         while net.cycle < IDLE_CYCLES:
             boundary = (net.cycle // interval + 1) * interval
-            net.run(min(IDLE_CYCLES, boundary) - net.cycle)
+            run_idle_to(net, channels, min(IDLE_CYCLES, boundary))
             if net.cycle % interval == 0:
                 store.save(net.cycle, idle_state(net))
     else:
@@ -120,7 +128,7 @@ def run_idle(mode, ckpt_dir, out_dir, interval):
         state = document["state"]
         net.load_state(state["network"], LoadContext(state["metas"]))
         assert net.cycle == document["cycle"]
-        net.run(IDLE_CYCLES - net.cycle)
+        run_idle_to(net, channels, IDLE_CYCLES)
     assert net.engine.cycles_fast_forwarded > 0
     dump(net, out_dir)
 

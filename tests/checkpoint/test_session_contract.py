@@ -159,6 +159,19 @@ class TestDocumentSchema:
         assert done["phase"] == "done"
         json.dumps(done)  # plain JSON all the way down
 
+    def test_a_host_document_is_its_release_heap(self, case, tmp_path):
+        # Traffic enters through send_message / send_best_effort only,
+        # so a host document holds the messages the regulator holds
+        # back and nothing else.
+        store = store_for(case, tmp_path / "ckpts")
+        case.cls.open(*case.spec,
+                      execution=checkpointing(case, store.directory)).run()
+        hosts = [host for path in checkpoints(store)
+                 for host in store.load(path)["state"]["network"]["hosts"]]
+        assert hosts
+        assert all(set(host) == {"release_heap", "tiebreak"}
+                   for host in hosts)
+
 
 class TestOpen:
     def test_fresh_on_an_empty_store(self, case, tmp_path):

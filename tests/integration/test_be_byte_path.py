@@ -29,8 +29,8 @@ from repro.faults import FaultInjector
 from repro.faults.injector import BitFlipCorruptor, PacketDropCorruptor
 from repro.faults.plan import CUT, REPAIR, FaultEvent, FaultPlan
 from repro.network.network import MeshNetwork
-from repro.traffic.generators import PeriodicSource
 from tests.oracle import assert_oracle_ran
+from tests.sends import Traffic, periodic
 
 FIXTURE = (pathlib.Path(__file__).parent / "fixtures"
            / "parent_be_checkpoints.json")
@@ -60,7 +60,7 @@ def payload(seed, length):
     return bytes((seed * 37 + i * 11) & 0xFF for i in range(length))
 
 
-# -- scenarios: build(engine) -> net, with everything queued --------------
+# -- scenarios: build(engine) -> Traffic, the network and its sends --------
 
 def contended_output(engine):
     """Four worms want (1, 1)'s EAST output at once: two through its
@@ -70,7 +70,7 @@ def contended_output(engine):
     net.send_best_effort((1, 1), (2, 1), payload(2, 70))
     net.send_best_effort((0, 1), (2, 2), payload(3, 40))
     net.send_best_effort((1, 1), (2, 0), payload(4, 25))
-    return net
+    return Traffic(net)
 
 
 def stalled_on_credits(engine):
@@ -82,7 +82,7 @@ def stalled_on_credits(engine):
         for x in range(4):
             net.send_best_effort((x, 0), (4, 0),
                                  payload(10 * round_ + x, 60 + 8 * x))
-    return net
+    return Traffic(net)
 
 
 def tail_and_head_share_a_buffer(engine):
@@ -92,7 +92,7 @@ def tail_and_head_share_a_buffer(engine):
     net.send_best_effort((1, 0), (2, 0), payload(5, 120))
     for index in range(4):
         net.send_best_effort((0, 0), (2, 0), payload(6 + index, 2))
-    return net
+    return Traffic(net)
 
 
 def west_first(engine):
@@ -105,7 +105,7 @@ def west_first(engine):
             ((0, 0), (1, 2)), ((1, 1), (2, 2))]):
         net.send_best_effort(source, destination,
                              payload(20 + index, 30 + 9 * index))
-    return net
+    return Traffic(net)
 
 
 def tc_preempts_be(engine):
@@ -115,16 +115,13 @@ def tc_preempts_be(engine):
     slot = net.params.slot_cycles
     channel = net.establish_channel((0, 0), (2, 0), TrafficSpec(i_min=4),
                                     deadline=12, label="be-path-tc")
-    net.attach_source((0, 0), PeriodicSource(channel, period=4, count=24,
-                                             slot_cycles=slot))
     cross = net.establish_channel((1, 1), (2, 0), TrafficSpec(i_min=6),
                                   deadline=18, label="be-path-cross")
-    net.attach_source((1, 1), PeriodicSource(cross, period=6, count=16,
-                                             slot_cycles=slot))
     for index in range(5):
         net.send_best_effort((0, 0), (2, 0), payload(30 + index, 100))
         net.send_best_effort((1, 0), (2, 1), payload(40 + index, 45))
-    return net
+    return Traffic(net, periodic(channel, 4, slot=slot, count=24),
+                   periodic(cross, 6, slot=slot, count=16))
 
 
 def mangled_and_dropped(engine):
@@ -137,7 +134,7 @@ def mangled_and_dropped(engine):
     for index in range(3):
         net.send_best_effort((0, 0), (2, 0), payload(50 + index, 33))
         net.send_best_effort((0, 1), (2, 1), payload(60 + index, 21))
-    return net
+    return Traffic(net)
 
 
 def flap_mid_worm(engine):
@@ -153,7 +150,7 @@ def flap_mid_worm(engine):
     for index in range(3):
         net.send_best_effort((0, 0), (2, 0), payload(70 + index, 110))
     net.send_best_effort((2, 0), (0, 0), payload(80, 60))
-    return net
+    return Traffic(net)
 
 
 SCENARIOS = {
@@ -170,10 +167,11 @@ SCENARIOS = {
 def run_watched(build, engine, cycles, watch):
     """Run in spans of seven cycles; ``watch(net)`` is evaluated at
     every span boundary and its truthy answers are counted."""
-    net = build(engine)
+    traffic = build(engine)
+    net = traffic.net
     seen = 0
     while net.cycle < cycles:
-        net.run(min(7, cycles - net.cycle))
+        traffic.run(min(7, cycles - net.cycle))
         seen += bool(watch(net))
     return net, seen
 
@@ -222,7 +220,7 @@ class TestAgainstTheOracle:
         assert all(router.idle for router in event.routers.values())
 
     def test_contention_serialises_the_worms(self):
-        net = contended_output("event")
+        net = contended_output("event").net
         net.run(900)
         assert net.log.be_delivered == 4
         east = net.routers[(1, 1)].output_service(EAST)
@@ -230,7 +228,7 @@ class TestAgainstTheOracle:
         assert net.routers[(1, 1)].be_worms_routed == 4
 
     def test_every_stalled_worm_arrives_whole(self):
-        net = stalled_on_credits("event")
+        net = stalled_on_credits("event").net
         net.run(1_600)
         assert net.log.be_delivered == 8
         assert all(router.output_credit_debt(port) == 0
@@ -238,15 +236,16 @@ class TestAgainstTheOracle:
                    for port in range(MESH_LINKS))
 
     def test_preemption_interleaves_both_classes(self):
-        net = tc_preempts_be("event")
-        net.run(2_400)
+        traffic = tc_preempts_be("event")
+        traffic.run(2_400)
+        net = traffic.net
         tc_bytes, be_bytes = net.routers[(0, 0)].output_service(EAST)
         assert (tc_bytes, be_bytes) == (24 * 20, 5 * 104)
         assert net.log.be_delivered == 10
         assert net.log.deadline_misses == 0
 
     def test_corruption_and_loss_are_counted_once_each(self):
-        net = mangled_and_dropped("event")
+        net = mangled_and_dropped("event").net
         net.run(900)
         faults = net.fault_counters()
         assert (faults.be_corrupted, faults.link_bytes_corrupted,
@@ -257,7 +256,7 @@ class TestAgainstTheOracle:
                    for port in range(MESH_LINKS))
 
     def test_flap_leaves_orphans_and_a_live_link(self):
-        net = flap_mid_worm("event")
+        net = flap_mid_worm("event").net
         net.run(1_500)
         faults = net.fault_counters()
         assert faults.be_orphan_drops > 0 and faults.link_bytes_lost > 0
@@ -274,11 +273,12 @@ CHECKPOINT_EVERY, CHECKPOINT_END, RESUME_AT = 50, 1_000, 300
 def build_checkpointed(engine="event"):
     """Mixed traffic on a 3x2 mesh: worms contend, stall and are
     preempted while documents are taken every 50 cycles."""
-    net = tc_preempts_be(engine)
+    traffic = tc_preempts_be(engine)
+    net = traffic.net
     net.send_best_effort((2, 1), (0, 0), payload(90, 64))
     net.send_best_effort((0, 1), (2, 0), payload(91, 7))
     net.send_best_effort((0, 1), (2, 0), payload(92, 3))
-    return net
+    return traffic
 
 
 def save(net):
@@ -296,10 +296,11 @@ def router_hashes(state):
 
 def checkpointed_run(engine="event"):
     """(documents by cycle, final records) of the checkpointed run."""
-    net = build_checkpointed(engine)
+    traffic = build_checkpointed(engine)
+    net = traffic.net
     documents = {}
     while net.cycle < CHECKPOINT_END:
-        net.run(CHECKPOINT_EVERY)
+        traffic.run(CHECKPOINT_EVERY)
         documents[net.cycle] = save(net)
     return documents, records(net)
 
@@ -357,11 +358,12 @@ class TestAgainstTheParent:
         assert any(output["be_staging"] and output["bound_input"] is not None
                    for router in state["network"]["routers"]
                    for output in router["outputs"]), "taken mid-worm"
-        net = build_checkpointed(engine)
+        traffic = build_checkpointed(engine)
+        net = traffic.net
         net.load_state(state["network"], LoadContext(state["metas"]))
         assert net.cycle == RESUME_AT
         while net.cycle < CHECKPOINT_END:
-            net.run(CHECKPOINT_EVERY)
+            traffic.run(CHECKPOINT_EVERY)
             # The oracle steps routers the scheduler leaves alone, so
             # only the scheduler's documents are the parent's bytes.
             assert (engine == "exact" or router_hashes(save(net))

@@ -18,12 +18,8 @@ from repro import TrafficSpec
 from repro.checkpoint.codec import LoadContext, SaveContext
 from repro.core.params import OUTPUT_PORTS
 from repro.network.network import MeshNetwork
-from repro.traffic.generators import (
-    BurstySource,
-    PeriodicSource,
-    PoissonBestEffortSource,
-)
 from tests.oracle import assert_oracle_ran, assert_scheduler_skipped
+from tests.sends import Traffic, bursty, periodic, poisson
 
 FIXTURE = (pathlib.Path(__file__).parent / "fixtures"
            / "parent_checkpoint.json")
@@ -31,25 +27,22 @@ FIXTURE = (pathlib.Path(__file__).parent / "fixtures"
 
 def build(engine="event", *, never_dormant=False, trace=False):
     """A 4x4 mesh whose channels have slack to spare, so every hop
-    after the first holds each packet in Queue 3 for a while."""
+    after the first holds each packet in Queue 3 for a while.  Returns
+    the network's :class:`Traffic`."""
     net = MeshNetwork(4, 4, engine=engine)
     slot = net.params.slot_cycles
     c0 = net.establish_channel((0, 0), (3, 2), TrafficSpec(i_min=24),
                                deadline=60, label="wait-c0")
-    net.attach_source((0, 0), PeriodicSource(c0, period=24,
-                                             slot_cycles=slot))
     c1 = net.establish_channel((3, 3), (0, 1), TrafficSpec(i_min=40),
                                deadline=80, label="wait-c1")
-    net.attach_source((3, 3), BurstySource(c1, period=40, burst=2,
-                                           slot_cycles=slot))
-    net.attach_source((1, 2), PoissonBestEffortSource(
-        destinations=[(3, 0), (0, 3)], rate=0.004, seed=9))
     if never_dormant:
         for router in net.routers.values():
             router._dormancy_deadline = lambda: 0
     if trace:
         net.enable_tracing(capacity=1 << 17)
-    return net
+    return Traffic(net, periodic(c0, 24, slot=slot),
+                   bursty(c1, 40, slot=slot, burst=2),
+                   poisson((1, 2), [(3, 0), (0, 3)], 0.004, seed=9))
 
 
 def records(net):
@@ -88,11 +81,11 @@ CYCLES = 6_000
 
 class TestTracedRuns:
     def test_one_trace_under_every_way_of_waiting(self):
-        oracle = build("exact", trace=True)
-        event = build("event", trace=True)
-        awake = build("event", never_dormant=True, trace=True)
-        for net in (oracle, event, awake):
-            net.run(CYCLES)
+        runs = [build("exact", trace=True), build("event", trace=True),
+                build("event", never_dormant=True, trace=True)]
+        for traffic in runs:
+            traffic.run(CYCLES)
+        oracle, event, awake = (traffic.net for traffic in runs)
         assert_oracle_ran(oracle.engine)
         assert_scheduler_skipped(event.engine)
         assert records(oracle) == records(event) == records(awake)
@@ -133,11 +126,12 @@ class TestTracedRuns:
         # A dormant router's tree.evaluations and bus.total_cycles
         # stand still until it works again; `lagging` is what a reader
         # in between adds, and the metrics snapshot does.
-        event, awake = build(), build(never_dormant=True)
+        runs = [build(), build(never_dormant=True)]
+        event, awake = (traffic.net for traffic in runs)
         seen_lagging = 0
         for stop in range(500, CYCLES, 500):
-            for net in (event, awake):
-                net.run(stop - net.cycle)
+            for traffic in runs:
+                traffic.run_to(stop)
             seen_lagging += bool(lagging(event))
             for node, router in event.routers.items():
                 tournaments, cycles = router.lagging(event.cycle)
@@ -154,8 +148,9 @@ class TestTracedRuns:
         assert seen_lagging >= 3
 
     def test_a_deferral_is_traced_once(self):
-        net = build(trace=True)
-        net.run(CYCLES)
+        traffic = build(trace=True)
+        traffic.run(CYCLES)
+        net = traffic.net
         deferrals = [event for event in net.tracer.events()
                      if event["event"] == "horizon_defer"]
         assert len(deferrals) > 50
@@ -169,9 +164,10 @@ class TestTracedRuns:
         assert tournaments > 10 * len(deferrals)
 
     def test_tracing_does_not_change_the_schedule(self):
-        traced, plain = build(trace=True), build()
-        traced.run(CYCLES)
-        plain.run(CYCLES)
+        runs = [build(trace=True), build()]
+        for traffic in runs:
+            traffic.run(CYCLES)
+        traced, plain = (traffic.net for traffic in runs)
         assert records(traced) == records(plain)
         assert (traced.engine.cycles_stepped
                 == plain.engine.cycles_stepped)
@@ -195,15 +191,17 @@ class TestCheckpointInsideAWait:
         ("event", "event"), ("event", "exact"),
         ("exact", "exact"), ("exact", "event")])
     def test_resume_equals_the_uninterrupted_run(self, writer, reader):
-        reference = build(reader, trace=True)
-        reference.run(CYCLES)
+        uninterrupted = build(reader, trace=True)
+        uninterrupted.run(CYCLES)
+        reference = uninterrupted.net
 
-        first = build(writer, trace=True)
+        writing = build(writer, trace=True)
+        first = writing.net
         # A cadence of 700 cycles: some checkpoint must land while a
         # router is dormant, and the run resumes from each of them.
         inside_a_wait = 0
         for stop in range(700, CYCLES, 700):
-            first.run(stop - first.cycle)
+            writing.run_to(stop)
             state = save(first)
             if not lagging(first):
                 continue
@@ -211,11 +209,12 @@ class TestCheckpointInsideAWait:
             assert any(
                 router["pipeline_lag"] is not None
                 for router in state["network"]["routers"])
-            resumed = build(reader, trace=True)
+            resuming = build(reader, trace=True)
+            resumed = resuming.net
             resumed.load_state(state["network"],
                                LoadContext(state["metas"]))
             assert lagging(resumed) == lagging(first)
-            resumed.run(CYCLES - resumed.cycle)
+            resuming.run_to(CYCLES)
             assert records(resumed) == records(reference), stop
             assert events(resumed) == events(reference), stop
             assert resumed.engine.audit_schedule() == []
@@ -233,11 +232,8 @@ def build_fixture_network(engine="event"):
     slot = net.params.slot_cycles
     channel = net.establish_channel((0, 0), (2, 1), TrafficSpec(i_min=16),
                                     deadline=48, label="old-c0")
-    net.attach_source((0, 0), PeriodicSource(channel, period=16,
-                                             slot_cycles=slot))
-    net.attach_source((2, 0), PoissonBestEffortSource(
-        destinations=[(0, 1)], rate=0.003, seed=4))
-    return net
+    return Traffic(net, periodic(channel, 16, slot=slot),
+                   poisson((2, 0), [(0, 1)], 0.003, seed=4))
 
 
 #: Where the fixture was taken and where its run ended.
@@ -252,10 +248,11 @@ def write_fixture(path=FIXTURE):
             tests.integration.test_dormant_network import write_fixture; \\
             write_fixture()"
     """
-    net = build_fixture_network()
-    net.run(FIXTURE_CYCLE)
+    traffic = build_fixture_network()
+    net = traffic.net
+    traffic.run_to(FIXTURE_CYCLE)
     state = save(net)
-    net.run(FIXTURE_END - net.cycle)
+    traffic.run_to(FIXTURE_END)
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(
         {"state": state, "records": records(net),
@@ -274,12 +271,14 @@ class TestParentWrittenCheckpoint:
         # Written before the field existed, with packets held early.
         assert all("pipeline_lag" not in router for router in routers)
         assert any(router["leaves"]["leaves"] for router in routers)
-        net = build_fixture_network(engine)
+        traffic = build_fixture_network(engine)
+        net = traffic.net
         net.load_state(state["network"], LoadContext(state["metas"]))
         assert net.cycle == FIXTURE_CYCLE
-        net.run(1)
+        # The sends due from here on are pushed after the restore.
+        traffic.run(1)
         assert lagging(net), "the checkpoint was taken inside a wait"
-        net.run(FIXTURE_END - net.cycle)
+        traffic.run_to(FIXTURE_END)
         assert ([list(map(_listed, record)) for record in records(net)]
                 == fixture["records"])
         # The model's own counters too, wherever nothing lags at the end.

@@ -30,12 +30,8 @@ from repro.faults import ChaosConfig, FaultInjector, install_fault_tolerance
 from repro.faults.plan import CUT, REPAIR, FaultEvent, FaultPlan
 from repro.network.network import MeshNetwork
 from repro.service import ServiceRunConfig, ServiceSession
-from repro.traffic.generators import (
-    BurstySource,
-    PeriodicSource,
-    PoissonBestEffortSource,
-)
 from tests.oracle import assert_oracle_ran, assert_scheduler_skipped
+from tests.sends import Traffic, bursty, periodic, poisson
 
 #: Metrics probes that legitimately differ between modes.
 MODE_DEPENDENT_METRICS = ("engine.cycles_stepped",
@@ -69,26 +65,21 @@ def build_and_run(engine, *, cycles=12_000, trace=False,
 
     c0 = net.establish_channel((0, 0), (3, 3), TrafficSpec(i_min=64),
                                deadline=24, label="ev-c0")
-    net.attach_source((0, 0), PeriodicSource(c0, period=64,
-                                             slot_cycles=slot))
     c1 = net.establish_channel((3, 0), (0, 3), TrafficSpec(i_min=96),
                                deadline=24, label="ev-c1")
-    net.attach_source((3, 0), BurstySource(c1, period=96, burst=2,
-                                           slot_cycles=slot))
+    traffic = Traffic(net, periodic(c0, 64, slot=slot),
+                      bursty(c1, 96, slot=slot, burst=2))
     if idle_heavy:
         c2 = net.establish_channel((0, 3), (3, 0), TrafficSpec(i_min=80),
                                    deadline=24, label="ev-c2")
-        net.attach_source((0, 3), PeriodicSource(
-            c2, period=80, start_tick=7, payload=b"\x5a" * 4,
-            slot_cycles=slot))
+        traffic.add(periodic(c2, 80, slot=slot, start_tick=7,
+                             payload=b"\x5a" * 4))
     # The load: a high-rate Poisson stream keeps part of the mesh busy
     # on most cycles while the scheduler still skips the idle corners.
-    # Idle-heavy, the same source fires rarely: it pre-draws its next
-    # arrival, so the scheduler skips the gaps while the emitted
-    # sequence stays draw-for-draw identical to per-cycle polling.
-    net.attach_source((1, 1), PoissonBestEffortSource(
-        destinations=[(2, 2), (3, 1)],
-        rate=0.002 if idle_heavy else 0.02, seed=99))
+    # Idle-heavy, the same stream sends rarely and the scheduler skips
+    # the gaps between its sends.
+    traffic.add(poisson((1, 1), [(2, 2), (3, 1)],
+                        0.002 if idle_heavy else 0.02, seed=99))
 
     if trace:
         net.enable_tracing(capacity=1 << 16)
@@ -105,7 +96,7 @@ def build_and_run(engine, *, cycles=12_000, trace=False,
     injector = FaultInjector(net, FaultPlan(events=events))
     net.engine.add_component(injector)
 
-    net.run(cycles)
+    traffic.run(cycles)
     return net, tolerance, injector
 
 

@@ -26,12 +26,8 @@ from repro.core.ports import EAST, WEST
 from repro.faults import FaultInjector
 from repro.faults.plan import CUT, REPAIR, FaultEvent, FaultPlan
 from repro.network.network import MeshNetwork
-from repro.traffic.generators import (
-    BurstySource,
-    PeriodicSource,
-    PoissonBestEffortSource,
-)
 from tests.oracle import assert_oracle_ran
+from tests.sends import Traffic, bursty, periodic, poisson
 
 FIXTURE = (pathlib.Path(__file__).parent / "fixtures"
            / "parent_mixed_checkpoints.json")
@@ -47,38 +43,35 @@ def build(engine="event"):
     ahead: a unicast channel along the bottom row (its middle link is
     cut while a packet is on it), a three-way multicast from the top
     left corner, a bursty channel through the skewed node, and seeded
-    best-effort datagrams from two hosts."""
+    best-effort datagrams from two hosts.  Returns the network and
+    its traffic, which the caller runs."""
     net = MeshNetwork(3, 3, engine=engine, cut_through=True,
                       clock_skews={SKEWED: 2})
     slot = net.params.slot_cycles
     row = net.establish_channel((0, 0), (2, 0), TrafficSpec(i_min=3),
                                 deadline=12, label="mix-row")
-    net.attach_source((0, 0), PeriodicSource(row, period=3, count=60,
-                                             slot_cycles=slot))
     fan = net.establish_channel((0, 2), [(2, 2), (1, 0), (2, 1)],
                                 TrafficSpec(i_min=6), deadline=30,
                                 label="mix-fan")
-    net.attach_source((0, 2), PeriodicSource(fan, period=6, count=30,
-                                             slot_cycles=slot))
     skew = net.establish_channel((0, 1), (2, 1), TrafficSpec(i_min=8),
                                  deadline=24, label="mix-skew")
-    net.attach_source((0, 1), BurstySource(skew, period=8, burst=2,
-                                           count=40, slot_cycles=slot))
     # A horizon on every link lets early packets leave ahead of time —
     # which is when an idle output lets an arriving one cut through.
     for router in net.routers.values():
         router.control.write_horizon(
             port_mask(*range(OUTPUT_PORTS)), 4)
-    net.attach_source((0, 0), PoissonBestEffortSource(
-        destinations=[(2, 0), (2, 2)], rate=0.01, seed=23))
-    net.attach_source((2, 1), PoissonBestEffortSource(
-        destinations=[(0, 0), (0, 2)], rate=0.008, seed=24))
     net.engine.add_component(FaultInjector(net, FaultPlan(events=[
         FaultEvent(cycle=CUT_AT, kind=CUT, node=(1, 0), direction=EAST),
         FaultEvent(cycle=REPAIR_AT, kind=REPAIR, node=(1, 0),
                    direction=EAST),
     ])))
-    return net
+    return net, Traffic(
+        net,
+        periodic(row, 3, slot=slot, count=60),
+        periodic(fan, 6, slot=slot, count=30),
+        bursty(skew, 8, slot=slot, burst=2, count=40),
+        poisson((0, 0), [(2, 0), (2, 2)], 0.01, seed=23),
+        poisson((2, 1), [(0, 0), (0, 2)], 0.008, seed=24))
 
 
 def records(net):
@@ -103,10 +96,10 @@ def router_hashes(state):
 
 def checkpointed_run(engine="event"):
     """(documents by cycle, final records) of the checkpointed run."""
-    net = build(engine)
+    net, traffic = build(engine)
     documents = {}
     while net.cycle < CHECKPOINT_END:
-        net.run(CHECKPOINT_EVERY)
+        traffic.run(CHECKPOINT_EVERY)
         documents[net.cycle] = save(net)
     return documents, records(net), net
 
@@ -198,11 +191,11 @@ class TestAgainstTheParent:
         assert any(output["be_staging"] for r in routers
                    for output in r["outputs"]), "and mid-worm"
         assert any(r["pipeline_lag"] is not None for r in routers)
-        net = build(engine)
+        net, traffic = build(engine)
         net.load_state(state["network"], LoadContext(state["metas"]))
         assert net.cycle == RESUME_AT
         while net.cycle < CHECKPOINT_END:
-            net.run(CHECKPOINT_EVERY)
+            traffic.run(CHECKPOINT_EVERY)
             assert (engine == "exact" or router_hashes(save(net))
                     == fixture["router_sha256"][str(net.cycle)])
         assert ([list(map(_listed, record)) for record in records(net)]

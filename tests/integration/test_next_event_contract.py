@@ -35,11 +35,7 @@ from repro.core.ports import EAST, NORTH
 from repro.faults import FaultInjector, install_fault_tolerance
 from repro.faults.plan import CUT, REPAIR, FaultEvent, FaultPlan
 from repro.network.network import MeshNetwork
-from repro.traffic.generators import (
-    BurstySource,
-    PeriodicSource,
-    PoissonBestEffortSource,
-)
+from tests.sends import Traffic, bursty, periodic, poisson
 
 import random as random_module
 
@@ -47,19 +43,16 @@ import random as random_module
 def _build(engine="event"):
     """A loaded 4x4 mesh with every component kind registered: hosts,
     routers, watchdog, recovery controller, fault injector and the
-    periodic snapshot emitter."""
+    periodic snapshot emitter; returns its :class:`Traffic` first."""
     net = MeshNetwork(4, 4, engine=engine)
     slot = net.params.slot_cycles
     c0 = net.establish_channel((0, 0), (3, 3), TrafficSpec(i_min=64),
                                deadline=24, label="contract-c0")
-    net.attach_source((0, 0), PeriodicSource(c0, period=64,
-                                             slot_cycles=slot))
     c1 = net.establish_channel((3, 0), (0, 3), TrafficSpec(i_min=96),
                                deadline=24, label="contract-c1")
-    net.attach_source((3, 0), BurstySource(c1, period=96, burst=2,
-                                           slot_cycles=slot))
-    net.attach_source((1, 1), PoissonBestEffortSource(
-        destinations=[(2, 2), (3, 1)], rate=0.01, seed=31))
+    traffic = Traffic(net, periodic(c0, 64, slot=slot),
+                      bursty(c1, 96, slot=slot, burst=2),
+                      poisson((1, 1), [(2, 2), (3, 1)], 0.01, seed=31))
     tolerance = install_fault_tolerance(net)
     plan = FaultPlan(events=[
         FaultEvent(cycle=300, kind=CUT, node=(1, 0), direction=EAST),
@@ -69,7 +62,7 @@ def _build(engine="event"):
     injector = FaultInjector(net, plan)
     net.engine.add_component(injector)
     net.enable_snapshots(400)
-    return net, tolerance, injector, [c0, c1]
+    return traffic, tolerance, injector, [c0, c1]
 
 
 def _snap(component):
@@ -142,9 +135,11 @@ def _audited_cycle(net):
     return audited
 
 
-def _audit_span(net, channels, cycles, rng):
-    """Audit ``cycles`` cycles, stirring in randomized traffic so the
-    claims are exercised against a genuinely loaded, shifting fabric."""
+def _audit_span(traffic, channels, cycles, rng):
+    """Audit ``cycles`` cycles, stirring randomized sends into the
+    scenario's own so the claims are exercised against a genuinely
+    loaded, shifting fabric."""
+    net = traffic.net
     audited = 0
     nodes = list(net.mesh.nodes())
     for _ in range(cycles):
@@ -153,11 +148,10 @@ def _audit_span(net, channels, cycles, rng):
         if roll < 0.02:
             source, destination = rng.sample(nodes, 2)
             net.send_best_effort(source, destination,
-                                 bytes([rng.randrange(256)]) * 8,
-                                 at_cycle=cycle)
+                                 bytes([rng.randrange(256)]) * 8)
         elif roll < 0.04:
-            net.send_message(rng.choice(channels), b"\xa5" * 4,
-                             at_cycle=cycle)
+            net.send_message(rng.choice(channels), b"\xa5" * 4)
+        traffic.send_due()
         _assert_remembered_quiescence(net.routers.values(),
                                       f"after the sends of cycle {cycle}")
         audited += _audited_cycle(net)
@@ -166,8 +160,9 @@ def _audit_span(net, channels, cycles, rng):
 
 class TestNextEventContract:
     def test_fresh_loaded_run(self):
-        net, _, injector, channels = _build()
-        audited = _audit_span(net, channels, 1_200,
+        traffic, _, injector, channels = _build()
+        net = traffic.net
+        audited = _audit_span(traffic, channels, 1_200,
                               random_module.Random(7))
         # The audit saw quiescence claims, real deliveries and the
         # planned cut/repair pair firing on their exact cycles.
@@ -178,20 +173,22 @@ class TestNextEventContract:
     def test_after_checkpoint_resume(self):
         # Stale memoised answers surviving a load_state overlay were
         # the historical failure mode; audit from the resume point.
-        net, _, _, channels = _build()
-        net.run(1_500)
+        traffic, _, _, _ = _build()
+        net = traffic.net
+        traffic.run(1_500)
         ctx = SaveContext()
         state = net.state(ctx)
         state = {"network": state, "metas": ctx.metas_state()}
         state = json.loads(json.dumps(state))  # a real round-trip
 
-        resumed, _, _, resumed_channels = _build()
+        resuming, _, _, resumed_channels = _build()
+        resumed = resuming.net
         resumed.load_state(state["network"],
                            LoadContext(state["metas"]))
         assert resumed.engine.cycle == 1_500
         _assert_remembered_quiescence(resumed.routers.values(),
                                       "after load_state")
-        audited = _audit_span(resumed, resumed_channels, 600,
+        audited = _audit_span(resuming, resumed_channels, 600,
                               random_module.Random(11))
         assert audited > 0
 
@@ -199,23 +196,25 @@ class TestNextEventContract:
         # remove_component must not leave neighbours answering for a
         # departed peer: detach the fault-tolerance pair and the
         # snapshot emitter mid-run, then keep auditing.
-        net, tolerance, _, channels = _build()
+        traffic, tolerance, _, channels = _build()
+        net = traffic.net
         rng = random_module.Random(13)
-        _audit_span(net, channels, 400, rng)
+        _audit_span(traffic, channels, 400, rng)
         tolerance.detach()
         net.disable_snapshots()
         _assert_remembered_quiescence(net.routers.values(),
                                       "after remove_component")
-        audited = _audit_span(net, channels, 500, rng)
+        audited = _audit_span(traffic, channels, 500, rng)
         assert audited > 0
         assert net.engine.cycle == 900
 
 
-def _enter(net, cycles):
-    """One audited run entry."""
+def _enter(net, cycles, traffic=None):
+    """One audited run entry (that pushes ``traffic``'s sends, if
+    given)."""
     stale = net.engine.audit_schedule()
     assert stale == [], f"cycle {net.cycle}: {stale}"
-    net.run(cycles)
+    (traffic or net).run(cycles)
 
 
 def _final(net):
@@ -248,7 +247,8 @@ class TestKeptSchedule:
         # The full stack, run as ~200 short spans; every public way of
         # touching the fabric is used between two of them at least once.
         def script(engine):
-            net, _, injector, channels = _build(engine)
+            traffic, _, injector, channels = _build(engine)
+            net = traffic.net
             rng = random_module.Random(17)
             nodes = list(net.mesh.nodes())
             alarm = None
@@ -263,8 +263,8 @@ class TestKeptSchedule:
                     net.send_message(rng.choice(channels), b"\xa5" * 4)
                 span += 1
                 if span == 5:
-                    net.attach_source((0, 3), PoissonBestEffortSource(
-                        destinations=[(2, 1)], rate=0.02, seed=5))
+                    traffic.add(poisson((0, 3), [(2, 1)], 0.02, seed=5,
+                                        start=net.cycle))
                 elif span == 10:
                     channels.append(net.establish_channel(
                         (0, 1), (3, 2), TrafficSpec(i_min=16), deadline=32,
@@ -282,7 +282,7 @@ class TestKeptSchedule:
                     net.repair_link((3, 1), NORTH)
                 elif span == 150:
                     net.teardown_channel(channels.pop())
-                _enter(net, rng.randrange(1, 25))
+                _enter(net, rng.randrange(1, 25), traffic)
             assert span > 150
             assert alarm.fired_at == alarm.when
             assert [event.cycle for event in injector.fired] == [
@@ -383,21 +383,6 @@ class TestKeptSchedule:
         # cycle 1,200 (or 800).
         assert net.log.records[0].delivered_cycle < 700
 
-    def test_source_attached_after_the_first_run_fires(self):
-        # The hole the run-entry rebuild used to hide: nothing woke the
-        # host, so with a kept queue the source never fired.
-        def run(engine):
-            net = MeshNetwork(3, 3, engine=engine)
-            net.run(10)
-            net.attach_source((0, 0), PoissonBestEffortSource(
-                destinations=[(2, 2)], rate=0.05, seed=3))
-            net.run(2_000)
-            return net
-
-        net, oracle = run("event"), run("exact")
-        assert net.log.be_delivered > 0
-        assert _final(net)[:2] == _final(oracle)[:2]
-
     def test_host_entry_points_wake_between_runs(self):
         from repro.core.packet import BestEffortPacket
 
@@ -417,19 +402,21 @@ class TestKeptSchedule:
     def test_restore_onto_a_network_that_already_ran(self):
         # load_state must throw the kept queue away: this engine's is
         # valid, and describes a different moment of a different run.
-        reference, _, _, _ = _build()
-        reference.run(1_500)
+        uninterrupted, _, _, _ = _build()
+        reference = uninterrupted.net
+        uninterrupted.run(1_500)
         ctx = SaveContext()
         state = {"network": reference.state(ctx),
                  "metas": ctx.metas_state()}
         state = json.loads(json.dumps(state))
-        reference.run(600)
+        uninterrupted.run(600)
 
-        resumed, _, _, _ = _build()
-        resumed.run(700)
+        resuming, _, _, _ = _build()
+        resumed = resuming.net
+        resuming.run(700)
         resumed.load_state(state["network"], LoadContext(state["metas"]))
         for _ in range(6):
-            _enter(resumed, 100)
+            _enter(resumed, 100, resuming)
         assert _final(resumed) == _final(reference)
 
     def test_deliveries_wake_their_hosts_under_best_effort_load(self):
@@ -534,28 +521,18 @@ class TestPerImplementationAnswers:
         net = MeshNetwork(2, 2)
         host = net.hosts[(0, 0)]
         slot = net.params.slot_cycles
-        # A fresh host with no sources and an empty release heap has
-        # no self-scheduled work at all.
+        # A fresh host with an empty release heap has no
+        # self-scheduled work at all.
         assert host.next_event_cycle(0) is None
         # A queued release claims its exact release cycle, then "now"
         # once due.
         channel = net.establish_channel((0, 0), (1, 1),
                                         TrafficSpec(i_min=16),
                                         deadline=64, label="nec-h0")
-        net.send_message(channel, at_cycle=0)
+        net.send_message(channel)
         claim = host.next_event_cycle(0)
         assert claim is not None and claim % slot == 0
         assert host.next_event_cycle(claim) == claim
-        # A source without next_fire_cycle keeps the host polling
-        # every cycle (the legacy exactness guarantee)...
-        legacy = net.hosts[(1, 0)]
-        legacy.attach_source(lambda cycle: [])
-        assert legacy.next_event_cycle(123) == 123
-        # ...while a schedule-aware source advertises its next firing.
-        aware = net.hosts[(0, 1)]
-        source = PeriodicSource(channel, period=64, slot_cycles=slot)
-        aware.attach_source(source)
-        assert aware.next_event_cycle(1) == source.next_fire_cycle(1)
 
     def test_router_quiescence(self):
         from repro.core.packet import BestEffortPacket, phits_of
@@ -640,10 +617,11 @@ class TestPerImplementationAnswers:
             check(f"after load_state (quiescent={expected})", expected)
 
     def test_recovery_controller_timer(self):
-        net, tolerance, _, channels = _build()
+        traffic, tolerance, _, _ = _build()
+        net = traffic.net
         controller = tolerance.controller
         # Nothing tracked: nothing scheduled.
         assert controller.next_event_cycle(net.cycle) is None
-        net.run(700)  # past the first cut: retransmit timers armed
+        traffic.run(700)  # past the first cut: retransmit timers armed
         claim = controller.next_event_cycle(net.cycle)
         assert claim is None or claim >= net.cycle

@@ -122,6 +122,19 @@ class TestTimeConstrainedMesh:
         assert net.log.tc_delivered == 5
         assert net.log.deadline_misses == 0
 
+    def test_drain_waits_for_messages_the_regulator_holds(self):
+        """All three messages of a burst sit in the source host's
+        release heap when ``drain`` starts, and every router is idle."""
+        net = build_mesh_network(3, 1)
+        channel = net.establish_channel((0, 0), (2, 0),
+                                        TrafficSpec(i_min=50, b_max=3),
+                                        deadline=80)
+        for _ in range(3):
+            net.send_message(channel)
+        assert net.drain() > 2 * 50 * net.params.slot_cycles
+        assert net.log.tc_delivered == 3
+        assert net.log.deadline_misses == 0
+
     def test_multicast_channel(self):
         net = build_mesh_network(3, 3)
         channel = net.establish_channel(

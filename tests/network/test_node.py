@@ -1,10 +1,8 @@
 """Tests for the host node (processor side of a mesh node)."""
 
-import pytest
-
 from repro.core import RealTimeRouter, RouterParams, TimeConstrainedPacket
 from repro.core.ports import RECEPTION, port_mask
-from repro.network.node import HostNode, Send
+from repro.network.node import HostNode
 from repro.network.stats import DeliveryLog
 
 
@@ -63,30 +61,3 @@ class TestDeliveryCollection:
             host.step(cycle)
         assert log.tc_delivered == 1
 
-
-class TestSourceDispatch:
-    def test_source_without_network_rejected(self):
-        host, __, __ = make_host()
-        host.attach_source(lambda cycle: [Send(traffic_class="TC",
-                                               channel=object())])
-        with pytest.raises(RuntimeError, match="not attached"):
-            host.step(0)
-
-    def test_unknown_class_rejected(self):
-        host, __, __ = make_host()
-        host.network = object.__new__(object)  # anything non-None
-
-        class _Net:
-            pass
-        host.network = _Net()
-        host.attach_source(lambda cycle: [Send(traffic_class="XX")])
-        with pytest.raises(ValueError, match="unknown traffic class"):
-            host.step(0)
-
-    def test_sources_polled_every_cycle(self):
-        host, __, __ = make_host()
-        calls = []
-        host.attach_source(lambda cycle: calls.append(cycle) or [])
-        for cycle in range(5):
-            host.step(cycle)
-        assert calls == [0, 1, 2, 3, 4]

@@ -18,6 +18,8 @@ EXAMPLES = [
     "examples/fault_recovery.py",
     "examples/qos_switch.py",
     "examples/adaptive_routing.py",
+    "examples/avionics_control.py",
+    "examples/factory_cell.py",
 ]
 
 
