@@ -15,32 +15,47 @@ Run:  python examples/capacity_planning.py
 
 import tempfile
 
-from repro.analysis import (
-    admissible_count,
-    hop_bounds,
-    horizon_buffer_tradeoff,
-    required_clock_bits,
+from repro.analysis import required_clock_bits
+from repro.channels import AdmissionController, AdmissionError, TrafficSpec
+from repro.channels.admission import (
+    FlowRequirements,
+    HopDescriptor,
+    buffer_bound,
 )
-from repro.channels import AdmissionController, TrafficSpec
-from repro.channels.admission import FlowRequirements, HopDescriptor
-from repro.model import SlotSimulator
+from repro.schedulability import (
+    ChannelDemand,
+    TopologySpec,
+    analyze,
+    slot_model,
+    worst_case_arrivals,
+)
 
 
 def main() -> None:
     spec = TrafficSpec(i_min=12, s_max=18)
 
-    # 1. How many such connections fit on one link?
+    # 1. How many such connections fit on one link?  Ask admission
+    #    control itself, one connection at a time, until it refuses.
     print("connections per link vs. local deadline (i_min = 12):")
     for deadline in (3, 6, 12):
-        count = admissible_count(spec, local_deadline=deadline)
+        controller = AdmissionController()
+        count = 0
+        try:
+            while True:
+                controller.admit([HopDescriptor("n0", 0)], spec,
+                                 FlowRequirements(deadline=deadline),
+                                 local_delays=[deadline])
+                count += 1
+        except AdmissionError:
+            pass
         print(f"  d = {deadline:>3} ticks -> {count} connections")
 
     # 2. Horizon vs. downstream buffer demand (the paper's trade-off).
     print("\nhorizon h vs. buffers at the downstream node "
           "(d_prev = d = 12):")
-    for h, buffers in horizon_buffer_tradeoff(spec, 12, 12,
-                                              horizons=[0, 6, 12, 24, 48]):
-        print(f"  h = {h:>3} -> {buffers} packet buffers per connection")
+    for h in (0, 6, 12, 24, 48):
+        print(f"  h = {h:>3} -> {buffer_bound(spec, h, 12, 12)} "
+              f"packet buffers per connection")
 
     # 3. Decompose a 4-hop deadline and inspect the hop windows.
     controller = AdmissionController()
@@ -48,28 +63,35 @@ def main() -> None:
     delays = controller.decompose_deadline(hops, spec,
                                            FlowRequirements(deadline=48))
     print(f"\nD = 48 over 4 hops -> d_j = {delays}")
-    for j, bound in enumerate(hop_bounds(spec, delays)):
-        print(f"  hop {j}: l offset {bound.logical_arrival_offset:>3}, "
-              f"deadline offset {bound.deadline_offset:>3}, "
-              f"buffers {bound.buffers}")
+    offset = 0
+    for j, delay in enumerate(delays):
+        upstream = delays[j - 1] if j else 0
+        print(f"  hop {j}: l offset {offset:>3}, "
+              f"deadline offset {offset + delay:>3}, "
+              f"buffers {buffer_bound(spec, 0, upstream, delay)}")
+        offset += delay
 
     # 4. What clock does the chip need for these parameters?
     bits = required_clock_bits(max(delays), max_horizon=12)
     print(f"\nrequired scheduler clock width: {bits} bits "
           f"(the chip has 8)")
 
-    # 5. Spot-check in the slot simulator: admit three such channels on
-    #    a shared link and confirm zero misses with a full backlog.
-    sim = SlotSimulator()
-    for k in range(3):
-        arrivals = [k + i * spec.i_min for i in range(50)]
-        sim.add_channel(f"ch{k}", ["shared", f"leg{k}"],
-                        [delays[0], delays[1]], arrivals)
-    sim.add_best_effort_backlog("shared")
+    # 5. Spot-check in the slot simulator: analyse three such channels
+    #    that share their first link, then run what was admitted with
+    #    every burst at tick 0 and a best-effort backlog on that link.
+    report = analyze(TopologySpec(2, 3), [
+        ChannelDemand(label=f"ch{k}", source=(0, 0),
+                      destinations=((1, k),), i_min=spec.i_min,
+                      deadline=48, s_max=spec.s_max)
+        for k in range(3)
+    ], adaptive=False)
+    shared = report.channels[0].hops[0]
+    sim = slot_model(report, worst_case_arrivals(report, 50 * spec.i_min))
+    sim.add_best_effort_backlog(shared)
     sim.run_until_drained(max_ticks=50_000)
     print(f"\nslot-sim check: {len(sim.delivered())} messages, "
           f"{sim.deadline_misses()} misses, shared-link utilisation "
-          f"{sim.link_utilisation('shared') * 100:.0f}%")
+          f"{sim.link_utilisation(shared) * 100:.0f}%")
     assert sim.deadline_misses() == 0
 
     # 6. Sweep the admitted-channel count in the cycle-accurate mesh —

@@ -1,18 +1,16 @@
-"""Analytical results of the real-time channel model (paper section 2, 4.3)."""
+"""Analytical results of the real-time channel model (paper section 2, 4.3).
 
-from repro.analysis.delay_bounds import (
-    HopBound,
-    end_to_end_bound,
-    hop_bounds,
-    horizon_buffer_tradeoff,
-    worst_case_backlog,
-)
+The per-hop buffer formula and the admission test live in
+:mod:`repro.channels.admission` (``buffer_bound``,
+``AdmissionController``); this package holds the min-plus curve algebra
+and the clock-rollover arithmetic.
+"""
+
 from repro.analysis.netcalc import (
     ArrivalCurve,
     ServiceCurve,
     TokenBucket,
     backlog_bound,
-    channel_backlog_bound,
     channel_delay_bound,
     delay_bound,
     residual_service,
@@ -24,34 +22,18 @@ from repro.analysis.rollover import (
     live_window,
     required_clock_bits,
 )
-from repro.analysis.utilization import (
-    UtilisationReport,
-    admissible_count,
-    summarise,
-    utilisation_of,
-)
 
 __all__ = [
     "ArrivalCurve",
-    "HopBound",
     "RolloverWindow",
     "ServiceCurve",
     "TokenBucket",
-    "UtilisationReport",
-    "admissible_count",
     "backlog_bound",
-    "channel_backlog_bound",
     "channel_delay_bound",
     "classify",
     "delay_bound",
-    "end_to_end_bound",
-    "hop_bounds",
-    "horizon_buffer_tradeoff",
     "is_safe",
     "live_window",
     "required_clock_bits",
     "residual_service",
-    "summarise",
-    "utilisation_of",
-    "worst_case_backlog",
 ]

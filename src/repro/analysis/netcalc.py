@@ -15,10 +15,10 @@ the operations the analysis needs:
   curves, worst-case backlog the maximum vertical deviation, and for
   these families both maxima occur at curve breakpoints.
 
-The module reproduces the real-time channel model's closed-form bounds
-(end-to-end delay ``sum(d_j)``, the buffer formula of section 2) and
-lets experiments ask sharper questions (multi-packet messages, bursts,
-residual service under reservation).
+The module reproduces the real-time channel model's end-to-end delay
+bound ``sum(d_j)`` and lets experiments ask sharper questions
+(multi-packet messages, bursts, residual service under reservation).
+The section 2 buffer formula is :func:`repro.channels.admission.buffer_bound`.
 """
 
 from __future__ import annotations
@@ -232,24 +232,3 @@ def channel_delay_bound(spec: TrafficSpec,
         ServiceCurve.pure_delay(d) for d in local_delays
     )
     return delay_bound(arrival, service)
-
-
-def channel_backlog_bound(spec: TrafficSpec, upstream_horizon: int,
-                          upstream_delay: int, local_delay: int) -> float:
-    """Buffer demand at a hop, from the calculus.
-
-    Packets may arrive up to ``h + d_prev`` ahead of their logical
-    arrival time; advancing a token bucket by ``s`` yields another
-    token bucket with burst ``A(s)``.  The vertical deviation against
-    the hop's pure-delay guarantee matches the paper's
-    ``ceil((h + d_prev + d) / i_min)`` messages (plus the burst term).
-    """
-    base = ArrivalCurve.from_spec(spec)
-    shift = upstream_horizon + upstream_delay
-    advanced = ArrivalCurve.token_bucket(
-        burst=base(shift) if shift > 0 else base.burst,
-        rate=base.long_term_rate,
-    )
-    # Deadline-side: packets may dwell until d after logical arrival.
-    service = ServiceCurve(rate=1.0, latency=float(local_delay))
-    return backlog_bound(advanced, service)

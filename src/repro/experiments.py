@@ -14,10 +14,14 @@ every consumer sees identical numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.baselines import DisciplineResult, WorkloadChannel, compare_disciplines
 from repro.channels.spec import TrafficSpec
+
+if TYPE_CHECKING:
+    from repro.core.packet import BestEffortPacket
+    from repro.network import MeshNetwork
 
 DEFAULT_SIZES = [8, 16, 32, 64, 128, 256]
 
@@ -42,16 +46,52 @@ class WormholeBaselineResult:
         return values.pop() if len(values) == 1 else None
 
 
+def send_loopback_worm(net: MeshNetwork, size_bytes: int) -> BestEffortPacket:
+    """Inject the paper's E1 test worm into a 1x1 torus.
+
+    A ``MeshNetwork(1, 1, torus=True)`` is one chip cabled to itself
+    (+x out feeds -x in, +y out feeds -y in).  The worm carries offsets
+    (1, 1): it leaves on +x, re-enters on -x, leaves on +y, re-enters
+    on -y and reaches the reception port — three router traversals.
+    ``size_bytes`` is the total length on the wire (header plus
+    payload), the paper's "b byte wormhole packet".
+    """
+    from repro.core.packet import BE_HEADER_BYTES, BestEffortPacket, PacketMeta
+
+    if size_bytes <= BE_HEADER_BYTES:
+        raise ValueError(
+            f"packet must exceed the {BE_HEADER_BYTES}-byte header"
+        )
+    payload = bytes(i % 251 for i in range(size_bytes - BE_HEADER_BYTES))
+    packet = BestEffortPacket(
+        x_offset=1, y_offset=1, payload=payload,
+        meta=PacketMeta(injected_cycle=net.cycle),
+    )
+    # Injected at the router: ``send_best_effort`` plans mesh offsets
+    # and would not wrap a worm around the torus.
+    net.routers[(0, 0)].inject_be(packet)
+    net.engine.wake(net.routers[(0, 0)])
+    return packet
+
+
 def wormhole_baseline(sizes: Optional[list[int]] = None
                       ) -> WormholeBaselineResult:
-    """E1: b-byte worms over the single-chip loopback."""
-    from repro.network import LoopbackHarness
+    """E1: b-byte worms, one after another, over the single-chip loopback.
 
-    harness = LoopbackHarness()
-    sizes = sizes or DEFAULT_SIZES
-    return WormholeBaselineResult(
-        latencies={size: harness.measure_latency(size) for size in sizes}
-    )
+    Raises ``TimeoutError`` if a worm is not delivered within 100,000
+    cycles.
+    """
+    from repro.network import MeshNetwork
+
+    net = MeshNetwork(1, 1, torus=True)
+    latencies = {}
+    for size in sizes or DEFAULT_SIZES:
+        packet = send_loopback_worm(net, size)
+        net.drain(max_cycles=100_000)
+        record, = [r for r in net.log.records
+                   if r.packet_id == packet.meta.packet_id]
+        latencies[size] = record.latency_cycles
+    return WormholeBaselineResult(latencies=latencies)
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +155,11 @@ def horizon_tradeoff(horizons: Optional[list[int]] = None, *,
                      hops: int = 3, messages: int = 60,
                      ) -> list[HorizonPoint]:
     """A1: latency vs. downstream buffer demand as h grows."""
-    from repro.analysis import horizon_buffer_tradeoff
+    from repro.channels.admission import buffer_bound
     from repro.model import SlotSimulator
 
     horizons = horizons if horizons is not None else [0, 2, 4, 8, 16, 32]
-    buffers = dict(horizon_buffer_tradeoff(
-        TrafficSpec(i_min=i_min), upstream_delay=delay, local_delay=delay,
-        horizons=horizons,
-    ))
+    spec = TrafficSpec(i_min=i_min)
     points = []
     links = [f"L{j}" for j in range(hops)]
     for horizon in horizons:
@@ -135,7 +172,8 @@ def horizon_tradeoff(horizons: Optional[list[int]] = None, *,
         points.append(HorizonPoint(
             horizon=horizon,
             mean_latency_ticks=sim.average_tc_latency(),
-            buffers_per_connection=buffers[horizon],
+            buffers_per_connection=buffer_bound(spec, horizon, delay,
+                                                delay),
         ))
     return points
 

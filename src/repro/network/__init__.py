@@ -1,13 +1,12 @@
 """Mesh multicomputer substrate (the PP-MESS-SIM role in the paper).
 
-:class:`MeshNetwork` wires real-time routers into a 2-D mesh and runs
-them cycle by cycle; :class:`LoopbackHarness` reproduces the paper's
-single-chip loopback experiment; the stats classes collect the
-measurements the evaluation section reports.
+:class:`MeshNetwork` wires real-time routers into a 2-D mesh (or a
+torus — a 1x1 torus is the paper's single-chip loopback) and runs them
+cycle by cycle; the stats classes collect the measurements the
+evaluation section reports.
 """
 
 from repro.network.engine import SynchronousEngine
-from repro.network.loopback import LoopbackHarness
 from repro.network.network import MeshNetwork, build_mesh_network
 from repro.network.node import HostNode
 from repro.network.single_link import LinkConnection, SingleLinkHarness
@@ -25,7 +24,6 @@ __all__ = [
     "HostNode",
     "LatencySummary",
     "LinkConnection",
-    "LoopbackHarness",
     "Mesh",
     "MeshNetwork",
     "ServiceTrace",

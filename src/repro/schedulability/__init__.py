@@ -33,7 +33,6 @@ from repro.schedulability.prefilter import (PREFILTERS, prefilter_verdict,
 from repro.schedulability.spec import (I_MIN_CHOICES, ChannelDemand,
                                        Problem, TopologySpec,
                                        adversarial_channel_demands,
-                                       demands_for_requests,
                                        random_channel_demands)
 from repro.schedulability.validate import (ChannelTightness,
                                            ChaosChannelTightness,
@@ -72,7 +71,6 @@ __all__ = [
     "analyze",
     "analyze_problem_with_faults",
     "analyze_with_faults",
-    "demands_for_requests",
     "drive_chaos",
     "drive_worst_case",
     "edf_response_bound",

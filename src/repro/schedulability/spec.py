@@ -289,19 +289,3 @@ def adversarial_channel_demands(width: int, height: int, channels: int,
             i_min=i_min, deadline=deadline, s_max=s_max, b_max=b_max,
         ))
     return demands
-
-
-def demands_for_requests(requests: Sequence) -> list[ChannelDemand]:
-    """Channel demands for a churn workload's TC requests.
-
-    Accepts :class:`repro.service.workload.ChannelRequest` objects;
-    best-effort requests carry no guarantee and are skipped.
-    """
-    return [
-        ChannelDemand(
-            label=request.label, source=request.source,
-            destinations=(request.destination,), i_min=request.i_min,
-            deadline=request.deadline_ticks,
-        )
-        for request in requests if request.traffic_class == "TC"
-    ]

@@ -10,7 +10,6 @@ from repro.analysis.netcalc import (
     ServiceCurve,
     TokenBucket,
     backlog_bound,
-    channel_backlog_bound,
     channel_delay_bound,
     delay_bound,
     residual_service,
@@ -139,21 +138,6 @@ class TestChannelBounds:
         spec = TrafficSpec(i_min=10)
         assert channel_delay_bound(spec, [5, 7, 9]) == pytest.approx(21.0)
 
-    def test_backlog_brackets_paper_formula(self):
-        """The calculus bound dominates the paper's structural formula
-        ceil((h + d_prev + d) / i_min) and stays within one message of
-        it (blind-multiplexing conservatism)."""
-        spec = TrafficSpec(i_min=10)
-        bound = channel_backlog_bound(spec, upstream_horizon=5,
-                                      upstream_delay=10, local_delay=10)
-        paper = math.ceil((5 + 10 + 10) / 10)   # 3 messages
-        assert paper <= bound <= paper + 1
-
-    def test_backlog_includes_bursts(self):
-        spec = TrafficSpec(i_min=10, b_max=3)
-        bound = channel_backlog_bound(spec, 0, 0, 10)
-        assert bound >= 3
-
     def test_calculus_bound_is_sound_vs_simulation(self):
         """The analytic delay bound dominates simulated delays."""
         spec = TrafficSpec(i_min=6)
@@ -165,18 +149,3 @@ class TestChannelBounds:
         sim.run_until_drained(max_ticks=10_000)
         worst = max(p.delivered_tick - p.l0 for p in sim.delivered())
         assert worst <= bound + 1  # +1: delivery rounds to tick ends
-
-    def test_calculus_backlog_is_sound_vs_simulation(self):
-        """Simulated queue occupancy never exceeds the calculus bound."""
-        spec = TrafficSpec(i_min=4)
-        bound = channel_backlog_bound(spec, upstream_horizon=0,
-                                      upstream_delay=4, local_delay=4)
-        sim = SlotSimulator()
-        arrivals = [k * spec.i_min for k in range(50)]
-        sim.add_channel("probe", ["L0", "L1"], [4, 4], arrivals)
-        peak = 0
-        for _ in range(300):
-            sim.run(1)
-            backlog = sim.scheduler("L1").tc_backlog
-            peak = max(peak, backlog)
-        assert peak <= math.ceil(bound)

@@ -1,7 +1,9 @@
 """Tests for admission control: EDF link tests, buffers, decomposition."""
 
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.channels.admission import (
     AdmissionController,
@@ -14,6 +16,7 @@ from repro.channels.admission import (
 )
 from repro.channels.spec import FlowRequirements, TrafficSpec
 from repro.core.params import RouterParams
+from repro.model import SlotSimulator
 
 
 def load(packets=1, i_min=10, b_max=1, deadline=5) -> ConnectionLoad:
@@ -154,6 +157,33 @@ class TestBufferBound:
     def test_multi_packet_messages_scale(self):
         spec = TrafficSpec(i_min=10, s_max=36)  # 2 packets
         assert buffer_bound(spec, 0, 0, 10) == 2
+
+    @given(i_min=st.integers(1, 64), s_max=st.integers(1, 80),
+           b_max=st.integers(1, 4), horizon=st.integers(0, 64),
+           upstream=st.integers(0, 64), local=st.integers(0, 64))
+    def test_is_the_section2_formula(self, i_min, s_max, b_max, horizon,
+                                     upstream, local):
+        """(ceil(w / i_min) + b_max - 1) messages for every window
+        w = h + d_prev + d >= 1 (every real hop: d >= 1)."""
+        window = horizon + upstream + local
+        assume(window >= 1)
+        spec = TrafficSpec(i_min=i_min, s_max=s_max, b_max=b_max)
+        assert buffer_bound(spec, horizon, upstream, local) == (
+            (math.ceil(window / i_min) + b_max - 1)
+            * spec.packets_per_message)
+
+    def test_is_sound_vs_slot_model(self):
+        """Queue occupancy at the second hop never exceeds the bound."""
+        spec = TrafficSpec(i_min=4)
+        bound = buffer_bound(spec, 0, 4, 4)
+        sim = SlotSimulator()
+        arrivals = [k * spec.i_min for k in range(50)]
+        sim.add_channel("probe", ["L0", "L1"], [4, 4], arrivals)
+        peak = 0
+        for _ in range(300):
+            sim.run(1)
+            peak = max(peak, sim.scheduler("L1").tc_backlog)
+        assert peak <= bound
 
 
 class TestDecomposition:

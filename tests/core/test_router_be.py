@@ -1,4 +1,8 @@
-"""Best-effort (wormhole) path tests on a single router and the loopback."""
+"""Best-effort (wormhole) path tests on a single router and the loopback.
+
+The loopback is the paper's single chip cabled to itself (+x out into
+-x in, +y out into -y in): a 1x1 torus on the event engine.
+"""
 
 import pytest
 
@@ -11,7 +15,8 @@ from repro.core import (
 )
 from repro.core.ports import EAST, NORTH, RECEPTION, SOUTH, WEST
 from repro.core.router import LinkSignal
-from repro.network.loopback import LoopbackHarness
+from repro.experiments import send_loopback_worm, wormhole_baseline
+from repro.network import MeshNetwork
 
 
 def run_router(router, cycles):
@@ -98,39 +103,42 @@ class TestOffsetRewriting:
 class TestLoopbackBaseline:
     def test_paper_linear_latency(self):
         """Latency is size + constant over the three-traversal loop."""
-        harness = LoopbackHarness()
-        overheads = {
-            b: harness.measure_latency(b) - b for b in (8, 16, 64, 128)
-        }
+        overheads = wormhole_baseline(sizes=[8, 16, 64, 128]).overheads()
         values = set(overheads.values())
         assert len(values) == 1, f"non-linear overhead: {overheads}"
         constant = values.pop()
         assert 25 <= constant <= 35  # paper reports 30
 
     def test_back_to_back_worms(self):
-        harness = LoopbackHarness()
-        first = harness.send_best_effort(32)
-        second = harness.send_best_effort(32)
-        got = []
-        for _ in range(2000):
-            harness.step()
-            got.extend(harness.router.take_delivered())
-            if len(got) == 2:
-                break
-        assert [g.meta.packet_id for g in got] == [
+        net = MeshNetwork(1, 1, torus=True)
+        first = send_loopback_worm(net, 32)
+        second = send_loopback_worm(net, 32)
+        net.drain(max_cycles=2000)
+        assert [r.packet_id for r in net.log.records] == [
             first.meta.packet_id, second.meta.packet_id,
         ]
 
-    def test_payload_intact_after_three_traversals(self):
-        harness = LoopbackHarness()
-        packet = harness.send_best_effort(64)
-        for _ in range(2000):
-            harness.step()
-            delivered = harness.router.take_delivered()
-            if delivered:
-                assert delivered[0].payload == packet.payload
-                return
-        pytest.fail("worm never delivered")
+    def test_payload_intact_after_three_traversals(self, monkeypatch):
+        net = MeshNetwork(1, 1, torus=True)
+        packet = send_loopback_worm(net, 64)
+        delivered = []
+        add = net.log.add
+        monkeypatch.setattr(
+            net.log, "add",
+            lambda got, **kwargs: delivered.append(got) or add(got, **kwargs))
+        net.drain(max_cycles=2000)
+        assert [got.payload for got in delivered] == [packet.payload]
+
+    def test_rejects_header_only_packet(self):
+        with pytest.raises(ValueError):
+            wormhole_baseline(sizes=[4])
+
+    def test_timeout_reported(self):
+        net = MeshNetwork(1, 1, torus=True)
+        send_loopback_worm(net, 64)
+        with pytest.raises(TimeoutError):
+            # Never run enough cycles for delivery.
+            net.drain(max_cycles=5)
 
 
 class TestFlowControl:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.network import LinkConnection, SingleLinkHarness, SynchronousEngine
-from repro.network.loopback import LoopbackHarness
 
 
 class Ticker:
@@ -269,18 +268,6 @@ class TestFastForward:
         engine.run(30)
         assert engine.cycles_stepped == 30
         assert engine.cycles_fast_forwarded == 0
-
-
-class TestLoopbackHarness:
-    def test_rejects_header_only_packet(self):
-        with pytest.raises(ValueError):
-            LoopbackHarness().send_best_effort(4)
-
-    def test_timeout_reported(self):
-        harness = LoopbackHarness()
-        with pytest.raises(TimeoutError):
-            # Never step enough cycles for delivery.
-            harness.measure_latency(64, max_cycles=5)
 
 
 class TestSingleLinkHarness:

@@ -50,3 +50,11 @@ def test_api_doc_generator_runs():
     assert "# API reference" in text
     assert "`repro.core`" in text
     assert "RealTimeRouter" in text
+
+
+def test_api_doc_is_current():
+    # docs/api.md is what the generator renders from today's exports;
+    # regenerate it with `python scripts/gen_api_docs.py`.
+    doc = pathlib.Path(__file__).resolve().parent.parent / "docs" / "api.md"
+    assert doc.read_text() == GENERATOR["render"](), (
+        "docs/api.md is stale: run python scripts/gen_api_docs.py")

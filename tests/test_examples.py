@@ -22,6 +22,16 @@ EXAMPLES = [
     "examples/factory_cell.py",
 ]
 
+#: Lines an example must print.  capacity_planning counts what
+#: ``AdmissionController.admit`` accepts on one hop, which charges the
+#: hop overhead: d = 3/6/12 admit 1/4/10 connections.
+EXPECTED = {
+    "examples/capacity_planning.py": [
+        f"d = {deadline:>3} ticks -> {count} connections"
+        for deadline, count in ((3, 1), (6, 4), (12, 10))
+    ],
+}
+
 
 @pytest.mark.parametrize("path", EXAMPLES)
 def test_example_runs(path, capsys, monkeypatch):
@@ -29,3 +39,5 @@ def test_example_runs(path, capsys, monkeypatch):
     runpy.run_path(path, run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip()  # every example prints a report
+    for line in EXPECTED.get(path, []):
+        assert line in out
