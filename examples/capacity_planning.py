@@ -15,13 +15,13 @@ Run:  python examples/capacity_planning.py
 
 import tempfile
 
-from repro.analysis import required_clock_bits
 from repro.channels import AdmissionController, AdmissionError, TrafficSpec
 from repro.channels.admission import (
     FlowRequirements,
     HopDescriptor,
     buffer_bound,
 )
+from repro.core import RouterParams
 from repro.schedulability import (
     ChannelDemand,
     TopologySpec,
@@ -71,8 +71,18 @@ def main() -> None:
               f"buffers {buffer_bound(spec, 0, upstream, delay)}")
         offset += delay
 
-    # 4. What clock does the chip need for these parameters?
-    bits = required_clock_bits(max(delays), max_horizon=12)
+    # 4. What clock does the chip need for these parameters?  Ask
+    #    admission for the narrowest clock whose rollover rule (paper
+    #    section 4.3) accepts these delays at horizon 12.
+    bits = 2
+    while True:
+        try:
+            AdmissionController(RouterParams(clock_bits=bits)).admit(
+                [HopDescriptor(f"n{i}", 0, horizon=12) for i in range(4)],
+                spec, FlowRequirements(deadline=48), local_delays=delays)
+            break
+        except AdmissionError:
+            bits += 1
     print(f"\nrequired scheduler clock width: {bits} bits "
           f"(the chip has 8)")
 

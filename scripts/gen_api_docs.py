@@ -26,7 +26,6 @@ MODULES = [
     "repro.traffic",
     "repro.baselines",
     "repro.extensions",
-    "repro.analysis",
     "repro.observability",
     "repro.reporting",
     "repro.campaign",

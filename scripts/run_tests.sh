@@ -146,7 +146,8 @@ run_schedulability() {
     echo "== schedulability: analytic verdicts, oracle, tightness gate =="
     python -m pytest -q \
         tests/schedulability \
-        tests/analysis/test_netcalc_oracle.py \
+        tests/core/test_clock.py \
+        tests/channels/test_admission.py \
         tests/service/test_preadmission.py \
         tests/test_cli.py
     python -m pytest -q -p no:cacheprovider \

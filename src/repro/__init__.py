@@ -8,8 +8,10 @@ end to end:
   best-effort traffic, a shared pipelined comparator-tree scheduler,
   shared packet memory, and the control interface.
 * :mod:`repro.channels` — the real-time channel abstraction: traffic
-  specifications, logical arrival times, admission control, route
-  selection and the protocol software that programs routers.
+  specifications, logical arrival times, admission control (the
+  section 2 buffer and delay bounds and the section 4.3 rollover
+  check), route selection and the protocol software that programs
+  routers.
 * :mod:`repro.network` — a 2-D mesh multicomputer simulator that wires
   routers together cycle by cycle.
 * :mod:`repro.model` — a fast packet-slot-level simulator of the same
@@ -19,7 +21,6 @@ end to end:
   forwarding, virtual-channel priorities, software EDF cost model).
 * :mod:`repro.extensions` — the paper's future-work directions
   (virtual cut-through, approximate schedulers, shared-leaf trees).
-* :mod:`repro.analysis` — the delay-bound and buffer-bound algebra.
 
 Quickstart::
 

@@ -23,8 +23,7 @@ session restored mid-span first finishes the span it was in
 (``span_end``) before re-entering the loop.
 
 What a checkpoint captures is listed in ``docs/checkpointing.md``.
-What it does not: metrics *snapshot emitters* and custom
-:class:`~repro.network.service.ServiceTrace` hooks (re-enable after
+What it does not: metrics *snapshot emitters* (re-enable after
 restore), and the final ``drain()`` of the random and service
 workloads, which runs to quiescence and is cheap to redo.
 """

@@ -6,7 +6,7 @@ Public surface: :class:`RouterParams` configures a chip;
 discipline; :func:`estimate_cost` reproduces the chip-complexity table.
 """
 
-from repro.core.clock import RolloverClock, RolloverError
+from repro.core.clock import RolloverClock
 from repro.core.comparator_tree import ComparatorTree, SchedulerPipeline, Selection
 from repro.core.connection_table import (
     ConnectionEntry,
@@ -83,7 +83,6 @@ __all__ = [
     "RealTimeRouter",
     "ReferenceLinkScheduler",
     "RolloverClock",
-    "RolloverError",
     "RouterParams",
     "SOUTH",
     "ScheduledPacket",

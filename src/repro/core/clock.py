@@ -15,10 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-class RolloverError(ValueError):
-    """A timestamp offset violated the half-range rollover condition."""
-
-
 @dataclass
 class RolloverClock:
     """An n-bit wrapping clock with modular comparison helpers.
@@ -96,22 +92,6 @@ class RolloverClock:
         if delta >= self.half_range:
             return delta - self.range
         return delta
-
-    def check_delay(self, delay: int, *, what: str = "delay") -> int:
-        """Validate a delay/horizon parameter against the half-range rule.
-
-        The connection-establishment software must reject parameters
-        that the hardware could misinterpret across rollover.  Returns
-        the validated value for convenient chaining.
-        """
-        if delay < 0:
-            raise RolloverError(f"{what} must be non-negative, got {delay}")
-        if delay >= self.half_range:
-            raise RolloverError(
-                f"{what} = {delay} violates the half-range rollover "
-                f"condition (must be < {self.half_range})"
-            )
-        return delay
 
 
 def unwrapped_order_preserved(bits: int, now: int, a: int, b: int) -> bool:

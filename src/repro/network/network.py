@@ -36,7 +36,7 @@ from repro.network.events import (
     LinkEvent,
 )
 from repro.network.node import HostNode
-from repro.network.stats import DeliveryLog, FaultCounters, ServiceTrace
+from repro.network.stats import DeliveryLog, FaultCounters
 from repro.network.topology import Mesh, Node
 from repro.observability import (
     DEFAULT_LATENCY_BUCKETS,
@@ -105,7 +105,6 @@ class MeshNetwork:
         self.monitor_reader = None
         self.routers: dict[Node, RealTimeRouter] = {}
         self.hosts: dict[Node, HostNode] = {}
-        self._traces: list[ServiceTrace] = []
         self._failed_links: set[tuple[Node, int]] = set()
         #: Failed links currently in drain mode: best-effort phits that
         #: die on them are acknowledged back to the sender so stalled
@@ -702,8 +701,8 @@ class MeshNetwork:
         ``ctx`` is a :class:`repro.checkpoint.SaveContext`.  Covers the
         routers, hosts, delivery log, link health, channel software and
         observability registries — everything mutable that the engine's
-        per-cycle loop can touch.  Not covered (documented limitations):
-        :class:`ServiceTrace` hooks and snapshot emitters.
+        per-cycle loop can touch.  Not covered (a documented limitation):
+        snapshot emitters.
         """
         corruptors = []
         for (node, direction), corruptor in sorted(
@@ -915,27 +914,6 @@ class MeshNetwork:
         if self.snapshotter is not None:
             self.engine.remove_component(self.snapshotter)
             self.snapshotter = None
-
-    # ------------------------------------------------------------------
-    # Instrumentation
-    # ------------------------------------------------------------------
-
-    def trace_service(self, node: Node, port: int) -> ServiceTrace:
-        """Record cumulative per-connection service on one output port."""
-        trace = ServiceTrace(watch_port=port)
-        router = self.routers[node]
-        if router.service_hook is not None:
-            previous = router.service_hook
-
-            def chained(cycle: int, p: int, cls: str, meta) -> None:
-                previous(cycle, p, cls, meta)
-                trace.hook(cycle, p, cls, meta)
-
-            router.service_hook = chained
-        else:
-            router.service_hook = trace.hook
-        self._traces.append(trace)
-        return trace
 
 
 def build_mesh_network(width: int, height: int,

@@ -33,7 +33,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.analysis.netcalc import channel_delay_bound
 from repro.campaign.spec import canonical_dumps
 from repro.channels.admission import (
     AdmissionController,
@@ -99,7 +98,8 @@ class ChannelVerdict:
     #: arrivals to their logical schedule, so only the final hop's
     #: earliness reaches the receiving host.
     refined_bound: Optional[int] = None
-    #: The same bound from the min-plus calculus (cross-check).
+    #: ``float(sum(local_delays))``.  Not an independent check: the
+    #: column stays only because report signatures hash it.
     netcalc_bound: Optional[float] = None
     #: Deadline budget left unused: requested D minus the bound.
     slack: Optional[int] = None
@@ -313,8 +313,7 @@ def _admitted(demand: ChannelDemand,
         parents=(list(reservation.parents)
                  if len(demand.destinations) > 1 else None),
         predicted_bound=channel.deadline,
-        netcalc_bound=channel_delay_bound(channel.spec,
-                                          channel.local_delays),
+        netcalc_bound=float(sum(channel.local_delays)),
         slack=demand.deadline - channel.deadline,
         buffers=list(reservation.buffers),
     )

@@ -100,30 +100,100 @@ class TrafficTrace:
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "TrafficTrace":
+        """Read a trace :meth:`save` wrote.
+
+        Raises ``ValueError`` naming the file and line of the first
+        line that is not a channel or event record :meth:`save` could
+        have written, or of a message event whose channel the trace
+        does not declare.
+        """
         trace = cls()
+        messages = []
         with pathlib.Path(path).open() as handle:
-            for line in handle:
-                record = json.loads(line)
-                if record["type"] == "channel":
-                    trace.channels.append(ChannelDef(
-                        label=record["label"],
-                        source=tuple(record["source"]),
-                        destination=tuple(record["destination"]),
-                        i_min=record["i_min"], s_max=record["s_max"],
-                        b_max=record["b_max"],
-                        deadline=record["deadline"],
-                    ))
+            for number, line in enumerate(handle, 1):
+                try:
+                    item = _parse_line(json.loads(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
+                if isinstance(item, ChannelDef):
+                    trace.channels.append(item)
                 else:
-                    trace.events.append(TraceEvent(
-                        tick=record["tick"], kind=record["kind"],
-                        channel=record.get("channel"),
-                        source=(tuple(record["source"])
-                                if "source" in record else None),
-                        destination=(tuple(record["destination"])
-                                     if "destination" in record else None),
-                        payload_bytes=record.get("payload_bytes", 0),
-                    ))
+                    trace.events.append(item)
+                    if item.kind == "message":
+                        messages.append((number, item.channel))
+        declared = {channel.label for channel in trace.channels}
+        for number, label in messages:
+            if label not in declared:
+                raise ValueError(f"{path}:{number}: message event names "
+                                 f"undeclared channel {label!r}")
         return trace
+
+
+def _parse_line(record: object) -> ChannelDef | TraceEvent:
+    """One trace line as :meth:`TrafficTrace.save` writes it."""
+    if not isinstance(record, dict):
+        raise ValueError("a trace line must be a JSON object")
+    kind = _field(record, "type", True)
+    if kind == "channel":
+        definition = ChannelDef(
+            label=_text(record, "label"),
+            source=_node(record, "source"),
+            destination=_node(record, "destination"),
+            i_min=_count(record, "i_min"), s_max=_count(record, "s_max"),
+            b_max=_count(record, "b_max"),
+            deadline=_count(record, "deadline"),
+        )
+        definition.spec()  # TrafficSpec checks the parameters
+        return definition
+    if kind == "event":
+        event_kind = _text(record, "kind")
+        return TraceEvent(
+            tick=_count(record, "tick"), kind=event_kind,
+            channel=_text(record, "channel",
+                          required=event_kind == "message"),
+            source=_node(record, "source",
+                         required=event_kind == "datagram"),
+            destination=_node(record, "destination",
+                              required=event_kind == "datagram"),
+            payload_bytes=_count(record, "payload_bytes"),
+        )
+    raise ValueError(f"unknown line type {kind!r} "
+                     "(expected 'channel' or 'event')")
+
+
+def _field(record: dict, name: str, required: bool) -> object:
+    value = record.get(name)
+    if value is None and required:
+        raise ValueError(f"missing field {name!r}")
+    return value
+
+
+def _count(record: dict, name: str) -> int:
+    value = _field(record, name, True)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name!r} must be a non-negative integer, "
+                         f"got {value!r}")
+    return value
+
+
+def _text(record: dict, name: str, *,
+          required: bool = True) -> Optional[str]:
+    value = _field(record, name, required)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{name!r} must be a string, got {value!r}")
+    return value
+
+
+def _node(record: dict, name: str, *,
+          required: bool = True) -> Optional[Node]:
+    value = _field(record, name, required)
+    if value is None:
+        return None
+    if (not isinstance(value, list) or len(value) != 2
+            or any(type(v) is not int or v < 0 for v in value)):
+        raise ValueError(f"{name!r} must be an [x, y] pair of "
+                         f"non-negative integers, got {value!r}")
+    return (value[0], value[1])
 
 
 def generate_random_trace(width: int, height: int, *, channels: int = 4,

@@ -280,13 +280,20 @@ class TestAdmitAndRelease:
                              local_delays=[10])
 
     def test_rollover_rule_enforced(self):
-        controller = AdmissionController(RouterParams())
-        with pytest.raises(AdmissionError):
-            controller.admit(
-                [HopDescriptor(node=0, out_port=0, horizon=120)],
+        """Paper 4.3 on the 8-bit chip: admitted iff h + d < 128."""
+        def admit(horizon, delay):
+            AdmissionController(RouterParams(clock_bits=8)).admit(
+                [HopDescriptor(node=0, out_port=0, horizon=horizon)],
                 TrafficSpec(i_min=200), FlowRequirements(deadline=200),
-                local_delays=[10],
+                local_delays=[delay],
             )
+
+        admit(0, 127)
+        admit(64, 63)
+        for horizon, delay in ((0, 128), (64, 64)):
+            with pytest.raises(AdmissionError) as info:
+                admit(horizon, delay)
+            assert info.value.reason == "rollover"
 
     def test_buffer_capacity_limits_admissions(self):
         params = RouterParams(tc_packet_slots=4)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.clock import RolloverClock, RolloverError, unwrapped_order_preserved
+from repro.core.clock import RolloverClock, unwrapped_order_preserved
 
 
 class TestBasics:
@@ -86,22 +86,29 @@ class TestModularAlgebra:
         assert clock.signed_offset(240) == -10
 
 
-class TestCheckDelay:
-    def test_accepts_valid(self):
-        clock = RolloverClock(bits=8)
-        assert clock.check_delay(127) == 127
+class TestFigure6Decision:
+    """``is_past`` is the chip's early/on-time test (paper Figure 6)."""
 
-    def test_rejects_half_range(self):
-        with pytest.raises(RolloverError):
-            RolloverClock(bits=8).check_delay(128)
+    def test_at_the_half_boundary(self):
+        half = RolloverClock(bits=8).half_range
+        assert RolloverClock(bits=8, now=100).is_past(100)  # zero age
+        assert RolloverClock(bits=8, now=100 + half - 1).is_past(100)
+        assert not RolloverClock(bits=8, now=100 + half).is_past(100)
+        assert not RolloverClock(bits=8, now=100).is_past(101)
 
-    def test_rejects_negative(self):
-        with pytest.raises(RolloverError):
-            RolloverClock(bits=8).check_delay(-1)
+    def test_ages_congruent_mod_range_decide_alike(self):
+        decision = RolloverClock(bits=8, now=300).is_past(44)
+        assert RolloverClock(bits=8, now=300 + 256).is_past(44) == decision
+        assert RolloverClock(bits=8, now=300).is_past(44 + 256) == decision
 
-    def test_message_names_parameter(self):
-        with pytest.raises(RolloverError, match="horizon"):
-            RolloverClock(bits=8).check_delay(500, what="horizon")
+    @given(bits=st.integers(4, 12), age=st.integers(0, 200),
+           now=st.integers(0, 10_000))
+    def test_age_below_half_range_is_on_time(self, bits, age, now):
+        clock = RolloverClock(bits=bits, now=now)
+        age %= clock.half_range
+        assert clock.is_past((now - age) & clock.mask)
+        if age:
+            assert not clock.is_past((now + age) & clock.mask)
 
 
 class TestRolloverOrderingProperty:

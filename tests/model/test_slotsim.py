@@ -25,6 +25,16 @@ class TestSingleChannel:
         assert sim.deadline_misses() == 0
         assert len(sim.delivered()) == 20
 
+    def test_sum_of_local_delays_bounds_delivery(self):
+        """Paper section 2: the end-to-end bound is the sum of the d_j."""
+        delays = [4, 5, 6]
+        sim = SlotSimulator()
+        arrivals = [k * 6 for k in range(40)]
+        sim.add_channel("probe", ["L0", "L1", "L2"], delays, arrivals)
+        sim.run_until_drained(max_ticks=10_000)
+        worst = max(p.delivered_tick - p.l0 for p in sim.delivered())
+        assert worst <= sum(delays) + 1  # +1: delivery rounds to tick ends
+
     def test_non_work_conserving_holds_early_packet(self):
         """With horizon 0, a packet waits for its logical arrival."""
         sim = SlotSimulator()

@@ -200,17 +200,3 @@ class TestMixedTraffic:
         assert net.log.deadline_misses == 0
         assert net.log.be_delivered == 10
 
-
-class TestServiceTrace:
-    def test_trace_attributes_bytes(self):
-        net = build_mesh_network(2, 1)
-        from repro.core.ports import EAST
-        trace = net.trace_service((0, 0), EAST)
-        channel = net.establish_channel((0, 0), (1, 0),
-                                        TrafficSpec(i_min=10), deadline=30,
-                                        label="probe")
-        net.send_message(channel)
-        net.send_best_effort((0, 0), (1, 0), payload=bytes(16))
-        net.drain(max_cycles=20_000)
-        assert trace.totals["probe"] == 20
-        assert trace.totals["best-effort"] == 20

@@ -258,8 +258,8 @@ class TestVerdictReport:
             assert len(verdict.hops) == len(verdict.local_delays)
             assert verdict.slack == (verdict.deadline
                                      - verdict.predicted_bound)
-            assert verdict.netcalc_bound == pytest.approx(
-                float(verdict.predicted_bound))
+            assert isinstance(verdict.netcalc_bound, float)
+            assert verdict.netcalc_bound == float(verdict.predicted_bound)
             assert verdict.buffers  # every hop reserves buffers
 
     def test_predict_admission_leaves_controller_untouched(self):

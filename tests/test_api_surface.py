@@ -15,6 +15,15 @@ GENERATOR = runpy.run_path(str(
 MODULES = GENERATOR["MODULES"]
 
 
+def test_every_package_is_documented():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    packages = {f"repro.{init.parent.name}"
+                for init in src.glob("*/__init__.py")}
+    documented = {name for name in MODULES if name != "repro"
+                  and hasattr(importlib.import_module(name), "__path__")}
+    assert packages == documented
+
+
 @pytest.mark.parametrize("module_name", MODULES)
 def test_all_exports_resolve(module_name):
     module = importlib.import_module(module_name)

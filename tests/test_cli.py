@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from tests.traffic.test_trace import MALFORMED, write_trace
 
 
 class TestDatasheet:
@@ -130,6 +131,14 @@ class TestErrorHandling:
     def test_replay_directory(self, capsys, tmp_path):
         assert main(["replay", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", MALFORMED.values(), ids=MALFORMED)
+    def test_replay_malformed_trace(self, capsys, tmp_path, line):
+        path = write_trace(tmp_path / "t.jsonl", line)
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "t.jsonl:2:" in err
+        assert "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

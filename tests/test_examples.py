@@ -24,11 +24,13 @@ EXAMPLES = [
 
 #: Lines an example must print.  capacity_planning counts what
 #: ``AdmissionController.admit`` accepts on one hop, which charges the
-#: hop overhead: d = 3/6/12 admit 1/4/10 connections.
+#: hop overhead: d = 3/6/12 admit 1/4/10 connections.  Its clock width
+#: is the narrowest whose rollover rule admits h + d = 12 + 12 < 2^5.
 EXPECTED = {
     "examples/capacity_planning.py": [
-        f"d = {deadline:>3} ticks -> {count} connections"
-        for deadline, count in ((3, 1), (6, 4), (12, 10))
+        *(f"d = {deadline:>3} ticks -> {count} connections"
+          for deadline, count in ((3, 1), (6, 4), (12, 10))),
+        "required scheduler clock width: 6 bits",
     ],
 }
 
