@@ -15,6 +15,7 @@ from repro.channels.admission import (
     buffer_bound,
 )
 from repro.channels.spec import FlowRequirements, TrafficSpec
+from repro.core.clock import RolloverClock
 from repro.core.params import RouterParams
 from repro.model import SlotSimulator
 
@@ -294,6 +295,74 @@ class TestAdmitAndRelease:
             with pytest.raises(AdmissionError) as info:
                 admit(horizon, delay)
             assert info.value.reason == "rollover"
+
+    def test_rollover_counts_horizon_plus_delay(self):
+        """A small d_j is still refused when h_j + d_j reaches half."""
+        def admit(horizon, delay):
+            AdmissionController(RouterParams(clock_bits=8)).admit(
+                [HopDescriptor(node=0, out_port=0, horizon=horizon)],
+                TrafficSpec(i_min=200), FlowRequirements(deadline=200),
+                local_delays=[delay],
+            )
+
+        admit(27, 100)
+        admit(117, 10)
+        for horizon, delay in ((28, 100), (118, 10), (30, 100)):
+            with pytest.raises(AdmissionError) as info:
+                admit(horizon, delay)
+            assert info.value.reason == "rollover"
+            assert info.value.demanded == horizon + delay
+
+    def test_rollover_last_safe_value_on_every_hop(self):
+        """127 is the last safe d_j (and h_j + d_j) on an 8-bit clock,
+        upstream and downstream alike; the refusal names the hop."""
+        def admit(delays, horizons=(0, 0)):
+            hops = [HopDescriptor(node=node, out_port=0, horizon=horizon)
+                    for node, horizon in enumerate(horizons)]
+            AdmissionController(RouterParams(clock_bits=8)).admit(
+                hops, TrafficSpec(i_min=200),
+                FlowRequirements(deadline=400), local_delays=list(delays))
+
+        admit([127, 10])
+        admit([10, 127])
+        for delays, horizons, node in (([128, 10], (0, 0), 0),
+                                       ([10, 128], (0, 0), 1),
+                                       ([64, 10], (64, 0), 0)):
+            with pytest.raises(AdmissionError) as info:
+                admit(delays, horizons)
+            assert info.value.reason == "rollover"
+            assert info.value.node == node
+
+    def test_half_range_delay_would_decode_early(self):
+        """The failure the rule prevents: a packet held for half the
+        clock range reads as early under Figure 6's test."""
+        half = RolloverClock(bits=8).half_range
+        assert not RolloverClock(bits=8, now=half).is_past(0)
+        assert RolloverClock(bits=8, now=half - 1).is_past(0)
+        with pytest.raises(AdmissionError) as info:
+            AdmissionController(RouterParams(clock_bits=8)).admit(
+                [HopDescriptor(node=0, out_port=0, horizon=0)],
+                TrafficSpec(i_min=200), FlowRequirements(deadline=200),
+                local_delays=[half],
+            )
+        assert info.value.reason == "rollover"
+
+    def test_delays_sum_exactly_to_deadline(self):
+        """Paper section 2: sum(d_j) is the end-to-end bound admission
+        holds to D, with nothing added for the burst."""
+        hops = [HopDescriptor(node=n, out_port=0, horizon=0)
+                for n in range(3)]
+        spec = TrafficSpec(i_min=10, b_max=2)
+        reservation = AdmissionController(RouterParams()).admit(
+            hops, spec, FlowRequirements(deadline=21),
+            local_delays=[5, 7, 9])
+        assert reservation.local_delays == [5, 7, 9]
+        with pytest.raises(AdmissionError) as info:
+            AdmissionController(RouterParams()).admit(
+                hops, spec, FlowRequirements(deadline=20),
+                local_delays=[5, 7, 9])
+        assert info.value.reason == "deadline-too-tight"
+        assert info.value.demanded == 21
 
     def test_buffer_capacity_limits_admissions(self):
         params = RouterParams(tc_packet_slots=4)

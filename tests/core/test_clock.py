@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.clock import RolloverClock, unwrapped_order_preserved
+from repro.core.sorting_key import packed_key
 
 
 class TestBasics:
@@ -100,6 +101,13 @@ class TestFigure6Decision:
         decision = RolloverClock(bits=8, now=300).is_past(44)
         assert RolloverClock(bits=8, now=300 + 256).is_past(44) == decision
         assert RolloverClock(bits=8, now=300).is_past(44 + 256) == decision
+
+    def test_figure6_examples_set_the_key_early_bit(self):
+        # At t = 240 on an 8-bit clock the comparator key ranks l = 210
+        # as on-time and l = 80 as early.
+        clock = RolloverClock(bits=8, now=240)
+        assert not packed_key(clock, 210, 250) >> 8
+        assert packed_key(clock, 80, 100) >> 8 == 1
 
     @given(bits=st.integers(4, 12), age=st.integers(0, 200),
            now=st.integers(0, 10_000))

@@ -9,6 +9,7 @@ software, admission and control-interface state, through establishment
 *and* recovery, with identical rejection reasons on the way.
 """
 
+import itertools
 import json
 import random
 
@@ -261,6 +262,23 @@ class TestVerdictReport:
             assert isinstance(verdict.netcalc_bound, float)
             assert verdict.netcalc_bound == float(verdict.predicted_bound)
             assert verdict.buffers  # every hop reserves buffers
+
+    def test_bound_is_sum_of_local_delays(self):
+        """Paper section 2: a unicast channel's bound is the sum of its
+        d_j, and ``netcalc_bound`` carries it as a float."""
+        checked = 0
+        for seed, torus in itertools.product(range(4), (False, True)):
+            topology, demands, __, params = generated_case(seed, torus)
+            report = analyze(topology, demands, params=params)
+            for verdict in report.channels:
+                if not verdict.feasible or len(verdict.destinations) > 1:
+                    continue
+                bound = float(sum(verdict.local_delays))
+                assert bound == float(verdict.predicted_bound)
+                assert verdict.netcalc_bound == bound
+                assert verdict.as_dict()["netcalc_bound"] == bound
+                checked += 1
+        assert checked
 
     def test_predict_admission_leaves_controller_untouched(self):
         net = MeshNetwork(4, 4)
