@@ -73,21 +73,116 @@ def counting(counts: dict):
 
     step = RealTimeRouter.step
     counts["router steps"] = counts["working router steps"] = 0
+    counts[FRAME_ONLY] = 0
+    # Per executed cycle: [working router steps, frame-only ones, whether
+    # a host stepped too].
+    cycles: dict = {}
 
     def counted_step(router, cycle=None):
+        settle = getattr(router, "settle", None)
+        if settle is not None:
+            settle()  # what its step would replay first: read it settled
+        frame_only = cycle is not None and frames_only(router, cycle)
         # The chunk bus counts exactly the cycles its router worked.
         before = router.bus.total_cycles
         step(router, cycle)
         counts["router steps"] += 1
-        counts["working router steps"] += router.bus.total_cycles != before
+        worked = router.bus.total_cycles != before
+        counts["working router steps"] += worked
+        if worked and cycle is not None:
+            tally = cycles.setdefault(cycle, [0, 0, False])
+            tally[0] += 1
+            tally[1] += frame_only
+            counts[FRAME_ONLY] += frame_only
+
+    host_step = HostNode.step
+
+    def counted_host_step(host, cycle):
+        cycles.setdefault(cycle, [0, 0, False])[2] = True
+        host_step(host, cycle)
 
     patched.append((RealTimeRouter, "step", step))
     RealTimeRouter.step = counted_step
+    patched.append((HostNode, "step", host_step))
+    HostNode.step = counted_host_step
     try:
         yield
     finally:
         for owner, attribute, original in patched:
             setattr(owner, attribute, original)
+        counts[FRAME_CYCLES] = sum(
+            1 for working, frame_only, host in cycles.values()
+            if working and frame_only == working and not host)
+
+
+#: The units a frame lookahead is costed against.
+FRAME_ONLY = ("frame-only working steps (a committed frame's bytes "
+              "crossing a link, the injection or the reception port)")
+FRAME_CYCLES = "cycles made only of frame-only working steps"
+
+
+def frames_only(router, cycle: int) -> bool:
+    """Whether the working step ``router`` is about to take at ``cycle``
+    does nothing but move the bytes of committed time-constrained
+    frames: read from the state it starts from, the same way for any
+    checkout.  Every byte it moves is one of a frame whose bytes are
+    all inside the chip or its synchroniser, none completes a frame or
+    a stream, no decision is asked for, and nothing else is inside."""
+    from repro.core.params import MESH_LINKS
+
+    size = router.params.tc_packet_bytes
+    pipeline = router.pipeline
+    lead = pipeline.latency + pipeline.initiation_interval
+    if (router.bus.pending() or pipeline.busy or router.delivered
+            or router._pipeline_lag is not None
+            or router.service_hook is not None):
+        return False
+    moving = False
+    for signal in router.link_in:
+        if signal.ack or (signal.phit is not None
+                          and signal.phit.vc != "TC"):
+            return False
+        moving = moving or signal.phit is not None
+    counts = router.eligible_count
+    for port, output in enumerate(router.outputs.ports):
+        if (output.be_staging or output.be_rx
+                or output.bound_input is not None):
+            return False
+        stream = output.tc_stream
+        if stream is None:
+            if output.held is not None or counts[port] or output.tc_rx:
+                return False
+            continue
+        if (stream.slot < 0 or stream.sent >= size - 1
+                or stream.sent + len(stream.staging) != size):
+            return False
+        if (counts[port] and output.held is None
+                and size - stream.sent - 1 <= lead):
+            return False  # asks for its successor's decision
+        moving = True
+    inputs = router.inputs
+    if inputs.be_inject_queue or inputs.be_inject_phits:
+        return False
+    if inputs.tc_inject_phits:
+        if (router.cut_through
+                or inputs.tc_inject_phits[0].index >= size - 1):
+            return False
+        moving = True
+    elif inputs.tc_inject_queue:
+        return False
+    for number, port in enumerate(inputs.ports):
+        if (port.cut_port is not None or port.headers
+                or port.buffer.occupancy or port.pending_acks):
+            return False
+        for ready, phit in port.sync:
+            if (phit.vc != "TC" or router.cut_through
+                    or (ready <= cycle and phit.index == size - 1)):
+                return False
+            moving = True
+        if (port.rx_bytes and not port.sync and number < MESH_LINKS
+                and router.link_in[number].phit is None):
+            return False
+    return moving
 
 
 def unit_counts(run, counts: dict) -> dict:

@@ -10,6 +10,7 @@ header offsets and round-robin arbitration among inputs (section 3.3).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -66,7 +67,12 @@ class _InputPort:
     # before the router proper sees them.
     sync: deque[tuple[int, Phit]] = field(default_factory=deque)
     rx_bytes: list[int] = field(default_factory=list)
+    #: Metadata of the first frame in ``rx_bytes``.
     rx_meta: Optional[PacketMeta] = None
+    #: Metadata of the frames behind it, when one ``capture`` matures
+    #: more than one (``complete_receptions`` admits every whole frame
+    #: in the cycle it completes, so this is empty between cycles).
+    rx_later: Optional[list[Optional[PacketMeta]]] = None
     # Virtual cut-through (paper section 7): when engaged, remaining
     # bytes of the current packet stream straight to this output port,
     # bypassing the packet memory and the comparator tree.
@@ -95,6 +101,14 @@ class _InputPort:
             if meta is not None:
                 self.metas[-1] = meta
 
+    def drop_partial_meta(self) -> None:
+        """The partial frame at the end of ``rx_bytes`` was dropped:
+        forget its metadata."""
+        if not self.rx_bytes:
+            self.rx_meta = None
+        elif self.rx_later:
+            self.rx_later.pop()
+
     def active_meta(self) -> Optional[PacketMeta]:
         return self.metas[0] if self.metas else None
 
@@ -118,7 +132,8 @@ class InputSide:
 
     __slots__ = ("chip", "params", "out_ports", "ports", "sync_count",
                  "frame_ready", "be_arbiters", "tc_inject_queue",
-                 "tc_inject_phits", "be_inject_queue", "be_inject_phits")
+                 "tc_inject_phits", "be_inject_queue", "be_inject_phits",
+                 "inject_base")
 
     def __init__(self, chip) -> None:
         self.chip = chip
@@ -139,6 +154,9 @@ class InputSide:
         self.tc_inject_phits: deque[Phit] = deque()
         self.be_inject_queue: deque[BestEffortPacket] = deque()
         self.be_inject_phits: deque[Phit] = deque()
+        #: The injection port takes byte ``i`` of the host packet it
+        #: frames on cycle ``inject_base + i`` (derived, not serialised).
+        self.inject_base: Optional[int] = None
 
     def holds(self) -> bool:
         """A queued injection, a byte, or an acknowledgement owed."""
@@ -198,7 +216,8 @@ class InputSide:
                 state.cut_port = None
                 state.rx_meta = None
             return
-        expected = len(state.rx_bytes) % self.params.tc_packet_bytes
+        size = self.params.tc_packet_bytes
+        expected = len(state.rx_bytes) % size
         if phit.index != expected:
             # Bytes went missing upstream (link cut mid-packet):
             # discard the partial frame and resynchronise on the next
@@ -207,13 +226,20 @@ class InputSide:
                 self.chip.tc_resync_drops += 1
                 del state.rx_bytes[len(state.rx_bytes)
                                    - expected:]
-                state.rx_meta = None if not state.rx_bytes else state.rx_meta
+                state.drop_partial_meta()
             if phit.index != 0:
                 return
-        if not state.rx_bytes and phit.packet is not None:
-            state.rx_meta = getattr(phit.packet, "meta", None)
+            expected = 0
+        if expected == 0:
+            meta = getattr(phit.packet, "meta", None)
+            if state.rx_bytes:  # a frame behind a whole one
+                if state.rx_later is None:
+                    state.rx_later = []
+                state.rx_later.append(meta)
+            elif phit.packet is not None:
+                state.rx_meta = meta
         state.rx_bytes.append(phit.byte)
-        if len(state.rx_bytes) >= self.params.tc_packet_bytes:
+        if expected == size - 1:
             self.frame_ready = True
         chip = self.chip
         if chip.cut_through and len(state.rx_bytes) == TC_HEADER_BYTES:
@@ -229,12 +255,18 @@ class InputSide:
     # ------------------------------------------------------------------
 
     def feed_injection(self, cycle: int) -> None:
-        if not self.tc_inject_phits and self.tc_inject_queue:
+        phits = self.tc_inject_phits
+        if not phits and self.tc_inject_queue:
             packet = self.tc_inject_queue.popleft()
-            self.tc_inject_phits.extend(phits_of(packet, self.params))
-        if self.tc_inject_phits:
-            self._accept_tc_byte(self.ports[MESH_LINKS],
-                                 self.tc_inject_phits.popleft(), cycle)
+            phits.extend(phits_of(packet, self.params))
+            self.inject_base = cycle
+        if phits:
+            if self.inject_base is None:  # restored mid-packet
+                self.inject_base = cycle - phits[0].index
+            # This cycle's byte, and those of cycles the router slept.
+            port, base = self.ports[MESH_LINKS], self.inject_base
+            while phits and base + phits[0].index <= cycle:
+                self._accept_tc_byte(port, phits.popleft(), cycle)
 
         if not self.be_inject_phits and self.be_inject_queue:
             packet = self.be_inject_queue.popleft()
@@ -255,12 +287,14 @@ class InputSide:
     def complete_receptions(self, cycle: int) -> None:
         size = self.params.tc_packet_bytes
         for port, state in enumerate(self.ports):
-            if len(state.rx_bytes) < size:
-                continue
-            raw = bytes(state.rx_bytes[:size])
-            del state.rx_bytes[:size]
-            meta, state.rx_meta = state.rx_meta, None
-            self._admit_tc_packet(port, raw, meta, cycle)
+            # Every whole frame the input holds, each with its own meta.
+            while len(state.rx_bytes) >= size:
+                raw = bytes(state.rx_bytes[:size])
+                del state.rx_bytes[:size]
+                meta = state.rx_meta
+                state.rx_meta = (state.rx_later.pop(0) if state.rx_later
+                                 else None)
+                self._admit_tc_packet(port, raw, meta, cycle)
         self.frame_ready = False
 
     def _admit_tc_packet(self, port: int, raw: bytes,
@@ -455,14 +489,103 @@ class InputSide:
         return phit.byte
 
     # ------------------------------------------------------------------
+    # Frames in flight
+    # ------------------------------------------------------------------
+
+    def settle(self, target: int) -> None:
+        """Take in the frame bytes the per-cycle loop would have taken
+        before cycle ``target``: synchroniser entries matured by then,
+        and the framed host packet's bytes fed by then."""
+        if self.sync_count:
+            self.capture((), target - 1)
+        phits = self.tc_inject_phits
+        base = self.inject_base
+        if phits and base is not None:
+            port = self.ports[MESH_LINKS]
+            while phits and base + phits[0].index < target:
+                self._accept_tc_byte(port, phits.popleft(), target - 1)
+
+    def frame_wake(self) -> float:
+        """The input side's part of ``RealTimeRouter._frame_wake``: 0 if
+        an input holds anything but frame bytes (or cuts a frame
+        through), else the first cycle the framed host packet's last
+        byte is fed or, per input, the first frame end in the
+        synchroniser matures (without one: its last byte)."""
+        if (self.frame_ready or self.be_inject_queue
+                or self.be_inject_phits):
+            return 0
+        cut_through = self.chip.cut_through
+        last = self.params.tc_packet_bytes - 1
+        wake = math.inf
+        if self.tc_inject_phits:
+            if cut_through or self.inject_base is None:
+                return 0
+            wake = self.inject_base + last
+        elif self.tc_inject_queue:
+            return 0
+        for number, state in enumerate(self.ports):
+            # (A byte in the flit buffer is one of a worm whose header
+            # record is in ``headers`` until its tail has left.)
+            if (state.cut_port is not None or state.headers
+                    or state.pending_acks):
+                return 0
+            sync = state.sync
+            if sync:
+                if cut_through:
+                    return 0
+                # Where the first frame end sits if the queue starts
+                # with one frame's bytes in a row (it does, unless a
+                # best-effort byte slipped between two chunks).
+                end = last - sync[0][1].index
+                if end < len(sync) and sync[end][1].index == last \
+                        and sync[end][1].vc == "TC":
+                    ready = sync[end][0]
+                else:
+                    for ready, phit in sync:
+                        if phit.vc != "TC":
+                            return 0
+                        if phit.index == last:
+                            break
+                if ready < wake:
+                    wake = ready
+            elif state.rx_bytes and (number < MESH_LINKS
+                                     or not self.tc_inject_phits):
+                return 0
+        return wake
+
+    def wires(self, link_in: list, target: int, wired: bool) -> list:
+        """The link inputs as the per-cycle loop holds them at read
+        point ``target``: where the previous cycle's wiring has run and
+        the router has not yet stepped (``wired``), the frame byte that
+        matures ``input_sync_cycles`` after ``target`` is on the wire."""
+        if not (wired and self.sync_count):
+            return link_in
+        shown = link_in
+        due = target + self.params.input_sync_cycles
+        for port in range(MESH_LINKS):
+            for ready, phit in self.ports[port].sync:
+                if ready == due:
+                    if shown is link_in:
+                        shown = list(link_in)
+                    shown[port] = type(link_in[port])(
+                        phit=phit, ack=link_in[port].ack)
+                    break
+        return shown
+
+    # ------------------------------------------------------------------
     # Checkpointing: this side's entries of the router document
     # ------------------------------------------------------------------
 
-    def state(self, ctx) -> dict:
+    def state(self, ctx, target: int) -> dict:
+        """This side's entries; the synchronisers as the per-cycle loop
+        holds them at read point ``target`` (a frame's bytes not yet
+        captured by then are still on the wire or upstream)."""
         ports = self.ports
+        limit = target + self.params.input_sync_cycles
         return {
             "sync_queues": [
-                [[ready, ctx.save_phit(phit)] for ready, phit in port.sync]
+                [[ready, ctx.save_phit(phit)] for ready, phit in port.sync
+                 if ready < limit]
                 for port in ports
             ],
             "tc_inputs": [
@@ -497,6 +620,7 @@ class InputSide:
                               for ready, phit in sync)
             port.rx_bytes = list(tc["rx_bytes"])
             port.rx_meta = ctx.meta(tc["rx_meta"])
+            port.rx_later = None
             port.cut_port = tc["cut_port"]
             port.buffer.load_state(be["buffer"], ctx)
             port.headers = deque(list(h) for h in be["headers"])
@@ -517,3 +641,4 @@ class InputSide:
             ctx.load_be_packet(p) for p in state["be_inject_queue"])
         self.be_inject_phits = deque(
             ctx.load_phit(p) for p in state["be_inject_phits"])
+        self.inject_base = None

@@ -134,6 +134,37 @@ def _check_streams(router: RealTimeRouter) -> None:
             _fail(f"stream on port {port} sent too many bytes")
         if stream.sent + len(stream.staging) > router.params.tc_packet_bytes:
             _fail(f"stream on port {port} staged beyond packet size")
+    _check_frames(router)
+
+
+def _check_frames(router: RealTimeRouter) -> None:
+    """A committed frame moves as one arrival exactly where it may
+    (``OutputSide.frame``): per byte only on a port that steps per
+    byte (a failed link, a corruptor, a watchdog reading the link
+    monitors, a service hook), a cut-through stream, or the last byte.
+    Holds after every step; a stream restored mid-frame is framed by
+    its first transmit."""
+    size = router.params.tc_packet_bytes
+    links = router.frame_links
+    for port, output in enumerate(router.outputs.ports):
+        stream = output.tc_stream
+        if stream is None:
+            continue
+        may = (links is not None and links[port]
+               and router.service_hook is None)
+        if stream.base is not None and not may:
+            _fail(f"stream on port {port} framed on a port that steps "
+                  "per byte")
+        if (stream.base is None and may and stream.slot >= 0
+                and stream.sent < size - 1
+                and stream.sent + len(stream.staging) == size):
+            _fail(f"whole stream on port {port} stepped per byte")
+        if (stream.base is not None
+                and router._asleep in (None, router.cycle)
+                and stream.sent != min(router.cycle - stream.base,
+                                       size - 1)):
+            _fail(f"framed stream on port {port} sent {stream.sent} "
+                  f"bytes by cycle {router.cycle}")
 
 
 def _check_derived_state(router: RealTimeRouter) -> None:
@@ -182,12 +213,11 @@ def _check_activity(router: RealTimeRouter) -> None:
     at = router._work_at
     if at is None or NOW < at <= router.cycle:
         return
-    fresh = (NEVER if router._holds_nothing()
-             else router._dormancy_deadline())
+    fresh = router._fresh_work()
     if fresh != at:
         _fail(f"remembered next work at cycle {at} but a fresh "
               f"computation says {fresh}")
-    if at in (NOW, NEVER):
+    if at in (NOW, NEVER) or router._frame_wake():
         return
     slot_cycles = router.params.slot_cycles
     for tick in range(router.cycle // slot_cycles, at // slot_cycles):

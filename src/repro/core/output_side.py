@@ -9,6 +9,7 @@ traffic (section 3.2); the fifth reassembles both classes for the host.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -42,6 +43,14 @@ class _TCStream:
     sent: int = 0
     #: The stand-in every wire phit of this packet carries.
     carrier: Optional[MetaCarrier] = field(init=False, default=None)
+    #: Framed (:meth:`OutputSide.frame`): byte ``i`` leaves on cycle
+    #: ``base + i``.  Derived, never serialised: a restored stream is
+    #: framed again by its next transmit.
+    base: Optional[int] = field(init=False, default=None)
+    #: The synchroniser entries handed to the link: ``(ready, phit)``
+    #: for every byte from the first framed one to the last but one
+    #: (the last crosses the wire itself).
+    handed: Optional[list] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.meta:
@@ -72,11 +81,15 @@ class OutputSide:
     """The five output ports of one chip, ``chip``: the router
     document's ``outputs`` entry."""
 
-    __slots__ = ("chip", "params", "ports")
+    __slots__ = ("chip", "params", "ports", "lead")
 
     def __init__(self, chip) -> None:
         self.chip = chip
         self.params = chip.params
+        #: How many bytes before its end a stream asks for the decision
+        #: that follows it (``request_decisions``).
+        self.lead = (chip.pipeline.latency
+                     + chip.pipeline.initiation_interval)
         self.ports = [
             _Output(CreditCounter(self.params.flit_buffer_bytes)
                     if port < MESH_LINKS else None)
@@ -204,8 +217,7 @@ class OutputSide:
                 # Overlap scheduling with transmission: request the next
                 # decision just early enough to land at the boundary.
                 remaining = self.params.tc_packet_bytes - stream.sent
-                lead = pipeline.latency + pipeline.initiation_interval
-                if remaining > lead:
+                if remaining > self.lead:
                     continue
             pipeline.request(port)
 
@@ -239,6 +251,17 @@ class OutputSide:
 
         # Priority 1: stream the active time-constrained packet.
         stream = output.tc_stream
+        if stream is not None:
+            if (stream.base is None and self.chip.frame_links is not None
+                    and len(stream.staging) > 1):
+                self.frame(port, stream, cycle)
+            base = stream.base
+            if base is not None:
+                if cycle - base >= stream.sent:
+                    self._move_frame(port, output, stream, cycle + 1)
+                if cycle - base < self.params.tc_packet_bytes - 1:
+                    return
+                # The last byte crosses below, like an unframed one.
         if stream is not None and stream.staging:
             byte = stream.staging.popleft()
             index = stream.sent
@@ -367,6 +390,117 @@ class OutputSide:
         for chunk in range(self.params.chunks_per_packet):
             chip.bus.request(BusRequest(OUTPUT_PORTS + port, TC_READ,
                                         (port, slot, chunk)))
+
+    # -- frames in flight --------------------------------------------------
+
+    def frame(self, port: int, stream: _TCStream, cycle: int) -> None:
+        """Make a committed stream one arrival, if it may be one.
+
+        It may once every byte is staged (its last ``tc-read`` has been
+        granted) and at least two are left to send, unless the port
+        steps per byte (``chip.frame_links``) or it is a cut-through
+        stream, which is staged byte by byte.  From this cycle on byte
+        ``i`` leaves on cycle ``base + i``: on a link, every byte but
+        the last is handed to the neighbour's synchroniser now, each
+        with the cycle it matures there (``chip.frames_out``, which the
+        link wiring delivers), and the last crosses the wire; at the
+        reception port they are reassembled as the router settles.
+        """
+        size = self.params.tc_packet_bytes
+        sent = stream.sent
+        chip = self.chip
+        if (stream.slot < 0 or sent >= size - 1
+                or sent + len(stream.staging) != size
+                or not chip.frame_links[port]
+                or chip.service_hook is not None):
+            return
+        stream.base = cycle - sent
+        if port == RECEPTION:
+            return
+        # Byte i is captured downstream on cycle base + i + 1.
+        ready = stream.base + 1 + self.params.input_sync_cycles
+        carrier = stream.carrier
+        stream.handed = [
+            (ready + index, Phit(vc="TC", byte=byte, packet=carrier,
+                                 index=index, last=False))
+            for index, byte in zip(range(sent, size - 1), stream.staging)]
+        chip.frames_out.append((port, stream.handed))
+
+    def _move_frame(self, port: int, output: _Output, stream: _TCStream,
+                    until: int) -> None:
+        """Account the framed stream's bytes that leave before cycle
+        ``until`` — all but the last, which crosses on its own cycle."""
+        end = min(until - stream.base, self.params.tc_packet_bytes - 1)
+        count = end - stream.sent
+        if count <= 0:
+            return
+        staging = stream.staging
+        stream.sent = end
+        output.tc_bytes += count
+        if port == RECEPTION:
+            if not output.tc_rx and stream.carrier is not None:
+                output.tc_rx_meta = stream.meta
+            output.tc_rx.extend(staging.popleft() for _ in range(count))
+        else:
+            for _ in range(count):
+                staging.popleft()
+
+    def settle(self, target: int) -> None:
+        """Move the framed streams' bytes that leave before ``target``."""
+        for port, output in enumerate(self.ports):
+            stream = output.tc_stream
+            if stream is not None and stream.base is not None:
+                self._move_frame(port, output, stream, target)
+
+    def frame_wake(self) -> float:
+        """The output side's part of ``RealTimeRouter._frame_wake``:
+        0 if a port holds anything but a framed stream (and a decision
+        held or asked for its successor) or would ask for a decision
+        now, else the first cycle a stream asks for its successor's
+        decision or sends its last byte (``inf``: none)."""
+        counts = self.chip.eligible_count
+        asked = self.chip.pipeline.has_request
+        last = self.params.tc_packet_bytes - 1
+        wake = math.inf
+        for port, output in enumerate(self.ports):
+            if (output.be_staging or output.be_rx
+                    or output.bound_input is not None):
+                return 0
+            # Will ``request_decisions`` ask for a decision for it?
+            asks = (counts[port] and output.held is None
+                    and not asked(port))
+            stream = output.tc_stream
+            if stream is None:
+                if output.held is not None or asks or output.tc_rx:
+                    return 0
+                continue
+            base = stream.base
+            if base is None:
+                return 0
+            at = base + last
+            if asks:
+                at -= self.lead  # the cycle it does
+            if at < wake:
+                wake = at
+        return wake
+
+    def wires(self, link_out: list, target: int) -> list:
+        """The link outputs as the per-cycle loop holds them at read
+        point ``target``: a framed stream drives its byte of cycle
+        ``target - 1`` on its link."""
+        shown = link_out
+        for port in range(MESH_LINKS):
+            stream = self.ports[port].tc_stream
+            if stream is None or stream.handed is None:
+                continue
+            handed = stream.handed
+            index = target - 1 - stream.base - handed[0][1].index
+            if 0 <= index < len(handed):
+                if shown is link_out:
+                    shown = list(link_out)
+                shown[port] = type(link_out[port])(
+                    phit=handed[index][1], ack=link_out[port].ack)
+        return shown
 
     def read_chunk(self, port: int, slot: int, chunk: int) -> None:
         """A granted ``tc-read``: one chunk from the memory to staging."""

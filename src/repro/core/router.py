@@ -56,7 +56,8 @@ from repro.core.packet_memory import (
 from repro.core.params import MESH_LINKS, OUTPUT_PORTS, RouterParams
 
 #: "When do you next have work of your own?" is answered with a cycle:
-#: ``NOW`` when busy, a dormancy deadline, ``NEVER`` when quiescent.
+#: ``NOW`` when busy, the next event of the frames in flight, a
+#: dormancy deadline, ``NEVER`` when quiescent.
 NOW, NEVER = 0, math.inf
 
 #: The units whose whole ``state()`` is one entry of the router document.
@@ -189,6 +190,22 @@ class RealTimeRouter:
         self.control.on_horizon_write = self._horizon_written
         #: Called on an append to :attr:`delivered` (wakes the host).
         self.delivery_hook: Optional[Callable[[], None]] = None
+        #: Per output port: may a committed time-constrained frame cross
+        #: it as one arrival (``OutputSide.frame``)?  ``None``: every
+        #: byte steps, on every port and input.  Set by ``MeshNetwork``
+        #: from the links' health; a standalone router steps per byte.
+        self.frame_links: Optional[list[bool]] = None
+        #: The ``MeshNetwork`` this router is wired into, if any: its
+        #: engine says where a reader stands (:meth:`settle`), and it
+        #: settles the routers asleep on frames when a run ends.
+        self.fabric = None
+        #: Frames this cycle hands to the links, ``(port, entries)``:
+        #: the link wiring moves them into the neighbour's synchroniser.
+        self.frames_out: list[tuple[int, list]] = []
+        #: First cycle the per-byte loop would have stepped this router
+        #: in but it slept through, frames moving; settled by the next
+        #: working step or read.  Derived state, never serialised.
+        self._asleep: Optional[int] = None
 
         for name in COUNTERS:
             setattr(self, name, 0)
@@ -271,21 +288,31 @@ class RealTimeRouter:
         access, and finally let every output port drive one byte.  A
         phase whose inputs are all empty is a no-op and is not entered.
         """
-        if cycle is not None:
+        if cycle is None:
+            cycle = self.cycle
+        elif self._asleep is None:
             self.cycle = cycle
-        cycle = self.cycle
         link_in = self.link_in
         links_quiet = _links_quiet(link_in)
         # Fast path: a completely quiescent router (no input signals,
         # nothing buffered or in flight) has no visible work this
-        # cycle, and neither has a dormant one before its deadline.
-        # Large meshes are mostly idle, so this matters.
+        # cycle, and neither has a dormant one before its deadline nor
+        # one whose frames only move until their next event (it
+        # settles when it works or is read).  Large meshes are mostly
+        # idle, so this matters.
         if links_quiet and cycle < self._next_work():
             for signal in self.link_out:
                 signal.phit = None
                 signal.ack = False
-            self.cycle = cycle + 1
+            if self._asleep is None:
+                self.cycle = cycle + 1
             return
+        if self._asleep is not None:
+            # The cycles slept through only moved frame bytes, which
+            # this step's own phases catch up on; the bus counts them.
+            self.bus.idle_cycles(cycle - self._asleep)
+            self._asleep = None
+            self.cycle = cycle
         if self._pipeline_lag is not None:
             self._replay_dormant_span()
         self._forget()
@@ -302,9 +329,10 @@ class RealTimeRouter:
             inputs.complete_receptions(cycle)
         # A worm to route and bind, or a bound one (binding makes one)
         # with no transfer outstanding: nothing else enters these two.
-        unbound = movable = False
+        unbound = movable = worms = False
         for state in inputs.ports:
             if state.headers:
+                worms = True
                 if not state.bound:
                     unbound = True
                 elif not state.xfer_pending:
@@ -325,8 +353,13 @@ class RealTimeRouter:
         if self.leaves.occupancy:
             outputs.request_decisions()
         self.cycle = cycle + 1
-        if inputs.sync_count or bus.pending():
+        if (inputs.sync_count and (self.frame_links is None or worms)
+                or bus.pending()):
             self._work_at = NOW  # provably busy: remember it
+        elif inputs.sync_count:
+            # Never quiescent or dormant with a byte in a synchroniser:
+            # at most asleep on frames.
+            self._work_at = self._sleep_on_frames() or NOW
         elif self.pipeline.wake_cycle is not None:
             # A tournament pending: waiting may be all the chip does,
             # and whether it is is decided (and traced) in this cycle.
@@ -390,21 +423,74 @@ class RealTimeRouter:
 
     def _next_work(self, now: Optional[int] = None) -> float:
         """The remembered activity answer, decided when forgotten:
-        ``NEVER`` if quiescent, else the :meth:`_dormancy_deadline`.
-        Going dormant records where the pipeline stops being advanced
-        and traces what each port now waits on (under cycle ``now``: a
-        step deciding it has moved on by one)."""
+        ``NEVER`` if quiescent, else the :meth:`_dormancy_deadline` or
+        the next event of a router that only waits on frames in flight
+        and tournaments (:meth:`_frame_wake`).  Going dormant records
+        where the pipeline stops being advanced and traces what each
+        port now waits on (under cycle ``now``: a step deciding it has
+        moved on by one); going to sleep records the first cycle slept
+        through."""
         at = self._work_at
         if at is None:
-            at = self._work_at = (NEVER if self._holds_nothing()
-                                  else self._dormancy_deadline())
-            if NOW < at < NEVER:
-                if self._pipeline_lag is None:
-                    self._pipeline_lag = self.cycle
-                if self.tracer is not None:
-                    self.outputs.trace_dormant_deferrals(
-                        self.cycle if now is None else now)
+            if self._holds_nothing():
+                at = NEVER
+            else:
+                at = self._dormancy_deadline()
+                if at:
+                    if self._pipeline_lag is None:
+                        self._pipeline_lag = self.cycle
+                    if self.tracer is not None:
+                        self.outputs.trace_dormant_deferrals(
+                            self.cycle if now is None else now)
+                elif self.frame_links is not None:
+                    at = self._sleep_on_frames()
+            self._work_at = at
         return at
+
+    def _sleep_on_frames(self) -> float:
+        """:meth:`_frame_wake`, recording the first cycle slept through
+        when the router goes to sleep."""
+        at = self._frame_wake()
+        if at and self._asleep is None:
+            self._fall_asleep(self.cycle)
+        return at
+
+    def _fresh_work(self) -> float:
+        """:meth:`_next_work` decided afresh, with no side effect."""
+        if self._holds_nothing():
+            return NEVER
+        return self._dormancy_deadline() or self._frame_wake()
+
+    def _frame_wake(self) -> float:
+        """First cycle at which a router that only waits — on the bytes
+        of committed frames crossing, and on tournaments in the
+        scheduler pipeline — has work of its own, or 0.
+
+        Frames in flight: streams handed to a link or the reception
+        port (``OutputSide.frame``), a host packet the injection port
+        frames, and bytes in the synchronisers that the per-cycle loop
+        would only move into ``rx_bytes``.  Their next events are the
+        cycle a stream asks for its successor's decision, a stream's
+        last byte, the injection port's last byte and the maturing of a
+        frame's last byte (or of the last byte queued); a tournament's
+        is the pipeline's ``wake_cycle``.  Until the first of them the
+        per-cycle loop changes nothing but the fields :meth:`settle`
+        replays.  Anything else inside — a bus access, a decision to
+        act on or to ask for, best-effort state, a packet for the host
+        — is work.
+        """
+        pending = self.pipeline.wake_cycle
+        if (self.frame_links is None or self.service_hook is not None
+                or self.bus.pending() or self.delivered
+                or self._pipeline_lag is not None  # replay it first
+                or pending is not None and pending <= self.cycle):
+            return 0
+        wake = self.outputs.frame_wake()
+        if wake:
+            wake = min(wake, self.inputs.frame_wake())
+        if pending is not None and pending < wake:
+            wake = pending
+        return wake if wake < NEVER else 0
 
     def _dormancy_deadline(self) -> int:
         """First cycle at which a buffered packet may be committed, or
@@ -444,6 +530,47 @@ class RealTimeRouter:
         self.tree.evaluations += len(self.pipeline.replay(
             start, self.cycle, self.outputs.eligible_ports()))
         self.bus.idle_cycles(self.cycle - start)
+
+    def settle(self) -> tuple[int, bool]:
+        """Bring the per-byte fields up to where this router is read
+        (the engine's ``read_point``; standalone: its own cycle), as the
+        per-cycle loop would have left them, and return that point.
+
+        Replays the cycles from :attr:`_asleep` on that only moved
+        frames: their bytes, the clock, the chunk bus's cycle count and
+        the cycle counter."""
+        if self.fabric is None:
+            return self.cycle, True
+        target, wired = self.fabric.engine.read_point(self)
+        start = self._asleep
+        if start is not None and target > start:
+            self._asleep = target
+            self.outputs.settle(target)
+            self.inputs.settle(target)
+            self.bus.idle_cycles(target - start)
+            self.clock.set((target - 1) // self._slot_cycles
+                           + self.clock_skew_ticks)
+            self.cycle = target
+        return target, wired
+
+    def receive_frame(self, port: int, entries: list) -> None:
+        """The link wiring hands input ``port`` a frame's bytes, each
+        with the cycle it matures in the synchroniser."""
+        self.inputs.ports[port].sync.extend(entries)
+        self.inputs.sync_count += len(entries)
+        # The per-cycle loop captures the first on the cycle after the
+        # sender drove it, and steps this router from then on.
+        first = entries[0][0] - self.params.input_sync_cycles
+        if self._asleep is None:
+            self._fall_asleep(first)
+        elif first < self._asleep:
+            self._asleep = first
+        self._forget()
+
+    def _fall_asleep(self, cycle: int) -> None:
+        self._asleep = cycle
+        if self.fabric is not None:
+            self.fabric.sleepers.add(self)
 
     def lagging(self, cycle: int) -> tuple[int, int]:
         """What a reader at ``cycle`` adds to ``tree.evaluations`` and
@@ -503,13 +630,21 @@ class RealTimeRouter:
         metadata goes through it so instances shared across components
         keep their identity on restore.  It numbers them as they are
         first saved, hence the outputs first.
+
+        The document is the per-cycle loop's at the read point: the
+        router settles first, and a frame in flight shows its bytes
+        where that loop holds them — on the wire, in the synchroniser —
+        not where the frame path keeps them.
         """
+        target, wired = self.settle()
         outputs = self.outputs.state(ctx)
         return {
             **{name: getattr(self, name).state() for name in SHARED},
-            "link_in": [self._save_signal(s, ctx) for s in self.link_in],
-            "link_out": [self._save_signal(s, ctx) for s in self.link_out],
-            **self.inputs.state(ctx),
+            "link_in": [self._save_signal(s, ctx) for s
+                        in self.inputs.wires(self.link_in, target, wired)],
+            "link_out": [self._save_signal(s, ctx) for s
+                         in self.outputs.wires(self.link_out, target)],
+            **self.inputs.state(ctx, target),
             **outputs,
             "delivered": [
                 (["TC", ctx.save_tc_packet(p)]
@@ -543,6 +678,8 @@ class RealTimeRouter:
             for kind, p in state["delivered"]
         ]
         self._forget()
+        self._asleep = None
+        self.frames_out.clear()
         # Absent from documents written before routers went dormant.
         self._pipeline_lag = state.get("pipeline_lag")
         # In place: both sides hold these lists.

@@ -28,6 +28,7 @@ asserts this; ``docs/performance.md`` documents the contracts).
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left
 from functools import partial
 from typing import Callable, Iterable, Optional, Protocol
@@ -103,6 +104,13 @@ class SynchronousEngine:
         #: Whether the queue reflects every registered component; False
         #: until the first run entry and after an invalidation.
         self._queue_valid = False
+        #: Registration index of the component stepping now (``inf``
+        #: while the wiring runs); ``None`` between cycles.
+        self._stepping: Optional[float] = None
+        #: The executing cycle's batch, and the components whose wiring
+        #: runs at its end although they did not step (:meth:`touch`).
+        self._batch: Optional[list] = None
+        self._touched: list = []
 
     # ------------------------------------------------------------------
     # Registration
@@ -237,6 +245,45 @@ class SynchronousEngine:
             return
         self._pending_wakes.add(component)
 
+    def read_point(self, component: Steppable) -> tuple[int, bool]:
+        """Where a reader of ``component``'s state stands right now.
+
+        Returns the first cycle whose step the component has not taken
+        in the per-cycle loop, and whether its link inputs still hold
+        what the previous cycle's wiring carried: ``(cycle, True)``
+        between cycles and before its slot in the executing cycle,
+        ``(cycle + 1, False)`` once its slot has passed.  A component
+        that sleeps through cycles the loop would step it in settles
+        itself to this point when it is read.
+        """
+        current = self._stepping
+        if current is None or self._order.get(component, current) >= current:
+            return self.cycle, True
+        return self.cycle + 1, False
+
+    def touch(self, component: Steppable) -> None:
+        """Run the wiring sourced at ``component`` at the end of the
+        executing cycle although it did not step (its state was changed
+        mid-cycle so that it drives a link); a no-op between cycles and
+        on the oracle, which runs every wiring on every cycle."""
+        if self._stepping is not None and self.mode == "event":
+            self._touched.append(component)
+
+    def wake_now(self, component: Steppable) -> None:
+        """:meth:`wake`, and if the executing cycle has yet to reach
+        ``component``'s slot, step it in this cycle (a mid-cycle change
+        gave it work the per-cycle loop does in that slot)."""
+        if self.mode == "exact":
+            return
+        current, index = self._stepping, self._order.get(component)
+        if current is None or index is None or index <= current:
+            self.wake(component)
+            return
+        batch = self._batch
+        slot = bisect_left(batch, (index,))
+        if slot == len(batch) or batch[slot][0] != index:
+            batch.insert(slot, (index, component))
+
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
@@ -274,10 +321,16 @@ class SynchronousEngine:
     def _step_once(self) -> None:
         # Snapshot so add/remove_component from inside a step cannot
         # skip or double-step a neighbour (mutation during iteration).
-        for component in tuple(self._components):
-            component.step(self.cycle)
-        for transfer in self._wiring:
-            transfer()
+        order = self._order
+        try:
+            for component in tuple(self._components):
+                self._stepping = order.get(component, -1)
+                component.step(self.cycle)
+            self._stepping = math.inf
+            for transfer in self._wiring:
+                transfer()
+        finally:
+            self._stepping = None
         self.cycle += 1
         self.cycles_stepped += 1
 
@@ -406,11 +459,13 @@ class SynchronousEngine:
                 del sched[component]
                 batch.append((index, component))
         batch.sort()
+        self._batch = batch
         peers = self._peers
         position = 0
         while position < len(batch):
             own, component = batch[position]
             position += 1
+            self._stepping = own
             component.step(now)
             # In-cycle cascade: a step can hand work directly to a
             # peer *later* in the firing order (a host injecting into
@@ -429,21 +484,29 @@ class SynchronousEngine:
                 nxt = probe(now) if probe is not None else now
                 if nxt is not None and nxt <= now:
                     batch.insert(slot, (index, partner))
+        self._stepping = math.inf
         stepped = [component for _, component in batch]
+        sources = stepped
+        if self._touched:
+            sources = stepped + [component for component
+                                 in dict.fromkeys(self._touched)
+                                 if component not in stepped]
+            self._touched.clear()
         run_indices = list(self._sourceless_wirings)
-        for component in stepped:
+        for component in sources:
             indices = self._source_wirings.get(component)
             if indices:
                 run_indices.extend(indices)
         run_indices.sort()  # wiring order == registration order
         # Requery everything this cycle could have affected: what
         # stepped, its peers, and whatever the wiring wrote.
-        requery = set(stepped)
+        requery = set(sources)
         wiring = self._wiring
         for index in run_indices:
             wrote = wiring[index]()
             if wrote:
                 requery.update(wrote)
+        self._stepping = self._batch = None
         self.cycle = now = now + 1
         self.cycles_stepped += 1
         for component in stepped:
@@ -471,6 +534,8 @@ class SynchronousEngine:
             # The cycle's batch was already taken off the queue: the
             # next run entry must ask everybody again.
             self._queue_valid = False
+            self._stepping = self._batch = None
+            self._touched.clear()
             raise
 
     # ------------------------------------------------------------------

@@ -99,10 +99,9 @@ class MeshNetwork:
         self.mesh = Mesh(width, height, torus=torus)
         self.log = DeliveryLog(self.params.slot_cycles)
         self.engine = SynchronousEngine(mode=engine)
-        #: The engine component that reads ``missed_transfers`` (the
-        #: link watchdog, which installs itself): a wiring that counts a
-        #: missed transfer reports it as written.
-        self.monitor_reader = None
+        self._monitor_reader = None
+        #: Routers that have slept on frames since the last run ended.
+        self.sleepers: set[RealTimeRouter] = set()
         self.routers: dict[Node, RealTimeRouter] = {}
         self.hosts: dict[Node, HostNode] = {}
         self._failed_links: set[tuple[Node, int]] = set()
@@ -152,6 +151,10 @@ class MeshNetwork:
             router.delivery_hook = partial(self.engine.wake, host)
             # and when a raised horizon may have moved its dormancy deadline.
             router.wake_hook = self.engine.wake
+            # A router that slept while its frames moved settles to
+            # where the engine stands when it is read, and at the end
+            # of every run.
+            router.fabric = self
 
         # Wire every link: a router's output signal this cycle becomes
         # its neighbour's input signal next cycle.  One wiring per
@@ -167,6 +170,7 @@ class MeshNetwork:
         # No source: it owes acks independently of router activity.
         self.engine.add_wiring(self._apply_drain_acks,
                                idle_check=self._drain_acks_idle)
+        self._refresh_framing()
 
         self.admission = admission or AdmissionController(self.params)
         self.manager = ChannelManager(
@@ -209,12 +213,23 @@ class MeshNetwork:
             links.append((direction, link, self.routers[neighbor], into,
                           (neighbor, into), monitor))
 
+        frames_out = source.frames_out
+
         def transfer() -> list:
             # Returns the sinks written.  An empty output is skipped on
             # a live and on a dead link alike: the sink emptied its
             # input when it consumed it, so an empty signal copied over
             # it changes nothing (the ``idle_check`` argument, per link).
             wrote = []
+            if frames_out:
+                # Frames committed this cycle: their bytes go to the
+                # sink's synchroniser at once (``OutputSide.frame``).
+                for direction, entries in frames_out:
+                    for _, link, sink, into, _, _ in links:
+                        if link[1] == direction:
+                            sink.receive_frame(into, entries)
+                            wrote.append(sink)
+                frames_out.clear()
             link_out = source.link_out  # load_state rebinds the list
             for direction, link, sink, into, served, monitor in links:
                 signal = link_out[direction]
@@ -315,6 +330,108 @@ class MeshNetwork:
         return True
 
     # ------------------------------------------------------------------
+    # Frames in flight (docs/performance.md, "Frames in flight")
+    # ------------------------------------------------------------------
+
+    @property
+    def monitor_reader(self):
+        """The engine component that reads ``missed_transfers`` (the
+        link watchdog, which installs itself): a wiring that counts a
+        missed transfer reports it as written.  While one is installed
+        every byte on every link steps, for it to count."""
+        return self._monitor_reader
+
+    @monitor_reader.setter
+    def monitor_reader(self, reader) -> None:
+        self._monitor_reader = reader
+        self._refresh_framing()
+
+    def _refresh_framing(self) -> None:
+        """Tell every router which output ports a committed frame may
+        cross as one arrival: a live link with no corruptor, and the
+        reception port; none while a watchdog reads the link monitors.
+        A frame on a link that loses it goes back on the wire."""
+        whole = self._monitor_reader is None
+        wired, failed = self.link_monitors, self._failed_links
+        corrupted = self._link_corruptors
+        for node, router in self.routers.items():
+            links = None
+            if whole:
+                links = [True] * (MESH_LINKS + 1)
+                for direction in range(MESH_LINKS):
+                    link = (node, direction)
+                    links[direction] = (link in wired
+                                        and link not in failed
+                                        and link not in corrupted)
+            before, router.frame_links = router.frame_links, links
+            if before is None or before == links:
+                continue
+            for direction in range(MESH_LINKS):
+                if before[direction] and not (links and links[direction]):
+                    self._unframe(node, direction)
+            if links is None:
+                # Every byte steps from here on: the reception port's
+                # frame too, and whatever the router slept on.
+                router.settle()
+                reception = router.outputs.ports[RECEPTION].tc_stream
+                if reception is not None:
+                    reception.base = None
+                router._forget()
+                self.engine.wake(router)
+
+    def _unframe(self, node: Node, direction: int) -> None:
+        """Put the frame handed to one link back on the wire, byte by
+        byte from the point the engine stands at: the bytes that have
+        not crossed by then leave the sink's synchroniser, the last one
+        that has is on the wire (or captured), and the sender streams
+        the rest per byte."""
+        router = self.routers[node]
+        stream = router.outputs.ports[direction].tc_stream
+        if stream is None or stream.handed is None:
+            return
+        engine = self.engine
+        sync_cycles = self.params.input_sync_cycles
+        target, wired = router.settle()
+        handed, base = stream.handed, stream.base
+        stream.base = stream.handed = None
+        pending = [entry for entry in router.frames_out
+                   if entry[0] == direction]
+        for entry in pending:
+            router.frames_out.remove(entry)
+        # The sender's wire holds its byte of cycle target - 1.
+        index = target - 1 - base - handed[0][1].index
+        if 0 <= index < len(handed):
+            router.link_out[direction].phit = handed[index][1]
+        router._forget()
+        if wired:
+            engine.wake_now(router)  # it drives the next byte itself
+        else:
+            engine.touch(router)  # its slot passed: carry its byte
+            engine.wake(router)
+        if pending:
+            return  # nothing has reached the sink yet
+        neighbor, into = (self.mesh.neighbor(node, direction),
+                          OPPOSITE[direction])
+        sink = self.routers[neighbor]
+        _, sink_wired = sink.settle()
+        port = sink.inputs.ports[into]
+        # Bytes driven on the executing cycle or later have not crossed.
+        crossed = engine.cycle + sync_cycles
+        kept = [entry for entry in port.sync if entry[0] <= crossed]
+        wire = None
+        if sink_wired and kept and kept[-1][0] == crossed:
+            wire = kept.pop()[1]  # the last one that has is on the wire
+        sink.inputs.sync_count -= len(port.sync) - len(kept)
+        port.sync.clear()
+        port.sync.extend(kept)
+        sink._forget()
+        if wire is not None:
+            sink.link_in[into].phit = wire
+            engine.wake_now(sink)
+        else:
+            engine.wake(sink)
+
+    # ------------------------------------------------------------------
     # Link failures and recovery
     # ------------------------------------------------------------------
 
@@ -337,6 +454,7 @@ class MeshNetwork:
             raise ValueError("no link in that direction")
         if link not in self._failed_links:
             self._failed_links.add(link)
+            self._refresh_framing()
             monitor = self.link_monitors[link]
             monitor.missed_transfers = 0
             monitor.be_lost_uncompensated = 0
@@ -372,6 +490,7 @@ class MeshNetwork:
         live link, so its bytes on the wire and in the synchroniser go
         too."""
         router = self.routers[node]
+        router.settle()
         port = router.inputs.ports[into]
         dropped, head_inside = (self._drop_in_flight(router, into)
                                 if in_flight else (False, True))
@@ -388,8 +507,7 @@ class MeshNetwork:
             partial = len(port.rx_bytes) % self.params.tc_packet_bytes
             if partial:
                 del port.rx_bytes[len(port.rx_bytes) - partial:]
-                if not port.rx_bytes:
-                    port.rx_meta = None
+                port.drop_partial_meta()
                 dropped = True
         if not dropped:
             return
@@ -441,6 +559,7 @@ class MeshNetwork:
         self._failed_links.discard(link)
         self._draining_links.discard(link)
         self.routing_avoid.discard(link)
+        self._refresh_framing()
         monitor = self.link_monitors[link]
         monitor.missed_transfers = 0
         if monitor.be_lost_uncompensated:
@@ -478,9 +597,11 @@ class MeshNetwork:
         if self.mesh.neighbor(node, direction) is None:
             raise ValueError("no link in that direction")
         self._link_corruptors[(node, direction)] = corruptor
+        self._refresh_framing()
 
     def clear_link_corruptor(self, node: Node, direction: int) -> None:
         self._link_corruptors.pop((node, direction), None)
+        self._refresh_framing()
 
     def link_corruptor(self, node: Node, direction: int) -> Optional[Corruptor]:
         """The corruptor installed on one directed link, or ``None``."""
@@ -521,7 +642,20 @@ class MeshNetwork:
 
     def run(self, cycles: int) -> int:
         """Advance the whole fabric by ``cycles`` chip cycles."""
-        return self.engine.run(cycles)
+        try:
+            return self.engine.run(cycles)
+        finally:
+            self._settle_sleepers()
+
+    def _settle_sleepers(self) -> None:
+        """Between runs every router reads as the per-cycle loop left
+        it: the ones asleep on frames settle (``RealTimeRouter.settle``)."""
+        sleepers = self.sleepers
+        if sleepers:
+            for router in sleepers:
+                router.settle()
+            sleepers.difference_update([router for router in sleepers
+                                        if router._asleep is None])
 
     def run_ticks(self, ticks: int) -> int:
         """Advance by whole packet-slot times."""
@@ -531,13 +665,16 @@ class MeshNetwork:
         """Run until every router is idle and no host holds a message
         back (all traffic delivered)."""
         # Quiescent implies idle, and is remembered by the router.
-        return self.engine.run_until(
-            lambda: all(r.quiescent or r.idle
-                        for r in self.routers.values())
-            and all(h.next_event_cycle(self.cycle) is None
-                    for h in self.hosts.values()),
-            max_cycles=max_cycles,
-        )
+        try:
+            return self.engine.run_until(
+                lambda: all(r.quiescent or r.idle
+                            for r in self.routers.values())
+                and all(h.next_event_cycle(self.cycle) is None
+                        for h in self.hosts.values()),
+                max_cycles=max_cycles,
+            )
+        finally:
+            self._settle_sleepers()
 
     # ------------------------------------------------------------------
     # Real-time channels
@@ -804,6 +941,7 @@ class MeshNetwork:
             self.tracer.load_state(state["tracer"])
         load_packet_id_counter_state(state["packet_ids"])
         self.engine.load_state(state["engine"])
+        self._refresh_framing()
 
     # ------------------------------------------------------------------
     # Observability: metrics registry, tracing, snapshots

@@ -195,6 +195,72 @@ class TestViolationDetection:
             check_router_invariants(router)
 
 
+class TestFrames:
+    """A committed frame moves as one arrival exactly where it may, and
+    the remembered next event of a router asleep on frames is what a
+    fresh computation says."""
+
+    @staticmethod
+    def _mid_frame():
+        """A 3x1 chain with a frame crossing (0,0) -> (1,0); the sender."""
+        from repro import TrafficSpec
+        from repro.network.network import MeshNetwork
+
+        net = MeshNetwork(3, 1)
+        channel = net.establish_channel((0, 0), (2, 0),
+                                        TrafficSpec(i_min=10), deadline=60)
+        net.send_message(channel, b"frame")
+        sender = net.routers[(0, 0)]
+        for _ in range(200):
+            net.run(1)
+            stream = sender.outputs.ports[EAST].tc_stream
+            if stream is not None and stream.base is not None:
+                break
+        assert sender._asleep is not None and stream.sent < 15
+        for router in net.routers.values():
+            check_router_invariants(router)
+        return net, sender, stream
+
+    def test_detects_a_whole_stream_stepped_per_byte(self):
+        _, sender, stream = self._mid_frame()
+        stream.base = stream.handed = None  # behind frame()'s back
+        sender._forget()  # (the remembered event says so too)
+        with pytest.raises(InvariantViolation, match="stepped per byte"):
+            check_router_invariants(sender)
+
+    def test_detects_a_frame_on_a_port_that_steps_per_byte(self):
+        _, sender, _ = self._mid_frame()
+        sender.frame_links[EAST] = False  # not through the network
+        with pytest.raises(InvariantViolation, match="steps per byte"):
+            check_router_invariants(sender)
+
+    def test_detects_a_frame_that_lost_count_of_its_bytes(self):
+        _, sender, stream = self._mid_frame()
+        stream.sent -= 1
+        with pytest.raises(InvariantViolation, match="sent"):
+            check_router_invariants(sender)
+
+    def test_detects_a_late_remembered_frame_event(self):
+        _, sender, _ = self._mid_frame()
+        assert sender._work_at == sender._fresh_work() > sender.cycle
+        sender._work_at += 1  # one cycle past the frame's next event
+        with pytest.raises(InvariantViolation, match="fresh computation"):
+            check_router_invariants(sender)
+
+    def test_detects_a_receiver_that_sleeps_past_a_frame_end(self):
+        net, _, _ = self._mid_frame()
+        receiver = net.routers[(1, 0)]
+        assert receiver._next_work() > receiver.cycle
+        # A frame's last byte now matures before the remembered cycle.
+        sync = receiver.inputs.ports[1].sync
+        ready, phit = sync[0]
+        sync[0] = (ready, phit.__class__(vc="TC", byte=phit.byte,
+                                         packet=phit.packet,
+                                         index=19, last=True))
+        with pytest.raises(InvariantViolation, match="fresh computation"):
+            check_router_invariants(receiver)
+
+
 class TestWires:
     """Link signals are written and emptied in place: every slot needs
     a signal of its own, and a step must leave its inputs consumed."""

@@ -10,7 +10,8 @@ from repro.core import (
     UnknownConnectionError,
     port_mask,
 )
-from repro.core.ports import EAST, NORTH, RECEPTION
+from repro.core.packet import phits_of
+from repro.core.ports import EAST, NORTH, RECEPTION, WEST
 from repro.observability import PacketTracer
 from repro.observability.trace import LINK_WIN
 
@@ -177,6 +178,33 @@ class TestMulticast:
         for _ in range(1000):
             router.step()
         assert router.memory.occupancy == 0
+
+
+class TestFraming:
+    def test_every_whole_frame_an_input_holds_is_admitted_with_its_meta(self):
+        # Two whole frames matured in one synchroniser by the time the
+        # router looks (a router that slept while they crossed): both
+        # are admitted, each under its own byte 0's metadata, and
+        # nothing is left behind.
+        router = make_router()
+        router.control.program_connection(0, 0, delay=10,
+                                          port_mask=port_mask(RECEPTION))
+        packets = [TimeConstrainedPacket(0, header_deadline=0,
+                                         payload=bytes([n] * 18))
+                   for n in (1, 2)]
+        sync = router.inputs.ports[WEST].sync
+        for packet in packets:
+            sync.extend((0, phit) for phit in phits_of(packet,
+                                                       router.params))
+        router.inputs.sync_count = len(sync)
+        delivered = run_until_delivered(router, count=2)
+        assert [p.meta.packet_id for p in delivered] == [
+            p.meta.packet_id for p in packets]
+        assert [bytes(p.payload) for p in delivered] == [
+            bytes(p.payload) for p in packets]
+        for _ in range(100):
+            router.step()
+        assert router.idle and not router.inputs.ports[WEST].rx_bytes
 
 
 class TestFaults:
