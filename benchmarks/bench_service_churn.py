@@ -9,9 +9,10 @@ bookkeeping on top, exactly as the paper's hardware/software split
 intends (§4.1).
 
 The session separates the two itself: ``control_plane_seconds``
-accumulates wall-clock time inside submit/advance/dispatch calls and
-never enters the deterministic state, so measuring it is free of
-instrumentation bias in the simulated outcome.
+accumulates wall-clock time inside each tick's submit, advance and
+due_sends calls (dispatching the due sends is data plane and not
+counted) and never enters the deterministic state, so measuring it is
+free of instrumentation bias in the simulated outcome.
 """
 
 import time

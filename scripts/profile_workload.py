@@ -9,7 +9,9 @@ workload.  The first warms the interpreter up and, through counting
 shims on a few class attributes, yields the per-instance *unit counts*
 an optimisation is costed against (working router steps, byte-hops,
 objects built per byte, bus requests against ``grant`` calls,
-``next_event_cycle`` probes against deliveries).  The second stops
+``next_event_cycle`` probes against deliveries, dormant replays
+against the queue steps inside them, occupancy reads against
+recomputations).  The second stops
 where its build ends and yields the *build-phase units*: the memory the
 built instance holds (``tracemalloc``) and the gc-tracked objects it
 made, per router.  The third runs under ``cProfile`` with no shim
@@ -44,6 +46,8 @@ def counting(counts: dict):
     Installed before the network is built: the engine looks
     ``next_event_cycle`` up once, at registration.
     """
+    from repro.channels.admission import AdmissionController
+    from repro.core.comparator_tree import SchedulerPipeline
     from repro.core.packet import Phit
     from repro.core.packet_memory import ChunkBus
     from repro.core.router import LinkSignal, RealTimeRouter
@@ -70,6 +74,35 @@ def counting(counts: dict):
                 "router next_event_cycle calls")
     count_calls(HostNode, "next_event_cycle",
                 "host next_event_cycle calls")
+    count_calls(AdmissionController, "occupancy", "occupancy reads")
+    # A checkout that remembers the summary recomputes it here; one
+    # that does not recomputes it on every read.
+    remembers = "_measure_occupancy" in vars(AdmissionController)
+    if remembers:
+        count_calls(AdmissionController, "_measure_occupancy",
+                    OCCUPANCY_MEASURED)
+
+    # The dormant replay, and the queue bookkeeping steps it takes.
+    replay, advance = SchedulerPipeline.replay, SchedulerPipeline._advance
+    counts["replay calls"] = counts[REPLAY_ADVANCES] = 0
+    replaying = [False]
+
+    def counted_replay(pipeline, *args):
+        counts["replay calls"] += 1
+        replaying[0] = True
+        try:
+            return replay(pipeline, *args)
+        finally:
+            replaying[0] = False
+
+    def counted_advance(pipeline, cycle):
+        counts[REPLAY_ADVANCES] += replaying[0]
+        return advance(pipeline, cycle)
+
+    patched.append((SchedulerPipeline, "replay", replay))
+    SchedulerPipeline.replay = counted_replay
+    patched.append((SchedulerPipeline, "_advance", advance))
+    SchedulerPipeline._advance = counted_advance
 
     step = RealTimeRouter.step
     counts["router steps"] = counts["working router steps"] = 0
@@ -110,6 +143,8 @@ def counting(counts: dict):
     finally:
         for owner, attribute, original in patched:
             setattr(owner, attribute, original)
+        if not remembers:
+            counts[OCCUPANCY_MEASURED] = counts["occupancy reads"]
         counts[FRAME_CYCLES] = sum(
             1 for working, frame_only, host in cycles.values()
             if working and frame_only == working and not host)
@@ -119,6 +154,9 @@ def counting(counts: dict):
 FRAME_ONLY = ("frame-only working steps (a committed frame's bytes "
               "crossing a link, the injection or the reception port)")
 FRAME_CYCLES = "cycles made only of frame-only working steps"
+#: The units a dormant wait and the service tick are costed against.
+REPLAY_ADVANCES = "_advance calls inside replay"
+OCCUPANCY_MEASURED = "occupancy recomputations"
 
 
 def frames_only(router, cycle: int) -> bool:

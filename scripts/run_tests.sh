@@ -123,21 +123,24 @@ run_checkpoint() {
 }
 
 run_event() {
-    echo "== event: scheduler-vs-oracle equivalence, firing order, accounting, next-event contract, frames in flight =="
+    echo "== event: scheduler-vs-oracle equivalence, firing order, accounting, next-event contract, frames in flight, dormancy =="
     python -m pytest -q \
         tests/network/test_engine_accounting.py \
         tests/network/test_event_firing_order.py \
         tests/integration/test_event_engine_equivalence.py \
         tests/integration/test_next_event_contract.py \
         tests/integration/test_frames_in_flight.py \
+        tests/core/test_dormancy.py \
+        tests/integration/test_dormant_network.py \
         tests/traffic/test_patterns.py
 }
 
 run_service() {
-    echo "== service: churn, overload, SLO determinism + churn gate =="
+    echo "== service: churn, overload, SLO determinism, occupancy memo + churn gate =="
     python -m pytest -q \
         tests/service \
         tests/channels/test_teardown_restore.py \
+        tests/channels/test_occupancy_memo.py \
         tests/test_cli.py
     python -m pytest -q -p no:cacheprovider \
         benchmarks/bench_service_churn.py

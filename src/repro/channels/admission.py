@@ -117,11 +117,28 @@ class ConnectionLoad:
         return self.packets * (self.b_max + interval // self.i_min)
 
 
-class LinkSchedule:
-    """Reserved state of one unidirectional link."""
+class _Changes:
+    """How many reservation changes the schedules and accounts sharing
+    it have made.  It refers to none of them, so a controller that is
+    dropped is freed at once, not left to the cycle collector."""
+
+    __slots__ = ("count",)
 
     def __init__(self) -> None:
+        self.count = 0
+
+
+class LinkSchedule:
+    """Reserved state of one unidirectional link.
+
+    Every :meth:`add` and :meth:`remove` counts one change in
+    ``changes`` (an :class:`AdmissionController` shares one among all
+    its schedules and accounts).
+    """
+
+    def __init__(self, changes: Optional[_Changes] = None) -> None:
         self.loads: list[ConnectionLoad] = []
+        self.changes = changes if changes is not None else _Changes()
 
     @property
     def utilisation(self) -> float:
@@ -160,9 +177,11 @@ class LinkSchedule:
 
     def add(self, load: ConnectionLoad) -> None:
         self.loads.append(load)
+        self.changes.count += 1
 
     def remove(self, load: ConnectionLoad) -> None:
         self.loads.remove(load)
+        self.changes.count += 1
 
 
 class NodeBuffers:
@@ -172,14 +191,18 @@ class NodeBuffers:
     protocol software may *logically partition* it by handing each
     output link a quota, or leave it fully shared (``quotas=None``),
     trading isolation against admissibility (paper section 3.4).
+    Every :meth:`reserve` and :meth:`release` counts one change in
+    ``changes``.
     """
 
     def __init__(self, capacity: int,
-                 quotas: Optional[dict[int, int]] = None) -> None:
+                 quotas: Optional[dict[int, int]] = None,
+                 changes: Optional[_Changes] = None) -> None:
         self.capacity = capacity
         self.quotas = quotas
         self.reserved_total = 0
         self.reserved_per_port: dict[int, int] = {}
+        self.changes = changes if changes is not None else _Changes()
 
     def feasible_with(self, port: int, packets: int) -> bool:
         if self.reserved_total + packets > self.capacity:
@@ -209,10 +232,12 @@ class NodeBuffers:
         self.reserved_per_port[port] = (
             self.reserved_per_port.get(port, 0) + packets
         )
+        self.changes.count += 1
 
     def release(self, port: int, packets: int) -> None:
         self.reserved_total -= packets
         self.reserved_per_port[port] -= packets
+        self.changes.count += 1
         if self.reserved_total < 0 or self.reserved_per_port[port] < 0:
             raise RuntimeError("buffer release exceeded reservation")
 
@@ -265,6 +290,11 @@ class AdmissionController:
     per-node buffer reservations, decomposes end-to-end deadlines, and
     either admits (reserving everything) or raises
     :class:`AdmissionError` leaving no residue.
+
+    :attr:`generation` counts the reservation changes (every link load
+    added or removed, every buffer reserved or released, every
+    :meth:`load_state`); :meth:`occupancy` is recomputed only when it
+    has moved.
     """
 
     def __init__(self, params: Optional[RouterParams] = None, *,
@@ -275,16 +305,26 @@ class AdmissionController:
         self.buffer_quotas = buffer_quotas
         self._links: dict[tuple[Hashable, int], LinkSchedule] = {}
         self._nodes: dict[Hashable, NodeBuffers] = {}
+        self._changes = _Changes()
+        #: (generation, summary) of the last :meth:`occupancy` computed.
+        self._occupancy: tuple[int, dict] = (-1, {})
+
+    @property
+    def generation(self) -> int:
+        """Reservation changes made so far."""
+        return self._changes.count
 
     # -- state accessors --------------------------------------------------
 
     def link(self, node: Hashable, port: int) -> LinkSchedule:
-        return self._links.setdefault((node, port), LinkSchedule())
+        return self._links.setdefault((node, port),
+                                      LinkSchedule(self._changes))
 
     def node(self, node: Hashable) -> NodeBuffers:
         return self._nodes.setdefault(
             node,
-            NodeBuffers(self.params.tc_packet_slots, self.buffer_quotas),
+            NodeBuffers(self.params.tc_packet_slots, self.buffer_quotas,
+                        self._changes),
         )
 
     # -- delay decomposition ------------------------------------------------
@@ -448,6 +488,18 @@ class AdmissionController:
         for node, port, packets in reservation.buffers:
             self.node(node).release(port, packets)
 
+    def shrink_buffers(self, reservation: Reservation, index: int,
+                       packets: int) -> int:
+        """Lower hop ``index``'s buffer reservation to ``packets`` (a
+        reduced upstream horizon shrank its window) and return the
+        packet buffers freed; a larger ``packets`` changes nothing."""
+        node, port, held = reservation.buffers[index]
+        if packets >= held:
+            return 0
+        self.node(node).release(port, held - packets)
+        reservation.buffers[index] = (node, port, packets)
+        return held - packets
+
     # -- checkpointing ----------------------------------------------------
 
     def state(self) -> dict:
@@ -488,6 +540,7 @@ class AdmissionController:
             buffers.reserved_per_port = {
                 int(port): int(packets) for port, packets in per_port
             }
+        self._changes.count += 1
 
     # -- reporting -------------------------------------------------------------
 
@@ -504,8 +557,17 @@ class AdmissionController:
         only *loaded* links (a link that never carried a connection is
         not an observation), ``max_buffer_fill`` is the highest node
         packet-memory fill fraction, and the counts say how much of the
-        fabric the maxima were taken over.
+        fabric the maxima were taken over.  Recomputed only after a
+        reservation change; each call returns a dict of its own.
         """
+        generation, summary = self._occupancy
+        if generation != self.generation:
+            summary = self._measure_occupancy()
+            self._occupancy = (self.generation, summary)
+        return dict(summary)
+
+    def _measure_occupancy(self) -> dict:
+        """:meth:`occupancy` computed from every schedule and account."""
         link_utils = [schedule.utilisation
                       for schedule in self._links.values()
                       if schedule.loads]

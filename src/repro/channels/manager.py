@@ -33,6 +33,7 @@ from repro.channels.admission import (
     ConnectionLoad,
     HopDescriptor,
     Reservation,
+    buffer_bound,
 )
 from repro.channels.arrival import LogicalArrivalClock
 from repro.channels.policing import SourceRegulator
@@ -437,31 +438,22 @@ class ChannelManager:
         control.write_horizon(1 << port, horizon)
 
         freed = 0
-        from repro.channels.admission import buffer_bound
-
         for channel in self.channels:
             reservation = channel.reservation
             if reservation.spec is None or reservation.parents is None:
                 continue
-            for index, hop in enumerate(reservation.hops):
-                parent = reservation.parents[index]
+            for index, parent in enumerate(reservation.parents):
                 if parent < 0:
                     continue
                 upstream = reservation.hops[parent]
                 if upstream.node != node or upstream.out_port != port:
                     continue
-                old = reservation.buffers[index][2]
-                new = buffer_bound(
-                    reservation.spec, horizon,
-                    reservation.local_delays[parent],
-                    reservation.local_delays[index],
-                )
-                if new < old:
-                    self.admission.node(hop.node).release(
-                        hop.out_port, old - new)
-                    reservation.buffers[index] = (
-                        hop.node, hop.out_port, new)
-                    freed += old - new
+                freed += self.admission.shrink_buffers(
+                    reservation, index, buffer_bound(
+                        reservation.spec, horizon,
+                        reservation.local_delays[parent],
+                        reservation.local_delays[index],
+                    ))
                 # Track the new horizon in the descriptor so later
                 # recomputations start from the right value.
                 reservation.hops[parent] = HopDescriptor(

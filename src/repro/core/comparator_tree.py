@@ -261,20 +261,26 @@ class SchedulerPipeline:
         self.wake_cycle = self._earliest_action()
         return completed
 
-    def replay(self, start: int, end: int,
-               ports: list[int]) -> list[tuple[int, int]]:
-        """Advance over cycles ``[start, end)`` in which nothing commits.
+    def replay(self, start: int, end: int, ports: list[int]) -> int:
+        """Advance over cycles ``[start, end)`` in which nothing commits
+        and return how many tournaments completed.
 
         Leaves the queues exactly as one :meth:`step` per cycle would
         have, given that every tournament of the span defers and its
         port — one of ``ports``, ascending, each with a request
         outstanding at ``start`` — asks again in the cycle it completes
         (so that request starts no earlier than the next cycle and
-        ``_next_start_cycle``).  Moves from event to event and never
-        consults the tree; returns the completions as (cycle, port).
+        ``_next_start_cycle``).  Never consults the tree.  Such a wait
+        is periodic: once the queues, read relative to the cycle just
+        advanced, repeat an earlier phase, every later stretch of that
+        length completes as many tournaments, so whole periods are
+        skipped by shifting the cycles the queues hold and the rest is
+        stepped from event to event.  The cost is the transient and two
+        periods at most, whatever the span.
         """
-        completed = []
+        tournaments = 0
         cycle = start - 1
+        phases: Optional[dict] = {}
         while True:
             wake = self._earliest_action()
             if wake is None:
@@ -282,11 +288,34 @@ class SchedulerPipeline:
             cycle = max(wake, cycle + 1)
             if cycle >= end:
                 break
-            completed.extend((cycle, port) for port in self._advance(cycle))
+            tournaments += len(self._advance(cycle))
             for port in ports:
                 self.request(port)
+            if phases is None:
+                continue
+            phase = self._phase(cycle)
+            if phase not in phases:
+                phases[phase] = (cycle, tournaments)
+                continue
+            then, before = phases[phase]
+            period = cycle - then
+            skipped = (end - 1 - cycle) // period * period
+            for job in self._inflight:
+                job.ready_cycle += skipped
+            self._next_start_cycle += skipped
+            tournaments += skipped // period * (tournaments - before)
+            cycle += skipped
+            phases = None
         self.wake_cycle = self._earliest_action()
-        return completed
+        return tournaments
+
+    def _phase(self, cycle: int) -> tuple:
+        """The queues read relative to ``cycle``: all that decides what
+        the pipeline does after it."""
+        return (tuple((job.port, job.ready_cycle - cycle)
+                      for job in self._inflight),
+                tuple(job.port for job in self._queue),
+                self._next_start_cycle - cycle)
 
     # -- checkpointing ----------------------------------------------------
 

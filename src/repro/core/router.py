@@ -527,8 +527,8 @@ class RealTimeRouter:
         the pipeline's queues, the tournaments it completed and the
         cycles the chunk bus counted."""
         start, self._pipeline_lag = self._pipeline_lag, None
-        self.tree.evaluations += len(self.pipeline.replay(
-            start, self.cycle, self.outputs.eligible_ports()))
+        self.tree.evaluations += self.pipeline.replay(
+            start, self.cycle, self.outputs.eligible_ports())
         self.bus.idle_cycles(self.cycle - start)
 
     def settle(self) -> tuple[int, bool]:
@@ -582,7 +582,7 @@ class RealTimeRouter:
         scratch.load_state(self.pipeline.state())
         tournaments = scratch.replay(self._pipeline_lag, cycle,
                                      self.outputs.eligible_ports())
-        return len(tournaments), cycle - self._pipeline_lag
+        return tournaments, cycle - self._pipeline_lag
 
     # ------------------------------------------------------------------
     # What is inside the chip: the units say

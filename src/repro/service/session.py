@@ -9,10 +9,12 @@ submitting arrivals, running retries and expiries, and sending
 messages for every active flow.  The loop, checkpointing and resume
 are the driver's.
 
-Wall-clock control-plane time is accumulated separately
-(:attr:`ServiceSession.control_plane_seconds`) so the benchmark can
-bound the service layer's overhead; it is *not* part of the
-deterministic state and never checkpoints.
+Wall-clock control-plane time — each tick's submissions, its
+:meth:`~repro.service.controller.ServiceController.advance` and its
+``due_sends`` query, not the sends dispatched afterwards — is
+accumulated separately (:attr:`ServiceSession.control_plane_seconds`)
+so the benchmark can bound the service layer's overhead; it is *not*
+part of the deterministic state and never checkpoints.
 """
 
 from __future__ import annotations
@@ -148,8 +150,9 @@ class ServiceSession(Session):
         self.next_tick = 0
         self.next_request = 0
         #: Wall-clock seconds spent inside control-plane calls (submit,
-        #: advance, send dispatch).  Diagnostic only — never part of
-        #: the checkpointed state or the report signature.
+        #: advance, due_sends; the dispatch of the due sends is data
+        #: plane and not counted).  Diagnostic only — never part of the
+        #: checkpointed state or the report signature.
         self.control_plane_seconds = 0.0
         self._begin((config,), 0)
 

@@ -13,7 +13,8 @@ effort, not the chip's).  While the shipped router lags, replaying a
 *copy* of its pipeline up to the present must give the reference's.
 
 The pipeline replay itself is checked against per-cycle stepping from
-generated queue states, split at an arbitrary cycle.
+generated queue states, cut at every cycle of the span, and its cost
+against the span's length.
 """
 
 import copy
@@ -83,11 +84,11 @@ def _replayed_copy(router, cycle):
     copy, with the tournaments that stands for."""
     pipeline = SchedulerPipeline(router.params, tree=None)
     pipeline.load_state(router.pipeline.state())
-    completed = pipeline.replay(
+    tournaments = pipeline.replay(
         router._pipeline_lag, cycle,
         [port for port in range(OUTPUT_PORTS)
          if router.eligible_count[port] > 0])
-    return pipeline, len(completed)
+    return pipeline, tournaments
 
 
 #: (seed, clock skew in ticks, cut-through).  7,000 cycles is 350
@@ -207,41 +208,84 @@ def _observable(pipeline):
     return pipeline.state(), pipeline.wake_cycle, pipeline.busy
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    history=st.lists(st.tuples(st.integers(0, 3),
-                               st.sets(st.integers(0, 4), max_size=2)),
-                     max_size=30),
-    ports=st.sets(st.integers(0, 4), min_size=1).map(sorted),
-    first=st.integers(0, 40),
-    second=st.integers(0, 40),
-)
-def test_replay_equals_per_cycle_stepping(history, ports, first, second):
-    # A reachable queue state: requests trickling in from any ports
-    # over stepped cycles, then (as every working step ends) a request
-    # outstanding for each eligible port.
-    seed_pipeline = SchedulerPipeline(RouterParams(), _AlwaysDefers())
+def _seeded(history, ports):
+    """A reachable queue state: requests trickling in from any ports
+    over stepped cycles, then (as every working step ends) a request
+    outstanding for each eligible port.  Returns it and its cycle."""
+    pipeline = SchedulerPipeline(RouterParams(), _AlwaysDefers())
     cycle = 0
     for gap, requesters in history:
         for _ in range(gap):
-            seed_pipeline.step(cycle, None, [0] * 5)
+            pipeline.step(cycle, None, [0] * 5)
             cycle += 1
         for port in sorted(requesters):
-            seed_pipeline.request(port)
+            pipeline.request(port)
     for port in ports:
-        seed_pipeline.request(port)
-    start, middle, end = cycle, cycle + first, cycle + first + second
+        pipeline.request(port)
+    return pipeline, cycle
+
+
+HISTORY = st.lists(st.tuples(st.integers(0, 3),
+                             st.sets(st.integers(0, 4), max_size=2)),
+                   max_size=30)
+PORTS = st.sets(st.integers(0, 4), min_size=1).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(history=HISTORY, ports=PORTS,
+       first=st.integers(0, 2_000), second=st.integers(0, 2_000))
+def test_replay_equals_per_cycle_stepping(history, ports, first, second):
+    # Spans of up to 4,000 cycles: a replay skips many whole periods.
+    seed_pipeline, start = _seeded(history, ports)
+    middle, end = start + first, start + first + second
 
     stepped = copy.deepcopy(seed_pipeline)
-    expected = _per_cycle(stepped, start, end, ports)
+    completions = [cycle for cycle, _ in _per_cycle(stepped, start, end,
+                                                     ports)]
+    # Every cut: the count before it says on which cycle each
+    # tournament completed.
+    seed_state = seed_pipeline.state()
+    done = 0
+    for cut in range(start, end + 1):
+        while done < len(completions) and completions[done] < cut:
+            done += 1
+        cut_pipeline = SchedulerPipeline(RouterParams(), _AlwaysDefers())
+        cut_pipeline.load_state(seed_state)
+        assert cut_pipeline.replay(start, cut, ports) == done, cut
     whole = copy.deepcopy(seed_pipeline)
-    assert whole.replay(start, end, ports) == expected
+    assert whole.replay(start, end, ports) == len(completions)
     assert _observable(whole) == _observable(stepped)
     split = copy.deepcopy(seed_pipeline)
     assert (split.replay(start, middle, ports)
-            + split.replay(middle, end, ports)) == expected
+            + split.replay(middle, end, ports)) == len(completions)
     assert _observable(split) == _observable(stepped)
     # ...and either side can carry on per cycle from where it stands.
     assert (_per_cycle(whole, end, end + 25, ports)
             == _per_cycle(stepped, end, end + 25, ports))
     assert _observable(whole) == _observable(stepped)
+
+
+#: Upper bound on the ``_advance`` calls one replay makes: the
+#: transient plus two periods, never the span.
+REPLAY_ADVANCES = 40
+
+
+@settings(max_examples=100, deadline=None)
+@given(history=HISTORY, ports=PORTS)
+def test_replay_cost_does_not_grow_with_the_span(history, ports):
+    seed_pipeline, start = _seeded(history, ports)
+    seed_state = seed_pipeline.state()
+    costs = []
+    for span in (1_000, 10_000, 100_000):
+        pipeline = SchedulerPipeline(RouterParams(), _AlwaysDefers())
+        pipeline.load_state(seed_state)
+        calls = []
+        advance = pipeline._advance
+        pipeline._advance = lambda cycle: calls.append(cycle) or advance(
+            cycle)
+        pipeline.replay(start, start + span, ports)
+        costs.append(len(calls))
+    assert max(costs) <= REPLAY_ADVANCES, costs
+    # Longer spans cost the same: only the stretch after the last whole
+    # period may differ, and it is shorter than a period.
+    assert max(costs) - min(costs) <= len(ports) + 1, costs
