@@ -8,7 +8,8 @@ Runs three bench-size instances of one ``benchmarks/perf/workloads.py``
 workload.  The first warms the interpreter up and, through counting
 shims on a few class attributes, yields the per-instance *unit counts*
 an optimisation is costed against (working router steps, byte-hops,
-objects built per byte, bus requests against ``grant`` calls,
+objects built per byte, frame bytes taken or moved one at a time, bus
+requests against ``grant`` calls,
 ``next_event_cycle`` probes against deliveries, dormant replays
 against the queue steps inside them, occupancy reads against
 recomputations).  The second stops
@@ -48,6 +49,8 @@ def counting(counts: dict):
     """
     from repro.channels.admission import AdmissionController
     from repro.core.comparator_tree import SchedulerPipeline
+    from repro.core.input_side import InputSide
+    from repro.core.output_side import OutputSide
     from repro.core.packet import Phit
     from repro.core.packet_memory import ChunkBus
     from repro.core.router import LinkSignal, RealTimeRouter
@@ -67,6 +70,10 @@ def counting(counts: dict):
         setattr(owner, attribute, shim)
 
     count_calls(Phit, "__init__", "Phit built")
+    # What a frame costs per byte: a byte framed by ``_accept_tc_byte``
+    # on its own, and a framed stream's bytes moved by one call.
+    count_calls(InputSide, "_accept_tc_byte", TAKEN_ALONE)
+    count_calls(OutputSide, "_move_frame", MOVED_ALONE)
     count_calls(LinkSignal, "__init__", "LinkSignal built")
     count_calls(ChunkBus, "request", "bus requests")
     count_calls(ChunkBus, "grant", "bus grant calls")
@@ -112,9 +119,6 @@ def counting(counts: dict):
     cycles: dict = {}
 
     def counted_step(router, cycle=None):
-        settle = getattr(router, "settle", None)
-        if settle is not None:
-            settle()  # what its step would replay first: read it settled
         frame_only = cycle is not None and frames_only(router, cycle)
         # The chunk bus counts exactly the cycles its router worked.
         before = router.bus.total_cycles
@@ -154,6 +158,9 @@ def counting(counts: dict):
 FRAME_ONLY = ("frame-only working steps (a committed frame's bytes "
               "crossing a link, the injection or the reception port)")
 FRAME_CYCLES = "cycles made only of frame-only working steps"
+#: The units a frame hop is costed against, beside ``Phit`` built.
+TAKEN_ALONE = "TC bytes taken one at a time"
+MOVED_ALONE = "frame bytes moved one at a time"
 #: The units a dormant wait and the service tick are costed against.
 REPLAY_ADVANCES = "_advance calls inside replay"
 OCCUPANCY_MEASURED = "occupancy recomputations"
@@ -165,7 +172,11 @@ def frames_only(router, cycle: int) -> bool:
     frames: read from the state it starts from, the same way for any
     checkout.  Every byte it moves is one of a frame whose bytes are
     all inside the chip or its synchroniser, none completes a frame or
-    a stream, no decision is asked for, and nothing else is inside."""
+    a stream, no decision is asked for, and nothing else is inside.
+
+    The router is not settled first (a settle moves the bytes a step
+    would, and would be counted as moving them): a framed stream's
+    and the host packet's progress is read from their timing."""
     from repro.core.params import MESH_LINKS
 
     size = router.params.tc_packet_bytes
@@ -191,19 +202,36 @@ def frames_only(router, cycle: int) -> bool:
             if output.held is not None or counts[port] or output.tc_rx:
                 return False
             continue
-        if (stream.slot < 0 or stream.sent >= size - 1
+        sent = stream.sent
+        base = getattr(stream, "base", None)
+        if base is not None:  # framed: byte i leaves on cycle base + i
+            sent = max(sent, min(cycle - base, size - 1))
+        if (stream.slot < 0 or sent >= size - 1
                 or stream.sent + len(stream.staging) != size):
             return False
         if (counts[port] and output.held is None
-                and size - stream.sent - 1 <= lead):
+                and size - sent - 1 <= lead):
             return False  # asks for its successor's decision
         moving = True
     inputs = router.inputs
     if inputs.be_inject_queue or inputs.be_inject_phits:
         return False
-    if inputs.tc_inject_phits:
-        if (router.cut_through
-                or inputs.tc_inject_phits[0].index >= size - 1):
+    # The host packet being fed: a checkout that holds it as phits, or
+    # as one run (``tc_inject``) fed by cycle.
+    phits = getattr(inputs, "tc_inject_phits", None)
+    if phits is not None:
+        feeding = bool(phits)
+        base = getattr(inputs, "inject_base", None)
+        completes = feeding and (phits[0].index >= size - 1
+                                 or base is not None
+                                 and base + size - 1 <= cycle)
+    else:
+        run = inputs.tc_inject
+        feeding = run is not None
+        completes = feeding and (run.ready is None
+                                 or run.last_ready <= cycle)
+    if feeding:
+        if router.cut_through or completes:
             return False
         moving = True
     elif inputs.tc_inject_queue:
@@ -212,9 +240,12 @@ def frames_only(router, cycle: int) -> bool:
         if (port.cut_port is not None or port.headers
                 or port.buffer.occupancy or port.pending_acks):
             return False
-        for ready, phit in port.sync:
-            if (phit.vc != "TC" or router.cut_through
-                    or (ready <= cycle and phit.index == size - 1)):
+        # ``(ready, phit)`` per byte, or (a checkout that hands frames
+        # over as runs) ``(ready of its last byte, run)``.
+        for ready, entry in port.sync:
+            end = entry.index + len(getattr(entry, "data", b"?")) - 1
+            if (entry.vc != "TC" or router.cut_through
+                    or (ready <= cycle and end == size - 1)):
                 return False
             moving = True
         if (port.rx_bytes and not port.sync and number < MESH_LINKS

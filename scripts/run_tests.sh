@@ -123,13 +123,15 @@ run_checkpoint() {
 }
 
 run_event() {
-    echo "== event: scheduler-vs-oracle equivalence, firing order, accounting, next-event contract, frames in flight, dormancy =="
+    echo "== event: scheduler-vs-oracle equivalence, firing order, accounting, next-event contract, frames in flight (asleep and awake), dormancy =="
     python -m pytest -q \
         tests/network/test_engine_accounting.py \
         tests/network/test_event_firing_order.py \
         tests/integration/test_event_engine_equivalence.py \
         tests/integration/test_next_event_contract.py \
         tests/integration/test_frames_in_flight.py \
+        tests/integration/test_busy_frames.py \
+        tests/core/test_invariants.py::TestFrames \
         tests/core/test_dormancy.py \
         tests/integration/test_dormant_network.py \
         tests/traffic/test_patterns.py

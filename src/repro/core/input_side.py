@@ -21,12 +21,15 @@ from repro.core.flit_buffer import FlitBuffer
 from repro.core.packet import (
     BE_HEADER_BYTES,
     BestEffortPacket,
+    FrameRun,
     MetaCarrier,
     PacketMeta,
     Phit,
     TimeConstrainedPacket,
     payload_checksum,
+    per_byte,
     phits_of,
+    wire_bytes,
 )
 from repro.core.packet_memory import BE_XFER, TC_WRITE, BusRequest
 from repro.core.params import (
@@ -64,8 +67,10 @@ class _InputPort:
 
     buffer: FlitBuffer
     # Input synchroniser: arriving bytes cross a short register chain
-    # before the router proper sees them.
-    sync: deque[tuple[int, Phit]] = field(default_factory=deque)
+    # before the router proper sees them.  ``(ready, phit)`` per byte,
+    # or ``(ready of its last byte, run)`` for a frame handed over as
+    # one run (``OutputSide.frame``).
+    sync: deque[tuple[int, Phit | FrameRun]] = field(default_factory=deque)
     rx_bytes: list[int] = field(default_factory=list)
     #: Metadata of the first frame in ``rx_bytes``.
     rx_meta: Optional[PacketMeta] = None
@@ -132,8 +137,7 @@ class InputSide:
 
     __slots__ = ("chip", "params", "out_ports", "ports", "sync_count",
                  "frame_ready", "be_arbiters", "tc_inject_queue",
-                 "tc_inject_phits", "be_inject_queue", "be_inject_phits",
-                 "inject_base")
+                 "tc_inject", "be_inject_queue", "be_inject_phits")
 
     def __init__(self, chip) -> None:
         self.chip = chip
@@ -144,23 +148,24 @@ class InputSide:
         #: Four link inputs, then the injection port.
         self.ports = [_InputPort(FlitBuffer(params.flit_buffer_bytes))
                       for _ in range(MESH_LINKS + 1)]
-        self.sync_count = 0  # bytes in all synchronisers (derived)
+        #: Bytes in all synchronisers, a run's all counted (derived).
+        self.sync_count = 0
         #: Some input holds a whole packet awaiting admission (derived).
         self.frame_ready = False
         self.be_arbiters = [RoundRobinArbiter(MESH_LINKS + 1)
                             for _ in range(OUTPUT_PORTS)]
         # Host-side queues.
         self.tc_inject_queue: deque[TimeConstrainedPacket] = deque()
-        self.tc_inject_phits: deque[Phit] = deque()
+        #: The host packet the injection port frames, as one run: its
+        #: bytes not yet taken, each on the cycle it is fed (``ready``
+        #: is None until the first feed after a restore).
+        self.tc_inject: Optional[FrameRun] = None
         self.be_inject_queue: deque[BestEffortPacket] = deque()
         self.be_inject_phits: deque[Phit] = deque()
-        #: The injection port takes byte ``i`` of the host packet it
-        #: frames on cycle ``inject_base + i`` (derived, not serialised).
-        self.inject_base: Optional[int] = None
 
     def holds(self) -> bool:
         """A queued injection, a byte, or an acknowledgement owed."""
-        if self.tc_inject_queue or self.tc_inject_phits:
+        if self.tc_inject_queue or self.tc_inject is not None:
             return True
         if self.be_inject_queue or self.be_inject_phits:
             return True
@@ -194,10 +199,16 @@ class InputSide:
             queue = state.sync
             while queue and queue[0][0] <= cycle:
                 phit = queue.popleft()[1]
-                self.sync_count -= 1
                 if phit.vc == "TC":
-                    self._accept_tc_byte(state, phit, cycle)
+                    if phit.__class__ is FrameRun:
+                        # Whole, now that its last byte has matured.
+                        self.sync_count -= len(phit.data)
+                        self._take_bytes(state, phit, len(phit.data), cycle)
+                    else:
+                        self.sync_count -= 1
+                        self._accept_tc_byte(state, phit, cycle)
                     continue
+                self.sync_count -= 1
                 if state.headers or phit.index == 0:
                     state.push(phit)
                     continue
@@ -250,23 +261,55 @@ class InputSide:
                 chip.tc_received += 1
                 chip.cut_through_count += 1
 
+    def _take_bytes(self, state: _InputPort, run: FrameRun, count: int,
+                    cycle: int) -> None:
+        """Frame the first ``count`` bytes of ``run`` as
+        ``_accept_tc_byte`` would one at a time: at once where they
+        continue the frame in ``rx_bytes``, one at a time where a byte
+        may do more (cut-through, or a frame to resynchronise on)."""
+        rx_bytes = state.rx_bytes
+        size = self.params.tc_packet_bytes
+        index = run.index
+        if (self.chip.cut_through or state.cut_port is not None
+                or len(rx_bytes) % size != index):
+            for offset in range(count):
+                self._accept_tc_byte(state, run.phit(offset), cycle)
+            return
+        if index == 0:
+            meta = getattr(run.carrier, "meta", None)
+            if rx_bytes:  # a frame behind a whole one
+                if state.rx_later is None:
+                    state.rx_later = []
+                state.rx_later.append(meta)
+            elif run.carrier is not None:
+                state.rx_meta = meta
+        rx_bytes.extend(run.data if count == len(run.data)
+                        else run.data[:count])
+        if index + count == size:
+            self.frame_ready = True
+
     # ------------------------------------------------------------------
     # Phase 2: injection ports (one byte per cycle each)
     # ------------------------------------------------------------------
 
     def feed_injection(self, cycle: int) -> None:
-        phits = self.tc_inject_phits
-        if not phits and self.tc_inject_queue:
+        run = self.tc_inject
+        chip = self.chip
+        if run is None and self.tc_inject_queue:
             packet = self.tc_inject_queue.popleft()
-            phits.extend(phits_of(packet, self.params))
-            self.inject_base = cycle
-        if phits:
-            if self.inject_base is None:  # restored mid-packet
-                self.inject_base = cycle - phits[0].index
-            # This cycle's byte, and those of cycles the router slept.
-            port, base = self.ports[MESH_LINKS], self.inject_base
-            while phits and base + phits[0].index <= cycle:
-                self._accept_tc_byte(port, phits.popleft(), cycle)
+            run = FrameRun(cycle, wire_bytes(packet, self.params)[0],
+                           packet, 0, ends=True)
+            chip.track_frames()
+        elif run is not None and run.ready is None:
+            run = run.rest(0, cycle)  # restored mid-packet
+            chip.track_frames()
+        if run is not None:
+            # Where every byte steps, this cycle's byte; else the
+            # whole packet once its last byte is fed.
+            if (run.last_ready <= cycle or chip.frame_links is None
+                    or chip.service_hook is not None or chip.cut_through):
+                run = self._take_due(self.ports[MESH_LINKS], run, cycle)
+            self.tc_inject = run
 
         if not self.be_inject_phits and self.be_inject_queue:
             packet = self.be_inject_queue.popleft()
@@ -279,6 +322,19 @@ class InputSide:
             port.sync.append((cycle + self.params.input_sync_cycles,
                          self.be_inject_phits.popleft()))
             self.sync_count += 1
+
+    def _take_due(self, state: _InputPort, run: FrameRun,
+                  cycle: int) -> Optional[FrameRun]:
+        """Take the run's bytes due by ``cycle`` into the input's frame
+        register; what is left of the run, if anything."""
+        count = cycle - run.ready + 1
+        if count <= 0:
+            return run
+        if count >= len(run.data):
+            self._take_bytes(state, run, len(run.data), cycle)
+            return None
+        self._take_bytes(state, run, count, cycle)
+        return run.rest(count)
 
     # ------------------------------------------------------------------
     # Phase 3: time-constrained packet reception
@@ -494,16 +550,26 @@ class InputSide:
 
     def settle(self, target: int) -> None:
         """Take in the frame bytes the per-cycle loop would have taken
-        before cycle ``target``: synchroniser entries matured by then,
-        and the framed host packet's bytes fed by then."""
+        before cycle ``target``: synchroniser entries matured by then
+        (of a run, the bytes matured by then), and the framed host
+        packet's bytes fed by then."""
+        cycle = target - 1
         if self.sync_count:
-            self.capture((), target - 1)
-        phits = self.tc_inject_phits
-        base = self.inject_base
-        if phits and base is not None:
-            port = self.ports[MESH_LINKS]
-            while phits and base + phits[0].index < target:
-                self._accept_tc_byte(port, phits.popleft(), target - 1)
+            self.capture((), cycle)
+            for state in self.ports:
+                sync = state.sync
+                if not sync or sync[0][1].__class__ is not FrameRun:
+                    continue
+                # Matured in part (capture took it if whole).
+                ready, run = sync[0]
+                rest = self._take_due(state, run, cycle)
+                if rest is not run:
+                    self.sync_count -= len(run.data) - len(rest.data)
+                    sync[0] = (ready, rest)
+        run = self.tc_inject
+        if run is not None and run.ready is not None:
+            self.tc_inject = self._take_due(self.ports[MESH_LINKS], run,
+                                            cycle)
 
     def frame_wake(self) -> float:
         """The input side's part of ``RealTimeRouter._frame_wake``: 0 if
@@ -517,10 +583,11 @@ class InputSide:
         cut_through = self.chip.cut_through
         last = self.params.tc_packet_bytes - 1
         wake = math.inf
-        if self.tc_inject_phits:
-            if cut_through or self.inject_base is None:
+        inject = self.tc_inject
+        if inject is not None:
+            if cut_through or inject.ready is None:
                 return 0
-            wake = self.inject_base + last
+            wake = inject.last_ready
         elif self.tc_inject_queue:
             return 0
         for number, state in enumerate(self.ports):
@@ -533,23 +600,17 @@ class InputSide:
             if sync:
                 if cut_through:
                     return 0
-                # Where the first frame end sits if the queue starts
-                # with one frame's bytes in a row (it does, unless a
-                # best-effort byte slipped between two chunks).
-                end = last - sync[0][1].index
-                if end < len(sync) and sync[end][1].index == last \
-                        and sync[end][1].vc == "TC":
-                    ready = sync[end][0]
-                else:
-                    for ready, phit in sync:
-                        if phit.vc != "TC":
-                            return 0
-                        if phit.index == last:
-                            break
+                # (A run is never a frame end: that byte crosses the
+                # wire itself.  A run's key is its last byte's.)
+                for ready, phit in sync:
+                    if phit.vc != "TC":
+                        return 0
+                    if phit.index == last and phit.__class__ is Phit:
+                        break
                 if ready < wake:
                     wake = ready
             elif state.rx_bytes and (number < MESH_LINKS
-                                     or not self.tc_inject_phits):
+                                     or inject is None):
                 return 0
         return wake
 
@@ -564,12 +625,19 @@ class InputSide:
         due = target + self.params.input_sync_cycles
         for port in range(MESH_LINKS):
             for ready, phit in self.ports[port].sync:
-                if ready == due:
-                    if shown is link_in:
-                        shown = list(link_in)
-                    shown[port] = type(link_in[port])(
-                        phit=phit, ack=link_in[port].ack)
+                if ready < due:
+                    continue
+                if phit.__class__ is FrameRun:
+                    if phit.ready > due:
+                        break
+                    phit = phit.phit(due - phit.ready)
+                elif ready > due:
                     break
+                if shown is link_in:
+                    shown = list(link_in)
+                shown[port] = type(link_in[port])(
+                    phit=phit, ack=link_in[port].ack)
+                break
         return shown
 
     # ------------------------------------------------------------------
@@ -582,10 +650,11 @@ class InputSide:
         captured by then are still on the wire or upstream)."""
         ports = self.ports
         limit = target + self.params.input_sync_cycles
+        inject = self.tc_inject
         return {
             "sync_queues": [
-                [[ready, ctx.save_phit(phit)] for ready, phit in port.sync
-                 if ready < limit]
+                [[ready, ctx.save_phit(phit)]
+                 for ready, phit in per_byte(port.sync, limit)]
                 for port in ports
             ],
             "tc_inputs": [
@@ -604,8 +673,9 @@ class InputSide:
             "be_arbiters": [a.state() for a in self.be_arbiters],
             "tc_inject_queue": [ctx.save_tc_packet(p)
                                 for p in self.tc_inject_queue],
-            "tc_inject_phits": [ctx.save_phit(p)
-                                for p in self.tc_inject_phits],
+            "tc_inject_phits": [] if inject is None else [
+                ctx.save_phit(inject.phit(offset))
+                for offset in range(len(inject.data))],
             "be_inject_queue": [ctx.save_be_packet(p)
                                 for p in self.be_inject_queue],
             "be_inject_phits": [ctx.save_phit(p)
@@ -635,10 +705,24 @@ class InputSide:
             arbiter.load_state(s)
         self.tc_inject_queue = deque(
             ctx.load_tc_packet(p) for p in state["tc_inject_queue"])
-        self.tc_inject_phits = deque(
-            ctx.load_phit(p) for p in state["tc_inject_phits"])
+        self.tc_inject = _compacted(
+            [ctx.load_phit(p) for p in state["tc_inject_phits"]])
         self.be_inject_queue = deque(
             ctx.load_be_packet(p) for p in state["be_inject_queue"])
         self.be_inject_phits = deque(
             ctx.load_phit(p) for p in state["be_inject_phits"])
-        self.inject_base = None
+
+
+def _compacted(phits: list[Phit]) -> Optional[FrameRun]:
+    """The injection port's restored phits as the run it feeds: the
+    bytes of one packet, in order, up to its last (placed in time at
+    the first feed)."""
+    if not phits:
+        return None
+    first = phits[0]
+    if any(phit.vc != "TC" or phit.index != first.index + offset
+           for offset, phit in enumerate(phits)) or not phits[-1].last:
+        raise ValueError("tc_inject_phits must be the remaining bytes of "
+                         "one time-constrained packet, in order")
+    return FrameRun(None, bytes(phit.byte for phit in phits),
+                    first.packet, first.index, ends=True)

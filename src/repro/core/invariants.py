@@ -13,6 +13,7 @@ from typing import Iterable
 
 from repro.core.clock import RolloverClock
 from repro.core.leaf_state import EMPTY_LEAF
+from repro.core.packet import FrameRun, held_bytes
 from repro.core.params import MESH_LINKS, OUTPUT_PORTS
 from repro.core.router import NEVER, NOW, RealTimeRouter, _links_quiet
 
@@ -143,7 +144,10 @@ def _check_frames(router: RealTimeRouter) -> None:
     byte (a failed link, a corruptor, a watchdog reading the link
     monitors, a service hook), a cut-through stream, or the last byte.
     Holds after every step; a stream restored mid-frame is framed by
-    its first transmit."""
+    its first transmit.  A framed stream's bytes move lazily, never
+    ahead of the router's cycle, and every run holds bytes of one
+    frame short of its end (``_check_runs``)."""
+    _check_runs(router)
     size = router.params.tc_packet_bytes
     links = router.frame_links
     for port, output in enumerate(router.outputs.ports):
@@ -159,12 +163,40 @@ def _check_frames(router: RealTimeRouter) -> None:
                 and stream.sent < size - 1
                 and stream.sent + len(stream.staging) == size):
             _fail(f"whole stream on port {port} stepped per byte")
-        if (stream.base is not None
-                and router._asleep in (None, router.cycle)
-                and stream.sent != min(router.cycle - stream.base,
-                                       size - 1)):
+        if stream.base is None:
+            continue
+        if stream.sent > min(router.cycle - stream.base, size - 1):
             _fail(f"framed stream on port {port} sent {stream.sent} "
-                  f"bytes by cycle {router.cycle}")
+                  f"bytes, ahead of cycle {router.cycle}")
+        if stream.sent + len(stream.staging) != size:
+            _fail(f"framed stream on port {port} sent {stream.sent} "
+                  f"bytes with {len(stream.staging)} staged")
+
+
+def _check_runs(router: RealTimeRouter) -> None:
+    """A run in a synchroniser holds bytes of one frame, keyed by its
+    last byte's cycle, and never the frame end (that byte crosses the
+    wire itself); the injection port's run ends its packet."""
+    size = router.params.tc_packet_bytes
+    for port, state in enumerate(router.inputs.ports):
+        for ready, run in state.sync:
+            if run.__class__ is not FrameRun:
+                continue
+            if not run.data or ready != run.last_ready:
+                _fail(f"run in synchroniser {port} keyed {ready} but "
+                      f"its bytes mature from {run.ready} to "
+                      f"{run.last_ready}")
+            if run.index < 0 or run.index + len(run.data) > size - 1:
+                _fail(f"run in synchroniser {port} holds bytes "
+                      f"{run.index}..{run.index + len(run.data) - 1}: it "
+                      "crosses a frame end")
+    inject = router.inputs.tc_inject
+    if inject is not None and not (
+            inject.data and inject.ends
+            and inject.index + len(inject.data) == size):
+        _fail(f"injection run holds bytes {inject.index}.."
+              f"{inject.index + len(inject.data) - 1} of a "
+              f"{size}-byte packet")
 
 
 def _check_derived_state(router: RealTimeRouter) -> None:
@@ -183,7 +215,7 @@ def _check_derived_state(router: RealTimeRouter) -> None:
     if bus.pending() != queued:
         _fail(f"bus pending count {bus.pending()} but {queued} are queued")
     inputs = router.inputs
-    in_sync = sum(len(port.sync) for port in inputs.ports)
+    in_sync = sum(held_bytes(port.sync) for port in inputs.ports)
     if inputs.sync_count != in_sync:
         _fail(f"synchroniser count {inputs.sync_count} but {in_sync} "
               "bytes are queued")

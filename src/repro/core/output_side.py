@@ -20,6 +20,7 @@ from repro.core.flit_buffer import CreditCounter
 from repro.core.packet import (
     BE_HEADER_BYTES,
     BestEffortPacket,
+    FrameRun,
     MetaCarrier,
     PacketMeta,
     Phit,
@@ -47,10 +48,9 @@ class _TCStream:
     #: ``base + i``.  Derived, never serialised: a restored stream is
     #: framed again by its next transmit.
     base: Optional[int] = field(init=False, default=None)
-    #: The synchroniser entries handed to the link: ``(ready, phit)``
-    #: for every byte from the first framed one to the last but one
-    #: (the last crosses the wire itself).
-    handed: Optional[list] = field(init=False, default=None)
+    #: The run handed to the link: every byte from the first framed
+    #: one to the last but one (the last crosses the wire itself).
+    handed: Optional[FrameRun] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.meta:
@@ -204,7 +204,7 @@ class OutputSide:
             if selection is not None:
                 self.ports[port].held = selection
 
-    def request_decisions(self) -> None:
+    def request_decisions(self, cycle: int) -> None:
         pipeline = self.chip.pipeline
         counts = self.chip.eligible_count
         for port, output in enumerate(self.ports):
@@ -216,8 +216,10 @@ class OutputSide:
             if stream is not None:
                 # Overlap scheduling with transmission: request the next
                 # decision just early enough to land at the boundary.
-                remaining = self.params.tc_packet_bytes - stream.sent
-                if remaining > self.lead:
+                # (A framed stream has sent its byte of this cycle.)
+                sent = (stream.sent if stream.base is None
+                        else cycle + 1 - stream.base)
+                if self.params.tc_packet_bytes - sent > self.lead:
                     continue
             pipeline.request(port)
 
@@ -227,6 +229,7 @@ class OutputSide:
 
     def transmit(self, link_out: list, cycle: int) -> None:
         inputs = self.chip.inputs.ports
+        last = self.params.tc_packet_bytes - 1
         for port, output in enumerate(self.ports):
             wire = None  # the reception port drives no link
             if port < MESH_LINKS:
@@ -240,14 +243,22 @@ class OutputSide:
                     wire.ack = True
                 else:
                     wire.ack = False
-            if output.held is not None or output.tc_stream is not None:
+            stream = output.tc_stream
+            if stream is not None:
+                # A framed stream's bytes before its last cross as one
+                # run (``frame``): nothing to drive until then.
+                base = stream.base
+                if base is None or cycle - base >= last:
+                    self._transmit_one(port, output, wire, cycle)
+            elif output.held is not None:
                 self._transmit_one(port, output, wire, cycle)
             elif output.be_staging:
                 self._send_be_byte(port, output, wire, cycle)
 
     def _transmit_one(self, port: int, output: _Output, wire,
                       cycle: int) -> None:
-        self._maybe_start_tc(port, output, cycle)
+        if output.tc_stream is None:
+            self._maybe_start_tc(port, output, cycle)
 
         # Priority 1: stream the active time-constrained packet.
         stream = output.tc_stream
@@ -257,11 +268,11 @@ class OutputSide:
                 self.frame(port, stream, cycle)
             base = stream.base
             if base is not None:
-                if cycle - base >= stream.sent:
-                    self._move_frame(port, output, stream, cycle + 1)
                 if cycle - base < self.params.tc_packet_bytes - 1:
                     return
-                # The last byte crosses below, like an unframed one.
+                # Its bytes move now, and the last one crosses below,
+                # like an unframed one.
+                self._move_frame(port, output, stream, cycle)
         if stream is not None and stream.staging:
             byte = stream.staging.popleft()
             index = stream.sent
@@ -290,7 +301,7 @@ class OutputSide:
     def _maybe_start_tc(self, port: int, output: _Output,
                         cycle: int) -> None:
         """Commit the held scheduler decision if it may transmit now."""
-        if output.tc_stream is not None or output.held is None:
+        if output.held is None:
             return
         chip = self.chip
         selection = output.held
@@ -401,10 +412,12 @@ class OutputSide:
         steps per byte (``chip.frame_links``) or it is a cut-through
         stream, which is staged byte by byte.  From this cycle on byte
         ``i`` leaves on cycle ``base + i``: on a link, every byte but
-        the last is handed to the neighbour's synchroniser now, each
-        with the cycle it matures there (``chip.frames_out``, which the
-        link wiring delivers), and the last crosses the wire; at the
-        reception port they are reassembled as the router settles.
+        the last is handed to the neighbour's synchroniser now as one
+        run, byte ``i`` maturing there on cycle ``base + i + 1 +
+        input_sync_cycles`` (``chip.frames_out``, which the link wiring
+        delivers), and the last crosses the wire.  The stream's
+        ``sent``, ``staging`` and ``tc_bytes`` (at the reception port,
+        ``tc_rx``) move at its last byte, or when the router settles.
         """
         size = self.params.tc_packet_bytes
         sent = stream.sent
@@ -415,21 +428,20 @@ class OutputSide:
                 or chip.service_hook is not None):
             return
         stream.base = cycle - sent
+        chip.track_frames()
         if port == RECEPTION:
             return
         # Byte i is captured downstream on cycle base + i + 1.
-        ready = stream.base + 1 + self.params.input_sync_cycles
-        carrier = stream.carrier
-        stream.handed = [
-            (ready + index, Phit(vc="TC", byte=byte, packet=carrier,
-                                 index=index, last=False))
-            for index, byte in zip(range(sent, size - 1), stream.staging)]
+        stream.handed = FrameRun(
+            cycle + 1 + self.params.input_sync_cycles,
+            bytes(stream.staging)[:-1], stream.carrier, sent)
         chip.frames_out.append((port, stream.handed))
 
     def _move_frame(self, port: int, output: _Output, stream: _TCStream,
                     until: int) -> None:
         """Account the framed stream's bytes that leave before cycle
-        ``until`` — all but the last, which crosses on its own cycle."""
+        ``until`` — all but the last, which crosses on its own cycle —
+        at once."""
         end = min(until - stream.base, self.params.tc_packet_bytes - 1)
         count = end - stream.sent
         if count <= 0:
@@ -451,6 +463,14 @@ class OutputSide:
             stream = output.tc_stream
             if stream is not None and stream.base is not None:
                 self._move_frame(port, output, stream, target)
+
+    def framing(self) -> bool:
+        """Some port streams a framed packet."""
+        for output in self.ports:
+            stream = output.tc_stream
+            if stream is not None and stream.base is not None:
+                return True
+        return False
 
     def frame_wake(self) -> float:
         """The output side's part of ``RealTimeRouter._frame_wake``:
@@ -494,12 +514,12 @@ class OutputSide:
             if stream is None or stream.handed is None:
                 continue
             handed = stream.handed
-            index = target - 1 - stream.base - handed[0][1].index
-            if 0 <= index < len(handed):
+            offset = target - 1 - stream.base - handed.index
+            if 0 <= offset < len(handed.data):
                 if shown is link_out:
                     shown = list(link_out)
                 shown[port] = type(link_out[port])(
-                    phit=handed[index][1], ack=link_out[port].ack)
+                    phit=handed.phit(offset), ack=link_out[port].ack)
         return shown
 
     def read_chunk(self, port: int, slot: int, chunk: int) -> None:

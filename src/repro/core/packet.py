@@ -20,6 +20,7 @@ numbers) lives outside the wire format.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -265,18 +266,84 @@ class MetaCarrier:
         self.meta = meta
 
 
-def phits_of(packet, params: RouterParams) -> list[Phit]:
-    """Explode a packet into its wire phits (stamping the checksum)."""
+def wire_bytes(packet, params: RouterParams) -> tuple[bytes, str]:
+    """A packet's wire bytes and virtual channel (stamping the checksum)."""
     if isinstance(packet, TimeConstrainedPacket):
-        data, vc = packet.to_bytes(params), "TC"
-        if packet.meta.checksum is None:
-            packet.meta.checksum = payload_checksum(data[TC_HEADER_BYTES:])
+        data, vc, header = packet.to_bytes(params), "TC", TC_HEADER_BYTES
     elif isinstance(packet, BestEffortPacket):
-        data, vc = packet.to_bytes(), "BE"
-        if packet.meta.checksum is None:
-            packet.meta.checksum = payload_checksum(data[BE_HEADER_BYTES:])
+        data, vc, header = packet.to_bytes(), "BE", BE_HEADER_BYTES
     else:
         raise TypeError(f"not a packet: {packet!r}")
+    if packet.meta.checksum is None:
+        packet.meta.checksum = payload_checksum(data[header:])
+    return data, vc
+
+
+def phits_of(packet, params: RouterParams) -> list[Phit]:
+    """Explode a packet into its wire phits (stamping the checksum)."""
+    data, vc = wire_bytes(packet, params)
     tail = len(data) - 1
     return [Phit(vc=vc, byte=b, packet=packet, index=i, last=(i == tail))
             for i, b in enumerate(data)]
+
+
+@dataclass(frozen=True, slots=True)
+class FrameRun:
+    """Consecutive time-constrained bytes of one packet, held as one
+    record where the per-byte loop would hold one phit per byte: byte
+    ``index + j`` of the packet (``data[j]``) arrives on cycle
+    ``ready + j``.
+
+    A committed frame crosses a link as one run (every byte but the
+    last, which crosses the wire itself) and the injection port feeds a
+    host packet as one; ``phit`` builds the phit of one byte, for a byte
+    taken one at a time or a document being written.  Never changed in
+    place: a run taken in part leaves a new one (``rest``).
+    """
+
+    ready: Optional[int]  # None: not yet placed in time (a restore)
+    data: bytes
+    carrier: object       # what each byte's phit carries (``Phit.packet``)
+    index: int
+    #: Whether ``data`` ends with the packet's last byte.
+    ends: bool = False
+
+    #: Only ever time-constrained: a synchroniser entry's class test.
+    vc = "TC"
+
+    @property
+    def last_ready(self) -> int:
+        """The cycle the run's last byte arrives."""
+        return self.ready + len(self.data) - 1
+
+    def phit(self, offset: int) -> Phit:
+        return Phit(vc="TC", byte=self.data[offset], packet=self.carrier,
+                    index=self.index + offset,
+                    last=self.ends and offset == len(self.data) - 1)
+
+    def rest(self, count: int, ready: Optional[int] = None) -> "FrameRun":
+        """The run without its first ``count`` bytes (placed at
+        ``ready``, if given)."""
+        if ready is None:
+            ready = None if self.ready is None else self.ready + count
+        return FrameRun(ready, self.data[count:], self.carrier,
+                        self.index + count, self.ends)
+
+
+def held_bytes(entries) -> int:
+    """Bytes in synchroniser entries: one per phit, a run's length."""
+    return sum(len(item.data) if item.__class__ is FrameRun else 1
+               for _, item in entries)
+
+
+def per_byte(entries, limit: float = math.inf):
+    """Synchroniser entries as the per-cycle loop holds them, one
+    ``(ready, phit)`` per byte, those that mature before ``limit``."""
+    for ready, item in entries:
+        if item.__class__ is FrameRun:
+            for offset in range(len(item.data)):
+                if item.ready + offset >= limit:
+                    return
+                yield item.ready + offset, item.phit(offset)
+        elif ready < limit:
+            yield ready, item

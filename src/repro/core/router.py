@@ -42,6 +42,7 @@ from repro.core.leaf_state import LeafArray
 from repro.core.output_side import OutputSide
 from repro.core.packet import (
     BestEffortPacket,
+    FrameRun,
     PacketMeta,
     Phit,
     TimeConstrainedPacket,
@@ -197,11 +198,11 @@ class RealTimeRouter:
         self.frame_links: Optional[list[bool]] = None
         #: The ``MeshNetwork`` this router is wired into, if any: its
         #: engine says where a reader stands (:meth:`settle`), and it
-        #: settles the routers asleep on frames when a run ends.
+        #: settles the routers with frames in flight when a run ends.
         self.fabric = None
-        #: Frames this cycle hands to the links, ``(port, entries)``:
-        #: the link wiring moves them into the neighbour's synchroniser.
-        self.frames_out: list[tuple[int, list]] = []
+        #: Frames this cycle hands to the links, ``(port, run)``: the
+        #: link wiring moves them into the neighbour's synchroniser.
+        self.frames_out: list[tuple[int, FrameRun]] = []
         #: First cycle the per-byte loop would have stepped this router
         #: in but it slept through, frames moving; settled by the next
         #: working step or read.  Derived state, never serialised.
@@ -243,7 +244,7 @@ class RealTimeRouter:
     @property
     def tc_inject_backlog(self) -> int:
         queued = len(self.inputs.tc_inject_queue)
-        return queued + (1 if self.inputs.tc_inject_phits else 0)
+        return queued + (1 if self.inputs.tc_inject is not None else 0)
 
     @property
     def be_inject_backlog(self) -> int:
@@ -270,7 +271,9 @@ class RealTimeRouter:
         return credits.capacity - credits.credits
 
     def output_service(self, port: int) -> tuple[int, int]:
-        """(time-constrained, best-effort) bytes sent on an output port."""
+        """(time-constrained, best-effort) bytes sent on an output port
+        by the read point (a framed stream's count moves when settled)."""
+        self.settle()
         output = self.outputs.ports[port]
         return output.tc_bytes, output.be_bytes
 
@@ -322,7 +325,7 @@ class RealTimeRouter:
         inputs, outputs = self.inputs, self.outputs
         if not links_quiet or inputs.sync_count:
             inputs.capture(link_in, cycle)
-        if (inputs.tc_inject_phits or inputs.tc_inject_queue
+        if (inputs.tc_inject is not None or inputs.tc_inject_queue
                 or inputs.be_inject_phits or inputs.be_inject_queue):
             inputs.feed_injection(cycle)
         if inputs.frame_ready:
@@ -351,7 +354,7 @@ class RealTimeRouter:
             bus.idle_cycles()
         outputs.transmit(self.link_out, cycle)
         if self.leaves.occupancy:
-            outputs.request_decisions()
+            outputs.request_decisions(cycle)
         self.cycle = cycle + 1
         if (inputs.sync_count and (self.frame_links is None or worms)
                 or bus.pending()):
@@ -536,31 +539,40 @@ class RealTimeRouter:
         (the engine's ``read_point``; standalone: its own cycle), as the
         per-cycle loop would have left them, and return that point.
 
-        Replays the cycles from :attr:`_asleep` on that only moved
-        frames: their bytes, the clock, the chunk bus's cycle count and
-        the cycle counter."""
+        Moves the bytes of the frames in flight that the per-cycle loop
+        would have moved by then, awake or asleep, and replays the
+        cycles from :attr:`_asleep` on that only moved frames: the
+        clock, the chunk bus's cycle count and the cycle counter."""
         if self.fabric is None:
             return self.cycle, True
         target, wired = self.fabric.engine.read_point(self)
+        self.outputs.settle(target)
+        self.inputs.settle(target)
         start = self._asleep
         if start is not None and target > start:
             self._asleep = target
-            self.outputs.settle(target)
-            self.inputs.settle(target)
             self.bus.idle_cycles(target - start)
             self.clock.set((target - 1) // self._slot_cycles
                            + self.clock_skew_ticks)
             self.cycle = target
         return target, wired
 
-    def receive_frame(self, port: int, entries: list) -> None:
-        """The link wiring hands input ``port`` a frame's bytes, each
-        with the cycle it matures in the synchroniser."""
-        self.inputs.ports[port].sync.extend(entries)
-        self.inputs.sync_count += len(entries)
+    def receive_frame(self, port: int, run: FrameRun) -> None:
+        """The link wiring hands input ``port`` a frame's bytes as one
+        run, byte ``run.index + j`` maturing in the synchroniser on
+        cycle ``run.ready + j``.  A cut-through router takes them one
+        at a time, as they mature."""
+        inputs = self.inputs
+        sync = inputs.ports[port].sync
+        if self.cut_through:
+            sync.extend((run.ready + offset, run.phit(offset))
+                        for offset in range(len(run.data)))
+        else:
+            sync.append((run.last_ready, run))
+        inputs.sync_count += len(run.data)
         # The per-cycle loop captures the first on the cycle after the
         # sender drove it, and steps this router from then on.
-        first = entries[0][0] - self.params.input_sync_cycles
+        first = run.ready - self.params.input_sync_cycles
         if self._asleep is None:
             self._fall_asleep(first)
         elif first < self._asleep:
@@ -569,8 +581,20 @@ class RealTimeRouter:
 
     def _fall_asleep(self, cycle: int) -> None:
         self._asleep = cycle
+        self.track_frames()
+
+    def track_frames(self) -> None:
+        """This router holds a frame whose bytes move lazily (or sleeps
+        on one): the network settles it when a run ends."""
         if self.fabric is not None:
-            self.fabric.sleepers.add(self)
+            self.fabric.in_flight.add(self)
+
+    def frames_in_flight(self) -> bool:
+        """Whether :meth:`track_frames` still holds: asleep, or a
+        framed stream, a synchroniser byte or a host packet fed lazily."""
+        inputs = self.inputs
+        return (self._asleep is not None or inputs.sync_count > 0
+                or inputs.tc_inject is not None or self.outputs.framing())
 
     def lagging(self, cycle: int) -> tuple[int, int]:
         """What a reader at ``cycle`` adds to ``tree.evaluations`` and

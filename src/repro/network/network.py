@@ -22,8 +22,10 @@ from repro.core.packet import (
     BestEffortPacket,
     PacketMeta,
     Phit,
+    held_bytes,
     load_packet_id_counter_state,
     packet_id_counter_state,
+    per_byte,
 )
 from repro.core.params import MESH_LINKS, RouterParams
 from repro.core.ports import OPPOSITE, RECEPTION
@@ -100,8 +102,9 @@ class MeshNetwork:
         self.log = DeliveryLog(self.params.slot_cycles)
         self.engine = SynchronousEngine(mode=engine)
         self._monitor_reader = None
-        #: Routers that have slept on frames since the last run ended.
-        self.sleepers: set[RealTimeRouter] = set()
+        #: Routers that have held a frame moving lazily, or slept on
+        #: one, since the last run ended (``track_frames``).
+        self.in_flight: set[RealTimeRouter] = set()
         self.routers: dict[Node, RealTimeRouter] = {}
         self.hosts: dict[Node, HostNode] = {}
         self._failed_links: set[tuple[Node, int]] = set()
@@ -151,9 +154,8 @@ class MeshNetwork:
             router.delivery_hook = partial(self.engine.wake, host)
             # and when a raised horizon may have moved its dormancy deadline.
             router.wake_hook = self.engine.wake
-            # A router that slept while its frames moved settles to
-            # where the engine stands when it is read, and at the end
-            # of every run.
+            # A router whose frames move lazily settles to where the
+            # engine stands when it is read, and at the end of every run.
             router.fabric = self
 
         # Wire every link: a router's output signal this cycle becomes
@@ -224,10 +226,10 @@ class MeshNetwork:
             if frames_out:
                 # Frames committed this cycle: their bytes go to the
                 # sink's synchroniser at once (``OutputSide.frame``).
-                for direction, entries in frames_out:
+                for direction, run in frames_out:
                     for _, link, sink, into, _, _ in links:
                         if link[1] == direction:
-                            sink.receive_frame(into, entries)
+                            sink.receive_frame(into, run)
                             wrote.append(sink)
                 frames_out.clear()
             link_out = source.link_out  # load_state rebinds the list
@@ -399,9 +401,9 @@ class MeshNetwork:
         for entry in pending:
             router.frames_out.remove(entry)
         # The sender's wire holds its byte of cycle target - 1.
-        index = target - 1 - base - handed[0][1].index
-        if 0 <= index < len(handed):
-            router.link_out[direction].phit = handed[index][1]
+        offset = target - 1 - base - handed.index
+        if 0 <= offset < len(handed.data):
+            router.link_out[direction].phit = handed.phit(offset)
         router._forget()
         if wired:
             engine.wake_now(router)  # it drives the next byte itself
@@ -415,13 +417,14 @@ class MeshNetwork:
         sink = self.routers[neighbor]
         _, sink_wired = sink.settle()
         port = sink.inputs.ports[into]
-        # Bytes driven on the executing cycle or later have not crossed.
+        # Bytes driven on the executing cycle or later have not crossed;
+        # those that have step per byte from here on.
         crossed = engine.cycle + sync_cycles
-        kept = [entry for entry in port.sync if entry[0] <= crossed]
+        kept = list(per_byte(port.sync, crossed + 1))
         wire = None
         if sink_wired and kept and kept[-1][0] == crossed:
             wire = kept.pop()[1]  # the last one that has is on the wire
-        sink.inputs.sync_count -= len(port.sync) - len(kept)
+        sink.inputs.sync_count -= held_bytes(port.sync) - len(kept)
         port.sync.clear()
         port.sync.extend(kept)
         sink._forget()
@@ -530,16 +533,18 @@ class MeshNetwork:
         wire = router.link_in[into]
         queued = [phit for _, phit in port.sync] + [wire.phit]
         end = self.params.tc_packet_bytes - 1
+        # (A run is never a frame end: that byte crosses on its own.)
         first = 1 + max((i for i, phit in enumerate(queued)
-                         if phit is not None and phit.vc == "TC"
+                         if isinstance(phit, Phit) and phit.vc == "TC"
                          and phit.index == end), default=-1)
         kept = [entry for i, entry in enumerate(port.sync)
                 if i < first or entry[1].vc != "TC"]
         dropped = len(port.sync) - len(kept)
         if dropped:
+            router.inputs.sync_count -= (held_bytes(port.sync)
+                                         - held_bytes(kept))
             port.sync.clear()
             port.sync.extend(kept)
-            router.inputs.sync_count -= dropped
         if (wire.phit is not None and wire.phit.vc == "TC"
                 and len(queued) - 1 >= first):
             wire.phit = None
@@ -645,17 +650,19 @@ class MeshNetwork:
         try:
             return self.engine.run(cycles)
         finally:
-            self._settle_sleepers()
+            self._settle_in_flight()
 
-    def _settle_sleepers(self) -> None:
+    def _settle_in_flight(self) -> None:
         """Between runs every router reads as the per-cycle loop left
-        it: the ones asleep on frames settle (``RealTimeRouter.settle``)."""
-        sleepers = self.sleepers
-        if sleepers:
-            for router in sleepers:
+        it: the ones with frames in flight settle
+        (``RealTimeRouter.settle``)."""
+        in_flight = self.in_flight
+        if in_flight:
+            for router in in_flight:
                 router.settle()
-            sleepers.difference_update([router for router in sleepers
-                                        if router._asleep is None])
+            in_flight.difference_update(
+                [router for router in in_flight
+                 if not router.frames_in_flight()])
 
     def run_ticks(self, ticks: int) -> int:
         """Advance by whole packet-slot times."""
@@ -674,7 +681,7 @@ class MeshNetwork:
                 max_cycles=max_cycles,
             )
         finally:
-            self._settle_sleepers()
+            self._settle_in_flight()
 
     # ------------------------------------------------------------------
     # Real-time channels

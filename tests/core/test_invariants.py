@@ -18,8 +18,8 @@ from repro.core.invariants import (
     check_router_invariants,
 )
 from repro.core.leaf_state import Leaf
-from repro.core.packet import phits_of
-from repro.core.ports import EAST, NORTH, RECEPTION
+from repro.core.packet import FrameRun, phits_of
+from repro.core.ports import EAST, NORTH, RECEPTION, WEST
 from repro.core.router import NOW, LinkSignal
 
 
@@ -237,7 +237,64 @@ class TestFrames:
     def test_detects_a_frame_that_lost_count_of_its_bytes(self):
         _, sender, stream = self._mid_frame()
         stream.sent -= 1
-        with pytest.raises(InvariantViolation, match="sent"):
+        with pytest.raises(InvariantViolation, match="sent .* staged"):
+            check_router_invariants(sender)
+
+    def test_detects_a_frame_sent_ahead_of_the_read_point(self):
+        _, sender, stream = self._mid_frame()
+        assert stream.sent == sender.cycle - stream.base  # settled
+        stream.sent += 1  # a byte moved before its cycle
+        stream.staging.popleft()
+        with pytest.raises(InvariantViolation, match="ahead of cycle"):
+            check_router_invariants(sender)
+
+    @staticmethod
+    def _run(net):
+        """The receiver and its synchroniser holding the frame's run."""
+        receiver = net.routers[(1, 0)]
+        sync = receiver.inputs.ports[WEST].sync
+        runs = [entry for entry in sync if entry[1].__class__ is FrameRun]
+        assert len(runs) == 1
+        check_router_invariants(receiver)
+        return receiver, sync, sync.index(runs[0])
+
+    def test_detects_a_synchroniser_count_without_its_run(self):
+        net, _, _ = self._mid_frame()
+        receiver, sync, at = self._run(net)
+        receiver.inputs.sync_count = len(sync)  # one per entry
+        with pytest.raises(InvariantViolation, match="synchroniser count"):
+            check_router_invariants(receiver)
+
+    def test_detects_a_run_that_crosses_a_frame_end(self):
+        net, _, _ = self._mid_frame()
+        receiver, sync, at = self._run(net)
+        _, run = sync[at]
+        size = receiver.params.tc_packet_bytes
+        assert run.index + len(run.data) == size - 1
+        # The frame end joins the run instead of crossing on its own.
+        longer = FrameRun(run.ready, run.data + b"\x00", run.carrier,
+                          run.index)
+        sync[at] = (longer.last_ready, longer)
+        receiver.inputs.sync_count += 1
+        receiver._forget()  # (its remembered next event moved too)
+        with pytest.raises(InvariantViolation, match="crosses a frame end"):
+            check_router_invariants(receiver)
+
+    def test_detects_a_run_keyed_off_its_last_byte(self):
+        net, _, _ = self._mid_frame()
+        receiver, sync, at = self._run(net)
+        ready, run = sync[at]
+        sync[at] = (ready + 1, run)  # out of step with its bytes
+        receiver._forget()
+        with pytest.raises(InvariantViolation, match="keyed"):
+            check_router_invariants(receiver)
+
+    def test_detects_a_host_packet_run_short_of_its_end(self):
+        _, sender, _ = self._mid_frame()
+        sender.inputs.tc_inject = FrameRun(sender.cycle, bytes(3), None, 0,
+                                           ends=True)
+        sender._forget()
+        with pytest.raises(InvariantViolation, match="injection run"):
             check_router_invariants(sender)
 
     def test_detects_a_late_remembered_frame_event(self):

@@ -60,7 +60,7 @@ class _AllPhasesRouter(RealTimeRouter):
         outputs.latch_decisions(cycle)
         self.bus.grant()
         outputs.transmit(self.link_out, cycle)
-        outputs.request_decisions()
+        outputs.request_decisions(cycle)
         self.cycle += 1
         # Whether a wait starts here is decided at once (it is state:
         # the lag field), from scratch, and nothing is remembered.

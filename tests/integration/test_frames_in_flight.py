@@ -22,6 +22,7 @@ import pytest
 from repro import TrafficSpec
 from repro.checkpoint.codec import LoadContext, SaveContext
 from repro.core.invariants import check_router_invariants
+from repro.core.params import OUTPUT_PORTS
 from repro.core.ports import EAST, WEST
 from repro.core.router import RealTimeRouter
 from repro.faults.injector import BitFlipCorruptor
@@ -120,6 +121,27 @@ class _MidCycleReader:
             self.taken.append((cycle, documents(self.net)))
 
 
+def service(net):
+    """Bytes each output port has sent, every router (``output_service``
+    settles first)."""
+    return [net.routers[node].output_service(port)
+            for node in net.mesh.nodes() for port in range(OUTPUT_PORTS)]
+
+
+class _ServiceReader:
+    """Registered after every router: reads all their
+    ``output_service`` inside each cycle, after the routers' slots."""
+
+    def __init__(self, net):
+        self.net, self.taken = net, []
+
+    def next_event_cycle(self, cycle):
+        return cycle
+
+    def step(self, cycle):
+        self.taken.append((cycle, service(self.net)))
+
+
 def asleep(net):
     return sum(router._asleep is not None for router in net.routers.values())
 
@@ -168,6 +190,26 @@ def test_frames_equal_the_router_that_steps_every_byte(cut_through):
     assert net.engine.cycles_stepped <= twin.engine.cycles_stepped
     if not cut_through:
         assert net.engine.cycles_stepped < twin.engine.cycles_stepped
+
+
+def test_output_service_read_mid_cycle_is_the_per_byte_count():
+    # A framed stream's byte count moves at its last byte; a reader
+    # inside a cycle, after the routers' slots, sees the per-byte one.
+    class Reader(_ServiceReader):
+        mid_frame = 0
+
+        def step(self, cycle):
+            self.mid_frame += bool(framed(self.net))
+            super().step(cycle)
+
+    runs = [build(), build(per_byte=True)]
+    readers = [Reader(traffic.net) for traffic in runs]
+    for traffic, reader in zip(runs, readers):
+        traffic.net.engine.add_component(reader)
+        traffic.run(CYCLES // 3)
+    assert readers[0].taken == readers[1].taken
+    assert len(readers[0].taken) == CYCLES // 3
+    assert readers[0].mid_frame > CYCLES // 10
 
 
 def test_the_oracle_loop_runs_frames_the_same():
@@ -327,8 +369,8 @@ def test_the_reception_port_and_the_injection_port_frame_too():
             router.outputs.ports[-1].tc_stream is not None
             and router.outputs.ports[-1].tc_stream.base is not None
             for router in net.routers.values())
-        injection += any(router.inputs.inject_base is not None
-                         and router.inputs.tc_inject_phits
+        injection += any(router.inputs.tc_inject is not None
+                         and router.inputs.tc_inject.ready is not None
                          and router._asleep is not None
                          for router in net.routers.values())
     assert reception > 50 and injection > 20
