@@ -183,8 +183,7 @@ def frames_only(router, cycle: int) -> bool:
     pipeline = router.pipeline
     lead = pipeline.latency + pipeline.initiation_interval
     if (router.bus.pending() or pipeline.busy or router.delivered
-            or router._pipeline_lag is not None
-            or router.service_hook is not None):
+            or router._pipeline_lag is not None):
         return False
     moving = False
     for signal in router.link_in:

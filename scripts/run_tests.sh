@@ -114,7 +114,7 @@ run_campaign() {
 }
 
 run_checkpoint() {
-    echo "== checkpoint: resume equivalence, kill/resume, overhead gate =="
+    echo "== checkpoint: resume equivalence, kill/resume, every checkpoint resumed with invariants on (test_resume_invariants), overhead gate =="
     python -m pytest -q \
         tests/checkpoint \
         tests/test_cli.py
@@ -123,7 +123,7 @@ run_checkpoint() {
 }
 
 run_event() {
-    echo "== event: scheduler-vs-oracle equivalence, firing order, accounting, next-event contract, frames in flight (asleep and awake), dormancy =="
+    echo "== event: scheduler-vs-oracle equivalence, firing order, accounting, next-event contract, frames in flight (asleep, awake and under a watchdog), dormancy =="
     python -m pytest -q \
         tests/network/test_engine_accounting.py \
         tests/network/test_event_firing_order.py \
@@ -131,6 +131,7 @@ run_event() {
         tests/integration/test_next_event_contract.py \
         tests/integration/test_frames_in_flight.py \
         tests/integration/test_busy_frames.py \
+        tests/integration/test_frames_under_faults.py \
         tests/core/test_invariants.py::TestFrames \
         tests/core/test_dormancy.py \
         tests/integration/test_dormant_network.py \

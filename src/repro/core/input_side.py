@@ -307,7 +307,7 @@ class InputSide:
             # Where every byte steps, this cycle's byte; else the
             # whole packet once its last byte is fed.
             if (run.last_ready <= cycle or chip.frame_links is None
-                    or chip.service_hook is not None or chip.cut_through):
+                    or chip.cut_through):
                 run = self._take_due(self.ports[MESH_LINKS], run, cycle)
             self.tc_inject = run
 

@@ -141,12 +141,12 @@ def _check_streams(router: RealTimeRouter) -> None:
 def _check_frames(router: RealTimeRouter) -> None:
     """A committed frame moves as one arrival exactly where it may
     (``OutputSide.frame``): per byte only on a port that steps per
-    byte (a failed link, a corruptor, a watchdog reading the link
-    monitors, a service hook), a cut-through stream, or the last byte.
-    Holds after every step; a stream restored mid-frame is framed by
-    its first transmit.  A framed stream's bytes move lazily, never
-    ahead of the router's cycle, and every run holds bytes of one
-    frame short of its end (``_check_runs``)."""
+    byte (a failed link, a corruptor, a standalone router), a
+    cut-through stream, or the last byte.  Holds after every step, a
+    restore and a repair, which frame a stream staged whole again
+    (``OutputSide.reframe``).  A framed stream's bytes move lazily,
+    never ahead of the router's cycle, and every run holds bytes of
+    one frame short of its end (``_check_runs``)."""
     _check_runs(router)
     size = router.params.tc_packet_bytes
     links = router.frame_links
@@ -154,8 +154,7 @@ def _check_frames(router: RealTimeRouter) -> None:
         stream = output.tc_stream
         if stream is None:
             continue
-        may = (links is not None and links[port]
-               and router.service_hook is None)
+        may = links is not None and links[port]
         if stream.base is not None and not may:
             _fail(f"stream on port {port} framed on a port that steps "
                   "per byte")

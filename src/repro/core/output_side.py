@@ -46,7 +46,7 @@ class _TCStream:
     carrier: Optional[MetaCarrier] = field(init=False, default=None)
     #: Framed (:meth:`OutputSide.frame`): byte ``i`` leaves on cycle
     #: ``base + i``.  Derived, never serialised: a restored stream is
-    #: framed again by its next transmit.
+    #: framed again when restored (:meth:`OutputSide.reframe`).
     base: Optional[int] = field(init=False, default=None)
     #: The run handed to the link: every byte from the first framed
     #: one to the last but one (the last crosses the wire itself).
@@ -424,8 +424,7 @@ class OutputSide:
         chip = self.chip
         if (stream.slot < 0 or sent >= size - 1
                 or sent + len(stream.staging) != size
-                or not chip.frame_links[port]
-                or chip.service_hook is not None):
+                or not chip.frame_links[port]):
             return
         stream.base = cycle - sent
         chip.track_frames()
@@ -436,6 +435,26 @@ class OutputSide:
             cycle + 1 + self.params.input_sync_cycles,
             bytes(stream.staging)[:-1], stream.carrier, sent)
         chip.frames_out.append((port, stream.handed))
+
+    def reframe(self, cycle: int) -> bool:
+        """Frame the streams staged whole that step per byte on a port
+        that may frame them (restored, or on a link just repaired), as
+        their next transmit, on ``cycle``, would; whether one was.  A
+        link's run leaves with that cycle's wiring: the router steps
+        then, its link output holding the byte it drove last."""
+        chip = self.chip
+        if chip.frame_links is None:
+            return False
+        framed = False
+        for port, output in enumerate(self.ports):
+            stream = output.tc_stream
+            if (stream is not None and stream.base is None
+                    and len(stream.staging) > 1):
+                self.frame(port, stream, cycle)
+                framed = framed or stream.base is not None
+        if framed:
+            chip._forget()
+        return framed
 
     def _move_frame(self, port: int, output: _Output, stream: _TCStream,
                     until: int) -> None:

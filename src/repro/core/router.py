@@ -147,6 +147,8 @@ class RealTimeRouter:
         self._slot_cycles = self.params.slot_cycles
         self.router_id = router_id
         self.on_memory_full = on_memory_full
+        #: Called for every byte an output port sends; it sees every
+        #: byte only on a standalone router, whose ports never frame.
         self.service_hook = service_hook
         #: Packet-lifecycle tracer (see repro.observability.trace);
         #: None by default — every emit site is guarded by a single
@@ -483,8 +485,7 @@ class RealTimeRouter:
         — is work.
         """
         pending = self.pipeline.wake_cycle
-        if (self.frame_links is None or self.service_hook is not None
-                or self.bus.pending() or self.delivered
+        if (self.frame_links is None or self.bus.pending() or self.delivered
                 or self._pipeline_lag is not None  # replay it first
                 or pending is not None and pending <= self.cycle):
             return 0

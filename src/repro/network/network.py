@@ -101,7 +101,10 @@ class MeshNetwork:
         self.mesh = Mesh(width, height, torus=torus)
         self.log = DeliveryLog(self.params.slot_cycles)
         self.engine = SynchronousEngine(mode=engine)
-        self._monitor_reader = None
+        #: The engine component that reads ``missed_transfers`` (the
+        #: link watchdog, which installs itself): a wiring that counts
+        #: a missed transfer reports it as written.
+        self.monitor_reader = None
         #: Routers that have held a frame moving lazily, or slept on
         #: one, since the last run ended (``track_frames``).
         self.in_flight: set[RealTimeRouter] = set()
@@ -225,13 +228,22 @@ class MeshNetwork:
             wrote = []
             if frames_out:
                 # Frames committed this cycle: their bytes go to the
-                # sink's synchroniser at once (``OutputSide.frame``).
-                for direction, run in frames_out:
+                # sink's synchroniser at once (``OutputSide.frame``).  One
+                # framed after its sender's slot (a link repaired
+                # mid-cycle) waits for the cycle its first byte leaves.
+                leaving = (self.engine.cycle + 1
+                           + self.params.input_sync_cycles)
+                held = []
+                for entry in frames_out:
+                    direction, run = entry
+                    if run.ready > leaving:
+                        held.append(entry)
+                        continue
                     for _, link, sink, into, _, _ in links:
                         if link[1] == direction:
                             sink.receive_frame(into, run)
                             wrote.append(sink)
-                frames_out.clear()
+                frames_out[:] = held
             link_out = source.link_out  # load_state rebinds the list
             for direction, link, sink, into, served, monitor in links:
                 signal = link_out[direction]
@@ -335,50 +347,27 @@ class MeshNetwork:
     # Frames in flight (docs/performance.md, "Frames in flight")
     # ------------------------------------------------------------------
 
-    @property
-    def monitor_reader(self):
-        """The engine component that reads ``missed_transfers`` (the
-        link watchdog, which installs itself): a wiring that counts a
-        missed transfer reports it as written.  While one is installed
-        every byte on every link steps, for it to count."""
-        return self._monitor_reader
-
-    @monitor_reader.setter
-    def monitor_reader(self, reader) -> None:
-        self._monitor_reader = reader
-        self._refresh_framing()
-
     def _refresh_framing(self) -> None:
         """Tell every router which output ports a committed frame may
         cross as one arrival: a live link with no corruptor, and the
-        reception port; none while a watchdog reads the link monitors.
-        A frame on a link that loses it goes back on the wire."""
-        whole = self._monitor_reader is None
+        reception port.  A frame on a link that loses it goes back on
+        the wire; a stream staged whole on a port that may frame it (a
+        link repaired, a stream restored) is framed where its next
+        transmit would be."""
         wired, failed = self.link_monitors, self._failed_links
         corrupted = self._link_corruptors
         for node, router in self.routers.items():
-            links = None
-            if whole:
-                links = [True] * (MESH_LINKS + 1)
-                for direction in range(MESH_LINKS):
-                    link = (node, direction)
-                    links[direction] = (link in wired
-                                        and link not in failed
-                                        and link not in corrupted)
-            before, router.frame_links = router.frame_links, links
-            if before is None or before == links:
-                continue
+            links = [True] * (MESH_LINKS + 1)
             for direction in range(MESH_LINKS):
-                if before[direction] and not (links and links[direction]):
-                    self._unframe(node, direction)
-            if links is None:
-                # Every byte steps from here on: the reception port's
-                # frame too, and whatever the router slept on.
-                router.settle()
-                reception = router.outputs.ports[RECEPTION].tc_stream
-                if reception is not None:
-                    reception.base = None
-                router._forget()
+                link = (node, direction)
+                links[direction] = (link in wired and link not in failed
+                                    and link not in corrupted)
+            before, router.frame_links = router.frame_links, links
+            if before is not None and before != links:
+                for direction in range(MESH_LINKS):
+                    if before[direction] and not links[direction]:
+                        self._unframe(node, direction)
+            if router.outputs.reframe(self.engine.read_point(router)[0]):
                 self.engine.wake(router)
 
     def _unframe(self, node: Node, direction: int) -> None:

@@ -368,7 +368,9 @@ class LatencySummary:
 class ServiceTrace:
     """Cumulative per-connection link service (Figure 7's raw data).
 
-    Install as a router ``service_hook``; each transmitted byte on the
+    Install as the ``service_hook`` of a standalone router (one in a
+    ``MeshNetwork`` moves a committed frame as one arrival, which the
+    hook does not see byte by byte); each transmitted byte on the
     watched output port is attributed to its connection label (or the
     best-effort aggregate) and accumulated into a step series.
     """

@@ -353,10 +353,25 @@ def test_a_corruptor_installed_mid_frame_sees_every_byte(where):
     assert net.fault_counters().link_bytes_corrupted > 0
 
 
-def test_a_watchdog_installed_mid_frame_turns_every_link_per_byte():
-    net = _strike_mid_frame(LinkWatchdog, "between")
-    assert all(router.frame_links is None for router in net.routers.values())
-    assert not framed(net)
+def test_a_watchdog_installed_mid_frame_leaves_frames_framed():
+    # The watchdog reads only missed transfers, which no framed link
+    # counts: installing it changes no port's framing.
+    seen = []
+
+    def install(net):
+        def framing():
+            return ([router.frame_links and list(router.frame_links)
+                     for router in net.routers.values()], framed(net))
+        before = framing()
+        LinkWatchdog(net)
+        seen.append((before, framing()))
+
+    net = _strike_mid_frame(install, "between")
+    (shipped_before, shipped_after), (per_byte_before, per_byte_after) = seen
+    assert shipped_before == shipped_after
+    assert per_byte_before == per_byte_after
+    assert ((1, 0), EAST) in shipped_after[1]
+    assert net.monitor_reader is not None
 
 
 def test_the_reception_port_and_the_injection_port_frame_too():
