@@ -114,7 +114,7 @@ run_campaign() {
 }
 
 run_checkpoint() {
-    echo "== checkpoint: resume equivalence, kill/resume, every checkpoint resumed with invariants on (test_resume_invariants), overhead gate =="
+    echo "== checkpoint: resume equivalence, kill/resume, every checkpoint resumed with invariants on to the reference chip's records (tests/reference.py), overhead gate =="
     python -m pytest -q \
         tests/checkpoint \
         tests/test_cli.py
@@ -123,17 +123,18 @@ run_checkpoint() {
 }
 
 run_event() {
-    echo "== event: scheduler-vs-oracle equivalence, firing order, accounting, next-event contract, frames in flight (asleep, awake and under a watchdog), dormancy =="
+    echo "== event: scheduler-vs-oracle equivalence, firing order, accounting, next-event contract, every effort saving against the reference chip (tests/reference.py: phase guards, dormancy, frames asleep, awake and under a watchdog) =="
     python -m pytest -q \
         tests/network/test_engine_accounting.py \
         tests/network/test_event_firing_order.py \
         tests/integration/test_event_engine_equivalence.py \
         tests/integration/test_next_event_contract.py \
+        tests/core/test_phase_guards.py \
+        tests/core/test_dormancy.py \
         tests/integration/test_frames_in_flight.py \
         tests/integration/test_busy_frames.py \
         tests/integration/test_frames_under_faults.py \
         tests/core/test_invariants.py::TestFrames \
-        tests/core/test_dormancy.py \
         tests/integration/test_dormant_network.py \
         tests/traffic/test_patterns.py
 }

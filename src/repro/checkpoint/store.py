@@ -9,12 +9,13 @@ mid-checkpoint.
 
 File names embed the cycle and a content hash
 (``ckpt-<cycle>-<hash12>.json``), so a re-written checkpoint of
-identical state lands on the same name and a corrupted rename can be
-detected by re-hashing.
+identical state lands on the same name, and :meth:`CheckpointStore.load`
+re-hashes a file so named and refuses one whose content or ``cycle``
+disagrees with its name (an edit, a corruption, a rename).
 
 Every load failure — missing file, unreadable JSON, wrong format
-version, or a config fingerprint that does not match the run being
-resumed — raises :class:`CheckpointError`, a ``ValueError`` subclass so
+version, a content hash or cycle that contradicts the file name, or a
+config fingerprint that does not match the run being resumed — raises :class:`CheckpointError`, a ``ValueError`` subclass so
 the CLI's existing bad-input handling (print ``error:`` and exit 2)
 applies unchanged.
 """
@@ -24,12 +25,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Optional
 
 #: On-disk format version; bump on incompatible layout changes.
 CHECKPOINT_FORMAT = 3
+
+
+#: The names :meth:`CheckpointStore.save` gives: cycle, then the first
+#: twelve hex digits of the document's SHA-256.
+_NAME = re.compile(r"ckpt-(\d+)-([0-9a-f]{12})\.json")
 
 
 class CheckpointError(ValueError):
@@ -70,7 +77,7 @@ class CheckpointStore:
             "cycle": cycle,
             "state": state,
         })
-        digest = hashlib.sha256(document.encode()).hexdigest()[:12]
+        digest = _digest(document)
         path = self.directory / f"ckpt-{cycle}-{digest}.json"
         self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
@@ -96,7 +103,9 @@ class CheckpointStore:
         """Load and validate one checkpoint file.
 
         Returns the full document (``cycle`` and ``state`` keys).
-        Raises :class:`CheckpointError` on any problem.
+        Raises :class:`CheckpointError` on any problem, among them a
+        file named ``ckpt-<cycle>-<hash12>.json`` whose content does
+        not hash to ``hash12`` or whose ``cycle`` is another.
         """
         path = Path(path)
         if not path.is_file():
@@ -125,6 +134,17 @@ class CheckpointStore:
                 f"checkpoint {path} was written by a different run "
                 "configuration (fingerprint mismatch) — refusing to resume"
             )
+        named = _NAME.fullmatch(path.name)
+        if named is not None:
+            cycle, digest = named.groups()
+            if _digest(canonical_dumps(document)) != digest:
+                raise CheckpointError(
+                    f"corrupt checkpoint {path}: its content does not "
+                    "hash to the digest in its name")
+            if document.get("cycle") != int(cycle):
+                raise CheckpointError(
+                    f"corrupt checkpoint {path}: it holds cycle "
+                    f"{document.get('cycle')!r}, its name says {cycle}")
         return document
 
     def latest(self) -> Optional[Path]:
@@ -144,6 +164,11 @@ class CheckpointStore:
     def clear(self) -> None:
         """Delete this run's checkpoints (after a successful finish)."""
         clear_checkpoints(self.directory)
+
+
+def _digest(document: str) -> str:
+    """The content hash a checkpoint's file name carries."""
+    return hashlib.sha256(document.encode()).hexdigest()[:12]
 
 
 def clear_checkpoints(directory) -> None:

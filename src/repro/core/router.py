@@ -323,6 +323,9 @@ class RealTimeRouter:
         self._forget()
         # The scheduler clock ticks once per packet transmission time.
         self.clock.set(cycle // self._slot_cycles + self.clock_skew_ticks)
+        if self._every_phase:
+            self._enter_every_phase(cycle)
+            return
 
         inputs, outputs = self.inputs, self.outputs
         if not links_quiet or inputs.sync_count:
@@ -369,6 +372,27 @@ class RealTimeRouter:
             # A tournament pending: waiting may be all the chip does,
             # and whether it is is decided (and traced) in this cycle.
             self._next_work(cycle)
+
+    #: Enter every phase on every working cycle (:meth:`_enter_every_phase`)
+    #: instead of the guarded ones: the reference chip the tests check
+    #: the guards against (``tests/reference.py``).  Not a knob: nothing
+    #: in the package selects it, and a test pins that.
+    _every_phase = False
+
+    def _enter_every_phase(self, cycle: int) -> None:
+        """The rest of a working :meth:`step` with no phase skipped and
+        nothing remembered: the order the guards must equal."""
+        inputs, outputs = self.inputs, self.outputs
+        inputs.capture(self.link_in, cycle)
+        inputs.feed_injection(cycle)
+        inputs.complete_receptions(cycle)
+        inputs.route_and_bind(cycle)
+        inputs.request_transfers()
+        outputs.latch_decisions(cycle)
+        self.bus.grant()
+        outputs.transmit(self.link_out, cycle)
+        outputs.request_decisions(cycle)
+        self.cycle = cycle + 1
 
     def _execute(self, req: BusRequest) -> None:
         """What a granted chunk access does (``ChunkBus.grant``)."""

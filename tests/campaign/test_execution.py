@@ -34,7 +34,7 @@ from repro.checkpoint import (
 from repro.faults import ChaosConfig
 from repro.network.network import MeshNetwork
 from repro.service import ServiceSession
-from tests.oracle import assert_oracle_ran
+from tests.reference import assert_oracle_ran
 
 CHAOS_CELL = {"workload": "chaos", "cycles": 1500, "settle_cycles": 500,
               "cuts": 1, "flaps": 1, "corruptions": 1, "drops": 1,

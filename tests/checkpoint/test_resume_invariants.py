@@ -6,15 +6,16 @@ whole steps per byte.  The restore frames it again, where its next
 transmit would (``OutputSide.reframe``), so the invariant check that
 runs once after every resume finds every stream framed where
 ``_check_frames`` says it must be, the checks at cadence after it stay
-clean, and the resumed run delivers what the uninterrupted one did.
-Under a fault plan with the watchdog installed the links frame too.
+clean, and the resumed run delivers what the reference chip
+(``tests/reference.py``) delivers uninterrupted.  Under a fault plan
+with the watchdog installed the links frame too.
 """
 
 import pytest
 
 from repro.checkpoint import ChaosSession, Execution, RandomWorkloadSession
 from repro.faults import ChaosConfig
-from tests.integration.test_frames_in_flight import framed, records
+from tests.reference import framed, records, reference_session
 
 CHECK_EVERY = 50
 
@@ -27,6 +28,10 @@ def resume_every_checkpoint(cls, spec, directory, interval):
         checkpoint_dir=str(directory), checkpoint_interval=interval))
     written.run()
     expected = records(written.network)
+    # Channel labels aside: they come from a process-wide counter.
+    assert ([record[:1] + record[2:] for record in expected]
+            == [record[:1] + record[2:] for record
+                in records(reference_session(cls, *spec).network)])
     paths = sorted(directory.glob("ckpt-*.json"))
     reframed = 0
     for path in paths:

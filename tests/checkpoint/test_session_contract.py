@@ -32,7 +32,7 @@ from repro.checkpoint import (
 from repro.cli import main
 from repro.faults import ChaosConfig
 from repro.service import ServiceRunConfig, ServiceSession
-from tests.oracle import assert_oracle_ran, assert_ran_as
+from tests.reference import assert_oracle_ran, assert_ran_as
 
 SHARED_KEYS = {"phase", "span_end", "next_check", "invariant_failures",
                "network", "metas"}

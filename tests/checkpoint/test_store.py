@@ -108,6 +108,27 @@ class TestLoadValidation:
             other.load(path)
 
 
+    def test_content_or_cycle_contradicting_the_name(self, tmp_path):
+        # A checkpoint edited to another cycle and state, or renamed to
+        # another one's name, is refused: the name carries the hash.
+        store = make_store(tmp_path)
+        path = store.save(100, {"a": 1})
+        document = json.loads(path.read_text())
+        document["cycle"], document["state"] = 5, {"a": 2}
+        path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match="hash"):
+            store.load(path)
+        other = store.save(200, {"a": 1})
+        renamed = other.with_name(other.name.replace("-200-", "-300-"))
+        other.rename(renamed)
+        with pytest.raises(CheckpointError, match="cycle 200"):
+            store.load(renamed)
+        # A name of another form is not checked against its content.
+        free = tmp_path / "mine.json"
+        free.write_text(store.save(7, {"b": 1}).read_text())
+        assert store.load(free)["cycle"] == 7
+
+
 class TestLatestAndClear:
     def test_latest_none_when_empty(self, tmp_path):
         assert make_store(tmp_path).latest() is None

@@ -18,7 +18,7 @@ from repro.core.packet import PacketMeta
 from repro.core.ports import EAST, WEST, port_mask
 from repro.faults import LinkWatchdog
 from repro.network.network import MeshNetwork
-from tests.oracle import assert_oracle_ran
+from tests.reference import assert_oracle_ran
 
 
 @pytest.mark.parametrize("engine", ["event", "exact"])

@@ -22,25 +22,18 @@ import pathlib
 import pytest
 
 from repro import TrafficSpec
-from repro.checkpoint.codec import LoadContext, SaveContext
+from repro.checkpoint.codec import LoadContext
 from repro.core.params import MESH_LINKS, OUTPUT_PORTS
 from repro.core.ports import EAST
 from repro.faults import FaultInjector
 from repro.faults.injector import BitFlipCorruptor, PacketDropCorruptor
 from repro.faults.plan import CUT, REPAIR, FaultEvent, FaultPlan
 from repro.network.network import MeshNetwork
-from tests.oracle import assert_oracle_ran
+from tests.reference import assert_oracle_ran, records, save
 from tests.sends import Traffic, periodic
 
 FIXTURE = (pathlib.Path(__file__).parent / "fixtures"
            / "parent_be_checkpoints.json")
-
-
-def records(net):
-    return [(r.traffic_class, r.connection_label, r.sequence, r.source,
-             r.destination, r.injected_cycle, r.delivered_cycle,
-             r.delivered_node, r.deadline_met)
-            for r in net.log.records]
 
 
 def router_view(net):
@@ -279,13 +272,6 @@ def build_checkpointed(engine="event"):
     net.send_best_effort((0, 1), (2, 0), payload(91, 7))
     net.send_best_effort((0, 1), (2, 0), payload(92, 3))
     return traffic
-
-
-def save(net):
-    ctx = SaveContext()
-    state = {"network": net.state(ctx)}
-    state["metas"] = ctx.metas_state()
-    return json.loads(json.dumps(state))
 
 
 def router_hashes(state):

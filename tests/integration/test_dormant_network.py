@@ -1,31 +1,34 @@
 """Dormant routers in a fabric: traces, checkpoints, an old checkpoint.
 
-``tests/core/test_dormancy.py`` compares one router with its
-never-dormant twin byte by byte.  Here the same comparison is made at
-the level users see — delivery records and the packet-lifecycle trace
-of a loaded mesh — across the oracle loop, the event scheduler and a
-mesh whose routers never go dormant; and across a checkpoint that lands
+``tests/core/test_dormancy.py`` compares one router with the reference
+chip (``tests/reference.py``), which never sleeps, byte by byte.  Here
+the same comparison is made at the level users see — delivery records
+and the packet-lifecycle trace of a loaded mesh — across the oracle
+loop, the event scheduler and the reference chip; and across a
+checkpoint that lands
 inside a wait, including one written by the commit before routers
 learnt to wait (``fixtures/parent_checkpoint.json``).
 """
 
+import functools
 import json
 import pathlib
 
 import pytest
 
 from repro import TrafficSpec
-from repro.checkpoint.codec import LoadContext, SaveContext
+from repro.checkpoint.codec import LoadContext
 from repro.core.params import OUTPUT_PORTS
 from repro.network.network import MeshNetwork
-from tests.oracle import assert_oracle_ran, assert_scheduler_skipped
+from tests import reference
+from tests.reference import assert_oracle_ran, assert_scheduler_skipped, save
 from tests.sends import Traffic, bursty, periodic, poisson
 
 FIXTURE = (pathlib.Path(__file__).parent / "fixtures"
            / "parent_checkpoint.json")
 
 
-def build(engine="event", *, never_dormant=False, trace=False):
+def build(engine="event", *, trace=False):
     """A 4x4 mesh whose channels have slack to spare, so every hop
     after the first holds each packet in Queue 3 for a while.  Returns
     the network's :class:`Traffic`."""
@@ -35,9 +38,6 @@ def build(engine="event", *, never_dormant=False, trace=False):
                                deadline=60, label="wait-c0")
     c1 = net.establish_channel((3, 3), (0, 1), TrafficSpec(i_min=40),
                                deadline=80, label="wait-c1")
-    if never_dormant:
-        for router in net.routers.values():
-            router._dormancy_deadline = lambda: 0
     if trace:
         net.enable_tracing(capacity=1 << 17)
     return Traffic(net, periodic(c0, 24, slot=slot),
@@ -46,6 +46,7 @@ def build(engine="event", *, never_dormant=False, trace=False):
 
 
 def records(net):
+    """Delivery records, as the parent's fixture holds them."""
     return [(r.traffic_class, r.connection_label, r.sequence, r.source,
              r.injected_cycle, r.delivered_cycle, r.delivered_node,
              r.deadline_met)
@@ -82,7 +83,8 @@ CYCLES = 6_000
 class TestTracedRuns:
     def test_one_trace_under_every_way_of_waiting(self):
         runs = [build("exact", trace=True), build("event", trace=True),
-                build("event", never_dormant=True, trace=True)]
+                reference.build(functools.partial(build, trace=True),
+                                reference=True)]
         for traffic in runs:
             traffic.run(CYCLES)
         oracle, event, awake = (traffic.net for traffic in runs)
@@ -126,7 +128,7 @@ class TestTracedRuns:
         # A dormant router's tree.evaluations and bus.total_cycles
         # stand still until it works again; `lagging` is what a reader
         # in between adds, and the metrics snapshot does.
-        runs = [build(), build(never_dormant=True)]
+        runs = [build(), reference.build(build, reference=True)]
         event, awake = (traffic.net for traffic in runs)
         seen_lagging = 0
         for stop in range(500, CYCLES, 500):
@@ -173,12 +175,6 @@ class TestTracedRuns:
                 == plain.engine.cycles_stepped)
         assert (traced.engine.cycles_fast_forwarded
                 == plain.engine.cycles_fast_forwarded)
-
-
-def save(net):
-    ctx = SaveContext()
-    state = {"network": net.state(ctx), "metas": ctx.metas_state()}
-    return json.loads(json.dumps(state))  # a real round-trip
 
 
 def lagging(net):

@@ -9,7 +9,7 @@ signatures, on loaded, idle-heavy, faulty and churning runs, and
 across a checkpoint/resume in either mode.
 
 Every reference side names ``engine="exact"`` explicitly and is checked
-with :func:`tests.oracle.assert_oracle_ran` — the default engine is the
+with :func:`tests.reference.assert_oracle_ran` — the default engine is the
 scheduler, so a reference built from defaults would compare event with
 event and pass vacuously.
 
@@ -30,7 +30,7 @@ from repro.faults import ChaosConfig, FaultInjector, install_fault_tolerance
 from repro.faults.plan import CUT, REPAIR, FaultEvent, FaultPlan
 from repro.network.network import MeshNetwork
 from repro.service import ServiceRunConfig, ServiceSession
-from tests.oracle import assert_oracle_ran, assert_scheduler_skipped
+from tests.reference import assert_oracle_ran, assert_scheduler_skipped
 from tests.sends import Traffic, bursty, periodic, poisson
 
 #: Metrics probes that legitimately differ between modes.

@@ -19,14 +19,14 @@ import pathlib
 import pytest
 
 from repro import TrafficSpec
-from repro.checkpoint.codec import LoadContext, SaveContext
+from repro.checkpoint.codec import LoadContext
 from repro.core import port_mask
 from repro.core.params import OUTPUT_PORTS
 from repro.core.ports import EAST, WEST
 from repro.faults import FaultInjector
 from repro.faults.plan import CUT, REPAIR, FaultEvent, FaultPlan
 from repro.network.network import MeshNetwork
-from tests.oracle import assert_oracle_ran
+from tests.reference import assert_oracle_ran, records, save
 from tests.sends import Traffic, bursty, periodic, poisson
 
 FIXTURE = (pathlib.Path(__file__).parent / "fixtures"
@@ -72,20 +72,6 @@ def build(engine="event"):
         bursty(skew, 8, slot=slot, burst=2, count=40),
         poisson((0, 0), [(2, 0), (2, 2)], 0.01, seed=23),
         poisson((2, 1), [(0, 0), (0, 2)], 0.008, seed=24))
-
-
-def records(net):
-    return [(r.traffic_class, r.connection_label, r.sequence, r.source,
-             r.destination, r.injected_cycle, r.delivered_cycle,
-             r.delivered_node, r.deadline_met)
-            for r in net.log.records]
-
-
-def save(net):
-    ctx = SaveContext()
-    state = {"network": net.state(ctx)}
-    state["metas"] = ctx.metas_state()
-    return json.loads(json.dumps(state))
 
 
 def router_hashes(state):

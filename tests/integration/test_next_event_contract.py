@@ -32,37 +32,19 @@ import json
 from repro import TrafficSpec
 from repro.checkpoint.codec import LoadContext, SaveContext
 from repro.core.ports import EAST, NORTH
-from repro.faults import FaultInjector, install_fault_tolerance
+from repro.faults import FaultInjector
 from repro.faults.plan import CUT, REPAIR, FaultEvent, FaultPlan
 from repro.network.network import MeshNetwork
-from tests.sends import Traffic, bursty, periodic, poisson
+from tests.reference import (
+    FabricPair,
+    compare,
+    loaded_mesh,
+    restore,
+    save,
+)
+from tests.sends import poisson
 
 import random as random_module
-
-
-def _build(engine="event"):
-    """A loaded 4x4 mesh with every component kind registered: hosts,
-    routers, watchdog, recovery controller, fault injector and the
-    periodic snapshot emitter; returns its :class:`Traffic` first."""
-    net = MeshNetwork(4, 4, engine=engine)
-    slot = net.params.slot_cycles
-    c0 = net.establish_channel((0, 0), (3, 3), TrafficSpec(i_min=64),
-                               deadline=24, label="contract-c0")
-    c1 = net.establish_channel((3, 0), (0, 3), TrafficSpec(i_min=96),
-                               deadline=24, label="contract-c1")
-    traffic = Traffic(net, periodic(c0, 64, slot=slot),
-                      bursty(c1, 96, slot=slot, burst=2),
-                      poisson((1, 1), [(2, 2), (3, 1)], 0.01, seed=31))
-    tolerance = install_fault_tolerance(net)
-    plan = FaultPlan(events=[
-        FaultEvent(cycle=300, kind=CUT, node=(1, 0), direction=EAST),
-        FaultEvent(cycle=900, kind=REPAIR, node=(1, 0), direction=EAST),
-        FaultEvent(cycle=1_700, kind=CUT, node=(2, 2), direction=NORTH),
-    ])
-    injector = FaultInjector(net, plan)
-    net.engine.add_component(injector)
-    net.enable_snapshots(400)
-    return traffic, tolerance, injector, [c0, c1]
 
 
 def _snap(component):
@@ -160,7 +142,8 @@ def _audit_span(traffic, channels, cycles, rng):
 
 class TestNextEventContract:
     def test_fresh_loaded_run(self):
-        traffic, _, injector, channels = _build()
+        traffic = loaded_mesh()
+        injector, channels = traffic.injector, traffic.channels
         net = traffic.net
         audited = _audit_span(traffic, channels, 1_200,
                               random_module.Random(7))
@@ -170,25 +153,30 @@ class TestNextEventContract:
         assert len(net.log.records) > 0
         assert [event.cycle for event in injector.fired] == [300, 900]
 
+    def test_the_loaded_run_equals_the_reference_chip(self):
+        # What the claims let the scheduler skip, and what the routers'
+        # savings skip inside a step, changes nothing read of the mesh
+        # (tests/reference.py) across the cut, the repair and the
+        # watchdog's detection.
+        pair = FabricPair(loaded_mesh)
+        counts = compare(pair, range(1, 1_200))
+        assert [event.cycle for event in pair.runs[0].injector.fired] == [
+            300, 900]
+        assert counts["lagging"] > 0 and counts["asleep"] > 0
+
     def test_after_checkpoint_resume(self):
         # Stale memoised answers surviving a load_state overlay were
         # the historical failure mode; audit from the resume point.
-        traffic, _, _, _ = _build()
+        traffic = loaded_mesh()
         net = traffic.net
         traffic.run(1_500)
-        ctx = SaveContext()
-        state = net.state(ctx)
-        state = {"network": state, "metas": ctx.metas_state()}
-        state = json.loads(json.dumps(state))  # a real round-trip
 
-        resuming, _, _, resumed_channels = _build()
-        resumed = resuming.net
-        resumed.load_state(state["network"],
-                           LoadContext(state["metas"]))
+        resuming = loaded_mesh()
+        resumed = restore(resuming.net, save(net))
         assert resumed.engine.cycle == 1_500
         _assert_remembered_quiescence(resumed.routers.values(),
                                       "after load_state")
-        audited = _audit_span(resuming, resumed_channels, 600,
+        audited = _audit_span(resuming, resuming.channels, 600,
                               random_module.Random(11))
         assert audited > 0
 
@@ -196,7 +184,8 @@ class TestNextEventContract:
         # remove_component must not leave neighbours answering for a
         # departed peer: detach the fault-tolerance pair and the
         # snapshot emitter mid-run, then keep auditing.
-        traffic, tolerance, _, channels = _build()
+        traffic = loaded_mesh()
+        tolerance, channels = traffic.tolerance, traffic.channels
         net = traffic.net
         rng = random_module.Random(13)
         _audit_span(traffic, channels, 400, rng)
@@ -247,7 +236,8 @@ class TestKeptSchedule:
         # The full stack, run as ~200 short spans; every public way of
         # touching the fabric is used between two of them at least once.
         def script(engine):
-            traffic, _, injector, channels = _build(engine)
+            traffic = loaded_mesh(engine)
+            injector, channels = traffic.injector, traffic.channels
             net = traffic.net
             rng = random_module.Random(17)
             nodes = list(net.mesh.nodes())
@@ -402,19 +392,16 @@ class TestKeptSchedule:
     def test_restore_onto_a_network_that_already_ran(self):
         # load_state must throw the kept queue away: this engine's is
         # valid, and describes a different moment of a different run.
-        uninterrupted, _, _, _ = _build()
+        uninterrupted = loaded_mesh()
         reference = uninterrupted.net
         uninterrupted.run(1_500)
-        ctx = SaveContext()
-        state = {"network": reference.state(ctx),
-                 "metas": ctx.metas_state()}
-        state = json.loads(json.dumps(state))
+        state = save(reference)
         uninterrupted.run(600)
 
-        resuming, _, _, _ = _build()
+        resuming = loaded_mesh()
         resumed = resuming.net
         resuming.run(700)
-        resumed.load_state(state["network"], LoadContext(state["metas"]))
+        restore(resumed, state)
         for _ in range(6):
             _enter(resumed, 100, resuming)
         assert _final(resumed) == _final(reference)
@@ -617,7 +604,8 @@ class TestPerImplementationAnswers:
             check(f"after load_state (quiescent={expected})", expected)
 
     def test_recovery_controller_timer(self):
-        traffic, tolerance, _, _ = _build()
+        traffic = loaded_mesh()
+        tolerance = traffic.tolerance
         net = traffic.net
         controller = tolerance.controller
         # Nothing tracked: nothing scheduled.

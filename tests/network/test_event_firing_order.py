@@ -16,7 +16,7 @@ import textwrap
 from pathlib import Path
 
 from repro.network.engine import SynchronousEngine
-from tests.oracle import assert_ran_as
+from tests.reference import assert_ran_as
 
 
 class _Recorder:

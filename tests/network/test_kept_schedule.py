@@ -12,7 +12,7 @@ import pytest
 
 from repro.network.engine import SynchronousEngine
 from repro.network.network import MeshNetwork
-from tests.oracle import assert_oracle_ran, assert_scheduler_skipped
+from tests.reference import assert_oracle_ran, assert_scheduler_skipped
 
 
 class _Timer:

@@ -19,7 +19,7 @@ from repro.schedulability import (
     measure_chaos_tightness,
     random_channel_demands,
 )
-from tests.oracle import assert_ran_as
+from tests.reference import assert_ran_as
 
 ENGINES = ["exact", "event"]
 

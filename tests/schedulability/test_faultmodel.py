@@ -32,6 +32,7 @@ from repro.schedulability import (
     ChannelDemand,
     RecoveryModel,
     TopologySpec,
+    analyze,
     analyze_problem_with_faults,
     analyze_with_faults,
     random_channel_demands,
@@ -92,6 +93,21 @@ class TestVerdictTaxonomy:
             assert not verdict.affected
             assert verdict.degraded_bound == verdict.fault_free_bound
             assert verdict.degradation == 0
+        # A saturated 6x6 instance: with no plan, every admitted
+        # channel's fault-aware bound is the one ``measure_tightness``
+        # gates, ``analyze``'s refined bound (Σd_j when unrefined).
+        topology = TopologySpec(6, 6)
+        for seed in (1, 2, 3):
+            demands = random_channel_demands(6, 6, 200, seed)
+            report = analyze_with_faults(topology, demands, FaultPlan())
+            gated = {verdict.label: (verdict.refined_bound
+                                     or verdict.predicted_bound)
+                     for verdict in analyze(topology, demands).channels
+                     if verdict.feasible}
+            assert len(report.verdicts) == len(gated) > 150
+            for verdict in report.verdicts:
+                assert (verdict.fault_free_bound == verdict.degraded_bound
+                        == gated[verdict.label]), (seed, verdict.label)
 
     def test_babble_never_degrades_a_tc_verdict(self):
         topology = TopologySpec(4, 4)

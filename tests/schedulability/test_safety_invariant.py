@@ -16,7 +16,7 @@ from repro.schedulability import (
     measure_tightness,
     random_channel_demands,
 )
-from tests.oracle import assert_oracle_ran, assert_ran_as
+from tests.reference import assert_oracle_ran, assert_ran_as
 
 MESHES = [(4, 4), (8, 8)]
 SEEDS = [0, 1, 2]
