@@ -24,8 +24,7 @@ from repro.schedulability import (
     DEGRADED_GUARANTEED,
     TopologySpec,
     adversarial_channel_demands,
-    measure_chaos_tightness,
-    measure_tightness,
+    measure,
     random_channel_demands,
 )
 
@@ -74,8 +73,7 @@ def test_tightness_gap_is_quantified_and_safe(report):
             TIGHTNESS_CASES):
         topology = TopologySpec(width, height)
         demands = generator(width, height, channels, seed)
-        net, tightness = measure_tightness(topology, demands,
-                                           ticks=TICKS)
+        net, tightness = measure(topology, demands, ticks=TICKS)
 
         # Gates: verdicts mirror the simulator exactly, and every
         # fault-free measured worst case stays at or under the bound.
@@ -126,9 +124,8 @@ def test_degraded_tightness_gap_is_quantified_and_safe(report):
         topology = TopologySpec(4, 4)
         demands = random_channel_demands(4, 4, 4, seed)
         for engine in ("exact", "event"):
-            net, chaos = measure_chaos_tightness(
-                topology, demands, plan, ticks=CHAOS_TICKS,
-                engine=engine)
+            net, chaos = measure(topology, demands, plan,
+                                 ticks=CHAOS_TICKS, engine=engine)
 
             # Gates: fault-model verdicts mirrored the run, and every
             # guaranteed/degraded-guaranteed channel stayed inside its

@@ -13,7 +13,6 @@
 #   scripts/run_tests.sh service
 #   scripts/run_tests.sh event
 #   scripts/run_tests.sh schedulability
-#   scripts/run_tests.sh schedulability-faults
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -151,29 +150,19 @@ run_service() {
 }
 
 run_schedulability() {
-    echo "== schedulability: analytic verdicts, oracle, tightness gate =="
+    echo "== schedulability: analytic and fault-aware verdicts, oracle, tightness and chaos gates =="
     python -m pytest -q \
         tests/schedulability \
         tests/core/test_clock.py \
         tests/channels/test_admission.py \
         tests/service/test_preadmission.py \
-        tests/test_cli.py
-    python -m pytest -q -p no:cacheprovider \
-        benchmarks/bench_schedulability.py
-}
-
-run_schedulability_faults() {
-    echo "== schedulability-faults: fault-aware verdicts + chaos gate =="
-    python -m pytest -q \
         tests/faults/test_plan.py \
         tests/faults/test_overlap.py \
-        tests/schedulability/test_faultmodel.py \
-        tests/schedulability/test_chaos_tightness.py \
         tests/campaign/test_chaos_tightness_workload.py \
         tests/service/test_fault_screen.py \
         tests/test_cli.py
     python -m pytest -q -p no:cacheprovider \
-        "benchmarks/bench_schedulability.py::test_degraded_tightness_gap_is_quantified_and_safe"
+        benchmarks/bench_schedulability.py
 }
 
 case "$job" in
@@ -188,8 +177,7 @@ case "$job" in
     service) run_service ;;
     event) run_event ;;
     schedulability) run_schedulability ;;
-    schedulability-faults) run_schedulability_faults ;;
-    all)   run_tier1; run_chaos; run_perf_smoke; run_perf_pair; run_experiments; run_observability; run_campaign; run_checkpoint; run_service; run_event; run_schedulability; run_schedulability_faults ;;
-    *)     echo "unknown job '$job' (tier1|chaos|perf-smoke|perf-pair|experiments|observability|campaign|checkpoint|service|event|schedulability|schedulability-faults|all)" >&2
+    all)   run_tier1; run_chaos; run_perf_smoke; run_perf_pair; run_experiments; run_observability; run_campaign; run_checkpoint; run_service; run_event; run_schedulability ;;
+    *)     echo "unknown job '$job' (tier1|chaos|perf-smoke|perf-pair|experiments|observability|campaign|checkpoint|service|event|schedulability|all)" >&2
            exit 2 ;;
 esac

@@ -18,14 +18,14 @@ Five workloads ship by default:
 * ``adversarial`` — the schedulability tightness harness: analyse a
   stress-leaning demand set, then drive it with worst-case phasing and
   report predicted-vs-observed latency per channel
-  (:func:`repro.schedulability.measure_tightness`).
+  (:func:`repro.schedulability.measure`).
 * ``chaos`` — one seeded fault-injection soak
   (:func:`repro.faults.run_chaos_soak`).
 * ``chaos-tightness`` — the fault-aware schedulability gate: derive
   degraded-but-guaranteed verdicts for a seeded channel set under a
   seeded fault plan, then validate every envelope against a real
-  fault-injected run
-  (:func:`repro.schedulability.measure_chaos_tightness`).
+  fault-injected run (:func:`repro.schedulability.measure` with the
+  plan).
 * ``churn`` — the control-plane service layer under request churn
   (:func:`repro.service.run_service`).
 
@@ -181,13 +181,12 @@ def run_adversarial(config: RunConfig, execution: Execution) -> dict:
     skipped before simulation (see :mod:`repro.schedulability.prefilter`).
     """
     from repro.schedulability import (TopologySpec,
-                                      adversarial_channel_demands,
-                                      measure_tightness)
+                                      adversarial_channel_demands, measure)
 
     demands = adversarial_channel_demands(
         config.width, config.height, config.channels, config.seed,
         torus=config.torus)
-    net, tightness = measure_tightness(
+    net, tightness = measure(
         TopologySpec(config.width, config.height, torus=config.torus),
         demands, ticks=config.ticks, engine=execution.engine)
     return {
@@ -252,13 +251,12 @@ def run_chaos_tightness(config: RunConfig, execution: Execution) -> dict:
     whose plan leaves channels at risk are skipped by a registered
     pre-filter (see :mod:`repro.schedulability.prefilter`).
     """
-    from repro.schedulability import measure_chaos_tightness
+    from repro.schedulability import measure
     from repro.schedulability.faultmodel import DEGRADED_GUARANTEED
 
     topology, demands, plan = chaos_tightness_inputs(config)
-    net, report = measure_chaos_tightness(
-        topology, demands, plan, ticks=config.ticks,
-        engine=execution.engine)
+    net, report = measure(topology, demands, plan, ticks=config.ticks,
+                          engine=execution.engine)
     prediction = report.prediction
     return {
         "workload": "chaos-tightness",

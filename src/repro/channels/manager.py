@@ -22,7 +22,6 @@ hands it bare ones.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -52,22 +51,6 @@ from repro.channels.spec import FlowRequirements, TrafficSpec
 from repro.core.connection_table import ControlInterface
 from repro.core.packet import PacketMeta, TimeConstrainedPacket
 from repro.core.params import TC_PAYLOAD_BYTES, RouterParams
-
-_channel_labels = itertools.count()
-
-
-def channel_label_counter_state() -> int:
-    """Next auto-label number to be issued (checkpointing)."""
-    global _channel_labels
-    value = next(_channel_labels)
-    _channel_labels = itertools.count(value)
-    return value
-
-
-def load_channel_label_counter_state(value: int) -> None:
-    global _channel_labels
-    _channel_labels = itertools.count(int(value))
-
 
 @dataclass
 class RealTimeChannel:
@@ -183,6 +166,8 @@ class ChannelManager:
         #: Channels demoted to best-effort after failing re-admission,
         #: keyed by label (their guaranteed-service state is torn down).
         self.degraded_channels: dict[str, RealTimeChannel] = {}
+        #: Number of the next automatic label (``channel-N``).
+        self._next_label = 0
 
     # -- identifier allocation ---------------------------------------------
 
@@ -232,7 +217,8 @@ class ChannelManager:
         """
         requirements = FlowRequirements(deadline=deadline)
         if label is None:
-            label = f"channel-{next(_channel_labels)}"
+            label = f"channel-{self._next_label}"
+            self._next_label += 1
         if isinstance(destination, tuple) and len(destination) == 2 and all(
                 isinstance(c, int) for c in destination):
             destinations: tuple[Node, ...] = (destination,)
@@ -629,7 +615,7 @@ class ChannelManager:
         chaos runs reroute, degrade and tear channels down mid-run, so
         replaying establishment cannot reproduce this state."""
         return {
-            "channel_labels": channel_label_counter_state(),
+            "channel_labels": self._next_label,
             "used_ids": [[list(node), sorted(ids)]
                          for node, ids in sorted(self._used_ids.items())],
             "channels": [self._channel_state(c) for c in self.channels],
@@ -640,7 +626,7 @@ class ChannelManager:
     def load_state(self, state: dict) -> None:
         """Restore channel software on a fabric whose router tables are
         restored separately (the channels are *not* re-programmed)."""
-        load_channel_label_counter_state(state["channel_labels"])
+        self._next_label = int(state["channel_labels"])
         for ids in self._used_ids.values():
             ids.clear()
         for node, ids in state["used_ids"]:

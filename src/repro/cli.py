@@ -329,7 +329,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.schedulability import Problem, analyze, measure_tightness
+    from repro.schedulability import Problem, analyze
 
     # Malformed files surface as OSError/ValueError, which main()
     # turns into a clear message on stderr and exit status 2.
@@ -358,12 +358,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     payload = report.as_dict()
     tightness_ok = True
     fault_ok = True
+    plan = None
     if args.fault_plan:
         from repro.faults.plan import FaultPlan
-        from repro.schedulability import (
-            analyze_problem_with_faults,
-            measure_chaos_tightness,
-        )
+        from repro.schedulability import analyze_problem_with_faults
 
         # Malformed plan files raise ValueError -> exit status 2.
         plan = FaultPlan.from_file(args.fault_plan)
@@ -379,34 +377,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         for verdict in fault_report.at_risk:
             print(f"AT RISK: {verdict.label} ({verdict.reason})")
         payload["faults"] = fault_report.as_dict()
-        if args.validate:
-            net, chaos = measure_chaos_tightness(
-                problem.topology, problem.channels, plan,
-                ticks=args.ticks)
-            tightness_ok = chaos.ok
-            print("")
-            print("\n".join(format_table(
-                ["channel", "verdict", "predicted", "observed",
-                 "gap", "deliveries", "misses", "safe"],
-                chaos.gap_rows())))
-            for mismatch in chaos.mismatches:
-                print(f"PREDICTION MISMATCH: {mismatch}")
-            for label in chaos.violations:
-                print(f"BOUND VIOLATED: {label}")
-            payload["fault_tightness"] = chaos.as_dict()
-    elif args.validate:
-        net, tightness = measure_tightness(
-            problem.topology, problem.channels, ticks=args.ticks)
+    if args.validate:
+        from repro.schedulability import measure
+
+        __, tightness = measure(problem.topology, problem.channels, plan,
+                                ticks=args.ticks)
         tightness_ok = tightness.ok
         print("")
         print("\n".join(format_table(
-            ["channel", "predicted", "observed", "gap",
-             "deliveries", "safe"], tightness.gap_rows())))
+            ["channel", "verdict", "predicted", "observed",
+             "gap", "deliveries", "misses", "safe"],
+            tightness.gap_rows())))
         for mismatch in tightness.mismatches:
             print(f"PREDICTION MISMATCH: {mismatch}")
         for label in tightness.violations:
             print(f"BOUND VIOLATED: {label}")
-        payload["tightness"] = tightness.as_dict()
+        key = "tightness" if plan is None else "fault_tightness"
+        payload[key] = tightness.as_dict()
     print(f"signature: {report.signature()}")
     if args.json:
         from repro.reporting import write_report_json

@@ -4,14 +4,14 @@ The subsystem answers "will this channel set be admitted, and what is
 each channel's worst-case latency?" without running a simulated cycle
 (:func:`analyze`), and backs every bound with a predict-then-measure
 harness that drives the simulator adversarially and reports the
-tightness gap (:func:`measure_tightness`); :func:`slot_model` runs the
+tightness gap (:func:`measure`); :func:`slot_model` runs the
 same admitted set on the slot-level model.  A fault-aware layer
 (:func:`analyze_with_faults`) re-derives each admitted channel's
 verdict under an explicit :class:`~repro.faults.plan.FaultPlan` —
 guaranteed, degraded-guaranteed with a quantified recovery envelope,
 or at-risk with a structured reason — and
-:func:`measure_chaos_tightness` validates those envelopes against a
-real fault-injected run.  See ``docs/schedulability.md`` for the model
+:func:`measure` given the same plan validates those envelopes against
+a real fault-injected run.  See ``docs/schedulability.md`` for the model
 and verdict schema.
 """
 
@@ -35,14 +35,8 @@ from repro.schedulability.spec import (I_MIN_CHOICES, ChannelDemand,
                                        adversarial_channel_demands,
                                        random_channel_demands)
 from repro.schedulability.validate import (ChannelTightness,
-                                           ChaosChannelTightness,
-                                           ChaosTightnessReport,
-                                           TightnessReport,
-                                           drive_chaos,
-                                           drive_worst_case,
-                                           measure_chaos_tightness,
-                                           measure_tightness, slot_model,
-                                           worst_case_arrivals,
+                                           TightnessReport, drive, measure,
+                                           slot_model, worst_case_arrivals,
                                            worst_case_sends)
 
 __all__ = [
@@ -50,8 +44,6 @@ __all__ = [
     "ChannelDemand",
     "ChannelTightness",
     "ChannelVerdict",
-    "ChaosChannelTightness",
-    "ChaosTightnessReport",
     "DEGRADED_GUARANTEED",
     "FaultAwareReport",
     "FaultVerdict",
@@ -71,11 +63,9 @@ __all__ = [
     "analyze",
     "analyze_problem_with_faults",
     "analyze_with_faults",
-    "drive_chaos",
-    "drive_worst_case",
+    "drive",
     "edf_response_bound",
-    "measure_chaos_tightness",
-    "measure_tightness",
+    "measure",
     "predict_admission",
     "prefilter_verdict",
     "random_channel_demands",

@@ -52,7 +52,7 @@ logical arrival out, ``D_detour`` is the detour's admitted bound and
 the final tick absorbs slot rounding.
 
 Approximations (all conservative, all validated by the chaos gate in
-:func:`repro.schedulability.validate.measure_chaos_tightness`):
+:func:`repro.schedulability.validate.measure`):
 
 * Detours avoid **every** link the plan ever cuts (including flapped
   links), so one reroute per channel suffices; the real controller
@@ -201,12 +201,9 @@ class FaultVerdict:
 
     @property
     def guaranteed_bound(self) -> Optional[int]:
-        """The bound the chaos gate holds this channel to."""
-        if self.status == AT_RISK:
-            return None
-        if self.affected:
-            return self.degraded_bound
-        return self.degraded_bound  # == fault-free bound when unaffected
+        """The bound the chaos gate holds this channel to (the
+        fault-free bound when the plan leaves the channel unaffected)."""
+        return None if self.status == AT_RISK else self.degraded_bound
 
     @property
     def degradation(self) -> Optional[int]:

@@ -1,25 +1,22 @@
 """Tightness validation: predicted bounds against simulated worst cases.
 
 The engine's bounds are only trustworthy if (a) its admission verdicts
-match what the simulator actually admits and (b) no fault-free run
-ever observes a latency above the predicted bound.
-:func:`measure_tightness` checks both: it analyses a demand list, then
+match what the simulator actually admits and (b) no run ever observes
+a latency above the predicted bound.  :func:`measure` checks both: it
+analyses a demand list (under a fault plan when one is given),
 establishes the same demands in the same order on a real
-:class:`~repro.network.network.MeshNetwork` and drives every admitted
-channel adversarially (:func:`worst_case_sends`: all sources
-phase-aligned at tick zero, the full ``B_max`` burst up front, then
-strictly periodic sends at ``I_min``) and reduces the delivery log to
-per-channel observed worst-case latency.  :func:`slot_model` builds the
-slot-level model of the same admitted set, so the analysis, the slot
-model and the chip can be run on one problem and one arrival pattern
-(:func:`worst_case_arrivals`).
+:class:`~repro.network.network.MeshNetwork`, drives every admitted
+channel adversarially (:func:`drive`) and reduces the delivery log to
+per-channel observed worst-case latency.  A fault-free run is a chaos
+run with no plan.  :func:`slot_model` builds the slot-level model of
+the same admitted set, so the analysis, the slot model and the chip
+run one problem and one arrival pattern (:func:`worst_case_arrivals`).
 
-The observed latency of a delivery is measured against its *logical*
-arrival time (the deadline clock of the model): ``delivered_tick -
-(absolute_deadline - predicted_bound)``.  The safety invariant
-``observed <= predicted`` is therefore exactly "no deadline miss", and
-the per-channel ``gap = predicted - observed`` quantifies how
-conservative the analysis is.
+Latency is measured from the *logical* arrival of the original send
+(the deadline clock of the model), so ``observed <= predicted`` with
+no miss and nothing lost is the safety invariant, and the per-channel
+``gap = predicted - observed`` quantifies how conservative the
+analysis is.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ from repro.channels.arrival import LogicalArrivalClock
 from repro.core.params import RouterParams
 from repro.model.slotsim import SlotSimulator
 from repro.schedulability.engine import ScheduleReport, analyze
+from repro.schedulability.faultmodel import GUARANTEED, analyze_with_faults
 from repro.schedulability.spec import ChannelDemand, TopologySpec
 
 
@@ -42,71 +40,102 @@ class ChannelTightness:
     """Predicted versus observed worst case for one admitted channel."""
 
     label: str
-    predicted: int                 # the engine's bound, ticks
-    observed: Optional[int]        # worst measured latency, ticks
-    deliveries: int
-    misses: int
+    status: str                    # the fault model's verdict
+    #: The bound the gate holds the channel to: the recovery envelope
+    #: for affected channels, the refined bound (the worst of pre- and
+    #: post-fault under a plan) otherwise; ``None`` for at-risk
+    #: channels, which are reported but never gated.
+    predicted: Optional[int]
+    observed: Optional[int]        # worst latency from original logical
+    deliveries: int                # arrival, ticks
+    misses: int                    # deliveries past their own deadline
+    undelivered: int               # (origin, destination) pairs lost
+
+    @property
+    def gated(self) -> bool:
+        return self.predicted is not None
 
     @property
     def gap(self) -> Optional[int]:
         """How far under the bound the worst observation stayed."""
-        if self.observed is None:
+        if self.predicted is None or self.observed is None:
             return None
         return self.predicted - self.observed
 
     @property
     def safe(self) -> bool:
-        """The safety invariant for this channel (vacuous if silent)."""
-        return self.observed is None or self.observed <= self.predicted
+        """The safety invariant (vacuous for at-risk channels)."""
+        if not self.gated:
+            return True
+        return ((self.observed is None or self.observed <= self.predicted)
+                and self.misses == 0 and self.undelivered == 0)
 
     def as_dict(self) -> dict:
         return {
             "label": self.label,
+            "status": self.status,
             "predicted": self.predicted,
             "observed": self.observed,
             "gap": self.gap,
             "deliveries": self.deliveries,
             "misses": self.misses,
+            "undelivered": self.undelivered,
             "safe": self.safe,
         }
 
 
 @dataclass
 class TightnessReport:
-    """Outcome of one predict-then-measure validation run."""
+    """Outcome of one predict-then-measure run."""
 
     topology: TopologySpec
     engine: str
     ticks: int
-    prediction: ScheduleReport
+    #: The analysis the run was gated against: a ``ScheduleReport``, or
+    #: under a plan the fault model's ``FaultAwareReport``.
+    prediction: object
     channels: list[ChannelTightness]
     #: Engine-vs-simulator admission disagreements (must stay empty).
     mismatches: list = field(default_factory=list)
+    #: The fault plan's signature; ``None`` for a fault-free run.
+    plan_signature: Optional[str] = None
 
     @property
     def violations(self) -> list[str]:
-        """Channels whose observed worst case exceeded the bound."""
+        """Gated channels that exceeded their bound, missed or lost."""
         return [entry.label for entry in self.channels if not entry.safe]
 
     @property
     def total_misses(self) -> int:
-        return sum(entry.misses for entry in self.channels)
+        return sum(entry.misses for entry in self.channels
+                   if entry.gated)
 
     @property
     def ok(self) -> bool:
-        """Verdicts agreed, every bound held, no deadline missed."""
-        return (not self.mismatches and not self.violations
-                and self.total_misses == 0)
+        """Verdicts agreed and every gated channel stayed under its
+        bound with nothing lost or late."""
+        return not self.mismatches and not self.violations
 
     def as_dict(self) -> dict:
+        # Two layouts, because the benchmark's ledger hashes the
+        # signature of both: a fault-free report signs its admission
+        # counts, a chaos report its plan and the fault model's report.
+        channels = [entry.as_dict() for entry in self.channels]
+        if self.plan_signature is None:
+            head = {"admitted": self.prediction.admitted,
+                    "rejected": self.prediction.rejected,
+                    "reject_reasons": self.prediction.reject_reasons}
+            for entry in channels:
+                del entry["status"], entry["undelivered"]
+        else:
+            head = {"plan_signature": self.plan_signature,
+                    "prediction": self.prediction.as_dict()}
         return {
             "topology": self.topology.to_dict(),
             "engine": self.engine,
             "ticks": self.ticks,
-            "admitted": self.prediction.admitted,
-            "rejected": self.prediction.rejected,
-            "reject_reasons": self.prediction.reject_reasons,
-            "channels": [entry.as_dict() for entry in self.channels],
+            **head,
+            "channels": channels,
             "mismatches": list(self.mismatches),
             "violations": self.violations,
             "total_misses": self.total_misses,
@@ -118,31 +147,35 @@ class TightnessReport:
             canonical_dumps(self.as_dict()).encode()).hexdigest()
 
     def gap_rows(self) -> list[list[str]]:
-        """Per-channel tightness rows (label, predicted, observed...)."""
+        """Per-channel tightness rows (CLI / benchmark artefact)."""
         rows = []
         for entry in self.channels:
-            observed = "-" if entry.observed is None else str(entry.observed)
+            predicted = ("-" if entry.predicted is None
+                         else str(entry.predicted))
+            observed = ("-" if entry.observed is None
+                        else str(entry.observed))
             gap = "-" if entry.gap is None else str(entry.gap)
-            rows.append([entry.label, str(entry.predicted), observed,
+            rows.append([entry.label, entry.status, predicted, observed,
                          gap, str(entry.deliveries),
+                         str(entry.misses),
                          "yes" if entry.safe else "NO"])
         return rows
 
 
 def _establish_and_compare(net, demands: Sequence[ChannelDemand],
                            prediction: ScheduleReport, *, adaptive: bool
-                           ) -> tuple[list[tuple], list[str]]:
+                           ) -> tuple[list[ChannelDemand], list[str]]:
     """Establish ``demands`` in order on ``net`` against ``prediction``.
 
-    Returns a ``(demand, channel, verdict)`` triple for every demand
-    both sides admitted, and every disagreement between them.  Engine and network run the same
-    establishment code, but over separate tables, horizons and
-    failed-link sets — a mismatch means those differ (the network is
-    not fresh, a horizon was reduced, a link is already down), not that
-    two implementations drifted.
+    Returns every demand both sides admitted, and every disagreement
+    between them.  Engine and network run the same establishment code,
+    but over separate tables, horizons and failed-link sets — a
+    mismatch means those differ (the network is not fresh, a horizon
+    was reduced, a link is already down), not that two implementations
+    drifted.
     """
     mismatches: list[str] = []
-    admitted: list[tuple] = []
+    admitted: list[ChannelDemand] = []
     for demand, verdict in zip(demands, prediction.channels):
         try:
             channel = net.establish_channel(
@@ -170,7 +203,7 @@ def _establish_and_compare(net, demands: Sequence[ChannelDemand],
                 f"{demand.label}: bound diverged (engine "
                 f"{verdict.predicted_bound}, simulator "
                 f"{channel.deadline})")
-        admitted.append((demand, channel, verdict))
+        admitted.append(demand)
     return admitted, mismatches
 
 
@@ -188,16 +221,6 @@ def worst_case_sends(demand, ticks: int) -> list[int]:
                                            demand.i_min))
 
 
-def _sends_by_tick(targets: Sequence[tuple[ChannelDemand, object]],
-                   ticks: int) -> list[list]:
-    """Per tick, the target of every send due then, in channel order."""
-    due: list[list] = [[] for __ in range(ticks)]
-    for demand, target in targets:
-        for tick in worst_case_sends(demand, ticks):
-            due[tick].append(target)
-    return due
-
-
 def worst_case_arrivals(report: ScheduleReport,
                         ticks: int) -> dict[str, list[int]]:
     """Logical arrivals of :func:`worst_case_sends`, per admitted label.
@@ -205,8 +228,8 @@ def worst_case_arrivals(report: ScheduleReport,
     Each send is stamped by the channel's own
     :class:`~repro.channels.arrival.LogicalArrivalClock`, as the chip's
     source regulator stamps it, so a burst's messages arrive ``I_min``
-    apart.  One arrival per send: :func:`drive_worst_case` sends empty
-    messages, which are one packet each.
+    apart.  One arrival per send: :func:`drive` sends empty messages,
+    which are one packet each.
     """
     arrivals: dict[str, list[int]] = {}
     for verdict in report.channels:
@@ -238,230 +261,34 @@ def slot_model(report: ScheduleReport,
     return sim
 
 
-def drive_worst_case(net, channels: Sequence[tuple[ChannelDemand, object]],
-                     ticks: int) -> None:
+def drive(net, demands: Sequence[ChannelDemand], ticks: int, *,
+          controller=None, settle_ticks: int = 8192) -> None:
     """Adversarial driving: aligned phases, bursts up front.
 
-    Every channel sends on :func:`worst_case_sends`: at tick zero
-    (maximal contention: the i_min draw set shares that phase) its
-    whole ``B_max`` allowance, then strictly periodically.  Rate-based
-    source flow control shapes the burst's injection (horizon zero
-    holds a packet until its logical arrival).  This is one admissible
-    pattern, not the worst one: on a multi-hop route, upstream flows
-    whose phases are staggered so that they meet at a shared
-    downstream link can do worse than aligned ones.
+    Every channel sends on :func:`worst_case_sends` (the i_min draw set
+    shares phase zero: maximal contention), in tick then channel order;
+    rate-based source flow control shapes the burst's injection.  This
+    is one admissible pattern, not the worst one: on a multi-hop route,
+    upstream flows whose phases are staggered so that they meet at a
+    shared downstream link can do worse than aligned ones.  The handle
+    is resolved by label at *every send*: a reroute replaces it, and a
+    degraded channel keeps sending over its best-effort fallback,
+    exactly as an application would.
+
+    Retransmission timers fire long after the last send (backoff
+    doubles past the deadline each retry) while the fabric idles, so
+    with a recovery ``controller`` the run keeps stepping until its
+    retry ledger is empty (at most ``settle_ticks``) before it drains.
+    A drain that times out is tolerated: wedged traffic shows up in the
+    report as undelivered messages of the channel that sent them.
     """
-    for due in _sends_by_tick(channels, ticks):
-        for channel in due:
-            net.send_message(channel)
-        net.run_ticks(1)
-    net.drain(max_cycles=2_000_000)
-
-
-def measure_tightness(topology: TopologySpec,
-                      demands: Sequence[ChannelDemand], *,
-                      ticks: int, engine: str = "event",
-                      params: Optional[RouterParams] = None,
-                      adaptive: bool = True):
-    """Run the predict-then-measure loop; returns ``(net, report)``.
-
-    The returned network has run to completion (drained), so callers
-    can reduce its delivery log further (the campaign workload does).
-    """
-    from repro.network.network import MeshNetwork
-
-    prediction = analyze(topology, demands, params=params,
-                         adaptive=adaptive)
-    net = MeshNetwork(topology.width, topology.height, params=params,
-                      torus=topology.torus, engine=engine)
-    admitted, mismatches = _establish_and_compare(
-        net, demands, prediction, adaptive=adaptive)
-    established = [(demand, channel) for demand, channel, __ in admitted]
-    verdicts = {demand.label: verdict for demand, __, verdict in admitted}
-
-    drive_worst_case(net, established, ticks)
-
-    slot = net.params.slot_cycles
-    worst: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    misses: dict[str, int] = {}
-    for record in net.log.records:
-        label = record.connection_label
-        if (label not in verdicts or record.duplicate
-                or record.traffic_class != "TC"):
-            continue
-        delivered_tick = -(-record.delivered_cycle // slot)
-        # The simulator stamps absolute_deadline = logical_arrival +
-        # channel.deadline, and channel.deadline equals the engine's
-        # *raw* bound (asserted above) — so subtracting the raw bound
-        # recovers the logical arrival the latency is measured from.
-        raw = verdicts[label].predicted_bound
-        latency = delivered_tick - (record.absolute_deadline - raw)
-        worst[label] = max(worst.get(label, latency), latency)
-        counts[label] = counts.get(label, 0) + 1
-        if record.deadline_met is False:
-            misses[label] = misses.get(label, 0) + 1
-
-    # The safety invariant is gated against the holding-time-aware
-    # *refined* bound (never larger than the raw bound), so the
-    # measured gap quantifies the refined analysis.
-    channels = [
-        ChannelTightness(
-            label=demand.label,
-            predicted=(verdicts[demand.label].refined_bound
-                       or verdicts[demand.label].predicted_bound),
-            observed=worst.get(demand.label),
-            deliveries=counts.get(demand.label, 0),
-            misses=misses.get(demand.label, 0),
-        )
-        for demand, __ in established
-    ]
-    report = TightnessReport(
-        topology=topology, engine=engine, ticks=ticks,
-        prediction=prediction, channels=channels,
-        mismatches=mismatches,
-    )
-    return net, report
-
-
-# ---------------------------------------------------------------------------
-# Chaos tightness: fault-aware bounds against real FaultInjector runs
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ChaosChannelTightness:
-    """Fault-aware bound versus chaos-run observation for one channel."""
-
-    label: str
-    status: str                    # the fault model's verdict
-    #: The bound the gate holds the channel to: the recovery envelope
-    #: for affected channels, the (worst of pre/post-fault) refined
-    #: fault-free bound otherwise; ``None`` for at-risk channels, which
-    #: are reported but never gated.
-    predicted: Optional[int]
-    observed: Optional[int]        # worst latency from original logical
-    deliveries: int                # arrival, ticks
-    misses: int                    # deliveries past their own deadline
-    undelivered: int               # (origin, destination) pairs lost
-
-    @property
-    def gated(self) -> bool:
-        return self.predicted is not None
-
-    @property
-    def gap(self) -> Optional[int]:
-        if self.predicted is None or self.observed is None:
-            return None
-        return self.predicted - self.observed
-
-    @property
-    def safe(self) -> bool:
-        """The chaos safety invariant (vacuous for at-risk channels)."""
-        if not self.gated:
-            return True
-        return ((self.observed is None or self.observed <= self.predicted)
-                and self.misses == 0 and self.undelivered == 0)
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "status": self.status,
-            "predicted": self.predicted,
-            "observed": self.observed,
-            "gap": self.gap,
-            "deliveries": self.deliveries,
-            "misses": self.misses,
-            "undelivered": self.undelivered,
-            "safe": self.safe,
-        }
-
-
-@dataclass
-class ChaosTightnessReport:
-    """Outcome of one fault-aware predict-then-measure run."""
-
-    topology: TopologySpec
-    engine: str
-    ticks: int
-    plan_signature: str
-    #: The fault model's report (``FaultAwareReport``).
-    prediction: object
-    channels: list[ChaosChannelTightness]
-    mismatches: list = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[str]:
-        return [entry.label for entry in self.channels if not entry.safe]
-
-    @property
-    def total_misses(self) -> int:
-        return sum(entry.misses for entry in self.channels
-                   if entry.gated)
-
-    @property
-    def ok(self) -> bool:
-        """Verdicts agreed and every guaranteed/degraded-guaranteed
-        channel stayed under its bound with nothing lost or late."""
-        return not self.mismatches and not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "topology": self.topology.to_dict(),
-            "engine": self.engine,
-            "ticks": self.ticks,
-            "plan_signature": self.plan_signature,
-            "prediction": self.prediction.as_dict(),
-            "channels": [entry.as_dict() for entry in self.channels],
-            "mismatches": list(self.mismatches),
-            "violations": self.violations,
-            "total_misses": self.total_misses,
-            "ok": self.ok,
-        }
-
-    def signature(self) -> str:
-        return hashlib.sha256(
-            canonical_dumps(self.as_dict()).encode()).hexdigest()
-
-    def gap_rows(self) -> list[list[str]]:
-        """Per-channel degraded-gap rows (CLI / benchmark artefact)."""
-        rows = []
-        for entry in self.channels:
-            predicted = ("-" if entry.predicted is None
-                         else str(entry.predicted))
-            observed = ("-" if entry.observed is None
-                        else str(entry.observed))
-            gap = "-" if entry.gap is None else str(entry.gap)
-            rows.append([entry.label, entry.status, predicted, observed,
-                         gap, str(entry.deliveries),
-                         str(entry.misses),
-                         "yes" if entry.safe else "NO"])
-        return rows
-
-
-def drive_chaos(net, demands: Sequence[ChannelDemand],
-                ticks: int, *, controller=None,
-                settle_ticks: int = 8192) -> None:
-    """Worst-case driving that survives reroutes.
-
-    Same adversarial pattern as :func:`drive_worst_case`
-    (:func:`worst_case_sends`) — but the channel handle is resolved by
-    label at *every send*: a reroute replaces the handle, and a degraded
-    channel keeps sending over its best-effort fallback, exactly as an
-    application would.
-
-    After the driving window the run *settles*: retransmission timers
-    fire long after the last send (exponential backoff doubles past the
-    deadline each retry), and the fabric is idle in between — a bare
-    drain would return with messages still owed.  When ``controller``
-    is given, the loop keeps stepping until its retry ledger is empty
-    (bounded by ``settle_ticks``).  A drain that then times out is
-    tolerated: permanently wedged traffic is the caller's business and
-    shows up as undelivered messages.
-    """
+    due: list[list[str]] = [[] for __ in range(ticks)]
+    for demand in demands:
+        for tick in worst_case_sends(demand, ticks):
+            due[tick].append(demand.label)
     manager = net.manager
-    for due in _sends_by_tick([(demand, demand.label)
-                               for demand in demands], ticks):
-        for label in due:
+    for labels in due:
+        for label in labels:
             channel = manager.find(label)
             if channel is not None:
                 net.send_message(channel)
@@ -478,45 +305,54 @@ def drive_chaos(net, demands: Sequence[ChannelDemand],
         pass
 
 
-def measure_chaos_tightness(topology: TopologySpec,
-                            demands: Sequence[ChannelDemand],
-                            plan, *,
-                            ticks: int, engine: str = "event",
-                            params: Optional[RouterParams] = None,
-                            adaptive: bool = True):
-    """Fault-aware predict-then-measure; returns ``(net, report)``.
+def measure(topology: TopologySpec, demands: Sequence[ChannelDemand],
+            plan=None, *, ticks: int, engine: str = "event",
+            params: Optional[RouterParams] = None,
+            adaptive: bool = True):
+    """Run the predict-then-measure loop; returns ``(net, report)``.
 
-    Analyses the demands under ``plan`` with
-    :func:`repro.schedulability.faultmodel.analyze_with_faults`, then
-    establishes the same channels on a real network with the full
-    fault-tolerance stack installed, replays the *actual* plan through
-    a :class:`~repro.faults.injector.FaultInjector`, and reduces the
-    delivery log to per-channel worst-case latency **measured from each
-    message's original logical arrival**: a retransmitted copy carries
-    a fresh deadline (which it meets), so its extra latency is exactly
-    the recovery envelope's business.  A send hook registered *after*
-    the recovery controller's maps every wire sequence back to the
-    original attempt it re-sends.
+    Without a ``plan`` the prediction is :func:`analyze`'s, every
+    admitted channel is gated against its refined bound and no fault
+    machinery runs.  With one, the demands are analysed with
+    :func:`~repro.schedulability.faultmodel.analyze_with_faults`, the
+    full fault-tolerance stack is installed and the *actual* plan is
+    replayed through a :class:`~repro.faults.injector.FaultInjector`;
+    every guaranteed and degraded-guaranteed channel is gated against
+    its fault-aware bound.
+
+    Latency is measured from each message's original logical arrival:
+    a retransmitted copy carries a fresh deadline (which it meets), so
+    its extra latency is exactly the recovery envelope's business.  The
+    returned network has run to completion (drained), so callers can
+    reduce its delivery log further (the campaign workloads do).
     """
-    from repro.faults import install_fault_tolerance
-    from repro.faults.injector import FaultInjector
     from repro.network.network import MeshNetwork
-    from repro.schedulability.faultmodel import AT_RISK, analyze_with_faults
 
-    prediction = analyze_with_faults(topology, demands, plan,
-                                     params=params, adaptive=adaptive)
+    # The bound each admitted label is gated against, with its status.
+    if plan is None:
+        prediction = base = analyze(topology, demands, params=params,
+                                    adaptive=adaptive)
+        bounds = {verdict.label: (GUARANTEED, verdict.refined_bound
+                                  or verdict.predicted_bound)
+                  for verdict in base.channels if verdict.feasible}
+    else:
+        prediction = analyze_with_faults(topology, demands, plan,
+                                         params=params, adaptive=adaptive)
+        base = prediction.base
+        bounds = {verdict.label: (verdict.status, verdict.guaranteed_bound)
+                  for verdict in prediction.verdicts}
     net = MeshNetwork(topology.width, topology.height, params=params,
                       torus=topology.torus, engine=engine)
-    tolerance = install_fault_tolerance(net)
+    controller = None
+    if plan is not None:
+        from repro.faults import install_fault_tolerance
+        controller = install_fault_tolerance(net).controller
 
     # Wire-sequence bookkeeping.  The recovery controller's send hook
-    # (registered first, inside install_fault_tolerance) stamps
-    # ``retransmit_of`` on re-sent fragments before this hook runs, so
-    # every fragment maps to the original attempt it covers, and every
-    # original attempt records the logical arrival its latency is
-    # measured from (``absolute_deadline`` minus the channel's *current*
-    # bound — reroutes change the bound, and the hook sees the live
-    # handle).
+    # (registered first) stamps ``retransmit_of`` on re-sent fragments
+    # before this one runs, so every fragment maps to the original
+    # attempt it covers; an original records its logical arrival
+    # against the live handle's bound (a reroute changes the bound).
     origin_of: dict[tuple[str, int], int] = {}
     arrival_of: dict[tuple[str, int], int] = {}
 
@@ -534,14 +370,18 @@ def measure_chaos_tightness(topology: TopologySpec,
 
     net.tc_send_hooks.append(_record_sends)
 
-    admitted, mismatches = _establish_and_compare(
-        net, demands, prediction.base, adaptive=adaptive)
-    established = [demand for demand, __, __ in admitted]
+    established, mismatches = _establish_and_compare(
+        net, demands, base, adaptive=adaptive)
 
-    injector = FaultInjector(net, plan)
-    net.engine.add_component(injector)
-    drive_chaos(net, established, ticks,
-                controller=tolerance.controller)
+    # Module lookups, not ``drive``: the repo benchmark marks its
+    # build/drive boundary by patching these two names.
+    if plan is None:
+        drive_worst_case(net, established, ticks)
+    else:
+        from repro.faults.injector import FaultInjector
+
+        net.engine.add_component(FaultInjector(net, plan))
+        drive_chaos(net, established, ticks, controller=controller)
 
     slot = net.params.slot_cycles
     worst: dict[str, int] = {}
@@ -549,10 +389,9 @@ def measure_chaos_tightness(topology: TopologySpec,
     misses: dict[str, int] = {}
     delivered: dict[str, set] = {}
     for record in net.log.records:
-        label = record.connection_label
-        if (record.traffic_class != "TC" or record.duplicate
-                or label is None):
+        if record.traffic_class != "TC" or record.duplicate:
             continue
+        label = record.connection_label
         origin = origin_of.get((label, record.sequence))
         if origin is None:
             continue
@@ -568,27 +407,33 @@ def measure_chaos_tightness(topology: TopologySpec,
         if record.deadline_met is False:
             misses[label] = misses.get(label, 0) + 1
 
-    channels: list[ChaosChannelTightness] = []
+    sent: dict[str, list[int]] = {}
+    for label, origin in arrival_of:
+        sent.setdefault(label, []).append(origin)
+    channels = []
     for demand in established:
-        fault_verdict = prediction.verdict_for(demand.label)
-        sent_origins = {seq for (label, seq) in arrival_of
-                        if label == demand.label}
-        expected = {(origin, destination) for origin in sent_origins
-                    for destination in demand.destinations}
-        undelivered = len(expected - delivered.get(demand.label, set()))
-        channels.append(ChaosChannelTightness(
-            label=demand.label,
-            status=fault_verdict.status,
-            predicted=(None if fault_verdict.status == AT_RISK
-                       else fault_verdict.guaranteed_bound),
-            observed=worst.get(demand.label),
-            deliveries=counts.get(demand.label, 0),
-            misses=misses.get(demand.label, 0),
-            undelivered=undelivered,
+        label = demand.label
+        status, predicted = bounds[label]
+        received = delivered.get(label, set())
+        channels.append(ChannelTightness(
+            label=label, status=status, predicted=predicted,
+            observed=worst.get(label),
+            deliveries=counts.get(label, 0),
+            misses=misses.get(label, 0),
+            undelivered=sum((origin, destination) not in received
+                            for origin in sent.get(label, ())
+                            for destination in demand.destinations),
         ))
-    report = ChaosTightnessReport(
+    report = TightnessReport(
         topology=topology, engine=engine, ticks=ticks,
-        plan_signature=plan.signature(), prediction=prediction,
-        channels=channels, mismatches=mismatches,
+        prediction=prediction, channels=channels, mismatches=mismatches,
+        plan_signature=None if plan is None else plan.signature(),
     )
     return net, report
+
+
+# The repo benchmark (``benchmarks/perf/workloads.py``) calls and
+# patches these names; ROADMAP item 8, the next change to the
+# benchmark, deletes them.
+measure_tightness = measure_chaos_tightness = measure
+drive_worst_case = drive_chaos = drive

@@ -2,11 +2,11 @@
 
 Each invocation runs ONE simulation in a fresh process and dumps its
 observable outcome as byte-stable artefacts.  Fresh processes matter:
-packet ids and channel labels come from process-global counters, so two
-runs inside one interpreter draw different ids even when the
-simulations are identical — and conversely, a *restore* resets those
-counters from the checkpoint, so a resumed run in a fresh process must
-reproduce the reference artefacts byte for byte.
+packet ids come from a process-global counter, so two runs inside one
+interpreter draw different ids even when the simulations are identical
+— and conversely, a *restore* resets that counter from the checkpoint,
+so a resumed run in a fresh process must reproduce the reference
+artefacts byte for byte.
 
 Usage::
 

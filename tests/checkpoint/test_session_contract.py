@@ -7,11 +7,10 @@ what that promises: the same report bytes however a run is
 interrupted, the checkpoint document schema, the open-or-resume rule,
 and that no subclass re-grows a loop of its own.
 
-Same-process caveat (see ``test_sessions.py``): packet ids and
-auto-generated channel labels come from process-global counters, so the
-random workload's delivery records are compared without those two
-fields; byte-for-byte equality including them is proven cross-process
-in ``test_resume_equivalence.py``.
+Same-process caveat (see ``test_sessions.py``): packet ids come from a
+process-global counter, so the random workload's delivery records are
+compared without that field; byte-for-byte equality including it is
+proven cross-process in ``test_resume_equivalence.py``.
 """
 
 import dataclasses
@@ -47,11 +46,10 @@ def slo_bytes(session, report):
 
 
 def record_bytes(session, net):
-    skipped = {"packet_id", "connection_label"}
     return canonical_dumps([
         [getattr(record, field.name)
          for field in dataclasses.fields(record)
-         if field.name not in skipped]
+         if field.name != "packet_id"]
         for record in net.log.records])
 
 

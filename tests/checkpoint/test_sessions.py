@@ -2,7 +2,7 @@
 
 Byte-identical resume equivalence is proven cross-process in
 ``test_resume_equivalence.py`` (two runs in one process draw different
-process-global packet ids and channel labels); these tests cover the
+process-global packet ids); these tests cover the
 session mechanics — checkpoint cadence, fingerprints, open-or-resume,
 invariant plumbing — where same-process comparisons are valid.
 """
@@ -35,6 +35,20 @@ def random_store(tmp_path, seed=9):
 def into(store, interval):
     return Execution(checkpoint_dir=str(store.directory),
                      checkpoint_interval=interval)
+
+
+class TestLabels:
+    def test_a_run_made_twice_records_the_same_labels(self):
+        # Automatic labels are numbered per channel manager, so an
+        # earlier run in the same process cannot shift them.
+        labels = []
+        for __ in range(2):
+            session = RandomWorkloadSession.open(6, 6, 40, 200, 3)
+            session.run()
+            labels.append([record.connection_label
+                           for record in session.network.log.records])
+        assert labels[0] == labels[1]
+        assert "channel-0" in labels[0]
 
 
 class TestCheckpointCadence:

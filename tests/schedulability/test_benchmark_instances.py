@@ -16,8 +16,7 @@ from repro.faults import install_fault_tolerance
 from repro.schedulability import (
     TopologySpec,
     analyze,
-    measure_chaos_tightness,
-    measure_tightness,
+    measure,
     slot_model,
     worst_case_arrivals,
 )
@@ -55,7 +54,7 @@ def test_slot_model_meets_every_deadline_on_dense_tc():
     "does not charge: rand-155 misses 4 deadlines"))
 def test_dense_tc_chip_meets_every_deadline():
     topology, demands, size = instance("dense_tc", 1)
-    __, report = measure_tightness(topology, demands, ticks=size["ticks"])
+    __, report = measure(topology, demands, ticks=size["ticks"])
     assert report.total_misses == 0
 
 
@@ -73,8 +72,7 @@ def test_chaos_faults_delivers_everything(seed, monkeypatch):
     monkeypatch.setattr(repro.faults, "install_fault_tolerance", install)
     topology, demands, size = instance("chaos_faults", seed)
     plan = targeted_plan(seed, topology, demands)
-    __, report = measure_chaos_tightness(topology, demands, plan,
-                                         ticks=size["ticks"])
+    __, report = measure(topology, demands, plan, ticks=size["ticks"])
     assert sum(entry.undelivered for entry in report.channels
                if entry.gated) == 0
     (tolerance,) = installed

@@ -16,7 +16,7 @@ from repro.schedulability import (
     AT_RISK,
     DEGRADED_GUARANTEED,
     TopologySpec,
-    measure_chaos_tightness,
+    measure,
     random_channel_demands,
 )
 from tests.reference import assert_ran_as
@@ -30,8 +30,7 @@ def test_cut_stays_inside_the_degraded_envelope(engine):
     demands = random_channel_demands(4, 4, 4, 1)
     plan = FaultPlan(events=[
         FaultEvent(cycle=600, kind=CUT, node=(1, 1), direction=0)])
-    net, report = measure_chaos_tightness(topology, demands, plan,
-                                          ticks=120, engine=engine)
+    net, report = measure(topology, demands, plan, ticks=120, engine=engine)
     assert_ran_as(net.engine, engine)
     assert report.mismatches == []
     assert report.violations == []
@@ -59,8 +58,7 @@ def test_mixed_plan_gates_every_non_at_risk_channel(engine):
     demands = random_channel_demands(4, 4, 5, 7)
     plan = FaultPlan.random(1003, 4, 4, cuts=2, flaps=1, corruptions=1,
                             drops=1, window=(200, 1800))
-    net, report = measure_chaos_tightness(topology, demands, plan,
-                                          ticks=120, engine=engine)
+    net, report = measure(topology, demands, plan, ticks=120, engine=engine)
     assert_ran_as(net.engine, engine)
     assert report.mismatches == []
     assert report.violations == []
@@ -80,8 +78,8 @@ def test_engines_agree_on_the_chaos_signature():
         FaultEvent(cycle=600, kind=CUT, node=(1, 1), direction=0)])
     signatures = set()
     for engine in ENGINES:
-        net, report = measure_chaos_tightness(topology, demands, plan,
-                                              ticks=120, engine=engine)
+        net, report = measure(topology, demands, plan,
+                              ticks=120, engine=engine)
         assert_ran_as(net.engine, engine)
         payload = report.as_dict()
         payload.pop("engine")

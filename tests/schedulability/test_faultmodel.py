@@ -35,6 +35,7 @@ from repro.schedulability import (
     analyze,
     analyze_problem_with_faults,
     analyze_with_faults,
+    measure,
     random_channel_demands,
 )
 from repro.schedulability.spec import Problem
@@ -94,8 +95,9 @@ class TestVerdictTaxonomy:
             assert verdict.degraded_bound == verdict.fault_free_bound
             assert verdict.degradation == 0
         # A saturated 6x6 instance: with no plan, every admitted
-        # channel's fault-aware bound is the one ``measure_tightness``
-        # gates, ``analyze``'s refined bound (Σd_j when unrefined).
+        # channel's fault-aware bound is the one ``measure`` gates
+        # without a plan: ``analyze``'s refined bound (Σd_j when
+        # unrefined).
         topology = TopologySpec(6, 6)
         for seed in (1, 2, 3):
             demands = random_channel_demands(6, 6, 200, seed)
@@ -108,6 +110,25 @@ class TestVerdictTaxonomy:
             for verdict in report.verdicts:
                 assert (verdict.fault_free_bound == verdict.degraded_bound
                         == gated[verdict.label]), (seed, verdict.label)
+
+    @pytest.mark.parametrize("engine", ["exact", "event"])
+    @pytest.mark.parametrize("size", [(4, 4, 4, 1), (6, 6, 40, 1)])
+    def test_empty_plan_measures_like_no_plan(self, size, engine):
+        # A fault-free run is a chaos run with no plan: the empty plan
+        # predicts, observes and gates every channel the same way.
+        topology = TopologySpec(*size[:2])
+        demands = random_channel_demands(*size)
+
+        def outcome(report):
+            return [(entry.predicted, entry.observed, entry.deliveries,
+                     entry.misses, entry.safe) for entry in report.channels]
+
+        __, bare = measure(topology, demands, ticks=100, engine=engine)
+        net, empty = measure(topology, demands, FaultPlan(), ticks=100,
+                             engine=engine)
+        assert outcome(bare) == outcome(empty)
+        assert len(bare.channels) == size[2]
+        assert net.fault_counters().tc_retransmitted == 0
 
     def test_babble_never_degrades_a_tc_verdict(self):
         topology = TopologySpec(4, 4)

@@ -10,10 +10,11 @@ exactly (no prediction mismatches).
 
 import pytest
 
+from repro.network.network import MeshNetwork
 from repro.schedulability import (
     TopologySpec,
     adversarial_channel_demands,
-    measure_tightness,
+    measure,
     random_channel_demands,
 )
 from tests.reference import assert_oracle_ran, assert_ran_as
@@ -29,8 +30,7 @@ def test_random_sets_stay_under_their_bounds(width, height, seed,
                                              engine):
     topology = TopologySpec(width, height)
     demands = random_channel_demands(width, height, 10, seed)
-    net, report = measure_tightness(topology, demands, ticks=100,
-                                    engine=engine)
+    net, report = measure(topology, demands, ticks=100, engine=engine)
     assert_ran_as(net.engine, engine)
     assert report.mismatches == []
     assert report.violations == []
@@ -51,8 +51,7 @@ def test_adversarial_sets_stay_under_their_bounds(seed, engine):
     # channels rather than exercising rejection paths.
     topology = TopologySpec(4, 4)
     demands = adversarial_channel_demands(4, 4, 8, seed)
-    net, report = measure_tightness(topology, demands, ticks=120,
-                                    engine=engine)
+    net, report = measure(topology, demands, ticks=120, engine=engine)
     assert_ran_as(net.engine, engine)
     assert report.mismatches == []
     assert report.violations == []
@@ -64,10 +63,8 @@ def test_adversarial_sets_stay_under_their_bounds(seed, engine):
 def test_engines_agree_on_the_observed_worst_case():
     topology = TopologySpec(4, 4)
     demands = random_channel_demands(4, 4, 8, seed=42)
-    oracle_net, exact = measure_tightness(topology, demands, ticks=100,
-                                          engine="exact")
-    event_net, event = measure_tightness(topology, demands, ticks=100,
-                                         engine="event")
+    oracle_net, exact = measure(topology, demands, ticks=100, engine="exact")
+    event_net, event = measure(topology, demands, ticks=100, engine="event")
     assert_oracle_ran(oracle_net.engine)
     assert event_net.engine.mode == "event"
     assert [entry.as_dict() for entry in exact.channels] == [
@@ -77,8 +74,8 @@ def test_engines_agree_on_the_observed_worst_case():
 def test_report_serialises_and_signs_stably():
     topology = TopologySpec(4, 4)
     demands = random_channel_demands(4, 4, 6, seed=9)
-    _, first = measure_tightness(topology, demands, ticks=80)
-    _, second = measure_tightness(topology, demands, ticks=80)
+    _, first = measure(topology, demands, ticks=80)
+    _, second = measure(topology, demands, ticks=80)
     assert first.signature() == second.signature()
     payload = first.as_dict()
     assert payload["ok"] is True
@@ -87,3 +84,21 @@ def test_report_serialises_and_signs_stably():
     rows = first.gap_rows()
     assert len(rows) == len(first.channels)
     assert all(row[-1] == "yes" for row in rows)
+
+
+def test_a_wedged_drain_names_the_channels_it_strands(monkeypatch):
+    # A drain that times out is not an error of the harness: every
+    # (message, destination) pair still in flight counts as undelivered
+    # and makes its channel unsafe, so the report names the channel.
+    def wedged(self, max_cycles=1_000_000):
+        raise TimeoutError("wedged")
+
+    monkeypatch.setattr(MeshNetwork, "drain", wedged)
+    topology = TopologySpec(4, 4)
+    demands = random_channel_demands(4, 4, 4, 1)
+    __, report = measure(topology, demands, ticks=2)
+    stranded = [entry.label for entry in report.channels
+                if entry.undelivered]
+    assert stranded
+    assert report.violations == stranded
+    assert not report.ok

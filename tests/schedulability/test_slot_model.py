@@ -6,6 +6,7 @@ so a miss in it is an admission bug, not a modelling difference.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,8 +16,8 @@ from repro.schedulability import (
     ChannelDemand,
     TopologySpec,
     analyze,
-    drive_worst_case,
-    measure_tightness,
+    drive,
+    measure,
     random_channel_demands,
     slot_model,
     worst_case_arrivals,
@@ -170,6 +171,8 @@ class TestWorstCaseSchedule:
 
             def __init__(self):
                 self.sent = []
+                # The driver resolves every send's handle by label.
+                self.manager = SimpleNamespace(find=lambda label: label)
 
             def send_message(self, channel):
                 self.sent.append((self.tick, channel))
@@ -182,7 +185,7 @@ class TestWorstCaseSchedule:
 
         periodic = replace(self.BURSTY, label="p", i_min=3, b_max=1)
         net = Recorder()
-        drive_worst_case(net, [(self.BURSTY, "b"), (periodic, "p")], 9)
+        drive(net, [self.BURSTY, periodic], 9)
         assert net.sent == [(0, "b"), (0, "b"), (0, "b"), (0, "p"),
                             (3, "p"), (6, "b"), (6, "p")]
 
@@ -192,7 +195,7 @@ class TestWorstCaseSchedule:
                    ChannelDemand(label="c", source=(2, 2),
                                  destinations=((0, 1),), i_min=6,
                                  deadline=40, b_max=2)]
-        net, report = measure_tightness(topology, demands, ticks=20)
+        net, report = measure(topology, demands, ticks=20)
         assert report.prediction.admitted == 2
         stamped = {}
         for record in net.log.records:
