@@ -122,9 +122,11 @@ run_checkpoint() {
 }
 
 run_event() {
-    echo "== event: scheduler-vs-oracle equivalence, firing order, accounting, next-event contract, every effort saving against the reference chip (tests/reference.py: phase guards, dormancy, frames asleep, awake and under a watchdog) =="
+    echo "== event: scheduler-vs-oracle equivalence, firing order, accounting, engine contracts and wakes, next-event contract, every effort saving against the reference chip (tests/reference.py: phase guards, dormancy, frames asleep, awake and under a watchdog) =="
     python -m pytest -q \
         tests/network/test_engine_accounting.py \
+        tests/network/test_engine_and_harnesses.py \
+        tests/network/test_kept_schedule.py \
         tests/network/test_event_firing_order.py \
         tests/integration/test_event_engine_equivalence.py \
         tests/integration/test_next_event_contract.py \

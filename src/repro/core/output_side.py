@@ -285,9 +285,6 @@ class OutputSide:
             else:
                 self._receive_locally(phit, cycle)
             output.tc_bytes += 1
-            chip = self.chip
-            if chip.service_hook is not None:
-                chip.service_hook(cycle, port, "TC", stream.meta)
             if last:
                 self._finish_tc_stream(output, stream)
             return
@@ -373,10 +370,6 @@ class OutputSide:
         else:
             self._receive_locally(phit, cycle)
         output.be_bytes += 1
-        chip = self.chip
-        if chip.service_hook is not None:
-            chip.service_hook(cycle, port, "BE",
-                              getattr(phit.packet, "meta", None))
         if phit.last:
             output.bound_input = None
 
@@ -439,9 +432,10 @@ class OutputSide:
     def reframe(self, cycle: int) -> bool:
         """Frame the streams staged whole that step per byte on a port
         that may frame them (restored, or on a link just repaired), as
-        their next transmit, on ``cycle``, would; whether one was.  A
-        link's run leaves with that cycle's wiring: the router steps
-        then, its link output holding the byte it drove last."""
+        their next transmit, on ``cycle``, would, and wakes the router
+        if one was.  A link's run leaves with that cycle's wiring: the
+        router steps then, its link output holding the byte it drove
+        last."""
         chip = self.chip
         if chip.frame_links is None:
             return False
@@ -453,7 +447,7 @@ class OutputSide:
                 self.frame(port, stream, cycle)
                 framed = framed or stream.base is not None
         if framed:
-            chip._forget()
+            chip._changed()
         return framed
 
     def _move_frame(self, port: int, output: _Output, stream: _TCStream,

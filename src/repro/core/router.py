@@ -110,9 +110,6 @@ class RealTimeRouter:
         cut_through: bool = False,
         clock_skew_ticks: int = 0,
         be_routing: str = "dimension",
-        service_hook: Optional[
-            Callable[[int, int, str, Optional[PacketMeta]], None]
-        ] = None,
     ) -> None:
         if on_memory_full not in ("error", "drop"):
             raise ValueError("on_memory_full must be 'error' or 'drop'")
@@ -147,9 +144,6 @@ class RealTimeRouter:
         self._slot_cycles = self.params.slot_cycles
         self.router_id = router_id
         self.on_memory_full = on_memory_full
-        #: Called for every byte an output port sends; it sees every
-        #: byte only on a standalone router, whose ports never frame.
-        self.service_hook = service_hook
         #: Packet-lifecycle tracer (see repro.observability.trace);
         #: None by default — every emit site is guarded by a single
         #: ``is not None`` test, so disabled tracing allocates nothing.
@@ -180,17 +174,19 @@ class RealTimeRouter:
         self.eligible_count = [0] * OUTPUT_PORTS
 
         #: The remembered activity answer; None once :meth:`_forget`
-        #: was called — by the host entry points, a horizon write,
-        #: ``load_state`` and a working ``step``, the only things that
-        #: can change it (docs/performance.md).
+        #: was called — by the host entry points, a horizon write
+        #: (both through :meth:`_changed`), ``load_state`` and a
+        #: working ``step``, the only things that can change it
+        #: (docs/performance.md).
         self._work_at: Optional[float] = None
         #: First cycle the scheduler pipeline was not advanced over;
         #: the next working step replays it from here.  Real state
         #: (serialised), not derived.
         self._pipeline_lag: Optional[int] = None
-        #: The scheduler's ``wake``, called on a horizon register write.
+        #: The scheduler's ``wake``, called by :meth:`_changed`.
         self.wake_hook: Optional[Callable[["RealTimeRouter"], None]] = None
-        self.control.on_horizon_write = self._horizon_written
+        # Raising a horizon can bring the dormancy deadline forward.
+        self.control.on_horizon_write = self._changed
         #: Called on an append to :attr:`delivered` (wakes the host).
         self.delivery_hook: Optional[Callable[[], None]] = None
         #: Per output port: may a committed time-constrained frame cross
@@ -227,8 +223,10 @@ class RealTimeRouter:
         """Something changed that the remembered answer cannot see."""
         self._work_at = None
 
-    def _horizon_written(self) -> None:
-        # Raising a horizon can bring the dormancy deadline forward.
+    def _changed(self) -> None:
+        """Something changed from outside this router's own step:
+        forget the remembered answer and tell the scheduler, the one
+        way a router is woken."""
         self._forget()
         if self.wake_hook is not None:
             self.wake_hook(self)
@@ -236,12 +234,12 @@ class RealTimeRouter:
     def inject_tc(self, packet: TimeConstrainedPacket) -> None:
         """Queue a time-constrained packet at the injection port."""
         self.inputs.tc_inject_queue.append(packet)
-        self._forget()
+        self._changed()
 
     def inject_be(self, packet: BestEffortPacket) -> None:
         """Queue a best-effort packet at the injection port."""
         self.inputs.be_inject_queue.append(packet)
-        self._forget()
+        self._changed()
 
     @property
     def tc_inject_backlog(self) -> int:
@@ -256,7 +254,7 @@ class RealTimeRouter:
     def take_delivered(self) -> list[object]:
         """Drain and return packets delivered to the local host."""
         out, self.delivered = self.delivered, []
-        self._forget()
+        self._changed()
         return out
 
     def output_credit_debt(self, port: int) -> int:

@@ -70,7 +70,6 @@ def send_loopback_worm(net: MeshNetwork, size_bytes: int) -> BestEffortPacket:
     # Injected at the router: ``send_best_effort`` plans mesh offsets
     # and would not wrap a worm around the torus.
     net.routers[(0, 0)].inject_be(packet)
-    net.engine.wake(net.routers[(0, 0)])
     return packet
 
 

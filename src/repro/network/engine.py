@@ -22,7 +22,10 @@ scheduled on the same cycle fire in registration order (the order
 ``add_component`` was called), which is also the oracle's step order,
 so the two are step-for-step identical and produce byte-identical
 simulations (``tests/integration/test_event_engine_equivalence.py``
-asserts this; ``docs/performance.md`` documents the contracts).
+asserts this; ``docs/performance.md`` documents the contracts).  Every
+component states when it has work (``next_event_cycle``), every wiring
+a source or an idle check, and a change made to a component from
+outside its own step reaches the scheduler one way: ``wake``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ ENGINE_MODES = ("exact", "event")
 class Steppable(Protocol):
     def step(self, cycle: int) -> None: ...
 
+    def next_event_cycle(self, cycle: int) -> Optional[int]: ...
+
 
 class SynchronousEngine:
     """Cycle engine: the event scheduler, or the per-cycle oracle loop.
@@ -47,13 +52,12 @@ class SynchronousEngine:
     With ``mode="event"`` (the default) only components whose
     ``next_event_cycle`` is due are stepped, and only wiring whose
     declared ``source`` component stepped this cycle (plus source-less
-    wiring) runs.  A component without ``next_event_cycle`` is treated
-    as due on every cycle, so legacy components stay exact (at
-    per-cycle cost).  The scheduler queue is kept between runs and
-    never serialised: ``add_component`` and ``load_state`` invalidate
-    it, and the next ``run``/``run_until`` entry then rebuilds it from
+    wiring) runs.  The scheduler queue is kept between runs and never
+    serialised: ``add_component`` and ``load_state`` invalidate it, and
+    the next ``run``/``run_until`` entry then rebuilds it from
     component state; anything else that changes a component from
-    outside its own step must :meth:`wake` it.
+    outside its own step must :meth:`wake` it — the one way to tell
+    the scheduler.
 
     With ``mode="exact"`` the engine steps every component and runs
     every wiring function on every cycle and never skips — the
@@ -68,7 +72,6 @@ class SynchronousEngine:
         self.mode = mode
         self._components: list[Steppable] = []
         self._wiring: list[Callable[[], Optional[Iterable[Steppable]]]] = []
-        self._wiring_idle_checks: list[Optional[Callable[[], bool]]] = []
         self.cycle = 0
         #: Cycles that ran the step-components-then-wire loop.
         self.cycles_stepped = 0
@@ -79,18 +82,15 @@ class SynchronousEngine:
         #: component -> registration index (the same-cycle firing order).
         self._order: dict = {}
         self._order_counter = 0
-        #: component -> its ``next_event_cycle`` (None: due every cycle),
-        #: looked up once at registration.
+        #: component -> its ``next_event_cycle``, looked up once at
+        #: registration.
         self._probes: dict = {}
-        #: component -> components to requery whenever it steps
-        #: (a host injects into and drains its router).
-        self._peers: dict = {}
-        #: Per wiring: the declared source component (or None).
-        self._wiring_sources: list = []
         #: source component -> indices of the wirings it drives.
         self._source_wirings: dict = {}
-        #: Indices of wirings with no declared source (always run).
+        #: Indices of wirings with no declared source (always run), and
+        #: their idle checks.
         self._sourceless_wirings: list[int] = []
+        self._idle_checks: list[Callable[[], bool]] = []
         #: component -> currently valid scheduled cycle (lazy deletion:
         #: a queued entry is live only if it matches this map).
         self._sched: dict = {}
@@ -119,30 +119,22 @@ class SynchronousEngine:
     def add_component(self, component: Steppable) -> None:
         """Register a component; it steps each cycle in this order.
 
-        The event scheduler requeries a component's
-        ``next_event_cycle`` only when it steps, when a feeder steps
-        (:meth:`bind_peers`), when a wiring reports that it wrote the
-        component, and when somebody calls :meth:`wake` on it — so its
-        answer may depend only on its own state and on inputs that
-        arrive on one of those four occasions.
+        The component must have ``next_event_cycle``.  The event
+        scheduler requeries it only when it steps, when a wiring
+        reports that it wrote the component, and when somebody calls
+        :meth:`wake` on it — so its answer may depend only on its own
+        state and on inputs that arrive on one of those three
+        occasions.
         """
+        probe = getattr(component, "next_event_cycle", None)
+        if probe is None:
+            raise TypeError(
+                f"component {component!r} has no next_event_cycle")
         self._components.append(component)
         self._order[component] = self._order_counter
         self._order_counter += 1
-        self._probes[component] = getattr(component, "next_event_cycle",
-                                          None)
+        self._probes[component] = probe
         self._queue_valid = False  # nobody has asked the newcomer yet
-
-    def bind_peers(self, feeder: Steppable, fed: Steppable) -> None:
-        """Declare that ``feeder``'s step may hand work to ``fed``.
-
-        Whenever ``feeder`` steps, the scheduler requeries ``fed`` —
-        for a component that writes another on most of its steps
-        without a declared wiring (a host injecting into and draining
-        its router).  One that does so rarely calls :meth:`wake` when
-        it happens (a router delivering to its host).
-        """
-        self._peers.setdefault(feeder, []).append(fed)
 
     def remove_component(self, component: Steppable) -> None:
         """Detach a component (fault injectors, watchdogs, controllers).
@@ -156,8 +148,14 @@ class SynchronousEngine:
         effect at the next cycle boundary (and the removed component
         still finishes the current cycle if it had not stepped yet).
         A component re-added later gets a fresh (higher) registration
-        index — it fires after everything registered before it.
+        index — it fires after everything registered before it.  A
+        component that sources wiring cannot be removed: its wiring
+        would run on cycles nobody is scheduled for.
         """
+        if component in self._source_wirings:
+            raise ValueError(
+                f"component {component!r} sources wiring and cannot be "
+                f"removed")
         try:
             self._components.remove(component)
         except ValueError:
@@ -179,18 +177,6 @@ class SynchronousEngine:
         self._heap[:] = [entry for entry in self._heap
                          if entry[3] is not component]
         heapq.heapify(self._heap)
-        self._peers.pop(component, None)
-        for fed in self._peers.values():
-            if component in fed:
-                fed.remove(component)
-        if component in self._source_wirings:
-            # Wiring whose source vanished falls back to source-less
-            # semantics: run every executed cycle, gate jumps on its
-            # idle_check (or pin per-cycle execution without one).
-            for index in self._source_wirings.pop(component):
-                self._wiring_sources[index] = None
-                self._sourceless_wirings.append(index)
-            self._sourceless_wirings.sort()
 
     def add_wiring(
         self,
@@ -207,26 +193,26 @@ class SynchronousEngine:
         the next cycle.  The oracle loop runs every wiring on every
         cycle; the two declarations tell the scheduler when it may not.
 
-        ``source`` is the locality contract: it declares that
-        ``transfer`` is a provable no-op on any cycle the source
-        component did not step (a router that did not step has empty
-        link outputs).  The scheduler then runs the wiring only on
-        cycles its source stepped.  Wiring without a source runs on
-        every executed cycle.
+        Exactly one of the two is given.  ``source`` is the locality
+        contract: it declares that ``transfer`` is a provable no-op on
+        any cycle the source component did not step (a router that did
+        not step has empty link outputs).  The scheduler then runs the
+        wiring only on cycles its source stepped.
 
-        ``idle_check`` gates jumps past *source-less* wiring: it must
-        return True exactly when calling ``transfer`` right now would
-        leave all simulation state unchanged (no signal to copy, no
-        pending side effect).  Source-less wiring registered without
-        one is treated as always-active and pins the scheduler to
-        per-cycle execution.
+        ``idle_check`` is for wiring without a source, which runs on
+        every executed cycle: it gates jumps, and must return True
+        exactly when calling ``transfer`` right now would leave all
+        simulation state unchanged (no signal to copy, no pending side
+        effect).
         """
+        if (source is None) == (idle_check is None):
+            raise ValueError(
+                "a wiring needs exactly one of source= and idle_check=")
         self._wiring.append(transfer)
-        self._wiring_idle_checks.append(idle_check)
         index = len(self._wiring) - 1
-        self._wiring_sources.append(source)
         if source is None:
             self._sourceless_wirings.append(index)
+            self._idle_checks.append(idle_check)
         else:
             self._source_wirings.setdefault(source, []).append(index)
 
@@ -235,14 +221,26 @@ class SynchronousEngine:
 
         Call after mutating a component from *outside* its own step —
         queueing packets on a host, injecting into a router — so its
-        ``next_event_cycle`` is re-read at the next cycle boundary or
-        run entry.  The queue is kept between runs, so a mutation
-        nobody wakes for is never seen.  Cheap and idempotent; a no-op
-        in exact mode (only the scheduler ever consumes wakes) and for
-        unregistered components.
+        ``next_event_cycle`` is re-read.  Inside an executing cycle, a
+        component whose slot is still to come and which answers "now"
+        steps in that slot, as in the per-cycle loop; anything else is
+        re-read at the next cycle boundary or run entry.  The queue is
+        kept between runs, so a mutation nobody wakes for is never
+        seen.  Cheap and idempotent; a no-op in exact mode (only the
+        scheduler ever consumes wakes) and for unregistered components.
         """
         if self.mode == "exact":
             return
+        current, index = self._stepping, self._order.get(component)
+        if current is not None and index is not None and index > current:
+            batch, now = self._batch, self.cycle
+            slot = bisect_left(batch, (index,))
+            if slot < len(batch) and batch[slot][0] == index:
+                return  # already in this cycle's batch
+            nxt = self._probes[component](now)
+            if nxt is not None and nxt <= now:
+                batch.insert(slot, (index, component))
+                return
         self._pending_wakes.add(component)
 
     def read_point(self, component: Steppable) -> tuple[int, bool]:
@@ -268,21 +266,6 @@ class SynchronousEngine:
         on the oracle, which runs every wiring on every cycle."""
         if self._stepping is not None and self.mode == "event":
             self._touched.append(component)
-
-    def wake_now(self, component: Steppable) -> None:
-        """:meth:`wake`, and if the executing cycle has yet to reach
-        ``component``'s slot, step it in this cycle (a mid-cycle change
-        gave it work the per-cycle loop does in that slot)."""
-        if self.mode == "exact":
-            return
-        current, index = self._stepping, self._order.get(component)
-        if current is None or index is None or index <= current:
-            self.wake(component)
-            return
-        batch = self._batch
-        slot = bisect_left(batch, (index,))
-        if slot == len(batch) or batch[slot][0] != index:
-            batch.insert(slot, (index, component))
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -355,8 +338,7 @@ class SynchronousEngine:
             index = order.get(component)
             if index is None:
                 continue  # removed since the wake/sink reference was taken
-            probe = probes[component]
-            nxt = probe(now) if probe is not None else now
+            nxt = probes[component](now)
             if nxt is None:
                 sched.pop(component, None)
             elif nxt <= now:
@@ -403,8 +385,7 @@ class SynchronousEngine:
         for component in self._components:
             if component in self._pending_wakes:
                 continue
-            probe = self._probes[component]
-            nxt = probe(now) if probe is not None else now
+            nxt = self._probes[component](now)
             fresh = None if nxt is None else max(nxt, now)
             kept = self._sched.get(component)
             if kept != fresh:
@@ -432,14 +413,9 @@ class SynchronousEngine:
         """May the scheduler jump past source-less wiring right now?
 
         Wiring with a declared source is covered by its source's
-        schedule; source-less wiring must be gated on its
-        ``idle_check`` — and without one it pins per-cycle execution.
+        schedule; source-less wiring is gated on its ``idle_check``.
         """
-        for index in self._sourceless_wirings:
-            check = self._wiring_idle_checks[index]
-            if check is None or not check():
-                return False
-        return True
+        return all(check() for check in self._idle_checks)
 
     def _event_step_once(self) -> None:
         """Execute one cycle: due components, their wiring, requeries."""
@@ -459,31 +435,14 @@ class SynchronousEngine:
                 del sched[component]
                 batch.append((index, component))
         batch.sort()
+        # A step that wakes a component later in the order may grow the
+        # batch (:meth:`wake`).
         self._batch = batch
-        peers = self._peers
         position = 0
         while position < len(batch):
-            own, component = batch[position]
+            self._stepping, component = batch[position]
             position += 1
-            self._stepping = own
             component.step(now)
-            # In-cycle cascade: a step can hand work directly to a
-            # peer *later* in the firing order (a host injecting into
-            # its router), which the oracle loop — where everything
-            # steps every cycle — processes this same cycle.
-            # Peers earlier in the order have already had their exact
-            # firing slot; they are requeried for the next cycle below.
-            for partner in peers.get(component, ()):
-                index = order.get(partner, -1)
-                if index < own:
-                    continue
-                slot = bisect_left(batch, (index,), position)
-                if slot < len(batch) and batch[slot][0] == index:
-                    continue  # already in this cycle's batch
-                probe = self._probes[partner]
-                nxt = probe(now) if probe is not None else now
-                if nxt is not None and nxt <= now:
-                    batch.insert(slot, (index, partner))
         self._stepping = math.inf
         stepped = [component for _, component in batch]
         sources = stepped
@@ -499,7 +458,7 @@ class SynchronousEngine:
                 run_indices.extend(indices)
         run_indices.sort()  # wiring order == registration order
         # Requery everything this cycle could have affected: what
-        # stepped, its peers, and whatever the wiring wrote.
+        # stepped, whatever the wiring wrote, and whatever was woken.
         requery = set(sources)
         wiring = self._wiring
         for index in run_indices:
@@ -509,10 +468,6 @@ class SynchronousEngine:
         self._stepping = self._batch = None
         self.cycle = now = now + 1
         self.cycles_stepped += 1
-        for component in stepped:
-            partners = peers.get(component)
-            if partners:
-                requery.update(partners)
         requery.update(self._pending_wakes)
         self._pending_wakes.clear()
         self._event_requery(requery, now)

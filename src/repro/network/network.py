@@ -147,16 +147,13 @@ class MeshNetwork:
             self.routers[node] = router
             self.hosts[node] = host
             # All of a host's and a router's inputs arrive through the
-            # declared wiring, their peer, or an explicit wake from the
-            # send APIs below.
+            # declared wiring or a wake.  A router wakes itself when its
+            # host entry points or a horizon write change it, and its
+            # host when it puts something at the reception port.
             self.engine.add_component(host)
             self.engine.add_component(router)
-            # The host's step injects into and drains the router; the
-            # router says when it put something at the reception port,
-            self.engine.bind_peers(host, router)
-            router.delivery_hook = partial(self.engine.wake, host)
-            # and when a raised horizon may have moved its dormancy deadline.
             router.wake_hook = self.engine.wake
+            router.delivery_hook = partial(self.engine.wake, host)
             # A router whose frames move lazily settles to where the
             # engine stands when it is read, and at the end of every run.
             router.fabric = self
@@ -167,8 +164,7 @@ class MeshNetwork:
         # contract: a router that did not step has empty link outputs,
         # so carrying them is a provable no-op.
         for node in self.mesh.nodes():
-            transfer, idle_check = self._make_link_transfer(node)
-            self.engine.add_wiring(transfer, idle_check=idle_check,
+            self.engine.add_wiring(self._make_link_transfer(node),
                                    source=self.routers[node])
         # After every link transfer, so spoofed acknowledgements land
         # on top of (never underneath) the genuine reverse-link signal.
@@ -224,7 +220,7 @@ class MeshNetwork:
             # Returns the sinks written.  An empty output is skipped on
             # a live and on a dead link alike: the sink emptied its
             # input when it consumed it, so an empty signal copied over
-            # it changes nothing (the ``idle_check`` argument, per link).
+            # it changes nothing.
             wrote = []
             if frames_out:
                 # Frames committed this cycle: their bytes go to the
@@ -295,14 +291,7 @@ class MeshNetwork:
                 wrote.append(sink)
             return wrote
 
-        def idle_check() -> bool:
-            # Idle contract: with no phit and no ack offered anywhere,
-            # the transfer copies nothing.
-            link_out = source.link_out
-            return all(link_out[link[0]].phit is None
-                       and not link_out[link[0]].ack for link in links)
-
-        return transfer, idle_check
+        return transfer
 
     def _apply_drain_acks(self) -> list:
         """Deliver owed spoofed acknowledgements, one per link per cycle.
@@ -367,8 +356,7 @@ class MeshNetwork:
                 for direction in range(MESH_LINKS):
                     if before[direction] and not links[direction]:
                         self._unframe(node, direction)
-            if router.outputs.reframe(self.engine.read_point(router)[0]):
-                self.engine.wake(router)
+            router.outputs.reframe(self.engine.read_point(router)[0])
 
     def _unframe(self, node: Node, direction: int) -> None:
         """Put the frame handed to one link back on the wire, byte by
@@ -393,12 +381,11 @@ class MeshNetwork:
         offset = target - 1 - base - handed.index
         if 0 <= offset < len(handed.data):
             router.link_out[direction].phit = handed.phit(offset)
-        router._forget()
-        if wired:
-            engine.wake_now(router)  # it drives the next byte itself
-        else:
-            engine.touch(router)  # its slot passed: carry its byte
-            engine.wake(router)
+        # It drives the next byte itself; if its slot passed, the
+        # wiring carries the byte it drove.
+        router._changed()
+        if not wired:
+            engine.touch(router)
         if pending:
             return  # nothing has reached the sink yet
         neighbor, into = (self.mesh.neighbor(node, direction),
@@ -416,12 +403,9 @@ class MeshNetwork:
         sink.inputs.sync_count -= held_bytes(port.sync) - len(kept)
         port.sync.clear()
         port.sync.extend(kept)
-        sink._forget()
         if wire is not None:
             sink.link_in[into].phit = wire
-            engine.wake_now(sink)
-        else:
-            engine.wake(sink)
+        sink._changed()
 
     # ------------------------------------------------------------------
     # Link failures and recovery
@@ -504,9 +488,7 @@ class MeshNetwork:
         if not dropped:
             return
         router.tc_resync_drops += 1
-        # Changed from outside its own step: forget the answer, wake it.
-        router._forget()
-        self.engine.wake(router)
+        router._changed()
         if out is not None and out != RECEPTION:
             self._flush_frame(self.mesh.neighbor(node, out), OPPOSITE[out],
                               in_flight=True)
@@ -794,9 +776,6 @@ class MeshNetwork:
         )
         packet.meta.injected_cycle = self.cycle
         self.routers[source].inject_be(packet)
-        # The injection comes from outside the source router's own host
-        # step (the application between runs, a controller, a relay plan).
-        self.engine.wake(self.routers[source])
         if self.tracer is not None:
             self.tracer.emit(self.cycle, ENQUEUE, meta=packet.meta,
                              node=source, traffic_class="BE")

@@ -70,8 +70,7 @@ class SingleLinkHarness:
             )
         self.params = params or RouterParams()
         self.trace = ServiceTrace(watch_port=EAST)
-        self.router = RealTimeRouter(self.params, router_id="f7",
-                                     service_hook=self.trace.hook)
+        self.router = RealTimeRouter(self.params, router_id="f7")
         self.router.control.write_horizon(port_mask(EAST), horizon)
         self.best_effort_backlog = best_effort_backlog
 
@@ -143,8 +142,11 @@ class SingleLinkHarness:
             # that leaves on +x so credits never run dry.
             out = self.router.link_out[EAST]
             ack = out.phit is not None and out.phit.vc == "BE"
-            if out.phit is not None and out.phit.vc == "TC":
-                self._check_deadline(out.phit)
+            if out.phit is not None:
+                self.trace.hook(self.cycle, EAST, out.phit.vc,
+                                getattr(out.phit.packet, "meta", None))
+                if out.phit.vc == "TC":
+                    self._check_deadline(out.phit)
             self.router.link_in[EAST] = LinkSignal(ack=ack)
             self.cycle += 1
 

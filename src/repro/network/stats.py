@@ -368,11 +368,12 @@ class LatencySummary:
 class ServiceTrace:
     """Cumulative per-connection link service (Figure 7's raw data).
 
-    Install as the ``service_hook`` of a standalone router (one in a
-    ``MeshNetwork`` moves a committed frame as one arrival, which the
-    hook does not see byte by byte); each transmitted byte on the
-    watched output port is attributed to its connection label (or the
-    best-effort aggregate) and accumulated into a step series.
+    Fed by :meth:`hook` with every byte a standalone router sends (one
+    in a ``MeshNetwork`` moves a committed frame as one arrival, which
+    no per-byte read sees); each byte on the watched output port is
+    attributed to its connection label (or the best-effort aggregate)
+    and accumulated into a step series.  ``SingleLinkHarness`` feeds
+    it from the link output it reads after every step.
     """
 
     def __init__(self, watch_port: Optional[int] = None) -> None:

@@ -257,15 +257,3 @@ class TestServiceAccounting:
         tc_bytes, be_bytes = router.output_service(RECEPTION)
         assert tc_bytes == 20
         assert be_bytes == 0
-
-    def test_service_hook_called_per_byte(self):
-        events = []
-        router = RealTimeRouter(
-            RouterParams(),
-            service_hook=lambda c, p, cls, m: events.append((c, p, cls)),
-        )
-        router.control.program_connection(0, 0, delay=10,
-                                          port_mask=port_mask(RECEPTION))
-        router.inject_tc(TimeConstrainedPacket(0, 0))
-        run_until_delivered(router)
-        assert len([e for e in events if e[2] == "TC"]) == 20

@@ -1,7 +1,7 @@
 """The fault layer is scheduled like hosts and routers.
 
-Every engine component is requeried only when it steps, a feeder steps,
-a wiring reports that it wrote it, or somebody wakes it.  The watchdog
+Every engine component is requeried only when it steps, a wiring
+reports that it wrote it, or somebody wakes it.  The watchdog
 and the recovery controller state their inputs that way: a missed
 transfer is reported by the link wiring (without that report
 ``tests/faults/test_watchdog.py``'s detection tests fail), and a link

@@ -439,8 +439,10 @@ class TestKeptSchedule:
         net = MeshNetwork(3, 3)
         net.run(10)
         router = net.routers[(1, 1)]
-        router.inject_be(BestEffortPacket(x_offset=1, y_offset=0,
-                                          payload=b"zz"))
+        # Below the entry points (``inject_be`` wakes the router itself).
+        router.inputs.be_inject_queue.append(
+            BestEffortPacket(x_offset=1, y_offset=0, payload=b"zz"))
+        router._forget()
         stale = net.engine.audit_schedule()
         assert len(stale) == 1 and "RealTimeRouter" in stale[0]
         # ...and that is what direct writers must do about it.
@@ -456,8 +458,11 @@ class TestKeptSchedule:
             3, 3, 2, 6, 1, execution=Execution(check_every=50))
         session.run()
         assert session.invariant_failures == []
-        session.network.routers[(0, 0)].inject_be(
+        # Below the entry points (``inject_be`` wakes the router itself).
+        router = session.network.routers[(0, 0)]
+        router.inputs.be_inject_queue.append(
             BestEffortPacket(x_offset=1, y_offset=0, payload=b"zz"))
+        router._forget()
         session._check_invariants()
         assert len(session.invariant_failures) == 1
         assert "schedule: RealTimeRouter" in session.invariant_failures[0]

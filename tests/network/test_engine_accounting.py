@@ -108,18 +108,6 @@ class TestAccounting:
         assert engine.cycles_stepped == 1_100
         assert engine.cycles_fast_forwarded == 0
 
-    def test_legacy_component_disables_fast_forward(self):
-        class Legacy:  # no next_event_cycle
-            def step(self, cycle):
-                pass
-
-        engine = SynchronousEngine()
-        engine.add_component(Legacy())
-        engine.run(500)
-        assert engine.cycles_stepped == 500
-        assert engine.cycles_fast_forwarded == 0
-        _check(engine)
-
     def test_fast_forward_disabled_engine(self):
         engine = SynchronousEngine(mode="exact")
         engine.add_component(_Idle())
@@ -193,30 +181,6 @@ class TestEventModeAccounting:
         _check(engine)
         assert engine.cycle == 1_100
         assert engine.cycles_stepped == 100
-
-    def test_legacy_component_steps_every_cycle(self):
-        class Legacy:  # no next_event_cycle
-            def __init__(self):
-                self.steps = 0
-
-            def step(self, cycle):
-                self.steps += 1
-
-        engine = SynchronousEngine(mode="event")
-        component = Legacy()
-        engine.add_component(component)
-        engine.run(500)
-        assert component.steps == 500
-        assert engine.cycles_stepped == 500
-        _check(engine)
-
-    def test_uncontracted_wiring_pins_per_cycle(self):
-        engine = SynchronousEngine(mode="event")
-        engine.add_component(_Idle())
-        engine.add_wiring(lambda: None)  # no idle_check, no source
-        engine.run(200)
-        assert engine.cycles_stepped == 200
-        _check(engine)
 
     def test_run_until_parity_with_exact(self):
         results = {}

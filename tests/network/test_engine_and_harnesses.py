@@ -6,11 +6,16 @@ from repro.network import LinkConnection, SingleLinkHarness, SynchronousEngine
 
 
 class Ticker:
+    """Has work on every cycle."""
+
     def __init__(self):
         self.cycles = []
 
     def step(self, cycle):
         self.cycles.append(cycle)
+
+    def next_event_cycle(self, cycle):
+        return cycle
 
 
 class TestEngine:
@@ -26,7 +31,8 @@ class TestEngine:
     def test_wiring_runs_each_cycle(self):
         engine = SynchronousEngine()
         copies = []
-        engine.add_wiring(lambda: copies.append(True))
+        engine.add_wiring(lambda: copies.append(True),
+                          idle_check=lambda: False)
         engine.run(5)
         assert len(copies) == 5
 
@@ -98,9 +104,11 @@ class TestRunUntilSemantics:
 
     def test_predicate_sees_wiring_effects(self):
         engine = SynchronousEngine()
-        engine.add_component(Ticker())
+        ticker = Ticker()
+        engine.add_component(ticker)
         copied = []
-        engine.add_wiring(lambda: copied.append(engine.cycle))
+        engine.add_wiring(lambda: copied.append(engine.cycle),
+                          source=ticker)
         assert engine.run_until(lambda: len(copied) >= 3) == 3
 
     def test_timeout_counts_actual_cycles_advanced(self):
@@ -150,6 +158,9 @@ class RemoveDuringStep:
         if cycle == self.remove_at:
             for target in self.targets:
                 self.engine.remove_component(target)
+
+    def next_event_cycle(self, cycle):
+        return cycle
 
 
 class TestRemoveComponentDuringStep:
@@ -223,24 +234,6 @@ class TestFastForward:
 
         assert run("exact") == run("event")
 
-    def test_legacy_component_pins_per_cycle_loop(self):
-        engine = SynchronousEngine()
-        ticker = Ticker()           # no next_event_cycle
-        engine.add_component(ticker)
-        engine.add_component(Alarm([]))
-        engine.run(50)
-        assert engine.cycles_fast_forwarded == 0
-        assert ticker.cycles == list(range(50))
-
-    def test_wiring_without_idle_check_pins_per_cycle_loop(self):
-        engine = SynchronousEngine()
-        engine.add_component(Alarm([]))
-        runs = []
-        engine.add_wiring(lambda: runs.append(True))
-        engine.run(20)
-        assert engine.cycles_fast_forwarded == 0
-        assert len(runs) == 20
-
     def test_busy_wiring_idle_check_blocks_skipping(self):
         engine = SynchronousEngine()
         engine.add_component(Alarm([]))
@@ -268,6 +261,48 @@ class TestFastForward:
         engine.run(30)
         assert engine.cycles_stepped == 30
         assert engine.cycles_fast_forwarded == 0
+
+
+class TestContracts:
+    """What the scheduler needs to be told is required, not assumed."""
+
+    def test_component_without_a_probe_is_refused(self):
+        class Legacy:  # no next_event_cycle
+            def step(self, cycle):
+                pass
+
+        for mode in ("exact", "event"):
+            engine = SynchronousEngine(mode=mode)
+            with pytest.raises(TypeError, match="next_event_cycle"):
+                engine.add_component(Legacy())
+            assert engine.run(5) == 5
+
+    def test_wiring_needs_exactly_one_contract(self):
+        engine = SynchronousEngine()
+        ticker = Ticker()
+        engine.add_component(ticker)
+        with pytest.raises(ValueError, match="exactly one"):
+            engine.add_wiring(lambda: None)
+        with pytest.raises(ValueError, match="exactly one"):
+            engine.add_wiring(lambda: None, source=ticker,
+                              idle_check=lambda: True)
+        runs = []
+        engine.add_wiring(lambda: runs.append(True), source=ticker)
+        engine.run(3)
+        assert len(runs) == 3
+
+    def test_a_wiring_source_cannot_be_removed(self):
+        engine = SynchronousEngine()
+        source, other = Ticker(), Ticker()
+        engine.add_component(source)
+        engine.add_component(other)
+        engine.add_wiring(lambda: None, source=source)
+        with pytest.raises(ValueError, match="sources wiring"):
+            engine.remove_component(source)
+        engine.remove_component(other)  # one that sources nothing goes
+        engine.run(2)
+        assert source.cycles == [0, 1]
+        assert other.cycles == []
 
 
 class TestSingleLinkHarness:

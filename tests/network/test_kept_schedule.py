@@ -1,14 +1,18 @@
-"""The event scheduler's kept queue, due-list and wiring-return contract.
+"""The event scheduler's kept queue, due-list, wakes and wiring-return
+contract.
 
 The queue survives from one ``run`` to the next; a run entry re-reads
 only woken components, and a full rebuild happens only after
 ``add_component`` / ``load_state``.  Components that answer
 "now" sit on a due-list, later wake-ups on the heap; the two merge
-into one registration-ordered batch.  A wiring may return the
-components it wrote, and only those are requeried.
+into one registration-ordered batch, which a wake from inside a step
+may grow.  A wiring may return the components it wrote, and only
+those are requeried.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.engine import SynchronousEngine
 from repro.network.network import MeshNetwork
@@ -178,19 +182,22 @@ class TestFailedCycle:
 
 
 class _Feeder:
-    """At ``when``, hands one item to each inbox in ``targets``."""
+    """At ``when``, hands one item to each inbox in ``targets`` and
+    wakes it."""
 
-    def __init__(self, name, when, targets, log):
+    def __init__(self, name, when, targets, log, engine):
         self.name = name
         self.when = when
         self.targets = targets
         self.log = log
+        self.engine = engine
 
     def step(self, cycle):
         if cycle == self.when:
             self.log.append((cycle, self.name))
             for target in self.targets:
                 target.pending += 1
+                self.engine.wake(target)
 
     def next_event_cycle(self, cycle):
         return self.when if cycle <= self.when else None
@@ -210,18 +217,17 @@ class TestDueListAndHeap:
             "due", "heap", "due-too"]
 
     def test_cascaded_peer_is_inserted_mid_batch_in_order(self):
-        # feeder (order 0) hands work to its peer inbox (order 2) while
-        # "between" (order 1) and "after" (order 3) are already in the
-        # batch: the peer fires this same cycle, between the two.
+        # feeder (order 0) hands work to inbox (order 2) and wakes it
+        # while "between" (order 1) and "after" (order 3) are already
+        # in the batch: the inbox fires this same cycle, between the two.
         log = []
         engine = SynchronousEngine()
         inbox = _Inbox("peer", log)
-        feeder = _Feeder("feeder", 10, [inbox], log)
+        feeder = _Feeder("feeder", 10, [inbox], log, engine)
         engine.add_component(feeder)
         engine.add_component(_Timer("between", [10], log))
         engine.add_component(inbox)
         engine.add_component(_Timer("after", [10], log))
-        engine.bind_peers(feeder, inbox)
         engine.run(20)
         assert log == [(10, "feeder"), (10, "between"), (10, "peer"),
                        (10, "after")]
@@ -232,12 +238,10 @@ class TestDueListAndHeap:
             engine = SynchronousEngine(mode=mode)
             early = _Inbox("early-peer", log)
             late = _Inbox("late-peer", log)
-            feeder = _Feeder("feeder", 10, [early, late], log)
+            feeder = _Feeder("feeder", 10, [early, late], log, engine)
             engine.add_component(early)
             engine.add_component(feeder)
             engine.add_component(late)
-            engine.bind_peers(feeder, early)
-            engine.bind_peers(feeder, late)
             engine.run(20)
             return log
 
@@ -261,17 +265,73 @@ class TestDueListAndHeap:
         assert log == [(10, "timer"), (50, "timer")]
         assert engine.cycles_stepped == 2
 
-    def test_removed_peer_is_no_longer_cascaded_to(self):
+
+class _Relay(_Inbox):
+    """An inbox that hands every item it consumes on to each of
+    ``targets`` and wakes it, from inside its own step."""
+
+    def __init__(self, name, log, engine):
+        super().__init__(name, log)
+        self.engine = engine
+        self.targets = []
+
+    def step(self, cycle):
+        if self.pending:
+            super().step(cycle)
+            for target in self.targets:
+                target.pending += 1
+                self.engine.wake(target)
+
+
+class TestWakeInsideAStep:
+    """A wake from inside a step, on a component earlier or later in
+    the firing order, fires it exactly where the per-cycle loop does."""
+
+    @staticmethod
+    def _run(mode, relay_count, order, feeds, edges):
         log = []
-        engine = SynchronousEngine()
-        inbox = _Inbox("peer", log)
-        feeder = _Feeder("feeder", 10, [inbox], log)
-        engine.add_component(feeder)
-        engine.add_component(inbox)
-        engine.bind_peers(feeder, inbox)
-        engine.remove_component(inbox)
-        engine.run(20)
-        assert log == [(10, "feeder")]
+        engine = SynchronousEngine(mode=mode)
+        relays = [_Relay(f"relay-{index}", log, engine)
+                  for index in range(relay_count)]
+        for source, target in edges:
+            relays[source].targets.append(relays[target])
+        feeders = [_Feeder(f"feeder-{index}", when, [relays[target]],
+                           log, engine)
+                   for index, (when, target) in enumerate(feeds)]
+        components = relays + feeders
+        for index in order:  # registration order == firing order
+            engine.add_component(components[index])
+        engine.run(15)
+        return log, engine
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_event_firing_log_equals_the_oracle(self, data):
+        relays = data.draw(st.integers(2, 4), label="relays")
+        order = data.draw(st.permutations(range(relays)), label="order")
+        feeds = data.draw(st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, relays - 1)),
+            min_size=1, max_size=3), label="feeds")
+        # A relay hands on to relays of a higher index only, so every
+        # item leaves the chain in a bounded number of hops.
+        edges = data.draw(st.lists(
+            st.tuples(st.integers(0, relays - 1),
+                      st.integers(0, relays - 1)).filter(
+                lambda edge: edge[0] < edge[1]),
+            max_size=4, unique=True), label="edges")
+        # Feeders go in between the relays too: a feeder registered
+        # before a relay wakes it into the running batch, one after it
+        # wakes it for the next cycle.
+        where = data.draw(st.lists(st.integers(0, relays),
+                                   min_size=len(feeds),
+                                   max_size=len(feeds)), label="where")
+        position = list(order)
+        for feeder, slot in enumerate(where):
+            position.insert(min(slot, len(position)), relays + feeder)
+        event, engine = self._run("event", relays, position, feeds, edges)
+        oracle, _ = self._run("exact", relays, position, feeds, edges)
+        assert event == oracle
+        assert engine.audit_schedule() == []
 
 
 class TestWiringReturnContract:
