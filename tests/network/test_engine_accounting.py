@@ -108,6 +108,23 @@ class TestAccounting:
         assert engine.cycles_stepped == 1_100
         assert engine.cycles_fast_forwarded == 0
 
+    def test_legacy_component_disables_fast_forward(self):
+        # A component without next_event_cycle is refused on both loops,
+        # so it can no longer pin the engine to stepping every cycle.
+        class Legacy:  # no next_event_cycle
+            def step(self, cycle):
+                pass
+
+        for mode in ("exact", "event"):
+            engine = SynchronousEngine(mode=mode)
+            with pytest.raises(TypeError, match="next_event_cycle"):
+                engine.add_component(Legacy())
+            engine.add_component(_Idle())
+            engine.run(500)
+            assert engine.cycle == 500
+            _check(engine)
+        assert engine.cycles_fast_forwarded == 500
+
     def test_fast_forward_disabled_engine(self):
         engine = SynchronousEngine(mode="exact")
         engine.add_component(_Idle())
@@ -181,6 +198,36 @@ class TestEventModeAccounting:
         _check(engine)
         assert engine.cycle == 1_100
         assert engine.cycles_stepped == 100
+
+    def test_legacy_component_steps_every_cycle(self):
+        # Refused, a component without next_event_cycle is never stepped.
+        class Legacy:  # no next_event_cycle
+            def __init__(self):
+                self.steps = 0
+
+            def step(self, cycle):
+                self.steps += 1
+
+        engine = SynchronousEngine(mode="event")
+        component = Legacy()
+        with pytest.raises(TypeError, match="next_event_cycle"):
+            engine.add_component(component)
+        engine.add_component(_Idle())
+        engine.run(500)
+        assert component.steps == 0
+        assert engine.cycles_stepped == 0
+        _check(engine)
+
+    def test_uncontracted_wiring_pins_per_cycle(self):
+        # A wiring with neither idle_check nor source is refused, so it
+        # cannot pin the scheduler to the per-cycle loop.
+        engine = SynchronousEngine(mode="event")
+        engine.add_component(_Idle())
+        with pytest.raises(ValueError, match="exactly one"):
+            engine.add_wiring(lambda: None)
+        engine.run(200)
+        assert engine.cycles_stepped == 0
+        _check(engine)
 
     def test_run_until_parity_with_exact(self):
         results = {}

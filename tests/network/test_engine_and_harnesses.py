@@ -234,6 +234,37 @@ class TestFastForward:
 
         assert run("exact") == run("event")
 
+    def test_legacy_component_pins_per_cycle_loop(self):
+        # A component without next_event_cycle is refused, so the
+        # skippable rest of the fabric still jumps.
+        class Legacy:  # no next_event_cycle
+            def __init__(self):
+                self.cycles = []
+
+            def step(self, cycle):
+                self.cycles.append(cycle)
+
+        engine = SynchronousEngine()
+        legacy = Legacy()
+        with pytest.raises(TypeError, match="next_event_cycle"):
+            engine.add_component(legacy)
+        engine.add_component(Alarm([]))
+        engine.run(50)
+        assert engine.cycles_fast_forwarded == 50
+        assert legacy.cycles == []
+
+    def test_wiring_without_idle_check_pins_per_cycle_loop(self):
+        # A wiring with neither idle_check nor source is refused, so it
+        # neither runs nor blocks the jump.
+        engine = SynchronousEngine()
+        engine.add_component(Alarm([]))
+        runs = []
+        with pytest.raises(ValueError, match="exactly one"):
+            engine.add_wiring(lambda: runs.append(True))
+        engine.run(20)
+        assert engine.cycles_fast_forwarded == 20
+        assert runs == []
+
     def test_busy_wiring_idle_check_blocks_skipping(self):
         engine = SynchronousEngine()
         engine.add_component(Alarm([]))
@@ -265,17 +296,6 @@ class TestFastForward:
 
 class TestContracts:
     """What the scheduler needs to be told is required, not assumed."""
-
-    def test_component_without_a_probe_is_refused(self):
-        class Legacy:  # no next_event_cycle
-            def step(self, cycle):
-                pass
-
-        for mode in ("exact", "event"):
-            engine = SynchronousEngine(mode=mode)
-            with pytest.raises(TypeError, match="next_event_cycle"):
-                engine.add_component(Legacy())
-            assert engine.run(5) == 5
 
     def test_wiring_needs_exactly_one_contract(self):
         engine = SynchronousEngine()
