@@ -17,7 +17,10 @@ script, so a parent commit that predates it can be digested too.
 ``--documents`` appends a second hash per line: every router's
 checkpoint document (``state()`` with its meta table) as it stands at
 two fixed cycles inside the run and at its end — for a change that
-must leave the chip's state byte-identical, not only its deliveries.
+must leave the chip's state byte-identical, not only its deliveries —
+and a third, ``links=``: the network document's link entries
+(``LINK_KEYS``: health counters, failed, draining and known-dead links,
+owed acknowledgements, corruptors, fault counters) at the same points.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+
+#: The entries of ``MeshNetwork.state()`` that describe the links.
+LINK_KEYS = ("link_monitors", "failed_links", "draining_links",
+             "routing_avoid", "drain_acks", "corruptors", "fault_stats")
 
 
 def digest(run, canonical_dumps) -> str:
@@ -49,15 +56,16 @@ def digest(run, canonical_dumps) -> str:
 
 
 class DocumentProbe:
-    """An engine component that hashes every router document at two
-    fixed cycles (after the routers' steps of that cycle) and, asked
-    to, at the end."""
+    """An engine component that hashes every router document, and the
+    network document's link entries, at two fixed cycles (after the
+    routers' steps of that cycle) and, asked to, at the end."""
 
     def __init__(self, net, horizon: int, canonical_dumps) -> None:
         self.net = net
         self.stops = (horizon // 40, horizon // 10)
         self.dumps = canonical_dumps
         self.sha = hashlib.sha256()
+        self.links = hashlib.sha256()
 
     def next_event_cycle(self, cycle: int):
         return next((stop for stop in self.stops if stop >= cycle), None)
@@ -74,6 +82,9 @@ class DocumentProbe:
             document = router.state(ctx)
             self.sha.update(self.dumps(
                 [document, ctx.metas_state()]).encode())
+        document = self.net.state(SaveContext())
+        self.links.update(self.dumps(
+            {key: document[key] for key in LINK_KEYS}).encode())
 
 
 @contextmanager
@@ -126,7 +137,8 @@ def main(argv: list[str]) -> int:
             for probe in probes:
                 if probe.net is run.net:
                     probe.take()
-                    line += f" documents={probe.sha.hexdigest()}"
+                    line += (f" documents={probe.sha.hexdigest()}"
+                             f" links={probe.links.hexdigest()}")
             print(line)
     return 0
 

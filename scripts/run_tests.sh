@@ -26,8 +26,11 @@ run_tier1() {
 }
 
 run_chaos() {
-    echo "== chaos: seeded fault-injection soaks =="
+    echo "== chaos: seeded fault-injection soaks, detection and recovery latency =="
     python -m pytest -q -m chaos
+    python -m pytest -q -p no:cacheprovider --benchmark-disable \
+        benchmarks/bench_fault_recovery.py
+    git diff --exit-code benchmarks/results/fault_recovery.txt
 }
 
 run_perf_smoke() {

@@ -152,7 +152,6 @@ class CampaignRunner:
         prefilter: bool = True,
         executor: Executor = execute_run,
         execution: Execution = Execution(),
-        start_method: Optional[str] = None,
         progress: Optional[Callable[[str], None]] = None,
     ) -> None:
         if workers < 1:
@@ -172,10 +171,9 @@ class CampaignRunner:
         self.reuse_cache = reuse_cache
         self.prefilter = prefilter
         self.executor = executor
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        available = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in available else "spawn")
         self._progress = progress
         self.metrics = MetricsRegistry()
         self._counters = {name: self.metrics.counter(f"campaign.{name}")

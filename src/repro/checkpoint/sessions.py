@@ -48,6 +48,7 @@ from repro.checkpoint.store import (
 )
 from repro.core.invariants import (
     InvariantViolation,
+    check_link_records,
     check_no_shared_wires,
     check_router_invariants,
 )
@@ -198,6 +199,7 @@ class Session:
         checks = [(f" {node}", check_router_invariants, router)
                   for node, router in net.routers.items()]
         checks.append(("", check_no_shared_wires, net.routers.values()))
+        checks.append(("", check_link_records, net))
         for where, check, subject in checks:
             try:
                 check(subject)
@@ -428,13 +430,11 @@ class ChaosSession(Session):
                             for payload in self.be_payloads],
             "rng": rng_state(self.rng),
             "injector": self.injector.state(),
-            "watchdog": self.tolerance.watchdog.state(),
             "controller": self.tolerance.controller.state(),
         }
 
     def _load_loop_state(self, state: dict) -> None:
         self.injector.load_state(state["injector"])
-        self.tolerance.watchdog.load_state(state["watchdog"])
         self.tolerance.controller.load_state(state["controller"])
         self.channels = self._channels_by_label(state["channel_labels"])
         self.be_payloads = [bytes.fromhex(payload)

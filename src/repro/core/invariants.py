@@ -48,6 +48,22 @@ def check_no_shared_wires(routers: Iterable[RealTimeRouter]) -> None:
                           f"{seen[id(signal)]} and {here}")
 
 
+def check_link_records(network) -> None:
+    """What each of a mesh's link records implies
+    (``MeshNetwork.link_monitors``): software knows, and the recovery
+    layer drains, only a failed link, and a sender that frames at all
+    frames onto it exactly when it is live and carries no corruptor."""
+    for (node, direction), monitor in network.link_monitors.items():
+        link = f"link {node} {direction}"
+        if (monitor.known or monitor.draining) and not monitor.failed:
+            _fail(f"{link} known dead or draining but not failed")
+        may = not monitor.failed and monitor.corruptor is None
+        links = network.routers[node].frame_links
+        if links is not None and links[direction] != may:
+            _fail(f"{link} {'not ' if may else ''}framed against its "
+                  "record")
+
+
 def _fail(message: str) -> None:
     raise InvariantViolation(message)
 

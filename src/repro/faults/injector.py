@@ -150,7 +150,6 @@ class FaultInjector:
         self.network = network
         self.plan = plan
         self.fired: list[FaultEvent] = []
-        self.corruptors: dict[tuple, object] = {}
         self._index = 0
 
     @property
@@ -196,25 +195,18 @@ class FaultInjector:
         injector does when handed such a plan programmatically.
         """
         network = self.network
-        link = (event.node, event.direction)
         if event.kind == CUT:
-            if link not in network.failed_links:
-                # Silent cut: no announcement — detection is the
-                # watchdog's job.
-                network.fail_link(event.node, event.direction,
-                                  announce=False)
+            # Silent cut: no announcement — detection is the
+            # watchdog's job.
+            network.fail_link(event.node, event.direction, announce=False)
         elif event.kind == REPAIR:
             network.repair_link(event.node, event.direction)
-        elif event.kind == CORRUPT:
-            corruptor = BitFlipCorruptor(packets=max(1, event.amount))
-            self.corruptors[link] = corruptor
-            network.set_link_corruptor(event.node, event.direction,
-                                       corruptor)
-        elif event.kind == DROP:
-            corruptor = PacketDropCorruptor(packets=max(1, event.amount))
-            self.corruptors[link] = corruptor
-            network.set_link_corruptor(event.node, event.direction,
-                                       corruptor)
+        elif event.kind in (CORRUPT, DROP):
+            corruptor = (BitFlipCorruptor if event.kind == CORRUPT
+                         else PacketDropCorruptor)
+            network.set_link_corruptor(
+                event.node, event.direction,
+                corruptor(packets=max(1, event.amount)))
         elif event.kind == BABBLE:
             # An unsolicited burst from a misbehaving host.  Routed
             # blindly (babblers do not consult failure maps) and
@@ -237,29 +229,12 @@ class FaultInjector:
     def state(self) -> dict:
         """Checkpoint state.  The plan itself is rebuilt from its seed
         and parameters (it is pure data), so only the replay position
-        and the links carrying our corruptors are saved; the corruptor
-        *states* live with the network, which owns the wire.
+        is saved; the corruptors live with the network, which owns the
+        wire.
         """
-        return {
-            "index": self._index,
-            "corruptor_links": sorted(
-                [list(node), direction]
-                for node, direction in self.corruptors
-            ),
-        }
+        return {"index": self._index}
 
     def load_state(self, state: dict) -> None:
-        """Restore the replay position.
-
-        Must run after the network's own restore: corruptor entries are
-        re-referenced from the network so the injector and the wire
-        share one instance per link, exactly as when it was installed.
-        """
+        """Restore the replay position."""
         self._index = int(state["index"])
         self.fired = list(self.plan.events[:self._index])
-        self.corruptors = {}
-        for node, direction in state["corruptor_links"]:
-            link = (tuple(node), direction)
-            corruptor = self.network.link_corruptor(*link)
-            if corruptor is not None:
-                self.corruptors[link] = corruptor

@@ -112,9 +112,6 @@ class RecoveryController:
         self.network = network
         self.manager = network.manager
         self.be_timeout_cycles = BE_TIMEOUT_SLOTS * network.params.slot_cycles
-        #: Links software knows are dead (announced or detected).
-        #: Kept in lock-step with ``network.routing_avoid``.
-        self.dead_links: set[Link] = set(network.routing_avoid)
 
         self._messages: list[_TrackedMessage] = []
         self._be_packets: list[_TrackedBestEffort] = []
@@ -140,35 +137,25 @@ class RecoveryController:
     # -- event handling -----------------------------------------------------
 
     def _on_event(self, event: LinkEvent) -> None:
+        """A link became known dead (published once per failure, by
+        ``MeshNetwork.learn_dead``) or was repaired (which clears what
+        the network knows of it)."""
         if event.kind == LINK_REPAIRED:
-            self.dead_links.discard(event.link)
-            self.network.routing_avoid.discard(event.link)
             return
-        if event.link in self.dead_links:
-            return
-        self.dead_links.add(event.link)
-        self.network.routing_avoid.add(event.link)
-        if event.link in self.network.failed_links:
-            # Known dead: let stalled wormhole traffic drain out of the
-            # fabric instead of blocking its whole path forever.
-            self.network.set_link_draining(*event.link)
-        self._recover_channels()
-
-    def _recover_channels(self) -> None:
+        # Known dead: let stalled wormhole traffic drain out of the
+        # fabric instead of blocking its whole path forever.
+        self.network.set_link_draining(*event.link)
+        dead = self.network.known_dead_links
         for channel in list(self.manager.channels):
-            if not self._uses_dead_link(channel):
+            if not any((hop.node, hop.out_port) in dead
+                       for hop in channel.reservation.hops):
                 continue
             try:
-                self.network.recover_channel(channel,
-                                             failed=self.dead_links)
+                self.network.recover_channel(channel, failed=dead)
                 self.network.fault_stats.channels_rerouted += 1
             except (RouteError, AdmissionError):
                 self.manager.degrade(channel)
                 self.network.fault_stats.channels_degraded += 1
-
-    def _uses_dead_link(self, channel) -> bool:
-        return any((hop.node, hop.out_port) in self.dead_links
-                   for hop in channel.reservation.hops)
 
     # -- the ledger ---------------------------------------------------------
 
@@ -342,9 +329,11 @@ class RecoveryController:
 
     def _check_be(self, cycle: int) -> None:
         stats = self.network.fault_stats
-        for entry in [entry for entry in self._be_packets
-                      if entry.next_check_cycle <= cycle]:
-            if not (entry.path_links & self.dead_links):
+        due = [entry for entry in self._be_packets
+               if entry.next_check_cycle <= cycle]
+        dead = self.network.known_dead_links if due else set()
+        for entry in due:
+            if not (entry.path_links & dead):
                 # Overdue but its path is intact: congestion, not loss.
                 # Check again later without burning a retry.
                 entry.next_check_cycle = cycle + self.be_timeout_cycles
@@ -367,7 +356,7 @@ class RecoveryController:
             try:
                 packet = self.network.send_best_effort(
                     entry.source, entry.destination, entry.payload,
-                    avoid=self.dead_links,
+                    avoid=dead,
                     connection_label=entry.label,
                     sequence=entry.sequence,
                 )
@@ -410,8 +399,6 @@ class RecoveryController:
         boundary they are always clear and need no saving.
         """
         return {
-            "dead_links": sorted([list(node), direction]
-                                 for node, direction in self.dead_links),
             "messages": [
                 {
                     "label": entry.label,
@@ -447,11 +434,7 @@ class RecoveryController:
         }
 
     def load_state(self, state: dict) -> None:
-        """Overlay saved timers; ``dead_links`` stays consistent with
-        the network's already-restored ``routing_avoid`` set."""
-        self.dead_links.clear()
-        self.dead_links.update((tuple(node), direction)
-                               for node, direction in state["dead_links"])
+        """Overlay saved timers."""
         self._messages.clear()
         self._message_of.clear()
         for saved in state["messages"]:

@@ -1,9 +1,10 @@
 """Link lifecycle events shared by the network and the fault layer.
 
-:class:`MeshNetwork` emits administrative events when links are failed
-or repaired; the :class:`~repro.faults.watchdog.LinkWatchdog` emits
-``link-dead`` events when it *detects* a silent failure from missed
-link-level acknowledgements.  Both feed the
+:class:`MeshNetwork` emits them when links are repaired and, once per
+failure, when software learns a link is dead: announced
+(``link-failed``) or *detected* by the
+:class:`~repro.faults.watchdog.LinkWatchdog` from missed link-level
+acknowledgements (``link-dead``).  Both feed the
 :class:`~repro.faults.recovery.RecoveryController` through the same
 tiny publish/subscribe mechanism.
 """

@@ -52,19 +52,35 @@ from repro.observability import (
 #: modified) phit, or ``None`` to suppress it entirely.
 Corruptor = Callable[[Phit], Optional[Phit]]
 
+#: A link record's marks, each with the network document key that lists
+#: the links carrying it (``routing_avoid``: the links known dead).
+LINK_MARKS = (("failed_links", "failed"), ("draining_links", "draining"),
+              ("routing_avoid", "known"))
 
-@dataclass
+
+@dataclass(slots=True)
 class LinkMonitor:
-    """Per-directed-link health bookkeeping, updated by the wiring layer.
+    """Everything known about one directed link: its one record.
 
-    Models what line-level hardware can observe: whether offered phits
-    made it across (a dead link returns no acknowledgement, so
-    ``missed_transfers`` grows while the sender keeps offering), and
-    how many bytes were lost, drained, or corrupted.  The watchdog
-    reads ``missed_transfers``; the counters feed
-    :class:`~repro.network.stats.FaultCounters`.
+    Physical truth is ``failed`` (nothing crosses it) and the wire's
+    ``corruptor``; what protocol software has learned is ``known``
+    (announced, or detected by the watchdog), and what the recovery
+    layer made of it is ``draining`` (best-effort phits that die on the
+    link are acknowledged back to the sender, so stalled worms drain
+    out instead of deadlocking).  The rest models what line-level
+    hardware can observe: whether offered phits made it across (a dead
+    link returns no acknowledgement, so ``missed_transfers`` grows
+    while the sender keeps offering), and how many bytes were lost,
+    drained, or corrupted.  The watchdog reads ``missed_transfers``;
+    the counters feed :class:`~repro.network.stats.FaultCounters`.
+    Only :class:`MeshNetwork` writes ``failed``, ``known`` and
+    ``draining``; ``known`` and ``draining`` hold only on a failed link.
     """
 
+    failed: bool = False
+    known: bool = False
+    draining: bool = False
+    corruptor: Optional[Corruptor] = None
     missed_transfers: int = 0      # consecutive offered-but-lost phits
     bytes_lost: int = 0            # phits that died on the failed link
     bytes_drained: int = 0         # stalled wormhole bytes drained away
@@ -110,12 +126,6 @@ class MeshNetwork:
         self.in_flight: set[RealTimeRouter] = set()
         self.routers: dict[Node, RealTimeRouter] = {}
         self.hosts: dict[Node, HostNode] = {}
-        self._failed_links: set[tuple[Node, int]] = set()
-        #: Failed links currently in drain mode: best-effort phits that
-        #: die on them are acknowledged back to the sender so stalled
-        #: worms drain out instead of deadlocking (recovery layer).
-        self._draining_links: set[tuple[Node, int]] = set()
-        self._link_corruptors: dict[tuple[Node, int], Corruptor] = {}
         #: Spoofed acknowledgements owed to link senders, applied at
         #: most one per link per cycle by :meth:`_apply_drain_acks`.
         self._drain_acks: dict[tuple[Node, int], int] = {}
@@ -125,11 +135,6 @@ class MeshNetwork:
         #: Recovery-layer counters (router/monitor counters are merged
         #: in by :meth:`fault_counters`).
         self.fault_stats = FaultCounters()
-        #: Links that software *knows* are down (announced failures and
-        #: watchdog detections) — what degraded/relayed best-effort
-        #: routing avoids.  Distinct from ``_failed_links``, which is
-        #: physical truth the software may not have discovered yet.
-        self.routing_avoid: set[tuple[Node, int]] = set()
         #: Observers of time-constrained / best-effort sends (the
         #: recovery controller's retransmit ledger taps these).  TC
         #: hooks receive ``(channel, packets, payload)``.
@@ -197,9 +202,6 @@ class MeshNetwork:
         """Monitors for one router's outgoing links, and the wiring that
         carries its outputs to its neighbours."""
         source = self.routers[node]
-        failed = self._failed_links
-        draining = self._draining_links
-        corruptors = self._link_corruptors
         drain_acks = self._drain_acks
         # Per link: direction, key, sink, sink port, the link whose
         # sender its ack bits serve (they acknowledge bytes the neighbour
@@ -246,7 +248,7 @@ class MeshNetwork:
                 phit = signal.phit
                 if phit is None and not signal.ack:
                     continue
-                if link in failed:
+                if monitor.failed:
                     # Nothing crosses a dead link; account for what died.
                     if phit is not None:
                         monitor.missed_transfers += 1
@@ -254,7 +256,7 @@ class MeshNetwork:
                             wrote.append(self.monitor_reader)
                         monitor.bytes_lost += 1
                         if phit.vc == "BE":
-                            if link in draining:
+                            if monitor.draining:
                                 monitor.bytes_drained += 1
                                 drain_acks[link] = drain_acks.get(link, 0) + 1
                             else:
@@ -271,7 +273,7 @@ class MeshNetwork:
                     # so the watchdog's miss counter resets — even if
                     # injected corruption mangles the payload below.
                     monitor.missed_transfers = 0
-                    corruptor = corruptors.get(link)
+                    corruptor = monitor.corruptor
                     if corruptor is not None:
                         mangled = corruptor(phit)
                         if mangled is None:
@@ -343,14 +345,13 @@ class MeshNetwork:
         the wire; a stream staged whole on a port that may frame it (a
         link repaired, a stream restored) is framed where its next
         transmit would be."""
-        wired, failed = self.link_monitors, self._failed_links
-        corrupted = self._link_corruptors
+        monitors = self.link_monitors
         for node, router in self.routers.items():
             links = [True] * (MESH_LINKS + 1)
             for direction in range(MESH_LINKS):
-                link = (node, direction)
-                links[direction] = (link in wired and link not in failed
-                                    and link not in corrupted)
+                monitor = monitors.get((node, direction))
+                links[direction] = (monitor is not None and not monitor.failed
+                                    and monitor.corruptor is None)
             before, router.frame_links = router.frame_links, links
             if before is not None and before != links:
                 for direction in range(MESH_LINKS):
@@ -420,28 +421,38 @@ class MeshNetwork:
         scheduled onto the dead output port stay buffered — exactly the
         failure modes that motivate rerouting over disjoint paths.
 
-        With ``announce=True`` (administrative failure) a
-        ``link-failed`` event is published for the recovery layer.
+        With ``announce=True`` (administrative failure) software learns
+        of it at once (:meth:`learn_dead`, a ``link-failed`` event).
         Fault injectors pass ``announce=False`` — a silently cut link
-        that only the watchdog can discover.
+        that only the watchdog can discover.  Idempotent.
         """
-        link = (node, direction)
-        if self.mesh.neighbor(node, direction) is None:
-            raise ValueError("no link in that direction")
-        if link not in self._failed_links:
-            self._failed_links.add(link)
+        monitor = self._monitor(node, direction)
+        if not monitor.failed:
+            monitor.failed = True
             self._refresh_framing()
-            monitor = self.link_monitors[link]
             monitor.missed_transfers = 0
             monitor.be_lost_uncompensated = 0
         # Announcing an already-failed (silently cut) link is allowed:
         # it upgrades the failure from physical to known.
-        if announce and link not in self.routing_avoid:
-            self.routing_avoid.add(link)
-            self.flush_dead_link(node, direction)
-            self.events.emit(LinkEvent(kind=LINK_FAILED, node=node,
-                                       direction=direction,
-                                       cycle=self.cycle))
+        if announce:
+            self.learn_dead(node, direction, LINK_FAILED)
+
+    def learn_dead(self, node: Node, direction: int, kind: str) -> None:
+        """Software has learned that a failed link is dead, by
+        announcement (``kind`` ``link-failed``) or detection
+        (``link-dead``): mark it known network-wide, flush the partial
+        frame the cut left (:meth:`flush_dead_link`) and publish the
+        event.  A link already known stays quiet, so each failure is
+        published once."""
+        monitor = self._monitor(node, direction)
+        if not monitor.failed:
+            raise ValueError("only a failed link can be known dead")
+        if monitor.known:
+            return
+        monitor.known = True
+        self.flush_dead_link(node, direction)
+        self.events.emit(LinkEvent(kind=kind, node=node,
+                                   direction=direction, cycle=self.cycle))
 
     def flush_dead_link(self, node: Node, direction: int) -> None:
         """Software has learned that a link is dead: drop the partial
@@ -530,18 +541,13 @@ class MeshNetwork:
         wedged at zero best-effort credits.
         """
         link = (node, direction)
-        if link not in self._failed_links:
+        monitor = self.link_monitors.get(link)
+        if monitor is None or not monitor.failed:
             return
-        self._failed_links.discard(link)
-        self._draining_links.discard(link)
-        self.routing_avoid.discard(link)
+        monitor.failed = monitor.draining = monitor.known = False
         self._refresh_framing()
-        monitor = self.link_monitors[link]
         monitor.missed_transfers = 0
-        if monitor.be_lost_uncompensated:
-            self._drain_acks[link] = (self._drain_acks.get(link, 0)
-                                      + monitor.be_lost_uncompensated)
-            monitor.be_lost_uncompensated = 0
+        self._compensate(link, monitor)
         self.events.emit(LinkEvent(kind=LINK_REPAIRED, node=node,
                                    direction=direction, cycle=self.cycle))
 
@@ -554,38 +560,55 @@ class MeshNetwork:
         its whole path.  Credits already burnt on the dead link are
         compensated up front.
         """
-        link = (node, direction)
-        if link not in self._failed_links:
+        monitor = self._monitor(node, direction)
+        if not monitor.failed:
             raise ValueError("only failed links can drain")
-        if link in self._draining_links:
-            return
-        self._draining_links.add(link)
-        monitor = self.link_monitors[link]
-        if monitor.be_lost_uncompensated:
-            self._drain_acks[link] = (self._drain_acks.get(link, 0)
-                                      + monitor.be_lost_uncompensated)
-            monitor.bytes_drained += monitor.be_lost_uncompensated
-            monitor.be_lost_uncompensated = 0
+        if not monitor.draining:
+            monitor.draining = True
+            monitor.bytes_drained += self._compensate((node, direction),
+                                                      monitor)
+
+    def _compensate(self, link: tuple[Node, int],
+                    monitor: LinkMonitor) -> int:
+        """Owe the sender one acknowledgement per best-effort byte that
+        died on the link un-drained; returns how many."""
+        lost, monitor.be_lost_uncompensated = monitor.be_lost_uncompensated, 0
+        if lost:
+            self._drain_acks[link] = self._drain_acks.get(link, 0) + lost
+        return lost
 
     def set_link_corruptor(self, node: Node, direction: int,
                            corruptor: Corruptor) -> None:
-        """Install a fault-injection corruptor on one directed link."""
-        if self.mesh.neighbor(node, direction) is None:
-            raise ValueError("no link in that direction")
-        self._link_corruptors[(node, direction)] = corruptor
+        """Install a fault-injection corruptor on one directed link,
+        replacing the one it had."""
+        self._monitor(node, direction).corruptor = corruptor
         self._refresh_framing()
 
     def clear_link_corruptor(self, node: Node, direction: int) -> None:
-        self._link_corruptors.pop((node, direction), None)
+        self._monitor(node, direction).corruptor = None
         self._refresh_framing()
 
-    def link_corruptor(self, node: Node, direction: int) -> Optional[Corruptor]:
-        """The corruptor installed on one directed link, or ``None``."""
-        return self._link_corruptors.get((node, direction))
+    def _monitor(self, node: Node, direction: int) -> LinkMonitor:
+        monitor = self.link_monitors.get((node, direction))
+        if monitor is None:
+            raise ValueError("no link in that direction")
+        return monitor
 
     @property
     def failed_links(self) -> set[tuple[Node, int]]:
-        return set(self._failed_links)
+        """The links that are cut (physical truth), as a fresh set."""
+        return {link for link, monitor in self.link_monitors.items()
+                if monitor.failed}
+
+    @property
+    def known_dead_links(self) -> set[tuple[Node, int]]:
+        """The links software knows are down (announced failures and
+        watchdog detections), as a fresh set: what rerouting, and
+        degraded and relayed best-effort routing, avoid.  A subset of
+        :attr:`failed_links`, which software may not have discovered
+        yet."""
+        return {link for link, monitor in self.link_monitors.items()
+                if monitor.known}
 
     def recover_channel(self, channel, *,
                         failed: Optional[set[tuple[Node, int]]] = None,
@@ -602,7 +625,7 @@ class MeshNetwork:
         detour fails admission (the old channel is left intact).
         """
         return self.manager.recover(
-            channel, self._failed_links if failed is None else failed)
+            channel, self.failed_links if failed is None else failed)
 
     # ------------------------------------------------------------------
     # Time
@@ -669,7 +692,8 @@ class MeshNetwork:
         """Establish a real-time channel (see ChannelManager.establish);
         a route the manager picks by search keeps off the links that
         are failed right now."""
-        kwargs.setdefault("failed", self._failed_links)
+        if "failed" not in kwargs:
+            kwargs["failed"] = self.failed_links
         return self.manager.establish(source, destination, spec, deadline,
                                       **kwargs)
 
@@ -725,7 +749,7 @@ class MeshNetwork:
             try:
                 self.send_best_effort(
                     channel.source, destination, payload,
-                    avoid=self.routing_avoid,
+                    avoid=self.known_dead_links,
                     connection_label=channel.label,
                     sequence=sequence,
                 )
@@ -743,35 +767,32 @@ class MeshNetwork:
     def send_best_effort(self, source: Node, destination: Node,
                          payload: bytes = b"", *,
                          avoid: Optional[set[tuple[Node, int]]] = None,
-                         relay: Optional[list[Node]] = None,
                          connection_label: Optional[str] = None,
                          sequence: Optional[int] = None) -> BestEffortPacket:
         """Inject one wormhole packet from ``source`` to ``destination``.
 
         ``avoid`` plans a host-relay chain around the given links
-        (best-effort routing itself is hard-wired dimension order);
-        ``relay`` supplies an explicit waypoint chain instead.  Both
-        raise :class:`~repro.channels.routing.RouteError` when no
+        (best-effort routing itself is hard-wired dimension order),
+        raising :class:`~repro.channels.routing.RouteError` when no
         relay chain survives.
         """
         if not self.mesh.contains(source) or not self.mesh.contains(destination):
             raise ValueError("source or destination outside the mesh")
-        if avoid is not None and relay is None and avoid:
+        waypoints = [destination]
+        if avoid:
             from repro.channels.routing import best_effort_relay
 
             waypoints = best_effort_relay(
                 self.mesh.width, self.mesh.height, source, destination,
                 avoid,
             )
-            relay = waypoints if len(waypoints) > 1 else None
-        first_hop = destination if not relay else relay[0]
-        x_offset, y_offset = self.mesh.offsets(source, first_hop)
+        x_offset, y_offset = self.mesh.offsets(source, waypoints[0])
         packet = BestEffortPacket(
             x_offset=x_offset, y_offset=y_offset, payload=payload,
             meta=PacketMeta(
                 source=source, destination=destination,
                 connection_label=connection_label, sequence=sequence,
-                relay_path=tuple(relay[1:]) if relay else (),
+                relay_path=tuple(waypoints[1:]),
             ),
         )
         packet.meta.injected_cycle = self.cycle
@@ -816,9 +837,12 @@ class MeshNetwork:
         per-cycle loop can touch.  Not covered (a documented limitation):
         snapshot emitters.
         """
+        links = sorted(self.link_monitors.items())
         corruptors = []
-        for (node, direction), corruptor in sorted(
-                self._link_corruptors.items()):
+        for (node, direction), monitor in links:
+            corruptor = monitor.corruptor
+            if corruptor is None:
+                continue
             if not hasattr(corruptor, "state"):
                 raise ValueError(
                     f"link corruptor on {(node, direction)!r} is not "
@@ -837,15 +861,12 @@ class MeshNetwork:
                   monitor.bytes_drained, monitor.bytes_corrupted,
                   monitor.packets_dropped,
                   monitor.be_lost_uncompensated]]
-                for (node, direction), monitor in sorted(
-                    self.link_monitors.items())
+                for (node, direction), monitor in links
             ],
-            "failed_links": [[list(node), direction] for node, direction
-                             in sorted(self._failed_links)],
-            "draining_links": [[list(node), direction] for node, direction
-                               in sorted(self._draining_links)],
-            "routing_avoid": [[list(node), direction] for node, direction
-                              in sorted(self.routing_avoid)],
+            **{key: [[list(node), direction]
+                     for (node, direction), monitor in links
+                     if getattr(monitor, flag)]
+               for key, flag in LINK_MARKS},
             "drain_acks": [[list(node), direction, pending]
                            for (node, direction), pending in sorted(
                                self._drain_acks.items())],
@@ -875,37 +896,31 @@ class MeshNetwork:
             self.routers[node].load_state(router_state, ctx)
         for node, host_state in zip(self.mesh.nodes(), state["hosts"]):
             self.hosts[node].load_state(host_state, ctx)
+        # The records and the owed-ack map are captured by reference
+        # inside the wiring closures — refill in place, never rebind.
+        monitors = self.link_monitors
         for node, direction, fields in state["link_monitors"]:
-            monitor = self.link_monitors[(tuple(node), direction)]
+            monitor = monitors[(tuple(node), direction)]
             (monitor.missed_transfers, monitor.bytes_lost,
              monitor.bytes_drained, monitor.bytes_corrupted,
              monitor.packets_dropped,
              monitor.be_lost_uncompensated) = [int(v) for v in fields]
-        # These containers are captured by reference inside the wiring
-        # closures — refill in place, never rebind.
-        self._failed_links.clear()
-        self._failed_links.update(
-            (tuple(node), direction)
-            for node, direction in state["failed_links"])
-        self._draining_links.clear()
-        self._draining_links.update(
-            (tuple(node), direction)
-            for node, direction in state["draining_links"])
-        self.routing_avoid.clear()
-        self.routing_avoid.update(
-            (tuple(node), direction)
-            for node, direction in state["routing_avoid"])
+        for key, flag in LINK_MARKS:
+            marked = {(tuple(node), direction)
+                      for node, direction in state[key]}
+            for link, monitor in monitors.items():
+                setattr(monitor, flag, link in marked)
         self._drain_acks.clear()
         for node, direction, pending in state["drain_acks"]:
             self._drain_acks[(tuple(node), direction)] = int(pending)
-        self._link_corruptors.clear()
+        for monitor in monitors.values():
+            monitor.corruptor = None
         if state["corruptors"]:
             from repro.faults.injector import corruptor_from_state
 
             for node, direction, corruptor_state in state["corruptors"]:
-                self._link_corruptors[(tuple(node), direction)] = (
-                    corruptor_from_state(corruptor_state)
-                )
+                monitors[(tuple(node), direction)].corruptor = (
+                    corruptor_from_state(corruptor_state))
         for name, value in state["fault_stats"].items():
             setattr(self.fault_stats, name, int(value))
         self.manager.load_state(state["manager"])

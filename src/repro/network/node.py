@@ -48,11 +48,6 @@ class HostNode:
         if engine is not None:
             engine.wake(self)
 
-    def send_be(self, packet: BestEffortPacket, cycle: int) -> None:
-        packet.meta.injected_cycle = cycle
-        packet.meta.source = self.node
-        self.router.inject_be(packet)
-
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Event-scheduler contract (see ``docs/performance.md``): an
         undrained delivery is due now, else the release heap's head."""

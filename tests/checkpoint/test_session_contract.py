@@ -73,7 +73,7 @@ CASES = [
          frozenset(SHARED_KEYS | {
              "next_message", "next_be", "admission_rejects",
              "channel_labels", "be_payloads", "rng", "injector",
-             "watchdog", "controller"}),
+             "controller"}),
          "settle", chaos_bytes),
     Case(RandomWorkloadSession, (3, 3, 4, 60, 9), (3, 3, 4, 60, 10), 300,
          frozenset(SHARED_KEYS | {

@@ -14,6 +14,7 @@ from repro.core import (
 from repro.core.invariants import (
     CheckedRouter,
     InvariantViolation,
+    check_link_records,
     check_no_shared_wires,
     check_router_invariants,
 )
@@ -395,3 +396,64 @@ class TestWires:
             net.run(10)
             check_no_shared_wires(net.routers.values())
         assert net.log.be_delivered == 2
+
+
+class TestLinkRecords:
+    """A mesh keeps one record per directed link; what it knows of a
+    link, and how its sender frames onto it, follow from the record."""
+
+    @staticmethod
+    def _mesh():
+        from repro.network.network import MeshNetwork
+
+        return MeshNetwork(3, 2)
+
+    def test_a_faulty_life_keeps_the_records_consistent(self):
+        from repro.faults.injector import BitFlipCorruptor
+
+        net = self._mesh()
+        steps = [
+            lambda: net.fail_link((0, 0), EAST, announce=False),
+            lambda: net.set_link_corruptor((1, 0), EAST,
+                                           BitFlipCorruptor()),
+            lambda: net.learn_dead((0, 0), EAST, "link-dead"),
+            lambda: net.set_link_draining((0, 0), EAST),
+            lambda: net.fail_link((1, 1), WEST),
+            lambda: net.repair_link((0, 0), EAST),
+            lambda: net.clear_link_corruptor((1, 0), EAST),
+        ]
+        for step in steps:
+            step()
+            check_link_records(net)
+        assert net.failed_links == net.known_dead_links == {((1, 1), WEST)}
+
+    @pytest.mark.parametrize("flag", ["known", "draining"])
+    def test_detects_knowledge_of_a_live_link(self, flag):
+        net = self._mesh()
+        setattr(net.link_monitors[((0, 0), EAST)], flag, True)
+        with pytest.raises(InvariantViolation, match="but not failed"):
+            check_link_records(net)
+
+    def test_detects_a_frame_onto_a_failed_link(self):
+        net = self._mesh()
+        net.link_monitors[((0, 0), EAST)].failed = True
+        with pytest.raises(InvariantViolation,
+                           match=r"link \(0, 0\) 0 framed"):
+            check_link_records(net)
+
+    def test_detects_a_live_link_left_unframed(self):
+        net = self._mesh()
+        net.routers[(0, 0)].frame_links[EAST] = False
+        with pytest.raises(InvariantViolation, match="not framed"):
+            check_link_records(net)
+
+    def test_a_failure_is_learned_once(self):
+        net = self._mesh()
+        with pytest.raises(ValueError, match="only a failed link"):
+            net.learn_dead((0, 0), EAST, "link-dead")
+        seen = []
+        net.events.subscribe(seen.append)
+        net.fail_link((0, 0), EAST)
+        net.learn_dead((0, 0), EAST, "link-dead")
+        net.fail_link((0, 0), EAST)
+        assert [event.kind for event in seen] == ["link-failed"]

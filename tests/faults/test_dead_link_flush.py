@@ -37,8 +37,7 @@ def test_a_partial_frame_behind_a_dead_link_is_flushed(cut_through,
     if learnt == "detected":
         # A silent cut is found once a packet's worth of bytes has died
         # on it: the second message supplies the rest.
-        watchdog = LinkWatchdog(net)
-        net.engine.add_component(watchdog)
+        net.engine.add_component(LinkWatchdog(net))
     for _ in range(2 if learnt == "detected" else 1):
         net.send_message(channel, b"x" * 10)
     middle = net.routers[(1, 0)]
@@ -65,7 +64,7 @@ def test_a_partial_frame_behind_a_dead_link_is_flushed(cut_through,
     assert net.fault_counters().tc_resync_drops == 1
     assert net.log.tc_delivered == 0
     if learnt == "detected":
-        assert ((0, 0), EAST) in watchdog.dead
+        assert net.known_dead_links == {((0, 0), EAST)}
         assert net.fault_stats.links_detected == 1
     if engine == "exact":
         assert_oracle_ran(net.engine)

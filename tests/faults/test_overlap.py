@@ -12,6 +12,7 @@ built programmatically.
 
 import pytest
 
+from repro.checkpoint.codec import SaveContext
 from repro.faults.injector import (
     BitFlipCorruptor,
     FaultInjector,
@@ -22,6 +23,7 @@ from repro.network.network import MeshNetwork
 
 LINK_NODE = (0, 0)
 LINK_DIR = 0  # east out of the origin; exists on any 2x2+ mesh
+LINK = (LINK_NODE, LINK_DIR)
 
 
 def _install(events):
@@ -76,17 +78,19 @@ class TestCorruptorOverlap:
                        direction=LINK_DIR, amount=1),
         ])
         injector.step(10)
-        first = net.link_corruptor(LINK_NODE, LINK_DIR)
+        first = net.link_monitors[LINK].corruptor
         assert isinstance(first, BitFlipCorruptor)
         assert first.remaining == 3
         injector.step(20)
-        second = net.link_corruptor(LINK_NODE, LINK_DIR)
+        second = net.link_monitors[LINK].corruptor
         assert isinstance(second, PacketDropCorruptor)
         # The replacement starts from its own budget; the first
         # corruptor's three unspent packets are discarded, never
         # merged into the new one.
         assert second.remaining == 1
-        assert injector.corruptors[(LINK_NODE, LINK_DIR)] is second
+        # The wire holds the one corruptor, and saves only it.
+        [saved] = net.state(SaveContext())["corruptors"]
+        assert saved == [list(LINK_NODE), LINK_DIR, second.state()]
 
     def test_same_kind_replacement_discards_unspent_budget(self):
         net, injector = _install([
@@ -96,7 +100,7 @@ class TestCorruptorOverlap:
                        direction=LINK_DIR, amount=2),
         ])
         injector.step(20)
-        corruptor = net.link_corruptor(LINK_NODE, LINK_DIR)
+        corruptor = net.link_monitors[LINK].corruptor
         assert corruptor.remaining == 2
 
     def test_corruptor_survives_cut_and_repair(self):
@@ -109,10 +113,10 @@ class TestCorruptorOverlap:
                        direction=LINK_DIR),
         ])
         injector.step(10)
-        installed = net.link_corruptor(LINK_NODE, LINK_DIR)
+        installed = net.link_monitors[LINK].corruptor
         injector.step(30)
         assert (LINK_NODE, LINK_DIR) not in net.failed_links
-        assert net.link_corruptor(LINK_NODE, LINK_DIR) is installed
+        assert net.link_monitors[LINK].corruptor is installed
         assert installed.remaining == 2
 
 

@@ -7,8 +7,8 @@ one arrival whether or not fault tolerance is installed.  Here the
 chain of ``test_frames_in_flight.py`` runs a fault plan whose cut, flap
 and corruption each strike a frame in flight, with the watchdog and the
 recovery controller installed, and at every cycle the delivery records,
-every router document, the fault counters and the watchdog's detections
-must equal the reference chip's (``tests/reference.py``), and every
+every router document, the fault counters and the link events published
+(the watchdog's detections among them) must equal the reference chip's (``tests/reference.py``), and every
 link a frame may cross reads no missed transfer: the argument for
 framing under a watchdog, checked.  The flap's repair lands while its
 sender streams per byte; the stream is framed at once
@@ -20,6 +20,7 @@ import functools
 
 from repro.core.ports import EAST, WEST
 from repro.faults.plan import CORRUPT, CUT, REPAIR, FaultEvent
+from repro.network.events import LINK_DEAD
 from tests.reference import FabricPair, chaos_chain, compare, framed
 
 CYCLES = 1_500
@@ -86,8 +87,9 @@ def test_a_chaos_plan_under_a_watchdog_equals_the_per_byte_chain():
     counters = net.fault_counters()
     assert counters.link_bytes_corrupted > 0
     assert net.link_monitors[FLAPPED].bytes_lost > 0
-    assert CUT_LINK in net.monitor_reader.dead
-    assert FLAPPED not in net.monitor_reader.dead
+    assert net.known_dead_links == {CUT_LINK}
+    assert [link for kind, link, _ in pair.link_events[0]
+            if kind == LINK_DEAD] == [CUT_LINK]
     assert counters.links_detected == 1
     assert counts["mid_frame"] > CYCLES // 4
     assert counts["asleep"] > CYCLES // 4

@@ -374,8 +374,6 @@ class TestKeptSchedule:
         assert net.log.records[0].delivered_cycle < 700
 
     def test_host_entry_points_wake_between_runs(self):
-        from repro.core.packet import BestEffortPacket
-
         net = MeshNetwork(3, 3)
         channel = net.establish_channel((0, 0), (2, 1), TrafficSpec(i_min=8),
                                         deadline=16, label="direct")
@@ -383,9 +381,7 @@ class TestKeptSchedule:
         host = net.hosts[(0, 0)]
         packets, _, release = channel.make_message(b"tc", net.current_tick)
         host.queue_tc(packets, release)
-        x_offset, y_offset = net.mesh.offsets((0, 0), (1, 2))
-        host.send_be(BestEffortPacket(x_offset=x_offset, y_offset=y_offset,
-                                      payload=b"be"), net.cycle)
+        net.send_best_effort((0, 0), (1, 2), b"be")
         _enter(net, 1_000)
         assert (net.log.tc_delivered, net.log.be_delivered) == (1, 1)
 

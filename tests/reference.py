@@ -271,7 +271,8 @@ class _Reader:
 class FabricPair:
     """A scenario built on the shipped chip (under ``engine``) and on
     the reference, each with a mid-cycle reader (``every``: the service
-    and the document cadence)."""
+    and the document cadence) and a log of every link event published
+    (``(kind, link, cycle)``: announcements, detections, repairs)."""
 
     def __init__(self, scenario, engine="event", *, every=(7, 7),
                  host=HostNode):
@@ -279,8 +280,12 @@ class FabricPair:
                      build(scenario, reference=True, host=host))
         self.nets = tuple(traffic.net for traffic in self.runs)
         self.readers = tuple(_Reader(net, *every) for net in self.nets)
-        for net, reader in zip(self.nets, self.readers):
+        self.link_events = ([], [])
+        for net, reader, seen in zip(self.nets, self.readers,
+                                     self.link_events):
             net.engine.add_component(reader)
+            net.events.subscribe(lambda event, seen=seen: seen.append(
+                (event.kind, event.link, event.cycle)))
         self.counts = Counter()
 
     def advance(self, cycle):
@@ -296,14 +301,14 @@ class FabricPair:
 
     def observe(self):
         reads = []
-        for net, reader in zip(self.nets, self.readers):
+        for net, reader, seen in zip(self.nets, self.readers,
+                                     self.link_events):
             taken, reader.taken = reader.taken, []
-            watchdog = net.monitor_reader
             reads.append({"records": records(net),
                           "documents": documents(net),
                           "service": service(net),
                           "faults": net.fault_counters().as_dict(),
-                          "detected": watchdog and dict(watchdog.dead),
+                          "detected": list(seen),
                           "mid-cycle reads": taken})
         shipped = self.readers[0]
         self.counts["mid_cycle_reads"] = shipped.reads
